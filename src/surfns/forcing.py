@@ -146,7 +146,7 @@ def _cached_coeffs(spec, grid, key, nodal, L):
     ck = (key, L)
     if ck not in spec._cache:
         tr = get_transform(grid, L)
-        spec._cache[ck] = tr.leray_project(nodal).coeffs
+        spec._cache[ck] = tr.analyze(nodal).coeffs
     return spec._cache[ck]
 
 
@@ -180,7 +180,7 @@ def apply_forcing(spec, grid, basis, state):
         tr = get_transform(grid, L)
         u = tr.synthesize(state)
         w = TangentialField(grid, np.linalg.norm(grid.nodes, axis=1)[:, None] * u.comps)
-        cw = tr.leray_project(w).coeffs
+        cw = tr.analyze(w).coeffs
         cw[:3] = 0.0
         out[:] = cw - c
     elif tag == "constant_killing":

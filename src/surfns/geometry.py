@@ -234,98 +234,124 @@ def tangential_project(grid, v):
 
 
 # ---------------------------------------------------------------------------
-# scalar transforms on the sphere (internal; exact on band-limited data)
+# per-order spectral engine on the sphere (Legendre x longitude)
 
-def _sphere_tables(grid):
-    key = "scal"
+def legendre_tables(grid):
+    """p_lm, dp_lm/dtheta and d^2p_lm/dtheta^2 up to the grid's degree.
+
+    Zero-padded array of shape (3, order, degree, n_lat): entry [t, m, l]
+    holds table t of degree l and order m, and is zero for l < m.  Cached
+    on the grid; slices [:, :L+1, :L+1] serve any truncation L.
+    """
+    key = "legendre"
     if key not in grid._caches:
         M = grid.max_degree
-        P, dP = plm_tables(M, grid.glx, nderiv=1)
-        m = np.arange(M + 1)
-        C = np.cos(np.outer(m, grid.lon))
-        S = np.sin(np.outer(m, grid.lon))
-        grid._caches[key] = (P, dP, C, S)
+        out = np.zeros((3, M + 1, M + 1, grid.n_lat))
+        for t, table in enumerate(plm_tables(M, grid.glx, nderiv=2)):
+            for m in range(M + 1):
+                out[t, m, m:] = table[m]
+        grid._caches[key] = out
     return grid._caches[key]
 
 
-def _scal_analyze(grid, f):
-    """Real-harmonic coefficients over the unit-sphere measure.
+class SphereEngine:
+    """Separable per-order transform between coefficient stacks and nodes.
 
-    ``f`` has shape (n_nodes,) or (n_nodes, k).  Returns (ac, as_) arrays of
-    shape (M+1, M+1, k): ac[l, m] multiplies sqrt(2) p_lm cos(m phi) for
-    m > 0 and p_l0 for m = 0; as_[l, m] the sine partners.
+    Component c of the nodal output of a coefficient vector is
+
+        f_c(theta_i, phi_j) = sum_(l,m) X_c[m, l, i] (a_lm T0_c(m phi_j) + b_lm T1_c(m phi_j))
+
+    where (a_lm, b_lm) are the cos/sin coefficients of (l, m), X_c are
+    zero-padded latitude profiles of shape (order, degree, n_lat), and
+    (T0, T1) = (cos, sin) for in-phase components, (sin, -cos) for shifted
+    ones (those carrying one azimuthal derivative).  Synthesis contracts each
+    order's coefficients with its profiles (a matmul batched over m), then
+    runs one longitude stage against cached cos/sin(m phi) matrices (batched
+    over components): O(L^3) memory and O(L^3) work per field.  The adjoint
+    runs both stages transposed; analysis is the adjoint applied to the
+    field times the quadrature weights.
+
+    ``profiles`` has shape (n_comps, order, degree, n_lat), ``shifted``
+    flags the shifted components and ``weights`` holds the quadrature
+    weight of each node.  Flat coefficients (the last axis of a (k, n)
+    stack) follow the degree-major layout [(l,0), (l,1,cos), (l,1,sin), ...,
+    (l,l,sin)] for lmin <= l <= lmax, with lmax + 1 = profiles.shape[1].
     """
-    P, dP, C, S = _sphere_tables(grid)
-    M = grid.max_degree
-    f = np.asarray(f, dtype=float)
-    squeeze = f.ndim == 1
-    f2 = f.reshape(grid.n_lat, grid.n_lon, -1)
-    k = f2.shape[2]
-    dphi = 2.0 * np.pi / grid.n_lon
-    # longitude reduction: (M+1, n_lat, k)
-    Fc = np.einsum("mj,ijk->mik", C, f2) * dphi
-    Fs = np.einsum("mj,ijk->mik", S, f2) * dphi
-    ac = np.zeros((M + 1, M + 1, k))
-    as_ = np.zeros((M + 1, M + 1, k))
-    w = grid.glw
-    for m in range(M + 1):
-        fac = np.sqrt(2.0) if m > 0 else 1.0
-        ac[m:, m] = fac * (P[m] @ (w[:, None] * Fc[m]))
-        if m > 0:
-            as_[m:, m] = fac * (P[m] @ (w[:, None] * Fs[m]))
-    if squeeze:
-        return ac[..., 0], as_[..., 0]
-    return ac, as_
+
+    def __init__(self, grid, lmin, profiles, shifted, weights):
+        n_comp, n_orders = profiles.shape[:2]
+        self.n_lat, self.n_lon = grid.n_lat, grid.n_lon
+        self.X = np.ascontiguousarray(profiles.transpose(1, 2, 0, 3))   # (m, l, c, i)
+        mphi = np.outer(np.arange(n_orders), grid.lon)
+        in_phase = np.stack([np.cos(mphi), np.sin(mphi)], axis=1)       # (m, 2, n_lon)
+        quarter = np.stack([np.sin(mphi), -np.cos(mphi)], axis=1)
+        self.trig = np.stack([quarter if s else in_phase for s in shifted]).reshape(
+            n_comp, 2 * n_orders, grid.n_lon)
+        # contiguous, so the adjoint's longitude stage stays on BLAS
+        self.trig_t = np.ascontiguousarray(self.trig.transpose(0, 2, 1))
+        self.weights = weights
+        order, part, degree = [], [], []
+        for l in range(lmin, n_orders):
+            order += [0] + [m for m in range(1, l + 1) for _ in (0, 1)]
+            part += [0] + [0, 1] * l
+            degree += [l] * (2 * l + 1)
+        self.layout = (np.array(order), np.array(part), np.array(degree))
+
+    def synthesize(self, c, comps=slice(None)):
+        """Nodal values (n_comps, k, n_nodes) of a coefficient stack (k, n)."""
+        X = self.X[:, :, comps]
+        n_orders, _, n_comp, n_lat = X.shape
+        k = c.shape[0]
+        Z = np.zeros((n_orders, 2, k, n_orders))
+        order, part, degree = self.layout
+        Z[order, part, :, degree] = c.T
+        F = Z.reshape(n_orders, 2 * k, n_orders) @ X.reshape(n_orders, n_orders, -1)
+        F = F.reshape(n_orders, 2, k, n_comp, n_lat).transpose(3, 2, 4, 0, 1)
+        f = F.reshape(n_comp, k * n_lat, 2 * n_orders) @ self.trig[comps]
+        return f.reshape(n_comp, k, n_lat * self.n_lon)
+
+    def adjoint(self, f, comps=slice(None)):
+        """Transpose of ``synthesize``: coefficient stack (k, n) of f (n_comps, k, n_nodes)."""
+        X = self.X[:, :, comps]
+        n_orders, _, n_comp, n_lat = X.shape
+        k = f.shape[1]
+        G = f.reshape(n_comp, k * n_lat, self.n_lon) @ self.trig_t[comps]
+        G = G.reshape(n_comp, k, n_lat, n_orders, 2).transpose(3, 0, 2, 4, 1)
+        Z = X.reshape(n_orders, n_orders, -1) @ G.reshape(n_orders, n_comp * n_lat, 2 * k)
+        order, part, degree = self.layout
+        return Z.reshape(n_orders, n_orders, 2, k)[order, degree, part].T
+
+    def analyze(self, f, comps=slice(None)):
+        """Coefficient stack (k, n) of nodal f (n_comps, k, n_nodes) by quadrature."""
+        return self.adjoint(f * self.weights, comps)
+
+    def sq_norms(self, comps=slice(None)):
+        """Quadrature of sum_c f_c^2 over the nodes, per unit coefficient."""
+        X2 = self.X[:, :, comps] ** 2
+        T2 = self.trig[comps].reshape(X2.shape[2], -1, 2, self.n_lon) ** 2
+        W = self.weights.reshape(self.n_lat, self.n_lon)
+        norms = np.einsum("mlci,ij,cmsj->msl", X2, W, T2, optimize=True)
+        order, part, degree = self.layout
+        return norms[order, part, degree]
 
 
-def _scal_synthesize(grid, ac, as_):
-    """Nodal values of the harmonic expansion (inverse of _scal_analyze)."""
-    P, dP, C, S = _sphere_tables(grid)
-    M = grid.max_degree
-    squeeze = ac.ndim == 2
-    ac = ac.reshape(M + 1, M + 1, -1)
-    as_ = as_.reshape(M + 1, M + 1, -1)
-    k = ac.shape[2]
-    out = np.zeros((grid.n_lat, grid.n_lon, k))
-    for m in range(M + 1):
-        fac = np.sqrt(2.0) if m > 0 else 1.0
-        profc = fac * np.einsum("li,lk->ik", P[m], ac[m:, m])
-        out += profc[:, None, :] * C[m][None, :, None]
-        if m > 0:
-            profs = fac * np.einsum("li,lk->ik", P[m], as_[m:, m])
-            out += profs[:, None, :] * S[m][None, :, None]
-    out = out.reshape(grid.n_nodes, k)
-    return out[:, 0] if squeeze else out
+def _scalar_engine(grid):
+    """Engine of real scalar harmonics up to the grid's degree.
 
-
-def _grad_synthesize(grid, ac, as_):
-    """Surface gradient (e_theta, e_phi components) of the expansion.
-
-    Returns shape (n_nodes, 2) or (n_nodes, 2, k).  Includes the 1/R metric
-    factor of the radius-R sphere.
+    Components: the harmonic itself (analysis over the unit-sphere
+    measure), then its gradient along e_theta and e_phi on the radius-R
+    sphere.
     """
-    P, dP, C, S = _sphere_tables(grid)
-    M = grid.max_degree
-    squeeze = ac.ndim == 2
-    ac = ac.reshape(M + 1, M + 1, -1)
-    as_ = as_.reshape(M + 1, M + 1, -1)
-    k = ac.shape[2]
-    sin_t = np.sin(grid.lat)
-    gth = np.zeros((grid.n_lat, grid.n_lon, k))
-    gph = np.zeros((grid.n_lat, grid.n_lon, k))
-    for m in range(M + 1):
-        fac = np.sqrt(2.0) if m > 0 else 1.0
-        dpc = fac * np.einsum("li,lk->ik", dP[m], ac[m:, m])
-        gth += dpc[:, None, :] * C[m][None, :, None]
-        if m > 0:
-            dps = fac * np.einsum("li,lk->ik", dP[m], as_[m:, m])
-            gth += dps[:, None, :] * S[m][None, :, None]
-            pc = fac * np.einsum("li,lk->ik", P[m], ac[m:, m]) / sin_t[:, None]
-            ps = fac * np.einsum("li,lk->ik", P[m], as_[m:, m]) / sin_t[:, None]
-            gph += m * (-pc[:, None, :] * S[m][None, :, None]
-                        + ps[:, None, :] * C[m][None, :, None])
-    out = np.stack([gth, gph], axis=2).reshape(grid.n_nodes, 2, k) / grid.R
-    return out[:, :, 0] if squeeze else out
+    key = "scalar_engine"
+    if key not in grid._caches:
+        P, dP, _ = legendre_tables(grid)
+        m = np.arange(grid.max_degree + 1)[:, None, None]
+        fac = np.where(m > 0, np.sqrt(2.0), 1.0)
+        s = np.sin(grid.lat)
+        profiles = np.stack([fac * P, fac * dP / grid.R, -m * fac * P / (grid.R * s)])
+        grid._caches[key] = SphereEngine(grid, 0, profiles, (False, False, True),
+                                         grid.weights / grid.R ** 2)
+    return grid._caches[key]
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +410,12 @@ def _canonical_frame(grid):
 
 def _directional_derivatives(grid, f):
     """Derivatives of nodal scalars along the canonical frame directions."""
-    if grid.kind == SPHERE:
-        ac, as_ = _scal_analyze(grid, f)
-        return _grad_synthesize(grid, ac, as_)
-    return _torus_directional(grid, f)
+    if grid.kind != SPHERE:
+        return _torus_directional(grid, f)
+    eng = _scalar_engine(grid)
+    c = eng.analyze(f.reshape(grid.n_nodes, -1).T[None], slice(0, 1))
+    g = eng.synthesize(c, slice(1, 3)).transpose(2, 0, 1)      # (n, 2, k)
+    return g[:, :, 0] if f.ndim == 1 else g
 
 
 def surface_gradient(grid, p):

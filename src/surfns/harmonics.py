@@ -15,6 +15,11 @@ Coefficients are stored as reals: for each degree l the layout is
 occupying the slice [l^2 - 1, (l+1)^2 - 1).  A negative m in the public API
 addresses the sine partner of |m|.  The complex view is derived and satisfies
 the usual reality condition.
+
+Transforms run on the per-order engine of the geometry module: per order m
+the coefficients contract with zero-padded latitude profiles, then one
+longitude stage applies cos/sin(m phi).  Tables take O(L^3) memory and each
+transform O(L^3) work; no per-mode nodal table is stored.
 """
 
 from collections import namedtuple
@@ -22,10 +27,12 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from ._legendre import plm_tables
-from .geometry import SPHERE, TangentialField, TangentialTensor
+from .geometry import (SPHERE, SphereEngine, TangentialField, TangentialTensor,
+                       legendre_tables)
 
 DealiasRule = namedtuple("DealiasRule", ["degree", "n_lat", "n_lon"])
+
+_FORM_CHUNK = 32        # identity columns per matrix-free weak-form pass
 
 
 def dealias_rule(L):
@@ -126,11 +133,18 @@ class SpectralState:
 
 
 class SphereTransform:
-    """Precomputed toroidal basis and derivative tables for (grid, L).
+    """Toroidal transforms for (grid, L) on the per-order engine.
 
-    Immutable after construction; transforms are pure functions of their
-    inputs and safe to call concurrently.
+    Holds only the latitude profiles of the toroidal field, (A, B), and of
+    its closed-form covariant derivative, (dA, mixTF, dB, mixFF), for every
+    order and degree up to L: O(L^3) memory, and O(L^3) work per transform
+    (see ``geometry.SphereEngine``).  Immutable after construction;
+    transforms are pure functions of their inputs and safe to call
+    concurrently.
     """
+
+    FIELD = slice(0, 2)     # u_theta, u_phi
+    GRAD = slice(2, 6)      # T_00, T_01, T_10, T_11 of the covariant derivative
 
     def __init__(self, grid, L):
         if grid.kind != SPHERE:
@@ -153,138 +167,101 @@ class SphereTransform:
                 self.mode_l[k] = l
                 self.mode_m[k] = m
 
-        self._P, self._dP, self._d2P = plm_tables(self.L, grid.glx, nderiv=2)
-        self.basis = self._build_basis()      # (n_modes, n_nodes, 2)
-        self._wbasis = self.basis * grid.weights[None, :, None]
-        self._grad = None
+        self.engine = SphereEngine(grid, 1, self._profiles(),
+                                   (True, False, True, False, False, True), grid.weights)
         self._grad_norm2 = None
 
-    # -- table construction -------------------------------------------------
+    def _profiles(self):
+        """Latitude profiles, shape (6, order, degree, n_lat).
 
-    def _trig(self, m):
-        return np.cos(m * self.grid.lon), np.sin(m * self.grid.lon)
-
-    def _lat_profiles(self, m):
-        """Latitudinal profiles (A, B) with u = (A trig', B trig) per degree."""
-        g = self.grid
-        s = np.sin(g.lat)
-        ls = np.arange(max(1, m), self.L + 1)
-        q = 1.0 / np.sqrt(ls * (ls + 1.0))
-        fac = np.sqrt(2.0) if m > 0 else 1.0
-        rows = slice(max(1, m) - m, self.L - m + 1)
-        P = self._P[m][rows]
-        dP = self._dP[m][rows]
-        A = (q[:, None] * fac * m) * P / (g.R * s[None, :])
-        B = (q[:, None] * fac) * dP / g.R
-        return ls, A, B
-
-    def _build_basis(self):
-        g = self.grid
-        B = np.zeros((self.n_modes, g.n_lat, g.n_lon, 2))
-        for m in range(0, self.L + 1):
-            ls, A, Bphi = self._lat_profiles(m)
-            cos_m, sin_m = self._trig(m)
-            for i, l in enumerate(ls):
-                kc = mode_index(self.L, l, m)
-                B[kc, :, :, 0] = np.outer(A[i], sin_m)
-                B[kc, :, :, 1] = np.outer(Bphi[i], cos_m)
-                if m > 0:
-                    ks = mode_index(self.L, l, -m)
-                    B[ks, :, :, 0] = np.outer(-A[i], cos_m)
-                    B[ks, :, :, 1] = np.outer(Bphi[i], sin_m)
-        return B.reshape(self.n_modes, g.n_nodes, 2)
-
-    def _build_grad(self):
-        """Covariant derivatives of the basis modes, frame components.
-
-        Closed forms in spherical coordinates; cross-validated against the
-        ambient-interpolant route of the geometry module.
+        u = (A trig', B trig) per mode, with trig' the quarter-shifted
+        longitude factor; the covariant derivative follows in closed form in
+        spherical coordinates, cross-validated against the ambient-interpolant
+        route of the geometry module.
         """
         g = self.grid
+        P, dP, d2P = legendre_tables(g)[:, :self.L + 1, :self.L + 1]
+        m = np.arange(self.L + 1)[:, None, None]
+        l = np.arange(self.L + 1)[None, :, None]
+        # degree 0 is outside the layout, so its profiles are never read
+        q = np.where(m > 0, np.sqrt(2.0), 1.0) / np.sqrt(np.maximum(l * (l + 1), 1))
         s = np.sin(g.lat)
         x = np.cos(g.lat)
-        G = np.zeros((self.n_modes, g.n_lat, g.n_lon, 2, 2))
-        for m in range(0, self.L + 1):
-            ls, A, B = self._lat_profiles(m)
-            cos_m, sin_m = self._trig(m)
-            rows = slice(max(1, m) - m, self.L - m + 1)
-            q = 1.0 / np.sqrt(ls * (ls + 1.0))
-            fac = np.sqrt(2.0) if m > 0 else 1.0
-            P = self._P[m][rows]
-            dP = self._dP[m][rows]
-            d2P = self._d2P[m][rows]
-            # dA/dtheta and dB/dtheta
-            dA = (q[:, None] * fac * m) * (dP * s[None, :] - P * x[None, :]) / (
-                g.R * s[None, :] ** 2)
-            dB = (q[:, None] * fac) * d2P / g.R
-            mixTF = (m * A - x[None, :] * B) / (g.R * s[None, :])
-            mixFF = (x[None, :] * A - m * B) / (g.R * s[None, :])
-            for i, l in enumerate(ls):
-                kc = mode_index(self.L, l, m)
-                G[kc, :, :, 0, 0] = np.outer(dA[i] / g.R, sin_m)
-                G[kc, :, :, 0, 1] = np.outer(mixTF[i], cos_m)
-                G[kc, :, :, 1, 0] = np.outer(dB[i] / g.R, cos_m)
-                G[kc, :, :, 1, 1] = np.outer(mixFF[i], sin_m)
-                if m > 0:
-                    ks = mode_index(self.L, l, -m)
-                    G[ks, :, :, 0, 0] = np.outer(-dA[i] / g.R, cos_m)
-                    G[ks, :, :, 0, 1] = np.outer(mixTF[i], sin_m)
-                    G[ks, :, :, 1, 0] = np.outer(dB[i] / g.R, sin_m)
-                    G[ks, :, :, 1, 1] = np.outer(-mixFF[i], cos_m)
-        return G.reshape(self.n_modes, g.n_nodes, 2, 2)
-
-    @property
-    def grad_basis(self):
-        if self._grad is None:
-            self._grad = self._build_grad()
-        return self._grad
+        A = q * m * P / (g.R * s)
+        B = q * dP / g.R
+        dA = q * m * (dP * s - P * x) / (g.R * s) ** 2
+        dB = q * d2P / g.R ** 2
+        mixTF = (m * A - x * B) / (g.R * s)
+        mixFF = (x * A - m * B) / (g.R * s)
+        return np.stack([A, B, dA, mixTF, dB, mixFF])
 
     @property
     def grad_norm2(self):
         """||grad Phi_k||_{L2}^2 per mode (used for H1 norms of states)."""
         if self._grad_norm2 is None:
-            G = self.grad_basis
-            w = self.grid.weights
-            self._grad_norm2 = np.einsum("knij,knij,n->k", G, G, w)
+            self._grad_norm2 = self.engine.sq_norms(self.GRAD)
         return self._grad_norm2
 
     # -- transforms ----------------------------------------------------------
+
+    def _nodal(self, state, comps):
+        if state.L != self.L:
+            raise ParameterError("state truncation does not match transform")
+        return self.engine.synthesize(state.coeffs[None], comps)[:, 0].T
 
     def toroidal_basis_field(self, l, m):
         """The real orthonormal toroidal mode (l, m) as a nodal field."""
         if l == 0:
             raise ParameterError("no toroidal field of degree 0")
-        k = mode_index(self.L, l, m)
-        return TangentialField(self.grid, self.basis[k].copy())
+        unit = SpectralState(self.L)
+        unit.set(l, m, 1.0)
+        return self.synthesize(unit)
 
     def analyze(self, u):
-        """Toroidal coefficients of a nodal tangential field by quadrature."""
+        """Toroidal coefficients of a nodal tangential field by quadrature.
+
+        On the sphere the toroidal expansion discards exactly the gradient
+        (spheroidal) part, so this is also the Helmholtz-Leray projection.
+        """
         if u.grid is not self.grid:
             raise GridMismatchError("field lives on a different grid")
-        c = np.einsum("knc,nc->k", self._wbasis, u.comps)
-        return SpectralState(self.L, c)
+        return SpectralState(self.L, self.engine.analyze(u.comps.T[:, None], self.FIELD)[0])
 
     def synthesize(self, state):
         """Nodal field of a coefficient state."""
-        if state.L != self.L:
-            raise ParameterError("state truncation does not match transform")
-        comps = np.einsum("k,knc->nc", state.coeffs, self.basis)
-        return TangentialField(self.grid, comps)
-
-    def leray_project(self, v):
-        """Coefficients of the divergence-free part of a tangential field.
-
-        On the sphere the toroidal expansion discards exactly the gradient
-        (spheroidal) part, so projection and analysis coincide.
-        """
-        return self.analyze(v)
+        return TangentialField(self.grid, self._nodal(state, self.FIELD))
 
     def grad_synthesize(self, state):
         """Covariant derivative of the state's field, as a nodal tensor."""
-        if state.L != self.L:
-            raise ParameterError("state truncation does not match transform")
-        T = np.einsum("k,knij->nij", state.coeffs, self.grad_basis)
-        return TangentialTensor(self.grid, T)
+        T = self._nodal(state, self.GRAD)
+        return TangentialTensor(self.grid, T.reshape(-1, 2, 2))
+
+    def field_and_gradient(self, state):
+        """``synthesize`` and ``grad_synthesize`` in one fused pass."""
+        f = self._nodal(state, slice(0, 6))
+        return (TangentialField(self.grid, f[:, :2]),
+                TangentialTensor(self.grid, f[:, 2:].reshape(-1, 2, 2)))
+
+    def gradient_form(self, weight, strain=True, modes=None):
+        """Weak form F[j, k] = sum_n weight_n X(Phi_j):X(Phi_k) at the nodes.
+
+        X is the rate of strain, or the covariant derivative when ``strain``
+        is false.  Applied without a matrix, F[:, K] = G^T(weight * X(G e_K))
+        with G the gradient synthesis, over fixed-size chunks K of the
+        identity columns.  Returns the symmetrized n_modes x n_modes matrix,
+        or only the columns ``modes`` when given.
+        """
+        cols = np.arange(self.n_modes) if modes is None else np.asarray(modes)
+        F = np.empty((self.n_modes, cols.size))
+        for start in range(0, cols.size, _FORM_CHUNK):
+            K = cols[start:start + _FORM_CHUNK]
+            unit = np.zeros((K.size, self.n_modes))
+            unit[np.arange(K.size), K] = 1.0
+            T = self.engine.synthesize(unit, self.GRAD)
+            if strain:
+                T[1] = T[2] = 0.5 * (T[1] + T[2])
+            F[:, start:start + K.size] = self.engine.adjoint(T * weight, self.GRAD).T
+        return 0.5 * (F + F.T) if modes is None else F
 
     def h1_norm2(self, state):
         """||u||_{H1}^2 via Parseval plus per-mode gradient energies."""

@@ -370,6 +370,11 @@ def load_checkpoint(path):
         raise CheckpointError("checksum mismatch: corrupt checkpoint")
     if kind_code not in _KIND_NAME:
         raise CheckpointError(f"unknown geometry code {kind_code}")
+    if L < 1 or n_pairs != L * (L + 3) // 2:
+        raise CheckpointError(
+            f"inconsistent header: {n_pairs} coefficient pairs for L={L}")
+    if not (np.isfinite(R) and R > 0 and np.isfinite(r) and r >= 0):
+        raise CheckpointError(f"invalid radii in header: R={R}, r={r}")
     vals = struct.unpack(f"<{2 * n_pairs}d", blob[_HEADER.size:-4])
     state = SpectralState(L, t=t)
     for idx, (l, m) in enumerate(_pair_order(L)):

@@ -117,20 +117,12 @@ def korn_constant(grid, L=None, fourier_cap=8):
 
 def _korn_sphere(grid, L):
     tr = get_transform(grid, L)
-    w = grid.weights
-    G = tr.grad_basis
-    E = 0.5 * (G + np.swapaxes(G, 2, 3))
-    nk = slice(3, tr.n_modes)
-    Ef = E.reshape(tr.n_modes, -1)
-    Gf = G.reshape(tr.n_modes, -1)
-    w4 = np.repeat(w, 4)
-
+    S = tr.gradient_form(grid.weights)
+    H = tr.gradient_form(grid.weights, strain=False)
     # strain form on the excluded Killing block must vanish
-    kill_eps = np.abs(Ef[:3] * w4[None, :] @ Ef[:3].T).max()
-    S = (Ef[nk] * w4[None, :]) @ Ef[nk].T
-    H = (Gf[nk] * w4[None, :]) @ Gf[nk].T + np.eye(tr.n_modes - 3)
-    S = 0.5 * (S + S.T)
-    H = 0.5 * (H + H.T)
+    kill_eps = np.abs(S[:3, :3]).max()
+    S = S[3:, 3:]
+    H = H[3:, 3:] + np.eye(tr.n_modes - 3)
     smin = scipy.linalg.eigh(S, eigvals_only=True, subset_by_index=[0, 0])[0]
     if smin <= 1e-10 * np.abs(S).max() or kill_eps > 1e-8:
         raise ConsistencyError(

@@ -2,16 +2,20 @@
 
 The variable-viscosity Stokes operator is assembled in weak form,
 A[j,k] = int 2 nu eps(Phi_j) : eps(Phi_k) dS, which keeps exact symmetry and
-positive semidefiniteness without differentiating nu.  The convective term
-is pseudospectral on the dealiased grid; forcing evaluation delegates to the
-catalog.  All operations return coefficient states.
+positive semidefiniteness without differentiating nu.  The matrix is dense,
+(L(L+2))^2 entries, but is built without per-mode nodal tables: columns come
+from the O(L^3) per-order transforms applied to chunks of unit states.  The
+convective term is pseudospectral on the dealiased grid, one fused synthesis
+of u and grad u and one analysis, each O(L^3); forcing evaluation delegates
+to the catalog.  All operations return coefficient states.
 """
 
 import numpy as np
 
 from .errors import ParameterError
 from .forcing import apply_forcing
-from .harmonics import SpectralState, dealias_rule, get_transform
+from .geometry import TangentialField
+from .harmonics import SpectralState, dealias_rule, get_transform, mode_index
 
 
 class StokesForm:
@@ -51,9 +55,6 @@ class StokesForm:
             self._rho_full = float(np.linalg.eigvalsh(self.A).max())
         return self._rho_full
 
-    def apply(self, state):
-        return stokes_apply(self, state)
-
     def quad_form(self, coeffs):
         """c . A c = int 2 nu |eps(u)|^2 dS for the represented field."""
         return float(coeffs @ (self.A @ coeffs))
@@ -74,26 +75,13 @@ def assemble_stokes(grid, nu, L):
             f"grid resolves degree {grid.max_degree}, need {dealias_rule(L).degree} "
             f"for exact degree-{L} assembly")
     tr = get_transform(grid, L)
-    G = tr.grad_basis
-    E = 0.5 * (G + np.swapaxes(G, 2, 3))
-    Ef = E.reshape(tr.n_modes, -1)
-    w = grid.weights
-
-    w1 = np.repeat(2.0 * w, 4)
-    A1 = (Ef * w1[None, :]) @ Ef.T
-    A1 = 0.5 * (A1 + A1.T)
+    # lambda_l is the same for every order on the sphere: one mode per degree
+    zonal = [mode_index(L, l, 0) for l in range(1, L + 1)]
+    unit = tr.gradient_form(2.0 * grid.weights, modes=zonal)
     lam = np.zeros(L + 1)
-    diag1 = np.diag(A1)
-    for l in range(1, L + 1):
-        lam[l] = float(diag1[tr.mode_l == l].mean())
+    lam[1:] = unit[zonal, np.arange(L)]
     lam[1] = max(lam[1], 0.0)
-
-    if np.ptp(nu.values) == 0.0:
-        A = nu.values[0] * A1
-    else:
-        wv = np.repeat(2.0 * w * nu.values, 4)
-        A = (Ef * wv[None, :]) @ Ef.T
-        A = 0.5 * (A + A.T)
+    A = tr.gradient_form(2.0 * grid.weights * nu.values)
     return StokesForm(grid, tr, nu, L, A, lam)
 
 
@@ -113,11 +101,9 @@ def convective_term(grid, state):
     to quadrature exactness.
     """
     tr = get_transform(grid, state.L)
-    n = grid.n_nodes
-    u = (state.coeffs @ tr.basis.reshape(tr.n_modes, -1)).reshape(n, 2)
-    T = (state.coeffs @ tr.grad_basis.reshape(tr.n_modes, -1)).reshape(n, 2, 2)
-    adv = np.einsum("nij,nj->ni", T, u)
-    c = tr._wbasis.reshape(tr.n_modes, -1) @ adv.reshape(-1)
+    u, T = tr.field_and_gradient(state)
+    adv = np.einsum("nij,nj->ni", T.comps, u.comps)
+    c = tr.analyze(TangentialField(grid, adv)).coeffs
     return SpectralState(state.L, c, state.t)
 
 

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -257,6 +258,33 @@ def test_cli_decompose_pure_killing(tmp_path, sphere8, capsys):
     out = capsys.readouterr().out
     nk = [l for l in out.splitlines() if l.startswith("norm_uNK")][0]
     assert float(nk.split("=")[1]) <= 1e-12
+
+
+def _forge_header(path, drop_pairs=0, **fields):
+    """Rewrite header fields of a checkpoint, keeping its length and CRC valid."""
+    head = struct.Struct("<4sIBIdddI")
+    names = ("magic", "version", "kind", "L", "R", "r", "t", "n_pairs")
+    blob = path.read_bytes()
+    vals = dict(zip(names, head.unpack(blob[:head.size])))
+    vals.update(fields)
+    body = head.pack(*(vals[n] for n in names)) + blob[head.size:-4 - 16 * drop_pairs]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def test_cli_decompose_rejects_pair_count_mismatch(tmp_path, sphere8, tr8, capsys):
+    path = tmp_path / "state.snsk"
+    save_checkpoint(SimState(random_band_limited(tr8, 8)), sphere8, str(path))
+    _forge_header(path, drop_pairs=1, n_pairs=43)     # L = 8 needs 44 pairs
+    assert cli.main(["decompose", str(path)]) == 2
+    assert "43 coefficient pairs" in capsys.readouterr().err
+
+
+def test_cli_decompose_rejects_nan_radius(tmp_path, sphere8, tr8, capsys):
+    path = tmp_path / "state.snsk"
+    save_checkpoint(SimState(random_band_limited(tr8, 9)), sphere8, str(path))
+    _forge_header(path, R=float("nan"))
+    assert cli.main(["decompose", str(path)]) == 2
+    assert "R=nan" in capsys.readouterr().err
 
 
 def test_cli_scenario_pass(tmp_path):
