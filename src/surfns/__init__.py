@@ -25,10 +25,11 @@ from .harmonics import (SpectralState, SphereTransform, dealias_rule,
 from .killing import (KillingBasis, killing_basis, killing_coefficients,
                       korn_constant, pk_project)
 from .operators import (StokesForm, assemble_stokes, convective_term,
-                        forcing_apply, stokes_apply)
-from .forcing import ForcingSpec, hypothesis_check, make_catalog_forcing
+                        stokes_apply)
+from .forcing import (ForcingSpec, apply_forcing, hypothesis_check,
+                      make_catalog_forcing)
 from .timestepper import (SimState, StepperConfig, cfl_estimate, run,
-                          step_imex, step_rk4)
+                          run_batch, step_imex, step_rk4)
 from .diagnostics import (DiagnosticsRecord, check_killing_identity,
                           check_monotonicity, continuous_dependence_ratio,
                           fit_decay_rate, lambda_series, record)

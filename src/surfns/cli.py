@@ -2,11 +2,11 @@
 
 Subcommands: run, scenario, scenarios, spectrum, korn, decompose, ensemble.
 Exit codes: 0 pass, 1 check failure, 2 usage or config error, 3 runtime
-divergence.  SURFNS_THREADS is the fallback for --threads.
+divergence.  --threads (and SURFNS_THREADS) are still accepted but have no
+effect: ensembles, pairs and gap families integrate as one batch.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -15,7 +15,8 @@ from .errors import (CheckpointError, ConfigError, DivergenceError,
                      GeometryError, ParameterError)
 from . import geometry as geo
 from .harness import (Scenario, build_context, execute_scenario,
-                      load_checkpoint, load_config, run_ensemble, write_csv)
+                      load_checkpoint, load_config, run_ensemble,
+                      write_ensemble)
 from .killing import killing_basis, korn_constant
 from .scenarios import get_scenario, list_scenarios
 
@@ -32,7 +33,7 @@ def _global_options(parser, suppress=False):
     parser.add_argument("--seed", type=int, default=d,
                         help="override config seed")
     parser.add_argument("--threads", type=int, default=d,
-                        help="worker threads (default: SURFNS_THREADS or 1)")
+                        help="accepted for compatibility; has no effect")
     if suppress:
         parser.add_argument("--quiet", action="store_true",
                             default=argparse.SUPPRESS)
@@ -86,14 +87,13 @@ def _cmd_run(args):
     name = cfg["scenario.name"] or "run"
     scenario = Scenario(name, "config-file run", "single", cfg, [])
     report = execute_scenario(scenario, out_dir=args.out, seed=None,
-                              threads=args.threads, quiet=args.quiet)
+                              quiet=args.quiet)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 
 def _cmd_scenario(args):
     report = execute_scenario(get_scenario(args.name), out_dir=args.out,
-                              seed=args.seed, threads=args.threads,
-                              quiet=args.quiet)
+                              seed=args.seed, quiet=args.quiet)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 
@@ -153,20 +153,14 @@ def _cmd_ensemble(args):
         cfg["seed"] = args.seed
     name = cfg["scenario.name"] or "ensemble"
     ctx = build_context(cfg)
-    from .harness import _resolve_threads, _write_ensemble_csv
-    ens = run_ensemble(cfg, ctx=ctx, n_members=args.members,
-                       threads=_resolve_threads(args.threads))
+    ens = run_ensemble(cfg, ctx=ctx, n_members=args.members)
     if not args.quiet:
         print(f"members: {len(ens.member_records)} "
               f"(diverged: {len(ens.diverged)})")
         print(f"omega_hat = {ens.omega_hat:.6g}")
         print(f"entry_time = {ens.entry_time:.6g} at radius {ens.entry_radius:.6g}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for k, recs in enumerate(ens.member_records):
-            write_csv(os.path.join(args.out, f"{name}_member{k:02d}.csv"),
-                      recs, ctx.basis.n)
-        _write_ensemble_csv(os.path.join(args.out, f"{name}_ensemble.csv"), ens)
+        write_ensemble(args.out, name, ens, ctx.basis.n)
     return EXIT_PASS if not ens.diverged else EXIT_DIVERGENCE
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .forcing import apply_forcing
 
 NORM_FLOOR = 1e-13
 
@@ -36,20 +37,19 @@ class DiagnosticsRecord:
 
 
 def record(grid, basis, form, spec, sim):
-    """One diagnostics row for the current integrator state."""
-    from .operators import forcing_apply
-    c = sim.state.coeffs
+    """One diagnostics row for a one-row integrator state."""
+    state = sim.state
+    c = state.coeffs
     norm_u = float(np.linalg.norm(c))
     norm_k = float(np.linalg.norm(c[:3]))
     norm_nk = float(np.linalg.norm(c[3:]))
     diss = form.quad_form(c)
-    ff = forcing_apply(spec, grid, basis, sim.state).coeffs
-    work = float(ff @ c)
+    work = float(apply_forcing(spec, grid, basis, sim.c)[0] @ c)
     lam = diss / norm_u ** 2 if norm_u >= NORM_FLOOR else np.nan
-    alpha = basis.alpha_from_state(sim.state)
+    alpha = basis.alpha_from_state(state)
     return DiagnosticsRecord(sim.t, norm_u, norm_k, norm_nk,
                              0.5 * norm_u ** 2, diss, work,
-                             sim.ledger_residual(), lam, alpha)
+                             float(sim.ledger_residual()[0]), lam, alpha)
 
 
 @dataclass

@@ -22,6 +22,11 @@ from ._legendre import plm_tables
 SPHERE = "sphere"
 TORUS = "torus"
 
+# Largest sphere truncation degree accepted: L = 64 is the largest measured
+# to fit (481 MB peak RSS); the dense Stokes matrix has (L(L+2))^2 entries,
+# about 13 GB at L = 200.
+L_MAX = 64
+
 
 class SurfaceGrid:
     """Quadrature nodes, weights, normals and tangent frames of a surface.
@@ -159,8 +164,9 @@ def build_sphere_grid(L, R, dealias=True):
     3L/2 rule so quadratic nonlinearities of degree-L fields are integrated
     exactly; weights sum to 4 pi R^2 to rounding.
     """
-    if int(L) != L or L < 2:
-        raise ParameterError(f"truncation degree must be an integer >= 2, got {L}")
+    if int(L) != L or not 2 <= L <= L_MAX:
+        raise ParameterError(
+            f"truncation degree must be an integer in 2..{L_MAX}, got {L}")
     if R <= 0:
         raise ParameterError(f"radius must be positive, got {R}")
     L = int(L)

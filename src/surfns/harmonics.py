@@ -22,6 +22,7 @@ longitude stage applies cos/sin(m phi).  Tables take O(L^3) memory and each
 transform O(L^3) work; no per-mode nodal table is stored.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -66,6 +67,17 @@ def mode_index(L, l, m):
     if m == 0:
         return base
     return base + 2 * abs(m) - (1 if m > 0 else 0)
+
+
+def as_stack(state):
+    """(coefficient stack of shape (k, n_modes), L) of a SpectralState, which
+    is one row, or of a stack itself."""
+    if isinstance(state, SpectralState):
+        return state.coeffs[None], state.L
+    L = math.isqrt(state.shape[-1] + 1) - 1
+    if state.ndim != 2 or n_modes(L) != state.shape[-1]:
+        raise ParameterError(f"not a coefficient stack: shape {state.shape}")
+    return state, L
 
 
 class SpectralState:
@@ -235,12 +247,6 @@ class SphereTransform:
         """Covariant derivative of the state's field, as a nodal tensor."""
         T = self._nodal(state, self.GRAD)
         return TangentialTensor(self.grid, T.reshape(-1, 2, 2))
-
-    def field_and_gradient(self, state):
-        """``synthesize`` and ``grad_synthesize`` in one fused pass."""
-        f = self._nodal(state, slice(0, 6))
-        return (TangentialField(self.grid, f[:, :2]),
-                TangentialTensor(self.grid, f[:, 2:].reshape(-1, 2, 2)))
 
     def gradient_form(self, weight, strain=True, modes=None):
         """Weak form F[j, k] = sum_n weight_n X(Phi_j):X(Phi_k) at the nodes.

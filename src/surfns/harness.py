@@ -6,9 +6,9 @@ in every error.  Diagnostics series serialize to CSV with a fixed column
 order and 17 significant digits, so binary64 values round-trip losslessly.
 Checkpoints are a small binary format with a trailing CRC32.
 
-Determinism contract: identical config and seed produce byte-identical CSV
-output regardless of the worker-pool width; parallelism exists only across
-ensemble members, whose results are collected in member order.
+Ensembles, pairs and gap families integrate as one batched trajectory in a
+single thread.  Determinism contract: identical config and seed produce
+byte-identical CSV output; the CLI's --threads setting has no effect on it.
 """
 
 import hashlib
@@ -17,7 +17,6 @@ import os
 import struct
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .forcing import TAGS, make_catalog_forcing
 from .harmonics import SpectralState, get_transform, random_band_limited
 from .killing import killing_basis
 from .operators import assemble_stokes
-from .timestepper import SimState, StepperConfig, run as run_simulation
+from .timestepper import SimState, StepperConfig, run as run_simulation, run_batch
 
 # ---------------------------------------------------------------------------
 # configuration schema
@@ -461,7 +460,6 @@ AGGREGATE_FIELDS = ("norm_u", "norm_uK", "norm_uNK", "energy",
 class EnsembleResult:
     """Per-member diagnostics plus max/min/mean of each scalar per sample."""
     member_records: list
-    member_samples: list
     times: np.ndarray
     aggregates: dict            # field -> {"max": ..., "min": ..., "mean": ...}
     omega_hat: float
@@ -471,68 +469,31 @@ class EnsembleResult:
     entry_radius_r: float
     diverged: list
 
-    @property
-    def nk_max(self):
-        return self.aggregates["norm_uNK"]["max"]
-
-    @property
-    def nk_min(self):
-        return self.aggregates["norm_uNK"]["min"]
-
-    @property
-    def nk_mean(self):
-        return self.aggregates["norm_uNK"]["mean"]
-
-    @property
-    def uk_max(self):
-        return self.aggregates["norm_uK"]["max"]
-
-    @property
-    def uk_min(self):
-        return self.aggregates["norm_uK"]["min"]
-
 
 def member_seed(base_seed, k):
     """Deterministic per-member seed derivation."""
     return int(base_seed) + 1000003 * (k + 1)
 
 
-def run_ensemble(cfg, ctx=None, n_members=None, threads=1):
-    """Integrate independent members in parallel and aggregate diagnostics.
+def run_ensemble(cfg, ctx=None, n_members=None):
+    """Integrate independent members as one batch and aggregate diagnostics.
 
-    Member divergence is recorded and the ensemble continues; aggregation
-    covers the completed members.
+    A diverged member is frozen and reported by index while the others
+    continue; aggregation covers the completed members.
     """
     from .diagnostics import fit_decay_rate
     ctx = ctx if ctx is not None else build_context(cfg)
     n = n_members if n_members is not None else cfg["ensemble.members"]
     if n < 2:
         raise ParameterError("an ensemble needs at least 2 members")
-    scfg = stepper_config(cfg)
-
-    def one(k):
-        u0 = build_initial_state(cfg, ctx.grid, seed=member_seed(cfg["seed"], k))
-        try:
-            return k, run_simulation(scfg, ctx.grid, ctx.form, ctx.fspec, u0), None
-        except DivergenceError as err:
-            return k, err.partial, str(err)
-
-    results = [None] * n
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, payload, err in pool.map(one, range(n)):
-                results[k] = (payload, err)
-    else:
-        for k in range(n):
-            _, payload, err = one(k)
-            results[k] = (payload, err)
-
-    diverged = [i for i, (_, err) in enumerate(results) if err]
-    ok = [payload for payload, err in results if not err and payload is not None]
-    if not ok:
+    states = [build_initial_state(cfg, ctx.grid, seed=member_seed(cfg["seed"], k))
+              for k in range(n)]
+    trajectories, diverged = run_batch(stepper_config(cfg), ctx.grid, ctx.form,
+                                       ctx.fspec, states)
+    member_records = [recs for k, (_, recs) in enumerate(trajectories)
+                      if k not in diverged]
+    if not member_records:
         raise DivergenceError("all ensemble members diverged")
-    member_samples = [s for s, _ in ok]
-    member_records = [r for _, r in ok]
     times = np.array([rec.t for rec in member_records[0]])
     aggregates = {}
     for name in AGGREGATE_FIELDS:
@@ -552,27 +513,43 @@ def run_ensemble(cfg, ctx=None, n_members=None, threads=1):
         hit = np.where(nk_max <= radius_val)[0]
         return float(times[hit[0]]) if hit.size else float("inf")
 
-    return EnsembleResult(member_records, member_samples, times, aggregates,
-                          float(omega_hat), first_entry(radius), radius,
-                          first_entry(radius_r), radius_r, diverged)
+    return EnsembleResult(member_records, times, aggregates, float(omega_hat),
+                          first_entry(radius), radius, first_entry(radius_r),
+                          radius_r, sorted(diverged))
+
+
+def write_ensemble(out_dir, name, ens, n_alpha):
+    """Write each member's ``<name>_memberKK.csv`` and the aggregate
+    ``<name>_ensemble.csv`` into ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    for k, recs in enumerate(ens.member_records):
+        write_csv(os.path.join(out_dir, f"{name}_member{k:02d}.csv"), recs, n_alpha)
+    cols = ["t"]
+    for field_name in AGGREGATE_FIELDS:
+        cols.extend(f"{field_name}_{stat}" for stat in ("max", "min", "mean"))
+    lines = [",".join(cols)]
+    for i, t in enumerate(ens.times):
+        vals = [t]
+        for field_name in AGGREGATE_FIELDS:
+            agg = ens.aggregates[field_name]
+            vals.extend((agg["max"][i], agg["min"][i], agg["mean"][i]))
+        lines.append(",".join("%.17g" % v for v in vals))
+    meta = (f"# omega_hat = {ens.omega_hat:.17g}, "
+            f"entry_time = {ens.entry_time:.17g} at radius {ens.entry_radius:.17g}, "
+            f"entry_time_r = {ens.entry_time_r:.17g} at radius {ens.entry_radius_r:.17g}")
+    with open(os.path.join(out_dir, f"{name}_ensemble.csv"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("\n".join(lines + [meta]) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SURFNS_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
-def execute_scenario(scenario, out_dir=None, seed=None, threads=None, quiet=False):
+def execute_scenario(scenario, out_dir=None, seed=None, quiet=False):
     """Run a scenario end to end: integrate, check, write CSV and report."""
     cfg = dict(scenario.config)
     if seed is not None:
         cfg["seed"] = int(seed)
-    threads = _resolve_threads(threads)
     t0 = time.time()
     ctx = build_context(cfg)
 
@@ -583,12 +560,10 @@ def execute_scenario(scenario, out_dir=None, seed=None, threads=None, quiet=Fals
         scfg = stepper_config(cfg)
         ctx.samples, ctx.records = run_simulation(
             scfg, ctx.grid, ctx.form, ctx.fspec, ctx.u0)
-    elif scenario.kind == "pair":
-        _run_pair(cfg, ctx)
-    elif scenario.kind == "gaps":
-        _run_gaps(cfg, ctx)
+    elif scenario.kind in ("pair", "gaps"):
+        _run_offsets(cfg, ctx, scenario.kind)
     elif scenario.kind == "ensemble":
-        ctx.ensemble = run_ensemble(cfg, ctx=ctx, threads=threads)
+        ctx.ensemble = run_ensemble(cfg, ctx=ctx)
     elif scenario.kind != "static":
         raise ParameterError(f"unknown scenario kind {scenario.kind!r}")
 
@@ -608,11 +583,7 @@ def execute_scenario(scenario, out_dir=None, seed=None, threads=None, quiet=Fals
             write_csv(os.path.join(out_dir, f"{scenario.name}_{label}.csv"),
                       records, n_alpha)
         if ctx.ensemble is not None:
-            for k, recs in enumerate(ctx.ensemble.member_records):
-                write_csv(os.path.join(out_dir, f"{scenario.name}_member{k:02d}.csv"),
-                          recs, n_alpha)
-            _write_ensemble_csv(os.path.join(out_dir, f"{scenario.name}_ensemble.csv"),
-                                ctx.ensemble)
+            write_ensemble(out_dir, scenario.name, ctx.ensemble, n_alpha)
         with open(os.path.join(out_dir, f"{scenario.name}_report.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -622,57 +593,31 @@ def execute_scenario(scenario, out_dir=None, seed=None, threads=None, quiet=Fals
     return report
 
 
-def _perturbation(cfg, ctx, seed_offset):
-    tr = get_transform(ctx.grid, cfg["geometry.L"])
-    l_max = cfg["init.l_max"] or None
-    kill = 0.0 if cfg["pair.killing_free"] else None
-    pert = random_band_limited(tr, cfg["seed"] + seed_offset, l_max=l_max,
-                               norm_killing=kill)
-    pert.coeffs /= np.linalg.norm(pert.coeffs)
-    return pert
+def _run_offsets(cfg, ctx, kind):
+    """Integrate u0 and u0 + gap_i * pert, pert a seeded unit-norm random
+    state, as one batch.
 
-
-def _run_pair(cfg, ctx):
-    scfg = stepper_config(cfg)
-    gaps = cfg["pair.gaps"] or (1e-3,)
-    pert = _perturbation(cfg, ctx, cfg["pair.seed_offset"])
-    sa, ra = run_simulation(scfg, ctx.grid, ctx.form, ctx.fspec, ctx.u0)
-    ub = ctx.u0.copy()
-    ub.coeffs = ub.coeffs + gaps[0] * pert.coeffs
-    sb, rb = run_simulation(scfg, ctx.grid, ctx.form, ctx.fspec, ub)
-    ctx.pair["a"] = (sa, ra)
-    ctx.pair["b"] = (sb, rb)
-
-
-def _run_gaps(cfg, ctx):
-    scfg = stepper_config(cfg)
+    A pair takes the first gap (default 1e-3) and labels its rows a and b;
+    a gap family needs at least two gaps and labels its rows base and
+    gap{i}.  Divergence of any row raises.
+    """
     gaps = cfg["pair.gaps"]
-    if len(gaps) < 2:
-        raise ConfigError("config error at 'pair.gaps': need at least two gaps")
-    pert = _perturbation(cfg, ctx, cfg["pair.seed_offset"])
-    sa, ra = run_simulation(scfg, ctx.grid, ctx.form, ctx.fspec, ctx.u0)
-    ctx.pair["base"] = (sa, ra)
-    for i, gap in enumerate(gaps):
-        ub = ctx.u0.copy()
-        ub.coeffs = ub.coeffs + gap * pert.coeffs
-        sb, rb = run_simulation(scfg, ctx.grid, ctx.form, ctx.fspec, ub)
-        ctx.pair[f"gap{i}"] = (sb, rb)
-    ctx.extra["gaps"] = tuple(gaps)
-
-
-def _write_ensemble_csv(path, ens):
-    cols = ["t"]
-    for name in AGGREGATE_FIELDS:
-        cols.extend(f"{name}_{stat}" for stat in ("max", "min", "mean"))
-    lines = [",".join(cols)]
-    for i, t in enumerate(ens.times):
-        vals = [t]
-        for name in AGGREGATE_FIELDS:
-            agg = ens.aggregates[name]
-            vals.extend((agg["max"][i], agg["min"][i], agg["mean"][i]))
-        lines.append(",".join("%.17g" % v for v in vals))
-    meta = (f"# omega_hat = {ens.omega_hat:.17g}, "
-            f"entry_time = {ens.entry_time:.17g} at radius {ens.entry_radius:.17g}, "
-            f"entry_time_r = {ens.entry_time_r:.17g} at radius {ens.entry_radius_r:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines + [meta]) + "\n")
+    if kind == "pair":
+        gaps, labels = (gaps or (1e-3,))[:1], ("a", "b")
+    else:
+        if len(gaps) < 2:
+            raise ConfigError("config error at 'pair.gaps': need at least two gaps")
+        labels = ("base",) + tuple(f"gap{i}" for i in range(len(gaps)))
+        ctx.extra["gaps"] = tuple(gaps)
+    pert = random_band_limited(
+        get_transform(ctx.grid, cfg["geometry.L"]), cfg["seed"] + cfg["pair.seed_offset"],
+        l_max=cfg["init.l_max"] or None,
+        norm_killing=0.0 if cfg["pair.killing_free"] else None).coeffs
+    pert /= np.linalg.norm(pert)
+    u0 = ctx.u0
+    states = [u0] + [SpectralState(u0.L, u0.coeffs + gap * pert, u0.t) for gap in gaps]
+    trajectories, diverged = run_batch(stepper_config(cfg), ctx.grid, ctx.form,
+                                       ctx.fspec, states)
+    if diverged:
+        raise diverged[min(diverged)]
+    ctx.pair.update(zip(labels, trajectories))

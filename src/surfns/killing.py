@@ -13,7 +13,7 @@ import scipy.linalg
 from .errors import ConsistencyError, GridMismatchError, ParameterError
 from . import geometry as geo
 from .geometry import SPHERE, TORUS, TangentialField
-from .harmonics import block_slice, get_transform, n_modes
+from .harmonics import block_slice, get_transform
 
 
 class KillingBasis:
@@ -35,13 +35,6 @@ class KillingBasis:
         if self.l1_map is None:
             raise ParameterError("spectral Killing coordinates are sphere-only")
         return self.l1_map @ state.coeffs[:3]
-
-    def state_from_alpha(self, alpha, L):
-        """Degree-1 coefficient vector representing sum_j alpha_j v_j."""
-        from .harmonics import SpectralState
-        c = np.zeros(n_modes(L))
-        c[:3] = self.l1_map.T @ np.asarray(alpha, dtype=float)
-        return SpectralState(L, c)
 
 
 def killing_basis(grid):
@@ -107,8 +100,8 @@ def korn_constant(grid, L=None, fourier_cap=8):
     on the torus) and solves the generalized symmetric eigenproblem.
     """
     if grid.kind == SPHERE:
-        if L is None or not (2 <= L <= 64):
-            raise ParameterError("sphere Korn constant needs 2 <= L <= 64")
+        if L is None or not (2 <= L <= geo.L_MAX):
+            raise ParameterError(f"sphere Korn constant needs 2 <= L <= {geo.L_MAX}")
         return _korn_sphere(grid, L)
     if grid.kind == TORUS:
         return _korn_torus(grid, fourier_cap)

@@ -6,16 +6,15 @@ positive semidefiniteness without differentiating nu.  The matrix is dense,
 (L(L+2))^2 entries, but is built without per-mode nodal tables: columns come
 from the O(L^3) per-order transforms applied to chunks of unit states.  The
 convective term is pseudospectral on the dealiased grid, one fused synthesis
-of u and grad u and one analysis, each O(L^3); forcing evaluation delegates
-to the catalog.  All operations return coefficient states.
+of u and grad u and one analysis, each O(L^3) per row of a coefficient
+stack.  All operations return coefficients.
 """
 
 import numpy as np
 
 from .errors import ParameterError
-from .forcing import apply_forcing
-from .geometry import TangentialField
-from .harmonics import SpectralState, dealias_rule, get_transform, mode_index
+from .harmonics import (SpectralState, as_stack, dealias_rule, get_transform,
+                        mode_index)
 
 
 class StokesForm:
@@ -95,18 +94,16 @@ def stokes_apply(form, state):
 def convective_term(grid, state):
     """Coefficients of P_0 [(u . grad_G) u], computed pseudospectrally.
 
-    Synthesize u and its covariant derivative on the dealiased grid, form
-    the transport vector nodally, and project back onto the toroidal basis.
-    Discrete energy orthogonality and the vanishing Killing projection hold
-    to quadrature exactness.
+    Synthesize u and its covariant derivative on the dealiased grid in one
+    fused pass, form the transport vector nodally, and project back onto the
+    toroidal basis.  Discrete energy orthogonality and the vanishing Killing
+    projection hold to quadrature exactness.  ``state`` is a SpectralState,
+    answered with one, or a (k, n_modes) coefficient stack, answered with a
+    stack.
     """
-    tr = get_transform(grid, state.L)
-    u, T = tr.field_and_gradient(state)
-    adv = np.einsum("nij,nj->ni", T.comps, u.comps)
-    c = tr.analyze(TangentialField(grid, adv)).coeffs
-    return SpectralState(state.L, c, state.t)
-
-
-def forcing_apply(spec, grid, basis, state):
-    """Coefficients of P_0 f(., u); Killing-valued forcings land in l = 1."""
-    return apply_forcing(spec, grid, basis, state)
+    c, L = as_stack(state)
+    tr = get_transform(grid, L)
+    f = tr.engine.synthesize(c, slice(0, 6))    # u, then T_ij = grad u
+    u, T = f[tr.FIELD], f[tr.GRAD].reshape(2, 2, *f.shape[1:])
+    out = tr.engine.analyze(T[:, 0] * u[0] + T[:, 1] * u[1], tr.FIELD)
+    return SpectralState(L, out[0], state.t) if isinstance(state, SpectralState) else out

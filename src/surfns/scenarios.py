@@ -180,14 +180,15 @@ def chk_ensemble_decay(window):
     def run(ctx):
         ens = ctx.ensemble
         lam2 = ctx.form.lam_by_degree[2]
-        fit = fit_decay_rate(ens.times, ens.nk_max ** 2, window=window)
+        nk_max = ens.aggregates["norm_uNK"]["max"]
+        fit = fit_decay_rate(ens.times, nk_max ** 2, window=window)
         out = [
             CheckResult("ensemble_zeta", fit.zeta >= 2 * lam2 * 0.99,
                         fit.zeta, ">= 0.99 * 2 lambda_2", 2 * lam2 * 0.99),
             _check("ensemble_omega", ens.omega_hat, 1e-10, "omega_hat = 0"),
             CheckResult("max_member_monotone",
-                        bool(np.all(np.diff(ens.nk_max) < 1e-12)),
-                        float(np.diff(ens.nk_max).max()), "strictly decreasing", 0.0),
+                        bool(np.all(np.diff(nk_max) < 1e-12)),
+                        float(np.diff(nk_max).max()), "strictly decreasing", 0.0),
             CheckResult("entry_time_finite", np.isfinite(ens.entry_time),
                         ens.entry_time, "finite absorbing-set entry", 0.0,
                         detail=f"radius {ens.entry_radius:.4f}"),
@@ -198,7 +199,7 @@ def chk_ensemble_decay(window):
 
 def chk_ensemble_growth(ctx):
     ens = ctx.ensemble
-    uk_min = ens.uk_min
+    uk_min = ens.aggregates["norm_uK"]["min"]
     ok = bool(np.all(np.diff(uk_min) >= -1e-10))
     return CheckResult("min_member_killing_growth", ok,
                        float(np.diff(uk_min).min()), "nondecreasing", 1e-10)
@@ -456,7 +457,7 @@ def get_scenario(name):
     return _REGISTRY[name]
 
 
-def run_scenario(name, out_dir=None, seed=None, threads=None, quiet=False):
+def run_scenario(name, out_dir=None, seed=None, quiet=False):
     """Execute a built-in scenario by name; returns its RunReport."""
     return execute_scenario(get_scenario(name), out_dir=out_dir, seed=seed,
-                            threads=threads, quiet=quiet)
+                            quiet=quiet)

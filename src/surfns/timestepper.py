@@ -14,15 +14,24 @@ Adams-Bashforth combinations.  Linear runs therefore balance to rounding;
 the only residual on nonlinear runs is the convective defect, which is
 O(dt^3) per step.  A classical RK4 path is kept for cross-validation, with
 the ledger integrated through the same stages.
+
+Both schemes advance a stack of k independent trajectories, coefficients
+(k, n_modes), through one code path for every k: each operator acts on the
+whole stack and each row keeps its own energy ledger.  Ensembles, pairs and
+gap families therefore integrate as one batch; spectral states and
+diagnostics records are built only at sample points.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import record
 from .errors import DivergenceError, ParameterError
+from .forcing import apply_forcing
 from .harmonics import SpectralState
-from .operators import convective_term, forcing_apply
+from .operators import convective_term
 
 
 def cfl_estimate(grid, u, factor=0.5):
@@ -61,50 +70,78 @@ class StepperConfig:
 
 
 class SimState:
-    """Coefficient state plus step metadata and the running energy ledger."""
+    """A stack of k trajectories at one time: coefficients ``c`` of shape
+    (k, n_modes), step metadata, and each row's running energy ledger.
 
-    def __init__(self, state, dt=0.0, step=0, work_integral=0.0,
-                 diss_integral=0.0, energy0=None, _prev=None):
-        self.state = state
-        self.t = state.t
+    ``state`` is a SpectralState (one row) or a sequence of them sharing L
+    and t; the coefficients are copied.
+    """
+
+    def __init__(self, state, dt=0.0):
+        states = [state] if isinstance(state, SpectralState) else list(state)
+        self.L = states[0].L
+        self.t = states[0].t
+        self.c = np.array([s.coeffs for s in states])
         self.dt = dt
-        self.step = step
-        self.work_integral = work_integral
-        self.diss_integral = diss_integral
-        self.energy0 = 0.5 * state.norm() ** 2 if energy0 is None else energy0
-        self._prev = _prev          # (A'c, N(c), F(c)) at the previous step
+        self.step = 0
+        self.work_integral = np.zeros(len(states))
+        self.diss_integral = np.zeros(len(states))
+        self.energy0 = self.energy()
+        self._prev = None           # (A'c, N(c), F(c)) at the previous step
+
+    @property
+    def state(self):
+        """The SpectralState of a one-row stack (a view of its coefficients)."""
+        if self.c.shape[0] != 1:
+            raise ParameterError("state is defined for one-row stacks only")
+        return SpectralState(self.L, self.c[0], self.t)
 
     def energy(self):
-        return 0.5 * self.state.norm() ** 2
+        return 0.5 * _rowdot(self.c, self.c)
 
     def ledger_residual(self):
-        """E(t) - E(0) + int D - int W, the discrete balance defect."""
+        """E(t) - E(0) + int D - int W per row, the discrete balance defect."""
         return self.energy() - self.energy0 + self.diss_integral - self.work_integral
 
-    def copy(self):
-        return SimState(self.state.copy(), self.dt, self.step,
-                        self.work_integral, self.diss_integral, self.energy0,
-                        self._prev)
+    def take(self, rows):
+        """The sub-stack of ``rows`` (an index list or a boolean mask)."""
+        out = copy.copy(self)
+        out.c = self.c[rows]
+        out.work_integral = self.work_integral[rows]
+        out.diss_integral = self.diss_integral[rows]
+        out.energy0 = self.energy0[rows]
+        if self._prev is not None:
+            out._prev = tuple(p[rows] for p in self._prev)
+        return out
+
+    def _advance(self, c, dt, work, diss, prev):
+        """The stack one step of size dt later, with the step's ledger terms."""
+        out = copy.copy(self)
+        vars(out).update(c=c, t=self.t + dt, dt=dt, step=self.step + 1, _prev=prev,
+                         work_integral=self.work_integral + work,
+                         diss_integral=self.diss_integral + diss)
+        return out
 
 
-def _parts(form, spec, basis, state):
-    """(A'c, N(c), F(c)) evaluated at one state."""
-    c = state.coeffs
-    ap = form.A @ c - form.nu_min * (form.D * c)
-    nn = convective_term(form.grid, state).coeffs
-    ff = forcing_apply(spec, form.grid, basis, state).coeffs
+def _rowdot(a, b):
+    """Row-wise inner products of two (k, n) stacks."""
+    return np.einsum("kn,kn->k", a, b)
+
+
+def _parts(form, spec, c):
+    """(A'c, N(c), F(c)) for every row of a coefficient stack."""
+    # A is symmetric, so c @ A holds A c in each row
+    ap = c @ form.A - form.nu_min * (form.D * c)
+    nn = convective_term(form.grid, c)
+    ff = apply_forcing(spec, form.grid, spec.basis, c)
     return ap, nn, ff
 
 
-def _check_finite(c, good_sim):
-    if not np.all(np.isfinite(c)):
-        raise DivergenceError(
-            f"non-finite coefficients at t = {good_sim.t + good_sim.dt:.6g} "
-            f"(after step {good_sim.step})", last_state=good_sim)
-
-
 def step_imex(sim, form, spec, dt):
-    """One IMEX-CNAB2 step; bootstraps with a single RK2 substep."""
+    """One IMEX-CNAB2 step of every row; bootstraps with a single RK2 substep.
+
+    Rows that overflow come back non-finite; ``run_batch`` freezes them.
+    """
     if dt <= 0:
         raise ParameterError("dt must be positive")
     rho = form.rho_explicit()
@@ -112,104 +149,114 @@ def step_imex(sim, form, spec, dt):
         raise ParameterError(
             f"dt = {dt:g} exceeds the explicit-remainder stability bound "
             f"{1.0 / max(rho, 1e-300):g}")
-    basis = spec.basis
-    c = sim.state.coeffs
+    c = sim.c
     half = 0.5 * dt * form.nu_min * form.D
 
     if sim._prev is None:
-        ap0, nn0, ff0 = _parts(form, spec, basis, sim.state)
+        ap0, nn0, ff0 = _parts(form, spec, c)
         k1 = -(form.nu_min * form.D * c) - ap0 - nn0 + ff0
         cs = c + dt * k1
-        mid_state = SpectralState(sim.state.L, cs, sim.t + dt)
-        ap1, nn1, ff1 = _parts(form, spec, basis, mid_state)
+        ap1, nn1, ff1 = _parts(form, spec, cs)
         k2 = -(form.nu_min * form.D * cs) - ap1 - nn1 + ff1
         c_new = c + 0.5 * dt * (k1 + k2)
         mid = 0.5 * (c + c_new)
-        diss = 0.5 * dt * float(
-            (form.A @ c + form.A @ cs) @ mid)
-        work = 0.5 * dt * float((ff0 + ff1) @ mid)
+        diss = 0.5 * dt * _rowdot(c @ form.A + cs @ form.A, mid)
+        work = 0.5 * dt * _rowdot(ff0 + ff1, mid)
         prev = (ap0, nn0, ff0)
     else:
-        ap_n, nn_n, ff_n = _parts(form, spec, basis, sim.state)
+        ap_n, nn_n, ff_n = _parts(form, spec, c)
         ap_p, nn_p, ff_p = sim._prev
-        expl = -(1.5 * ap_n - 0.5 * ap_p) - (1.5 * nn_n - 0.5 * nn_p) \
-            + (1.5 * ff_n - 0.5 * ff_p)
+        ap_ab = 1.5 * ap_n - 0.5 * ap_p
+        ff_ab = 1.5 * ff_n - 0.5 * ff_p
+        expl = -ap_ab - (1.5 * nn_n - 0.5 * nn_p) + ff_ab
         c_new = ((1.0 - half) * c + dt * expl) / (1.0 + half)
         mid = 0.5 * (c + c_new)
-        diss = dt * float(form.nu_min * np.dot(form.D * mid, mid)
-                          + (1.5 * ap_n - 0.5 * ap_p) @ mid)
-        work = dt * float((1.5 * ff_n - 0.5 * ff_p) @ mid)
+        diss = dt * (form.nu_min * _rowdot(form.D * mid, mid) + _rowdot(ap_ab, mid))
+        work = dt * _rowdot(ff_ab, mid)
         prev = (ap_n, nn_n, ff_n)
-
-    out = SimState(SpectralState(sim.state.L, c_new, sim.t + dt), dt,
-                   sim.step + 1, sim.work_integral + work,
-                   sim.diss_integral + diss, sim.energy0, prev)
-    _check_finite(c_new, sim)
-    return out
+    return sim._advance(c_new, dt, work, diss, prev)
 
 
 def step_rk4(sim, form, spec, dt):
-    """Classical explicit RK4 step on the full right-hand side."""
+    """Classical explicit RK4 step of every row on the full right-hand side."""
     if dt <= 0:
         raise ParameterError("dt must be positive")
     if dt * form.rho_full() > 2.7 + 1e-9:
         raise ParameterError(
             f"dt = {dt:g} violates the RK4 stability bound "
             f"{2.7 / max(form.rho_full(), 1e-300):g}")
-    basis = spec.basis
-    L = sim.state.L
 
-    def rhs_and_rates(cvec, t):
-        st = SpectralState(L, cvec, t)
-        ap, nn, ff = _parts(form, spec, basis, st)
-        k = -(form.nu_min * form.D * cvec) - ap - nn + ff
-        diss_rate = float(cvec @ (form.A @ cvec))
-        work_rate = float(ff @ cvec)
-        return k, diss_rate, work_rate
+    def rhs_and_rates(cv):
+        ap, nn, ff = _parts(form, spec, cv)
+        k = -(form.nu_min * form.D * cv) - ap - nn + ff
+        return k, _rowdot(cv, cv @ form.A), _rowdot(ff, cv)
 
-    c = sim.state.coeffs
-    t = sim.t
-    k1, d1, w1 = rhs_and_rates(c, t)
-    k2, d2, w2 = rhs_and_rates(c + 0.5 * dt * k1, t + 0.5 * dt)
-    k3, d3, w3 = rhs_and_rates(c + 0.5 * dt * k2, t + 0.5 * dt)
-    k4, d4, w4 = rhs_and_rates(c + dt * k3, t + dt)
+    c = sim.c
+    k1, d1, w1 = rhs_and_rates(c)
+    k2, d2, w2 = rhs_and_rates(c + 0.5 * dt * k1)
+    k3, d3, w3 = rhs_and_rates(c + 0.5 * dt * k2)
+    k4, d4, w4 = rhs_and_rates(c + dt * k3)
     c_new = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     diss = dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
     work = dt / 6.0 * (w1 + 2 * w2 + 2 * w3 + w4)
-
-    out = SimState(SpectralState(L, c_new, t + dt), dt, sim.step + 1,
-                   sim.work_integral + work, sim.diss_integral + diss,
-                   sim.energy0, sim._prev)
-    _check_finite(c_new, sim)
-    return out
+    return sim._advance(c_new, dt, work, diss, sim._prev)
 
 
-def run(config, grid, form, spec, u0, basis=None, record_fn=None):
-    """Integrate to t_end, sampling every ``stride`` steps.
+def run_batch(config, grid, form, spec, states, record_fn=None):
+    """Integrate the initial ``states`` to t_end as one coefficient stack,
+    sampling every ``stride`` steps.
 
-    Returns (samples, records): coefficient snapshots and diagnostics rows.
-    ``record_fn`` defaults to the diagnostics module's ``record``.  On
-    divergence the partial results ride on the raised error.
+    Returns (trajectories, diverged): a (samples, records) pair per row, and
+    a dict from row index to the DivergenceError of each row that went
+    non-finite.  Such a row is frozen at its last finite state, which rides
+    on the error as ``last_state`` with its trajectory as ``partial``; the
+    other rows continue.  ``record_fn`` defaults to the diagnostics module's
+    ``record`` and is called with a one-row SimState.
     """
-    from .diagnostics import record as default_record
-    basis = basis if basis is not None else spec.basis
-    rec = record_fn if record_fn is not None else default_record
-
+    rec = record_fn if record_fn is not None else record
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
         raise ParameterError("t_end must be an integer multiple of dt")
     stepper = step_imex if config.scheme == "imex_cnab2" else step_rk4
 
-    sim = SimState(u0.copy(), dt=config.dt)
-    samples = [sim.state.copy()]
-    records = [rec(grid, basis, form, spec, sim)]
-    try:
-        for n in range(n_steps):
-            sim = stepper(sim, form, spec, config.dt)
-            if (n + 1) % config.stride == 0 or n + 1 == n_steps:
-                samples.append(sim.state.copy())
-                records.append(rec(grid, basis, form, spec, sim))
-    except DivergenceError as err:
-        err.partial = (samples, records)
-        raise
-    return samples, records
+    sim = SimState(states, dt=config.dt)
+    live = np.arange(sim.c.shape[0])          # original index of each row
+    trajectories = [([], []) for _ in live]
+    diverged = {}
+
+    def sample():
+        for j, i in enumerate(live):
+            samples, records = trajectories[i]
+            samples.append(SpectralState(sim.L, sim.c[j].copy(), sim.t))
+            records.append(rec(grid, spec.basis, form, spec, sim.take([j])))
+
+    sample()
+    for n in range(n_steps):
+        new = stepper(sim, form, spec, config.dt)
+        bad = ~np.isfinite(new.c).all(axis=1)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                i = int(live[j])
+                diverged[i] = DivergenceError(
+                    f"non-finite coefficients at t = {new.t:.6g} "
+                    f"(after step {sim.step})", last_state=sim.take([j]),
+                    partial=trajectories[i])
+            live, new = live[~bad], new.take(~bad)
+            if live.size == 0:
+                break
+        sim = new
+        if (n + 1) % config.stride == 0 or n + 1 == n_steps:
+            sample()
+    return trajectories, diverged
+
+
+def run(config, grid, form, spec, u0, record_fn=None):
+    """Integrate one trajectory to t_end, sampling every ``stride`` steps.
+
+    Returns (samples, records): coefficient snapshots and diagnostics rows.
+    On divergence the partial results ride on the raised error.
+    """
+    (trajectory,), diverged = run_batch(config, grid, form, spec, [u0], record_fn)
+    if diverged:
+        raise diverged[0]
+    return trajectory

@@ -11,6 +11,7 @@ import numpy as np
 
 from conftest import acceptance_line
 
+from surfns import cli
 from surfns import geometry as geo
 from surfns.diagnostics import check_monotonicity, fit_decay_rate
 from surfns.forcing import make_catalog_forcing
@@ -123,16 +124,16 @@ def test_acceptance_06_energy_balance_variable_viscosity():
 def test_acceptance_07_exponential_nonkilling_decay():
     t0 = time.monotonic()
     cfg = get_scenario("free_decay_ensemble").config
-    ctx_threads = int(os.environ.get("SURFNS_THREADS", "2") or 2)
-    ens = run_ensemble(dict(cfg), threads=ctx_threads)
+    ens = run_ensemble(dict(cfg))
     g = geo.build_sphere_grid(cfg["geometry.L"], cfg["geometry.radius"])
     form = assemble_stokes(g, geo.ViscosityField(g, 1.0), cfg["geometry.L"])
     lam2 = form.lam_by_degree[2]
-    fit = fit_decay_rate(ens.times, ens.nk_max ** 2, window=(1.0, 3.0))
+    nk_max = ens.aggregates["norm_uNK"]["max"]
+    fit = fit_decay_rate(ens.times, nk_max ** 2, window=(1.0, 3.0))
     conds = {
         "zeta_ge_0.99x2lam2": fit.zeta >= 2 * lam2 * 0.99,
         "omega_le_1e-10": ens.omega_hat <= 1e-10,
-        "max_member_monotone": bool(np.all(np.diff(ens.nk_max) < 0)),
+        "max_member_monotone": bool(np.all(np.diff(nk_max) < 0)),
     }
     _finish(7, "exponential-nonkilling-decay", t0, 60.0, conds)
 
@@ -195,15 +196,17 @@ def test_acceptance_11_infrastructure(tmp_path):
     conds["checkpoint_bit_exact"] = (np.array_equal(back.state.coeffs, s.coeffs)
                                      and back.t == 1.5)
 
-    cfg = default_config()
-    cfg.update({"geometry.L": 8, "init.kind": "random",
-                "init.norm_killing": 0.4, "init.norm_nonkilling": 1.0,
-                "run.t_end": 0.5, "run.stride": 10, "ensemble.members": 4})
-    from surfns.harness import records_to_csv
-    blobs = []
+    cfgfile = tmp_path / "acc.cfg"
+    cfgfile.write_text("geometry.L = 8\ninit.kind = random\n"
+                       "init.norm_killing = 0.4\ninit.norm_nonkilling = 1.0\n"
+                       "run.t_end = 0.5\nrun.stride = 10\nensemble.members = 4\n")
+    blobs, codes = [], []
     for threads in (1, 4):
-        ens = run_ensemble(dict(cfg), threads=threads)
-        blobs.append("".join(records_to_csv(recs, 3)
-                             for recs in ens.member_records))
-    conds["csv_identical_threads"] = blobs[0] == blobs[1]
+        out = tmp_path / f"threads{threads}"
+        codes.append(cli.main(["--out", str(out), "--threads", str(threads),
+                               "--quiet", "ensemble", str(cfgfile)]))
+        blobs.append(b"".join((out / p).read_bytes()
+                              for p in sorted(os.listdir(out))
+                              if p.startswith("ensemble_member")))
+    conds["csv_identical_threads"] = codes == [0, 0] and blobs[0] == blobs[1]
     _finish(11, "infrastructure", t0, 10.0, conds)

@@ -5,10 +5,9 @@ import pytest
 
 from surfns import geometry as geo
 from surfns.errors import ParameterError
-from surfns.forcing import hypothesis_check, make_catalog_forcing
-from surfns.harmonics import SpectralState, random_band_limited
+from surfns.forcing import apply_forcing, hypothesis_check, make_catalog_forcing
+from surfns.harmonics import SpectralState, get_transform, random_band_limited
 from surfns.killing import killing_basis, pk_project
-from surfns.operators import forcing_apply
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +74,7 @@ def test_f5_unit_sphere_degenerates(sphere8, kb, tr8):
     # |x| = 1 on the unit sphere, so f5 = -P_K u exactly
     spec = make_catalog_forcing("f5", {}, kb)
     s = random_band_limited(tr8, 8)
-    out = forcing_apply(spec, sphere8, kb, s)
+    out = apply_forcing(spec, sphere8, kb, s)
     assert np.abs(out.coeffs[:3] + s.coeffs[:3]).max() <= 1e-10
     assert np.abs(out.coeffs[3:]).max() <= 1e-10
 
@@ -95,8 +94,8 @@ def test_affine_tags_exact_lipschitz(sphere8, kb, tr8):
         for i in range(10):
             u1 = SpectralState(8, rng.standard_normal(80))
             u2 = SpectralState(8, rng.standard_normal(80))
-            df = forcing_apply(spec, sphere8, kb, u1).coeffs \
-                - forcing_apply(spec, sphere8, kb, u2).coeffs
+            df = apply_forcing(spec, sphere8, kb, u1).coeffs \
+                - apply_forcing(spec, sphere8, kb, u2).coeffs
             bound = spec.flags.c2 * np.linalg.norm(u1.coeffs - u2.coeffs)
             assert np.linalg.norm(df) <= bound + 1e-12
 
@@ -107,7 +106,7 @@ def test_f4_split_matches_weighted_killing_part(sphere8, kb, tr8):
     s = random_band_limited(tr8, 21)
     for tag, sign in (("f4_plus", 1.0), ("f4_minus", -1.0)):
         spec = make_catalog_forcing(tag, {"p": p}, kb)
-        out = forcing_apply(spec, sphere8, kb, s)
+        out = apply_forcing(spec, sphere8, kb, s)
         f_nodal = tr8.synthesize(out)
         fk, fnk = pk_project(kb, f_nodal)
         # oracle: weight the nodal Killing part and project by quadrature
@@ -141,3 +140,31 @@ def test_f4_hypothesis_audit(sphere8, kb):
         assert rep.ok
         # f4's non-Killing power is exactly ||u_NK||^2
         assert rep.c5_hat == pytest.approx(1.0, abs=1e-6)
+
+
+def test_f4_f5_match_nodal_routes(sphere8, sphere8_r2):
+    # oracle: the nodal synthesis/analysis routes, against the closed-form
+    # maps on the coefficients (f4's 3x3 Killing block, f5's (R - 1) c)
+    for grid in (sphere8, sphere8_r2):
+        kb = killing_basis(grid)
+        tr = get_transform(grid, 8)
+        p = grid.R * np.array([1.0, 2.0, 2.0]) / 3.0
+        wdist = np.linalg.norm(grid.nodes - p[None, :], axis=1)[:, None]
+        radius = np.linalg.norm(grid.nodes, axis=1)[:, None]
+        for i in range(3):
+            s = random_band_limited(tr, 60 + i)
+            u = tr.synthesize(s)
+            cw = tr.analyze(geo.TangentialField(grid, radius * u.comps)).coeffs
+            cw[:3] = 0.0
+            out = apply_forcing(make_catalog_forcing("f5", {}, kb), grid, kb, s)
+            assert np.abs(out.coeffs - (cw - s.coeffs)).max() <= 1e-13
+
+            uk = sum(a * v.comps for a, v in zip(kb.alpha_from_state(s), kb.fields))
+            weighted = geo.TangentialField(grid, wdist * uk)
+            beta = np.array([geo.l2_inner(grid, weighted, v) for v in kb.fields])
+            for tag, sign in (("f4_plus", 1.0), ("f4_minus", -1.0)):
+                expected = s.coeffs.copy()
+                expected[:3] = sign * kb.l1_map.T @ beta
+                out = apply_forcing(make_catalog_forcing(tag, {"p": p}, kb),
+                                    grid, kb, s)
+                assert np.abs(out.coeffs - expected).max() <= 1e-13

@@ -12,9 +12,10 @@ from surfns import geometry as geo
 from surfns.errors import CheckpointError, ConfigError
 from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import SpectralState, random_band_limited
-from surfns.harness import (config_hash, config_text, default_config,
-                            load_checkpoint, parse_config_text, records_to_csv,
-                            run_ensemble, save_checkpoint, stepper_config)
+from surfns.harness import (_run_offsets, build_context, config_hash,
+                            config_text, default_config, load_checkpoint,
+                            parse_config_text, records_to_csv, run_ensemble,
+                            save_checkpoint, stepper_config)
 from surfns.killing import killing_basis
 from surfns.operators import assemble_stokes
 from surfns.scenarios import get_scenario, list_scenarios, run_scenario
@@ -137,8 +138,8 @@ def test_checkpoint_resume_determinism(sphere8, tr8, tmp_path):
 
 def _run_scenario_csv(tmp_path, label, threads):
     out = tmp_path / label
-    run_scenario("free_decay_ensemble", out_dir=str(out), threads=threads,
-                 quiet=True)
+    assert cli.main(["--out", str(out), "--threads", str(threads), "--quiet",
+                     "scenario", "free_decay_ensemble"]) == 0
     return {p: (out / p).read_bytes() for p in sorted(os.listdir(out))
             if p.endswith(".csv")}
 
@@ -190,10 +191,11 @@ def test_ensemble_aggregates(sphere8):
     cfg.update({"geometry.L": 8, "init.kind": "random",
                 "init.norm_killing": 0.5, "init.norm_nonkilling": 1.0,
                 "run.t_end": 0.5, "run.stride": 25, "ensemble.members": 3})
-    ens = run_ensemble(cfg, threads=2)
+    ens = run_ensemble(cfg)
+    nk = ens.aggregates["norm_uNK"]
     assert len(ens.member_records) == 3
-    assert np.all(ens.nk_max >= ens.nk_mean) and np.all(ens.nk_mean >= ens.nk_min)
-    assert np.all(np.diff(ens.nk_max) < 0)
+    assert np.all(nk["max"] >= nk["mean"]) and np.all(nk["mean"] >= nk["min"])
+    assert np.all(np.diff(nk["max"]) < 0)
     assert np.isfinite(ens.entry_time)
 
 
@@ -325,8 +327,55 @@ def test_ensemble_killing_only_members_are_constant():
     cfg.update({"geometry.L": 8, "init.kind": "random",
                 "init.norm_killing": 0.5, "init.norm_nonkilling": 0.0,
                 "run.t_end": 0.5, "run.stride": 25, "ensemble.members": 3})
-    ens = run_ensemble(cfg, threads=1)
+    ens = run_ensemble(cfg)
     for recs in ens.member_records:
         for key in ("norm_u", "norm_uK", "norm_uNK", "energy", "dissipation"):
             vals = [getattr(r, key) for r in recs]
             assert max(vals) - min(vals) <= 1e-12
+
+
+def test_pair_and_gap_rows_match_solo_runs():
+    for name, labels in (("backward_uniqueness_probe", ["a", "b"]),
+                         ("contdep_gaps", ["base", "gap0", "gap1", "gap2"])):
+        cfg = dict(get_scenario(name).config)
+        cfg["run.t_end"] = 0.5
+        ctx = build_context(cfg)
+        _run_offsets(cfg, ctx, get_scenario(name).kind)
+        assert sorted(ctx.pair) == labels
+        scfg = stepper_config(cfg)
+        for samples, _ in ctx.pair.values():
+            solo, _ = run_simulation(scfg, ctx.grid, ctx.form, ctx.fspec, samples[0])
+            assert len(samples) == len(solo)
+            for a, b in zip(samples, solo):
+                assert (np.linalg.norm(a.coeffs - b.coeffs)
+                        <= 1e-12 * np.linalg.norm(b.coeffs))
+
+
+def test_cli_rejects_oversized_truncation(tmp_path, capsys):
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text("geometry.L = 100000\n")
+    for command in ("run", "spectrum", "korn"):
+        assert cli.main(["--quiet", command, str(cfgfile)]) == 2
+    assert "2..64" in capsys.readouterr().err
+
+
+def test_cli_decompose_rejects_oversized_truncation(tmp_path, sphere8, capsys):
+    path = tmp_path / "l65.snsk"
+    save_checkpoint(SimState(SpectralState(65)), sphere8, str(path))
+    assert load_checkpoint(str(path))[0].L == 65       # valid CRC and header
+    assert cli.main(["decompose", str(path)]) == 2
+    assert "2..64" in capsys.readouterr().err
+
+
+def test_malformed_threads_env_has_no_effect(tmp_path, monkeypatch):
+    def csvs(label):
+        out = tmp_path / label
+        assert cli.main(["--out", str(out), "--quiet",
+                         "scenario", "f3_plus_ensemble"]) == 0
+        return {p: (out / p).read_bytes() for p in sorted(os.listdir(out))
+                if p.endswith(".csv")}
+
+    monkeypatch.delenv("SURFNS_THREADS", raising=False)
+    plain = csvs("plain")
+    monkeypatch.setenv("SURFNS_THREADS", "abc")
+    assert csvs("abc") == plain and len(plain) > 1

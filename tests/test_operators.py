@@ -5,11 +5,10 @@ import pytest
 
 from surfns import geometry as geo
 from surfns.errors import ParameterError
-from surfns.forcing import make_catalog_forcing
+from surfns.forcing import apply_forcing, make_catalog_forcing
 from surfns.harmonics import SpectralState, get_transform, random_band_limited
 from surfns.killing import killing_basis
-from surfns.operators import (assemble_stokes, convective_term, forcing_apply,
-                              stokes_apply)
+from surfns.operators import assemble_stokes, convective_term, stokes_apply
 
 
 @pytest.fixture(scope="module")
@@ -173,10 +172,10 @@ def test_semidiscrete_energy_identity(sphere8, formv, kb, tr8):
         s = random_band_limited(tr8, 900 + i)
         rhs = (-stokes_apply(formv, s).coeffs
                - convective_term(sphere8, s).coeffs
-               + forcing_apply(spec, sphere8, kb, s).coeffs)
+               + apply_forcing(spec, sphere8, kb, s).coeffs)
         lhs = float(rhs @ s.coeffs)
         expected = -formv.quad_form(s.coeffs) + float(
-            forcing_apply(spec, sphere8, kb, s).coeffs @ s.coeffs)
+            apply_forcing(spec, sphere8, kb, s).coeffs @ s.coeffs)
         scale = max(abs(expected), s.norm() ** 2, 1.0)
         assert abs(lhs - expected) <= 1e-9 * scale
 
@@ -185,18 +184,18 @@ def test_forcing_apply_examples(sphere8, kb, tr8):
     s = random_band_limited(tr8, 55)
     # f3- is exactly -u
     f3m = make_catalog_forcing("f3_minus", {}, kb)
-    assert np.abs(forcing_apply(f3m, sphere8, kb, s).coeffs + s.coeffs).max() == 0.0
+    assert np.abs(apply_forcing(f3m, sphere8, kb, s).coeffs + s.coeffs).max() == 0.0
     # constant Killing forcing is independent of the state
     fk = make_catalog_forcing("constant_killing", {"c": 1.0, "axis": 0}, kb)
-    out1 = forcing_apply(fk, sphere8, kb, s)
-    out2 = forcing_apply(fk, sphere8, kb, SpectralState(8))
+    out1 = apply_forcing(fk, sphere8, kb, s)
+    out2 = apply_forcing(fk, sphere8, kb, SpectralState(8))
     assert np.abs(out1.coeffs - out2.coeffs).max() == 0.0
     assert np.linalg.norm(out1.coeffs[:3]) == pytest.approx(1.0, abs=1e-10)
     assert np.abs(out1.coeffs[3:]).max() == 0.0
     # f2+ with v = Phi_20: v-part plus the Killing block of s
     f2p = make_catalog_forcing("f2_plus",
                                {"v": tr8.toroidal_basis_field(2, 0)}, kb)
-    out = forcing_apply(f2p, sphere8, kb, s)
+    out = apply_forcing(f2p, sphere8, kb, s)
     assert out.get(2, 0) == pytest.approx(1.0, abs=1e-10)
     assert np.abs(out.coeffs[:3] - s.coeffs[:3]).max() <= 1e-12
 

@@ -15,8 +15,7 @@ def test_registry_size_and_claims():
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_scenario_passes(name, tmp_path):
-    rep = run_scenario(name, out_dir=str(tmp_path), seed=None, threads=2,
-                       quiet=True)
+    rep = run_scenario(name, out_dir=str(tmp_path), seed=None, quiet=True)
     assert rep.passed, rep.render()
     assert (tmp_path / f"{name}_report.json").exists()
 

@@ -10,7 +10,11 @@ from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import SpectralState, random_band_limited
 from surfns.killing import killing_basis
 from surfns.operators import assemble_stokes
-from surfns.timestepper import SimState, StepperConfig, run, step_imex, step_rk4
+from surfns.harness import (build_context, build_initial_state, member_seed,
+                            stepper_config)
+from surfns.scenarios import get_scenario
+from surfns.timestepper import (SimState, StepperConfig, run, run_batch,
+                                step_imex, step_rk4)
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +225,43 @@ def test_cfl_estimate(sphere8, tr8):
     assert cfl_estimate(sphere8, u2) == pytest.approx(2 * dt, rel=1e-12)
     zero = geo.TangentialField(sphere8, np.zeros((sphere8.n_nodes, 2)))
     assert cfl_estimate(sphere8, zero) == np.inf
+
+
+def _assert_matches_solo(samples, solo):
+    assert len(samples) == len(solo)
+    for a, b in zip(samples, solo):
+        assert a.t == b.t
+        assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-12 * np.linalg.norm(b.coeffs)
+
+
+def test_batch_rows_match_solo_runs():
+    # the free_decay_ensemble members integrated as one stack, both schemes
+    cfg = dict(get_scenario("free_decay_ensemble").config)
+    cfg["run.t_end"] = 0.5
+    ctx = build_context(cfg)
+    states = [build_initial_state(cfg, ctx.grid, seed=member_seed(cfg["seed"], k))
+              for k in range(cfg["ensemble.members"])]
+    for scheme in ("imex_cnab2", "rk4"):
+        cfg["run.scheme"] = scheme
+        scfg = stepper_config(cfg)
+        trajectories, diverged = run_batch(scfg, ctx.grid, ctx.form, ctx.fspec,
+                                           states)
+        assert not diverged
+        for u0, (samples, _) in zip(states, trajectories):
+            solo, _ = run(scfg, ctx.grid, ctx.form, ctx.fspec, u0)
+            _assert_matches_solo(samples, solo)
+
+
+def test_overflowing_row_is_frozen_while_others_continue(sphere8, form1, spec0, tr8):
+    good = random_band_limited(tr8, 43, norm_nonkilling=1.0)
+    bad = SpectralState(8, 1e30 * random_band_limited(tr8, 47).coeffs)
+    cfg = StepperConfig(dt=1e-3, t_end=0.2, stride=20)
+    with np.errstate(all="ignore"):
+        trajectories, diverged = run_batch(cfg, sphere8, form1, spec0, [good, bad])
+    assert list(diverged) == [1]
+    err = diverged[1]
+    assert isinstance(err, DivergenceError)
+    assert np.all(np.isfinite(err.last_state.state.coeffs))
+    assert err.partial is trajectories[1]
+    solo, _ = run(cfg, sphere8, form1, spec0, good)
+    _assert_matches_solo(trajectories[0][0], solo)
