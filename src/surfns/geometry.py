@@ -23,8 +23,8 @@ SPHERE = "sphere"
 TORUS = "torus"
 
 # Largest sphere truncation degree accepted: L = 64 is the largest measured
-# to fit (481 MB peak RSS); the dense Stokes matrix has (L(L+2))^2 entries,
-# about 13 GB at L = 200.
+# (210 MB peak RSS through one IMEX step); a viscosity that varies along a
+# latitude row needs a dense Stokes block of (L(L+2))^2 entries, 13 GB at L = 200.
 L_MAX = 64
 
 

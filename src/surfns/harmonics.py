@@ -33,7 +33,7 @@ from .geometry import (SPHERE, SphereEngine, TangentialField, TangentialTensor,
 
 DealiasRule = namedtuple("DealiasRule", ["degree", "n_lat", "n_lon"])
 
-_FORM_CHUNK = 32        # identity columns per matrix-free weak-form pass
+_FORM_CHUNK = 32        # probes per matrix-free weak-form pass
 
 
 def dealias_rule(L):
@@ -67,6 +67,15 @@ def mode_index(L, l, m):
     if m == 0:
         return base
     return base + 2 * abs(m) - (1 if m > 0 else 0)
+
+
+def pad_parts(parts):
+    """(gather, valid), both (n_parts, largest part): gather[p, j] is the j-th
+    mode of part p where valid[p, j], else mode 0."""
+    valid = np.arange(max(map(len, parts))) < np.array([len(p) for p in parts])[:, None]
+    gather = np.zeros(valid.shape, dtype=int)
+    gather[valid] = np.concatenate(parts)
+    return gather, valid
 
 
 def as_stack(state):
@@ -106,16 +115,6 @@ class SpectralState:
 
     def nonkilling_norm(self):
         return float(np.linalg.norm(self.coeffs[3:]))
-
-    def killing_part(self):
-        out = self.copy()
-        out.coeffs[3:] = 0.0
-        return out
-
-    def nonkilling_part(self):
-        out = self.copy()
-        out.coeffs[:3] = 0.0
-        return out
 
     def get(self, l, m):
         return float(self.coeffs[mode_index(self.L, l, m)])
@@ -248,26 +247,37 @@ class SphereTransform:
         T = self._nodal(state, self.GRAD)
         return TangentialTensor(self.grid, T.reshape(-1, 2, 2))
 
-    def gradient_form(self, weight, strain=True, modes=None):
-        """Weak form F[j, k] = sum_n weight_n X(Phi_j):X(Phi_k) at the nodes.
+    def partition(self, weight):
+        """Mode parts over which forms weighted by ``weight`` are block-diagonal:
+        one per signed order m, degrees ascending, when the weight is constant
+        along every latitude row (cos/sin(m phi) then pair only with
+        themselves), otherwise one part holding every mode."""
+        if np.ptp(np.reshape(weight, (self.grid.n_lat, -1)), axis=1).any():
+            return [np.arange(self.n_modes)]
+        return [np.flatnonzero(self.mode_m == m) for m in range(-self.L, self.L + 1)]
+
+    def gradient_form(self, weight, parts, strain=True):
+        """Blocks of F[j, k] = sum_n weight_n X(Phi_j):X(Phi_k) over a partition.
 
         X is the rate of strain, or the covariant derivative when ``strain``
-        is false.  Applied without a matrix, F[:, K] = G^T(weight * X(G e_K))
-        with G the gradient synthesis, over fixed-size chunks K of the
-        identity columns.  Returns the symmetrized n_modes x n_modes matrix,
-        or only the columns ``modes`` when given.
+        is false.  Returns (n_parts, size, size): F on each part of ``parts``
+        (see ``partition``), symmetrized and zero-padded to the largest.
+        Matrix-free, F[:, K] = G^T(weight * X(G e_K)) with G the gradient
+        synthesis, over chunks of probes: probe j sums the j-th unit state of
+        every part, which is exact when F couples no two parts.
         """
-        cols = np.arange(self.n_modes) if modes is None else np.asarray(modes)
-        F = np.empty((self.n_modes, cols.size))
-        for start in range(0, cols.size, _FORM_CHUNK):
-            K = cols[start:start + _FORM_CHUNK]
-            unit = np.zeros((K.size, self.n_modes))
-            unit[np.arange(K.size), K] = 1.0
-            T = self.engine.synthesize(unit, self.GRAD)
+        gather, valid = pad_parts(parts)
+        F = np.empty((self.n_modes, gather.shape[1]))
+        for start in range(0, gather.shape[1], _FORM_CHUNK):
+            g, v = gather[:, start:start + _FORM_CHUNK].T, valid[:, start:start + _FORM_CHUNK].T
+            probe = np.zeros((g.shape[0], self.n_modes))
+            probe[np.nonzero(v)[0], g[v]] = 1.0
+            T = self.engine.synthesize(probe, self.GRAD)
             if strain:
                 T[1] = T[2] = 0.5 * (T[1] + T[2])
-            F[:, start:start + K.size] = self.engine.adjoint(T * weight, self.GRAD).T
-        return 0.5 * (F + F.T) if modes is None else F
+            F[:, start:start + g.shape[0]] = self.engine.adjoint(T * weight, self.GRAD).T
+        blocks = F[gather] * (valid[:, :, None] & valid[:, None, :])
+        return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
     def h1_norm2(self, state):
         """||u||_{H1}^2 via Parseval plus per-mode gradient energies."""

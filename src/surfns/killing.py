@@ -13,7 +13,7 @@ import scipy.linalg
 from .errors import ConsistencyError, GridMismatchError, ParameterError
 from . import geometry as geo
 from .geometry import SPHERE, TORUS, TangentialField
-from .harmonics import block_slice, get_transform
+from .harmonics import get_transform, mode_index
 
 
 class KillingBasis:
@@ -80,9 +80,9 @@ class KornResult:
     """Truncated Korn constant with its convergence diagnostics.
 
     ``c_p`` is the square root of the largest generalized eigenvalue of the
-    H1 form against the strain form on the non-Killing block; ``per_degree``
-    maps degree l to the Rayleigh quotient ||v||_H1^2 / ||eps(v)||^2 of its
-    modes (sphere only).
+    H1 form against the strain form on the non-Killing block (all of them,
+    ascending, in ``eigenvalues``); ``per_degree`` maps degree l to the
+    Rayleigh quotient ||v||_H1^2 / ||eps(v)||^2 of its modes (sphere only).
     """
 
     def __init__(self, c_p, per_degree, eigenvalues):
@@ -95,9 +95,10 @@ def korn_constant(grid, L=None, fourier_cap=8):
     """Estimate C_P with ||v||_H1 <= C_P ||eps(v)|| on non-Killing fields.
 
     Assembles the H1 and strain quadratic forms on the truncated
-    divergence-free space (toroidal modes with 2 <= l <= L on the sphere; a
-    stream-function Fourier family plus the harmonic circulation generators
-    on the torus) and solves the generalized symmetric eigenproblem.
+    divergence-free space (toroidal modes with 2 <= l <= L on the sphere,
+    one block per signed order m; a stream-function Fourier family plus the
+    harmonic circulation generators on the torus) and solves the generalized
+    symmetric eigenproblem, block by block.
     """
     if grid.kind == SPHERE:
         if L is None or not (2 <= L <= geo.L_MAX):
@@ -110,22 +111,23 @@ def korn_constant(grid, L=None, fourier_cap=8):
 
 def _korn_sphere(grid, L):
     tr = get_transform(grid, L)
-    S = tr.gradient_form(grid.weights)
-    H = tr.gradient_form(grid.weights, strain=False)
-    # strain form on the excluded Killing block must vanish
-    kill_eps = np.abs(S[:3, :3]).max()
-    S = S[3:, 3:]
-    H = H[3:, 3:] + np.eye(tr.n_modes - 3)
-    smin = scipy.linalg.eigh(S, eigvals_only=True, subset_by_index=[0, 0])[0]
-    if smin <= 1e-10 * np.abs(S).max() or kill_eps > 1e-8:
-        raise ConsistencyError(
-            "singular strain form: a Killing mode leaked into the l >= 2 block")
-    mu = scipy.linalg.eigh(H, S, eigvals_only=True)
-    per_degree = {}
-    for l in range(2, L + 1):
-        sl = block_slice(l)
-        idx = sl.start - 3
-        per_degree[l] = float(H[idx, idx] / S[idx, idx])
+    parts = tr.partition(grid.weights)
+    quotient, mu = np.empty(tr.n_modes), []
+    for idx, S, H in zip(parts, tr.gradient_form(grid.weights, parts=parts),
+                         tr.gradient_form(grid.weights, strain=False, parts=parts)):
+        # degrees ascend, so the excluded Killing (degree-1) modes come first;
+        # the strain form on them must vanish
+        keep = np.flatnonzero(tr.mode_l[idx] >= 2)
+        kill_eps = np.abs(S[:idx.size - keep.size]).max(initial=0.0)
+        S, H = S[np.ix_(keep, keep)], H[np.ix_(keep, keep)] + np.eye(keep.size)
+        smin = scipy.linalg.eigh(S, eigvals_only=True, subset_by_index=[0, 0])[0]
+        if smin <= 1e-10 * np.abs(S).max() or kill_eps > 1e-8:
+            raise ConsistencyError(
+                "singular strain form: a Killing mode leaked into the l >= 2 block")
+        quotient[idx[keep]] = np.diag(H) / np.diag(S)
+        mu.append(scipy.linalg.eigh(H, S, eigvals_only=True))
+    mu = np.sort(np.concatenate(mu))
+    per_degree = {l: float(quotient[mode_index(L, l, 0)]) for l in range(2, L + 1)}
     return KornResult(float(np.sqrt(mu[-1])), per_degree, mu)
 
 

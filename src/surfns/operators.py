@@ -2,61 +2,91 @@
 
 The variable-viscosity Stokes operator is assembled in weak form,
 A[j,k] = int 2 nu eps(Phi_j) : eps(Phi_k) dS, which keeps exact symmetry and
-positive semidefiniteness without differentiating nu.  The matrix is dense,
-(L(L+2))^2 entries, but is built without per-mode nodal tables: columns come
-from the O(L^3) per-order transforms applied to chunks of unit states.  The
-convective term is pseudospectral on the dealiased grid, one fused synthesis
-of u and grad u and one analysis, each O(L^3) per row of a coefficient
-stack.  All operations return coefficients.
+positive semidefiniteness without differentiating nu.  A is stored as its
+diagonal blocks, one of size <= L per signed order m when nu is constant
+along latitude rows, else one dense block; they are found by probing the
+O(L^3) per-order transforms, and apply and eigenvalues go block by block.
+The convective term is pseudospectral on the dealiased grid, one fused
+synthesis of u and grad u and one analysis, each O(L^3) per row of a
+coefficient stack.  All operations return coefficients.
 """
 
 import numpy as np
 
 from .errors import ParameterError
 from .harmonics import (SpectralState, as_stack, dealias_rule, get_transform,
-                        mode_index)
+                        pad_parts)
 
 
 class StokesForm:
-    """Assembled weak-form Stokes matrix with its implicit/explicit split.
+    """Weak-form Stokes operator with its implicit/explicit split.
 
-    ``A = nu_min * diag(D) + A_prime`` where D carries the constant-viscosity
-    per-degree eigenvalues (Rayleigh quotients) and A_prime is positive
-    semidefinite because nu - nu_min >= 0.
+    ``blocks[p]`` is A on the modes ``parts[p]``, zero-padded to the largest
+    part; A couples no two parts.  ``A = nu_min * diag(D) + A_prime`` where D
+    carries the constant-viscosity per-degree eigenvalues (Rayleigh quotients)
+    and A_prime is positive semidefinite because nu - nu_min >= 0.  The dense
+    ``A`` and ``A_prime`` are built on demand.
     """
 
-    def __init__(self, grid, transform, nu, L, A, lam_by_degree):
+    def __init__(self, grid, transform, nu, L, blocks, parts, lam_by_degree):
         self.grid = grid
         self.transform = transform
         self.nu = nu
         self.L = L
-        self.A = A
+        self.blocks = blocks
+        self.parts = parts
         self.lam_by_degree = lam_by_degree          # (L+1,) with entry l = lambda_l
         self.D = lam_by_degree[transform.mode_l]    # per-mode diagonal
         self.nu_min = nu.nu_min
+        self._gather, valid = pad_parts(parts)
+        # position of each mode in the flattened (part, slot) layout
+        self._scatter = np.flatnonzero(valid)[np.argsort(self._gather[valid])]
         self._rho_explicit = None
         self._rho_full = None
+
+    @property
+    def A(self):
+        """Dense n_modes x n_modes matrix of the blocks."""
+        A = np.zeros((self.transform.n_modes,) * 2)
+        for idx, b in zip(self.parts, self.blocks):
+            A[np.ix_(idx, idx)] = b[:idx.size, :idx.size]
+        return A
 
     @property
     def A_prime(self):
         return self.A - self.nu_min * np.diag(self.D)
 
+    def apply(self, c):
+        """A c for every row of a (k, n_modes) coefficient stack."""
+        # symmetric blocks, zero at the padding slots (which read mode 0)
+        y = c[:, self._gather].transpose(1, 0, 2) @ self.blocks
+        return y.transpose(1, 0, 2).reshape(c.shape[0], -1)[:, self._scatter]
+
+    def _eigvalsh(self, shift):
+        """Ascending eigenvalues of A - diag(shift), block by block."""
+        return np.sort(np.concatenate([
+            np.linalg.eigvalsh(b[:idx.size, :idx.size] - np.diag(shift[idx]))
+            for idx, b in zip(self.parts, self.blocks)]))
+
+    def eigenvalues(self):
+        """Ascending eigenvalues of A."""
+        return self._eigvalsh(0.0 * self.D)
+
     def rho_explicit(self):
         """Spectral radius of the explicit remainder A' (cached)."""
         if self._rho_explicit is None:
-            ap = self.A_prime
-            self._rho_explicit = float(np.linalg.eigvalsh(0.5 * (ap + ap.T)).max())
+            self._rho_explicit = float(self._eigvalsh(self.nu_min * self.D)[-1])
         return self._rho_explicit
 
     def rho_full(self):
         """Largest eigenvalue of the full operator A (cached)."""
         if self._rho_full is None:
-            self._rho_full = float(np.linalg.eigvalsh(self.A).max())
+            self._rho_full = float(self.eigenvalues()[-1])
         return self._rho_full
 
     def quad_form(self, coeffs):
         """c . A c = int 2 nu |eps(u)|^2 dS for the represented field."""
-        return float(coeffs @ (self.A @ coeffs))
+        return float(coeffs @ self.apply(coeffs[None])[0])
 
 
 def assemble_stokes(grid, nu, L):
@@ -74,21 +104,21 @@ def assemble_stokes(grid, nu, L):
             f"grid resolves degree {grid.max_degree}, need {dealias_rule(L).degree} "
             f"for exact degree-{L} assembly")
     tr = get_transform(grid, L)
-    # lambda_l is the same for every order on the sphere: one mode per degree
-    zonal = [mode_index(L, l, 0) for l in range(1, L + 1)]
-    unit = tr.gradient_form(2.0 * grid.weights, modes=zonal)
+    # lambda_l is the same for every order: the unit-viscosity zonal diagonal
+    zonal = np.flatnonzero(tr.mode_m == 0)
     lam = np.zeros(L + 1)
-    lam[1:] = unit[zonal, np.arange(L)]
+    lam[1:] = np.diagonal(tr.gradient_form(2.0 * grid.weights, parts=[zonal])[0])
     lam[1] = max(lam[1], 0.0)
-    A = tr.gradient_form(2.0 * grid.weights * nu.values)
-    return StokesForm(grid, tr, nu, L, A, lam)
+    weight = 2.0 * grid.weights * nu.values
+    parts = tr.partition(weight)
+    return StokesForm(grid, tr, nu, L, tr.gradient_form(weight, parts=parts), parts, lam)
 
 
 def stokes_apply(form, state):
     """Matrix-vector product of the assembled form; Killing block stays null."""
     if state.L != form.L:
         raise ParameterError("state truncation does not match form")
-    return SpectralState(form.L, form.A @ state.coeffs, state.t)
+    return SpectralState(form.L, form.apply(state.coeffs[None])[0], state.t)
 
 
 def convective_term(grid, state):

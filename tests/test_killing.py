@@ -163,3 +163,26 @@ def test_torus_korn(torus64):
     # cap convergence: richer stream-function family, same constant
     res2 = korn_constant(torus64, fourier_cap=10)
     assert abs(res2.c_p - res.c_p) <= 5e-2 * res.c_p
+
+
+def test_korn_constant_closed_form():
+    # the extremizer is degree 2, where C_P^2 = (R^2 + 5) / 2
+    for R in (1.0, 2.0):
+        for L in (8, 16, 32):
+            res = korn_constant(geo.build_sphere_grid(L, R), L)
+            exact = np.sqrt((R * R + 5.0) / 2.0)
+            assert abs(res.c_p - exact) <= 1e-12 * exact
+
+
+def test_korn_blocks_match_dense_eigensolve():
+    # oracle: the full generalized eigenproblem on the l >= 2 modes
+    import scipy.linalg
+    for R in (1.0, 2.0):
+        grid = geo.build_sphere_grid(6, R)
+        tr = get_transform(grid, 6)
+        every = [np.arange(tr.n_modes)]
+        S = tr.gradient_form(grid.weights, parts=every)[0][3:, 3:]
+        H = tr.gradient_form(grid.weights, strain=False, parts=every)[0][3:, 3:]
+        mu = scipy.linalg.eigh(H + np.eye(H.shape[0]), S, eigvals_only=True)
+        res = korn_constant(grid, 6)
+        assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()

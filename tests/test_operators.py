@@ -220,3 +220,74 @@ def test_assembly_with_general_bandlimited_viscosity(sphere8):
     eigs = np.linalg.eigvalsh(form.A)
     assert eigs.min() >= -1e-10
     assert np.abs(form.A[:3]).max() <= 1e-10
+
+
+def _weights(grid, kind):
+    x, z = grid.nodes[:, 0], grid.nodes[:, 2]
+    nu = 1.0 + 0.5 * z / grid.R if kind == "linear_x3" else 1.0 + 0.3 * x / grid.R
+    return 2.0 * grid.weights * nu
+
+
+def test_blocks_match_single_part_form():
+    # signed-order blocks of the axisymmetric form, and the one-part
+    # fallback for an x-dependent viscosity, against the one-part probe
+    for L in (8, 12):
+        grid = geo.build_sphere_grid(L, 1.0)
+        tr = get_transform(grid, L)
+        for kind, n_parts in (("linear_x3", 2 * L + 1), ("x", 1)):
+            w = _weights(grid, kind)
+            parts = tr.partition(w)
+            assert len(parts) == n_parts
+            assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(tr.n_modes))
+            blocks = tr.gradient_form(w, parts=parts)
+            dense = tr.gradient_form(w, parts=[np.arange(tr.n_modes)])[0]
+            scale = np.abs(dense).max()
+            for idx, b in zip(parts, blocks):
+                s = idx.size
+                assert np.abs(b[:s, :s] - dense[np.ix_(idx, idx)]).max() <= 1e-13 * scale
+                assert not b[s:].any() and not b[:, s:].any()
+
+
+def test_cross_order_entries_vanish():
+    # the dense linear_x3 form couples no two signed orders
+    grid = geo.build_sphere_grid(12, 1.0)
+    tr = get_transform(grid, 12)
+    A = tr.gradient_form(_weights(grid, "linear_x3"), parts=[np.arange(tr.n_modes)])[0]
+    cross = tr.mode_m[:, None] != tr.mode_m[None, :]
+    assert np.abs(A[cross]).max() <= 1e-12 * np.abs(A).max()
+
+
+@pytest.fixture(scope="module")
+def form_x(sphere8):
+    return assemble_stokes(sphere8, geo.ViscosityField(
+        sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
+
+
+def test_apply_matches_dense(formv, form_x):
+    rng = np.random.default_rng(5)
+    for form in (formv, form_x):
+        A = form.A
+        for k in (1, 3):
+            c = rng.normal(size=(k, A.shape[0]))
+            dense = c @ A.T
+            assert np.abs(form.apply(c) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_block_eigenvalues_match_dense(formv, form_x):
+    for form in (formv, form_x):
+        ev = np.linalg.eigvalsh(form.A)
+        ap = form.A_prime
+        rho = np.linalg.eigvalsh(0.5 * (ap + ap.T)).max()
+        scale = ev.max()
+        assert np.abs(form.eigenvalues() - ev).max() <= 1e-12 * scale
+        assert abs(form.rho_full() - ev.max()) <= 1e-12 * scale
+        assert abs(form.rho_explicit() - rho) <= 1e-12 * rho
+
+
+def test_constant_nu_eigenvalues_closed_form(sphere8, sphere8_r2):
+    # nu (l(l+1) - 2) / R^2 with multiplicity 2l + 1
+    for grid in (sphere8, sphere8_r2):
+        form = assemble_stokes(grid, geo.ViscosityField(grid, 2.5), 8)
+        exact = np.sort(np.concatenate(
+            [np.full(2 * l + 1, 2.5 * (l * (l + 1) - 2) / grid.R ** 2) for l in range(1, 9)]))
+        assert np.abs(form.eigenvalues() - exact).max() <= 1e-12 * exact.max()
