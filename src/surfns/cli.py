@@ -12,10 +12,11 @@ import sys
 from .errors import (CheckpointError, ConfigError, DivergenceError,
                      GeometryError, ParameterError)
 from . import geometry as geo
-from .harness import (Scenario, build_context, build_grid, execute_scenario,
-                      load_checkpoint, load_config, run_ensemble,
-                      write_ensemble)
+from .harness import (Scenario, build_context, build_grid, build_viscosity,
+                      execute_scenario, load_checkpoint, load_config,
+                      run_ensemble, write_ensemble)
 from .killing import killing_basis, korn_constant
+from .operators import assemble_stokes
 from .scenarios import get_scenario, list_scenarios
 
 EXIT_PASS = 0
@@ -103,14 +104,15 @@ def _cmd_scenarios(args):
 
 def _cmd_spectrum(args):
     cfg = load_config(args.config)
-    ctx = build_context(cfg)
-    if ctx.form is None:
+    grid = build_grid(cfg)
+    if grid.kind != "sphere":
         raise ConfigError("spectrum needs a sphere geometry")
-    for l in range(1, ctx.form.L + 1):
-        print("%d %.17g" % (l, ctx.form.lam_by_degree[l]))
+    form = assemble_stokes(grid, build_viscosity(cfg, grid), cfg["geometry.L"])
+    for l in range(1, form.L + 1):
+        print("%d %.17g" % (l, form.lam_by_degree[l]))
     if not args.quiet:
         print("# assembled spectrum (variable viscosity)")
-    for val in ctx.form.eigenvalues():
+    for val in form.eigenvalues():
         print("%.17g" % val)
     return EXIT_PASS
 

@@ -27,6 +27,11 @@ TORUS = "torus"
 # latitude row needs a dense Stokes block of (L(L+2))^2 entries, 13 GB at L = 200.
 L_MAX = 64
 
+# Largest torus grid size along either angle: `surfns korn` on the 352 x 352
+# torus peaks at 981 MB RSS (360 x 360: 1023 MB); memory grows with
+# n_pol * n_tor.
+TORUS_N_MAX = 352
+
 
 class SurfaceGrid:
     """Quadrature nodes, weights, normals and tangent frames of a surface.
@@ -206,8 +211,9 @@ def build_torus_grid(n_pol, n_tor, R, r):
     """
     if not (0 < r < R):
         raise GeometryError(f"torus needs 0 < r < R, got r={r}, R={R}")
-    if n_pol < 8 or n_tor < 8 or n_pol % 2 or n_tor % 2:
-        raise ParameterError("torus grid sizes must be even and >= 8")
+    if not all(int(n) == n and 8 <= n <= TORUS_N_MAX and n % 2 == 0 for n in (n_pol, n_tor)):
+        raise ParameterError(f"torus grid sizes must be even integers in "
+                             f"8..{TORUS_N_MAX}, got {n_pol} x {n_tor}")
     phi = 2.0 * np.pi * np.arange(n_pol) / n_pol      # poloidal
     theta = 2.0 * np.pi * np.arange(n_tor) / n_tor    # toroidal (about x3)
 
@@ -364,23 +370,27 @@ def _scalar_engine(grid):
 # torus Fourier derivatives (internal)
 
 def _fft_deriv(f2, axis):
+    """Derivative of the trigonometric interpolant along a 2*pi-periodic axis.
+
+    The Nyquist mode of an even-length axis has no real derivative and is
+    dropped.
+    """
     n = f2.shape[axis]
-    kvec = np.fft.fftfreq(n, d=1.0 / n) * 1j
+    kvec = 1j * np.arange(n // 2 + 1)
+    if n % 2 == 0:
+        kvec[-1] = 0.0
     shape = [1] * f2.ndim
-    shape[axis] = n
-    return np.real(np.fft.ifft(np.fft.fft(f2, axis=axis) * kvec.reshape(shape), axis=axis))
+    shape[axis] = kvec.size
+    return np.fft.irfft(np.fft.rfft(f2, axis=axis) * kvec.reshape(shape), n, axis=axis)
 
 
 def _torus_directional(grid, f):
-    """Derivatives of nodal scalars along (e1, e2); shape (n_nodes, 2) or (n, 2, k)."""
-    f = np.asarray(f, dtype=float)
-    squeeze = f.ndim == 1
-    f2 = f.reshape(grid.n_lat, grid.n_lon, -1)
-    h2 = (grid.R + grid.r * np.cos(grid.lat))[:, None, None]
-    d_tor = _fft_deriv(f2, axis=1) / h2          # along e1
-    d_pol = _fft_deriv(f2, axis=0) / grid.r      # along e2
-    out = np.stack([d_tor, d_pol], axis=2).reshape(grid.n_nodes, 2, -1)
-    return out[:, :, 0] if squeeze else out
+    """Derivatives of nodal scalars (..., n_nodes) along (e1, e2): (..., 2, n_nodes)."""
+    f2 = f.reshape(f.shape[:-1] + (grid.n_lat, grid.n_lon))
+    h2 = (grid.R + grid.r * np.cos(grid.lat))[:, None]
+    d_tor = _fft_deriv(f2, axis=-1) / h2          # along e1
+    d_pol = _fft_deriv(f2, axis=-2) / grid.r      # along e2
+    return np.stack([d_tor, d_pol], axis=-3).reshape(f.shape[:-1] + (2, grid.n_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +425,14 @@ def _canonical_frame(grid):
 
 
 def _directional_derivatives(grid, f):
-    """Derivatives of nodal scalars along the canonical frame directions."""
+    """Derivatives of nodal scalars (..., n_nodes) along the canonical frame
+    directions: (..., 2, n_nodes)."""
     if grid.kind != SPHERE:
         return _torus_directional(grid, f)
     eng = _scalar_engine(grid)
-    c = eng.analyze(f.reshape(grid.n_nodes, -1).T[None], slice(0, 1))
-    g = eng.synthesize(c, slice(1, 3)).transpose(2, 0, 1)      # (n, 2, k)
-    return g[:, :, 0] if f.ndim == 1 else g
+    c = eng.analyze(f.reshape(1, -1, grid.n_nodes), slice(0, 1))
+    g = eng.synthesize(c, slice(1, 3)).transpose(1, 0, 2)     # (k, 2, n)
+    return g.reshape(f.shape[:-1] + (2, grid.n_nodes))
 
 
 def surface_gradient(grid, p):
@@ -432,38 +443,37 @@ def surface_gradient(grid, p):
     g = _directional_derivatives(grid, p)
     if not grid.canonical_frame:
         c1, c2 = _canonical_frame(grid)
-        amb = g[:, :1] * c1 + g[:, 1:] * c2
-        return tangential_project(grid, amb)
-    return TangentialField(grid, g)
+        return tangential_project(grid, g[0][:, None] * c1 + g[1][:, None] * c2)
+    return TangentialField(grid, g.T)
 
 
-def covariant_derivative(grid, u):
-    """Tangential covariant derivative P (grad u_hat) P of a nodal field.
+def covariant_derivatives(grid, comps):
+    """Covariant derivatives P (grad u_hat) P of a stack of nodal fields.
 
+    ``comps`` holds the frame components of k fields stack-first, shape
+    (k, 2, n_nodes); the result holds their tensors, shape (k, 2, 2, n_nodes).
     Computed from the ambient components of the tangentially extended
     interpolant: entry (i, j) is the derivative along e_j of the field,
     projected on e_i.  Exact for band-limited fields.
     """
-    if u.grid is not grid:
-        raise GridMismatchError("field is defined on a different grid")
-    amb = u.ambient()                          # (n, 3), frame independent
-    D = _directional_derivatives(grid, amb)    # (n, 2, 3): canonical dir x comp
+    frame = np.ascontiguousarray(np.stack([grid.e1, grid.e2]).transpose(0, 2, 1))  # (2, 3, n)
+    amb = np.einsum("kan,acn->kcn", comps, frame)      # ambient, frame independent
+    D = _directional_derivatives(grid, amb)            # (k, 3, 2, n): comp x canonical dir
     if not grid.canonical_frame:
         c1, c2 = _canonical_frame(grid)
         # rotate the direction index into this grid's frame
-        M1 = np.stack([np.einsum("nk,nk->n", grid.e1, c1),
-                       np.einsum("nk,nk->n", grid.e1, c2)], axis=1)
-        M2 = np.stack([np.einsum("nk,nk->n", grid.e2, c1),
-                       np.einsum("nk,nk->n", grid.e2, c2)], axis=1)
-        D = np.stack([np.einsum("na,nak->nk", M1, D),
-                      np.einsum("na,nak->nk", M2, D)], axis=1)
-    # T_ij = sum_k (e_i)_k d_{e_j} u_k
-    T = np.empty((grid.n_nodes, 2, 2))
-    T[:, 0, 0] = np.einsum("nk,nk->n", grid.e1, D[:, 0, :])
-    T[:, 0, 1] = np.einsum("nk,nk->n", grid.e1, D[:, 1, :])
-    T[:, 1, 0] = np.einsum("nk,nk->n", grid.e2, D[:, 0, :])
-    T[:, 1, 1] = np.einsum("nk,nk->n", grid.e2, D[:, 1, :])
-    return TangentialTensor(grid, T)
+        rot = np.einsum("anc,bnc->abn", frame.transpose(0, 2, 1), np.stack([c1, c2]))
+        D = np.einsum("jan,kcan->kcjn", rot, D)
+    # T_ij = sum_c (e_i)_c d_{e_j} u_c
+    return np.einsum("icn,kcjn->kijn", frame, D)
+
+
+def covariant_derivative(grid, u):
+    """Covariant derivative of one tangential field (see ``covariant_derivatives``)."""
+    if u.grid is not grid:
+        raise GridMismatchError("field is defined on a different grid")
+    T = covariant_derivatives(grid, u.comps.T[None])[0]
+    return TangentialTensor(grid, T.transpose(2, 0, 1))
 
 
 def surface_divergence(grid, u):

@@ -55,6 +55,8 @@ def test_torus_bad_parameters():
         geo.build_torus_grid(32, 32, 1.0, 2.0)
     with pytest.raises(ParameterError):
         geo.build_torus_grid(7, 32, 2.0, 0.5)
+    with pytest.raises(ParameterError):
+        geo.build_torus_grid(32, geo.TORUS_N_MAX + 2, 2.0, 0.5)
 
 
 def test_tangential_project_examples(sphere8):
@@ -198,6 +200,23 @@ def test_torus_frame_independence(torus64):
     gR = g.with_rotated_frame(rng.uniform(0, 2 * np.pi, g.n_nodes))
     uR = geo.tangential_project(gR, u.ambient())
     assert abs(geo.h1_norm(g, u) - geo.h1_norm(gR, uR)) <= 1e-10
+
+
+def test_covariant_derivatives_stack_matches_single(sphere8, torus64):
+    # smooth ambient fields, k = 1 and 5, canonical and rotated frames
+    rng = np.random.default_rng(7)
+    for g in (sphere8, torus64):
+        x = g.nodes / np.abs(g.nodes).max()
+        basis = np.stack([np.sin(x[:, 1]), x[:, 0] * x[:, 2], np.cos(2 * x[:, 0]),
+                          np.ones(g.n_nodes), x[:, 1] ** 2])
+        for grid in (g, g.with_rotated_frame(rng.uniform(0, 2 * np.pi, g.n_nodes))):
+            for k in (1, 5):
+                amb = np.einsum("kcb,bn->knc", rng.standard_normal((k, 3, 5)), basis)
+                fields = [geo.tangential_project(grid, a) for a in amb]
+                T = geo.covariant_derivatives(grid, np.stack([f.comps.T for f in fields]))
+                for Tk, f in zip(T, fields):
+                    ref = geo.covariant_derivative(grid, f).comps
+                    assert np.abs(Tk.transpose(2, 0, 1) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_viscosity_field_validation(sphere8):

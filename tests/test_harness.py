@@ -319,7 +319,8 @@ run.stride = 25
 def test_torus_config_cannot_integrate(tmp_path):
     cfgfile = tmp_path / "torus.cfg"
     cfgfile.write_text("geometry.kind = torus\n")
-    assert cli.main(["--quiet", "run", str(cfgfile)]) == 2
+    for command in ("run", "spectrum"):
+        assert cli.main(["--quiet", command, str(cfgfile)]) == 2
 
 
 def test_ensemble_killing_only_members_are_constant():
@@ -357,6 +358,13 @@ def test_cli_rejects_oversized_truncation(tmp_path, capsys):
     for command in ("run", "spectrum", "korn"):
         assert cli.main(["--quiet", command, str(cfgfile)]) == 2
     assert "2..64" in capsys.readouterr().err
+
+
+def test_cli_rejects_oversized_torus_grid(tmp_path, capsys):
+    cfgfile = tmp_path / "huge_torus.cfg"
+    cfgfile.write_text("geometry.kind = torus\ngeometry.n_pol = 100000\n")
+    assert cli.main(["--quiet", "korn", str(cfgfile)]) == 2
+    assert f"8..{geo.TORUS_N_MAX}" in capsys.readouterr().err
 
 
 def test_cli_decompose_rejects_oversized_truncation(tmp_path, sphere8, capsys):

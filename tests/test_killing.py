@@ -6,8 +6,8 @@ import pytest
 from surfns import geometry as geo
 from surfns.errors import ParameterError
 from surfns.harmonics import SpectralState, get_transform, random_band_limited
-from surfns.killing import (killing_basis, killing_coefficients, korn_constant,
-                            pk_project)
+from surfns.killing import (_gram, _torus_family, killing_basis,
+                            killing_coefficients, korn_constant, pk_project)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,12 @@ def test_korn_bad_truncation(sphere8):
         korn_constant(sphere8, 1)
 
 
+def test_torus_korn_rejects_rotated_frame(torus64):
+    # the family and its circulation generators are given in the canonical frame
+    with pytest.raises(ParameterError):
+        korn_constant(torus64.with_rotated_frame(0.3))
+
+
 def test_torus_korn(torus64):
     res = korn_constant(torus64)
     assert np.isfinite(res.c_p) and res.c_p > 1.0
@@ -186,3 +192,26 @@ def test_korn_blocks_match_dense_eigensolve():
         mu = scipy.linalg.eigh(H + np.eye(H.shape[0]), S, eigvals_only=True)
         res = korn_constant(grid, 6)
         assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()
+
+
+def test_torus_korn_blocks_match_dense_eigensolve(torus64):
+    # oracle: one generalized eigensolve on the whole family, every |jt| at once
+    import scipy.linalg
+    for grid, cap, count in ((torus64, 8, 289), (geo.build_torus_grid(32, 24, 2.0, 0.5), 4, 81)):
+        blocks = list(_torus_family(grid, cap))
+        V = np.concatenate([b[0] for b in blocks])
+        T = np.concatenate([b[1] for b in blocks])
+        jt = np.repeat(np.arange(len(blocks)), [b[0].shape[0] for b in blocks])
+        M = _gram(grid, V)
+        S = _gram(grid, 0.5 * (T + T.swapaxes(1, 2)))
+        H = _gram(grid, T) + M
+        for F in (M, S, H):
+            assert np.abs(F[jt[:, None] != jt]).max() <= 1e-12 * np.abs(F).max()
+        mval, mvec = np.linalg.eigh(M)
+        Q = mvec[:, mval > 1e-10 * mval.max()]
+        mu = scipy.linalg.eigh(Q.T @ H @ Q, Q.T @ S @ Q, eigvals_only=True)
+        res = korn_constant(grid, fourier_cap=cap)
+        assert res.eigenvalues.size == mu.size == count
+        assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()
+    exact = 2.179449471770338      # the one-pass dense solve on the 64 x 64 grid
+    assert abs(korn_constant(torus64).c_p - exact) <= 1e-12 * exact
