@@ -24,12 +24,11 @@ from .harmonics import (SpectralState, SphereTransform, dealias_rule,
                         get_transform, mode_index, random_band_limited)
 from .killing import (KillingBasis, killing_basis, killing_coefficients,
                       korn_constant, pk_project)
-from .operators import (StokesForm, assemble_stokes, convective_term,
-                        stokes_apply)
+from .operators import StokesForm, assemble_stokes, convective_term
 from .forcing import (ForcingSpec, apply_forcing, hypothesis_check,
                       make_catalog_forcing)
-from .timestepper import (SimState, StepperConfig, cfl_estimate, run,
-                          run_batch, step_imex, step_rk4)
+from .timestepper import (SimState, StepperConfig, run, run_batch, step_imex,
+                          step_rk4)
 from .diagnostics import (DiagnosticsRecord, check_killing_identity,
                           check_monotonicity, continuous_dependence_ratio,
                           fit_decay_rate, lambda_series, record)

@@ -133,17 +133,15 @@ def _cmd_korn(args):
 
 
 def _cmd_decompose(args):
-    meta, sim = load_checkpoint(args.checkpoint)
+    meta, state = load_checkpoint(args.checkpoint)
     if meta.kind != "sphere":
         raise ConfigError("decompose expects a sphere checkpoint")
-    grid = geo.build_sphere_grid(meta.L, meta.R)
-    basis = killing_basis(grid)
-    alpha = basis.alpha_from_state(sim.state)
-    print("t = %.17g" % sim.t)
+    alpha = killing_basis(geo.build_sphere_grid(meta.L, meta.R)).alpha(state.coeffs)
+    print("t = %.17g" % state.t)
     for j, a in enumerate(alpha):
         print("alpha_%d = %.17g" % (j + 1, a))
-    print("norm_uK = %.17g" % sim.state.killing_norm())
-    print("norm_uNK = %.17g" % sim.state.nonkilling_norm())
+    print("norm_uK = %.17g" % state.killing_norm())
+    print("norm_uNK = %.17g" % state.nonkilling_norm())
     return EXIT_PASS
 
 

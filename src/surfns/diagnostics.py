@@ -36,20 +36,20 @@ class DiagnosticsRecord:
         return np.isfinite(self.lam)
 
 
-def record(grid, basis, form, spec, sim):
-    """One diagnostics row for a one-row integrator state."""
-    state = sim.state
-    c = state.coeffs
-    norm_u = float(np.linalg.norm(c))
-    norm_k = float(np.linalg.norm(c[:3]))
-    norm_nk = float(np.linalg.norm(c[3:]))
-    diss = form.quad_form(c)
-    work = float(apply_forcing(spec, grid, basis, sim.c)[0] @ c)
-    lam = diss / norm_u ** 2 if norm_u >= NORM_FLOOR else np.nan
-    alpha = basis.alpha_from_state(state)
-    return DiagnosticsRecord(sim.t, norm_u, norm_k, norm_nk,
-                             0.5 * norm_u ** 2, diss, work,
-                             float(sim.ledger_residual()[0]), lam, alpha)
+def record(form, spec, sim):
+    """One diagnostics row per row of the integrator's stack ``sim``, with
+    A c and F(c) each evaluated once for the whole stack."""
+    c = sim.c
+    norm_u = np.linalg.norm(c, axis=1)
+    diss = np.einsum("kn,kn->k", c, form.apply(c))
+    work = np.einsum("kn,kn->k", apply_forcing(spec, c), c)
+    lam = np.full_like(norm_u, np.nan)
+    defined = norm_u >= NORM_FLOOR
+    lam[defined] = diss[defined] / norm_u[defined] ** 2
+    rows = zip(norm_u, np.linalg.norm(c[:, :3], axis=1), np.linalg.norm(c[:, 3:], axis=1),
+               0.5 * norm_u ** 2, diss, work, sim.ledger_residual(), lam)
+    return [DiagnosticsRecord(sim.t, *map(float, row), alpha)
+            for row, alpha in zip(rows, spec.basis.alpha(c))]
 
 
 @dataclass

@@ -20,6 +20,7 @@ Killing power, and the non-Killing power envelope coefficients (c5, c6).
 reports any sample violating a declared flag.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ParameterError
 from . import geometry as geo
 from .geometry import SPHERE, TangentialField
-from .harmonics import (SpectralState, as_stack, get_transform,
+from .harmonics import (SpectralState, get_transform, n_modes,
                         random_band_limited)
 
 TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",
@@ -143,56 +144,55 @@ def _project_killing(basis, u):
     return pk_project(basis, u)
 
 
-def _cached_coeffs(spec, grid, key, nodal, L):
-    ck = (key, L)
+def _cached_coeffs(spec, key, nodal, n):
+    """Coefficients of the nodal field ``nodal`` in the n-mode truncation."""
+    ck = (key, n)
     if ck not in spec._cache:
-        tr = get_transform(grid, L)
+        tr = get_transform(spec.basis.grid, math.isqrt(n + 1) - 1)
         spec._cache[ck] = tr.analyze(nodal).coeffs
     return spec._cache[ck]
 
 
-def _killing_gram(grid, basis, point):
+def _killing_gram(basis, point):
     """The f4 Killing-block map c[:3] -> P_K(|x - p| u_K) as a 3x3 matrix,
     l1_map^T G l1_map with G_ij = (|x - p| v_i, v_j)."""
+    grid = basis.grid
     w = np.linalg.norm(grid.nodes - point[None, :], axis=1)[:, None]
     G = np.array([[geo.l2_inner(grid, TangentialField(grid, w * vi.comps), vj)
                    for vj in basis.fields] for vi in basis.fields])
     return basis.l1_map.T @ G @ basis.l1_map
 
 
-def apply_forcing(spec, grid, basis, state):
-    """Coefficients of P_0 f(., u) for the represented state u.
-
-    ``state`` is a SpectralState, answered with one, or a (k, n_modes)
-    coefficient stack, answered with a stack of the forcing of each row.
-    """
-    c, L = as_stack(state)
+def apply_forcing(spec, c):
+    """Coefficients of P_0 f(., u) for every row u of the (k, n_modes)
+    coefficient stack ``c``, as a stack of the same shape."""
+    basis = spec.basis
     out = np.zeros_like(c)
     tag = spec.tag
 
     if tag == "zero":
         pass
     elif tag == "constant_field":
-        out[:] = _cached_coeffs(spec, grid, "g", spec.g, L)
+        out[:] = _cached_coeffs(spec, "g", spec.g, c.shape[1])
     elif tag in ("f2_plus", "f2_minus"):
-        out[:] = _cached_coeffs(spec, grid, "v", spec.v, L)
+        out[:] = _cached_coeffs(spec, "v", spec.v, c.shape[1])
         out[:, :3] += _SIGN_TAGS[tag] * c[:, :3]
     elif tag in ("f3_plus", "f3_minus"):
         out[:] = _SIGN_TAGS[tag] * c
     elif tag in ("f4_plus", "f4_minus"):
         if "killing_gram" not in spec._cache:
-            spec._cache["killing_gram"] = _killing_gram(grid, basis, spec.point)
+            spec._cache["killing_gram"] = _killing_gram(basis, spec.point)
         out[:, 3:] = c[:, 3:]
         out[:, :3] = _SIGN_TAGS[tag] * c[:, :3] @ spec._cache["killing_gram"].T
     elif tag == "f5":
         # |x| = R at every node of the sphere
-        out[:] = (grid.R - 1.0) * c
+        out[:] = (basis.grid.R - 1.0) * c
         out[:, :3] = -c[:, :3]
     elif tag == "constant_killing":
         out[:, :3] = spec.c * basis.l1_map[spec.axis]
     else:
         raise ParameterError(f"unknown forcing tag {tag!r}")
-    return SpectralState(L, out[0], state.t) if isinstance(state, SpectralState) else out
+    return out
 
 
 @dataclass
@@ -213,24 +213,25 @@ class HypothesisReport:
         return not self.violations
 
 
-def hypothesis_check(spec, grid, basis, n_samples, seed):
-    """Monte-Carlo estimates of the hypothesis constants and flag audit.
+def hypothesis_check(spec, n_samples, seed):
+    """Monte-Carlo estimates of the hypothesis constants and flag audit on
+    the grid of ``spec.basis``.
 
     Violations of declared flags become report entries, never exceptions.
     """
     if n_samples < 10:
         raise ParameterError("need at least 10 samples")
-    L = min(8, max(2, int(grid.max_degree * 2 // 3))) if grid.kind == SPHERE else None
-    if L is None:
+    grid = spec.basis.grid
+    if grid.kind != SPHERE:
         raise ParameterError("hypothesis sampling is sphere-only")
+    L = min(8, max(2, int(grid.max_degree * 2 // 3)))
     tr = get_transform(grid, L)
     tol = 1e-8
     violations = []
 
-    zero = SpectralState(L)
-    f0 = apply_forcing(spec, grid, basis, zero)
-    c1_hat = f0.norm()
-    sup_f0 = float(np.abs(tr.synthesize(f0).comps).max()) if c1_hat > 0 else 0.0
+    f0 = apply_forcing(spec, np.zeros((1, n_modes(L))))[0]
+    c1_hat = float(np.linalg.norm(f0))
+    sup_f0 = float(np.abs(tr.engine.synthesize(f0[None], tr.FIELD)).max())
     if c1_hat > spec.flags.c1 + tol:
         violations.append(f"c1: measured {c1_hat:.6g} > declared {spec.flags.c1:.6g}")
 
@@ -241,8 +242,8 @@ def hypothesis_check(spec, grid, basis, n_samples, seed):
 
     U1 = np.array([u.coeffs for u in samples])
     U2 = np.array([u.coeffs for u in pairs])
-    F1 = apply_forcing(spec, grid, basis, U1)
-    df = np.linalg.norm(F1 - apply_forcing(spec, grid, basis, U2), axis=1)
+    F1 = apply_forcing(spec, U1)
+    df = np.linalg.norm(F1 - apply_forcing(spec, U2), axis=1)
     du = np.linalg.norm(U1 - U2, axis=1)
     c2_hat = float(np.max(df[du > 0] / du[du > 0], initial=0.0))
     if c2_hat > spec.flags.c2 + tol:

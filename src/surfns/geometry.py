@@ -172,8 +172,8 @@ def build_sphere_grid(L, R, dealias=True):
     if int(L) != L or not 2 <= L <= L_MAX:
         raise ParameterError(
             f"truncation degree must be an integer in 2..{L_MAX}, got {L}")
-    if R <= 0:
-        raise ParameterError(f"radius must be positive, got {R}")
+    if not 0 < R < np.inf:
+        raise ParameterError(f"radius must be positive and finite, got {R}")
     L = int(L)
     M = int(np.ceil(3 * L / 2)) if dealias else L
     n_lat = M + 1
@@ -209,8 +209,8 @@ def build_torus_grid(n_pol, n_tor, R, r):
     spectrally accurate, and exact for trigonometric polynomials resolved
     by the grid.
     """
-    if not (0 < r < R):
-        raise GeometryError(f"torus needs 0 < r < R, got r={r}, R={R}")
+    if not 0 < r < R < np.inf:
+        raise GeometryError(f"torus needs 0 < r < R < inf, got r={r}, R={R}")
     if not all(int(n) == n and 8 <= n <= TORUS_N_MAX and n % 2 == 0 for n in (n_pol, n_tor)):
         raise ParameterError(f"torus grid sizes must be even integers in "
                              f"8..{TORUS_N_MAX}, got {n_pol} x {n_tor}")

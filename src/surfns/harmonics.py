@@ -22,7 +22,6 @@ longitude stage applies cos/sin(m phi).  Tables take O(L^3) memory and each
 transform O(L^3) work; no per-mode nodal table is stored.
 """
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -76,17 +75,6 @@ def pad_parts(parts):
     gather = np.zeros(valid.shape, dtype=int)
     gather[valid] = np.concatenate(parts)
     return gather, valid
-
-
-def as_stack(state):
-    """(coefficient stack of shape (k, n_modes), L) of a SpectralState, which
-    is one row, or of a stack itself."""
-    if isinstance(state, SpectralState):
-        return state.coeffs[None], state.L
-    L = math.isqrt(state.shape[-1] + 1) - 1
-    if state.ndim != 2 or n_modes(L) != state.shape[-1]:
-        raise ParameterError(f"not a coefficient stack: shape {state.shape}")
-    return state, L
 
 
 class SpectralState:

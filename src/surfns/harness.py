@@ -13,6 +13,7 @@ byte-identical CSV output; the CLI's --threads setting has no effect on it.
 
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -28,7 +29,7 @@ from .forcing import TAGS, make_catalog_forcing
 from .harmonics import SpectralState, get_transform, random_band_limited
 from .killing import killing_basis
 from .operators import assemble_stokes
-from .timestepper import SimState, StepperConfig, run as run_simulation, run_batch
+from .timestepper import StepperConfig, run as run_simulation, run_batch
 
 # ---------------------------------------------------------------------------
 # configuration schema
@@ -49,11 +50,18 @@ def _cast_choice(*options):
     return cast
 
 
+def _cast_float(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("expected a finite float")
+    return v
+
+
 def _cast_vec3(s):
-    parts = [p.strip() for p in s.split(",")]
+    parts = s.split(",")
     if len(parts) != 3:
         raise ValueError("expected three comma-separated floats")
-    return tuple(float(p) for p in parts)
+    return tuple(_cast_float(p) for p in parts)
 
 
 def _cast_modes(s):
@@ -65,39 +73,39 @@ def _cast_modes(s):
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 3:
             raise ValueError("expected 'l,m,amplitude' triples separated by ';'")
-        out.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        out.append((int(parts[0]), int(parts[1]), _cast_float(parts[2])))
     return tuple(out)
 
 
 def _cast_floats(s):
     if not s.strip():
         return ()
-    return tuple(float(p.strip()) for p in s.split(","))
+    return tuple(_cast_float(p) for p in s.split(","))
 
 
 def _cast_opt_float(s):
     if s.strip().lower() == "none":
         return None
-    return float(s)
+    return _cast_float(s)
 
 
 _SCHEMA = {
     "scenario.name": (str, ""),
     "geometry.kind": (_cast_choice("sphere", "torus"), "sphere"),
-    "geometry.radius": (float, 1.0),
+    "geometry.radius": (_cast_float, 1.0),
     "geometry.L": (int, 8),
-    "geometry.major": (float, 2.0),
-    "geometry.minor": (float, 0.5),
+    "geometry.major": (_cast_float, 2.0),
+    "geometry.minor": (_cast_float, 0.5),
     "geometry.n_pol": (int, 64),
     "geometry.n_tor": (int, 64),
     "nu.kind": (_cast_choice("constant", "linear_x3"), "constant"),
-    "nu.value": (float, 1.0),
-    "nu.a": (float, 0.0),
+    "nu.value": (_cast_float, 1.0),
+    "nu.a": (_cast_float, 0.0),
     "forcing.tag": (_cast_choice(*TAGS), "zero"),
     "forcing.mode_l": (int, 2),
     "forcing.mode_m": (int, 0),
-    "forcing.amplitude": (float, 1.0),
-    "forcing.c": (float, 1.0),
+    "forcing.amplitude": (_cast_float, 1.0),
+    "forcing.c": (_cast_float, 1.0),
     "forcing.axis": (int, 0),
     "forcing.point": (_cast_vec3, (0.0, 0.0, 1.0)),
     "init.kind": (_cast_choice("zero", "modes", "random"), "zero"),
@@ -106,8 +114,8 @@ _SCHEMA = {
     "init.norm_killing": (_cast_opt_float, None),
     "init.norm_nonkilling": (_cast_opt_float, None),
     "run.scheme": (_cast_choice("imex_cnab2", "rk4"), "imex_cnab2"),
-    "run.dt": (float, 1e-3),
-    "run.t_end": (float, 1.0),
+    "run.dt": (_cast_float, 1e-3),
+    "run.t_end": (_cast_float, 1.0),
     "run.stride": (int, 10),
     "ensemble.members": (int, 8),
     "pair.gaps": (_cast_floats, ()),
@@ -151,6 +159,10 @@ def _validate_config(cfg):
         raise ConfigError("config error at 'nu.a': viscosity floor must stay positive")
     if cfg["ensemble.members"] < 2:
         raise ConfigError("config error at 'ensemble.members': need at least 2")
+    if (cfg["geometry.kind"] == "sphere" and cfg["forcing.tag"] in ("f4_plus", "f4_minus")
+            and not 0 < np.linalg.norm(cfg["forcing.point"]) < np.inf):
+        raise ConfigError("config error at 'forcing.point': f4 needs a nonzero "
+                          "direction to place its point on the sphere")
 
 
 def load_config(path):
@@ -325,9 +337,8 @@ def _pair_order(L):
             yield l, m
 
 
-def save_checkpoint(sim, grid, path):
-    """Serialize a state's coefficients with header and trailing CRC32."""
-    state = sim.state if isinstance(sim, SimState) else sim
+def save_checkpoint(state, grid, path):
+    """Serialize a SpectralState on ``grid`` with header and trailing CRC32."""
     L = state.L
     pairs = []
     for l, m in _pair_order(L):
@@ -344,10 +355,10 @@ def save_checkpoint(sim, grid, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (CheckpointMeta, SimState).
+    """Read a checkpoint; returns (CheckpointMeta, SpectralState).
 
-    The ledger restarts at zero from the loaded time; integrator history is
-    not persisted, so a resumed run re-runs its bootstrap step.
+    Only the coefficients and the time are stored: a run resumed from the
+    state starts a new energy ledger and re-runs its bootstrap step.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -381,7 +392,7 @@ def load_checkpoint(path):
         if m > 0:
             state.set(l, -m, vals[2 * idx + 1])
     meta = CheckpointMeta(_KIND_NAME[kind_code], L, R, r, t)
-    return meta, SimState(state)
+    return meta, state
 
 
 # ---------------------------------------------------------------------------

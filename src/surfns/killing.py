@@ -30,11 +30,12 @@ class KillingBasis:
         else:
             self.l1_map = None
 
-    def alpha_from_state(self, state):
-        """Killing coordinates of a spectral state (degree-1 block rotation)."""
+    def alpha(self, c):
+        """Killing coordinates of coefficient arrays ``c`` of shape
+        (..., n_modes): the degree-1 block rotated onto the basis fields."""
         if self.l1_map is None:
             raise ParameterError("spectral Killing coordinates are sphere-only")
-        return self.l1_map @ state.coeffs[:3]
+        return c[..., :3] @ self.l1_map.T
 
 
 def killing_basis(grid):

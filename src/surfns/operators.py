@@ -7,15 +7,14 @@ diagonal blocks, one of size <= L per signed order m when nu is constant
 along latitude rows, else one dense block; they are found by probing the
 O(L^3) per-order transforms, and apply and eigenvalues go block by block.
 The convective term is pseudospectral on the dealiased grid, one fused
-synthesis of u and grad u and one analysis, each O(L^3) per row of a
-coefficient stack.  All operations return coefficients.
+synthesis of u and grad u and one analysis, each O(L^3) per row.  Every
+operator takes a (k, n_modes) coefficient stack and returns one.
 """
 
 import numpy as np
 
 from .errors import ParameterError
-from .harmonics import (SpectralState, as_stack, dealias_rule, get_transform,
-                        pad_parts)
+from .harmonics import dealias_rule, get_transform, pad_parts
 
 
 class StokesForm:
@@ -114,26 +113,16 @@ def assemble_stokes(grid, nu, L):
     return StokesForm(grid, tr, nu, L, tr.gradient_form(weight, parts=parts), parts, lam)
 
 
-def stokes_apply(form, state):
-    """Matrix-vector product of the assembled form; Killing block stays null."""
-    if state.L != form.L:
-        raise ParameterError("state truncation does not match form")
-    return SpectralState(form.L, form.apply(state.coeffs[None])[0], state.t)
-
-
-def convective_term(grid, state):
-    """Coefficients of P_0 [(u . grad_G) u], computed pseudospectrally.
+def convective_term(tr, c):
+    """Coefficients of P_0 [(u . grad_G) u] for every row of the (k, n_modes)
+    coefficient stack ``c``, computed pseudospectrally with the transform
+    ``tr`` (the form's ``transform`` on the dynamics path).
 
     Synthesize u and its covariant derivative on the dealiased grid in one
     fused pass, form the transport vector nodally, and project back onto the
     toroidal basis.  Discrete energy orthogonality and the vanishing Killing
-    projection hold to quadrature exactness.  ``state`` is a SpectralState,
-    answered with one, or a (k, n_modes) coefficient stack, answered with a
-    stack.
+    projection hold to quadrature exactness.
     """
-    c, L = as_stack(state)
-    tr = get_transform(grid, L)
     f = tr.engine.synthesize(c, slice(0, 6))    # u, then T_ij = grad u
     u, T = f[tr.FIELD], f[tr.GRAD].reshape(2, 2, *f.shape[1:])
-    out = tr.engine.analyze(T[:, 0] * u[0] + T[:, 1] * u[1], tr.FIELD)
-    return SpectralState(L, out[0], state.t) if isinstance(state, SpectralState) else out
+    return tr.engine.analyze(T[:, 0] * u[0] + T[:, 1] * u[1], tr.FIELD)

@@ -19,7 +19,8 @@ Both schemes advance a stack of k independent trajectories, coefficients
 (k, n_modes), through one code path for every k: each operator acts on the
 whole stack and each row keeps its own energy ledger.  Ensembles, pairs and
 gap families therefore integrate as one batch; spectral states and
-diagnostics records are built only at sample points.
+diagnostics records (one batched ``record`` call per sample) are built only
+at sample points.
 """
 
 import copy
@@ -28,29 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import record
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, GridMismatchError, ParameterError
 from .forcing import apply_forcing
 from .harmonics import SpectralState
 from .operators import convective_term
-
-
-def cfl_estimate(grid, u, factor=0.5):
-    """Advective time-step estimate factor * dx_min / ||u||_inf.
-
-    Offered as a sizing aid only; runs use a fixed dt by default so
-    reported numbers are reproducible.  ``u`` is a nodal tangential field.
-    """
-    speed = float(np.abs(u.comps).max())
-    if grid.kind == "sphere":
-        dtheta = float(np.diff(grid.lat).min()) if grid.n_lat > 1 else np.pi
-        sin_min = float(np.sin(grid.lat).min())
-        dx = grid.R * min(abs(dtheta), sin_min * 2.0 * np.pi / grid.n_lon)
-    else:
-        dx = min(grid.r * 2.0 * np.pi / grid.n_lat,
-                 (grid.R - grid.r) * 2.0 * np.pi / grid.n_lon)
-    if speed == 0.0:
-        return np.inf
-    return factor * dx / speed
 
 
 @dataclass
@@ -73,12 +55,11 @@ class SimState:
     """A stack of k trajectories at one time: coefficients ``c`` of shape
     (k, n_modes), step metadata, and each row's running energy ledger.
 
-    ``state`` is a SpectralState (one row) or a sequence of them sharing L
-    and t; the coefficients are copied.
+    ``states`` is a sequence of SpectralStates sharing L and t; their
+    coefficients are copied.
     """
 
-    def __init__(self, state, dt=0.0):
-        states = [state] if isinstance(state, SpectralState) else list(state)
+    def __init__(self, states, dt=0.0):
         self.L = states[0].L
         self.t = states[0].t
         self.c = np.array([s.coeffs for s in states])
@@ -88,13 +69,6 @@ class SimState:
         self.diss_integral = np.zeros(len(states))
         self.energy0 = self.energy()
         self._prev = None           # (A'c, N(c), F(c)) at the previous step
-
-    @property
-    def state(self):
-        """The SpectralState of a one-row stack (a view of its coefficients)."""
-        if self.c.shape[0] != 1:
-            raise ParameterError("state is defined for one-row stacks only")
-        return SpectralState(self.L, self.c[0], self.t)
 
     def energy(self):
         return 0.5 * _rowdot(self.c, self.c)
@@ -130,8 +104,7 @@ def _rowdot(a, b):
 
 def _parts(form, spec, c):
     """(A c, N(c), F(c)) for every row of a coefficient stack."""
-    return (form.apply(c), convective_term(form.grid, c),
-            apply_forcing(spec, form.grid, spec.basis, c))
+    return form.apply(c), convective_term(form.transform, c), apply_forcing(spec, c)
 
 
 def step_imex(sim, form, spec, dt):
@@ -203,13 +176,18 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     """Integrate the initial ``states`` to t_end as one coefficient stack,
     sampling every ``stride`` steps.
 
-    Returns (trajectories, diverged): a (samples, records) pair per row, and
-    a dict from row index to the DivergenceError of each row that went
-    non-finite.  Such a row is frozen at its last finite state, which rides
-    on the error as ``last_state`` with its trajectory as ``partial``; the
-    other rows continue.  ``record_fn`` defaults to the diagnostics module's
-    ``record`` and is called with a one-row SimState.
+    ``grid`` must be the grid of the form and of the forcing's Killing
+    basis.  Returns (trajectories, diverged): a (samples, records) pair per
+    row, and a dict from row index to the DivergenceError of each row that
+    went non-finite.  Such a row is frozen at its last finite state, which
+    rides on the error as a one-row ``last_state`` with its trajectory as
+    ``partial``; the other rows continue.  ``record_fn`` defaults to the
+    diagnostics module's ``record``; it is called as ``record_fn(form, spec,
+    sim)`` once per sample with the stack of live rows and returns one
+    record per row.
     """
+    if not (grid is form.grid is spec.basis.grid):
+        raise GridMismatchError("the form, the forcing and the run use different grids")
     rec = record_fn if record_fn is not None else record
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
@@ -222,10 +200,10 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     diverged = {}
 
     def sample():
-        for j, i in enumerate(live):
+        for i, c, r in zip(live, sim.c, rec(form, spec, sim)):
             samples, records = trajectories[i]
-            samples.append(SpectralState(sim.L, sim.c[j].copy(), sim.t))
-            records.append(rec(grid, spec.basis, form, spec, sim.take([j])))
+            samples.append(SpectralState(sim.L, c.copy(), sim.t))
+            records.append(r)
 
     sample()
     for n in range(n_steps):
@@ -250,7 +228,8 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
 
 
 def run(config, grid, form, spec, u0, record_fn=None):
-    """Integrate one trajectory to t_end, sampling every ``stride`` steps.
+    """Integrate one trajectory from the SpectralState ``u0`` to t_end,
+    sampling every ``stride`` steps (see ``run_batch``).
 
     Returns (samples, records): coefficient snapshots and diagnostics rows.
     On divergence the partial results ride on the raised error.

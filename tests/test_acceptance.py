@@ -21,7 +21,7 @@ from surfns.harness import (default_config, load_checkpoint, run_ensemble,
 from surfns.killing import killing_basis, korn_constant
 from surfns.operators import assemble_stokes
 from surfns.scenarios import get_scenario, run_scenario
-from surfns.timestepper import SimState, run as run_simulation
+from surfns.timestepper import run as run_simulation
 
 
 def _finish(num, name, t0, budget, conditions):
@@ -191,9 +191,9 @@ def test_acceptance_11_infrastructure(tmp_path):
 
     path = tmp_path / "acc.snsk"
     s.t = 1.5
-    save_checkpoint(SimState(s), g, str(path))
+    save_checkpoint(s, g, str(path))
     _, back = load_checkpoint(str(path))
-    conds["checkpoint_bit_exact"] = (np.array_equal(back.state.coeffs, s.coeffs)
+    conds["checkpoint_bit_exact"] = (np.array_equal(back.coeffs, s.coeffs)
                                      and back.t == 1.5)
 
     cfgfile = tmp_path / "acc.cfg"

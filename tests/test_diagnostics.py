@@ -13,7 +13,7 @@ from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import SpectralState, random_band_limited
 from surfns.killing import killing_basis
 from surfns.operators import assemble_stokes
-from surfns.timestepper import SimState, StepperConfig, run
+from surfns.timestepper import SimState, StepperConfig, run, step_imex
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def spec0(kb):
 def test_record_killing_state(sphere8, kb, form1, spec0):
     s = SpectralState(8)
     s.coeffs[0] = 1.0
-    rec = record(sphere8, kb, form1, spec0, SimState(s))
+    rec = record(form1, spec0, SimState([s]))[0]
     assert rec.dissipation <= 1e-10
     assert rec.lam <= 1e-10 and rec.lam_defined
     assert rec.norm_uK == pytest.approx(1.0, abs=1e-12)
@@ -44,12 +44,12 @@ def test_record_killing_state(sphere8, kb, form1, spec0):
 def test_record_eigenmode_lambda(sphere8, kb, form1, spec0):
     s = SpectralState(8)
     s.set(2, 0, 0.5)
-    rec = record(sphere8, kb, form1, spec0, SimState(s))
+    rec = record(form1, spec0, SimState([s]))[0]
     assert rec.lam == pytest.approx(form1.lam_by_degree[2], abs=1e-10)
 
 
 def test_record_zero_state(sphere8, kb, form1, spec0):
-    rec = record(sphere8, kb, form1, spec0, SimState(SpectralState(8)))
+    rec = record(form1, spec0, SimState([SpectralState(8)]))[0]
     assert not rec.lam_defined
     assert rec.norm_u == 0.0 and rec.energy == 0.0
 
@@ -57,18 +57,41 @@ def test_record_zero_state(sphere8, kb, form1, spec0):
 def test_record_orthogonal_split(sphere8, kb, form1, spec0, tr8):
     for i in range(10):
         s = random_band_limited(tr8, 400 + i)
-        rec = record(sphere8, kb, form1, spec0, SimState(s))
+        rec = record(form1, spec0, SimState([s]))[0]
         gap = abs(rec.norm_u ** 2 - rec.norm_uK ** 2 - rec.norm_uNK ** 2)
         assert gap <= 1e-10 * rec.norm_u ** 2
 
 
 def test_lambda_scale_invariance(sphere8, kb, form1, spec0, tr8):
     s = random_band_limited(tr8, 77)
-    rec1 = record(sphere8, kb, form1, spec0, SimState(s))
+    rec1 = record(form1, spec0, SimState([s]))[0]
     s2 = s.copy()
     s2.coeffs *= 37.5
-    rec2 = record(sphere8, kb, form1, spec0, SimState(s2))
+    rec2 = record(form1, spec0, SimState([s2]))[0]
     assert abs(rec1.lam - rec2.lam) <= 1e-12 * max(rec1.lam, 1.0)
+
+
+def test_batched_record_matches_one_row_records(sphere8, kb, tr8):
+    # linear_x3 viscosity and f2_minus forcing, so work and alpha are nonzero;
+    # a few steps give every row its own ledger
+    form = assemble_stokes(sphere8, geo.ViscosityField(
+        sphere8, 1.0 + 0.5 * sphere8.nodes[:, 2]), 8)
+    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    sim = SimState([random_band_limited(tr8, 500 + i, norm_killing=0.5)
+                    for i in range(3)], dt=1e-3)
+    for _ in range(5):
+        sim = step_imex(sim, form, spec, 1e-3)
+    batch = record(form, spec, sim)
+    assert len(batch) == 3
+    for j, rec in enumerate(batch):
+        (solo,) = record(form, spec, sim.take([j]))
+        assert solo.work != 0.0 and np.abs(solo.alpha).max() > 0.0
+        assert rec.t == solo.t
+        for name in ("norm_u", "norm_uK", "norm_uNK", "energy", "dissipation",
+                     "work", "energy_residual", "lam"):
+            a, b = getattr(rec, name), getattr(solo, name)
+            assert abs(a - b) <= 1e-13 * abs(b), name
+        assert np.abs(rec.alpha - solo.alpha).max() <= 1e-13 * np.abs(solo.alpha).max()
 
 
 def test_fit_decay_synthetic_pure(sphere8):

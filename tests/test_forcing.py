@@ -15,6 +15,11 @@ def kb(sphere8):
     return killing_basis(sphere8)
 
 
+def _apply(spec, s):
+    """apply_forcing on the one-row stack of the SpectralState s, as a state."""
+    return SpectralState(s.L, apply_forcing(spec, s.coeffs[None])[0])
+
+
 def test_f3_minus_flags(kb):
     spec = make_catalog_forcing("f3_minus", {}, kb)
     assert spec.flags.nega and not spec.flags.pos
@@ -46,8 +51,7 @@ def test_f4_point_must_lie_on_surface(kb):
 
 
 def test_f3_minus_sign_on_samples(sphere8, kb):
-    rep = hypothesis_check(make_catalog_forcing("f3_minus", {}, kb),
-                           sphere8, kb, 25, seed=3)
+    rep = hypothesis_check(make_catalog_forcing("f3_minus", {}, kb), 25, seed=3)
     assert rep.ok
     assert rep.killing_power_max <= 0.0
 
@@ -55,7 +59,7 @@ def test_f3_minus_sign_on_samples(sphere8, kb):
 def test_f2_plus_c1_estimate(sphere8, kb, tr8):
     spec = make_catalog_forcing("f2_plus",
                                 {"v": tr8.toroidal_basis_field(2, 0)}, kb)
-    rep = hypothesis_check(spec, sphere8, kb, 20, seed=5)
+    rep = hypothesis_check(spec, 20, seed=5)
     assert rep.ok
     assert abs(rep.c1_hat - 1.0) <= 1e-8
 
@@ -63,7 +67,7 @@ def test_f2_plus_c1_estimate(sphere8, kb, tr8):
 def test_f5_satisfies_extra2(sphere8_r2, kb):
     basis2 = killing_basis(sphere8_r2)
     spec = make_catalog_forcing("f5", {}, basis2)
-    rep = hypothesis_check(spec, sphere8_r2, basis2, 20, seed=11)
+    rep = hypothesis_check(spec, 20, seed=11)
     assert rep.ok
     assert np.isfinite(rep.c5_hat) and np.isfinite(rep.c6_hat)
     # on the radius-2 sphere the non-Killing power is exactly (R-1)||u_NK||^2
@@ -74,7 +78,7 @@ def test_f5_unit_sphere_degenerates(sphere8, kb, tr8):
     # |x| = 1 on the unit sphere, so f5 = -P_K u exactly
     spec = make_catalog_forcing("f5", {}, kb)
     s = random_band_limited(tr8, 8)
-    out = apply_forcing(spec, sphere8, kb, s)
+    out = _apply(spec, s)
     assert np.abs(out.coeffs[:3] + s.coeffs[:3]).max() <= 1e-10
     assert np.abs(out.coeffs[3:]).max() <= 1e-10
 
@@ -94,8 +98,8 @@ def test_affine_tags_exact_lipschitz(sphere8, kb, tr8):
         for i in range(10):
             u1 = SpectralState(8, rng.standard_normal(80))
             u2 = SpectralState(8, rng.standard_normal(80))
-            df = apply_forcing(spec, sphere8, kb, u1).coeffs \
-                - apply_forcing(spec, sphere8, kb, u2).coeffs
+            df = _apply(spec, u1).coeffs \
+                - _apply(spec, u2).coeffs
             bound = spec.flags.c2 * np.linalg.norm(u1.coeffs - u2.coeffs)
             assert np.linalg.norm(df) <= bound + 1e-12
 
@@ -106,7 +110,7 @@ def test_f4_split_matches_weighted_killing_part(sphere8, kb, tr8):
     s = random_band_limited(tr8, 21)
     for tag, sign in (("f4_plus", 1.0), ("f4_minus", -1.0)):
         spec = make_catalog_forcing(tag, {"p": p}, kb)
-        out = apply_forcing(spec, sphere8, kb, s)
+        out = _apply(spec, s)
         f_nodal = tr8.synthesize(out)
         fk, fnk = pk_project(kb, f_nodal)
         # oracle: weight the nodal Killing part and project by quadrature
@@ -122,21 +126,21 @@ def test_hypothesis_check_flags_violations(sphere8, kb):
     # declare a too-small Lipschitz constant and watch the audit notice
     spec = make_catalog_forcing("f3_plus", {}, kb)
     spec.flags.c2 = 0.5
-    rep = hypothesis_check(spec, sphere8, kb, 15, seed=2)
+    rep = hypothesis_check(spec, 15, seed=2)
     assert not rep.ok
     assert any("c2" in v for v in rep.violations)
 
 
 def test_hypothesis_check_needs_samples(sphere8, kb):
     with pytest.raises(ParameterError):
-        hypothesis_check(make_catalog_forcing("zero", {}, kb), sphere8, kb, 5, 1)
+        hypothesis_check(make_catalog_forcing("zero", {}, kb), 5, 1)
 
 
 def test_f4_hypothesis_audit(sphere8, kb):
     p = np.array([0.0, 0.0, 1.0])
     for tag in ("f4_plus", "f4_minus"):
         spec = make_catalog_forcing(tag, {"p": p}, kb)
-        rep = hypothesis_check(spec, sphere8, kb, 15, seed=6)
+        rep = hypothesis_check(spec, 15, seed=6)
         assert rep.ok
         # f4's non-Killing power is exactly ||u_NK||^2
         assert rep.c5_hat == pytest.approx(1.0, abs=1e-6)
@@ -156,15 +160,14 @@ def test_f4_f5_match_nodal_routes(sphere8, sphere8_r2):
             u = tr.synthesize(s)
             cw = tr.analyze(geo.TangentialField(grid, radius * u.comps)).coeffs
             cw[:3] = 0.0
-            out = apply_forcing(make_catalog_forcing("f5", {}, kb), grid, kb, s)
+            out = _apply(make_catalog_forcing("f5", {}, kb), s)
             assert np.abs(out.coeffs - (cw - s.coeffs)).max() <= 1e-13
 
-            uk = sum(a * v.comps for a, v in zip(kb.alpha_from_state(s), kb.fields))
+            uk = sum(a * v.comps for a, v in zip(kb.alpha(s.coeffs), kb.fields))
             weighted = geo.TangentialField(grid, wdist * uk)
             beta = np.array([geo.l2_inner(grid, weighted, v) for v in kb.fields])
             for tag, sign in (("f4_plus", 1.0), ("f4_minus", -1.0)):
                 expected = s.coeffs.copy()
                 expected[:3] = sign * kb.l1_map.T @ beta
-                out = apply_forcing(make_catalog_forcing(tag, {"p": p}, kb),
-                                    grid, kb, s)
+                out = _apply(make_catalog_forcing(tag, {"p": p}, kb), s)
                 assert np.abs(out.coeffs - expected).max() <= 1e-13

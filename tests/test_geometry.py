@@ -37,6 +37,15 @@ def test_sphere_bad_parameters():
         geo.build_sphere_grid(8, -1.0)
 
 
+def test_grids_reject_non_finite_radii():
+    for R in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            geo.build_sphere_grid(8, R)
+    for R, r in ((np.inf, 0.5), (np.nan, 0.5), (2.0, np.nan), (np.inf, np.inf)):
+        with pytest.raises(GeometryError):
+            geo.build_torus_grid(32, 32, R, r)
+
+
 def test_torus_area(torus64):
     assert abs(torus64.area - 4 * np.pi ** 2) <= 1e-10 * torus64.area
 

@@ -237,7 +237,7 @@ def test_transform_tables_stay_small_at_l32():
     tr = get_transform(grid, 32)
     s = random_band_limited(tr, 4)
     tr.grad_synthesize(s)
-    convective_term(grid, s)
+    convective_term(tr, s.coeffs[None])
     own = {id(grid)} | {
         id(v) for v in vars(grid).values() if isinstance(v, np.ndarray)}
     held = _held_bytes([tr, grid._caches], own, set())

@@ -1,11 +1,13 @@
 """Config schema, checkpoint format, CSV determinism, scenarios, CLI."""
 
 import os
+import re
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfns import cli
 from surfns import geometry as geo
@@ -68,6 +70,26 @@ def test_config_semantic_validation():
         parse_config_text("nu.kind = linear_x3\nnu.a = 2.0")
 
 
+# every float-valued key, with a well-formed setting around its value slot
+_FLOAT_SETTINGS = {
+    "geometry.radius": "{}", "geometry.major": "{}", "geometry.minor": "{}",
+    "nu.value": "{}", "nu.a": "{}", "forcing.amplitude": "{}", "forcing.c": "{}",
+    "forcing.point": "0, {}, 1", "init.modes": "2, 0, 1.0; 3, 1, {}",
+    "init.norm_killing": "{}", "init.norm_nonkilling": "{}",
+    "run.dt": "{}", "run.t_end": "{}", "pair.gaps": "1e-2, {}",
+}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(sorted(_FLOAT_SETTINGS)),
+       st.sampled_from(["nan", "NaN", "inf", "+inf", "-inf", "Infinity", "-Infinity"]))
+def test_config_rejects_non_finite_floats(key, value):
+    assert {k for k, v in default_config().items()
+            if isinstance(v, float)} <= set(_FLOAT_SETTINGS)
+    with pytest.raises(ConfigError, match=re.escape(f"config error at '{key}'")):
+        parse_config_text(f"{key} = {_FLOAT_SETTINGS[key].format(value)}")
+
+
 # --- checkpoints ------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(sphere8, tr8, tmp_path):
@@ -75,16 +97,16 @@ def test_checkpoint_round_trip_bit_exact(sphere8, tr8, tmp_path):
     for seed in (1, 2, 3):
         s = random_band_limited(tr8, seed)
         s.t = 0.725
-        save_checkpoint(SimState(s), sphere8, str(path))
-        meta, sim = load_checkpoint(str(path))
+        save_checkpoint(s, sphere8, str(path))
+        meta, back = load_checkpoint(str(path))
         assert meta.kind == "sphere" and meta.L == 8 and meta.R == 1.0
-        assert sim.t == 0.725
-        assert np.array_equal(sim.state.coeffs, s.coeffs)
+        assert back.t == 0.725
+        assert np.array_equal(back.coeffs, s.coeffs)
 
 
 def test_checkpoint_truncation_detected(sphere8, tr8, tmp_path):
     path = tmp_path / "state.snsk"
-    save_checkpoint(SimState(random_band_limited(tr8, 5)), sphere8, str(path))
+    save_checkpoint(random_band_limited(tr8, 5), sphere8, str(path))
     blob = path.read_bytes()
     path.write_bytes(blob[:-9])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -93,7 +115,7 @@ def test_checkpoint_truncation_detected(sphere8, tr8, tmp_path):
 
 def test_checkpoint_crc_detected(sphere8, tr8, tmp_path):
     path = tmp_path / "state.snsk"
-    save_checkpoint(SimState(random_band_limited(tr8, 6)), sphere8, str(path))
+    save_checkpoint(random_band_limited(tr8, 6), sphere8, str(path))
     blob = bytearray(path.read_bytes())
     blob[60] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -103,7 +125,7 @@ def test_checkpoint_crc_detected(sphere8, tr8, tmp_path):
 
 def test_checkpoint_version_detected(sphere8, tr8, tmp_path):
     path = tmp_path / "state.snsk"
-    save_checkpoint(SimState(random_band_limited(tr8, 7)), sphere8, str(path))
+    save_checkpoint(random_band_limited(tr8, 7), sphere8, str(path))
     blob = bytearray(path.read_bytes())
     blob[4:8] = struct.pack("<I", 99)
     body = bytes(blob[:-4])
@@ -122,16 +144,16 @@ def test_checkpoint_resume_determinism(sphere8, tr8, tmp_path):
     u0 = random_band_limited(tr8, 17, norm_killing=0.4, norm_nonkilling=0.8)
 
     path = tmp_path / "t0.snsk"
-    save_checkpoint(SimState(u0), sphere8, str(path))
+    save_checkpoint(u0, sphere8, str(path))
     _, resumed = load_checkpoint(str(path))
 
     from surfns.timestepper import step_imex
-    a = SimState(u0.copy())
-    b = resumed
+    a = SimState([u0.copy()])
+    b = SimState([resumed])
     for _ in range(10):
         a = step_imex(a, form, spec, 1e-3)
         b = step_imex(b, form, spec, 1e-3)
-    assert np.array_equal(a.state.coeffs, b.state.coeffs)
+    assert np.array_equal(a.c[0], b.c[0])
 
 
 # --- CSV --------------------------------------------------------------------
@@ -255,7 +277,7 @@ def test_cli_decompose_pure_killing(tmp_path, sphere8, capsys):
     s = SpectralState(8)
     s.coeffs[:3] = [0.2, -0.1, 0.5]
     path = tmp_path / "kill.snsk"
-    save_checkpoint(SimState(s), sphere8, str(path))
+    save_checkpoint(s, sphere8, str(path))
     assert cli.main(["decompose", str(path)]) == 0
     out = capsys.readouterr().out
     nk = [l for l in out.splitlines() if l.startswith("norm_uNK")][0]
@@ -275,7 +297,7 @@ def _forge_header(path, drop_pairs=0, **fields):
 
 def test_cli_decompose_rejects_pair_count_mismatch(tmp_path, sphere8, tr8, capsys):
     path = tmp_path / "state.snsk"
-    save_checkpoint(SimState(random_band_limited(tr8, 8)), sphere8, str(path))
+    save_checkpoint(random_band_limited(tr8, 8), sphere8, str(path))
     _forge_header(path, drop_pairs=1, n_pairs=43)     # L = 8 needs 44 pairs
     assert cli.main(["decompose", str(path)]) == 2
     assert "43 coefficient pairs" in capsys.readouterr().err
@@ -283,7 +305,7 @@ def test_cli_decompose_rejects_pair_count_mismatch(tmp_path, sphere8, tr8, capsy
 
 def test_cli_decompose_rejects_nan_radius(tmp_path, sphere8, tr8, capsys):
     path = tmp_path / "state.snsk"
-    save_checkpoint(SimState(random_band_limited(tr8, 9)), sphere8, str(path))
+    save_checkpoint(random_band_limited(tr8, 9), sphere8, str(path))
     _forge_header(path, R=float("nan"))
     assert cli.main(["decompose", str(path)]) == 2
     assert "R=nan" in capsys.readouterr().err
@@ -321,6 +343,35 @@ def test_torus_config_cannot_integrate(tmp_path):
     cfgfile.write_text("geometry.kind = torus\n")
     for command in ("run", "spectrum"):
         assert cli.main(["--quiet", command, str(cfgfile)]) == 2
+
+
+def _assert_usage_error(tmp_path, capsys, command, text, key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text + "\n")
+    assert cli.main(["--quiet", command, str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("run", "run.dt = nan", "run.dt"),
+    ("run", "run.t_end = inf", "run.t_end"),
+    *((command, f"geometry.radius = {v}", "geometry.radius")
+      for command in ("run", "spectrum", "korn") for v in ("nan", "inf")),
+    ("korn", "geometry.kind = torus\ngeometry.major = inf", "geometry.major"),
+    ("run", "forcing.tag = f2_minus\nforcing.amplitude = nan", "forcing.amplitude"),
+    ("run", "forcing.tag = constant_killing\nforcing.c = nan", "forcing.c"),
+    ("run", "init.kind = random\ninit.norm_killing = inf", "init.norm_killing"),
+])
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, command, text, key):
+    _assert_usage_error(tmp_path, capsys, command, text, key)
+
+
+def test_cli_rejects_f4_at_the_origin(tmp_path, capsys):
+    for tag in ("f4_plus", "f4_minus"):
+        _assert_usage_error(tmp_path, capsys, "run",
+                            f"forcing.tag = {tag}\nforcing.point = 0, 0, 0",
+                            "forcing.point")
 
 
 def test_ensemble_killing_only_members_are_constant():
@@ -369,7 +420,7 @@ def test_cli_rejects_oversized_torus_grid(tmp_path, capsys):
 
 def test_cli_decompose_rejects_oversized_truncation(tmp_path, sphere8, capsys):
     path = tmp_path / "l65.snsk"
-    save_checkpoint(SimState(SpectralState(65)), sphere8, str(path))
+    save_checkpoint(SpectralState(65), sphere8, str(path))
     assert load_checkpoint(str(path))[0].L == 65       # valid CRC and header
     assert cli.main(["decompose", str(path)]) == 2
     assert "2..64" in capsys.readouterr().err
