@@ -8,7 +8,6 @@ Gram-Schmidt sweep to pin orthonormality to rounding.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConsistencyError, GridMismatchError, ParameterError
 from . import geometry as geo
@@ -97,12 +96,14 @@ def korn_constant(grid, L=None, fourier_cap=8):
 
     Assembles the H1 and strain quadratic forms on the truncated
     divergence-free space and solves the generalized symmetric eigenproblem
-    block by block.  On the sphere the space is the toroidal modes with
-    2 <= l <= L, one block per signed order m.  On the torus it is a
-    stream-function Fourier family plus the harmonic circulation generators,
-    one block per toroidal wavenumber |jt| <= ``fourier_cap``.  Both splits
-    are exact: the grid is uniform in the angle about the symmetry axis and
-    its quadrature weights do not depend on it, so no form couples two blocks.
+    block by block, each by a Cholesky reduction to a symmetric
+    eigenproblem (see ``_korn_eigvals``).  On the sphere the space is the
+    toroidal modes with 2 <= l <= L, one block per signed order m.  On the
+    torus it is a stream-function Fourier family plus the harmonic
+    circulation generators, one block per toroidal wavenumber
+    |jt| <= ``fourier_cap``.  Both splits are exact: the grid is uniform in
+    the angle about the symmetry axis and its quadrature weights do not
+    depend on it, so no form couples two blocks.
     """
     if grid.kind == SPHERE:
         if L is None or not (2 <= L <= geo.L_MAX):
@@ -117,19 +118,16 @@ def _korn_sphere(grid, L):
     tr = get_transform(grid, L)
     parts = tr.partition(grid.weights)
     quotient, mu = np.empty(tr.n_modes), []
-    for idx, S, H in zip(parts, tr.gradient_form(grid.weights, parts=parts),
-                         tr.gradient_form(grid.weights, strain=False, parts=parts)):
+    for idx, S, H in zip(parts, *tr.gradient_form(grid.weights, parts, return_grad=True)):
         # degrees ascend, so the excluded Killing (degree-1) modes come first;
         # the strain form on them must vanish
         keep = np.flatnonzero(tr.mode_l[idx] >= 2)
-        kill_eps = np.abs(S[:idx.size - keep.size]).max(initial=0.0)
-        S, H = S[np.ix_(keep, keep)], H[np.ix_(keep, keep)] + np.eye(keep.size)
-        smin = scipy.linalg.eigh(S, eigvals_only=True, subset_by_index=[0, 0])[0]
-        if smin <= 1e-10 * np.abs(S).max() or kill_eps > 1e-8:
+        if np.abs(S[:idx.size - keep.size]).max(initial=0.0) > 1e-8:
             raise ConsistencyError(
                 "singular strain form: a Killing mode leaked into the l >= 2 block")
+        S, H = S[np.ix_(keep, keep)], H[np.ix_(keep, keep)] + np.eye(keep.size)
         quotient[idx[keep]] = np.diag(H) / np.diag(S)
-        mu.append(scipy.linalg.eigh(H, S, eigvals_only=True))
+        mu.append(_korn_eigvals(H, S))
     mu = np.sort(np.concatenate(mu))
     per_degree = {l: float(quotient[mode_index(L, l, 0)]) for l in range(2, L + 1)}
     return KornResult(float(np.sqrt(mu[-1])), per_degree, mu)
@@ -158,13 +156,25 @@ def _korn_torus(grid, cap):
         H = _gram(grid, T) + M
         mval, mvec = np.linalg.eigh(M)
         Q = mvec[:, mval > 1e-10 * mval.max()]
-        S, H = Q.T @ S @ Q, Q.T @ H @ Q
-        smin = scipy.linalg.eigh(S, eigvals_only=True, subset_by_index=[0, 0])[0]
-        if smin <= 1e-10 * np.abs(S).max():
-            raise ConsistencyError("singular strain form on the torus family")
-        mu.append(scipy.linalg.eigh(H, S, eigvals_only=True))
+        mu.append(_korn_eigvals(Q.T @ H @ Q, Q.T @ S @ Q))
     mu = np.sort(np.concatenate(mu))
     return KornResult(float(np.sqrt(mu[-1])), {}, mu)
+
+
+def _korn_eigvals(H, S):
+    """Ascending eigenvalues mu of H v = mu S v for symmetric H and S.
+
+    S must be positive definite: a strain form whose smallest eigenvalue is
+    not above 1e-10 of its largest entry means a Killing field entered the
+    space, and raises ConsistencyError.  The problem is reduced as LAPACK's
+    sygv does: S = C C^T by Cholesky, then the symmetric eigenvalues of
+    C^-1 H C^-T.
+    """
+    if np.linalg.eigvalsh(S)[0] <= 1e-10 * np.abs(S).max():
+        raise ConsistencyError("singular strain form: a Killing field is in the Korn space")
+    C = np.linalg.cholesky(S)
+    A = np.linalg.solve(C, np.linalg.solve(C, H).T)
+    return np.linalg.eigvalsh(0.5 * (A + A.T))
 
 
 def _torus_family(grid, cap):

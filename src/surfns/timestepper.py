@@ -177,17 +177,19 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     sampling every ``stride`` steps.
 
     ``grid`` must be the grid of the form and of the forcing's Killing
-    basis.  Returns (trajectories, diverged): a (samples, records) pair per
-    row, and a dict from row index to the DivergenceError of each row that
-    went non-finite.  Such a row is frozen at its last finite state, which
-    rides on the error as a one-row ``last_state`` with its trajectory as
-    ``partial``; the other rows continue.  ``record_fn`` defaults to the
-    diagnostics module's ``record``; it is called as ``record_fn(form, spec,
-    sim)`` once per sample with the stack of live rows and returns one
-    record per row.
+    basis, and every state must have the form's truncation L.  Returns
+    (trajectories, diverged): a (samples, records) pair per row, and a dict
+    from row index to the DivergenceError of each row that went non-finite.
+    Such a row is frozen at its last finite state, which rides on the error
+    as a one-row ``last_state`` with its trajectory as ``partial``; the
+    other rows continue.  ``record_fn`` defaults to the diagnostics module's
+    ``record``; it is called as ``record_fn(form, spec, sim)`` once per
+    sample with the stack of live rows and returns one record per row.
     """
     if not (grid is form.grid is spec.basis.grid):
         raise GridMismatchError("the form, the forcing and the run use different grids")
+    if any(s.L != form.L for s in states):
+        raise ParameterError(f"initial states must have the form's truncation L = {form.L}")
     rec = record_fn if record_fn is not None else record
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):

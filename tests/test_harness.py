@@ -1,8 +1,11 @@
 """Config schema, checkpoint format, CSV determinism, scenarios, CLI."""
 
+import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -271,6 +274,23 @@ def test_cli_korn(tmp_path, capsys):
     assert cli.main(["--quiet", "korn", str(cfgfile)]) == 0
     out = capsys.readouterr().out
     assert "C_P" in out
+
+
+def test_cli_korn_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a fresh process that imports the
+    # package and solves a Korn constant must never load scipy
+    cfgfile = tmp_path / "korn.cfg"
+    cfgfile.write_text("geometry.L = 8\n")
+    code = ("import json, sys, surfns\n"
+            "from surfns import cli\n"
+            f"status = cli.main(['--quiet', 'korn', {str(cfgfile)!r}])\n"
+            "print(json.dumps([status, sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == [0, []]
 
 
 def test_cli_decompose_pure_killing(tmp_path, sphere8, capsys):

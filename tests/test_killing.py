@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from surfns import geometry as geo
-from surfns.errors import ParameterError
+from surfns import killing
+from surfns.errors import ConsistencyError, ParameterError
 from surfns.harmonics import SpectralState, get_transform, random_band_limited
-from surfns.killing import (_gram, _torus_family, killing_basis,
-                            killing_coefficients, korn_constant, pk_project)
+from surfns.killing import (_gram, _korn_eigvals, _torus_family,
+                            killing_basis, killing_coefficients, korn_constant,
+                            pk_project)
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +188,8 @@ def test_korn_blocks_match_dense_eigensolve():
     for R in (1.0, 2.0):
         grid = geo.build_sphere_grid(6, R)
         tr = get_transform(grid, 6)
-        every = [np.arange(tr.n_modes)]
-        S = tr.gradient_form(grid.weights, parts=every)[0][3:, 3:]
-        H = tr.gradient_form(grid.weights, strain=False, parts=every)[0][3:, 3:]
+        S, H = tr.gradient_form(grid.weights, [np.arange(tr.n_modes)], return_grad=True)
+        S, H = S[0][3:, 3:], H[0][3:, 3:]
         mu = scipy.linalg.eigh(H + np.eye(H.shape[0]), S, eigvals_only=True)
         res = korn_constant(grid, 6)
         assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()
@@ -215,3 +216,51 @@ def test_torus_korn_blocks_match_dense_eigensolve(torus64):
         assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()
     exact = 2.179449471770338      # the one-pass dense solve on the 64 x 64 grid
     assert abs(korn_constant(torus64).c_p - exact) <= 1e-12 * exact
+
+
+def test_korn_eigensolve_matches_scipy(monkeypatch, torus64):
+    # oracle: LAPACK's generalized solver on every block korn_constant solves
+    import scipy.linalg
+    errors = []
+
+    def checked(H, S):
+        mu = _korn_eigvals(H, S)
+        ref = scipy.linalg.eigh(H, S, eigvals_only=True)
+        errors.append(np.abs(mu - ref).max() / np.abs(ref).max())
+        return mu
+
+    monkeypatch.setattr(killing, "_korn_eigvals", checked)
+    for R in (1.0, 2.0):
+        for L in (8, 16):
+            korn_constant(geo.build_sphere_grid(L, R), L)
+            assert len(errors) == 2 * L + 1       # one block per signed order
+            assert max(errors) <= 1e-12
+            errors.clear()
+    korn_constant(torus64)
+    assert len(errors) == 9                       # one block per |jt| <= 8
+    assert max(errors) <= 1e-12
+
+
+def test_korn_eigensolve_rejects_singular_strain(monkeypatch, torus64):
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 6))
+    H = B @ B.T + np.eye(6)
+    v = rng.standard_normal((6, 5))
+    for S in (v @ v.T, v @ v.T - 1e-12 * np.eye(6), np.zeros((6, 6))):
+        with pytest.raises(ConsistencyError):
+            _korn_eigvals(H, S)
+
+    # a torus family that keeps the Killing field: its strain vanishes
+    family = killing._torus_family
+    vk = killing_basis(torus64).fields[0].comps.T[None]
+
+    def with_killing(grid, cap):
+        for jt, (V, T) in enumerate(family(grid, cap)):
+            if jt == 0:
+                V = np.concatenate([V, vk])
+                T = geo.covariant_derivatives(grid, V)
+            yield V, T
+
+    monkeypatch.setattr(killing, "_torus_family", with_killing)
+    with pytest.raises(ConsistencyError):
+        korn_constant(torus64)

@@ -228,6 +228,15 @@ def test_run_rejects_a_foreign_grid(sphere8, form1, spec0):
             "zero", {}, killing_basis(other)), [SpectralState(8)])
 
 
+def test_run_rejects_a_mismatched_truncation(sphere8, form1, spec0):
+    form6 = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0), 6)
+    cfg = StepperConfig(dt=1e-3, t_end=0.01, stride=10)
+    with pytest.raises(ParameterError):
+        run(cfg, sphere8, form6, spec0, SpectralState(8))
+    with pytest.raises(ParameterError):
+        run_batch(cfg, sphere8, form1, spec0, [SpectralState(8), SpectralState(6)])
+
+
 def test_record_fn_is_called_once_per_sample(sphere8, formv, kb, tr8):
     # a pass-through like the benchmark's timing wrapper
     calls = []
