@@ -123,18 +123,11 @@ def check_killing_identity(series, spec):
     squared norm obeys its quadratic expansion.  For f_K = 0 the report's
     ``drift`` field measures conservation.
     """
-    if spec.tag not in ("zero", "constant_field", "constant_killing"):
+    if spec.K.any():
         raise ParameterError(
             "identity check needs forcing with u-independent Killing part")
-    basis = spec.basis
-    if spec.tag == "constant_killing":
-        fk = np.zeros(basis.n)
-        fk[spec.axis] = spec.c
-    elif spec.tag == "constant_field":
-        from .killing import killing_coefficients
-        fk = killing_coefficients(basis, spec.g)
-    else:
-        fk = np.zeros(basis.n)
+    # f_K: the Killing coordinates of F(0)'s degree-1 rows
+    fk = spec.basis.alpha(spec.f(3))
     fk_norm = float(np.linalg.norm(fk))
 
     t0 = series[0].t
@@ -198,15 +191,15 @@ def continuous_dependence_ratio(traj_a, traj_b, T, form=None):
         raise ParameterError("identical initial data: dependence ratio undefined")
     sup = 0.0
     ts, eps2 = [], []
+    half_D = None if form is None else 0.5 * form.D
     for sa, sb in zip(traj_a, traj_b):
         if sa.t > T + 1e-12:
             break
         d = sa.coeffs - sb.coeffs
         sup = max(sup, float(d @ d))
         ts.append(sa.t)
-        if form is not None:
-            lam = form.lam_by_degree[form.transform.mode_l]
-            eps2.append(float(np.dot(0.5 * lam, d * d)))
+        if half_D is not None:
+            eps2.append(float(np.dot(half_D, d * d)))
     diss = 0.0
     if form is not None and len(ts) > 1:
         ts_a = np.asarray(ts)

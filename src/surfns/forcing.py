@@ -11,31 +11,36 @@ divergence-free after projection):
     f5                f = (I - P_K)(|x| u) - u
     constant_killing  f = c v_j, one Killing basis field
 
+Every entry is affine in u, so on the coefficients of the sphere's
+truncated space it is stored as one map: a fixed vector f = F(0), plus a
+3x3 map K on the degree-1 (Killing) rows, plus a scalar s times the other
+rows.  K is +/-I for f2 and f3, +/- the weighted Killing Gram matrix for f4,
+-I for f5 and 0 otherwise; s is +/-1 for f3, 1 for f4, R - 1 for f5 and 0
+otherwise.  ``apply_forcing`` evaluates that map and nothing else.
+
 Each catalog entry carries the declared constants of its standing
-hypotheses: the
-L2 bound on f(.,0), the Lipschitz constant in u, whether the Killing part
-of the power integral has a sign (nega/pos), the growth bound on the
-Killing power, and the non-Killing power envelope coefficients (c5, c6).
+hypotheses: the L2 bound on f(.,0), the Lipschitz constant in u, whether
+the Killing part of the power integral has a sign (nega/pos), the growth
+bound on the Killing power, and the non-Killing power envelope
+coefficients (c5, c6).
 ``hypothesis_check`` estimates all of them by seeded Monte Carlo and
 reports any sample violating a declared flag.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from . import geometry as geo
 from .geometry import SPHERE, TangentialField
-from .harmonics import (SpectralState, get_transform, n_modes,
-                        random_band_limited)
+from .harmonics import get_transform, n_modes, random_band_limited
+from .killing import pk_project
 
 TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",
         "f4_plus", "f4_minus", "f5", "constant_killing")
-
-_SIGN_TAGS = {"f2_plus": 1.0, "f2_minus": -1.0, "f3_plus": 1.0, "f3_minus": -1.0,
-              "f4_plus": 1.0, "f4_minus": -1.0}
 
 
 @dataclass
@@ -54,103 +59,97 @@ class FlagSet:
 
 @dataclass
 class ForcingSpec:
+    """A catalog forcing as its affine map on a coefficient stack c:
+
+        F(c)[:, :3] = c[:, :3] @ K.T + f(n)[:3]    (degree-1 Killing rows)
+        F(c)[:, 3:] = s c[:, 3:] + f(n)[3:]        (all other rows)
+
+    ``f(n)`` is F(0) in the n-mode truncation, ``K`` the 3x3 map on the
+    Killing rows and ``s`` the scalar on the others.
+    """
     tag: str
     basis: object
     flags: FlagSet
-    g: object = None          # constant_field: TangentialField
-    v: object = None          # f2: fixed non-Killing TangentialField
-    point: object = None      # f4: point on the surface
-    c: float = 0.0            # constant_killing amplitude
-    axis: int = 0             # constant_killing basis index
-    _cache: dict = field(default_factory=dict)
-
-
-def _as_nodal(grid, vec):
-    if isinstance(vec, TangentialField):
-        return vec
-    if isinstance(vec, SpectralState):
-        return get_transform(grid, vec.L).synthesize(vec)
-    raise ParameterError("expected a TangentialField or SpectralState")
+    f: object
+    K: np.ndarray
+    s: float
 
 
 def make_catalog_forcing(tag, params, basis):
-    """Build a tagged forcing with its hypothesis flags set."""
+    """Build a tagged forcing as its affine map with its hypothesis flags set.
+
+    Sphere-only: K addresses the degree-1 coefficient rows, which hold the
+    Killing space on the sphere alone.
+    """
     grid = basis.grid
     params = dict(params or {})
     if tag not in TAGS:
         raise ParameterError(f"unknown forcing tag {tag!r}")
+    if grid.kind != SPHERE:
+        raise ParameterError("catalog forcing is sphere-only: its Killing map "
+                             "acts on the degree-1 coefficient rows")
+    sign = -1.0 if tag.endswith("minus") else 1.0
+    pos = sign > 0
+    nodal, killing, K, s = None, None, np.zeros((3, 3)), 0.0
 
     if tag == "zero":
         flags = FlagSet(0.0, 0.0, True, True, True, 0.0, 0.0, True, True)
-        return ForcingSpec(tag, basis, flags)
-
-    if tag == "constant_field":
-        g = _as_nodal(grid, params["g"])
-        gk, gnk = _project_killing(basis, g)
-        norm_g = geo.l2_norm(grid, g)
+    elif tag == "constant_field":
+        nodal = params["g"]
+        gk, gnk = pk_project(basis, nodal)
+        norm_g = geo.l2_norm(grid, nodal)
         kill_free = geo.l2_norm(grid, gk) <= 1e-10 * max(norm_g, 1.0)
         flags = FlagSet(norm_g, 0.0, True, kill_free, kill_free,
                         0.0, geo.l2_norm(grid, gnk), True, True)
-        return ForcingSpec(tag, basis, flags, g=g)
-
-    if tag in ("f2_plus", "f2_minus"):
-        v = _as_nodal(grid, params["v"])
-        vk, _ = _project_killing(basis, v)
-        nv = geo.l2_norm(grid, v)
+    elif tag in ("f2_plus", "f2_minus"):
+        nodal = params["v"]
+        vk, _ = pk_project(basis, nodal)
+        nv = geo.l2_norm(grid, nodal)
         if geo.l2_norm(grid, vk) > 1e-10 * max(nv, 1.0):
             raise ParameterError("f2 requires v orthogonal to the Killing space")
-        pos = tag.endswith("plus")
         flags = FlagSet(nv, 1.0, True, not pos, pos, 0.0, nv, True, False)
-        return ForcingSpec(tag, basis, flags, v=v)
-
-    if tag in ("f3_plus", "f3_minus"):
-        pos = tag.endswith("plus")
-        c5 = 1.0 if pos else 0.0
-        flags = FlagSet(0.0, 1.0, True, not pos, pos, c5, 0.0, True, False)
-        return ForcingSpec(tag, basis, flags)
-
-    if tag in ("f4_plus", "f4_minus"):
+        K = sign * np.eye(3)
+    elif tag in ("f3_plus", "f3_minus"):
+        flags = FlagSet(0.0, 1.0, True, not pos, pos, float(pos), 0.0, True, False)
+        K, s = sign * np.eye(3), sign
+    elif tag in ("f4_plus", "f4_minus"):
         p = np.asarray(params["p"], dtype=float)
         if p.shape != (3,):
             raise ParameterError("f4 point must be an ambient 3-vector")
-        if grid.kind == SPHERE:
-            if abs(np.linalg.norm(p) - grid.R) > 1e-10 * grid.R:
-                raise ParameterError("f4 point must lie on the sphere")
+        if abs(np.linalg.norm(p) - grid.R) > 1e-10 * grid.R:
+            raise ParameterError("f4 point must lie on the sphere")
         dist_max = float(np.linalg.norm(grid.nodes - p[None, :], axis=1).max())
-        pos = tag.endswith("plus")
         flags = FlagSet(0.0, max(1.0, dist_max), True, not pos, pos,
                         1.0, 0.0, True, False)
-        return ForcingSpec(tag, basis, flags, point=p)
-
-    if tag == "f5":
-        if grid.kind != SPHERE:
-            raise ParameterError("f5 evaluation is sphere-only")
+        K, s = sign * _killing_gram(basis, p), 1.0
+    elif tag == "f5":
+        # |x| = R at every node of the sphere
         R = grid.R
         flags = FlagSet(0.0, max(abs(R - 1.0), 1.0), True, True, False,
                         max(R - 1.0, 0.0), 0.0, True, False)
-        return ForcingSpec(tag, basis, flags)
-
-    # constant_killing
-    c = float(params.get("c", 1.0))
-    j = int(params.get("axis", 0))
-    if not (0 <= j < basis.n):
-        raise ParameterError(f"Killing axis {j} outside 0..{basis.n - 1}")
-    flags = FlagSet(abs(c), 0.0, True, False, False, 0.0, 0.0, True, True)
-    return ForcingSpec("constant_killing", basis, flags, c=c, axis=j)
-
-
-def _project_killing(basis, u):
-    from .killing import pk_project
-    return pk_project(basis, u)
+        K, s = -np.eye(3), R - 1.0
+    else:  # constant_killing
+        c = float(params.get("c", 1.0))
+        j = int(params.get("axis", 0))
+        if not (0 <= j < basis.n):
+            raise ParameterError(f"Killing axis {j} outside 0..{basis.n - 1}")
+        flags = FlagSet(abs(c), 0.0, True, False, False, 0.0, 0.0, True, True)
+        killing = c * basis.l1_map[j]
+    return ForcingSpec(tag, basis, flags, _fixed_part(grid, nodal, killing), K, s)
 
 
-def _cached_coeffs(spec, key, nodal, n):
-    """Coefficients of the nodal field ``nodal`` in the n-mode truncation."""
-    ck = (key, n)
-    if ck not in spec._cache:
-        tr = get_transform(spec.basis.grid, math.isqrt(n + 1) - 1)
-        spec._cache[ck] = tr.analyze(nodal).coeffs
-    return spec._cache[ck]
+def _fixed_part(grid, nodal, killing):
+    """F(0) as n -> its n-mode coefficients: the nodal field ``nodal``
+    analyzed once per truncation, plus ``killing`` on the degree-1 rows."""
+    @functools.cache
+    def f(n):
+        out = np.zeros(n)
+        if nodal is not None:
+            out[:] = get_transform(grid, math.isqrt(n + 1) - 1).analyze(nodal).coeffs
+        if killing is not None:
+            out[:3] += killing
+        return out
+    return f
 
 
 def _killing_gram(basis, point):
@@ -166,32 +165,9 @@ def _killing_gram(basis, point):
 def apply_forcing(spec, c):
     """Coefficients of P_0 f(., u) for every row u of the (k, n_modes)
     coefficient stack ``c``, as a stack of the same shape."""
-    basis = spec.basis
-    out = np.zeros_like(c)
-    tag = spec.tag
-
-    if tag == "zero":
-        pass
-    elif tag == "constant_field":
-        out[:] = _cached_coeffs(spec, "g", spec.g, c.shape[1])
-    elif tag in ("f2_plus", "f2_minus"):
-        out[:] = _cached_coeffs(spec, "v", spec.v, c.shape[1])
-        out[:, :3] += _SIGN_TAGS[tag] * c[:, :3]
-    elif tag in ("f3_plus", "f3_minus"):
-        out[:] = _SIGN_TAGS[tag] * c
-    elif tag in ("f4_plus", "f4_minus"):
-        if "killing_gram" not in spec._cache:
-            spec._cache["killing_gram"] = _killing_gram(basis, spec.point)
-        out[:, 3:] = c[:, 3:]
-        out[:, :3] = _SIGN_TAGS[tag] * c[:, :3] @ spec._cache["killing_gram"].T
-    elif tag == "f5":
-        # |x| = R at every node of the sphere
-        out[:] = (basis.grid.R - 1.0) * c
-        out[:, :3] = -c[:, :3]
-    elif tag == "constant_killing":
-        out[:, :3] = spec.c * basis.l1_map[spec.axis]
-    else:
-        raise ParameterError(f"unknown forcing tag {tag!r}")
+    out = spec.s * c
+    out[:, :3] = c[:, :3] @ spec.K.T
+    out += spec.f(c.shape[1])
     return out
 
 
@@ -222,8 +198,6 @@ def hypothesis_check(spec, n_samples, seed):
     if n_samples < 10:
         raise ParameterError("need at least 10 samples")
     grid = spec.basis.grid
-    if grid.kind != SPHERE:
-        raise ParameterError("hypothesis sampling is sphere-only")
     L = min(8, max(2, int(grid.max_degree * 2 // 3)))
     tr = get_transform(grid, L)
     tol = 1e-8

@@ -25,11 +25,12 @@ import numpy as np
 from . import __version__
 from .errors import CheckpointError, ConfigError, DivergenceError, ParameterError
 from . import geometry as geo
+from .diagnostics import fit_decay_rate
 from .forcing import TAGS, make_catalog_forcing
 from .harmonics import SpectralState, get_transform, random_band_limited
 from .killing import killing_basis
 from .operators import assemble_stokes
-from .timestepper import StepperConfig, run as run_simulation, run_batch
+from .timestepper import StepperConfig, run, run_batch
 
 # ---------------------------------------------------------------------------
 # configuration schema
@@ -469,7 +470,12 @@ AGGREGATE_FIELDS = ("norm_u", "norm_uK", "norm_uNK", "energy",
 
 @dataclass
 class EnsembleResult:
-    """Per-member diagnostics plus max/min/mean of each scalar per sample."""
+    """Per-member diagnostics plus max/min/mean of each scalar per sample.
+
+    ``members`` holds the index of each completed member, in the order of
+    ``member_records``; the diverged indices are in ``diverged``.
+    """
+    members: list
     member_records: list
     times: np.ndarray
     aggregates: dict            # field -> {"max": ..., "min": ..., "mean": ...}
@@ -492,7 +498,6 @@ def run_ensemble(cfg, ctx=None, n_members=None):
     A diverged member is frozen and reported by index while the others
     continue; aggregation covers the completed members.
     """
-    from .diagnostics import fit_decay_rate
     ctx = ctx if ctx is not None else build_context(cfg)
     n = n_members if n_members is not None else cfg["ensemble.members"]
     if n < 2:
@@ -501,8 +506,8 @@ def run_ensemble(cfg, ctx=None, n_members=None):
               for k in range(n)]
     trajectories, diverged = run_batch(stepper_config(cfg), ctx.grid, ctx.form,
                                        ctx.fspec, states)
-    member_records = [recs for k, (_, recs) in enumerate(trajectories)
-                      if k not in diverged]
+    members = [k for k in range(n) if k not in diverged]
+    member_records = [trajectories[k][1] for k in members]
     if not member_records:
         raise DivergenceError("all ensemble members diverged")
     times = np.array([rec.t for rec in member_records[0]])
@@ -524,16 +529,16 @@ def run_ensemble(cfg, ctx=None, n_members=None):
         hit = np.where(nk_max <= radius_val)[0]
         return float(times[hit[0]]) if hit.size else float("inf")
 
-    return EnsembleResult(member_records, times, aggregates, float(omega_hat),
-                          first_entry(radius), radius, first_entry(radius_r),
-                          radius_r, sorted(diverged))
+    return EnsembleResult(members, member_records, times, aggregates,
+                          float(omega_hat), first_entry(radius), radius,
+                          first_entry(radius_r), radius_r, sorted(diverged))
 
 
 def write_ensemble(out_dir, name, ens, n_alpha):
     """Write each member's ``<name>_memberKK.csv`` and the aggregate
     ``<name>_ensemble.csv`` into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    for k, recs in enumerate(ens.member_records):
+    for k, recs in zip(ens.members, ens.member_records):
         write_csv(os.path.join(out_dir, f"{name}_member{k:02d}.csv"), recs, n_alpha)
     cols = ["t"]
     for field_name in AGGREGATE_FIELDS:
@@ -569,7 +574,7 @@ def execute_scenario(scenario, out_dir=None, seed=None, quiet=False):
             "config error at 'geometry.kind': time evolution is sphere-only")
     if scenario.kind == "single":
         scfg = stepper_config(cfg)
-        ctx.samples, ctx.records = run_simulation(
+        ctx.samples, ctx.records = run(
             scfg, ctx.grid, ctx.form, ctx.fspec, ctx.u0)
     elif scenario.kind in ("pair", "gaps"):
         _run_offsets(cfg, ctx, scenario.kind)

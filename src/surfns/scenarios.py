@@ -15,7 +15,7 @@ from . import geometry as geo
 from .diagnostics import (check_killing_identity, check_monotonicity,
                           continuous_dependence_ratio, fit_decay_rate,
                           lambda_series)
-from .harmonics import SpectralState, get_transform
+from .harmonics import SpectralState, get_transform, random_band_limited
 from .harness import CheckResult, Scenario, default_config, execute_scenario
 from .killing import korn_constant
 
@@ -231,7 +231,6 @@ def chk_korn_convergence(ctx):
                   detail=f"C_P = {res_hi.c_p:.8f}")]
     tr = get_transform(ctx.grid, L)
     worst = 0.0
-    from .harmonics import random_band_limited
     for i in range(30):
         s = random_band_limited(tr, 9000 + i, norm_killing=0.0)
         v = tr.synthesize(s)

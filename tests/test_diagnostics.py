@@ -1,6 +1,8 @@
 """Diagnostics: records, decay fits, Killing identities, monotonicity,
 dependence ratios, and the backward-uniqueness quotient."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from surfns.diagnostics import (check_killing_identity, check_monotonicity,
 from surfns.errors import ParameterError
 from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import SpectralState, random_band_limited
-from surfns.killing import killing_basis
+from surfns.killing import killing_basis, killing_coefficients
 from surfns.operators import assemble_stokes
 from surfns.timestepper import SimState, StepperConfig, run, step_imex
 
@@ -165,6 +167,34 @@ def test_killing_identity_conservation(sphere8, form1, kb, tr8):
     rep = check_killing_identity(records, spec)
     assert rep.fk_norm <= 1e-10
     assert rep.drift <= 1e-10
+
+
+def test_killing_identity_needs_u_independent_killing_part(kb, tr8):
+    series = [SimpleNamespace(t=0.1 * i, alpha=np.zeros(3)) for i in range(3)]
+    params = {"g": tr8.toroidal_basis_field(2, 0), "v": tr8.toroidal_basis_field(2, 1),
+              "p": np.array([0.0, 0.0, 1.0])}
+    for tag in ("f2_plus", "f2_minus", "f3_plus", "f3_minus", "f4_plus",
+                "f4_minus", "f5"):
+        with pytest.raises(ParameterError, match="u-independent"):
+            check_killing_identity(series, make_catalog_forcing(tag, params, kb))
+    for tag in ("zero", "constant_field", "constant_killing"):
+        rep = check_killing_identity(series, make_catalog_forcing(tag, params, kb))
+        assert np.isfinite(rep.fk_norm)
+
+
+def test_killing_identity_reads_f_k_of_a_constant_field(sphere8, kb, tr8, rotation_field):
+    # g has a degree-1 part, so f_K from its coefficients must match the
+    # nodal Killing coordinates
+    g = geo.TangentialField(sphere8, tr8.toroidal_basis_field(3, 1).comps
+                            + 0.7 * rotation_field(sphere8, 2).comps
+                            - 0.4 * rotation_field(sphere8, 0).comps)
+    fk = killing_coefficients(kb, g)
+    a0 = np.array([0.2, -0.1, 0.3])
+    series = [SimpleNamespace(t=t, alpha=a0 + t * fk) for t in (0.0, 0.5, 1.0)]
+    rep = check_killing_identity(series, make_catalog_forcing("constant_field", {"g": g}, kb))
+    assert np.linalg.norm(fk) > 0.5
+    assert abs(rep.fk_norm - np.linalg.norm(fk)) <= 1e-12
+    assert rep.affine_law_dev <= 1e-12
 
 
 def test_monotonicity_f3(sphere8, form1, kb):

@@ -5,8 +5,9 @@ import pytest
 
 from surfns import geometry as geo
 from surfns.errors import ParameterError
-from surfns.forcing import apply_forcing, hypothesis_check, make_catalog_forcing
-from surfns.harmonics import SpectralState, get_transform, random_band_limited
+from surfns.forcing import (TAGS, apply_forcing, hypothesis_check,
+                            make_catalog_forcing)
+from surfns.harmonics import SpectralState, get_transform, n_modes, random_band_limited
 from surfns.killing import killing_basis, pk_project
 
 
@@ -171,3 +172,37 @@ def test_f4_f5_match_nodal_routes(sphere8, sphere8_r2):
                 expected[:3] = sign * kb.l1_map.T @ beta
                 out = _apply(make_catalog_forcing(tag, {"p": p}, kb), s)
                 assert np.abs(out.coeffs - expected).max() <= 1e-13
+
+
+def _catalog(grid):
+    """Every catalog tag on ``grid``, each with the parameters it reads."""
+    kb = killing_basis(grid)
+    tr = get_transform(grid, 8)
+    g = geo.TangentialField(grid, tr.toroidal_basis_field(3, 0).comps
+                            + 0.5 * tr.toroidal_basis_field(1, 1).comps)
+    params = {"g": g, "v": tr.toroidal_basis_field(2, 1), "c": 2.0, "axis": 1,
+              "p": grid.R * np.array([1.0, 2.0, 2.0]) / 3.0}
+    return [make_catalog_forcing(tag, params, kb) for tag in TAGS]
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0])
+def test_every_tag_is_its_affine_map(sphere8, sphere8_r2, R):
+    # F(a x + (1 - a) y) = a F(x) + (1 - a) F(y), and F(c) - F(0) is K c on
+    # the Killing rows and s c on the others
+    rng = np.random.default_rng(23)
+    a = 0.3
+    for spec in _catalog(sphere8 if R == 1.0 else sphere8_r2):
+        x, y = rng.standard_normal((2, 3, n_modes(8)))
+        fx, fy = apply_forcing(spec, x), apply_forcing(spec, y)
+        mixed = apply_forcing(spec, a * x + (1 - a) * y)
+        assert np.abs(mixed - (a * fx + (1 - a) * fy)).max() <= 1e-13, spec.tag
+        lin = fx - apply_forcing(spec, np.zeros((1, n_modes(8))))
+        assert np.abs(lin[:, :3] - x[:, :3] @ spec.K.T).max() <= 1e-13, spec.tag
+        assert np.abs(lin[:, 3:] - spec.s * x[:, 3:]).max() <= 1e-13, spec.tag
+
+
+def test_catalog_forcing_is_sphere_only(torus64):
+    kb = killing_basis(torus64)
+    for tag in TAGS:
+        with pytest.raises(ParameterError, match="sphere-only"):
+            make_catalog_forcing(tag, {}, kb)

@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfns import cli
+from surfns import cli, harness
 from surfns import geometry as geo
 from surfns.errors import CheckpointError, ConfigError
 from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import SpectralState, random_band_limited
 from surfns.harness import (_run_offsets, build_context, config_hash,
                             config_text, default_config, load_checkpoint,
-                            parse_config_text, records_to_csv, run_ensemble,
-                            save_checkpoint, stepper_config)
+                            member_seed, parse_config_text, records_to_csv,
+                            run_ensemble, save_checkpoint, stepper_config,
+                            write_ensemble)
 from surfns.killing import killing_basis
 from surfns.operators import assemble_stokes
 from surfns.scenarios import get_scenario, list_scenarios, run_scenario
@@ -224,8 +225,33 @@ def test_ensemble_aggregates(sphere8):
     assert np.isfinite(ens.entry_time)
 
 
+def test_ensemble_members_keep_their_index_after_a_divergence(tmp_path, monkeypatch):
+    cfg = default_config()
+    cfg.update({"geometry.L": 8, "init.kind": "random", "run.t_end": 0.5,
+                "run.stride": 25, "ensemble.members": 3})
+    build = harness.build_initial_state
+
+    def member_one_diverges(cfg, grid, seed=None):
+        s = build(cfg, grid, seed=seed)
+        if seed == member_seed(cfg["seed"], 1):
+            s.coeffs *= 1e100
+        return s
+
+    monkeypatch.setattr(harness, "build_initial_state", member_one_diverges)
+    ctx = build_context(cfg)
+    ens = run_ensemble(cfg, ctx=ctx)
+    assert ens.diverged == [1] and ens.members == [0, 2]
+    write_ensemble(str(tmp_path), "ens", ens, ctx.basis.n)
+    assert not (tmp_path / "ens_member01.csv").exists()
+    _, solo = run_simulation(stepper_config(cfg), ctx.grid, ctx.form, ctx.fspec,
+                             build(cfg, ctx.grid, seed=member_seed(cfg["seed"], 2)))
+    written = np.loadtxt(tmp_path / "ens_member02.csv", delimiter=",", skiprows=1)
+    expected = np.loadtxt(records_to_csv(solo, ctx.basis.n).splitlines()[1:],
+                          delimiter=",")
+    np.testing.assert_allclose(written, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_ensemble_seeds_are_member_specific():
-    from surfns.harness import member_seed
     seeds = [member_seed(1234, k) for k in range(8)]
     assert len(set(seeds)) == 8
 
