@@ -17,8 +17,8 @@ poles, which Gauss-Legendre abscissas guarantee.
 import numpy as np
 
 
-def plm_tables(lmax, x, nderiv=1):
-    """Tabulate p_lm and its first ``nderiv`` colatitude derivatives.
+def plm_tables(lmax, x):
+    """Tabulate p_lm and its first two colatitude derivatives.
 
     Parameters
     ----------
@@ -26,59 +26,44 @@ def plm_tables(lmax, x, nderiv=1):
         Highest degree tabulated.
     x : array
         Abscissas cos(theta), all strictly inside (-1, 1).
-    nderiv : int
-        0 -> values only, 1 -> add d/dtheta, 2 -> add d^2/dtheta^2.
 
     Returns
     -------
-    tuple of dicts
-        Each dict maps order m to an array of shape (lmax - m + 1, len(x))
-        whose row l - m holds degree l.  Returns (P,), (P, dP) or
-        (P, dP, d2P) depending on ``nderiv``.
+    array, shape (3, lmax + 1, lmax + 1, len(x))
+        Entry [t, m, l] holds p_lm (t = 0), dp_lm/dtheta (t = 1) and
+        d^2p_lm/dtheta^2 (t = 2) of order m and degree l; zero for l < m.
+        Unpacks as ``P, dP, d2P``.
     """
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= 1.0):
         raise ValueError("abscissas must lie strictly inside (-1, 1)")
     s = np.sqrt(1.0 - x * x)
-    P = {m: np.zeros((lmax - m + 1, x.size)) for m in range(lmax + 1)}
+    out = np.zeros((3, lmax + 1, lmax + 1, x.size))
+    P, dP, d2P = out
 
     pmm = np.full(x.size, np.sqrt(1.0 / (4.0 * np.pi)))
     for m in range(lmax + 1):
         if m > 0:
             pmm = pmm * s * np.sqrt((2.0 * m + 1.0) / (2.0 * m))
-        P[m][0] = pmm
+        P[m, m] = pmm
         if m + 1 <= lmax:
-            P[m][1] = np.sqrt(2.0 * m + 3.0) * x * pmm
-        for l in range(m + 2, lmax + 1):
-            ll, mm = float(l), float(m)
-            a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
-            b = np.sqrt(
-                (2.0 * ll + 1.0) * (ll - 1.0 + mm) * (ll - 1.0 - mm)
-                / ((2.0 * ll - 3.0) * (ll * ll - mm * mm))
-            )
-            P[m][l - m] = a * x * P[m][l - m - 1] - b * P[m][l - m - 2]
+            P[m, m + 1] = np.sqrt(2.0 * m + 3.0) * x * pmm
+    # degree l from l - 1 and l - 2, at every order m <= l - 2 at once
+    for l in range(2, lmax + 1):
+        ll, mm = float(l), np.arange(l - 1.0)[:, None]
+        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
+        b = np.sqrt((2.0 * ll + 1.0) * (ll - 1.0 + mm) * (ll - 1.0 - mm)
+                    / ((2.0 * ll - 3.0) * (ll * ll - mm * mm)))
+        P[:l - 1, l] = a * x * P[:l - 1, l - 1] - b * P[:l - 1, l - 2]
 
-    if nderiv == 0:
-        return (P,)
-
-    # sin(theta) dp_lm/dtheta = l x p_lm - eps_lm p_{l-1,m}
-    dP = {m: np.zeros_like(P[m]) for m in range(lmax + 1)}
-    for m in range(lmax + 1):
-        for l in range(m, lmax + 1):
-            ll, mm = float(l), float(m)
-            acc = ll * x * P[m][l - m]
-            if l > m:
-                eps = np.sqrt((ll * ll - mm * mm) * (2.0 * ll + 1.0) / (2.0 * ll - 1.0))
-                acc = acc - eps * P[m][l - m - 1]
-            dP[m][l - m] = acc / s
-    if nderiv == 1:
-        return P, dP
+    m = np.arange(lmax + 1.0)[:, None, None]
+    l = np.arange(lmax + 1.0)[:, None]
+    # sin(theta) dp_lm/dtheta = l x p_lm - eps_lm p_{l-1,m}, eps_lm = 0 for l <= m
+    eps = np.sqrt(np.where(l > m, (l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0), 0.0))
+    np.multiply(l * x, P, out=dP)
+    dP[:, 1:] -= eps[:, 1:] * P[:, :-1]
+    dP /= s
 
     # Legendre ODE: p'' = -cot(theta) p' - (l(l+1) - m^2/sin^2) p
-    d2P = {m: np.zeros_like(P[m]) for m in range(lmax + 1)}
-    cot = x / s
-    for m in range(lmax + 1):
-        for l in range(m, lmax + 1):
-            ll, mm = float(l), float(m)
-            d2P[m][l - m] = -cot * dP[m][l - m] - (ll * (ll + 1.0) - mm * mm / (s * s)) * P[m][l - m]
-    return P, dP, d2P
+    np.subtract(-(x / s) * dP, (l * (l + 1.0) - m * m / (s * s)) * P, out=d2P)
+    return out

@@ -1,16 +1,15 @@
 """Command-line interface.
 
 Subcommands: run, scenario, scenarios, spectrum, korn, decompose, ensemble.
-Exit codes: 0 pass, 1 check failure, 2 usage or config error, 3 runtime
-divergence.  --threads (and SURFNS_THREADS) are still accepted but have no
-effect: ensembles, pairs and gap families integrate as one batch.
+Exit codes: 0 pass, 1 check failure, 2 usage, config or file error, 3
+runtime divergence.  --threads (and SURFNS_THREADS) are still accepted but
+have no effect: ensembles, pairs and gap families integrate as one batch.
 """
 
 import argparse
 import sys
 
-from .errors import (CheckpointError, ConfigError, DivergenceError,
-                     GeometryError, ParameterError)
+from .errors import ConfigError, DivergenceError, GeometryError, ParameterError
 from . import geometry as geo
 from .harness import (Scenario, build_context, build_grid, build_viscosity,
                       execute_scenario, load_checkpoint, load_config,
@@ -175,7 +174,8 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ParameterError, GeometryError, CheckpointError) as exc:
+    # OSError covers CheckpointError and unreadable or unwritable paths
+    except (ConfigError, ParameterError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:

@@ -50,10 +50,13 @@ class SurfaceGrid:
         the sphere; poloidal phi / toroidal theta on the torus).
     nodes, weights, normals, e1, e2 : arrays
         Flattened per-node data; weights carry the full area measure.
+    canonical : tuple of arrays
+        The builder's (e1, e2), along which derivatives are taken;
+        ``canonical_frame`` is true exactly when none was passed in.
     """
 
     def __init__(self, kind, R, r, lat, lon, nodes, weights, normals, e1, e2,
-                 glx=None, glw=None, max_degree=None, canonical_frame=True):
+                 glx=None, glw=None, max_degree=None, canonical=None):
         self.kind = kind
         self.R = float(R)
         self.r = float(r)
@@ -69,7 +72,8 @@ class SurfaceGrid:
         self.glx = glx
         self.glw = glw
         self.max_degree = max_degree
-        self.canonical_frame = canonical_frame
+        self.canonical = (e1, e2) if canonical is None else canonical
+        self.canonical_frame = canonical is None
         self.area = float(weights.sum())
         self._caches = {}
 
@@ -86,17 +90,17 @@ class SurfaceGrid:
         """Copy of this grid with (e1, e2) rotated nodewise by ``angles``.
 
         Used to assert frame independence of geometric quantities; the copy
-        is flagged non-canonical so spectral vector transforms refuse it.
+        keeps the builder's frame as ``canonical`` and is flagged
+        non-canonical, so spectral vector transforms refuse it.
         """
         a = np.broadcast_to(np.asarray(angles, dtype=float), (self.n_nodes,))
         c, s = np.cos(a)[:, None], np.sin(a)[:, None]
         e1 = c * self.e1 + s * self.e2
         e2 = -s * self.e1 + c * self.e2
-        g = SurfaceGrid(self.kind, self.R, self.r, self.lat, self.lon,
-                        self.nodes, self.weights, self.normals, e1, e2,
-                        glx=self.glx, glw=self.glw, max_degree=self.max_degree,
-                        canonical_frame=False)
-        return g
+        return SurfaceGrid(self.kind, self.R, self.r, self.lat, self.lon,
+                           self.nodes, self.weights, self.normals, e1, e2,
+                           glx=self.glx, glw=self.glw, max_degree=self.max_degree,
+                           canonical=self.canonical)
 
 
 class TangentialField:
@@ -251,18 +255,13 @@ def tangential_project(grid, v):
 def legendre_tables(grid):
     """p_lm, dp_lm/dtheta and d^2p_lm/dtheta^2 up to the grid's degree.
 
-    Zero-padded array of shape (3, order, degree, n_lat): entry [t, m, l]
-    holds table t of degree l and order m, and is zero for l < m.  Cached
-    on the grid; slices [:, :L+1, :L+1] serve any truncation L.
+    The (3, order, degree, n_lat) array of ``plm_tables`` at the grid's
+    Gauss-Legendre abscissas, cached on the grid; slices
+    [:, :L+1, :L+1] serve any truncation L.
     """
     key = "legendre"
     if key not in grid._caches:
-        M = grid.max_degree
-        out = np.zeros((3, M + 1, M + 1, grid.n_lat))
-        for t, table in enumerate(plm_tables(M, grid.glx, nderiv=2)):
-            for m in range(M + 1):
-                out[t, m, m:] = table[m]
-        grid._caches[key] = out
+        grid._caches[key] = plm_tables(grid.max_degree, grid.glx)
     return grid._caches[key]
 
 
@@ -302,12 +301,10 @@ class SphereEngine:
         # contiguous, so the adjoint's longitude stage stays on BLAS
         self.trig_t = np.ascontiguousarray(self.trig.transpose(0, 2, 1))
         self.weights = weights
-        order, part, degree = [], [], []
-        for l in range(lmin, n_orders):
-            order += [0] + [m for m in range(1, l + 1) for _ in (0, 1)]
-            part += [0] + [0, 1] * l
-            degree += [l] * (2 * l + 1)
-        self.layout = (np.array(order), np.array(part), np.array(degree))
+        degrees = np.arange(lmin, n_orders)
+        degree = np.repeat(degrees, 2 * degrees + 1)
+        j = np.arange(degree.size) - (degree * degree - lmin * lmin)   # place in the block
+        self.layout = ((j + 1) // 2, ((j > 0) & (j % 2 == 0)).astype(int), degree)
 
     def synthesize(self, c, comps=slice(None)):
         """Nodal values (n_comps, k, n_nodes) of a coefficient stack (k, n)."""
@@ -396,34 +393,6 @@ def _torus_directional(grid, f):
 # ---------------------------------------------------------------------------
 # differential operators
 
-def _canonical_frame(grid):
-    """The coordinate frame the spectral tables differentiate along.
-
-    Recomputed from (lat, lon) so it is available even on grids whose
-    stored frame has been rotated.
-    """
-    key = "canon_frame"
-    if key not in grid._caches:
-        if grid.kind == SPHERE:
-            st, ct = np.sin(grid.lat)[:, None], np.cos(grid.lat)[:, None]
-            sp, cp = np.sin(grid.lon)[None, :], np.cos(grid.lon)[None, :]
-            shape = (grid.n_lat, grid.n_lon)
-            c1 = np.stack([ct * cp, ct * sp, np.broadcast_to(-st, shape)],
-                          axis=-1).reshape(-1, 3)
-            c2 = np.stack([np.broadcast_to(-sp, shape), np.broadcast_to(cp, shape),
-                           np.zeros(shape)], axis=-1).reshape(-1, 3)
-        else:
-            cf, sf = np.cos(grid.lat)[:, None], np.sin(grid.lat)[:, None]
-            ct, st = np.cos(grid.lon)[None, :], np.sin(grid.lon)[None, :]
-            shape = (grid.n_lat, grid.n_lon)
-            c1 = np.stack([np.broadcast_to(-st, shape), np.broadcast_to(ct, shape),
-                           np.zeros(shape)], axis=-1).reshape(-1, 3)
-            c2 = np.stack([-sf * ct, -sf * st, np.broadcast_to(cf, shape)],
-                          axis=-1).reshape(-1, 3)
-        grid._caches[key] = (c1, c2)
-    return grid._caches[key]
-
-
 def _directional_derivatives(grid, f):
     """Derivatives of nodal scalars (..., n_nodes) along the canonical frame
     directions: (..., 2, n_nodes)."""
@@ -442,7 +411,7 @@ def surface_gradient(grid, p):
         raise GridMismatchError("scalar field must have one value per node")
     g = _directional_derivatives(grid, p)
     if not grid.canonical_frame:
-        c1, c2 = _canonical_frame(grid)
+        c1, c2 = grid.canonical
         return tangential_project(grid, g[0][:, None] * c1 + g[1][:, None] * c2)
     return TangentialField(grid, g.T)
 
@@ -460,7 +429,7 @@ def covariant_derivatives(grid, comps):
     amb = np.einsum("kan,acn->kcn", comps, frame)      # ambient, frame independent
     D = _directional_derivatives(grid, amb)            # (k, 3, 2, n): comp x canonical dir
     if not grid.canonical_frame:
-        c1, c2 = _canonical_frame(grid)
+        c1, c2 = grid.canonical
         # rotate the direction index into this grid's frame
         rot = np.einsum("anc,bnc->abn", frame.transpose(0, 2, 1), np.stack([c1, c2]))
         D = np.einsum("jan,kcan->kcjn", rot, D)

@@ -53,11 +53,6 @@ def n_modes(L):
     return L * (L + 2)
 
 
-def block_slice(l):
-    """Coefficient slice of degree l."""
-    return slice(l * l - 1, (l + 1) * (l + 1) - 1)
-
-
 def mode_index(L, l, m):
     """Flat index of mode (l, m); m < 0 addresses the sine partner of |m|."""
     if not (1 <= l <= L) or abs(m) > l:
@@ -137,9 +132,10 @@ class SphereTransform:
     Holds only the latitude profiles of the toroidal field, (A, B), and of
     its closed-form covariant derivative, (dA, mixTF, dB, mixFF), for every
     order and degree up to L: O(L^3) memory, and O(L^3) work per transform
-    (see ``geometry.SphereEngine``).  Immutable after construction;
-    transforms are pure functions of their inputs and safe to call
-    concurrently.
+    (see ``geometry.SphereEngine``).  ``mode_l`` and ``mode_m`` give the
+    degree and signed order (< 0 for a sine) of each flat index, read off
+    the engine's layout.  Immutable after construction; transforms are pure
+    functions of their inputs and safe to call concurrently.
     """
 
     FIELD = slice(0, 2)     # u_theta, u_phi
@@ -156,18 +152,10 @@ class SphereTransform:
         self.grid = grid
         self.L = int(L)
         self.n_modes = n_modes(self.L)
-        self.dealiased = grid.max_degree >= dealias_rule(self.L).degree
-
-        self.mode_l = np.zeros(self.n_modes, dtype=int)
-        self.mode_m = np.zeros(self.n_modes, dtype=int)   # signed: <0 means sine
-        for l in range(1, self.L + 1):
-            for m in range(-l, l + 1):
-                k = mode_index(self.L, l, m)
-                self.mode_l[k] = l
-                self.mode_m[k] = m
-
         self.engine = SphereEngine(grid, 1, self._profiles(),
                                    (True, False, True, False, False, True), grid.weights)
+        order, part, self.mode_l = self.engine.layout
+        self.mode_m = np.where(part, -order, order)
         self._grad_norm2 = None
 
     def _profiles(self):
@@ -302,8 +290,7 @@ def random_band_limited(transform, seed, l_max=None, spectrum=None,
     c = np.zeros(n_modes(L))
     for l in range(1, l_max + 1):
         sd = spectrum(l) if spectrum is not None else 1.0 / l ** 2
-        sl = block_slice(l)
-        c[sl] = rng.normal(0.0, sd, 2 * l + 1)
+        c[transform.mode_l == l] = rng.normal(0.0, sd, 2 * l + 1)
     state = SpectralState(L, c)
     if norm_killing is not None:
         cur = state.killing_norm()

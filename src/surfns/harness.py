@@ -210,7 +210,6 @@ class RunContext:
     cfg: dict
     grid: object
     basis: object
-    nu: object = None
     form: object = None
     fspec: object = None
     u0: object = None
@@ -218,7 +217,6 @@ class RunContext:
     records: list = None
     pair: dict = field(default_factory=dict)
     ensemble: object = None
-    extra: dict = field(default_factory=dict)
 
 
 def build_grid(cfg):
@@ -278,8 +276,7 @@ def build_context(cfg):
     basis = killing_basis(grid)
     ctx = RunContext(cfg, grid, basis)
     if grid.kind == "sphere":
-        ctx.nu = build_viscosity(cfg, grid)
-        ctx.form = assemble_stokes(grid, ctx.nu, cfg["geometry.L"])
+        ctx.form = assemble_stokes(grid, build_viscosity(cfg, grid), cfg["geometry.L"])
         ctx.fspec = build_forcing(cfg, grid, basis)
         ctx.u0 = build_initial_state(cfg, grid)
     return ctx
@@ -332,24 +329,17 @@ class CheckpointMeta:
     time: float
 
 
-def _pair_order(L):
-    for l in range(1, L + 1):
-        for m in range(0, l + 1):
-            yield l, m
-
-
 def save_checkpoint(state, grid, path):
-    """Serialize a SpectralState on ``grid`` with header and trailing CRC32."""
+    """Serialize a SpectralState on ``grid`` with header and trailing CRC32.
+
+    The payload is one (cos, sin) pair per (l, m), m = 0..l: the flat
+    coefficient layout with a zero sine after each (l, 0).
+    """
     L = state.L
-    pairs = []
-    for l, m in _pair_order(L):
-        a_cos = state.get(l, m)
-        a_sin = state.get(l, -m) if m > 0 else 0.0
-        pairs.extend((a_cos, a_sin))
-    n_pairs = len(pairs) // 2
+    pairs = np.insert(state.coeffs, np.arange(1, L + 1) ** 2, 0.0)
     head = _HEADER.pack(_MAGIC, _VERSION, _KIND_CODE[grid.kind], L,
-                        grid.R, grid.r, state.t, n_pairs)
-    payload = struct.pack(f"<{len(pairs)}d", *pairs)
+                        grid.R, grid.r, state.t, pairs.size // 2)
+    payload = pairs.astype("<f8").tobytes()
     crc = zlib.crc32(head + payload) & 0xFFFFFFFF
     with open(path, "wb") as fh:
         fh.write(head + payload + struct.pack("<I", crc))
@@ -361,8 +351,11 @@ def load_checkpoint(path):
     Only the coefficients and the time are stored: a run resumed from the
     state starts a new energy ledger and re-runs its bootstrap step.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
     if len(blob) < _HEADER.size + 4:
         raise CheckpointError("truncated checkpoint: missing header")
     head = blob[:_HEADER.size]
@@ -386,12 +379,9 @@ def load_checkpoint(path):
             f"inconsistent header: {n_pairs} coefficient pairs for L={L}")
     if not (np.isfinite(R) and R > 0 and np.isfinite(r) and r >= 0):
         raise CheckpointError(f"invalid radii in header: R={R}, r={r}")
-    vals = struct.unpack(f"<{2 * n_pairs}d", blob[_HEADER.size:-4])
-    state = SpectralState(L, t=t)
-    for idx, (l, m) in enumerate(_pair_order(L)):
-        state.set(l, m, vals[2 * idx])
-        if m > 0:
-            state.set(l, -m, vals[2 * idx + 1])
+    vals = np.frombuffer(blob[_HEADER.size:-4], dtype="<f8")
+    l = np.arange(1, L + 1)
+    state = SpectralState(L, np.delete(vals, l * (l + 1) - 1), t=t)
     meta = CheckpointMeta(_KIND_NAME[kind_code], L, R, r, t)
     return meta, state
 
@@ -624,7 +614,6 @@ def _run_offsets(cfg, ctx, kind):
         if len(gaps) < 2:
             raise ConfigError("config error at 'pair.gaps': need at least two gaps")
         labels = ("base",) + tuple(f"gap{i}" for i in range(len(gaps)))
-        ctx.extra["gaps"] = tuple(gaps)
     pert = random_band_limited(
         get_transform(ctx.grid, cfg["geometry.L"]), cfg["seed"] + cfg["pair.seed_offset"],
         l_max=cfg["init.l_max"] or None,

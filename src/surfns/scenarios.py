@@ -130,7 +130,7 @@ def chk_gap_spread(ctx):
     T = ctx.cfg["run.t_end"]
     base, _ = ctx.pair["base"]
     ratios = []
-    for i in range(len(ctx.extra["gaps"])):
+    for i in range(len(ctx.cfg["pair.gaps"])):
         other, _ = ctx.pair[f"gap{i}"]
         rep = continuous_dependence_ratio(base, other, T, ctx.form)
         ratios.append(rep.sup_ratio)

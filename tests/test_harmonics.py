@@ -29,6 +29,17 @@ def test_mode_layout():
         mode_index(8, 9, 0)
 
 
+def test_transform_mode_labels_match_mode_index():
+    grid = geo.build_sphere_grid(12, 1.0)
+    for L in range(1, 13):
+        tr = get_transform(grid, L)
+        assert tr.mode_l.size == tr.mode_m.size == n_modes(L)
+        for l in range(1, L + 1):
+            for m in range(-l, l + 1):
+                k = mode_index(L, l, m)
+                assert (tr.mode_l[k], tr.mode_m[k]) == (l, m)
+
+
 def test_basis_orthonormality_low_degrees(sphere8, tr8):
     k = n_modes(4)
     basis = np.stack([tr8.synthesize(SpectralState(8, e)).comps

@@ -16,7 +16,8 @@ from surfns import cli, harness
 from surfns import geometry as geo
 from surfns.errors import CheckpointError, ConfigError
 from surfns.forcing import make_catalog_forcing
-from surfns.harmonics import SpectralState, random_band_limited
+from surfns.harmonics import (SpectralState, mode_index, n_modes,
+                              random_band_limited)
 from surfns.harness import (_run_offsets, build_context, config_hash,
                             config_text, default_config, load_checkpoint,
                             member_seed, parse_config_text, records_to_csv,
@@ -137,6 +138,24 @@ def test_checkpoint_version_detected(sphere8, tr8, tmp_path):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_payload_follows_the_documented_pair_order(sphere8, tmp_path):
+    # one (cos, sin) pair per (l, m), l = 1..L, m = 0..l, sin = 0 for m = 0;
+    # a round trip alone cannot see a save/load pair that agree on another order
+    L = 3
+    s = SpectralState(L, np.arange(1.0, n_modes(L) + 1))
+    path = tmp_path / "state.snsk"
+    save_checkpoint(s, sphere8, str(path))
+    expected = []
+    for l in range(1, L + 1):
+        for m in range(l + 1):
+            expected += [s.coeffs[mode_index(L, l, m)],
+                         s.coeffs[mode_index(L, l, -m)] if m > 0 else 0.0]
+    blob = path.read_bytes()
+    head = struct.calcsize("<4sIBIdddI")
+    assert struct.unpack(f"<{len(expected)}d", blob[head:-4]) == tuple(expected)
+    assert np.array_equal(load_checkpoint(str(path))[1].coeffs, s.coeffs)
 
 
 def test_checkpoint_resume_determinism(sphere8, tr8, tmp_path):
@@ -355,6 +374,22 @@ def test_cli_decompose_rejects_nan_radius(tmp_path, sphere8, tr8, capsys):
     _forge_header(path, R=float("nan"))
     assert cli.main(["decompose", str(path)]) == 2
     assert "R=nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.snsk", "."])
+def test_cli_decompose_unreadable_path_is_a_usage_error(tmp_path, capsys, name):
+    assert cli.main(["decompose", str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(["--out", str(out), "--quiet",
+                     "scenario", "killing_equilibrium"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_scenario_pass(tmp_path):
