@@ -7,6 +7,7 @@ have no effect: ensembles, pairs and gap families integrate as one batch.
 """
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, DivergenceError, GeometryError, ParameterError
@@ -149,6 +150,8 @@ def _cmd_ensemble(args):
     if args.seed is not None:
         cfg["seed"] = args.seed
     name = cfg["scenario.name"] or "ensemble"
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     ctx = build_context(cfg)
     ens = run_ensemble(cfg, ctx=ctx, n_members=args.members)
     if not args.quiet:

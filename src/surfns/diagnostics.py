@@ -127,7 +127,7 @@ def check_killing_identity(series, spec):
         raise ParameterError(
             "identity check needs forcing with u-independent Killing part")
     # f_K: the Killing coordinates of F(0)'s degree-1 rows
-    fk = spec.basis.alpha(spec.f(3))
+    fk = spec.basis.alpha(spec.f[:3])
     fk_norm = float(np.linalg.norm(fk))
 
     t0 = series[0].t
@@ -152,15 +152,15 @@ class MonotonicityReport:
     worst: float
 
 
-def check_monotonicity(series, direction, slack=1e-10):
-    """Assert ||u_K(t)|| is monotone across samples within a small slack."""
+def check_monotonicity(series, direction):
+    """Assert ||u_K(t)|| is monotone across samples within 1e-10 max(1, max_t ||u_K||)."""
     if direction not in ("nonincreasing", "nondecreasing"):
         raise ParameterError("direction must be nonincreasing or nondecreasing")
     sign = -1.0 if direction == "nonincreasing" else 1.0
     vals = np.array([r.norm_uK for r in series])
     times = np.array([r.t for r in series])
     steps = sign * np.diff(vals)
-    tol = slack * max(1.0, vals.max())
+    tol = 1e-10 * max(1.0, vals.max())
     bad = np.where(steps < -tol)[0]
     if bad.size == 0:
         return MonotonicityReport(direction, True, np.nan,
@@ -181,30 +181,26 @@ def continuous_dependence_ratio(traj_a, traj_b, T, form=None):
     """sup_{[0,T]} ||u1 - u2||^2 / ||u1(0) - u2(0)||^2 plus the strain-gap
     integral 2 nu_* int ||eps(u1 - u2)||^2 dt.
 
-    Trajectories are matching lists of coefficient states sampled at the
-    same times.  Identical initial data is an error (undefined ratio).
+    Each trajectory is a (samples, records) pair as ``run`` returns it: the
+    coefficient rows and their records, sampled at the same times, which
+    are read from ``traj_a``'s records.  Identical initial data is an error
+    (undefined ratio).
     """
-    if len(traj_a) != len(traj_b):
+    (samples_a, records), (samples_b, _) = traj_a, traj_b
+    if len(samples_a) != len(samples_b):
         raise ParameterError("trajectories must share their sample times")
-    d0 = float(np.linalg.norm(traj_a[0].coeffs - traj_b[0].coeffs))
+    d = np.subtract(samples_a, samples_b)
+    d0 = float(np.linalg.norm(d[0]))
     if d0 < NORM_FLOOR:
         raise ParameterError("identical initial data: dependence ratio undefined")
-    sup = 0.0
-    ts, eps2 = [], []
-    half_D = None if form is None else 0.5 * form.D
-    for sa, sb in zip(traj_a, traj_b):
-        if sa.t > T + 1e-12:
-            break
-        d = sa.coeffs - sb.coeffs
-        sup = max(sup, float(d @ d))
-        ts.append(sa.t)
-        if half_D is not None:
-            eps2.append(float(np.dot(half_D, d * d)))
+    ts = np.array([r.t for r in records])
+    window = ts <= T + 1e-12
+    d, ts = d[window], ts[window]
+    sup = float(np.einsum("kn,kn->k", d, d).max(initial=0.0))
     diss = 0.0
-    if form is not None and len(ts) > 1:
-        ts_a = np.asarray(ts)
-        ys_a = np.asarray(eps2)
-        trap = float(np.sum(0.5 * np.diff(ts_a) * (ys_a[1:] + ys_a[:-1])))
+    if form is not None and ts.size > 1:
+        eps2 = (d * d) @ (0.5 * form.D)
+        trap = float(np.sum(0.5 * np.diff(ts) * (eps2[1:] + eps2[:-1])))
         diss = 2.0 * form.nu_min * trap
     return DependenceReport(sup / d0 ** 2, diss, (sup + diss) / d0 ** 2, d0)
 
@@ -220,26 +216,24 @@ class LambdaReport:
     affine_residual: float      # rms residual / spread of L
 
 
-def lambda_series(diff_states, form):
-    """Lambda(t) and L(t) along a difference trajectory.
+def lambda_series(times, diffs, form):
+    """Lambda(t) and L(t) along a difference trajectory: the coefficient
+    rows ``diffs`` sampled at ``times``.
 
     Stops at the first sample with ||u|| < 1e-13 and reports the truncation
     point; otherwise fits L affinely and reports the relative residual (the
     bounded-growth structure dL/dt <= C + C Lambda).
     """
-    ts, lams, logs = [], [], []
-    truncated = np.nan
-    for s in diff_states:
-        nrm = float(np.linalg.norm(s.coeffs))
-        if nrm < NORM_FLOOR:
-            truncated = s.t
-            break
-        ts.append(s.t)
-        lams.append(form.quad_form(s.coeffs) / nrm ** 2)
-        logs.append(-np.log(nrm))
-    ts = np.asarray(ts)
-    lams = np.asarray(lams)
-    logs = np.asarray(logs)
+    times = np.asarray(times, dtype=float)
+    diffs = np.asarray(diffs, dtype=float)
+    nrm = np.linalg.norm(diffs, axis=1)
+    vanished = np.flatnonzero(nrm < NORM_FLOOR)
+    n = vanished[0] if vanished.size else nrm.size
+    truncated = float(times[n]) if vanished.size else np.nan
+    ts, d, nrm = times[:n], diffs[:n], nrm[:n]
+    # StokesForm.apply needs at least one row
+    lams = np.einsum("kn,kn->k", d, form.apply(d)) / nrm ** 2 if n else np.zeros(0)
+    logs = -np.log(nrm)
     if ts.size < 2:
         return LambdaReport(ts, lams, logs, truncated, float("nan"),
                             (np.nan, np.nan), np.nan)

@@ -27,8 +27,6 @@ coefficients (c5, c6).
 reports any sample violating a declared flag.
 """
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +34,7 @@ import numpy as np
 from .errors import ParameterError
 from . import geometry as geo
 from .geometry import SPHERE, TangentialField
-from .harmonics import get_transform, n_modes, random_band_limited
+from .harmonics import get_transform, grid_truncation, n_modes, random_band_limited
 from .killing import pk_project
 
 TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",
@@ -61,16 +59,17 @@ class FlagSet:
 class ForcingSpec:
     """A catalog forcing as its affine map on a coefficient stack c:
 
-        F(c)[:, :3] = c[:, :3] @ K.T + f(n)[:3]    (degree-1 Killing rows)
-        F(c)[:, 3:] = s c[:, 3:] + f(n)[3:]        (all other rows)
+        F(c)[:, :3] = c[:, :3] @ K.T + f[:3]    (degree-1 Killing rows)
+        F(c)[:, 3:] = s c[:, 3:] + f[3:n]       (all other rows, n = c.shape[1])
 
-    ``f(n)`` is F(0) in the n-mode truncation, ``K`` the 3x3 map on the
-    Killing rows and ``s`` the scalar on the others.
+    ``f`` is F(0), analyzed once at the grid's truncation; the flat layout
+    is degree-major, so a lower truncation reads its prefix.  ``K`` is the
+    3x3 map on the Killing rows and ``s`` the scalar on the others.
     """
     tag: str
     basis: object
     flags: FlagSet
-    f: object
+    f: np.ndarray
     K: np.ndarray
     s: float
 
@@ -135,21 +134,11 @@ def make_catalog_forcing(tag, params, basis):
             raise ParameterError(f"Killing axis {j} outside 0..{basis.n - 1}")
         flags = FlagSet(abs(c), 0.0, True, False, False, 0.0, 0.0, True, True)
         killing = c * basis.l1_map[j]
-    return ForcingSpec(tag, basis, flags, _fixed_part(grid, nodal, killing), K, s)
-
-
-def _fixed_part(grid, nodal, killing):
-    """F(0) as n -> its n-mode coefficients: the nodal field ``nodal``
-    analyzed once per truncation, plus ``killing`` on the degree-1 rows."""
-    @functools.cache
-    def f(n):
-        out = np.zeros(n)
-        if nodal is not None:
-            out[:] = get_transform(grid, math.isqrt(n + 1) - 1).analyze(nodal).coeffs
-        if killing is not None:
-            out[:3] += killing
-        return out
-    return f
+    L = grid_truncation(grid)
+    f = np.zeros(n_modes(L)) if nodal is None else get_transform(grid, L).analyze(nodal).coeffs
+    if killing is not None:
+        f[:3] += killing
+    return ForcingSpec(tag, basis, flags, f, K, s)
 
 
 def _killing_gram(basis, point):
@@ -165,9 +154,13 @@ def _killing_gram(basis, point):
 def apply_forcing(spec, c):
     """Coefficients of P_0 f(., u) for every row u of the (k, n_modes)
     coefficient stack ``c``, as a stack of the same shape."""
+    n = c.shape[1]
+    if n > spec.f.size:
+        raise ParameterError(f"a stack of {n} modes is wider than the {spec.f.size} "
+                             "of the forcing's grid truncation")
     out = spec.s * c
     out[:, :3] = c[:, :3] @ spec.K.T
-    out += spec.f(c.shape[1])
+    out += spec.f[:n]
     return out
 
 
@@ -198,7 +191,7 @@ def hypothesis_check(spec, n_samples, seed):
     if n_samples < 10:
         raise ParameterError("need at least 10 samples")
     grid = spec.basis.grid
-    L = min(8, max(2, int(grid.max_degree * 2 // 3)))
+    L = min(8, grid_truncation(grid))
     tr = get_transform(grid, L)
     tol = 1e-8
     violations = []

@@ -165,13 +165,13 @@ class ViscosityField:
             self.grad_inf = float(np.abs(g.comps).max())
 
 
-def build_sphere_grid(L, R, dealias=True):
+def build_sphere_grid(L, R):
     """Sphere grid sized for truncation degree L.
 
     Latitudes are Gauss-Legendre points in cos(theta) (poles excluded),
-    longitudes uniform.  With ``dealias`` the resolved degree follows the
-    3L/2 rule so quadratic nonlinearities of degree-L fields are integrated
-    exactly; weights sum to 4 pi R^2 to rounding.
+    longitudes uniform.  The resolved degree follows the 3L/2 rule so
+    quadratic nonlinearities of degree-L fields are integrated exactly;
+    weights sum to 4 pi R^2 to rounding.
     """
     if int(L) != L or not 2 <= L <= L_MAX:
         raise ParameterError(
@@ -179,7 +179,7 @@ def build_sphere_grid(L, R, dealias=True):
     if not 0 < R < np.inf:
         raise ParameterError(f"radius must be positive and finite, got {R}")
     L = int(L)
-    M = int(np.ceil(3 * L / 2)) if dealias else L
+    M = int(np.ceil(3 * L / 2))
     n_lat = M + 1
     n_lon = 2 * M + 2
 

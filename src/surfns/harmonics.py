@@ -48,6 +48,11 @@ def dealias_rule(L):
     return DealiasRule(M, M + 1, 2 * M + 2)
 
 
+def grid_truncation(grid):
+    """The truncation L a sphere grid was built for: the inverse of ``dealias_rule``."""
+    return 2 * grid.max_degree // 3
+
+
 def n_modes(L):
     """Dimension of the toroidal span up to degree L."""
     return L * (L + 2)
@@ -232,35 +237,26 @@ class SphereTransform:
             return [np.arange(self.n_modes)]
         return [np.flatnonzero(self.mode_m == m) for m in range(-self.L, self.L + 1)]
 
-    def gradient_form(self, weight, parts, return_grad=False):
-        """Blocks of F[j, k] = sum_n weight_n X(Phi_j):X(Phi_k) over a partition.
+    def gradient_form(self, weight, parts):
+        """Blocks of F[j, k] = sum_n weight_n eps(Phi_j):eps(Phi_k) over a partition.
 
-        X is the rate of strain.  Returns (n_parts, size, size): F on each
-        part of ``parts`` (see ``partition``), symmetrized and zero-padded to
-        the largest.  With ``return_grad`` it returns the pair (strain
-        blocks, blocks with X the covariant derivative), both from the same
-        probe syntheses.  Matrix-free, F[:, K] = G^T(weight * X(G e_K)) with
-        G the gradient synthesis, over chunks of probes: probe j sums the
-        j-th unit state of every part, which is exact when F couples no two
-        parts.
+        Returns (n_parts, size, size): F on each part of ``parts`` (see
+        ``partition``), symmetrized and zero-padded to the largest.
+        Matrix-free, F[:, K] = G^T(weight * eps(G e_K)) with G the gradient
+        synthesis, over chunks of probes: probe j sums the j-th unit state of
+        every part, which is exact when F couples no two parts.
         """
         gather, valid = pad_parts(parts)
-        n_forms = 2 if return_grad else 1
-        F = np.empty((n_forms, self.n_modes, gather.shape[1]))
+        F = np.empty((self.n_modes, gather.shape[1]))
         for start in range(0, gather.shape[1], _FORM_CHUNK):
             g, v = gather[:, start:start + _FORM_CHUNK].T, valid[:, start:start + _FORM_CHUNK].T
             probe = np.zeros((g.shape[0], self.n_modes))
             probe[np.nonzero(v)[0], g[v]] = 1.0
             T = self.engine.synthesize(probe, self.GRAD)
-            # (4, n_forms, k, n_nodes): the strain, then the derivative itself
-            X = np.repeat(T[:, None], n_forms, axis=1)
-            X[1, 0] = X[2, 0] = 0.5 * (T[1] + T[2])
-            Z = self.engine.adjoint((X * weight).reshape(4, -1, T.shape[2]), self.GRAD)
-            k = g.shape[0]
-            F[:, :, start:start + k] = Z.reshape(n_forms, k, -1).transpose(0, 2, 1)
-        blocks = F[:, gather] * (valid[:, :, None] & valid[:, None, :])
-        blocks = 0.5 * (blocks + blocks.swapaxes(-1, -2))
-        return (blocks[0], blocks[1]) if return_grad else blocks[0]
+            T[1] = T[2] = 0.5 * (T[1] + T[2])      # the rate of strain
+            F[:, start:start + g.shape[0]] = self.engine.adjoint(T * weight, self.GRAD).T
+        blocks = F[gather] * (valid[:, :, None] & valid[:, None, :])
+        return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
     def h1_norm2(self, state):
         """||u||_{H1}^2 via Parseval plus per-mode gradient energies."""
@@ -275,22 +271,21 @@ def get_transform(grid, L):
     return grid._caches[key]
 
 
-def random_band_limited(transform, seed, l_max=None, spectrum=None,
+def random_band_limited(transform, seed, l_max=None,
                         norm_killing=None, norm_nonkilling=None):
     """Seeded random state with prescribed Killing/non-Killing norms.
 
-    ``spectrum`` maps degree to a standard deviation (default 1/l^2, a smooth
-    profile); modes above ``l_max`` stay zero.  When a block norm is given the
-    corresponding block is rescaled exactly; a requested nonzero norm on an
-    all-zero block is a parameter error.
+    Degree l has standard deviation 1/l^2 (a smooth profile); modes above
+    ``l_max`` stay zero.  When a block norm is given the corresponding block
+    is rescaled exactly; a requested nonzero norm on an all-zero block is a
+    parameter error.
     """
     L = transform.L
     l_max = L if l_max is None else min(l_max, L)
     rng = np.random.default_rng(seed)
     c = np.zeros(n_modes(L))
     for l in range(1, l_max + 1):
-        sd = spectrum(l) if spectrum is not None else 1.0 / l ** 2
-        c[transform.mode_l == l] = rng.normal(0.0, sd, 2 * l + 1)
+        c[transform.mode_l == l] = rng.normal(0.0, 1.0 / l ** 2, 2 * l + 1)
     state = SpectralState(L, c)
     if norm_killing is not None:
         cur = state.killing_norm()

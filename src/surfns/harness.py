@@ -526,8 +526,7 @@ def run_ensemble(cfg, ctx=None, n_members=None):
 
 def write_ensemble(out_dir, name, ens, n_alpha):
     """Write each member's ``<name>_memberKK.csv`` and the aggregate
-    ``<name>_ensemble.csv`` into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
+    ``<name>_ensemble.csv`` into the existing directory ``out_dir``."""
     for k, recs in zip(ens.members, ens.member_records):
         write_csv(os.path.join(out_dir, f"{name}_member{k:02d}.csv"), recs, n_alpha)
     cols = ["t"]
@@ -556,6 +555,8 @@ def execute_scenario(scenario, out_dir=None, seed=None, quiet=False):
     cfg = dict(scenario.config)
     if seed is not None:
         cfg["seed"] = int(seed)
+    if out_dir is not None:     # before any work, so a bad --out fails at once
+        os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     ctx = build_context(cfg)
 
@@ -580,7 +581,6 @@ def execute_scenario(scenario, out_dir=None, seed=None, quiet=False):
     report = RunReport(scenario.name, checks, time.time() - t0, config_hash(cfg))
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         n_alpha = ctx.basis.n
         if ctx.records is not None:
             write_csv(os.path.join(out_dir, f"{scenario.name}.csv"),

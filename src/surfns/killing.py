@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConsistencyError, GridMismatchError, ParameterError
 from . import geometry as geo
 from .geometry import SPHERE, TORUS, TangentialField
-from .harmonics import get_transform, mode_index
+from .harmonics import get_transform
 
 
 class KillingBasis:
@@ -80,7 +80,7 @@ class KornResult:
     """Truncated Korn constant with its convergence diagnostics.
 
     ``c_p`` is the square root of the largest generalized eigenvalue of the
-    H1 form against the strain form on the non-Killing block (all of them,
+    H1 form against the strain form on the non-Killing space (all of them,
     ascending, in ``eigenvalues``); ``per_degree`` maps degree l to the
     Rayleigh quotient ||v||_H1^2 / ||eps(v)||^2 of its modes (sphere only).
     """
@@ -94,16 +94,15 @@ class KornResult:
 def korn_constant(grid, L=None, fourier_cap=8):
     """Estimate C_P with ||v||_H1 <= C_P ||eps(v)|| on non-Killing fields.
 
-    Assembles the H1 and strain quadratic forms on the truncated
-    divergence-free space and solves the generalized symmetric eigenproblem
-    block by block, each by a Cholesky reduction to a symmetric
-    eigenproblem (see ``_korn_eigvals``).  On the sphere the space is the
-    toroidal modes with 2 <= l <= L, one block per signed order m.  On the
-    torus it is a stream-function Fourier family plus the harmonic
-    circulation generators, one block per toroidal wavenumber
-    |jt| <= ``fourier_cap``.  Both splits are exact: the grid is uniform in
-    the angle about the symmetry axis and its quadrature weights do not
-    depend on it, so no form couples two blocks.
+    On the sphere the space is the toroidal modes with 2 <= l <= L; the
+    modes of one degree span a rotation-invariant space, so both forms are
+    diagonal and the eigenvalues are the per-mode quotients
+    (1 + ||grad Phi||^2) / ||eps(Phi)||^2.  On the torus it is a
+    stream-function Fourier family plus the harmonic circulation
+    generators, solved by a Cholesky-reduced generalized eigenproblem
+    (``_korn_eigvals``) per toroidal wavenumber |jt| <= ``fourier_cap``;
+    the split is exact because the grid and its weights are uniform in the
+    toroidal angle, so no form couples two blocks.
     """
     if grid.kind == SPHERE:
         if L is None or not (2 <= L <= geo.L_MAX):
@@ -116,20 +115,16 @@ def korn_constant(grid, L=None, fourier_cap=8):
 
 def _korn_sphere(grid, L):
     tr = get_transform(grid, L)
-    parts = tr.partition(grid.weights)
-    quotient, mu = np.empty(tr.n_modes), []
-    for idx, S, H in zip(parts, *tr.gradient_form(grid.weights, parts, return_grad=True)):
-        # degrees ascend, so the excluded Killing (degree-1) modes come first;
-        # the strain form on them must vanish
-        keep = np.flatnonzero(tr.mode_l[idx] >= 2)
-        if np.abs(S[:idx.size - keep.size]).max(initial=0.0) > 1e-8:
-            raise ConsistencyError(
-                "singular strain form: a Killing mode leaked into the l >= 2 block")
-        S, H = S[np.ix_(keep, keep)], H[np.ix_(keep, keep)] + np.eye(keep.size)
-        quotient[idx[keep]] = np.diag(H) / np.diag(S)
-        mu.append(_korn_eigvals(H, S))
-    mu = np.sort(np.concatenate(mu))
-    per_degree = {l: float(quotient[mode_index(L, l, 0)]) for l in range(2, L + 1)}
+    # every mode of degree l has the strain norm of the zonal mode (l, 0)
+    zonal = np.flatnonzero(tr.mode_m == 0)
+    strain = np.diagonal(tr.gradient_form(grid.weights, [zonal])[0])
+    if abs(strain[0]) > 1e-8:
+        raise ConsistencyError(
+            "singular strain form: a Killing mode leaked into the l >= 2 block")
+    # the non-Killing modes (l >= 2) follow the three of degree 1
+    quotient = (1.0 + tr.grad_norm2[3:]) / strain[tr.mode_l[3:] - 1]
+    mu = np.sort(quotient)
+    per_degree = {l: float(quotient[k - 3]) for l, k in enumerate(zonal[1:], start=2)}
     return KornResult(float(np.sqrt(mu[-1])), per_degree, mu)
 
 

@@ -15,7 +15,7 @@ from . import geometry as geo
 from .diagnostics import (check_killing_identity, check_monotonicity,
                           continuous_dependence_ratio, fit_decay_rate,
                           lambda_series)
-from .harmonics import SpectralState, get_transform, random_band_limited
+from .harmonics import get_transform, mode_index, random_band_limited
 from .harness import CheckResult, Scenario, default_config, execute_scenario
 from .killing import korn_constant
 
@@ -35,18 +35,11 @@ def _check(name, measured, bound, expected, detail=""):
                        expected, float(bound), detail)
 
 
-def _diff_states(ctx, a="a", b="b"):
-    sa, _ = ctx.pair[a]
-    sb, _ = ctx.pair[b]
-    L = sa[0].L
-    return [SpectralState(L, x.coeffs - y.coeffs, x.t) for x, y in zip(sa, sb)]
-
-
 # --- individual checks ------------------------------------------------------
 
 def chk_eigenlaw(ctx):
     lam2 = ctx.form.lam_by_degree[2]
-    final = ctx.samples[-1].get(2, 0)
+    final = ctx.samples[-1][mode_index(ctx.form.L, 2, 0)]
     t_end = ctx.cfg["run.t_end"]
     rel = abs(final - np.exp(-lam2 * t_end)) / np.exp(-lam2 * t_end)
     return _check("eigenlaw_c20", rel, 1e-6, "c20(t) = exp(-lambda_2 t)")
@@ -70,8 +63,7 @@ def chk_decay_rate(window, rtol=1e-3, name="zeta_2lam2"):
 
 
 def chk_trajectory_constant(ctx):
-    drift = max(np.abs(s.coeffs - ctx.samples[0].coeffs).max()
-                for s in ctx.samples)
+    drift = np.abs(np.subtract(ctx.samples, ctx.samples[0])).max()
     return _check("trajectory_constant", drift, 1e-12, "u(t) = u(0)")
 
 
@@ -128,12 +120,9 @@ def chk_monotone(direction, name="killing_monotonicity"):
 
 def chk_gap_spread(ctx):
     T = ctx.cfg["run.t_end"]
-    base, _ = ctx.pair["base"]
-    ratios = []
-    for i in range(len(ctx.cfg["pair.gaps"])):
-        other, _ = ctx.pair[f"gap{i}"]
-        rep = continuous_dependence_ratio(base, other, T, ctx.form)
-        ratios.append(rep.sup_ratio)
+    ratios = [continuous_dependence_ratio(ctx.pair["base"], ctx.pair[f"gap{i}"], T,
+                                          ctx.form).sup_ratio
+              for i in range(len(ctx.cfg["pair.gaps"]))]
     spread = max(ratios) / min(ratios)
     return _check("dependence_ratio_spread", spread, 2.0,
                   "sup-ratio stable across shrinking gaps",
@@ -142,7 +131,8 @@ def chk_gap_spread(ctx):
 
 def chk_lambda_bounded(residual_tol):
     def run(ctx):
-        rep = lambda_series(_diff_states(ctx), ctx.form)
+        (sa, records), (sb, _) = ctx.pair["a"], ctx.pair["b"]
+        rep = lambda_series([r.t for r in records], np.subtract(sa, sb), ctx.form)
         out = [
             _check("lambda_finite", 0.0 if np.isfinite(rep.lam_max) else 1.0,
                    0.5, "Lambda(t) finite on the window",
@@ -156,8 +146,8 @@ def chk_lambda_bounded(residual_tol):
 
 def chk_no_crossing(min_gap):
     def run(ctx):
-        diffs = _diff_states(ctx)
-        worst = min(float(np.linalg.norm(d.coeffs)) for d in diffs)
+        (sa, _), (sb, _) = ctx.pair["a"], ctx.pair["b"]
+        worst = float(np.linalg.norm(np.subtract(sa, sb), axis=1).min())
         res = _check("no_crossing", -worst, -min_gap,
                      "||u1 - u2|| stays positive")
         res.detail = f"min gap = {worst:.6g}"
@@ -167,8 +157,8 @@ def chk_no_crossing(min_gap):
 
 def chk_h1_regularization(ctx):
     tr = get_transform(ctx.grid, ctx.cfg["geometry.L"])
-    h1 = np.array([np.sqrt(tr.h1_norm2(s)) for s in ctx.samples])
-    ts = np.array([s.t for s in ctx.samples])
+    h1 = np.sqrt(np.square(ctx.samples) @ (1.0 + tr.grad_norm2))
+    ts = np.array([r.t for r in ctx.records])
     early = h1[(ts >= 0.1) & (ts <= 0.5)].max()
     late = h1[ts >= 0.5].max()
     return _check("h1_bounded_after_transient", late, 1.05 * early,

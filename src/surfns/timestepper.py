@@ -18,8 +18,8 @@ the ledger integrated through the same stages.
 Both schemes advance a stack of k independent trajectories, coefficients
 (k, n_modes), through one code path for every k: each operator acts on the
 whole stack and each row keeps its own energy ledger.  Ensembles, pairs and
-gap families therefore integrate as one batch; spectral states and
-diagnostics records (one batched ``record`` call per sample) are built only
+gap families therefore integrate as one batch; coefficient rows and
+diagnostics records (one batched ``record`` call per sample) are taken only
 at sample points.
 """
 
@@ -31,7 +31,6 @@ import numpy as np
 from .diagnostics import record
 from .errors import DivergenceError, GridMismatchError, ParameterError
 from .forcing import apply_forcing
-from .harmonics import SpectralState
 from .operators import convective_term
 
 
@@ -180,6 +179,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     basis, and every state must have the form's truncation L.  Returns
     (trajectories, diverged): a (samples, records) pair per row, and a dict
     from row index to the DivergenceError of each row that went non-finite.
+    Samples are coefficient rows; their times are the records' ``t``.
     Such a row is frozen at its last finite state, which rides on the error
     as a one-row ``last_state`` with its trajectory as ``partial``; the
     other rows continue.  ``record_fn`` defaults to the diagnostics module's
@@ -204,7 +204,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     def sample():
         for i, c, r in zip(live, sim.c, rec(form, spec, sim)):
             samples, records = trajectories[i]
-            samples.append(SpectralState(sim.L, c.copy(), sim.t))
+            samples.append(c.copy())
             records.append(r)
 
     sample()
@@ -233,8 +233,8 @@ def run(config, grid, form, spec, u0, record_fn=None):
     """Integrate one trajectory from the SpectralState ``u0`` to t_end,
     sampling every ``stride`` steps (see ``run_batch``).
 
-    Returns (samples, records): coefficient snapshots and diagnostics rows.
-    On divergence the partial results ride on the raised error.
+    Returns (samples, records): coefficient rows and diagnostics rows.  On
+    divergence the partial results ride on the raised error.
     """
     (trajectory,), diverged = run_batch(config, grid, form, spec, [u0], record_fn)
     if diverged:

@@ -221,7 +221,7 @@ def test_monotonicity_unforced_constant(sphere8, form1, spec0, tr8):
 def test_dependence_identical_data_guard(tr8):
     s = random_band_limited(tr8, 71)
     with pytest.raises(ParameterError):
-        continuous_dependence_ratio([s], [s.copy()], 1.0)
+        continuous_dependence_ratio(([s.coeffs], []), ([s.coeffs.copy()], []), 1.0)
 
 
 def test_dependence_linear_contraction(sphere8, form1, spec0, tr8):
@@ -232,9 +232,9 @@ def test_dependence_linear_contraction(sphere8, form1, spec0, tr8):
     ub = u0.copy()
     ub.coeffs = ub.coeffs + 1e-8 * pert.coeffs
     cfg = StepperConfig(dt=1e-3, t_end=1.0, stride=20)
-    sa, _ = run(cfg, sphere8, form1, spec0, u0)
-    sb, _ = run(cfg, sphere8, form1, spec0, ub)
-    rep = continuous_dependence_ratio(sa, sb, 1.0, form1)
+    ta = run(cfg, sphere8, form1, spec0, u0)
+    tb = run(cfg, sphere8, form1, spec0, ub)
+    rep = continuous_dependence_ratio(ta, tb, 1.0, form1)
     assert rep.sup_ratio <= 1.0 + 1e-6
 
 
@@ -245,24 +245,21 @@ def test_dependence_gap_stability(sphere8, form1, kb, tr8):
     pert = random_band_limited(tr8, 92, l_max=5)
     pert.coeffs /= np.linalg.norm(pert.coeffs)
     cfg = StepperConfig(dt=5e-4, t_end=1.0, stride=20)
-    base, _ = run(cfg, sphere8, form1, spec, u0)
+    base = run(cfg, sphere8, form1, spec, u0)
     ratios = []
     for gap in (1e-2, 1e-3, 1e-4):
         ub = u0.copy()
         ub.coeffs = ub.coeffs + gap * pert.coeffs
-        traj, _ = run(cfg, sphere8, form1, spec, ub)
+        traj = run(cfg, sphere8, form1, spec, ub)
         ratios.append(continuous_dependence_ratio(base, traj, 1.0, form1).sup_ratio)
     assert max(ratios) / min(ratios) <= 2.0
 
 
 def test_lambda_series_killing_difference(sphere8, form1, spec0):
     # Killing-only difference: Lambda = 0 and L constant
-    states = []
-    for t in np.linspace(0, 1, 11):
-        s = SpectralState(8, t=t)
-        s.coeffs[1] = 0.3
-        states.append(s)
-    rep = lambda_series(states, form1)
+    rows = np.zeros((11, 80))
+    rows[:, 1] = 0.3
+    rep = lambda_series(np.linspace(0, 1, 11), rows, form1)
     assert rep.lam_max <= 1e-12
     assert abs(rep.affine_coef[1]) <= 1e-12
 
@@ -271,8 +268,8 @@ def test_lambda_series_eigenmode(sphere8, form1, spec0):
     d0 = SpectralState(8)
     d0.set(2, 0, 1e-4)
     cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=1.0, stride=20)
-    states, _ = run(cfg, sphere8, form1, spec0, d0)
-    rep = lambda_series(states, form1)
+    rows, records = run(cfg, sphere8, form1, spec0, d0)
+    rep = lambda_series([r.t for r in records], rows, form1)
     lam2 = form1.lam_by_degree[2]
     assert np.abs(rep.lam - lam2).max() <= 1e-8
     assert rep.affine_residual <= 1e-8
@@ -280,7 +277,7 @@ def test_lambda_series_eigenmode(sphere8, form1, spec0):
 
 
 def test_lambda_series_truncates_at_vanishing(sphere8, form1):
-    states = [SpectralState(8, t=float(k)) for k in range(3)]
-    states[1].coeffs[4] = 1.0
-    rep = lambda_series(states, form1)
+    rows = np.zeros((3, 80))
+    rows[1, 4] = 1.0
+    rep = lambda_series([0.0, 1.0, 2.0], rows, form1)
     assert rep.truncated_at == 0.0

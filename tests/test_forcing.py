@@ -201,6 +201,23 @@ def test_every_tag_is_its_affine_map(sphere8, sphere8_r2, R):
         assert np.abs(lin[:, 3:] - spec.s * x[:, 3:]).max() <= 1e-13, spec.tag
 
 
+def test_fixed_part_prefix_is_each_truncation(sphere8, kb, tr8):
+    # F(0) is analyzed once at the grid's L = 8; in the degree-major layout
+    # every lower truncation reads its prefix
+    for tag, key, norm_killing in (("constant_field", "g", None), ("f2_minus", "v", 0.0)):
+        g = tr8.synthesize(random_band_limited(tr8, 31, norm_killing=norm_killing))
+        spec = make_catalog_forcing(tag, {key: g}, kb)
+        for l in range(1, 9):
+            ref = get_transform(sphere8, l).analyze(g).coeffs
+            assert np.abs(spec.f[:n_modes(l)] - ref).max() <= 1e-14 * np.abs(spec.f).max()
+
+
+def test_apply_forcing_rejects_a_stack_wider_than_its_grid(sphere8):
+    for spec in _catalog(sphere8):
+        with pytest.raises(ParameterError):
+            apply_forcing(spec, np.zeros((1, n_modes(10))))
+
+
 def test_catalog_forcing_is_sphere_only(torus64):
     kb = killing_basis(torus64)
     for tag in TAGS:

@@ -392,6 +392,23 @@ def test_cli_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["scenario", "ensemble"])
+def test_cli_out_naming_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command):
+    def no_work(cfg):
+        raise AssertionError("the run started before --out was created")
+
+    monkeypatch.setattr(harness, "build_context", no_work)
+    monkeypatch.setattr(cli, "build_context", no_work)
+    out = tmp_path / "taken"
+    out.write_text("")
+    cfgfile = tmp_path / "ens.cfg"
+    cfgfile.write_text("geometry.L = 8\n")
+    target = "killing_equilibrium" if command == "scenario" else str(cfgfile)
+    assert cli.main(["--out", str(out), "--quiet", command, target]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_scenario_pass(tmp_path):
     assert cli.main(["--out", str(tmp_path), "--quiet",
                      "scenario", "killing_equilibrium"]) == 0
@@ -477,11 +494,11 @@ def test_pair_and_gap_rows_match_solo_runs():
         assert sorted(ctx.pair) == labels
         scfg = stepper_config(cfg)
         for samples, _ in ctx.pair.values():
-            solo, _ = run_simulation(scfg, ctx.grid, ctx.form, ctx.fspec, samples[0])
+            solo, _ = run_simulation(scfg, ctx.grid, ctx.form, ctx.fspec,
+                                     SpectralState(ctx.form.L, samples[0]))
             assert len(samples) == len(solo)
             for a, b in zip(samples, solo):
-                assert (np.linalg.norm(a.coeffs - b.coeffs)
-                        <= 1e-12 * np.linalg.norm(b.coeffs))
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_cli_rejects_oversized_truncation(tmp_path, capsys):

@@ -8,7 +8,7 @@ from surfns import geometry as geo
 from surfns.diagnostics import record
 from surfns.errors import DivergenceError, GridMismatchError, ParameterError
 from surfns.forcing import make_catalog_forcing
-from surfns.harmonics import SpectralState, random_band_limited
+from surfns.harmonics import SpectralState, mode_index, random_band_limited
 from surfns.killing import killing_basis
 from surfns.operators import assemble_stokes
 from surfns.harness import (build_context, build_initial_state, member_seed,
@@ -45,7 +45,7 @@ def _decay_error(sphere8, form1, spec0, scheme, dt):
     cfg = StepperConfig(scheme=scheme, dt=dt, t_end=0.5, stride=10 ** 9)
     samples, _ = run(cfg, sphere8, form1, spec0, c0)
     lam2 = form1.lam_by_degree[2]
-    return abs(samples[-1].get(2, 0) - np.exp(-lam2 * 0.5))
+    return abs(samples[-1][mode_index(8, 2, 0)] - np.exp(-lam2 * 0.5))
 
 
 def test_imex_second_order(sphere8, form1, spec0):
@@ -92,7 +92,7 @@ def test_rk4_exponential_oracles(sphere8, form1, kb):
         spec = make_catalog_forcing(tag, {}, kb)
         cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=1.0, stride=10 ** 9)
         samples, _ = run(cfg, sphere8, form1, spec, c0)
-        assert abs(samples[-1].coeffs[0] - target) <= 1e-9
+        assert abs(samples[-1][0] - target) <= 1e-9
 
 
 def test_cross_scheme_agreement(sphere8, formv, kb, tr8):
@@ -104,7 +104,7 @@ def test_cross_scheme_agreement(sphere8, formv, kb, tr8):
     for scheme in ("imex_cnab2", "rk4"):
         cfg = StepperConfig(scheme=scheme, dt=2e-4, t_end=1.0, stride=10 ** 9)
         samples, _ = run(cfg, sphere8, formv, spec, u0)
-        out[scheme] = samples[-1].coeffs
+        out[scheme] = samples[-1]
     assert np.abs(out["imex_cnab2"] - out["rk4"]).max() <= 1e-6
 
 
@@ -126,10 +126,10 @@ def test_imex_explicit_bound_checked(sphere8, spec0, kb):
 def test_affine_killing_law(sphere8, form1, kb):
     spec = make_catalog_forcing("constant_killing", {"c": 2.0, "axis": 1}, kb)
     cfg = StepperConfig(dt=1e-3, t_end=1.0, stride=100)
-    samples, _ = run(cfg, sphere8, form1, spec, SpectralState(8))
-    for s in samples:
-        alpha = kb.alpha(s.coeffs)
-        assert abs(alpha[1] - 2.0 * s.t) <= 1e-8
+    samples, records = run(cfg, sphere8, form1, spec, SpectralState(8))
+    for c, r in zip(samples, records):
+        alpha = kb.alpha(c)
+        assert abs(alpha[1] - 2.0 * r.t) <= 1e-8
         assert abs(alpha[0]) <= 1e-10 and abs(alpha[2]) <= 1e-10
 
 
@@ -261,11 +261,12 @@ def test_record_fn_is_called_once_per_sample(sphere8, formv, kb, tr8):
         assert records_to_csv(recs, 3) == records_to_csv(ref, 3)
 
 
-def _assert_matches_solo(samples, solo):
-    assert len(samples) == len(solo)
-    for a, b in zip(samples, solo):
-        assert a.t == b.t
-        assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-12 * np.linalg.norm(b.coeffs)
+def _assert_matches_solo(trajectory, solo):
+    (samples, records), (ref, ref_records) = trajectory, solo
+    assert len(samples) == len(ref)
+    for a, b, ra, rb in zip(samples, ref, records, ref_records):
+        assert ra.t == rb.t
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_batch_rows_match_solo_runs():
@@ -281,9 +282,8 @@ def test_batch_rows_match_solo_runs():
         trajectories, diverged = run_batch(scfg, ctx.grid, ctx.form, ctx.fspec,
                                            states)
         assert not diverged
-        for u0, (samples, _) in zip(states, trajectories):
-            solo, _ = run(scfg, ctx.grid, ctx.form, ctx.fspec, u0)
-            _assert_matches_solo(samples, solo)
+        for u0, trajectory in zip(states, trajectories):
+            _assert_matches_solo(trajectory, run(scfg, ctx.grid, ctx.form, ctx.fspec, u0))
 
 
 def test_overflowing_row_is_frozen_while_others_continue(sphere8, form1, spec0, tr8):
@@ -297,5 +297,4 @@ def test_overflowing_row_is_frozen_while_others_continue(sphere8, form1, spec0, 
     assert isinstance(err, DivergenceError)
     assert np.all(np.isfinite(err.last_state.c[0]))
     assert err.partial is trajectories[1]
-    solo, _ = run(cfg, sphere8, form1, spec0, good)
-    _assert_matches_solo(trajectories[0][0], solo)
+    _assert_matches_solo(trajectories[0], run(cfg, sphere8, form1, spec0, good))
