@@ -231,8 +231,7 @@ def lambda_series(times, diffs, form):
     n = vanished[0] if vanished.size else nrm.size
     truncated = float(times[n]) if vanished.size else np.nan
     ts, d, nrm = times[:n], diffs[:n], nrm[:n]
-    # StokesForm.apply needs at least one row
-    lams = np.einsum("kn,kn->k", d, form.apply(d)) / nrm ** 2 if n else np.zeros(0)
+    lams = np.einsum("kn,kn->k", d, form.apply(d)) / nrm ** 2
     logs = -np.log(nrm)
     if ts.size < 2:
         return LambdaReport(ts, lams, logs, truncated, float("nan"),

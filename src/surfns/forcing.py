@@ -164,6 +164,11 @@ def apply_forcing(spec, c):
     return out
 
 
+def _rowdot(X, Y):
+    """Dot product of each row pair of two (k, n) stacks, summed as np.dot."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
 @dataclass
 class HypothesisReport:
     tag: str
@@ -204,11 +209,8 @@ def hypothesis_check(spec, n_samples, seed):
 
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2 ** 63 - 1, size=2 * n_samples)
-    samples = [random_band_limited(tr, int(s)) for s in seeds[:n_samples]]
-    pairs = [random_band_limited(tr, int(s)) for s in seeds[n_samples:]]
-
-    U1 = np.array([u.coeffs for u in samples])
-    U2 = np.array([u.coeffs for u in pairs])
+    U = np.array([random_band_limited(tr, int(s)).coeffs for s in seeds])
+    U1, U2 = U[:n_samples], U[n_samples:]
     F1 = apply_forcing(spec, U1)
     df = np.linalg.norm(F1 - apply_forcing(spec, U2), axis=1)
     du = np.linalg.norm(U1 - U2, axis=1)
@@ -216,34 +218,26 @@ def hypothesis_check(spec, n_samples, seed):
     if c2_hat > spec.flags.c2 + tol:
         violations.append(f"c2: measured {c2_hat:.6g} > declared {spec.flags.c2:.6g}")
 
-    kp_min, kp_max = np.inf, -np.inf
-    rows, y_nk = [], []
-    for i, (u, f) in enumerate(zip(samples, F1)):
-        power_k = float(np.dot(f[:3], u.coeffs[:3]))
-        kp_min, kp_max = min(kp_min, power_k), max(kp_max, power_k)
-        scale = max(1.0, u.norm() ** 2)
-        if spec.flags.nega and power_k > tol * scale:
-            violations.append(f"nega: sample {i} has Killing power {power_k:.3e}")
-        if spec.flags.pos and power_k < -tol * scale:
-            violations.append(f"pos: sample {i} has Killing power {power_k:.3e}")
-        a = u.nonkilling_norm() ** 2
-        b = u.nonkilling_norm()
-        power_nk = float(np.dot(f[3:], u.coeffs[3:]))
-        rows.append([a, b])
-        y_nk.append(power_nk)
-        declared = spec.flags.c5 * a + spec.flags.c6 * b
-        if spec.flags.extra2:
-            declared += spec.flags.c6 * u.killing_norm() ** 2
-        if power_nk > declared + tol * scale:
-            violations.append(
-                f"extra: sample {i} non-Killing power {power_nk:.3e} "
-                f"exceeds envelope {declared:.3e}")
+    # per sample: Killing and non-Killing power, ||u_NK||, the audit scale
+    power_k = _rowdot(F1[:, :3], U1[:, :3])
+    power_nk = _rowdot(F1[:, 3:], U1[:, 3:])
+    b = np.sqrt(_rowdot(U1[:, 3:], U1[:, 3:]))
+    scale = np.maximum(1.0, _rowdot(U1, U1))
+    declared = spec.flags.c5 * b ** 2 + spec.flags.c6 * b
+    if spec.flags.extra2:
+        declared += spec.flags.c6 * _rowdot(U1[:, :3], U1[:, :3])
+    audits = np.stack([spec.flags.nega & (power_k > tol * scale),
+                       spec.flags.pos & (power_k < -tol * scale),
+                       power_nk > declared + tol * scale], axis=1)
+    texts = ("nega: sample {i} has Killing power {k:.3e}",
+             "pos: sample {i} has Killing power {k:.3e}",
+             "extra: sample {i} non-Killing power {n:.3e} exceeds envelope {d:.3e}")
+    violations += [texts[j].format(i=i, k=power_k[i], n=power_nk[i], d=declared[i])
+                   for i, j in zip(*np.nonzero(audits))]
 
-    A = np.asarray(rows)
-    y = np.asarray(y_nk)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, *_ = np.linalg.lstsq(np.stack([b ** 2, b], axis=1), power_nk, rcond=None)
     c5_hat, c6_hat = (float(max(v, 0.0)) for v in coef)
 
     return HypothesisReport(spec.tag, n_samples, c1_hat, sup_f0, c2_hat,
-                            c5_hat, c6_hat, float(kp_min), float(kp_max),
+                            c5_hat, c6_hat, float(power_k.min()), float(power_k.max()),
                             violations)

@@ -258,10 +258,6 @@ class SphereTransform:
         blocks = F[gather] * (valid[:, :, None] & valid[:, None, :])
         return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
-    def h1_norm2(self, state):
-        """||u||_{H1}^2 via Parseval plus per-mode gradient energies."""
-        return float(np.dot(1.0 + self.grad_norm2, state.coeffs ** 2))
-
 
 def get_transform(grid, L):
     """Per-grid cache of transforms (grids are immutable)."""

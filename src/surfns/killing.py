@@ -140,7 +140,7 @@ def _korn_torus(grid, cap):
     its frame turns with the toroidal angle, so the L2, H1 and strain forms
     couple no two fields whose toroidal wavenumbers differ in |jt|; the
     generators and the Killing field have jt = 0.  Each |jt| block is built
-    as one field stack, restricted to the well-conditioned part of its
+    as poloidal profiles, restricted to the well-conditioned part of its
     (possibly dependent) span and solved by one small generalized
     eigenproblem: at cap 8, 18 fields for jt = 0 and 34 for each other jt.
     """
@@ -175,33 +175,57 @@ def _korn_eigvals(H, S):
 def _torus_family(grid, cap):
     """The torus Korn family, one block per toroidal wavenumber jt = 0..cap.
 
-    Yields each block's fields as frame components (k, 2, n_nodes), the
-    Killing direction projected out, and their covariant derivatives
-    (k, 2, 2, n_nodes).
+    Every field of block jt is a(phi) cos(jt theta) + b(phi) sin(jt theta)
+    in the frame (e1 toroidal, e2 poloidal), so a block is its profiles
+    (a, b) at the poloidal nodes: fields V of shape (k, 2, p, n_pol) and
+    covariant derivatives T of shape (k, 2, 2, p, n_pol), with p = 2, or
+    p = 1 at jt = 0, where the sine part vanishes.  Both are closed forms
+    in the stream functions' derivatives: u = n x grad(chi) = (-chi_phi / r,
+    chi_theta / h) with h = R + r cos(phi), d_theta maps (a, b) to
+    (jt b, -jt a), and the frame's connection gives
+    T11 = (d_theta u1 - sin(phi) u2) / h, T21 = (d_theta u2 + sin(phi) u1) / h,
+    T12 = d_phi u1 / r and T22 = d_phi u2 / r.  At jt = 0 the circulation
+    generators join the block and the Killing field (h, 0) is projected
+    out; every other block is orthogonal to it.
     """
     if not grid.canonical_frame:
         raise ParameterError("the torus Korn family requires the canonical frame")
     cap_p = min(cap, grid.n_lat // 2 - 1)
     cap_t = min(cap, grid.n_lon // 2 - 1)
-    pol, tor = np.meshgrid(grid.lat, grid.lon, indexing="ij")
-    vk = killing_basis(grid).fields[0].comps.T
+    r, sin, z = grid.r, np.sin(grid.lat), np.zeros(grid.n_lat)
+    h = grid.R + r * np.cos(grid.lat)
+    # the circulation generators e1 and e2 / h, then the Killing field h e1,
+    # with their poloidal derivatives
+    G = np.array([[[1.0 + z], [z]], [[z], [1.0 / h]], [[h], [z]]])
+    G_phi = np.array([[[z], [z]], [[z], [r * sin / h ** 2]], [[-r * sin], [z]]])
     for jt in range(cap_t + 1):
-        phases = np.array([jp * pol + sign * jt * tor for jp in range(cap_p + 1)
-                           for sign in ((1, -1) if jp and jt else (1,)) if jp or jt])
-        chi = np.stack([np.cos(phases), np.sin(phases)], axis=1).reshape(-1, grid.n_nodes)
-        g = geo._directional_derivatives(grid, chi)
-        # n x grad(chi) has frame components (-g2, g1)
-        V = np.stack([-g[:, 1], g[:, 0]], axis=1)
+        p = 2 if jt else 1
+        D = jt * np.array([[0.0, 1.0], [-1.0, 0.0]])[:p, :p]      # d_theta on (a, b)
+        # stream functions cos(jp phi - beta + sg jt theta), beta = 0 or pi/2
+        jp, sg, beta = np.array([(jp, sign, beta) for jp in range(cap_p + 1)
+                                 for sign in ((1, -1) if jp and jt else (1,)) if jp or jt
+                                 for beta in (0.0, np.pi / 2)]).T
+        # their profiles and first two phi derivatives, (3, k, p, n_pol)
+        n = np.arange(3)[:, None, None]
+        ang = jp[:, None] * grid.lat - beta[:, None] + n * np.pi / 2
+        chi, chi_p, chi_pp = (jp[:, None] ** n)[:, :, None] * np.stack(
+            [np.cos(ang), -sg[:, None] * np.sin(ang)], 2)[:, :, :p]
+        U = np.stack([-chi_p / r, D @ chi / h], 1)
+        U_phi = np.stack([-chi_pp / r, D @ chi_p / h + D @ chi * r * sin / h ** 2], 1)
         if jt == 0:
-            gens = np.zeros((2, 2, grid.n_nodes))
-            gens[0, 0] = 1.0
-            gens[1, 1] = 1.0 / (grid.R + grid.r * np.cos(pol.reshape(-1)))
-            V = np.concatenate([V, gens])
-        V -= np.einsum("kan,n,an->k", V, grid.weights, vk)[:, None, None] * vk
-        yield V, geo.covariant_derivatives(grid, V)
+            U, U_phi = np.concatenate([U, G[:2]]), np.concatenate([U_phi, G_phi[:2]])
+            g = _gram(grid, np.concatenate([U, G[2:]]))[-1]
+            a = (g[:-1] / g[-1])[:, None, None, None]
+            U, U_phi = U - a * G[2], U_phi - a * G_phi[2]
+        rot = np.stack([-U[:, 1], U[:, 0]], 1)               # (-u2, u1)
+        yield U, np.stack([(D @ U + sin * rot) / h, U_phi / r], 2)
 
 
 def _gram(grid, X):
-    """Weighted L2 Gram matrix of a stack of fields or tensors, nodes last."""
-    Xw = (X * np.sqrt(grid.weights)).reshape(X.shape[0], -1)
+    """Weighted L2 Gram matrix of one block's profiles (k, ..., p, n_pol):
+    the poloidal node weight times the theta-trapezoid sum of cos^2 or sin^2
+    (jt theta), n_tor at jt = 0 (p = 1) and n_tor / 2 above (p = 2), exact
+    for jt <= n_tor / 2 - 1, where the cross terms sum to zero."""
+    w = grid.weights[::grid.n_lon] * (grid.n_lon / X.shape[-2])
+    Xw = (X * np.sqrt(w)).reshape(X.shape[0], -1)
     return Xw @ Xw.T

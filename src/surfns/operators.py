@@ -59,7 +59,7 @@ class StokesForm:
         """A c for every row of a (k, n_modes) coefficient stack."""
         # symmetric blocks, zero at the padding slots (which read mode 0)
         y = c[:, self._gather].transpose(1, 0, 2) @ self.blocks
-        return y.transpose(1, 0, 2).reshape(c.shape[0], -1)[:, self._scatter]
+        return y.transpose(1, 0, 2).reshape(c.shape[0], self._gather.size)[:, self._scatter]
 
     def _eigvalsh(self, shift):
         """Ascending eigenvalues of A - diag(shift), block by block."""
@@ -82,10 +82,6 @@ class StokesForm:
         if self._rho_full is None:
             self._rho_full = float(self.eigenvalues()[-1])
         return self._rho_full
-
-    def quad_form(self, coeffs):
-        """c . A c = int 2 nu |eps(u)|^2 dS for the represented field."""
-        return float(coeffs @ self.apply(coeffs[None])[0])
 
 
 def assemble_stokes(grid, nu, L):

@@ -321,6 +321,14 @@ def test_cli_korn(tmp_path, capsys):
     assert "C_P" in out
 
 
+def test_cli_korn_torus(tmp_path, capsys):
+    cfgfile = tmp_path / "korn_torus.cfg"
+    cfgfile.write_text("geometry.kind = torus\ngeometry.major = 2.0\ngeometry.minor = 0.5\n"
+                       "geometry.n_pol = 64\ngeometry.n_tor = 64\n")
+    assert cli.main(["--quiet", "korn", str(cfgfile)]) == 0
+    assert capsys.readouterr().out.strip() == "torus C_P=2.17944947177"
+
+
 def test_cli_korn_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a fresh process that imports the
     # package and solves a Korn constant must never load scipy

@@ -12,6 +12,45 @@ from surfns.killing import (_gram, _korn_eigvals, _torus_family,
                             pk_project)
 
 
+def _nodal_family(grid, cap):
+    """Oracle for ``_torus_family``: the same fields as nodal stacks through
+    the geometry route.  Each stream function is evaluated at every node and
+    differentiated by FFT, the generators join at jt = 0, the nodal Killing
+    field is projected out of every block, and ``geo.covariant_derivatives``
+    gives the tensors; fields (k, 2, n_nodes), tensors (k, 2, 2, n_nodes).
+    """
+    cap_p = min(cap, grid.n_lat // 2 - 1)
+    cap_t = min(cap, grid.n_lon // 2 - 1)
+    pol, tor = np.meshgrid(grid.lat, grid.lon, indexing="ij")
+    vk = killing_basis(grid).fields[0].comps.T
+    for jt in range(cap_t + 1):
+        phases = np.array([jp * pol + sign * jt * tor for jp in range(cap_p + 1)
+                           for sign in ((1, -1) if jp and jt else (1,)) if jp or jt])
+        chi = np.stack([np.cos(phases), np.sin(phases)], axis=1).reshape(-1, grid.n_nodes)
+        g = geo._directional_derivatives(grid, chi)
+        # n x grad(chi) has frame components (-g2, g1)
+        V = np.stack([-g[:, 1], g[:, 0]], axis=1)
+        if jt == 0:
+            gens = np.zeros((2, 2, grid.n_nodes))
+            gens[0, 0] = 1.0
+            gens[1, 1] = 1.0 / (grid.R + grid.r * np.cos(pol.reshape(-1)))
+            V = np.concatenate([V, gens])
+        V -= np.einsum("kan,n,an->k", V, grid.weights, vk)[:, None, None] * vk
+        yield V, geo.covariant_derivatives(grid, V)
+
+
+def _nodal_gram(grid, X):
+    """Weighted L2 Gram matrix of a stack of nodal fields or tensors."""
+    Xw = (X * np.sqrt(grid.weights)).reshape(X.shape[0], -1)
+    return Xw @ Xw.T
+
+
+def _at_nodes(grid, X, jt):
+    """Profiles (..., p, n_pol) of block jt evaluated at every node."""
+    trig = np.stack([np.cos(jt * grid.lon), np.sin(jt * grid.lon)])[:X.shape[-2]]
+    return np.einsum("...pi,pj->...ij", X, trig).reshape(X.shape[:-2] + (grid.n_nodes,))
+
+
 @pytest.fixture(scope="module")
 def kb(sphere8):
     return killing_basis(sphere8)
@@ -208,17 +247,40 @@ def test_korn_blocks_match_dense_eigensolve():
         assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()
 
 
+def test_torus_profiles_match_nodal_family(torus64):
+    # oracle: the nodal family.  Its tensors are taken on twice the poloidal
+    # nodes, whose even rows are this grid's: FFT derivatives of the
+    # 1/(R + r cos phi) factors alias on the grid itself (9e-11 at 32 nodes)
+    for grid, cap in ((torus64, 8), (geo.build_torus_grid(32, 24, 2.0, 0.5), 4),
+                      (geo.build_torus_grid(64, 64, 3.0, 1.0), 8)):
+        fine = geo.build_torus_grid(2 * grid.n_lat, grid.n_lon, grid.R, grid.r)
+        blocks = zip(_torus_family(grid, cap), _nodal_family(grid, cap),
+                     _nodal_family(fine, cap))
+        for jt, ((V, T), (Vo, To), (_, Tf)) in enumerate(blocks):
+            assert V.shape[2] == T.shape[3] == (2 if jt else 1)
+            Tf = Tf.reshape(Tf.shape[:3] + (fine.n_lat, fine.n_lon))[..., ::2, :]
+            Tf = Tf.reshape(To.shape)
+            assert np.abs(_at_nodes(grid, V, jt) - Vo).max() <= 1e-12 * np.abs(Vo).max()
+            assert np.abs(_at_nodes(grid, T, jt) - Tf).max() <= 1e-12 * np.abs(Tf).max()
+            # the theta-trapezoid Gram matrices equal the nodal quadrature
+            for X, Xo in ((V, Vo), (T, To)):
+                G, Go = _gram(grid, X), _nodal_gram(grid, Xo)
+                assert np.abs(G - Go).max() <= 1e-12 * np.abs(Go).max()
+
+
 def test_torus_korn_blocks_match_dense_eigensolve(torus64):
-    # oracle: one generalized eigensolve on the whole family, every |jt| at once
+    # oracle: one generalized eigensolve on the whole nodal family, every
+    # |jt| at once
     import scipy.linalg
-    for grid, cap, count in ((torus64, 8, 289), (geo.build_torus_grid(32, 24, 2.0, 0.5), 4, 81)):
-        blocks = list(_torus_family(grid, cap))
+    for grid, cap, count in ((torus64, 8, 289), (geo.build_torus_grid(32, 24, 2.0, 0.5), 4, 81),
+                             (geo.build_torus_grid(64, 64, 3.0, 1.0), 8, 289)):
+        blocks = list(_nodal_family(grid, cap))
         V = np.concatenate([b[0] for b in blocks])
         T = np.concatenate([b[1] for b in blocks])
         jt = np.repeat(np.arange(len(blocks)), [b[0].shape[0] for b in blocks])
-        M = _gram(grid, V)
-        S = _gram(grid, 0.5 * (T + T.swapaxes(1, 2)))
-        H = _gram(grid, T) + M
+        M = _nodal_gram(grid, V)
+        S = _nodal_gram(grid, 0.5 * (T + T.swapaxes(1, 2)))
+        H = _nodal_gram(grid, T) + M
         for F in (M, S, H):
             assert np.abs(F[jt[:, None] != jt]).max() <= 1e-12 * np.abs(F).max()
         mval, mvec = np.linalg.eigh(M)
@@ -229,6 +291,9 @@ def test_torus_korn_blocks_match_dense_eigensolve(torus64):
         assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()
     exact = 2.179449471770338      # the one-pass dense solve on the 64 x 64 grid
     assert abs(korn_constant(torus64).c_p - exact) <= 1e-12 * exact
+    # the family is band-limited: the largest grid gives the same constant
+    big = geo.build_torus_grid(geo.TORUS_N_MAX, geo.TORUS_N_MAX, 2.0, 0.5)
+    assert abs(korn_constant(big).c_p - exact) <= 1e-12 * exact
 
 
 def test_korn_eigensolve_matches_scipy(monkeypatch, torus64):
@@ -257,15 +322,17 @@ def test_korn_eigensolve_rejects_singular_strain(monkeypatch, torus64):
         with pytest.raises(ConsistencyError):
             _korn_eigvals(H, S)
 
-    # a torus family that keeps the Killing field: its strain vanishes
+    # a torus family that keeps the Killing field (h, 0), h = R + r cos(phi):
+    # its covariant derivative is antisymmetric, so its strain vanishes
     family = killing._torus_family
-    vk = killing_basis(torus64).fields[0].comps.T[None]
+    z, sin = np.zeros(torus64.n_lat), np.sin(torus64.lat)
+    vk = np.array([[[torus64.R + torus64.r * np.cos(torus64.lat)], [z]]])
+    tk = np.array([[[[z], [-sin]], [[sin], [z]]]])
 
     def with_killing(grid, cap):
         for jt, (V, T) in enumerate(family(grid, cap)):
             if jt == 0:
-                V = np.concatenate([V, vk])
-                T = geo.covariant_derivatives(grid, V)
+                V, T = np.concatenate([V, vk]), np.concatenate([T, tk])
             yield V, T
 
     monkeypatch.setattr(killing, "_torus_family", with_killing)

@@ -27,6 +27,16 @@ def kb(sphere8):
     return killing_basis(sphere8)
 
 
+def _quad_form(form, c):
+    """c . A c = int 2 nu |eps(u)|^2 dS for the represented field."""
+    return float(c @ form.apply(c[None])[0])
+
+
+def _h1_norm2(tr, s):
+    """||u||_{H1}^2 via Parseval plus per-mode gradient energies."""
+    return float(np.dot(1.0 + tr.grad_norm2, s.coeffs ** 2))
+
+
 def _row(f, s, *args):
     """f(*args, c) on the one-row stack c of the SpectralState s, as a state."""
     return SpectralState(s.L, f(*args, s.coeffs[None])[0], s.t)
@@ -90,7 +100,7 @@ def test_quadratic_form_oracle(sphere8, formv, tr8):
     E = geo.rate_of_strain(sphere8, u)
     integrand = 2.0 * formv.nu.values * np.einsum("nij,nij->n", E.comps, E.comps)
     oracle = float(np.dot(sphere8.weights, integrand))
-    assert abs(formv.quad_form(s.coeffs) - oracle) <= 1e-10 * max(oracle, 1.0)
+    assert abs(_quad_form(formv, s.coeffs) - oracle) <= 1e-10 * max(oracle, 1.0)
 
 
 def test_stokes_apply_never_feeds_killing(formv, tr8):
@@ -120,7 +130,7 @@ def test_convective_energy_orthogonality(sphere8, tr8):
     for i in range(5):
         s = random_band_limited(tr8, 300 + i)
         n = _row(convective_term, s, tr8)
-        h1 = np.sqrt(tr8.h1_norm2(s))
+        h1 = np.sqrt(_h1_norm2(tr8, s))
         assert abs(float(n.coeffs @ s.coeffs)) <= 1e-9 * s.norm() ** 2 * max(h1, 1.0)
 
 
@@ -152,6 +162,30 @@ def test_convective_zonal_mode_is_gradient(sphere8, tr8):
     assert _row(convective_term, s, tr8).norm() <= 1e-9
 
 
+def test_convective_single_degree_is_gradient():
+    # oracle: a state on one degree l has vorticity -l(l+1)/R^2 times its
+    # stream function, so its transport is a gradient, whatever the orders
+    rng = np.random.default_rng(21)
+    for L in (8, 16):
+        for R in (1.0, 1.3):
+            tr = get_transform(geo.build_sphere_grid(L, R), L)
+            for l in range(1, L + 1):
+                c = np.where(tr.mode_l == l, rng.standard_normal(tr.n_modes), 0.0)
+                n = convective_term(tr, c[None])[0]
+                assert np.linalg.norm(n) <= 1e-12 * (c @ c)
+            # two degrees interact (|N| = 0.08-0.19 at |c| = 1): not vacuous
+            c = np.where((tr.mode_l == 3) | (tr.mode_l == 4), rng.standard_normal(tr.n_modes), 0.0)
+            c /= np.linalg.norm(c)
+            assert np.linalg.norm(convective_term(tr, c[None])[0]) >= 1e-2
+
+
+def test_operators_accept_empty_stack(formv, tr8, kb):
+    c = np.zeros((0, tr8.n_modes))
+    spec = make_catalog_forcing("f3_minus", {}, kb)
+    for out in (formv.apply(c), convective_term(tr8, c), apply_forcing(spec, c)):
+        assert out.shape == (0, tr8.n_modes)
+
+
 def test_convective_zero(sphere8, tr8):
     assert _row(convective_term, SpectralState(8), tr8).norm() == 0.0
 
@@ -179,7 +213,7 @@ def test_semidiscrete_energy_identity(sphere8, formv, kb, tr8):
                - _row(convective_term, s, tr8).coeffs
                + _row(apply_forcing, s, spec).coeffs)
         lhs = float(rhs @ s.coeffs)
-        expected = -formv.quad_form(s.coeffs) + float(
+        expected = -_quad_form(formv, s.coeffs) + float(
             _row(apply_forcing, s, spec).coeffs @ s.coeffs)
         scale = max(abs(expected), s.norm() ** 2, 1.0)
         assert abs(lhs - expected) <= 1e-9 * scale
