@@ -31,10 +31,6 @@ class DiagnosticsRecord:
     lam: float                  # nan when undefined
     alpha: np.ndarray
 
-    @property
-    def lam_defined(self):
-        return np.isfinite(self.lam)
-
 
 def record(form, spec, sim):
     """One diagnostics row per row of the integrator's stack ``sim``, with

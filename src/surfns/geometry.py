@@ -142,11 +142,7 @@ class TangentialTensor:
 
 
 class ViscosityField:
-    """Strictly positive nodal viscosity with its declared lower bound.
-
-    The discrete gradient sup-norm (a W^{1,inf} proxy) is computed at
-    construction and reported, not enforced.
-    """
+    """Strictly positive, finite nodal viscosity with its lower bound ``nu_min``."""
 
     def __init__(self, grid, values):
         values = np.broadcast_to(np.asarray(values, dtype=float), (grid.n_nodes,)).copy()
@@ -158,11 +154,6 @@ class ViscosityField:
         self.grid = grid
         self.values = values
         self.nu_min = nu_min
-        if np.ptp(values) == 0.0:
-            self.grad_inf = 0.0
-        else:
-            g = surface_gradient(grid, values)
-            self.grad_inf = float(np.abs(g.comps).max())
 
 
 def build_sphere_grid(L, R):

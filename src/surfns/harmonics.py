@@ -13,8 +13,7 @@ rotations, i.e. the Killing fields.
 Coefficients are stored as reals: for each degree l the layout is
 [(l,0), (l,1,cos), (l,1,sin), ..., (l,l,cos), (l,l,sin)], with block l
 occupying the slice [l^2 - 1, (l+1)^2 - 1).  A negative m in the public API
-addresses the sine partner of |m|.  The complex view is derived and satisfies
-the usual reality condition.
+addresses the sine partner of |m|.
 
 Transforms run on the per-order engine of the geometry module: per order m
 the coefficients contract with zero-padded latitude profiles, then one
@@ -27,8 +26,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .geometry import (SPHERE, SphereEngine, TangentialField, TangentialTensor,
-                       legendre_tables)
+from .geometry import SPHERE, SphereEngine, TangentialField, legendre_tables
 
 DealiasRule = namedtuple("DealiasRule", ["degree", "n_lat", "n_lon"])
 
@@ -110,26 +108,6 @@ class SpectralState:
     def set(self, l, m, value):
         self.coeffs[mode_index(self.L, l, m)] = value
 
-    def to_complex(self):
-        """Derived complex coefficients c[l][m], m = -l..l.
-
-        Built from the real storage via c_{l0} = a_{l0},
-        c_{lm} = (a_cos - i a_sin)/sqrt(2) and the reality condition
-        c_{l,-m} = (-1)^m conj(c_{lm}).
-        """
-        out = {}
-        for l in range(1, self.L + 1):
-            row = np.zeros(2 * l + 1, dtype=complex)
-            row[l] = self.coeffs[mode_index(self.L, l, 0)]
-            for m in range(1, l + 1):
-                ac = self.coeffs[mode_index(self.L, l, m)]
-                as_ = self.coeffs[mode_index(self.L, l, -m)]
-                c = (ac - 1j * as_) / np.sqrt(2.0)
-                row[l + m] = c
-                row[l - m] = (-1) ** m * np.conj(c)
-            out[l] = row
-        return out
-
 
 class SphereTransform:
     """Toroidal transforms for (grid, L) on the per-order engine.
@@ -196,11 +174,6 @@ class SphereTransform:
 
     # -- transforms ----------------------------------------------------------
 
-    def _nodal(self, state, comps):
-        if state.L != self.L:
-            raise ParameterError("state truncation does not match transform")
-        return self.engine.synthesize(state.coeffs[None], comps)[:, 0].T
-
     def toroidal_basis_field(self, l, m):
         """The real orthonormal toroidal mode (l, m) as a nodal field."""
         if l == 0:
@@ -221,12 +194,10 @@ class SphereTransform:
 
     def synthesize(self, state):
         """Nodal field of a coefficient state."""
-        return TangentialField(self.grid, self._nodal(state, self.FIELD))
-
-    def grad_synthesize(self, state):
-        """Covariant derivative of the state's field, as a nodal tensor."""
-        T = self._nodal(state, self.GRAD)
-        return TangentialTensor(self.grid, T.reshape(-1, 2, 2))
+        if state.L != self.L:
+            raise ParameterError("state truncation does not match transform")
+        u = self.engine.synthesize(state.coeffs[None], self.FIELD)[:, 0]
+        return TangentialField(self.grid, u.T)
 
     def partition(self, weight):
         """Mode parts over which forms weighted by ``weight`` are block-diagonal:
@@ -237,6 +208,38 @@ class SphereTransform:
             return [np.arange(self.n_modes)]
         return [np.flatnonzero(self.mode_m == m) for m in range(-self.L, self.L + 1)]
 
+    def axisymmetric_form(self, weight, parts):
+        """``gradient_form`` for a weight constant along every latitude row,
+        over parts that each lie in one signed order (as ``partition``'s do).
+
+        Such a weight pairs cos/sin(m phi) only with itself, so F is one
+        Gauss-Legendre sum per signed order over the strain profiles
+        E = (dA, (mixTF + dB) / 2, mixFF):
+        F[(l, m), (l', m)] = sum_i w_i sum_c tau_c E_c[m, l, i] E_c[m, l', i],
+        where tau_c = sum_j trig_c(m phi_j)^2, doubled for the off-diagonal
+        strain entry, which appears twice in eps:eps.  O(L^4) work over all
+        orders, and no transform.
+        """
+        order, part, degree = self.engine.layout
+        gather, valid = pad_parts(parts)
+        o = order[gather]
+        held = np.bincount(o.ravel(), minlength=self.L + 1) > 0  # the orders the parts hold
+        orders = np.flatnonzero(held)
+        X = self.engine.X[orders, :, self.GRAD]                 # (m, l, c, i)
+        E = np.stack([X[:, :, 0], 0.5 * (X[:, :, 1] + X[:, :, 2]), X[:, :, 3]], 1)
+        w = np.reshape(weight, (self.grid.n_lat, -1))[:, 0]
+        G = (E * w) @ E.swapaxes(-1, -2)                        # (m, c, l, l')
+        trig = self.engine.trig[self.GRAD][[0, 1, 3]].reshape(3, -1, 2, self.grid.n_lon)
+        tau = (trig[:, orders] ** 2).sum(-1) * np.array([1.0, 2.0, 1.0])[:, None, None]
+        full = np.einsum("cms,mclk->mslk", tau, G)
+        # flat index of entry (l, l') in the (order, sin part) block of each slot
+        n_l = full.shape[-1]
+        d = degree[gather]
+        row = (((np.cumsum(held) - 1)[o] * 2 + part[gather]) * n_l + d) * n_l
+        blocks = np.take(full, row[:, :, None] + d[:, None, :])
+        blocks *= valid[:, :, None] & valid[:, None, :]
+        return 0.5 * (blocks + blocks.swapaxes(-1, -2))
+
     def gradient_form(self, weight, parts):
         """Blocks of F[j, k] = sum_n weight_n eps(Phi_j):eps(Phi_k) over a partition.
 
@@ -244,7 +247,9 @@ class SphereTransform:
         ``partition``), symmetrized and zero-padded to the largest.
         Matrix-free, F[:, K] = G^T(weight * eps(G e_K)) with G the gradient
         synthesis, over chunks of probes: probe j sums the j-th unit state of
-        every part, which is exact when F couples no two parts.
+        every part, which is exact when F couples no two parts.  It serves
+        any weight; ``axisymmetric_form`` computes the same blocks without
+        transforms when the weight is constant along latitude rows.
         """
         gather, valid = pad_parts(parts)
         F = np.empty((self.n_modes, gather.shape[1]))

@@ -117,7 +117,7 @@ def _korn_sphere(grid, L):
     tr = get_transform(grid, L)
     # every mode of degree l has the strain norm of the zonal mode (l, 0)
     zonal = np.flatnonzero(tr.mode_m == 0)
-    strain = np.diagonal(tr.gradient_form(grid.weights, [zonal])[0])
+    strain = np.diagonal(tr.axisymmetric_form(grid.weights, [zonal])[0])
     if abs(strain[0]) > 1e-8:
         raise ConsistencyError(
             "singular strain form: a Killing mode leaked into the l >= 2 block")

@@ -4,8 +4,10 @@ The variable-viscosity Stokes operator is assembled in weak form,
 A[j,k] = int 2 nu eps(Phi_j) : eps(Phi_k) dS, which keeps exact symmetry and
 positive semidefiniteness without differentiating nu.  A is stored as its
 diagonal blocks, one of size <= L per signed order m when nu is constant
-along latitude rows, else one dense block; they are found by probing the
-O(L^3) per-order transforms, and apply and eigenvalues go block by block.
+along latitude rows, else one dense block.  Per-order blocks are
+Gauss-Legendre sums over the transform's latitude strain profiles, O(L^4)
+work in all; the dense block is found by probing the O(L^3) per-order
+transforms.  Apply and eigenvalues go block by block.
 The convective term is pseudospectral on the dealiased grid, one fused
 synthesis of u and grad u and one analysis, each O(L^3) per row.  Every
 operator takes a (k, n_modes) coefficient stack and returns one.
@@ -21,10 +23,10 @@ class StokesForm:
     """Weak-form Stokes operator with its implicit/explicit split.
 
     ``blocks[p]`` is A on the modes ``parts[p]``, zero-padded to the largest
-    part; A couples no two parts.  ``A = nu_min * diag(D) + A_prime`` where D
+    part; A couples no two parts.  ``A = nu_min * diag(D) + A'`` where D
     carries the constant-viscosity per-degree eigenvalues (Rayleigh quotients)
-    and A_prime is positive semidefinite because nu - nu_min >= 0.  The dense
-    ``A`` and ``A_prime`` are built on demand.
+    and A' is positive semidefinite because nu - nu_min >= 0.  The dense
+    ``A`` is built on demand.
     """
 
     def __init__(self, grid, transform, nu, L, blocks, parts, lam_by_degree):
@@ -50,10 +52,6 @@ class StokesForm:
         for idx, b in zip(self.parts, self.blocks):
             A[np.ix_(idx, idx)] = b[:idx.size, :idx.size]
         return A
-
-    @property
-    def A_prime(self):
-        return self.A - self.nu_min * np.diag(self.D)
 
     def apply(self, c):
         """A c for every row of a (k, n_modes) coefficient stack."""
@@ -102,11 +100,12 @@ def assemble_stokes(grid, nu, L):
     # lambda_l is the same for every order: the unit-viscosity zonal diagonal
     zonal = np.flatnonzero(tr.mode_m == 0)
     lam = np.zeros(L + 1)
-    lam[1:] = np.diagonal(tr.gradient_form(2.0 * grid.weights, parts=[zonal])[0])
+    lam[1:] = np.diagonal(tr.axisymmetric_form(2.0 * grid.weights, [zonal])[0])
     lam[1] = max(lam[1], 0.0)
     weight = 2.0 * grid.weights * nu.values
     parts = tr.partition(weight)
-    return StokesForm(grid, tr, nu, L, tr.gradient_form(weight, parts=parts), parts, lam)
+    form = tr.gradient_form if len(parts) == 1 else tr.axisymmetric_form
+    return StokesForm(grid, tr, nu, L, form(weight, parts), parts, lam)
 
 
 def convective_term(tr, c):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surfns import geometry as geo
-from surfns.harmonics import get_transform
+from surfns.harmonics import get_transform, mode_index
 
 _ACCEPTANCE_LINES = []
 
@@ -34,6 +34,12 @@ def sphere16():
 
 
 @pytest.fixture(scope="session")
+def sphere64():
+    """L = 64 sphere grids by radius, for the closed-form oracles."""
+    return {R: geo.build_sphere_grid(64, R) for R in (1.0, 2.0)}
+
+
+@pytest.fixture(scope="session")
 def torus64():
     return geo.build_torus_grid(64, 64, 2.0, 0.5)
 
@@ -49,4 +55,28 @@ def rotation_field():
         ax = np.zeros(3)
         ax[axis] = 1.0
         return geo.tangential_project(grid, np.cross(ax, grid.nodes))
+    return make
+
+
+@pytest.fixture(scope="session")
+def complex_view():
+    def make(L, coeffs):
+        """Complex coefficients c[l][m], m = -l..l, of a real coefficient vector.
+
+        Built from the real storage via c_{l0} = a_{l0},
+        c_{lm} = (a_cos - i a_sin)/sqrt(2) and the reality condition
+        c_{l,-m} = (-1)^m conj(c_{lm}).
+        """
+        out = {}
+        for l in range(1, L + 1):
+            row = np.zeros(2 * l + 1, dtype=complex)
+            row[l] = coeffs[mode_index(L, l, 0)]
+            for m in range(1, l + 1):
+                ac = coeffs[mode_index(L, l, m)]
+                as_ = coeffs[mode_index(L, l, -m)]
+                c = (ac - 1j * as_) / np.sqrt(2.0)
+                row[l + m] = c
+                row[l - m] = (-1) ** m * np.conj(c)
+            out[l] = row
+        return out
     return make

@@ -6,7 +6,7 @@ import pytest
 from surfns import geometry as geo
 from surfns import killing
 from surfns.errors import ConsistencyError, ParameterError
-from surfns.harmonics import SpectralState, get_transform, random_band_limited
+from surfns.harmonics import get_transform, random_band_limited
 from surfns.killing import (_gram, _korn_eigvals, _torus_family,
                             killing_basis, killing_coefficients, korn_constant,
                             pk_project)
@@ -164,8 +164,8 @@ def test_killing_h1_ratio_constant(sphere8, kb):
 
 def test_korn_strain_form_excludes_killing(sphere8, tr8):
     # the strain form evaluated on the degree-1 block vanishes
-    G = np.stack([tr8.grad_synthesize(SpectralState(8, e)).comps
-                  for e in np.eye(tr8.n_modes)[:3]])
+    G = tr8.engine.synthesize(np.eye(tr8.n_modes)[:3], tr8.GRAD).transpose(1, 2, 0)
+    G = G.reshape(3, -1, 2, 2)
     E = 0.5 * (G + np.swapaxes(G, 2, 3))
     w4 = np.repeat(sphere8.weights, 4)
     kill = (E[:3].reshape(3, -1) * w4[None, :]) @ E[:3].reshape(3, -1).T
@@ -221,12 +221,13 @@ def test_korn_constant_closed_form():
             assert abs(res.c_p - exact) <= 1e-12 * exact
 
 
-def test_korn_per_degree_closed_form():
+def test_korn_per_degree_closed_form(sphere64):
     # degree l has the quotient 2 (R^2 + l(l+1) - 1) / (l(l+1) - 2)
-    L = 16
-    l = np.arange(2, L + 1)
-    for R in (1.0, 2.0):
-        res = korn_constant(geo.build_sphere_grid(L, R), L)
+    grids = [(16, geo.build_sphere_grid(16, R)) for R in (1.0, 2.0)]
+    for L, grid in grids + [(64, sphere64[1.0]), (64, sphere64[2.0])]:
+        R = grid.R
+        l = np.arange(2, L + 1)
+        res = korn_constant(grid, L)
         exact = 2.0 * (R * R + l * (l + 1) - 1.0) / (l * (l + 1) - 2.0)
         got = np.array([res.per_degree[k] for k in l])
         assert np.abs(got - exact).max() <= 1e-12 * exact.min()

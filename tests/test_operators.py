@@ -6,8 +6,9 @@ import pytest
 from surfns import geometry as geo
 from surfns.errors import ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
-from surfns.harmonics import SpectralState, get_transform, random_band_limited
-from surfns.killing import killing_basis
+from surfns.harmonics import (SpectralState, SphereTransform, get_transform,
+                              random_band_limited)
+from surfns.killing import killing_basis, korn_constant
 from surfns.operators import assemble_stokes, convective_term
 
 
@@ -35,6 +36,11 @@ def _quad_form(form, c):
 def _h1_norm2(tr, s):
     """||u||_{H1}^2 via Parseval plus per-mode gradient energies."""
     return float(np.dot(1.0 + tr.grad_norm2, s.coeffs ** 2))
+
+
+def _a_prime(form):
+    """Dense explicit remainder A' = A - nu_min diag(D)."""
+    return form.A - form.nu_min * np.diag(form.D)
 
 
 def _row(f, s, *args):
@@ -110,7 +116,7 @@ def test_stokes_apply_never_feeds_killing(formv, tr8):
 
 
 def test_explicit_remainder_psd(formv):
-    ap = formv.A_prime
+    ap = _a_prime(formv)
     eigs = np.linalg.eigvalsh(0.5 * (ap + ap.T))
     assert eigs.min() >= -1e-10
 
@@ -262,29 +268,32 @@ def test_assembly_with_general_bandlimited_viscosity(sphere8):
 
 
 def _weights(grid, kind):
-    x, z = grid.nodes[:, 0], grid.nodes[:, 2]
-    nu = 1.0 + 0.5 * z / grid.R if kind == "linear_x3" else 1.0 + 0.3 * x / grid.R
-    return 2.0 * grid.weights * nu
+    x, z = grid.nodes[:, 0] / grid.R, grid.nodes[:, 2] / grid.R
+    nu = {"linear_x3": 1.0 + 0.5 * z, "x3_squared": 1.0 + 0.3 * z * z, "x": 1.0 + 0.3 * x}
+    return 2.0 * grid.weights * nu[kind]
 
 
 def test_blocks_match_single_part_form():
-    # signed-order blocks of the axisymmetric form, and the one-part
-    # fallback for an x-dependent viscosity, against the one-part probe
-    for L in (8, 12):
-        grid = geo.build_sphere_grid(L, 1.0)
-        tr = get_transform(grid, L)
-        for kind, n_parts in (("linear_x3", 2 * L + 1), ("x", 1)):
-            w = _weights(grid, kind)
-            parts = tr.partition(w)
-            assert len(parts) == n_parts
-            assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(tr.n_modes))
-            blocks = tr.gradient_form(w, parts=parts)
-            dense = tr.gradient_form(w, parts=[np.arange(tr.n_modes)])[0]
-            scale = np.abs(dense).max()
-            for idx, b in zip(parts, blocks):
-                s = idx.size
-                assert np.abs(b[:s, :s] - dense[np.ix_(idx, idx)]).max() <= 1e-13 * scale
-                assert not b[s:].any() and not b[:, s:].any()
+    # signed-order blocks of row-constant weights, from the latitude profiles
+    # and from per-order probes, against the one-part probe; an x-dependent
+    # viscosity falls back to one part
+    for L in (8, 12, 32):
+        for R in (1.0, 1.3):
+            grid = geo.build_sphere_grid(L, R)
+            tr = get_transform(grid, L)
+            assert len(tr.partition(_weights(grid, "x"))) == 1
+            for kind in ("linear_x3", "x3_squared"):
+                w = _weights(grid, kind)
+                parts = tr.partition(w)
+                assert len(parts) == 2 * L + 1
+                assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(tr.n_modes))
+                dense = tr.gradient_form(w, parts=[np.arange(tr.n_modes)])[0]
+                scale = np.abs(dense).max()
+                for blocks in (tr.axisymmetric_form(w, parts), tr.gradient_form(w, parts)):
+                    for idx, b in zip(parts, blocks):
+                        s = idx.size
+                        assert np.abs(b[:s, :s] - dense[np.ix_(idx, idx)]).max() <= 1e-13 * scale
+                        assert not b[s:].any() and not b[:, s:].any()
 
 
 def test_cross_order_entries_vanish():
@@ -302,6 +311,20 @@ def form_x(sphere8):
         sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
 
 
+def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
+    # constant and linear_x3 viscosities, and the sphere Korn constant,
+    # assemble from latitude profiles; only an x-dependent viscosity probes
+    def probe(self, weight, parts):
+        raise RuntimeError("probe path")
+    monkeypatch.setattr(SphereTransform, "gradient_form", probe)
+    for values in (1.0, 1.0 + 0.5 * sphere8.nodes[:, 2]):
+        form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, values), 8)
+        assert len(form.parts) == 17
+    assert korn_constant(sphere8, 8).c_p == pytest.approx(np.sqrt(3.0), rel=1e-12)
+    with pytest.raises(RuntimeError, match="probe path"):
+        assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
+
+
 def test_apply_matches_dense(formv, form_x):
     rng = np.random.default_rng(5)
     for form in (formv, form_x):
@@ -315,7 +338,7 @@ def test_apply_matches_dense(formv, form_x):
 def test_block_eigenvalues_match_dense(formv, form_x):
     for form in (formv, form_x):
         ev = np.linalg.eigvalsh(form.A)
-        ap = form.A_prime
+        ap = _a_prime(form)
         rho = np.linalg.eigvalsh(0.5 * (ap + ap.T)).max()
         scale = ev.max()
         assert np.abs(form.eigenvalues() - ev).max() <= 1e-12 * scale
@@ -323,10 +346,12 @@ def test_block_eigenvalues_match_dense(formv, form_x):
         assert abs(form.rho_explicit() - rho) <= 1e-12 * rho
 
 
-def test_constant_nu_eigenvalues_closed_form(sphere8, sphere8_r2):
-    # nu (l(l+1) - 2) / R^2 with multiplicity 2l + 1
-    for grid in (sphere8, sphere8_r2):
-        form = assemble_stokes(grid, geo.ViscosityField(grid, 2.5), 8)
-        exact = np.sort(np.concatenate(
-            [np.full(2 * l + 1, 2.5 * (l * (l + 1) - 2) / grid.R ** 2) for l in range(1, 9)]))
+def test_constant_nu_eigenvalues_closed_form(sphere8, sphere8_r2, sphere64):
+    # nu (l(l+1) - 2) / R^2 with multiplicity 2l + 1; lambda_l at nu = 1
+    for L, grid in ((8, sphere8), (8, sphere8_r2), (64, sphere64[1.0]), (64, sphere64[2.0])):
+        form = assemble_stokes(grid, geo.ViscosityField(grid, 2.5), L)
+        l = np.arange(1, L + 1)
+        lam = (l * (l + 1) - 2.0) / grid.R ** 2
+        exact = np.sort(np.repeat(2.5 * lam, 2 * l + 1))
         assert np.abs(form.eigenvalues() - exact).max() <= 1e-12 * exact.max()
+        assert np.abs(form.lam_by_degree[1:] - lam).max() <= 1e-12 * lam.max()
