@@ -81,11 +81,6 @@ class SurfaceGrid:
     def n_nodes(self):
         return self.nodes.shape[0]
 
-    def as_2d(self, values):
-        """View per-node values as (n_lat, n_lon, ...)."""
-        values = np.asarray(values)
-        return values.reshape((self.n_lat, self.n_lon) + values.shape[1:])
-
     def with_rotated_frame(self, angles):
         """Copy of this grid with (e1, e2) rotated nodewise by ``angles``.
 
@@ -243,19 +238,6 @@ def tangential_project(grid, v):
 # ---------------------------------------------------------------------------
 # per-order spectral engine on the sphere (Legendre x longitude)
 
-def legendre_tables(grid):
-    """p_lm, dp_lm/dtheta and d^2p_lm/dtheta^2 up to the grid's degree.
-
-    The (3, order, degree, n_lat) array of ``plm_tables`` at the grid's
-    Gauss-Legendre abscissas, cached on the grid; slices
-    [:, :L+1, :L+1] serve any truncation L.
-    """
-    key = "legendre"
-    if key not in grid._caches:
-        grid._caches[key] = plm_tables(grid.max_degree, grid.glx)
-    return grid._caches[key]
-
-
 class SphereEngine:
     """Separable per-order transform between coefficient stacks and nodes.
 
@@ -344,7 +326,7 @@ def _scalar_engine(grid):
     """
     key = "scalar_engine"
     if key not in grid._caches:
-        P, dP, _ = legendre_tables(grid)
+        P, dP, _ = plm_tables(grid.max_degree, grid.glx)
         m = np.arange(grid.max_degree + 1)[:, None, None]
         fac = np.where(m > 0, np.sqrt(2.0), 1.0)
         s = np.sin(grid.lat)

@@ -19,6 +19,9 @@ Transforms run on the per-order engine of the geometry module: per order m
 the coefficients contract with zero-padded latitude profiles, then one
 longitude stage applies cos/sin(m phi).  Tables take O(L^3) memory and each
 transform O(L^3) work; no per-mode nodal table is stored.
+
+A weight constant along latitude rows couples no two signed orders, so its
+forms are stored per order, in the slot table of ``SphereTransform``.
 """
 
 from collections import namedtuple
@@ -26,7 +29,8 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .geometry import SPHERE, SphereEngine, TangentialField, legendre_tables
+from ._legendre import plm_tables
+from .geometry import SPHERE, SphereEngine, TangentialField
 
 DealiasRule = namedtuple("DealiasRule", ["degree", "n_lat", "n_lon"])
 
@@ -64,15 +68,6 @@ def mode_index(L, l, m):
     if m == 0:
         return base
     return base + 2 * abs(m) - (1 if m > 0 else 0)
-
-
-def pad_parts(parts):
-    """(gather, valid), both (n_parts, largest part): gather[p, j] is the j-th
-    mode of part p where valid[p, j], else mode 0."""
-    valid = np.arange(max(map(len, parts))) < np.array([len(p) for p in parts])[:, None]
-    gather = np.zeros(valid.shape, dtype=int)
-    gather[valid] = np.concatenate(parts)
-    return gather, valid
 
 
 class SpectralState:
@@ -117,8 +112,14 @@ class SphereTransform:
     order and degree up to L: O(L^3) memory, and O(L^3) work per transform
     (see ``geometry.SphereEngine``).  ``mode_l`` and ``mode_m`` give the
     degree and signed order (< 0 for a sine) of each flat index, read off
-    the engine's layout.  Immutable after construction; transforms are pure
-    functions of their inputs and safe to call concurrently.
+    the engine's layout.  ``slot_mode`` (2L + 2, L) holds at row 2m + s and
+    column l - 1 the flat index of mode (l, m) with its cos (s = 0) or sin
+    (s = 1) part where ``slot_valid``; the other slots (l < max(1, m), and
+    the whole sine row of m = 0) read mode 0.  ``strain_norm2`` holds
+    ||eps(Phi)||_{L2}^2 per degree l = 1..L, the same for every order: the
+    diagonal of the zonal form at unit weight.  Immutable after
+    construction; transforms are pure functions of their inputs and safe to
+    call concurrently.
     """
 
     FIELD = slice(0, 2)     # u_theta, u_phi
@@ -139,6 +140,12 @@ class SphereTransform:
                                    (True, False, True, False, False, True), grid.weights)
         order, part, self.mode_l = self.engine.layout
         self.mode_m = np.where(part, -order, order)
+        slot = (2 * order + part, self.mode_l - 1)
+        self.slot_mode = np.zeros((2 * self.L + 2, self.L), dtype=int)
+        self.slot_mode[slot] = np.arange(self.n_modes)
+        self.slot_valid = np.zeros(self.slot_mode.shape, dtype=bool)
+        self.slot_valid[slot] = True
+        self.strain_norm2 = np.diagonal(self._order_forms(grid.weights, [0])[0, 0])[1:]
         self._grad_norm2 = None
 
     def _profiles(self):
@@ -150,7 +157,7 @@ class SphereTransform:
         route of the geometry module.
         """
         g = self.grid
-        P, dP, d2P = legendre_tables(g)[:, :self.L + 1, :self.L + 1]
+        P, dP, d2P = plm_tables(self.L, g.glx)
         m = np.arange(self.L + 1)[:, None, None]
         l = np.arange(self.L + 1)[None, :, None]
         # degree 0 is outside the layout, so its profiles are never read
@@ -199,69 +206,51 @@ class SphereTransform:
         u = self.engine.synthesize(state.coeffs[None], self.FIELD)[:, 0]
         return TangentialField(self.grid, u.T)
 
-    def partition(self, weight):
-        """Mode parts over which forms weighted by ``weight`` are block-diagonal:
-        one per signed order m, degrees ascending, when the weight is constant
-        along every latitude row (cos/sin(m phi) then pair only with
-        themselves), otherwise one part holding every mode."""
-        if np.ptp(np.reshape(weight, (self.grid.n_lat, -1)), axis=1).any():
-            return [np.arange(self.n_modes)]
-        return [np.flatnonzero(self.mode_m == m) for m in range(-self.L, self.L + 1)]
-
-    def axisymmetric_form(self, weight, parts):
-        """``gradient_form`` for a weight constant along every latitude row,
-        over parts that each lie in one signed order (as ``partition``'s do).
+    def _order_forms(self, weight, orders):
+        """F of a weight constant along every latitude row on the orders
+        ``orders``, shape (order, sin part, degree, degree), degree 0 included.
 
         Such a weight pairs cos/sin(m phi) only with itself, so F is one
         Gauss-Legendre sum per signed order over the strain profiles
         E = (dA, (mixTF + dB) / 2, mixFF):
         F[(l, m), (l', m)] = sum_i w_i sum_c tau_c E_c[m, l, i] E_c[m, l', i],
         where tau_c = sum_j trig_c(m phi_j)^2, doubled for the off-diagonal
-        strain entry, which appears twice in eps:eps.  O(L^4) work over all
-        orders, and no transform.
+        strain entry, which appears twice in eps:eps.  O(L^3) work per order,
+        and no transform.
         """
-        order, part, degree = self.engine.layout
-        gather, valid = pad_parts(parts)
-        o = order[gather]
-        held = np.bincount(o.ravel(), minlength=self.L + 1) > 0  # the orders the parts hold
-        orders = np.flatnonzero(held)
         X = self.engine.X[orders, :, self.GRAD]                 # (m, l, c, i)
         E = np.stack([X[:, :, 0], 0.5 * (X[:, :, 1] + X[:, :, 2]), X[:, :, 3]], 1)
         w = np.reshape(weight, (self.grid.n_lat, -1))[:, 0]
         G = (E * w) @ E.swapaxes(-1, -2)                        # (m, c, l, l')
         trig = self.engine.trig[self.GRAD][[0, 1, 3]].reshape(3, -1, 2, self.grid.n_lon)
         tau = (trig[:, orders] ** 2).sum(-1) * np.array([1.0, 2.0, 1.0])[:, None, None]
-        full = np.einsum("cms,mclk->mslk", tau, G)
-        # flat index of entry (l, l') in the (order, sin part) block of each slot
-        n_l = full.shape[-1]
-        d = degree[gather]
-        row = (((np.cumsum(held) - 1)[o] * 2 + part[gather]) * n_l + d) * n_l
-        blocks = np.take(full, row[:, :, None] + d[:, None, :])
-        blocks *= valid[:, :, None] & valid[:, None, :]
+        return np.einsum("cms,mclk->mslk", tau, G)
+
+    def axisymmetric_form(self, weight):
+        """``gradient_form`` for a weight constant along every latitude row, as
+        per-order blocks (2L + 2, L, L) in slot order (see ``slot_mode``).
+        They are exactly zero on the invalid slots: the profiles vanish for
+        l < m, and at m = 0 the sine row's nonzero trig sums meet a factor m."""
+        full = self._order_forms(weight, np.arange(self.L + 1))
+        blocks = full.reshape(-1, self.L + 1, self.L + 1)[:, 1:, 1:]
         return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
-    def gradient_form(self, weight, parts):
-        """Blocks of F[j, k] = sum_n weight_n eps(Phi_j):eps(Phi_k) over a partition.
+    def gradient_form(self, weight):
+        """F[j, k] = sum_n weight_n eps(Phi_j):eps(Phi_k), dense and symmetrized.
 
-        Returns (n_parts, size, size): F on each part of ``parts`` (see
-        ``partition``), symmetrized and zero-padded to the largest.
         Matrix-free, F[:, K] = G^T(weight * eps(G e_K)) with G the gradient
-        synthesis, over chunks of probes: probe j sums the j-th unit state of
-        every part, which is exact when F couples no two parts.  It serves
-        any weight; ``axisymmetric_form`` computes the same blocks without
+        synthesis, over chunks of unit probes.  It serves any weight;
+        ``axisymmetric_form`` computes the per-order blocks without
         transforms when the weight is constant along latitude rows.
         """
-        gather, valid = pad_parts(parts)
-        F = np.empty((self.n_modes, gather.shape[1]))
-        for start in range(0, gather.shape[1], _FORM_CHUNK):
-            g, v = gather[:, start:start + _FORM_CHUNK].T, valid[:, start:start + _FORM_CHUNK].T
-            probe = np.zeros((g.shape[0], self.n_modes))
-            probe[np.nonzero(v)[0], g[v]] = 1.0
+        n = self.n_modes
+        F = np.empty((n, n))
+        for start in range(0, n, _FORM_CHUNK):
+            probe = np.eye(min(_FORM_CHUNK, n - start), n, start)
             T = self.engine.synthesize(probe, self.GRAD)
             T[1] = T[2] = 0.5 * (T[1] + T[2])      # the rate of strain
-            F[:, start:start + g.shape[0]] = self.engine.adjoint(T * weight, self.GRAD).T
-        blocks = F[gather] * (valid[:, :, None] & valid[:, None, :])
-        return 0.5 * (blocks + blocks.swapaxes(-1, -2))
+            F[:, start:start + probe.shape[0]] = self.engine.adjoint(T * weight, self.GRAD).T
+        return 0.5 * (F + F.T)
 
 
 def get_transform(grid, L):

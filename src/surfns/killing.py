@@ -116,15 +116,14 @@ def korn_constant(grid, L=None, fourier_cap=8):
 def _korn_sphere(grid, L):
     tr = get_transform(grid, L)
     # every mode of degree l has the strain norm of the zonal mode (l, 0)
-    zonal = np.flatnonzero(tr.mode_m == 0)
-    strain = np.diagonal(tr.axisymmetric_form(grid.weights, [zonal])[0])
+    strain = tr.strain_norm2
     if abs(strain[0]) > 1e-8:
         raise ConsistencyError(
             "singular strain form: a Killing mode leaked into the l >= 2 block")
     # the non-Killing modes (l >= 2) follow the three of degree 1
     quotient = (1.0 + tr.grad_norm2[3:]) / strain[tr.mode_l[3:] - 1]
     mu = np.sort(quotient)
-    per_degree = {l: float(quotient[k - 3]) for l, k in enumerate(zonal[1:], start=2)}
+    per_degree = {l: float(quotient[k - 3]) for l, k in enumerate(tr.slot_mode[0, 1:], start=2)}
     return KornResult(float(np.sqrt(mu[-1])), per_degree, mu)
 
 

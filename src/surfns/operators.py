@@ -3,11 +3,11 @@
 The variable-viscosity Stokes operator is assembled in weak form,
 A[j,k] = int 2 nu eps(Phi_j) : eps(Phi_k) dS, which keeps exact symmetry and
 positive semidefiniteness without differentiating nu.  A is stored as its
-diagonal blocks, one of size <= L per signed order m when nu is constant
-along latitude rows, else one dense block.  Per-order blocks are
-Gauss-Legendre sums over the transform's latitude strain profiles, O(L^4)
-work in all; the dense block is found by probing the O(L^3) per-order
-transforms.  Apply and eigenvalues go block by block.
+diagonal blocks: one L x L block per slot row of the transform (signed
+order m) when nu is constant along latitude rows, else one dense block.
+Per-order blocks are Gauss-Legendre sums over the transform's latitude
+strain profiles, O(L^4) work in all; the dense block is found by probing
+the O(L^3) per-order transforms.  Apply and eigenvalues go block by block.
 The convective term is pseudospectral on the dealiased grid, one fused
 synthesis of u and grad u and one analysis, each O(L^3) per row.  Every
 operator takes a (k, n_modes) coefficient stack and returns one.
@@ -16,42 +16,38 @@ operator takes a (k, n_modes) coefficient stack and returns one.
 import numpy as np
 
 from .errors import ParameterError
-from .harmonics import dealias_rule, get_transform, pad_parts
+from .harmonics import dealias_rule, get_transform
 
 
 class StokesForm:
     """Weak-form Stokes operator with its implicit/explicit split.
 
-    ``blocks[p]`` is A on the modes ``parts[p]``, zero-padded to the largest
-    part; A couples no two parts.  ``A = nu_min * diag(D) + A'`` where D
-    carries the constant-viscosity per-degree eigenvalues (Rayleigh quotients)
-    and A' is positive semidefinite because nu - nu_min >= 0.  The dense
-    ``A`` is built on demand.
+    ``blocks[p]`` is A on the modes ``gather[p][valid[p]]`` of
+    ``layout = (gather, valid)``; every block holds a mode, its valid slots
+    trail its invalid ones, on which it is zero, and A couples no two blocks.
+    ``A = nu_min * diag(D) + A'`` where D carries the constant-viscosity
+    per-degree eigenvalues (Rayleigh quotients) and A' is positive
+    semidefinite because nu - nu_min >= 0.
     """
 
-    def __init__(self, grid, transform, nu, L, blocks, parts, lam_by_degree):
+    def __init__(self, grid, transform, nu, L, blocks, layout, lam_by_degree):
         self.grid = grid
         self.transform = transform
         self.nu = nu
         self.L = L
         self.blocks = blocks
-        self.parts = parts
+        self.layout = layout
         self.lam_by_degree = lam_by_degree          # (L+1,) with entry l = lambda_l
         self.D = lam_by_degree[transform.mode_l]    # per-mode diagonal
         self.nu_min = nu.nu_min
-        self._gather, valid = pad_parts(parts)
-        # position of each mode in the flattened (part, slot) layout
+        self._gather, valid = layout
+        # position of each mode in the flattened (block, slot) layout
         self._scatter = np.flatnonzero(valid)[np.argsort(self._gather[valid])]
+        # each block on its valid slots, which trail, with their modes
+        self._valid_blocks = [(b[j:, j:], g[j:]) for b, g, j in zip(
+            blocks, self._gather, valid.shape[1] - valid.sum(1))]
         self._rho_explicit = None
         self._rho_full = None
-
-    @property
-    def A(self):
-        """Dense n_modes x n_modes matrix of the blocks."""
-        A = np.zeros((self.transform.n_modes,) * 2)
-        for idx, b in zip(self.parts, self.blocks):
-            A[np.ix_(idx, idx)] = b[:idx.size, :idx.size]
-        return A
 
     def apply(self, c):
         """A c for every row of a (k, n_modes) coefficient stack."""
@@ -61,9 +57,8 @@ class StokesForm:
 
     def _eigvalsh(self, shift):
         """Ascending eigenvalues of A - diag(shift), block by block."""
-        return np.sort(np.concatenate([
-            np.linalg.eigvalsh(b[:idx.size, :idx.size] - np.diag(shift[idx]))
-            for idx, b in zip(self.parts, self.blocks)]))
+        return np.sort(np.concatenate([np.linalg.eigvalsh(b - np.diag(shift[idx]))
+                                       for b, idx in self._valid_blocks]))
 
     def eigenvalues(self):
         """Ascending eigenvalues of A."""
@@ -97,15 +92,20 @@ def assemble_stokes(grid, nu, L):
             f"grid resolves degree {grid.max_degree}, need {dealias_rule(L).degree} "
             f"for exact degree-{L} assembly")
     tr = get_transform(grid, L)
-    # lambda_l is the same for every order: the unit-viscosity zonal diagonal
-    zonal = np.flatnonzero(tr.mode_m == 0)
+    # lambda_l is the same for every order: twice the unit-weight strain norm
     lam = np.zeros(L + 1)
-    lam[1:] = np.diagonal(tr.axisymmetric_form(2.0 * grid.weights, [zonal])[0])
+    lam[1:] = 2.0 * tr.strain_norm2
     lam[1] = max(lam[1], 0.0)
     weight = 2.0 * grid.weights * nu.values
-    parts = tr.partition(weight)
-    form = tr.gradient_form if len(parts) == 1 else tr.axisymmetric_form
-    return StokesForm(grid, tr, nu, L, form(weight, parts), parts, lam)
+    if np.ptp(np.reshape(weight, (grid.n_lat, -1)), axis=1).any():
+        # cos/sin(m phi) of different orders couple: one dense block
+        blocks = tr.gradient_form(weight)[None]
+        layout = (np.arange(tr.n_modes)[None], np.ones((1, tr.n_modes), dtype=bool))
+    else:
+        keep = tr.slot_valid.any(1)     # the sine row of m = 0 holds no mode
+        blocks = tr.axisymmetric_form(weight)[keep]
+        layout = (tr.slot_mode[keep], tr.slot_valid[keep])
+    return StokesForm(grid, tr, nu, L, blocks, layout, lam)
 
 
 def convective_term(tr, c):

@@ -1,5 +1,6 @@
 """Toroidal transforms: orthonormality, round trips, Leray projection,
-Parseval, reality, the dual-route gradient profiles, and table memory."""
+Parseval, reality, the dual-route gradient profiles, the per-order slot
+table, and table memory."""
 
 import numpy as np
 import pytest
@@ -38,6 +39,41 @@ def test_transform_mode_labels_match_mode_index():
             for m in range(-l, l + 1):
                 k = mode_index(L, l, m)
                 assert (tr.mode_l[k], tr.mode_m[k]) == (l, m)
+
+
+def test_slot_layout():
+    # every mode sits in exactly one valid slot, at row 2|m| + (m < 0) and
+    # column l - 1; the invalid slots read mode 0
+    for L in (1, 2, 8, 13):
+        tr = get_transform(geo.build_sphere_grid(max(L, 2), 1.0), L)
+        valid = tr.slot_valid
+        assert valid.shape == (2 * L + 2, L)
+        assert np.array_equal(np.sort(tr.slot_mode[valid]), np.arange(tr.n_modes))
+        row, col = np.nonzero(valid)
+        k = tr.slot_mode[valid]
+        assert np.array_equal(row, 2 * np.abs(tr.mode_m[k]) + (tr.mode_m[k] < 0))
+        assert np.array_equal(col, tr.mode_l[k] - 1)
+        assert not tr.slot_mode[~valid].any()
+        # valid slots are l >= max(1, m), bar the sine row of m = 0: they trail each row
+        m, s = np.divmod(np.arange(2 * L + 2), 2)
+        expected = np.arange(1, L + 1) >= np.maximum(m, 1)[:, None]
+        expected[(m == 0) & (s == 1)] = False
+        assert np.array_equal(valid, expected)
+
+
+def test_transform_tabulates_legendre_to_its_own_degree(monkeypatch):
+    # the transform reads degrees <= L only, whatever the grid resolves
+    import surfns.geometry
+    import surfns.harmonics
+    asked = []
+    for mod in (surfns.geometry, surfns.harmonics):
+        def record(lmax, x, real=mod.plm_tables):
+            asked.append(lmax)
+            return real(lmax, x)
+        monkeypatch.setattr(mod, "plm_tables", record)
+    for L in (8, 16):
+        get_transform(geo.build_sphere_grid(L, 1.0), L)
+    assert asked == [8, 16]
 
 
 def test_basis_orthonormality_low_degrees(sphere8, tr8):

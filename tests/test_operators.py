@@ -38,9 +38,17 @@ def _h1_norm2(tr, s):
     return float(np.dot(1.0 + tr.grad_norm2, s.coeffs ** 2))
 
 
+def _dense(form):
+    """Dense n_modes x n_modes matrix of the form's blocks."""
+    A = np.zeros((form.transform.n_modes,) * 2)
+    for g, v, b in zip(*form.layout, form.blocks):
+        A[np.ix_(g[v], g[v])] = b[np.ix_(v, v)]
+    return A
+
+
 def _a_prime(form):
     """Dense explicit remainder A' = A - nu_min diag(D)."""
-    return form.A - form.nu_min * np.diag(form.D)
+    return _dense(form) - form.nu_min * np.diag(form.D)
 
 
 def _row(f, s, *args):
@@ -53,7 +61,8 @@ def test_lambda1_zero(form1):
 
 
 def test_constant_nu_diagonal(form1):
-    off = form1.A - np.diag(np.diag(form1.A))
+    A = _dense(form1)
+    off = A - np.diag(np.diag(A))
     assert np.abs(off).max() <= 1e-10
 
 
@@ -65,12 +74,14 @@ def test_eigenvalue_closed_form(form1):
 
 def test_linearity_in_nu(sphere8, form1):
     form_c = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 2.5), 8)
-    assert np.abs(form_c.A - 2.5 * form1.A).max() <= 1e-12 * np.abs(form_c.A).max()
+    A = _dense(form_c)
+    assert np.abs(A - 2.5 * _dense(form1)).max() <= 1e-12 * np.abs(A).max()
 
 
 def test_symmetry_and_psd(formv):
-    assert np.abs(formv.A - formv.A.T).max() <= 1e-12 * np.abs(formv.A).max()
-    eigs = np.linalg.eigvalsh(formv.A)
+    A = _dense(formv)
+    assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
+    eigs = np.linalg.eigvalsh(A)
     assert eigs.min() >= -1e-10
     # kernel is exactly the degree-1 block
     assert np.sort(eigs)[:3].max() <= 1e-10
@@ -78,7 +89,7 @@ def test_symmetry_and_psd(formv):
 
 
 def test_variable_nu_killing_rows(formv):
-    assert np.abs(formv.A[:3]).max() <= 1e-10
+    assert np.abs(_dense(formv)[:3]).max() <= 1e-10
 
 
 def test_stokes_apply_kernel(form1):
@@ -127,8 +138,8 @@ def test_spectrum_rotation_invariance(sphere8):
     x, y = sphere8.nodes[:, 0], sphere8.nodes[:, 1]
     nu_a = geo.ViscosityField(sphere8, 1.0 + 0.3 * x)
     nu_b = geo.ViscosityField(sphere8, 1.0 + 0.3 * y)
-    ea = np.linalg.eigvalsh(assemble_stokes(sphere8, nu_a, 8).A)
-    eb = np.linalg.eigvalsh(assemble_stokes(sphere8, nu_b, 8).A)
+    ea = np.linalg.eigvalsh(_dense(assemble_stokes(sphere8, nu_a, 8)))
+    eb = np.linalg.eigvalsh(_dense(assemble_stokes(sphere8, nu_b, 8)))
     assert np.abs(ea - eb).max() <= 1e-8
 
 
@@ -172,13 +183,13 @@ def test_convective_single_degree_is_gradient():
     # oracle: a state on one degree l has vorticity -l(l+1)/R^2 times its
     # stream function, so its transport is a gradient, whatever the orders
     rng = np.random.default_rng(21)
-    for L in (8, 16):
+    for L in (8, 16, 32):
         for R in (1.0, 1.3):
             tr = get_transform(geo.build_sphere_grid(L, R), L)
-            for l in range(1, L + 1):
-                c = np.where(tr.mode_l == l, rng.standard_normal(tr.n_modes), 0.0)
-                n = convective_term(tr, c[None])[0]
-                assert np.linalg.norm(n) <= 1e-12 * (c @ c)
+            l = np.arange(1, L + 1)[:, None]
+            c = np.where(tr.mode_l == l, rng.standard_normal((L, tr.n_modes)), 0.0)
+            n = convective_term(tr, c)
+            assert np.all(np.linalg.norm(n, axis=1) <= 1e-12 * (c * c).sum(1))
             # two degrees interact (|N| = 0.08-0.19 at |c| = 1): not vacuous
             c = np.where((tr.mode_l == 3) | (tr.mode_l == 4), rng.standard_normal(tr.n_modes), 0.0)
             c /= np.linalg.norm(c)
@@ -261,10 +272,11 @@ def test_assembly_with_general_bandlimited_viscosity(sphere8):
     # PSD with the degree-1 kernel
     nu = geo.ViscosityField(sphere8, 1.0 + 0.3 * sphere8.nodes[:, 2] ** 2)
     form = assemble_stokes(sphere8, nu, 8)
-    assert np.abs(form.A - form.A.T).max() <= 1e-12 * np.abs(form.A).max()
-    eigs = np.linalg.eigvalsh(form.A)
+    A = _dense(form)
+    assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
+    eigs = np.linalg.eigvalsh(A)
     assert eigs.min() >= -1e-10
-    assert np.abs(form.A[:3]).max() <= 1e-10
+    assert np.abs(A[:3]).max() <= 1e-10
 
 
 def _weights(grid, kind):
@@ -274,33 +286,41 @@ def _weights(grid, kind):
 
 
 def test_blocks_match_single_part_form():
-    # signed-order blocks of row-constant weights, from the latitude profiles
-    # and from per-order probes, against the one-part probe; an x-dependent
-    # viscosity falls back to one part
+    # signed-order blocks of row-constant weights, from the latitude
+    # profiles, against the dense probe in slot order
     for L in (8, 12, 32):
         for R in (1.0, 1.3):
             grid = geo.build_sphere_grid(L, R)
             tr = get_transform(grid, L)
-            assert len(tr.partition(_weights(grid, "x"))) == 1
             for kind in ("linear_x3", "x3_squared"):
                 w = _weights(grid, kind)
-                parts = tr.partition(w)
-                assert len(parts) == 2 * L + 1
-                assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(tr.n_modes))
-                dense = tr.gradient_form(w, parts=[np.arange(tr.n_modes)])[0]
+                blocks = tr.axisymmetric_form(w)
+                assert blocks.shape == (2 * L + 2, L, L)
+                # exactly zero on the invalid slots
+                assert not blocks[~(tr.slot_valid[:, :, None] & tr.slot_valid[:, None, :])].any()
+                dense = tr.gradient_form(w)
                 scale = np.abs(dense).max()
-                for blocks in (tr.axisymmetric_form(w, parts), tr.gradient_form(w, parts)):
-                    for idx, b in zip(parts, blocks):
-                        s = idx.size
-                        assert np.abs(b[:s, :s] - dense[np.ix_(idx, idx)]).max() <= 1e-13 * scale
-                        assert not b[s:].any() and not b[:, s:].any()
+                for g, v, b in zip(tr.slot_mode, tr.slot_valid, blocks):
+                    idx = g[v]
+                    assert np.abs(b[np.ix_(v, v)] - dense[np.ix_(idx, idx)]).max(
+                        initial=0.0) <= 1e-13 * scale
+
+
+def test_eigenvalue_count_is_n_modes():
+    # one eigenvalue per mode: the padding slots never reach the eigensolve
+    for L in (8, 12):
+        grid = geo.build_sphere_grid(L, 1.3)
+        x, z = grid.nodes[:, 0] / grid.R, grid.nodes[:, 2] / grid.R
+        for values in (2.5, 1.0 + 0.5 * z, 1.0 + 0.3 * x):
+            form = assemble_stokes(grid, geo.ViscosityField(grid, values), L)
+            assert form.eigenvalues().shape == (L * (L + 2),)
 
 
 def test_cross_order_entries_vanish():
     # the dense linear_x3 form couples no two signed orders
     grid = geo.build_sphere_grid(12, 1.0)
     tr = get_transform(grid, 12)
-    A = tr.gradient_form(_weights(grid, "linear_x3"), parts=[np.arange(tr.n_modes)])[0]
+    A = tr.gradient_form(_weights(grid, "linear_x3"))
     cross = tr.mode_m[:, None] != tr.mode_m[None, :]
     assert np.abs(A[cross]).max() <= 1e-12 * np.abs(A).max()
 
@@ -314,12 +334,16 @@ def form_x(sphere8):
 def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
     # constant and linear_x3 viscosities, and the sphere Korn constant,
     # assemble from latitude profiles; only an x-dependent viscosity probes
-    def probe(self, weight, parts):
+    def probe(self, weight):
         raise RuntimeError("probe path")
     monkeypatch.setattr(SphereTransform, "gradient_form", probe)
+    tr = get_transform(sphere8, 8)
     for values in (1.0, 1.0 + 0.5 * sphere8.nodes[:, 2]):
         form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, values), 8)
-        assert len(form.parts) == 17
+        # the slot rows that hold a mode: all but the sine row of m = 0
+        assert form.blocks.shape == (17, 8, 8)
+        assert np.array_equal(form.layout[0], np.delete(tr.slot_mode, 1, 0))
+        assert np.array_equal(form.layout[1], np.delete(tr.slot_valid, 1, 0))
     assert korn_constant(sphere8, 8).c_p == pytest.approx(np.sqrt(3.0), rel=1e-12)
     with pytest.raises(RuntimeError, match="probe path"):
         assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
@@ -328,7 +352,7 @@ def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
 def test_apply_matches_dense(formv, form_x):
     rng = np.random.default_rng(5)
     for form in (formv, form_x):
-        A = form.A
+        A = _dense(form)
         for k in (1, 3):
             c = rng.normal(size=(k, A.shape[0]))
             dense = c @ A.T
@@ -337,7 +361,7 @@ def test_apply_matches_dense(formv, form_x):
 
 def test_block_eigenvalues_match_dense(formv, form_x):
     for form in (formv, form_x):
-        ev = np.linalg.eigvalsh(form.A)
+        ev = np.linalg.eigvalsh(_dense(form))
         ap = _a_prime(form)
         rho = np.linalg.eigvalsh(0.5 * (ap + ap.T)).max()
         scale = ev.max()
