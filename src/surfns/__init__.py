@@ -17,11 +17,11 @@ from .errors import (CheckpointError, ConfigError, ConsistencyError,
                      ParameterError)
 from .geometry import (SurfaceGrid, TangentialField, TangentialTensor,
                        ViscosityField, build_sphere_grid, build_torus_grid,
-                       covariant_derivative, h1_norm, l2_inner, l2_norm,
-                       rate_of_strain, strain_norm, surface_divergence,
+                       covariant_derivative, dealias_rule, h1_norm, l2_inner,
+                       l2_norm, rate_of_strain, strain_norm, surface_divergence,
                        surface_gradient, tangential_project)
-from .harmonics import (SpectralState, SphereTransform, dealias_rule,
-                        get_transform, mode_index, random_band_limited)
+from .harmonics import (SpectralState, SphereTransform, get_transform,
+                        mode_index, random_band_limited)
 from .killing import (KillingBasis, killing_basis, killing_coefficients,
                       korn_constant, pk_project)
 from .operators import StokesForm, assemble_stokes, convective_term
@@ -29,9 +29,9 @@ from .forcing import (ForcingSpec, apply_forcing, hypothesis_check,
                       make_catalog_forcing)
 from .timestepper import (SimState, StepperConfig, run, run_batch, step_imex,
                           step_rk4)
-from .diagnostics import (DiagnosticsRecord, check_killing_identity,
-                          check_monotonicity, continuous_dependence_ratio,
-                          fit_decay_rate, lambda_series, record)
+from .diagnostics import (check_killing_identity, check_monotonicity,
+                          continuous_dependence_ratio, fit_decay_rate,
+                          lambda_series, record)
 from .harness import (CheckpointMeta, RunReport, Scenario, execute_scenario,
                       load_checkpoint, load_config, parse_config_text,
                       run_ensemble, save_checkpoint)

@@ -2,6 +2,9 @@
 Killing-component identities, monotonicity, continuous dependence, and the
 backward-uniqueness quotient.
 
+A trajectory's diagnostics are one record array, a row per sample; the
+checks read its columns (``records.t``, ``records.alpha``, ...).
+
 The quotient Lambda = ||sqrt(2 nu) eps(u)||^2 / ||u||^2 vanishes on Killing
 fields and is flagged undefined below ||u|| = 1e-13 rather than extended by
 limits: a vanishing difference of trajectories is the event the probe is
@@ -18,34 +21,28 @@ from .forcing import apply_forcing
 NORM_FLOOR = 1e-13
 
 
-@dataclass
-class DiagnosticsRecord:
-    t: float
-    norm_u: float
-    norm_uK: float
-    norm_uNK: float
-    energy: float
-    dissipation: float
-    work: float
-    energy_residual: float
-    lam: float                  # nan when undefined
-    alpha: np.ndarray
+SCALAR_FIELDS = ("t", "norm_u", "norm_uK", "norm_uNK", "energy", "dissipation",
+                 "work", "energy_residual", "lam")
 
 
 def record(form, spec, sim):
-    """One diagnostics row per row of the integrator's stack ``sim``, with
-    A c and F(c) each evaluated once for the whole stack."""
+    """The diagnostics of every row of the integrator's stack ``sim``: a
+    record array with one row per coefficient row, with A c and F(c) each
+    evaluated once for the whole stack.  Its fields are ``SCALAR_FIELDS``
+    (``lam`` is nan where undefined) and the ``basis.n`` Killing
+    coordinates ``alpha``."""
     c = sim.c
     norm_u = np.linalg.norm(c, axis=1)
     diss = np.einsum("kn,kn->k", c, form.apply(c))
-    work = np.einsum("kn,kn->k", apply_forcing(spec, c), c)
     lam = np.full_like(norm_u, np.nan)
     defined = norm_u >= NORM_FLOOR
     lam[defined] = diss[defined] / norm_u[defined] ** 2
-    rows = zip(norm_u, np.linalg.norm(c[:, :3], axis=1), np.linalg.norm(c[:, 3:], axis=1),
-               0.5 * norm_u ** 2, diss, work, sim.ledger_residual(), lam)
-    return [DiagnosticsRecord(sim.t, *map(float, row), alpha)
-            for row, alpha in zip(rows, spec.basis.alpha(c))]
+    columns = (np.full_like(norm_u, sim.t), norm_u, np.linalg.norm(c[:, :3], axis=1),
+               np.linalg.norm(c[:, 3:], axis=1), 0.5 * norm_u ** 2, diss,
+               np.einsum("kn,kn->k", apply_forcing(spec, c), c), sim.ledger_residual(),
+               lam, spec.basis.alpha(c))
+    return np.rec.fromarrays(columns, dtype=[(name, float) for name in SCALAR_FIELDS]
+                             + [("alpha", float, (spec.basis.n,))])
 
 
 @dataclass
@@ -117,7 +114,8 @@ def check_killing_identity(series, spec):
     For f_K independent of u: the power integral (f_K, u_K)(t) is affine
     with slope ||f_K||^2, each coordinate follows alpha(0) + t f_K, and the
     squared norm obeys its quadratic expansion.  For f_K = 0 the report's
-    ``drift`` field measures conservation.
+    ``drift`` field measures conservation.  ``series`` holds the columns
+    ``t`` and ``alpha`` of a trajectory's records.
     """
     if spec.K.any():
         raise ParameterError(
@@ -126,17 +124,15 @@ def check_killing_identity(series, spec):
     fk = spec.basis.alpha(spec.f[:3])
     fk_norm = float(np.linalg.norm(fk))
 
-    t0 = series[0].t
-    a0 = series[0].alpha
+    dt = series.t - series.t[0]
+    alpha = series.alpha
+    a0 = alpha[0]
     ip0 = float(fk @ a0)
-    lin_dev = aff_dev = quad_dev = drift = 0.0
-    for rec in series:
-        dt = rec.t - t0
-        lin_dev = max(lin_dev, abs(float(fk @ rec.alpha) - ip0 - dt * fk_norm ** 2))
-        aff_dev = max(aff_dev, float(np.abs(rec.alpha - a0 - dt * fk).max()))
-        expect = float(a0 @ a0) + dt * dt * fk_norm ** 4 + 2.0 * dt * fk_norm ** 2 * ip0
-        quad_dev = max(quad_dev, abs(float(rec.alpha @ rec.alpha) - expect))
-        drift = max(drift, float(np.abs(rec.alpha - a0).max()))
+    lin_dev = np.abs(alpha @ fk - ip0 - dt * fk_norm ** 2).max()
+    aff_dev = np.abs(alpha - a0 - dt[:, None] * fk).max()
+    expect = float(a0 @ a0) + dt * dt * fk_norm ** 4 + 2.0 * dt * fk_norm ** 2 * ip0
+    quad_dev = np.abs(np.einsum("kn,kn->k", alpha, alpha) - expect).max()
+    drift = np.abs(alpha - a0).max()
     return KillingIdentityReport(lin_dev, aff_dev, quad_dev, drift, fk_norm)
 
 
@@ -149,12 +145,14 @@ class MonotonicityReport:
 
 
 def check_monotonicity(series, direction):
-    """Assert ||u_K(t)|| is monotone across samples within 1e-10 max(1, max_t ||u_K||)."""
+    """Assert ||u_K(t)|| is monotone across samples within 1e-10 max(1, max_t ||u_K||).
+
+    ``series`` holds the columns ``t`` and ``norm_uK`` of a trajectory's records.
+    """
     if direction not in ("nonincreasing", "nondecreasing"):
         raise ParameterError("direction must be nonincreasing or nondecreasing")
     sign = -1.0 if direction == "nonincreasing" else 1.0
-    vals = np.array([r.norm_uK for r in series])
-    times = np.array([r.t for r in series])
+    vals, times = series.norm_uK, series.t
     steps = sign * np.diff(vals)
     tol = 1e-10 * max(1.0, vals.max())
     bad = np.where(steps < -tol)[0]
@@ -189,7 +187,7 @@ def continuous_dependence_ratio(traj_a, traj_b, T, form=None):
     d0 = float(np.linalg.norm(d[0]))
     if d0 < NORM_FLOOR:
         raise ParameterError("identical initial data: dependence ratio undefined")
-    ts = np.array([r.t for r in records])
+    ts = records.t
     window = ts <= T + 1e-12
     d, ts = d[window], ts[window]
     sup = float(np.einsum("kn,kn->k", d, d).max(initial=0.0))

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ParameterError
 from . import geometry as geo
-from .geometry import SPHERE, TangentialField
-from .harmonics import get_transform, grid_truncation, n_modes, random_band_limited
+from .geometry import SPHERE, TangentialField, grid_truncation
+from .harmonics import get_transform, n_modes, random_band_limited
 from .killing import pk_project
 
 TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",

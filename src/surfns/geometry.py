@@ -14,6 +14,8 @@ quantities from (e1, e2, n), so frame-contracted results (inner products,
 norms, divergence, strain magnitude) do not depend on the frame rotation.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .errors import GeometryError, GridMismatchError, ParameterError
@@ -56,7 +58,7 @@ class SurfaceGrid:
     """
 
     def __init__(self, kind, R, r, lat, lon, nodes, weights, normals, e1, e2,
-                 glx=None, glw=None, max_degree=None, canonical=None):
+                 glx=None, max_degree=None, canonical=None):
         self.kind = kind
         self.R = float(R)
         self.r = float(r)
@@ -70,7 +72,6 @@ class SurfaceGrid:
         self.e1 = e1
         self.e2 = e2
         self.glx = glx
-        self.glw = glw
         self.max_degree = max_degree
         self.canonical = (e1, e2) if canonical is None else canonical
         self.canonical_frame = canonical is None
@@ -94,7 +95,7 @@ class SurfaceGrid:
         e2 = -s * self.e1 + c * self.e2
         return SurfaceGrid(self.kind, self.R, self.r, self.lat, self.lon,
                            self.nodes, self.weights, self.normals, e1, e2,
-                           glx=self.glx, glw=self.glw, max_degree=self.max_degree,
+                           glx=self.glx, max_degree=self.max_degree,
                            canonical=self.canonical)
 
 
@@ -120,20 +121,19 @@ class TangentialField:
 class TangentialTensor:
     """Tangential 2x2 tensor field in the frame, shape (n_nodes, 2, 2)."""
 
-    def __init__(self, grid, comps, symmetric=False):
+    def __init__(self, grid, comps):
         comps = np.asarray(comps, dtype=float)
         if comps.shape != (grid.n_nodes, 2, 2):
             raise GridMismatchError("tensor shape does not match grid")
         self.grid = grid
         self.comps = comps
-        self.symmetric = symmetric
 
     def trace(self):
         return self.comps[:, 0, 0] + self.comps[:, 1, 1]
 
     def sym(self):
         half = 0.5 * (self.comps + np.swapaxes(self.comps, 1, 2))
-        return TangentialTensor(self.grid, half, symmetric=True)
+        return TangentialTensor(self.grid, half)
 
 
 class ViscosityField:
@@ -151,11 +151,32 @@ class ViscosityField:
         self.nu_min = nu_min
 
 
+DealiasRule = namedtuple("DealiasRule", ["degree", "n_lat", "n_lon"])
+
+
+def dealias_rule(L):
+    """Grid resolution needed to integrate quadratic nonlinearities exactly.
+
+    Follows the 3/2 rule: resolve degree ceil(3L/2), which takes
+    n_lat = degree + 1 Gauss-Legendre colatitudes and n_lon = 2 degree + 2
+    uniform longitudes.
+    """
+    if L < 1:
+        raise ParameterError("truncation degree must be >= 1")
+    M = int(np.ceil(3 * L / 2))
+    return DealiasRule(M, M + 1, 2 * M + 2)
+
+
+def grid_truncation(grid):
+    """The truncation L a sphere grid was built for: the inverse of ``dealias_rule``."""
+    return 2 * grid.max_degree // 3
+
+
 def build_sphere_grid(L, R):
     """Sphere grid sized for truncation degree L.
 
     Latitudes are Gauss-Legendre points in cos(theta) (poles excluded),
-    longitudes uniform.  The resolved degree follows the 3L/2 rule so
+    longitudes uniform.  The resolution is ``dealias_rule(L)``, so
     quadratic nonlinearities of degree-L fields are integrated exactly;
     weights sum to 4 pi R^2 to rounding.
     """
@@ -164,10 +185,7 @@ def build_sphere_grid(L, R):
             f"truncation degree must be an integer in 2..{L_MAX}, got {L}")
     if not 0 < R < np.inf:
         raise ParameterError(f"radius must be positive and finite, got {R}")
-    L = int(L)
-    M = int(np.ceil(3 * L / 2))
-    n_lat = M + 1
-    n_lon = 2 * M + 2
+    M, n_lat, n_lon = dealias_rule(int(L))
 
     glx, glw = np.polynomial.legendre.leggauss(n_lat)
     theta = np.arccos(glx)
@@ -188,7 +206,7 @@ def build_sphere_grid(L, R):
     nodes = R * n
     weights = (R * R * 2.0 * np.pi / n_lon) * np.repeat(glw, n_lon)
     return SurfaceGrid(SPHERE, R, 0.0, theta, phi, nodes, weights, n,
-                       e_theta, e_phi, glx=glx, glw=glw, max_degree=M)
+                       e_theta, e_phi, glx=glx, max_degree=M)
 
 
 def build_torus_grid(n_pol, n_tor, R, r):

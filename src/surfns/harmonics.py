@@ -24,35 +24,13 @@ A weight constant along latitude rows couples no two signed orders, so its
 forms are stored per order, in the slot table of ``SphereTransform``.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 from ._legendre import plm_tables
-from .geometry import SPHERE, SphereEngine, TangentialField
-
-DealiasRule = namedtuple("DealiasRule", ["degree", "n_lat", "n_lon"])
+from .geometry import SPHERE, SphereEngine, TangentialField, dealias_rule  # noqa: F401 (public)
 
 _FORM_CHUNK = 32        # probes per matrix-free weak-form pass
-
-
-def dealias_rule(L):
-    """Grid resolution needed to integrate quadratic nonlinearities exactly.
-
-    Follows the 3/2 rule: resolve degree ceil(3L/2), which takes
-    n_lat = degree + 1 Gauss-Legendre colatitudes and n_lon = 2 degree + 2
-    uniform longitudes.
-    """
-    if L < 1:
-        raise ParameterError("truncation degree must be >= 1")
-    M = int(np.ceil(3 * L / 2))
-    return DealiasRule(M, M + 1, 2 * M + 2)
-
-
-def grid_truncation(grid):
-    """The truncation L a sphere grid was built for: the inverse of ``dealias_rule``."""
-    return 2 * grid.max_degree // 3
 
 
 def n_modes(L):
@@ -274,8 +252,8 @@ def random_band_limited(transform, seed, l_max=None,
     l_max = L if l_max is None else min(l_max, L)
     rng = np.random.default_rng(seed)
     c = np.zeros(n_modes(L))
-    for l in range(1, l_max + 1):
-        c[transform.mode_l == l] = rng.normal(0.0, 1.0 / l ** 2, 2 * l + 1)
+    n = n_modes(max(l_max, 0))
+    c[:n] = rng.normal(0.0, 1.0 / transform.mode_l[:n] ** 2)
     state = SpectralState(L, c)
     if norm_killing is not None:
         cur = state.killing_norm()

@@ -12,6 +12,7 @@ byte-identical CSV output; the CLI's --threads setting has no effect on it.
 """
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import CheckpointError, ConfigError, DivergenceError, ParameterError
 from . import geometry as geo
-from .diagnostics import fit_decay_rate
+from .diagnostics import SCALAR_FIELDS, fit_decay_rate
 from .forcing import TAGS, make_catalog_forcing
 from .harmonics import SpectralState, get_transform, random_band_limited
 from .killing import killing_basis
@@ -213,8 +214,8 @@ class RunContext:
     form: object = None
     fspec: object = None
     u0: object = None
-    samples: list = None
-    records: list = None
+    samples: np.ndarray = None
+    records: np.recarray = None
     pair: dict = field(default_factory=dict)
     ensemble: object = None
 
@@ -290,19 +291,27 @@ def stepper_config(cfg):
 # ---------------------------------------------------------------------------
 # CSV and report output
 
-CSV_COLUMNS = ("t", "norm_u", "norm_uK", "norm_uNK", "energy", "dissipation",
-               "work", "energy_residual", "lambda")
+# the record's scalar fields in their order; the CSV spells ``lam`` out
+CSV_COLUMNS = tuple("lambda" if name == "lam" else name for name in SCALAR_FIELDS)
+
+
+def format_table(columns, table, footer=""):
+    """CSV text of the 2-d float ``table`` under the header ``columns``, each
+    value in "%.17g", then the ``footer`` line if one is given."""
+    out = io.StringIO()
+    np.savetxt(out, table, fmt="%.17g", delimiter=",", header=",".join(columns),
+               footer=footer, comments="")
+    return out.getvalue()
 
 
 def records_to_csv(records, n_alpha):
-    header = ",".join(CSV_COLUMNS + tuple(f"alpha_{j + 1}" for j in range(n_alpha)))
-    lines = [header]
-    for r in records:
-        vals = [r.t, r.norm_u, r.norm_uK, r.norm_uNK, r.energy, r.dissipation,
-                r.work, r.energy_residual, r.lam]
-        vals.extend(r.alpha[j] if j < r.alpha.size else 0.0 for j in range(n_alpha))
-        lines.append(",".join("%.17g" % v for v in vals))
-    return "\n".join(lines) + "\n"
+    """One CSV row per record: its scalar fields, then its n_alpha Killing coordinates."""
+    if records["alpha"].shape[1] != n_alpha:
+        raise ParameterError(f"records carry {records['alpha'].shape[1]} Killing "
+                             f"coordinates, not {n_alpha}")
+    columns = CSV_COLUMNS + tuple(f"alpha_{j + 1}" for j in range(n_alpha))
+    table = np.column_stack([records[name] for name in SCALAR_FIELDS] + [records["alpha"]])
+    return format_table(columns, table)
 
 
 def write_csv(path, records, n_alpha):
@@ -500,11 +509,11 @@ def run_ensemble(cfg, ctx=None, n_members=None):
     member_records = [trajectories[k][1] for k in members]
     if not member_records:
         raise DivergenceError("all ensemble members diverged")
-    times = np.array([rec.t for rec in member_records[0]])
+    times = member_records[0].t
+    stack = np.stack(member_records)
     aggregates = {}
     for name in AGGREGATE_FIELDS:
-        vals = np.array([[getattr(rec, name) for rec in recs]
-                         for recs in member_records])
+        vals = stack[name]
         aggregates[name] = {"max": vals.max(axis=0), "min": vals.min(axis=0),
                             "mean": vals.mean(axis=0)}
     nk_max = aggregates["norm_uNK"]["max"]
@@ -529,22 +538,14 @@ def write_ensemble(out_dir, name, ens, n_alpha):
     ``<name>_ensemble.csv`` into the existing directory ``out_dir``."""
     for k, recs in zip(ens.members, ens.member_records):
         write_csv(os.path.join(out_dir, f"{name}_member{k:02d}.csv"), recs, n_alpha)
-    cols = ["t"]
-    for field_name in AGGREGATE_FIELDS:
-        cols.extend(f"{field_name}_{stat}" for stat in ("max", "min", "mean"))
-    lines = [",".join(cols)]
-    for i, t in enumerate(ens.times):
-        vals = [t]
-        for field_name in AGGREGATE_FIELDS:
-            agg = ens.aggregates[field_name]
-            vals.extend((agg["max"][i], agg["min"][i], agg["mean"][i]))
-        lines.append(",".join("%.17g" % v for v in vals))
+    stats = [(f, s) for f in AGGREGATE_FIELDS for s in ("max", "min", "mean")]
+    table = np.column_stack([ens.times] + [ens.aggregates[f][s] for f, s in stats])
     meta = (f"# omega_hat = {ens.omega_hat:.17g}, "
             f"entry_time = {ens.entry_time:.17g} at radius {ens.entry_radius:.17g}, "
             f"entry_time_r = {ens.entry_time_r:.17g} at radius {ens.entry_radius_r:.17g}")
     with open(os.path.join(out_dir, f"{name}_ensemble.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write("\n".join(lines + [meta]) + "\n")
+        fh.write(format_table(["t"] + [f"{f}_{s}" for f, s in stats], table, meta))
 
 
 # ---------------------------------------------------------------------------

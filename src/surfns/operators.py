@@ -16,7 +16,8 @@ operator takes a (k, n_modes) coefficient stack and returns one.
 import numpy as np
 
 from .errors import ParameterError
-from .harmonics import dealias_rule, get_transform
+from .geometry import dealias_rule
+from .harmonics import get_transform
 
 
 class StokesForm:

@@ -53,9 +53,7 @@ def chk_lambda1_zero(ctx):
 def chk_decay_rate(window, rtol=1e-3, name="zeta_2lam2"):
     def run(ctx):
         lam2 = ctx.form.lam_by_degree[2]
-        ts = np.array([r.t for r in ctx.records])
-        ys = np.array([r.norm_uNK ** 2 for r in ctx.records])
-        fit = fit_decay_rate(ts, ys, window=window)
+        fit = fit_decay_rate(ctx.records.t, ctx.records.norm_uNK ** 2, window=window)
         rel = abs(fit.zeta - 2 * lam2) / (2 * lam2)
         return _check(name, rel, rtol, "zeta = 2 lambda_2",
                       detail=f"zeta={fit.zeta:.6g}, omega={fit.omega:.3g}")
@@ -63,14 +61,14 @@ def chk_decay_rate(window, rtol=1e-3, name="zeta_2lam2"):
 
 
 def chk_trajectory_constant(ctx):
-    drift = np.abs(np.subtract(ctx.samples, ctx.samples[0])).max()
+    drift = np.abs(ctx.samples - ctx.samples[0]).max()
     return _check("trajectory_constant", drift, 1e-12, "u(t) = u(0)")
 
 
 def chk_ledger(bound, name="energy_ledger"):
     def run(ctx):
-        worst = max(abs(r.energy_residual) / max(r.energy, 1.0)
-                    for r in ctx.records)
+        r = ctx.records
+        worst = np.max(np.abs(r.energy_residual) / np.maximum(r.energy, 1.0))
         return _check(name, worst, bound, "|E-E0+int D-int W| small")
     return run
 
@@ -98,9 +96,9 @@ def chk_killing_drift(tol):
 
 def chk_exponential_killing(sign, tol):
     def run(ctx):
-        a0 = ctx.records[0].norm_uK
-        dev = max(abs(r.norm_uK - a0 * np.exp(sign * (r.t - ctx.records[0].t)))
-                  for r in ctx.records)
+        r = ctx.records
+        a0 = r.norm_uK[0]
+        dev = np.max(np.abs(r.norm_uK - a0 * np.exp(sign * (r.t - r.t[0]))))
         return _check("killing_exponential_law", dev / max(a0, 1e-30), tol,
                       f"||u_K(t)|| = e^{{{'+' if sign > 0 else '-'}t}} ||u_K(0)||")
     return run
@@ -132,7 +130,7 @@ def chk_gap_spread(ctx):
 def chk_lambda_bounded(residual_tol):
     def run(ctx):
         (sa, records), (sb, _) = ctx.pair["a"], ctx.pair["b"]
-        rep = lambda_series([r.t for r in records], np.subtract(sa, sb), ctx.form)
+        rep = lambda_series(records.t, sa - sb, ctx.form)
         out = [
             _check("lambda_finite", 0.0 if np.isfinite(rep.lam_max) else 1.0,
                    0.5, "Lambda(t) finite on the window",
@@ -147,7 +145,7 @@ def chk_lambda_bounded(residual_tol):
 def chk_no_crossing(min_gap):
     def run(ctx):
         (sa, _), (sb, _) = ctx.pair["a"], ctx.pair["b"]
-        worst = float(np.linalg.norm(np.subtract(sa, sb), axis=1).min())
+        worst = float(np.linalg.norm(sa - sb, axis=1).min())
         res = _check("no_crossing", -worst, -min_gap,
                      "||u1 - u2|| stays positive")
         res.detail = f"min gap = {worst:.6g}"
@@ -158,7 +156,7 @@ def chk_no_crossing(min_gap):
 def chk_h1_regularization(ctx):
     tr = get_transform(ctx.grid, ctx.cfg["geometry.L"])
     h1 = np.sqrt(np.square(ctx.samples) @ (1.0 + tr.grad_norm2))
-    ts = np.array([r.t for r in ctx.records])
+    ts = ctx.records.t
     early = h1[(ts >= 0.1) & (ts <= 0.5)].max()
     late = h1[ts >= 0.5].max()
     return _check("h1_bounded_after_transient", late, 1.05 * early,
@@ -233,7 +231,7 @@ def chk_korn_convergence(ctx):
 
 def chk_final_nk_below(bound):
     def run(ctx):
-        return _check("nonkilling_final_norm", ctx.records[-1].norm_uNK, bound,
+        return _check("nonkilling_final_norm", ctx.records.norm_uNK[-1], bound,
                       f"||u_NK(t_end)|| <= {bound}")
     return run
 

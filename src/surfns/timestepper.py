@@ -19,8 +19,8 @@ Both schemes advance a stack of k independent trajectories, coefficients
 (k, n_modes), through one code path for every k: each operator acts on the
 whole stack and each row keeps its own energy ledger.  Ensembles, pairs and
 gap families therefore integrate as one batch; coefficient rows and
-diagnostics records (one batched ``record`` call per sample) are taken only
-at sample points.
+diagnostics (one batched ``record`` call per sample) are taken only at
+sample points, into one array and one record array per trajectory.
 """
 
 import copy
@@ -179,12 +179,13 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     basis, and every state must have the form's truncation L.  Returns
     (trajectories, diverged): a (samples, records) pair per row, and a dict
     from row index to the DivergenceError of each row that went non-finite.
-    Samples are coefficient rows; their times are the records' ``t``.
-    Such a row is frozen at its last finite state, which rides on the error
-    as a one-row ``last_state`` with its trajectory as ``partial``; the
-    other rows continue.  ``record_fn`` defaults to the diagnostics module's
-    ``record``; it is called as ``record_fn(form, spec, sim)`` once per
-    sample with the stack of live rows and returns one record per row.
+    ``samples`` is an (n_samples, n_modes) array of coefficient rows and
+    ``records`` an (n_samples,) record array with the sample times in
+    ``records.t``.  A diverging row is frozen at its last finite state,
+    which rides on the error as a one-row ``last_state`` with the pair so
+    far as ``partial``; the other rows continue.  ``record_fn`` (default:
+    the diagnostics ``record``) is called as ``record_fn(form, spec, sim)``
+    once per sample on the live rows and returns one record per row.
     """
     if not (grid is form.grid is spec.basis.grid):
         raise GridMismatchError("the form, the forcing and the run use different grids")
@@ -198,16 +199,14 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
 
     sim = SimState(states, dt=config.dt)
     live = np.arange(sim.c.shape[0])          # original index of each row
-    trajectories = [([], []) for _ in live]
+    first = rec(form, spec, sim)
+    n_samples = 1 + -(-n_steps // config.stride)
+    samples = np.empty((live.size, n_samples, sim.c.shape[1]))
+    records = np.recarray((live.size, n_samples), dtype=first.dtype)
+    samples[:, 0], records[:, 0] = sim.c, first
+    trajectories = list(zip(samples, records))
     diverged = {}
-
-    def sample():
-        for i, c, r in zip(live, sim.c, rec(form, spec, sim)):
-            samples, records = trajectories[i]
-            samples.append(c.copy())
-            records.append(r)
-
-    sample()
+    taken = 1
     for n in range(n_steps):
         # an overflowing row is expected here and is caught just below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -216,6 +215,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
         if bad.any():
             for j in np.flatnonzero(bad):
                 i = int(live[j])
+                trajectories[i] = (samples[i, :taken], records[i, :taken])
                 diverged[i] = DivergenceError(
                     f"non-finite coefficients at t = {new.t:.6g} "
                     f"(after step {sim.step})", last_state=sim.take([j]),
@@ -225,7 +225,8 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
                 break
         sim = new
         if (n + 1) % config.stride == 0 or n + 1 == n_steps:
-            sample()
+            samples[live, taken], records[live, taken] = sim.c, rec(form, spec, sim)
+            taken += 1
     return trajectories, diverged
 
 
@@ -233,8 +234,8 @@ def run(config, grid, form, spec, u0, record_fn=None):
     """Integrate one trajectory from the SpectralState ``u0`` to t_end,
     sampling every ``stride`` steps (see ``run_batch``).
 
-    Returns (samples, records): coefficient rows and diagnostics rows.  On
-    divergence the partial results ride on the raised error.
+    Returns (samples, records): the coefficient rows and the diagnostics
+    record array.  On divergence the partial arrays ride on the raised error.
     """
     (trajectory,), diverged = run_batch(config, grid, form, spec, [u0], record_fn)
     if diverged:

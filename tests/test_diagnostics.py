@@ -170,7 +170,7 @@ def test_killing_identity_conservation(sphere8, form1, kb, tr8):
 
 
 def test_killing_identity_needs_u_independent_killing_part(kb, tr8):
-    series = [SimpleNamespace(t=0.1 * i, alpha=np.zeros(3)) for i in range(3)]
+    series = SimpleNamespace(t=0.1 * np.arange(3), alpha=np.zeros((3, 3)))
     params = {"g": tr8.toroidal_basis_field(2, 0), "v": tr8.toroidal_basis_field(2, 1),
               "p": np.array([0.0, 0.0, 1.0])}
     for tag in ("f2_plus", "f2_minus", "f3_plus", "f3_minus", "f4_plus",
@@ -190,7 +190,8 @@ def test_killing_identity_reads_f_k_of_a_constant_field(sphere8, kb, tr8, rotati
                             - 0.4 * rotation_field(sphere8, 0).comps)
     fk = killing_coefficients(kb, g)
     a0 = np.array([0.2, -0.1, 0.3])
-    series = [SimpleNamespace(t=t, alpha=a0 + t * fk) for t in (0.0, 0.5, 1.0)]
+    ts = np.array([0.0, 0.5, 1.0])
+    series = SimpleNamespace(t=ts, alpha=a0 + ts[:, None] * fk)
     rep = check_killing_identity(series, make_catalog_forcing("constant_field", {"g": g}, kb))
     assert np.linalg.norm(fk) > 0.5
     assert abs(rep.fk_norm - np.linalg.norm(fk)) <= 1e-12

@@ -266,6 +266,21 @@ def test_random_state_norm_prescription(tr8):
     assert s.nonkilling_norm() == pytest.approx(1.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("L", [8, 16, 32])
+def test_random_state_draws_degree_by_degree(L):
+    # oracle: one draw of 2l + 1 normals with standard deviation 1/l^2 per
+    # degree, in ascending order; degrees above l_max stay zero
+    tr = get_transform(geo.build_sphere_grid(L, 1.0), L)
+    for l_max in (-1, 1, L // 2, L):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            expect = np.zeros(n_modes(L))
+            for l in range(1, l_max + 1):
+                expect[tr.mode_l == l] = rng.normal(0.0, 1.0 / l ** 2, 2 * l + 1)
+            got = random_band_limited(tr, seed, l_max=l_max).coeffs
+            assert np.array_equal(got, expect), (l_max, seed)
+
+
 def _held_bytes(obj, skip, seen):
     """Bytes of the arrays reachable from obj, not counting those in skip."""
     if id(obj) in seen or id(obj) in skip:

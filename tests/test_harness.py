@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from surfns import cli, harness
 from surfns import geometry as geo
-from surfns.errors import CheckpointError, ConfigError
+from surfns.diagnostics import record
+from surfns.errors import CheckpointError, ConfigError, ParameterError
 from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import (SpectralState, mode_index, n_modes,
                               random_band_limited)
@@ -205,15 +206,51 @@ def test_csv_format(sphere8, tr8):
     cfg = stepper_config(default_config())
     _, records = run_simulation(cfg, sphere8, form, spec,
                                 random_band_limited(tr8, 4))
+    # the zero state's quotient is undefined, so its lambda is nan
+    nan_row = record(form, spec, SimState([SpectralState(8)]))
+    records = np.concatenate([records, nan_row]).view(np.recarray)
+    assert np.isnan(records.lam[-1]) and not np.isnan(records.lam[:-1]).any()
     text = records_to_csv(records, kb.n)
     lines = text.strip().split("\n")
     header = lines[0].split(",")
     assert header[:9] == ["t", "norm_u", "norm_uK", "norm_uNK", "energy",
                           "dissipation", "work", "energy_residual", "lambda"]
     assert header[9:] == ["alpha_1", "alpha_2", "alpha_3"]
-    # 17 significant digits round-trip binary64 losslessly
-    val = lines[1].split(",")[1]
-    assert float(val) == records[0].norm_u
+    # 17 significant digits round-trip binary64 losslessly: every value of
+    # every row, read back by column name, matches its record bit for bit
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    fields = ("t", "norm_u", "norm_uK", "norm_uNK", "energy", "dissipation",
+              "work", "energy_residual", "lam")
+    expected = np.column_stack([records[name] for name in fields] + [records.alpha])
+    assert table.shape == expected.shape == (len(records), 12)
+    np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+    with pytest.raises(ParameterError, match="3 Killing coordinates, not 2"):
+        records_to_csv(records, 2)
+
+
+def test_ensemble_csv_aggregates_the_member_csvs(tmp_path):
+    cfg = default_config()
+    cfg.update({"geometry.L": 8, "init.kind": "random",
+                "init.norm_killing": 0.5, "init.norm_nonkilling": 1.0,
+                "run.t_end": 0.5, "run.stride": 25, "ensemble.members": 3})
+    ctx = build_context(cfg)
+    write_ensemble(str(tmp_path), "ens", run_ensemble(cfg, ctx=ctx), ctx.basis.n)
+
+    def read(name):
+        with open(tmp_path / name, encoding="utf-8") as fh:
+            columns = fh.readline().strip().split(",")
+        table = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, ndmin=2)
+        return dict(zip(columns, table.T))
+
+    members = [read(f"ens_member{k:02d}.csv") for k in range(3)]
+    ensemble = read("ens_ensemble.csv")
+    stats = {"max": np.max, "min": np.min, "mean": np.mean}
+    assert len(ensemble) == 1 + 6 * len(stats)
+    np.testing.assert_array_equal(ensemble.pop("t"), members[0]["t"])
+    for column, values in ensemble.items():
+        name, stat = column.rsplit("_", 1)
+        over_members = stats[stat](np.stack([m[name] for m in members]), axis=0)
+        np.testing.assert_array_equal(values, over_members, err_msg=column)
 
 
 # --- scenarios and ensemble --------------------------------------------------
