@@ -263,63 +263,92 @@ class SphereEngine:
 
         f_c(theta_i, phi_j) = sum_(l,m) X_c[m, l, i] (a_lm T0_c(m phi_j) + b_lm T1_c(m phi_j))
 
-    where (a_lm, b_lm) are the cos/sin coefficients of (l, m), X_c are
-    zero-padded latitude profiles of shape (order, degree, n_lat), and
-    (T0, T1) = (cos, sin) for in-phase components, (sin, -cos) for shifted
-    ones (those carrying one azimuthal derivative).  Synthesis contracts each
-    order's coefficients with its profiles (a matmul batched over m), then
-    runs one longitude stage against cached cos/sin(m phi) matrices (batched
-    over components): O(L^3) memory and O(L^3) work per field.  The adjoint
-    runs both stages transposed; analysis is the adjoint applied to the
-    field times the quadrature weights.
+    where (a_lm, b_lm) are the cos/sin coefficients of (l, m), X_c are the
+    latitude profiles, and (T0, T1) = (cos, sin) for in-phase components,
+    (sin, -cos) for shifted ones (those carrying one azimuthal derivative).
 
-    ``profiles`` has shape (n_comps, order, degree, n_lat), ``shifted``
-    flags the shifted components and ``weights`` holds the quadrature
-    weight of each node.  Flat coefficients (the last axis of a (k, n)
-    stack) follow the degree-major layout [(l,0), (l,1,cos), (l,1,sin), ...,
-    (l,l,sin)] for lmin <= l <= lmax, with lmax + 1 = profiles.shape[1].
+    Order m holds only the degrees l >= m, so the table ``X`` (pair, row,
+    comp, n_lat) stores the orders in pairs of lmax + 1 rows: order 0 alone
+    in pair 0, orders m <= lmax + 1 - m and lmax + 1 - m in pair m, m's
+    degrees first (a middle order pairs with itself).  ``placement =
+    (pair, which, offset)`` puts degree l of order m at row l - offset[m] of
+    block pair[m], as its first (which = 0) or second order, and ``trig``
+    holds cos/sin(m phi) at rows 4 pair + 2 which + part, zero where a pair
+    has no second order.  Synthesis contracts each pair's coefficients with
+    its block (a matmul batched over lmax // 2 + 1 pairs), then runs one
+    longitude stage against ``trig`` (batched over components): O(L^3)
+    memory and O(L^3) work per field.  The adjoint runs both stages
+    transposed; analysis is the adjoint applied to the field times the
+    quadrature weights.
+
+    ``profiles(m, l, P, dP, d2P)`` returns each component's profiles as a
+    (pair, row, n_lat) array, from the order and degree of each row (shape
+    (pair, row, 1)) and the Legendre tables of ``plm_tables`` on the rows,
+    which are zero on rows that hold no degree; so must the profiles be.
+    ``shifted`` flags the shifted components and ``weights`` holds the
+    quadrature weight of each node.  Flat coefficients (the last axis of a
+    (k, n) stack) follow the degree-major layout [(l,0), (l,1,cos),
+    (l,1,sin), ..., (l,l,sin)] for lmin <= l <= lmax.
     """
 
-    def __init__(self, grid, lmin, profiles, shifted, weights):
-        n_comp, n_orders = profiles.shape[:2]
+    def __init__(self, grid, lmin, lmax, profiles, shifted, weights):
+        n_orders = lmax + 1
         self.n_lat, self.n_lon = grid.n_lat, grid.n_lon
-        self.X = np.ascontiguousarray(profiles.transpose(1, 2, 0, 3))   # (m, l, c, i)
-        mphi = np.outer(np.arange(n_orders), grid.lon)
-        in_phase = np.stack([np.cos(mphi), np.sin(mphi)], axis=1)       # (m, 2, n_lon)
-        quarter = np.stack([np.sin(mphi), -np.cos(mphi)], axis=1)
-        self.trig = np.stack([quarter if s else in_phase for s in shifted]).reshape(
-            n_comp, 2 * n_orders, grid.n_lon)
+        self.weights = weights
+        m = np.arange(n_orders)
+        pair = np.minimum(m, n_orders - m)
+        which = (m > pair).astype(int)
+        offset = np.where(which, 0, m)
+        self.placement = (pair, which, offset)
+        n_pairs = n_orders // 2 + 1
+        # (order, degree) of every held degree, l >= max(m, lmin)
+        held_m, held_l = np.nonzero(m[None, :] >= np.maximum(m, lmin)[:, None])
+        rows = (pair[held_m], held_l - offset[held_m])
+        tables = np.zeros((3, n_pairs, n_orders, grid.n_lat))
+        tables[:, rows[0], rows[1]] = plm_tables(lmax, grid.glx)[:, held_m, held_l]
+        row_m, row_l = np.zeros((2, n_pairs, n_orders, 1), dtype=int)
+        row_m[rows], row_l[rows] = held_m[:, None], held_l[:, None]
+        self.X = np.stack(profiles(row_m, row_l, *tables), axis=2)     # (pair, row, c, i)
+        mphi = np.outer(m, grid.lon)
+        cos, sin = np.cos(mphi), np.sin(mphi)
+        in_phase = np.stack([cos, sin], axis=1)                          # (m, 2, n_lon)
+        quarter = np.stack([sin, -cos], axis=1)
+        trig = np.zeros((len(shifted), 2 * n_pairs, 2, grid.n_lon))
+        trig[:, 2 * pair + which] = np.where(np.reshape(shifted, (-1, 1, 1, 1)), quarter, in_phase)
+        self.trig = trig.reshape(len(shifted), -1, grid.n_lon)
         # contiguous, so the adjoint's longitude stage stays on BLAS
         self.trig_t = np.ascontiguousarray(self.trig.transpose(0, 2, 1))
-        self.weights = weights
         degrees = np.arange(lmin, n_orders)
         degree = np.repeat(degrees, 2 * degrees + 1)
         j = np.arange(degree.size) - (degree * degree - lmin * lmin)   # place in the block
-        self.layout = ((j + 1) // 2, ((j > 0) & (j % 2 == 0)).astype(int), degree)
+        order, part = (j + 1) // 2, ((j > 0) & (j % 2 == 0)).astype(int)
+        self.layout = (order, part, degree)
+        # (pair, which and part, row) of each flat coefficient
+        self._index = (pair[order], 2 * which[order] + part, degree - offset[order])
 
     def synthesize(self, c, comps=slice(None)):
         """Nodal values (n_comps, k, n_nodes) of a coefficient stack (k, n)."""
         X = self.X[:, :, comps]
-        n_orders, _, n_comp, n_lat = X.shape
+        n_pairs, n_rows, n_comp, n_lat = X.shape
         k = c.shape[0]
-        Z = np.zeros((n_orders, 2, k, n_orders))
-        order, part, degree = self.layout
-        Z[order, part, :, degree] = c.T
-        F = Z.reshape(n_orders, 2 * k, n_orders) @ X.reshape(n_orders, n_orders, -1)
-        F = F.reshape(n_orders, 2, k, n_comp, n_lat).transpose(3, 2, 4, 0, 1)
-        f = F.reshape(n_comp, k * n_lat, 2 * n_orders) @ self.trig[comps]
+        Z = np.zeros((n_pairs, 4, k, n_rows))
+        pair, sub, row = self._index
+        Z[pair, sub, :, row] = c.T
+        F = Z.reshape(n_pairs, 4 * k, n_rows) @ X.reshape(n_pairs, n_rows, -1)
+        F = F.reshape(n_pairs, 4, k, n_comp, n_lat).transpose(3, 2, 4, 0, 1)
+        f = F.reshape(n_comp, k * n_lat, 4 * n_pairs) @ self.trig[comps]
         return f.reshape(n_comp, k, n_lat * self.n_lon)
 
     def adjoint(self, f, comps=slice(None)):
         """Transpose of ``synthesize``: coefficient stack (k, n) of f (n_comps, k, n_nodes)."""
         X = self.X[:, :, comps]
-        n_orders, _, n_comp, n_lat = X.shape
+        n_pairs, n_rows, n_comp, n_lat = X.shape
         k = f.shape[1]
         G = f.reshape(n_comp, k * n_lat, self.n_lon) @ self.trig_t[comps]
-        G = G.reshape(n_comp, k, n_lat, n_orders, 2).transpose(3, 0, 2, 4, 1)
-        Z = X.reshape(n_orders, n_orders, -1) @ G.reshape(n_orders, n_comp * n_lat, 2 * k)
-        order, part, degree = self.layout
-        return Z.reshape(n_orders, n_orders, 2, k)[order, degree, part].T
+        G = G.reshape(n_comp, k, n_lat, n_pairs, 4).transpose(3, 0, 2, 4, 1)
+        Z = X.reshape(n_pairs, n_rows, -1) @ G.reshape(n_pairs, n_comp * n_lat, 4 * k)
+        pair, sub, row = self._index
+        return Z.reshape(n_pairs, n_rows, 4, k)[pair, row, sub].T
 
     def analyze(self, f, comps=slice(None)):
         """Coefficient stack (k, n) of nodal f (n_comps, k, n_nodes) by quadrature."""
@@ -328,11 +357,11 @@ class SphereEngine:
     def sq_norms(self, comps=slice(None)):
         """Quadrature of sum_c f_c^2 over the nodes, per unit coefficient."""
         X2 = self.X[:, :, comps] ** 2
-        T2 = self.trig[comps].reshape(X2.shape[2], -1, 2, self.n_lon) ** 2
+        T2 = self.trig[comps].reshape(X2.shape[2], -1, 4, self.n_lon) ** 2
         W = self.weights.reshape(self.n_lat, self.n_lon)
-        norms = np.einsum("mlci,ij,cmsj->msl", X2, W, T2, optimize=True)
-        order, part, degree = self.layout
-        return norms[order, part, degree]
+        norms = np.einsum("prci,ij,cpsj->psr", X2, W, T2, optimize=True)
+        pair, sub, row = self._index
+        return norms[pair, sub, row]
 
 
 def _scalar_engine(grid):
@@ -344,13 +373,13 @@ def _scalar_engine(grid):
     """
     key = "scalar_engine"
     if key not in grid._caches:
-        P, dP, _ = plm_tables(grid.max_degree, grid.glx)
-        m = np.arange(grid.max_degree + 1)[:, None, None]
-        fac = np.where(m > 0, np.sqrt(2.0), 1.0)
         s = np.sin(grid.lat)
-        profiles = np.stack([fac * P, fac * dP / grid.R, -m * fac * P / (grid.R * s)])
-        grid._caches[key] = SphereEngine(grid, 0, profiles, (False, False, True),
-                                         grid.weights / grid.R ** 2)
+
+        def profiles(m, l, P, dP, d2P):
+            fac = np.where(m > 0, np.sqrt(2.0), 1.0)
+            return fac * P, fac * dP / grid.R, -m * fac * P / (grid.R * s)
+        grid._caches[key] = SphereEngine(grid, 0, grid.max_degree, profiles,
+                                         (False, False, True), grid.weights / grid.R ** 2)
     return grid._caches[key]
 
 

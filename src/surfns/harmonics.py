@@ -16,9 +16,13 @@ occupying the slice [l^2 - 1, (l+1)^2 - 1).  A negative m in the public API
 addresses the sine partner of |m|.
 
 Transforms run on the per-order engine of the geometry module: per order m
-the coefficients contract with zero-padded latitude profiles, then one
-longitude stage applies cos/sin(m phi).  Tables take O(L^3) memory and each
-transform O(L^3) work; no per-mode nodal table is stored.
+the coefficients contract with latitude profiles, stored by order pairs so
+that no block holds the zero degrees l < m, then one longitude stage
+applies cos/sin(m phi).  Tables take O(L^3) memory and each transform
+O(L^3) work; no per-mode nodal table is stored.  The profiles are, in
+order, the field (A, B), its scalar vorticity omega and its covariant
+derivative (dA, mixTF, dB, mixFF): ``FIELD``, ``VORT`` (the field and
+omega, all the convective term needs) and ``GRAD`` select them.
 
 A weight constant along latitude rows couples no two signed orders, so its
 forms are stored per order, in the slot table of ``SphereTransform``.
@@ -27,7 +31,6 @@ forms are stored per order, in the slot table of ``SphereTransform``.
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from ._legendre import plm_tables
 from .geometry import SPHERE, SphereEngine, TangentialField, dealias_rule  # noqa: F401 (public)
 
 _FORM_CHUNK = 32        # probes per matrix-free weak-form pass
@@ -85,23 +88,25 @@ class SpectralState:
 class SphereTransform:
     """Toroidal transforms for (grid, L) on the per-order engine.
 
-    Holds only the latitude profiles of the toroidal field, (A, B), and of
-    its closed-form covariant derivative, (dA, mixTF, dB, mixFF), for every
-    order and degree up to L: O(L^3) memory, and O(L^3) work per transform
-    (see ``geometry.SphereEngine``).  ``mode_l`` and ``mode_m`` give the
-    degree and signed order (< 0 for a sine) of each flat index, read off
-    the engine's layout.  ``slot_mode`` (2L + 2, L) holds at row 2m + s and
-    column l - 1 the flat index of mode (l, m) with its cos (s = 0) or sin
-    (s = 1) part where ``slot_valid``; the other slots (l < max(1, m), and
-    the whole sine row of m = 0) read mode 0.  ``strain_norm2`` holds
-    ||eps(Phi)||_{L2}^2 per degree l = 1..L, the same for every order: the
-    diagonal of the zonal form at unit weight.  Immutable after
+    Holds only the latitude profiles of the toroidal field, (A, B), of its
+    scalar vorticity omega and of its closed-form covariant derivative,
+    (dA, mixTF, dB, mixFF), for every order and degree up to L: O(L^3)
+    memory, and O(L^3) work per transform (see ``geometry.SphereEngine``).
+    ``mode_l`` and ``mode_m`` give the degree and signed order (< 0 for a
+    sine) of each flat index, read off the engine's layout.  ``slot_mode``
+    (2L + 2, L) holds at row 2m + s and column l - 1 the flat index of mode
+    (l, m) with its cos (s = 0) or sin (s = 1) part where ``slot_valid``;
+    the other slots (l < max(1, m), and the whole sine row of m = 0) read
+    mode 0.  ``strain_norm2`` holds ||eps(Phi)||_{L2}^2 per degree
+    l = 1..L, the same for every order: the diagonal of the zonal form at
+    unit weight.  Immutable after
     construction; transforms are pure functions of their inputs and safe to
     call concurrently.
     """
 
     FIELD = slice(0, 2)     # u_theta, u_phi
-    GRAD = slice(2, 6)      # T_00, T_01, T_10, T_11 of the covariant derivative
+    VORT = slice(0, 3)      # u_theta, u_phi, omega
+    GRAD = slice(3, 7)      # T_00, T_01, T_10, T_11 of the covariant derivative
 
     def __init__(self, grid, L):
         if grid.kind != SPHERE:
@@ -114,8 +119,8 @@ class SphereTransform:
         self.grid = grid
         self.L = int(L)
         self.n_modes = n_modes(self.L)
-        self.engine = SphereEngine(grid, 1, self._profiles(),
-                                   (True, False, True, False, False, True), grid.weights)
+        self.engine = SphereEngine(grid, 1, self.L, self._profiles,
+                                   (True, False, False, True, False, False, True), grid.weights)
         order, part, self.mode_l = self.engine.layout
         self.mode_m = np.where(part, -order, order)
         slot = (2 * order + part, self.mode_l - 1)
@@ -126,29 +131,30 @@ class SphereTransform:
         self.strain_norm2 = np.diagonal(self._order_forms(grid.weights, [0])[0, 0])[1:]
         self._grad_norm2 = None
 
-    def _profiles(self):
-        """Latitude profiles, shape (6, order, degree, n_lat).
+    def _profiles(self, m, l, P, dP, d2P):
+        """Latitude profiles (A, B, omega, dA, mixTF, dB, mixFF) of the modes
+        of order m and degree l, from their Legendre tables.
 
         u = (A trig', B trig) per mode, with trig' the quarter-shifted
-        longitude factor; the covariant derivative follows in closed form in
-        spherical coordinates, cross-validated against the ambient-interpolant
-        route of the geometry module.
+        longitude factor.  Phi_lm is n x grad of Y_lm / sqrt(l(l+1)), so its
+        vorticity is -l(l+1)/R^2 times that stream function, in phase.  The
+        covariant derivative follows in closed form in spherical
+        coordinates, cross-validated against the ambient-interpolant route of
+        the geometry module.
         """
         g = self.grid
-        P, dP, d2P = plm_tables(self.L, g.glx)
-        m = np.arange(self.L + 1)[:, None, None]
-        l = np.arange(self.L + 1)[None, :, None]
         # degree 0 is outside the layout, so its profiles are never read
         q = np.where(m > 0, np.sqrt(2.0), 1.0) / np.sqrt(np.maximum(l * (l + 1), 1))
         s = np.sin(g.lat)
         x = np.cos(g.lat)
         A = q * m * P / (g.R * s)
         B = q * dP / g.R
+        omega = -l * (l + 1) * q * P / g.R ** 2
         dA = q * m * (dP * s - P * x) / (g.R * s) ** 2
         dB = q * d2P / g.R ** 2
         mixTF = (m * A - x * B) / (g.R * s)
         mixFF = (x * A - m * B) / (g.R * s)
-        return np.stack([A, B, dA, mixTF, dB, mixFF])
+        return A, B, omega, dA, mixTF, dB, mixFF
 
     @property
     def grad_norm2(self):
@@ -193,16 +199,24 @@ class SphereTransform:
         E = (dA, (mixTF + dB) / 2, mixFF):
         F[(l, m), (l', m)] = sum_i w_i sum_c tau_c E_c[m, l, i] E_c[m, l', i],
         where tau_c = sum_j trig_c(m phi_j)^2, doubled for the off-diagonal
-        strain entry, which appears twice in eps:eps.  O(L^3) work per order,
-        and no transform.
+        strain entry, which appears twice in eps:eps.  Each order reads its
+        rows of the engine's order-pair table: O(L^3) work per order, and no
+        transform.
         """
-        X = self.engine.X[orders, :, self.GRAD]                 # (m, l, c, i)
+        orders = np.asarray(orders)
+        pair, which, offset = (a[orders] for a in self.engine.placement)
+        X = self.engine.X[pair, :, self.GRAD]                   # (m, row, c, i)
         E = np.stack([X[:, :, 0], 0.5 * (X[:, :, 1] + X[:, :, 2]), X[:, :, 3]], 1)
         w = np.reshape(weight, (self.grid.n_lat, -1))[:, 0]
-        G = (E * w) @ E.swapaxes(-1, -2)                        # (m, c, l, l')
-        trig = self.engine.trig[self.GRAD][[0, 1, 3]].reshape(3, -1, 2, self.grid.n_lon)
-        tau = (trig[:, orders] ** 2).sum(-1) * np.array([1.0, 2.0, 1.0])[:, None, None]
-        return np.einsum("cms,mclk->mslk", tau, G)
+        G = (E * w) @ E.swapaxes(-1, -2)                        # (m, c, row, row')
+        # degree l >= m of order m sits at row l - offset of its pair
+        Gm = np.zeros((orders.size, 3, self.L + 1, self.L + 1))
+        for j, (m, o) in enumerate(zip(orders, offset)):
+            Gm[j, :, m:, m:] = G[j, :, m - o:self.L + 1 - o, m - o:self.L + 1 - o]
+        trig = self.engine.trig[self.GRAD][[0, 1, 3]].reshape(3, -1, 2, 2, self.grid.n_lon)
+        tau = (trig[:, pair, which] ** 2).sum(-1) * np.array([1.0, 2.0, 1.0])[:, None, None]
+        F = tau.transpose(1, 2, 0) @ Gm.reshape(orders.size, 3, -1)
+        return F.reshape(orders.size, 2, self.L + 1, self.L + 1)
 
     def axisymmetric_form(self, weight):
         """``gradient_form`` for a weight constant along every latitude row, as

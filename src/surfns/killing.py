@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConsistencyError, GridMismatchError, ParameterError
 from . import geometry as geo
-from .geometry import SPHERE, TORUS, TangentialField
+from .geometry import SPHERE, TORUS, TangentialField, grid_truncation
 from .harmonics import get_transform
 
 
@@ -22,9 +22,10 @@ class KillingBasis:
         self.grid = grid
         self.fields = fields
         self.n = len(fields)
-        # coefficient rows of each basis field in the degree-1 toroidal block
+        # coefficient rows of each basis field in the degree-1 toroidal block,
+        # from the transform a run on this grid builds anyway
         if grid.kind == SPHERE:
-            tr = get_transform(grid, 2 if grid.max_degree >= 3 else 1)
+            tr = get_transform(grid, max(1, grid_truncation(grid)))
             self.l1_map = np.stack([tr.analyze(v).coeffs[:3] for v in fields])
         else:
             self.l1_map = None

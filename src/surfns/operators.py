@@ -8,9 +8,10 @@ order m) when nu is constant along latitude rows, else one dense block.
 Per-order blocks are Gauss-Legendre sums over the transform's latitude
 strain profiles, O(L^4) work in all; the dense block is found by probing
 the O(L^3) per-order transforms.  Apply and eigenvalues go block by block.
-The convective term is pseudospectral on the dealiased grid, one fused
-synthesis of u and grad u and one analysis, each O(L^3) per row.  Every
-operator takes a (k, n_modes) coefficient stack and returns one.
+The convective term is pseudospectral on the dealiased grid, in rotation
+form: one synthesis of u and its vorticity and one analysis, each O(L^3)
+per row.  Every operator takes a (k, n_modes) coefficient stack and
+returns one.
 """
 
 import numpy as np
@@ -114,11 +115,16 @@ def convective_term(tr, c):
     coefficient stack ``c``, computed pseudospectrally with the transform
     ``tr`` (the form's ``transform`` on the dynamics path).
 
-    Synthesize u and its covariant derivative on the dealiased grid in one
-    fused pass, form the transport vector nodally, and project back onto the
-    toroidal basis.  Discrete energy orthogonality and the vanishing Killing
-    projection hold to quadrature exactness.
+    In two dimensions (u . grad_G) u = grad_G(|u|^2 / 2) + omega n x u, and
+    the gradient has no toroidal part.  So synthesize u and its scalar
+    vorticity omega on the dealiased grid in one pass, form omega n x u =
+    omega (-u_phi, u_theta) nodally, and project back onto the toroidal
+    basis.  Since (omega n x u) . u = 0 at every node, discrete energy
+    orthogonality holds to rounding on any grid; the vanishing Killing
+    projection holds to quadrature exactness.
     """
-    f = tr.engine.synthesize(c, slice(0, 6))    # u, then T_ij = grad u
-    u, T = f[tr.FIELD], f[tr.GRAD].reshape(2, 2, *f.shape[1:])
-    return tr.engine.analyze(T[:, 0] * u[0] + T[:, 1] * u[1], tr.FIELD)
+    f = tr.engine.synthesize(c, tr.VORT)         # u_theta, u_phi, omega
+    w = f[2] * tr.engine.weights                  # omega, weighted for the quadrature
+    f[0] *= w
+    f[1] *= -w
+    return tr.engine.adjoint(f[1::-1], tr.FIELD)    # the analysis of omega (-u_phi, u_theta)

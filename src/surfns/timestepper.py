@@ -23,7 +23,6 @@ diagnostics (one batched ``record`` call per sample) are taken only at
 sample points, into one array and one record array per trajectory.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,7 @@ class SimState:
         self.work_integral = np.zeros(len(states))
         self.diss_integral = np.zeros(len(states))
         self.energy0 = self.energy()
-        self._prev = None           # (A'c, N(c), F(c)) at the previous step
+        self._prev = None           # (A'c, N(c), F(c)) at the previous step, stacked (3, k, n)
 
     def energy(self):
         return 0.5 * _rowdot(self.c, self.c)
@@ -76,24 +75,24 @@ class SimState:
         """E(t) - E(0) + int D - int W per row, the discrete balance defect."""
         return self.energy() - self.energy0 + self.diss_integral - self.work_integral
 
+    def _with(self, c, t, dt, step, work_integral, diss_integral, energy0, prev):
+        """A stack of the same L with the given fields."""
+        out = SimState.__new__(SimState)
+        out.L, out.t, out.c, out.dt, out.step = self.L, t, c, dt, step
+        out.work_integral, out.diss_integral = work_integral, diss_integral
+        out.energy0, out._prev = energy0, prev
+        return out
+
     def take(self, rows):
         """The sub-stack of ``rows`` (an index list or a boolean mask)."""
-        out = copy.copy(self)
-        out.c = self.c[rows]
-        out.work_integral = self.work_integral[rows]
-        out.diss_integral = self.diss_integral[rows]
-        out.energy0 = self.energy0[rows]
-        if self._prev is not None:
-            out._prev = tuple(p[rows] for p in self._prev)
-        return out
+        return self._with(self.c[rows], self.t, self.dt, self.step,
+                          self.work_integral[rows], self.diss_integral[rows],
+                          self.energy0[rows], None if self._prev is None else self._prev[:, rows])
 
     def _advance(self, c, dt, work, diss, prev):
         """The stack one step of size dt later, with the step's ledger terms."""
-        out = copy.copy(self)
-        vars(out).update(c=c, t=self.t + dt, dt=dt, step=self.step + 1, _prev=prev,
-                         work_integral=self.work_integral + work,
-                         diss_integral=self.diss_integral + diss)
-        return out
+        return self._with(c, self.t + dt, dt, self.step + 1, self.work_integral + work,
+                          self.diss_integral + diss, self.energy0, prev)
 
 
 def _rowdot(a, b):
@@ -102,8 +101,8 @@ def _rowdot(a, b):
 
 
 def _parts(form, spec, c):
-    """(A c, N(c), F(c)) for every row of a coefficient stack."""
-    return form.apply(c), convective_term(form.transform, c), apply_forcing(spec, c)
+    """(A c, N(c), F(c)) for every row of a coefficient stack, stacked (3, k, n)."""
+    return np.stack([form.apply(c), convective_term(form.transform, c), apply_forcing(spec, c)])
 
 
 def step_imex(sim, form, spec, dt):
@@ -122,28 +121,26 @@ def step_imex(sim, form, spec, dt):
     half = 0.5 * dt * form.nu_min * form.D
 
     if sim._prev is None:
-        ac0, nn0, ff0 = _parts(form, spec, c)
-        k1 = -ac0 - nn0 + ff0
+        p0 = _parts(form, spec, c)
+        k1 = -p0[0] - p0[1] + p0[2]
         cs = c + dt * k1
-        ac1, nn1, ff1 = _parts(form, spec, cs)
-        k2 = -ac1 - nn1 + ff1
+        p1 = _parts(form, spec, cs)
+        k2 = -p1[0] - p1[1] + p1[2]
         c_new = c + 0.5 * dt * (k1 + k2)
         mid = 0.5 * (c + c_new)
-        diss = 0.5 * dt * _rowdot(ac0 + ac1, mid)
-        work = 0.5 * dt * _rowdot(ff0 + ff1, mid)
-        prev = (ac0 - form.nu_min * (form.D * c), nn0, ff0)
+        # dissipation and work: the trapezoid A c and F(c) against the midpoint
+        diss, work = 0.5 * dt * np.einsum("jkn,kn->jk", p0[::2] + p1[::2], mid)
+        p0[0] -= form.nu_min * (form.D * c)          # A' c
+        prev = p0
     else:
-        ac_n, nn_n, ff_n = _parts(form, spec, c)
-        ap_n = ac_n - form.nu_min * (form.D * c)      # A' c
-        ap_p, nn_p, ff_p = sim._prev
-        ap_ab = 1.5 * ap_n - 0.5 * ap_p
-        ff_ab = 1.5 * ff_n - 0.5 * ff_p
-        expl = -ap_ab - (1.5 * nn_n - 0.5 * nn_p) + ff_ab
-        c_new = ((1.0 - half) * c + dt * expl) / (1.0 + half)
+        parts = _parts(form, spec, c)
+        parts[0] -= form.nu_min * (form.D * c)       # A' c
+        ab = 1.5 * parts - 0.5 * sim._prev           # Adams-Bashforth combinations
+        c_new = ((1.0 - half) * c + dt * (-ab[0] - ab[1] + ab[2])) / (1.0 + half)
         mid = 0.5 * (c + c_new)
-        diss = dt * (form.nu_min * _rowdot(form.D * mid, mid) + _rowdot(ap_ab, mid))
-        work = dt * _rowdot(ff_ab, mid)
-        prev = (ap_n, nn_n, ff_n)
+        ab[0] += form.nu_min * (form.D * mid)        # with the Crank-Nicolson term
+        diss, work = dt * np.einsum("jkn,kn->jk", ab[::2], mid)
+        prev = parts
     return sim._advance(c_new, dt, work, diss, prev)
 
 

@@ -1,6 +1,7 @@
 """Toroidal transforms: orthonormality, round trips, Leray projection,
 Parseval, reality, the dual-route gradient profiles, the per-order slot
-table, and table memory."""
+table, the order-paired engine against a padded reference, and table
+memory."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from surfns.errors import ParameterError
 from surfns.harmonics import (SpectralState, dealias_rule, get_transform,
                               mode_index, n_modes, random_band_limited)
 from surfns.operators import convective_term
+from surfns._legendre import plm_tables
 
 
 def test_dealias_rule_values():
@@ -62,15 +64,15 @@ def test_slot_layout():
 
 
 def test_transform_tabulates_legendre_to_its_own_degree(monkeypatch):
-    # the transform reads degrees <= L only, whatever the grid resolves
+    # the transform reads degrees <= L only, whatever the grid resolves; its
+    # engine tabulates the Legendre functions
     import surfns.geometry
-    import surfns.harmonics
     asked = []
-    for mod in (surfns.geometry, surfns.harmonics):
-        def record(lmax, x, real=mod.plm_tables):
-            asked.append(lmax)
-            return real(lmax, x)
-        monkeypatch.setattr(mod, "plm_tables", record)
+
+    def record(lmax, x, real=surfns.geometry.plm_tables):
+        asked.append(lmax)
+        return real(lmax, x)
+    monkeypatch.setattr(surfns.geometry, "plm_tables", record)
     for L in (8, 16):
         get_transform(geo.build_sphere_grid(L, 1.0), L)
     assert asked == [8, 16]
@@ -309,3 +311,67 @@ def test_transform_tables_stay_small_at_l32():
         id(v) for v in vars(grid).values() if isinstance(v, np.ndarray)}
     held = _held_bytes([tr, grid._caches], own, set())
     assert held <= 20e6
+    # order pairs: (ceil(L/2) + 1)(L + 1) degree rows per component, 1.54 MB
+    n_pairs, n_rows, n_comp, _ = tr.engine.X.shape
+    assert n_pairs * n_rows == (-(-32 // 2) + 1) * 33 and n_comp == 7
+    assert tr.engine.X.nbytes <= 1.6e6
+
+
+TOROIDAL_SHIFTED = (True, False, False, True, False, False, True)
+SCALAR_SHIFTED = (False, False, True)
+
+
+def _scalar_profiles(grid):
+    """The scalar harmonics and their gradient along (e_theta, e_phi)."""
+    s = np.sin(grid.lat)
+
+    def profiles(m, l, P, dP, d2P):
+        fac = np.where(m > 0, np.sqrt(2.0), 1.0)
+        return fac * P, fac * dP / grid.R, -m * fac * P / (grid.R * s)
+    return profiles
+
+
+def _padded_synthesis(grid, lmin, lmax, profiles, shifted):
+    """Reference synthesis matrix (comp, node, flat mode): per order m, the
+    zero-padded latitude profiles (degree, n_lat) times cos/sin(m phi)."""
+    m = np.arange(lmax + 1)
+    X = np.stack(profiles(m[:, None, None], m[None, :, None], *plm_tables(lmax, grid.glx)))
+    mphi = np.outer(m, grid.lon)
+    in_phase = np.stack([np.cos(mphi), np.sin(mphi)], 1)       # (order, part, n_lon)
+    quarter = np.stack([np.sin(mphi), -np.cos(mphi)], 1)
+    cols = []
+    for l in range(lmin, lmax + 1):
+        cols += [(0, 0, l)] + [(mm, p, l) for mm in range(1, l + 1) for p in (0, 1)]
+    S = []
+    for Xc, sh in zip(X, shifted):
+        per_order = np.einsum("mli,mpj->mplij", Xc, quarter if sh else in_phase)
+        S.append(np.stack([per_order[mm, p, l].ravel() for mm, p, l in cols], -1))
+    return np.stack(S)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
+def test_paired_engine_matches_padded_reference(L):
+    # the toroidal engine at degree L and the scalar engine of the grid
+    # (degree 3, 3, 5, 6, 12): odd and even degrees, so with and without a
+    # self-paired middle order
+    grid = geo.build_sphere_grid(max(L, 2), 1.3)
+    tr = get_transform(grid, L)
+    rng = np.random.default_rng(L)
+    for eng, lmin, lmax, profiles, shifted in (
+            (tr.engine, 1, L, tr._profiles, TOROIDAL_SHIFTED),
+            (geo._scalar_engine(grid), 0, grid.max_degree, _scalar_profiles(grid), SCALAR_SHIFTED)):
+        S = _padded_synthesis(grid, lmin, lmax, profiles, shifted)
+        scale = np.abs(S).max()
+        for k in (0, 1, 3):
+            c = rng.standard_normal((k, S.shape[2]))
+            f = rng.standard_normal((len(shifted), k, grid.n_nodes))
+            np.testing.assert_allclose(eng.synthesize(c), np.einsum("cxn,kn->ckx", S, c),
+                                       rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(eng.adjoint(f), np.einsum("cxn,ckx->kn", S, f),
+                                       rtol=0, atol=1e-13 * scale * grid.n_nodes)
+            np.testing.assert_allclose(eng.synthesize(c, slice(1, 3)),
+                                       np.einsum("cxn,kn->ckx", S[1:3], c),
+                                       rtol=0, atol=1e-13 * scale)
+            # adjointness: <S c, f> = <c, S^T f>
+            lhs, rhs = np.sum(eng.synthesize(c) * f), np.sum(c * eng.adjoint(f))
+            assert abs(lhs - rhs) <= 1e-13 * max(np.linalg.norm(c) * np.linalg.norm(f), 1e-300)

@@ -196,6 +196,49 @@ def test_convective_single_degree_is_gradient():
             assert np.linalg.norm(convective_term(tr, c[None])[0]) >= 1e-2
 
 
+def _transport_form(tr, c):
+    """The oracle: P[(u . grad) u] as P[T u], with T the covariant derivative."""
+    f = tr.engine.synthesize(c)
+    u, T = f[tr.FIELD], f[tr.GRAD].reshape(2, 2, *f.shape[1:])
+    return tr.engine.analyze(T[:, 0] * u[0] + T[:, 1] * u[1], tr.FIELD)
+
+
+def _row_rel(a, b):
+    """Largest row-wise relative 2-norm distance of stack a from stack b."""
+    return float((np.linalg.norm(a - b, axis=1) / np.linalg.norm(b, axis=1)).max())
+
+
+def test_convective_rotation_form_matches_transport_form():
+    # (u . grad) u = grad(|u|^2 / 2) + omega n x u, and the gradient has no
+    # toroidal part, so P[omega n x u] must equal P[T u] to rounding.  The
+    # comparison separates the mutants: omega with its sign flipped, and the
+    # transport form kept beside the rotation term, are both off by O(1)
+    rng = np.random.default_rng(17)
+    for L in (8, 16, 32):
+        for R in (1.0, 1.3):
+            tr = get_transform(geo.build_sphere_grid(L, R), L)
+            for k in (1, 8):
+                c = rng.standard_normal((k, tr.n_modes))
+                oracle = _transport_form(tr, c)
+                n = convective_term(tr, c)
+                assert _row_rel(n, oracle) <= 1e-13, (L, R, k)
+                u_theta, u_phi, omega = tr.engine.synthesize(c, tr.VORT)
+                flipped = tr.engine.analyze(np.stack([omega * u_phi, -omega * u_theta]), tr.FIELD)
+                assert _row_rel(flipped, oracle) >= 1.9
+                assert _row_rel(oracle + n, oracle) >= 0.9
+
+
+def test_convective_energy_orthogonal_to_rounding():
+    # (omega n x u) . u = 0 at every node, so c . N(c) is rounding only
+    rng = np.random.default_rng(19)
+    for L in (8, 11, 16, 32):
+        tr = get_transform(geo.build_sphere_grid(L, 1.3), L)
+        c = rng.standard_normal((4, tr.n_modes))
+        n = convective_term(tr, c)
+        dots = np.abs(np.einsum("kn,kn->k", c, n))
+        assert np.all(dots <= 1e-14 * np.linalg.norm(c, axis=1) * np.linalg.norm(n, axis=1))
+
+
 def test_operators_accept_empty_stack(formv, tr8, kb):
     c = np.zeros((0, tr8.n_modes))
     spec = make_catalog_forcing("f3_minus", {}, kb)

@@ -8,7 +8,7 @@ from surfns import geometry as geo
 from surfns.diagnostics import record
 from surfns.errors import DivergenceError, GridMismatchError, ParameterError
 from surfns.forcing import make_catalog_forcing
-from surfns.harmonics import SpectralState, mode_index, random_band_limited
+from surfns.harmonics import SpectralState, mode_index, n_modes, random_band_limited
 from surfns.killing import killing_basis
 from surfns.operators import assemble_stokes
 from surfns.harness import (build_context, build_initial_state, member_seed,
@@ -106,6 +106,43 @@ def test_cross_scheme_agreement(sphere8, formv, kb, tr8):
         samples, _ = run(cfg, sphere8, formv, spec, u0)
         out[scheme] = samples[-1]
     assert np.abs(out["imex_cnab2"] - out["rk4"]).max() <= 1e-6
+
+
+def _single_degree_energy_error(L, R, degrees, seed):
+    """Largest |E(t_n)/E(0) - G_n| of an unforced constant-nu IMEX run from a
+    random state on ``degrees`` (all orders), with G_n the scheme's exact
+    amplification of one degree l = degrees[0]: a Heun bootstrap step, then
+    Crank-Nicolson on nu lambda_l.  Also returns the largest Killing norm."""
+    grid = geo.build_sphere_grid(L, R)
+    nu, dt, n_steps = 0.7, 2e-3, 100
+    form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
+    spec = make_catalog_forcing("zero", {}, killing_basis(grid))
+    rng = np.random.default_rng(seed)
+    c = np.where(np.isin(form.transform.mode_l, degrees), rng.standard_normal(n_modes(L)), 0.0)
+    cfg = StepperConfig(dt=dt, t_end=n_steps * dt, stride=1)
+    _, rec = run(cfg, grid, form, spec, SpectralState(L, c / np.linalg.norm(c)))
+    l = degrees[0]
+    x = nu * (l * (l + 1) - 2) / R ** 2 * dt
+    h = 0.5 * x
+    n = np.arange(n_steps + 1)
+    gain = np.where(n > 0, (1 - x + 0.5 * x * x) * ((1 - h) / (1 + h)) ** np.maximum(n - 1, 0), 1.0)
+    return np.abs(rec.energy / rec.energy[0] - gain ** 2).max(), rec.norm_uK.max()
+
+
+@pytest.mark.parametrize("L, R, l", [(8, 1.0, 3), (8, 1.3, 5), (16, 1.0, 7)])
+def test_single_degree_decay_is_exact(L, R, l):
+    # closed-form nonlinear oracle: a state on one degree is a steady state
+    # of the Euler part, so with the convective term on it decays exactly as
+    # the scheme's linear amplification of nu lambda_l
+    err, killing = _single_degree_energy_error(L, R, [l], seed=l)
+    assert err <= 1e-12
+    assert killing <= 1e-15
+
+
+def test_two_degree_decay_is_not_single_degree():
+    # degrees 3 and 4 interact: the same check fails
+    err, _ = _single_degree_energy_error(8, 1.0, [3, 4], seed=3)
+    assert err > 1e-6
 
 
 def test_rk4_stability_bound_checked(sphere8, form1, spec0):
