@@ -37,12 +37,15 @@ def record(form, spec, sim):
     lam = np.full_like(norm_u, np.nan)
     defined = norm_u >= NORM_FLOOR
     lam[defined] = diss[defined] / norm_u[defined] ** 2
-    columns = (np.full_like(norm_u, sim.t), norm_u, np.linalg.norm(c[:, :3], axis=1),
+    columns = (sim.t, norm_u, np.linalg.norm(c[:, :3], axis=1),
                np.linalg.norm(c[:, 3:], axis=1), 0.5 * norm_u ** 2, diss,
                np.einsum("kn,kn->k", apply_forcing(spec, c), c), sim.ledger_residual(),
                lam, spec.basis.alpha(c))
-    return np.rec.fromarrays(columns, dtype=[(name, float) for name in SCALAR_FIELDS]
-                             + [("alpha", float, (spec.basis.n,))])
+    out = np.empty(c.shape[0], dtype=[(name, float) for name in SCALAR_FIELDS]
+                   + [("alpha", float, (spec.basis.n,))])
+    for name, column in zip(out.dtype.names, columns):
+        out[name] = column
+    return out.view(np.recarray)
 
 
 @dataclass

@@ -325,15 +325,24 @@ class SphereEngine:
         self.layout = (order, part, degree)
         # (pair, which and part, row) of each flat coefficient
         self._index = (pair[order], 2 * which[order] + part, degree - offset[order])
+        self._flat = {}                 # per stack height: the flat indices below
+
+    def _flat_index(self, k):
+        """Flat indices of a k-row stack in the (pair, 4, k, row) and (pair, row, 4, k) arrays."""
+        if k not in self._flat:
+            pair, sub, row = self._index
+            n_rows, r = self.X.shape[1], np.arange(k)[:, None]
+            self._flat[k] = (((4 * pair + sub) * k + r) * n_rows + row,
+                             ((pair * n_rows + row) * 4 + sub) * k + r)
+        return self._flat[k]
 
     def synthesize(self, c, comps=slice(None)):
         """Nodal values (n_comps, k, n_nodes) of a coefficient stack (k, n)."""
         X = self.X[:, :, comps]
         n_pairs, n_rows, n_comp, n_lat = X.shape
         k = c.shape[0]
-        Z = np.zeros((n_pairs, 4, k, n_rows))
-        pair, sub, row = self._index
-        Z[pair, sub, :, row] = c.T
+        Z = np.zeros(n_pairs * 4 * k * n_rows)
+        Z[self._flat_index(k)[0]] = c
         F = Z.reshape(n_pairs, 4 * k, n_rows) @ X.reshape(n_pairs, n_rows, -1)
         F = F.reshape(n_pairs, 4, k, n_comp, n_lat).transpose(3, 2, 4, 0, 1)
         f = F.reshape(n_comp, k * n_lat, 4 * n_pairs) @ self.trig[comps]
@@ -347,8 +356,7 @@ class SphereEngine:
         G = f.reshape(n_comp, k * n_lat, self.n_lon) @ self.trig_t[comps]
         G = G.reshape(n_comp, k, n_lat, n_pairs, 4).transpose(3, 0, 2, 4, 1)
         Z = X.reshape(n_pairs, n_rows, -1) @ G.reshape(n_pairs, n_comp * n_lat, 4 * k)
-        pair, sub, row = self._index
-        return Z.reshape(n_pairs, n_rows, 4, k)[pair, row, sub].T
+        return Z.take(self._flat_index(k)[1])
 
     def analyze(self, f, comps=slice(None)):
         """Coefficient stack (k, n) of nodal f (n_comps, k, n_nodes) by quadrature."""

@@ -42,20 +42,27 @@ class StokesForm:
         self.lam_by_degree = lam_by_degree          # (L+1,) with entry l = lambda_l
         self.D = lam_by_degree[transform.mode_l]    # per-mode diagonal
         self.nu_min = nu.nu_min
-        self._gather, valid = layout
-        # position of each mode in the flattened (block, slot) layout
-        self._scatter = np.flatnonzero(valid)[np.argsort(self._gather[valid])]
+        gather, valid = layout
+        self._flat = {}                 # per stack height: the flat indices of ``apply``
+        self.step_cache = {}            # per dt: the time stepper's constants
         # each block on its valid slots, which trail, with their modes
         self._valid_blocks = [(b[j:, j:], g[j:]) for b, g, j in zip(
-            blocks, self._gather, valid.shape[1] - valid.sum(1))]
+            blocks, gather, valid.shape[1] - valid.sum(1))]
         self._rho_explicit = None
         self._rho_full = None
 
     def apply(self, c):
         """A c for every row of a (k, n_modes) coefficient stack."""
+        k = c.shape[0]
+        if k not in self._flat:
+            # flat stack places of the (block, row, slot) entries; product places of the modes
+            (gather, valid), r = self.layout, np.arange(k)[:, None]
+            n_slots = valid.shape[1]
+            block, slot = np.divmod(np.flatnonzero(valid)[np.argsort(gather[valid])], n_slots)
+            self._flat[k] = (gather[:, None] + self.D.size * r, (block * k + r) * n_slots + slot)
+        gather, scatter = self._flat[k]
         # symmetric blocks, zero at the padding slots (which read mode 0)
-        y = c[:, self._gather].transpose(1, 0, 2) @ self.blocks
-        return y.transpose(1, 0, 2).reshape(c.shape[0], self._gather.size)[:, self._scatter]
+        return (c.take(gather) @ self.blocks).take(scatter)
 
     def _eigvalsh(self, shift):
         """Ascending eigenvalues of A - diag(shift), block by block."""

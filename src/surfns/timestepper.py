@@ -15,6 +15,10 @@ the only residual on nonlinear runs is the convective defect, which is
 O(dt^3) per step.  A classical RK4 path is kept for cross-validation, with
 the ledger integrated through the same stages.
 
+The IMEX stability check and Crank-Nicolson factors are made once per
+(form, dt); each step fills one (3, k, n) buffer and updates in place in
+the plain formulas' operation order.  Unequal Adams-Bashforth steps raise.
+
 Both schemes advance a stack of k independent trajectories, coefficients
 (k, n_modes), through one code path for every k: each operator acts on the
 whole stack and each row keeps its own energy ledger.  Ensembles, pairs and
@@ -102,7 +106,28 @@ def _rowdot(a, b):
 
 def _parts(form, spec, c):
     """(A c, N(c), F(c)) for every row of a coefficient stack, stacked (3, k, n)."""
-    return np.stack([form.apply(c), convective_term(form.transform, c), apply_forcing(spec, c)])
+    out = np.empty((3,) + c.shape)
+    out[0], out[1] = form.apply(c), convective_term(form.transform, c)
+    out[2] = apply_forcing(spec, c)
+    return out
+
+
+def _check_dt(dt, rho, bound, scheme):
+    """Raise unless dt > 0 and dt rho <= bound, the scheme's stability bound."""
+    if dt <= 0:
+        raise ParameterError("dt must be positive")
+    if dt * rho > bound + 1e-9:
+        raise ParameterError(f"dt = {dt:g} exceeds the {scheme} stability bound "
+                             f"{bound / max(rho, 1e-300):g}")
+
+
+def _cn_factors(form, dt):
+    """Crank-Nicolson factors (1 - h, 1 + h), h = dt nu_min D / 2, cached per checked dt."""
+    if dt not in form.step_cache:
+        _check_dt(dt, form.rho_explicit(), 1.0, "explicit-remainder")
+        half = 0.5 * dt * form.nu_min * form.D
+        form.step_cache[dt] = (1.0 - half, 1.0 + half)
+    return form.step_cache[dt]
 
 
 def step_imex(sim, form, spec, dt):
@@ -110,21 +135,15 @@ def step_imex(sim, form, spec, dt):
 
     Rows that overflow come back non-finite; ``run_batch`` freezes them.
     """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    rho = form.rho_explicit()
-    if dt * rho > 1.0 + 1e-9:
-        raise ParameterError(
-            f"dt = {dt:g} exceeds the explicit-remainder stability bound "
-            f"{1.0 / max(rho, 1e-300):g}")
+    cn_minus, cn_plus = _cn_factors(form, dt)
+    if sim._prev is not None and dt != sim.dt:
+        raise ParameterError(f"dt = {dt:g} differs from the previous step's {sim.dt:g}")
     c = sim.c
-    half = 0.5 * dt * form.nu_min * form.D
 
     if sim._prev is None:
         p0 = _parts(form, spec, c)
         k1 = -p0[0] - p0[1] + p0[2]
-        cs = c + dt * k1
-        p1 = _parts(form, spec, cs)
+        p1 = _parts(form, spec, c + dt * k1)
         k2 = -p1[0] - p1[1] + p1[2]
         c_new = c + 0.5 * dt * (k1 + k2)
         mid = 0.5 * (c + c_new)
@@ -135,8 +154,14 @@ def step_imex(sim, form, spec, dt):
     else:
         parts = _parts(form, spec, c)
         parts[0] -= form.nu_min * (form.D * c)       # A' c
-        ab = 1.5 * parts - 0.5 * sim._prev           # Adams-Bashforth combinations
-        c_new = ((1.0 - half) * c + dt * (-ab[0] - ab[1] + ab[2])) / (1.0 + half)
+        ab = 1.5 * parts                             # Adams-Bashforth combinations
+        ab -= 0.5 * sim._prev
+        c_new = -ab[0]
+        c_new -= ab[1]
+        c_new += ab[2]
+        c_new *= dt
+        c_new += cn_minus * c                        # Crank-Nicolson
+        c_new /= cn_plus
         mid = 0.5 * (c + c_new)
         ab[0] += form.nu_min * (form.D * mid)        # with the Crank-Nicolson term
         diss, work = dt * np.einsum("jkn,kn->jk", ab[::2], mid)
@@ -146,12 +171,7 @@ def step_imex(sim, form, spec, dt):
 
 def step_rk4(sim, form, spec, dt):
     """Classical explicit RK4 step of every row on the full right-hand side."""
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    if dt * form.rho_full() > 2.7 + 1e-9:
-        raise ParameterError(
-            f"dt = {dt:g} violates the RK4 stability bound "
-            f"{2.7 / max(form.rho_full(), 1e-300):g}")
+    _check_dt(dt, form.rho_full(), 2.7, "RK4")
 
     def rhs_and_rates(cv):
         ac, nn, ff = _parts(form, spec, cv)
@@ -165,20 +185,20 @@ def step_rk4(sim, form, spec, dt):
     c_new = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     diss = dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
     work = dt / 6.0 * (w1 + 2 * w2 + 2 * w3 + w4)
-    return sim._advance(c_new, dt, work, diss, sim._prev)
+    return sim._advance(c_new, dt, work, diss, None)
 
 
 def run_batch(config, grid, form, spec, states, record_fn=None):
     """Integrate the initial ``states`` to t_end as one coefficient stack,
     sampling every ``stride`` steps.
 
-    ``grid`` must be the grid of the form and of the forcing's Killing
-    basis, and every state must have the form's truncation L.  Returns
-    (trajectories, diverged): a (samples, records) pair per row, and a dict
-    from row index to the DivergenceError of each row that went non-finite.
-    ``samples`` is an (n_samples, n_modes) array of coefficient rows and
-    ``records`` an (n_samples,) record array with the sample times in
-    ``records.t``.  A diverging row is frozen at its last finite state,
+    ``grid`` must be the grid of the form and of the forcing's Killing basis,
+    and the states must share the form's truncation L and one time t.
+    Returns (trajectories, diverged): a (samples, records) pair per row, and
+    a dict from row index to the DivergenceError of each row that went
+    non-finite.  ``samples`` is an (n_samples, n_modes) array of coefficient
+    rows and ``records`` an (n_samples,) record array with the sample times
+    in ``records.t``.  A diverging row is frozen at its last finite state,
     which rides on the error as a one-row ``last_state`` with the pair so
     far as ``partial``; the other rows continue.  ``record_fn`` (default:
     the diagnostics ``record``) is called as ``record_fn(form, spec, sim)``
@@ -188,6 +208,8 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
         raise GridMismatchError("the form, the forcing and the run use different grids")
     if any(s.L != form.L for s in states):
         raise ParameterError(f"initial states must have the form's truncation L = {form.L}")
+    if any(s.t != states[0].t for s in states):
+        raise ParameterError("initial states must share their time t")
     rec = record_fn if record_fn is not None else record
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):

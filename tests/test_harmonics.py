@@ -349,11 +349,39 @@ def _padded_synthesis(grid, lmin, lmax, profiles, shifted):
     return np.stack(S)
 
 
+def _indexed_synthesis(eng, c, comps=slice(None)):
+    """Synthesis with the buffer filled by a three-array scatter: the
+    engine's flat-index fill must match it bit for bit."""
+    X = eng.X[:, :, comps]
+    n_pairs, n_rows, n_comp, n_lat = X.shape
+    k = c.shape[0]
+    Z = np.zeros((n_pairs, 4, k, n_rows))
+    pair, sub, row = eng._index
+    Z[pair, sub, :, row] = c.T
+    F = Z.reshape(n_pairs, 4 * k, n_rows) @ X.reshape(n_pairs, n_rows, -1)
+    F = F.reshape(n_pairs, 4, k, n_comp, n_lat).transpose(3, 2, 4, 0, 1)
+    f = F.reshape(n_comp, k * n_lat, 4 * n_pairs) @ eng.trig[comps]
+    return f.reshape(n_comp, k, n_lat * eng.n_lon)
+
+
+def _indexed_adjoint(eng, f, comps=slice(None)):
+    """The adjoint with its product read back by a three-array gather."""
+    X = eng.X[:, :, comps]
+    n_pairs, n_rows, n_comp, n_lat = X.shape
+    k = f.shape[1]
+    G = f.reshape(n_comp, k * n_lat, eng.n_lon) @ eng.trig_t[comps]
+    G = G.reshape(n_comp, k, n_lat, n_pairs, 4).transpose(3, 0, 2, 4, 1)
+    Z = X.reshape(n_pairs, n_rows, -1) @ G.reshape(n_pairs, n_comp * n_lat, 4 * k)
+    pair, sub, row = eng._index
+    return Z.reshape(n_pairs, n_rows, 4, k)[pair, row, sub].T
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
 def test_paired_engine_matches_padded_reference(L):
     # the toroidal engine at degree L and the scalar engine of the grid
     # (degree 3, 3, 5, 6, 12): odd and even degrees, so with and without a
-    # self-paired middle order
+    # self-paired middle order; stacks in C and Fortran order, of heights
+    # that change from call to call
     grid = geo.build_sphere_grid(max(L, 2), 1.3)
     tr = get_transform(grid, L)
     rng = np.random.default_rng(L)
@@ -362,9 +390,13 @@ def test_paired_engine_matches_padded_reference(L):
             (geo._scalar_engine(grid), 0, grid.max_degree, _scalar_profiles(grid), SCALAR_SHIFTED)):
         S = _padded_synthesis(grid, lmin, lmax, profiles, shifted)
         scale = np.abs(S).max()
-        for k in (0, 1, 3):
-            c = rng.standard_normal((k, S.shape[2]))
-            f = rng.standard_normal((len(shifted), k, grid.n_nodes))
+        for k, order in ((0, "C"), (1, "C"), (3, "F"), (8, "C"), (3, "C"), (1, "F"), (8, "F")):
+            c = np.asarray(rng.standard_normal((k, S.shape[2])), order=order)
+            f = np.asarray(rng.standard_normal((len(shifted), k, grid.n_nodes)), order=order)
+            np.testing.assert_array_equal(eng.synthesize(c), _indexed_synthesis(eng, c))
+            np.testing.assert_array_equal(eng.synthesize(c, slice(1, 3)),
+                                          _indexed_synthesis(eng, c, slice(1, 3)))
+            np.testing.assert_array_equal(eng.adjoint(f), _indexed_adjoint(eng, f))
             np.testing.assert_allclose(eng.synthesize(c), np.einsum("cxn,kn->ckx", S, c),
                                        rtol=0, atol=1e-13 * scale)
             np.testing.assert_allclose(eng.adjoint(f), np.einsum("cxn,ckx->kn", S, f),

@@ -199,6 +199,21 @@ def test_csv_byte_identical_across_threads(tmp_path):
         assert one[name] == four[name], name
 
 
+def test_batched_csv_identical_with_warm_caches(tmp_path):
+    # the same context run twice: the second run finds the form's step
+    # constants and the flat transform and apply indices already cached
+    cfg = dict(get_scenario("free_decay_ensemble").config)
+    cfg["run.t_end"] = 0.2
+    ctx = build_context(cfg)
+    texts = []
+    for label in ("cold", "warm"):
+        out = tmp_path / label
+        out.mkdir()
+        write_ensemble(str(out), "ens", run_ensemble(cfg, ctx=ctx), ctx.basis.n)
+        texts.append({p: (out / p).read_bytes() for p in sorted(os.listdir(out))})
+    assert len(texts[0]) > 2 and texts[0] == texts[1]
+
+
 def test_csv_format(sphere8, tr8):
     kb = killing_basis(sphere8)
     form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0), 8)

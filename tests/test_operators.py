@@ -392,14 +392,26 @@ def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
         assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
 
 
+def _indexed_apply(form, c):
+    """A c with the stack gathered into (row, block, slot) order by fancy
+    indexing: the form's flat-index apply must match it bit for bit."""
+    gather, valid = form.layout
+    scatter = np.flatnonzero(valid)[np.argsort(gather[valid])]
+    y = c[:, gather].transpose(1, 0, 2) @ form.blocks
+    return y.transpose(1, 0, 2).reshape(c.shape[0], gather.size)[:, scatter]
+
+
 def test_apply_matches_dense(formv, form_x):
+    # stacks in C and Fortran order, of heights that change from call to call
     rng = np.random.default_rng(5)
     for form in (formv, form_x):
         A = _dense(form)
-        for k in (1, 3):
-            c = rng.normal(size=(k, A.shape[0]))
+        for k, order in ((0, "C"), (1, "C"), (3, "F"), (8, "C"), (3, "C"), (1, "F"), (8, "F")):
+            c = np.asarray(rng.normal(size=(k, A.shape[0])), order=order)
             dense = c @ A.T
-            assert np.abs(form.apply(c) - dense).max() <= 1e-13 * np.abs(dense).max()
+            err = np.abs(form.apply(c) - dense).max(initial=0.0)
+            assert err <= 1e-13 * np.abs(dense).max(initial=0.0)
+            np.testing.assert_array_equal(form.apply(c), _indexed_apply(form, c))
 
 
 def test_block_eigenvalues_match_dense(formv, form_x):

@@ -160,6 +160,52 @@ def test_imex_explicit_bound_checked(sphere8, spec0, kb):
         step_imex(sim, form, spec0, 1.0)
 
 
+def test_imex_bound_still_checked_after_a_cached_dt(sphere8, formv, spec0, tr8):
+    # the step constants of a valid dt are cached on the form; a later
+    # over-bound dt is checked afresh
+    rho = formv.rho_explicit()
+    sim = SimState([random_band_limited(tr8, 53)], dt=0.5 / rho)
+    step_imex(step_imex(sim, formv, spec0, 0.5 / rho), formv, spec0, 0.5 / rho)
+    for dt in (1.5 / rho, 0.0, -1e-3):
+        with pytest.raises(ParameterError):
+            step_imex(sim, formv, spec0, dt)
+
+
+def test_alternating_dts_match_fresh_forms(sphere8, kb, tr8):
+    # one form stepped at two alternating dts is bit-equal to a fresh form at each
+    def make_form():
+        nu = geo.ViscosityField(sphere8, 1.0 + 0.5 * sphere8.nodes[:, 2])
+        return assemble_stokes(sphere8, nu, 8)
+
+    spec = make_catalog_forcing("f3_minus", {}, kb)
+    u0 = random_band_limited(tr8, 59, norm_killing=0.4, norm_nonkilling=0.8)
+    dts = (1e-3, 7e-4)
+    shared, fresh = make_form(), [make_form() for _ in dts]
+    alt = [SimState([u0], dt=dt) for dt in dts]
+    ref = [SimState([u0], dt=dt) for dt in dts]
+    for _ in range(5):
+        for i, dt in enumerate(dts):
+            alt[i] = step_imex(alt[i], shared, spec, dt)
+            ref[i] = step_imex(ref[i], fresh[i], spec, dt)
+    for a, b in zip(alt, ref):
+        assert a.t == b.t
+        for name in ("c", "diss_integral", "work_integral"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_ab2_step_rejects_a_changed_dt(sphere8, form1, spec0, tr8):
+    # the Adams-Bashforth weights assume the step that produced the stored
+    # parts had the same dt
+    sim = step_imex(SimState([random_band_limited(tr8, 61)], dt=1e-3), form1, spec0, 1e-3)
+    with pytest.raises(ParameterError, match="differs from the previous step"):
+        step_imex(sim, form1, spec0, 2e-3)
+    assert step_imex(sim, form1, spec0, 1e-3).t == pytest.approx(2e-3)
+    # an RK4 step stores no parts, so the next IMEX step bootstraps at any dt
+    sim = step_rk4(sim, form1, spec0, 1e-3)
+    assert sim._prev is None
+    assert step_imex(sim, form1, spec0, 2e-3).t == pytest.approx(4e-3)
+
+
 def test_affine_killing_law(sphere8, form1, kb):
     spec = make_catalog_forcing("constant_killing", {"c": 2.0, "axis": 1}, kb)
     cfg = StepperConfig(dt=1e-3, t_end=1.0, stride=100)
@@ -272,6 +318,12 @@ def test_run_rejects_a_mismatched_truncation(sphere8, form1, spec0):
         run(cfg, sphere8, form6, spec0, SpectralState(8))
     with pytest.raises(ParameterError):
         run_batch(cfg, sphere8, form1, spec0, [SpectralState(8), SpectralState(6)])
+
+
+def test_run_batch_rejects_states_at_different_times(sphere8, form1, spec0):
+    cfg = StepperConfig(dt=1e-3, t_end=0.01, stride=10)
+    with pytest.raises(ParameterError, match="share their time"):
+        run_batch(cfg, sphere8, form1, spec0, [SpectralState(8), SpectralState(8, t=5.0)])
 
 
 def test_record_fn_is_called_once_per_sample(sphere8, formv, kb, tr8):
