@@ -2,16 +2,17 @@
 
 The variable-viscosity Stokes operator is assembled in weak form,
 A[j,k] = int 2 nu eps(Phi_j) : eps(Phi_k) dS, which keeps exact symmetry and
-positive semidefiniteness without differentiating nu.  A is stored as its
-diagonal blocks: one L x L block per slot row of the transform (signed
-order m) when nu is constant along latitude rows, else one dense block.
-Per-order blocks are Gauss-Legendre sums over the transform's latitude
-strain profiles, O(L^4) work in all; the dense block is found by probing
-the O(L^3) per-order transforms.  Apply and eigenvalues go block by block.
-The convective term is pseudospectral on the dealiased grid, in rotation
-form: one synthesis of u and its vorticity and one analysis, each O(L^3)
-per row.  Every operator takes a (k, n_modes) coefficient stack and
-returns one.
+positive semidefiniteness without differentiating nu.  A is stored in one of
+three ways.  For constant nu it is exactly nu D, with D the per-degree
+eigenvalues (l(l+1) - 2)/R^2 of 2 Def*Def: no blocks, and apply is one
+multiply.  For nu constant along latitude rows it is one L x L block per
+slot row of the transform (signed order m), Gauss-Legendre sums over the
+transform's latitude strain profiles, O(L^4) work in all.  Otherwise it is
+one dense block, found by probing the O(L^3) per-order transforms.  Apply
+and eigenvalues go block by block.  The convective term is pseudospectral
+on the dealiased grid, in rotation form: one synthesis of u and its
+vorticity and one analysis, each O(L^3) per row.  Every operator takes a
+(k, n_modes) coefficient stack and returns one.
 """
 
 import numpy as np
@@ -24,15 +25,16 @@ from .harmonics import get_transform
 class StokesForm:
     """Weak-form Stokes operator with its implicit/explicit split.
 
+    ``A = nu_min * diag(D) + A'`` where D carries the constant-viscosity
+    per-degree eigenvalues (Rayleigh quotients) and A' is positive
+    semidefinite because nu - nu_min >= 0.  For constant nu, ``blocks`` and
+    ``layout`` are None: A is exactly nu_min D and A' is zero.  Otherwise
     ``blocks[p]`` is A on the modes ``gather[p][valid[p]]`` of
     ``layout = (gather, valid)``; every block holds a mode, its valid slots
     trail its invalid ones, on which it is zero, and A couples no two blocks.
-    ``A = nu_min * diag(D) + A'`` where D carries the constant-viscosity
-    per-degree eigenvalues (Rayleigh quotients) and A' is positive
-    semidefinite because nu - nu_min >= 0.
     """
 
-    def __init__(self, grid, transform, nu, L, blocks, layout, lam_by_degree):
+    def __init__(self, grid, transform, nu, L, lam_by_degree, blocks=None, layout=None):
         self.grid = grid
         self.transform = transform
         self.nu = nu
@@ -42,17 +44,23 @@ class StokesForm:
         self.lam_by_degree = lam_by_degree          # (L+1,) with entry l = lambda_l
         self.D = lam_by_degree[transform.mode_l]    # per-mode diagonal
         self.nu_min = nu.nu_min
+        self.step_cache = {}            # per dt: the time stepper's constants
+        self._rho_full = None
+        if blocks is None:
+            self._diag = self.nu_min * self.D       # A itself
+            self._rho_explicit = 0.0
+            return
         gather, valid = layout
         self._flat = {}                 # per stack height: the flat indices of ``apply``
-        self.step_cache = {}            # per dt: the time stepper's constants
         # each block on its valid slots, which trail, with their modes
         self._valid_blocks = [(b[j:, j:], g[j:]) for b, g, j in zip(
             blocks, gather, valid.shape[1] - valid.sum(1))]
         self._rho_explicit = None
-        self._rho_full = None
 
     def apply(self, c):
         """A c for every row of a (k, n_modes) coefficient stack."""
+        if self.blocks is None:
+            return c * self._diag
         k = c.shape[0]
         if k not in self._flat:
             # flat stack places of the (block, row, slot) entries; product places of the modes
@@ -71,10 +79,12 @@ class StokesForm:
 
     def eigenvalues(self):
         """Ascending eigenvalues of A."""
+        if self.blocks is None:
+            return np.sort(self._diag)
         return self._eigvalsh(0.0 * self.D)
 
     def rho_explicit(self):
-        """Spectral radius of the explicit remainder A' (cached)."""
+        """Spectral radius of the explicit remainder A' (cached; 0 for constant nu)."""
         if self._rho_explicit is None:
             self._rho_explicit = float(self._eigvalsh(self.nu_min * self.D)[-1])
         return self._rho_explicit
@@ -105,6 +115,9 @@ def assemble_stokes(grid, nu, L):
     lam = np.zeros(L + 1)
     lam[1:] = 2.0 * tr.strain_norm2
     lam[1] = max(lam[1], 0.0)
+    if not np.ptp(nu.values):
+        # 2 nu Def*Def is nu lambda_l on degree l: the form is its diagonal
+        return StokesForm(grid, tr, nu, L, lam)
     weight = 2.0 * grid.weights * nu.values
     if np.ptp(np.reshape(weight, (grid.n_lat, -1)), axis=1).any():
         # cos/sin(m phi) of different orders couple: one dense block
@@ -114,7 +127,7 @@ def assemble_stokes(grid, nu, L):
         keep = tr.slot_valid.any(1)     # the sine row of m = 0 holds no mode
         blocks = tr.axisymmetric_form(weight)[keep]
         layout = (tr.slot_mode[keep], tr.slot_valid[keep])
-    return StokesForm(grid, tr, nu, L, blocks, layout, lam)
+    return StokesForm(grid, tr, nu, L, lam, blocks, layout)
 
 
 def convective_term(tr, c):

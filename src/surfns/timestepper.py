@@ -5,12 +5,17 @@ part nu_min * D (a diagonal solve per mode, so the Killing block never
 receives diffusive damping), second-order Adams-Bashforth on the remainder
 A' c + N(c) - F(c).  The first step is bootstrapped with one explicit RK2
 substep.  Splitting at the minimum viscosity keeps the explicit matrix
-positive semidefinite, so the linear dynamics are dissipative step by step.
+positive semidefinite, so the linear dynamics are dissipative step by step,
+for dt rho(A') <= 1.  For constant nu the form holds no blocks and A is
+exactly nu_min D: there is no explicit remainder and no dt rho(A') bound,
+and the scheme is Crank-Nicolson on all of A with Adams-Bashforth on
+F(c) - N(c) alone.
 
 The energy ledger accumulates the dissipation and work integrals with the
 exact per-step energy identity of the scheme: the Crank-Nicolson term is
 evaluated at the midpoint state and the explicit terms at their
-Adams-Bashforth combinations.  Linear runs therefore balance to rounding;
+Adams-Bashforth combinations (for constant nu, dt (A m, m) at the midpoint
+m is the whole dissipation).  Linear runs therefore balance to rounding;
 the only residual on nonlinear runs is the convective defect, which is
 O(dt^3) per step.  A classical RK4 path is kept for cross-validation, with
 the ledger integrated through the same stages.
@@ -70,7 +75,7 @@ class SimState:
         self.work_integral = np.zeros(len(states))
         self.diss_integral = np.zeros(len(states))
         self.energy0 = self.energy()
-        self._prev = None           # (A'c, N(c), F(c)) at the previous step, stacked (3, k, n)
+        self._prev = None           # the previous step's explicit rows (see ``_explicit``)
 
     def energy(self):
         return 0.5 * _rowdot(self.c, self.c)
@@ -104,12 +109,24 @@ def _rowdot(a, b):
     return np.einsum("kn,kn->k", a, b)
 
 
-def _parts(form, spec, c):
-    """(A c, N(c), F(c)) for every row of a coefficient stack, stacked (3, k, n)."""
-    out = np.empty((3,) + c.shape)
-    out[0], out[1] = form.apply(c), convective_term(form.transform, c)
-    out[2] = apply_forcing(spec, c)
+def _parts(form, spec, c, with_a=True):
+    """(A c, N(c), F(c)) for every row of a coefficient stack, stacked (3, k, n);
+    (N(c), F(c)) without ``with_a``."""
+    out = np.empty((2 + with_a,) + c.shape)
+    if with_a:
+        out[0] = form.apply(c)
+    out[-2], out[-1] = convective_term(form.transform, c), apply_forcing(spec, c)
     return out
+
+
+def _explicit(form, parts, c):
+    """The IMEX step's explicit rows from ``parts`` at c: (A' c, N(c), F(c)),
+    with A' c made from A c in place, or (N(c), F(c)) for a form without
+    blocks, whose A' is zero."""
+    if form.blocks is None:
+        return parts[-2:]
+    parts[0] -= form.nu_min * (form.D * c)
+    return parts
 
 
 def _check_dt(dt, rho, bound, scheme):
@@ -133,7 +150,9 @@ def _cn_factors(form, dt):
 def step_imex(sim, form, spec, dt):
     """One IMEX-CNAB2 step of every row; bootstraps with a single RK2 substep.
 
-    Rows that overflow come back non-finite; ``run_batch`` freezes them.
+    Only the explicit operators the form has are evaluated: N and F, plus
+    A' c when the form holds blocks.  Rows that overflow come back
+    non-finite; ``run_batch`` freezes them.
     """
     cn_minus, cn_plus = _cn_factors(form, dt)
     if sim._prev is not None and dt != sim.dt:
@@ -149,22 +168,26 @@ def step_imex(sim, form, spec, dt):
         mid = 0.5 * (c + c_new)
         # dissipation and work: the trapezoid A c and F(c) against the midpoint
         diss, work = 0.5 * dt * np.einsum("jkn,kn->jk", p0[::2] + p1[::2], mid)
-        p0[0] -= form.nu_min * (form.D * c)          # A' c
-        prev = p0
+        prev = _explicit(form, p0, c)
     else:
-        parts = _parts(form, spec, c)
-        parts[0] -= form.nu_min * (form.D * c)       # A' c
+        remainder = form.blocks is not None
+        parts = _explicit(form, _parts(form, spec, c, remainder), c)
         ab = 1.5 * parts                             # Adams-Bashforth combinations
         ab -= 0.5 * sim._prev
-        c_new = -ab[0]
-        c_new -= ab[1]
-        c_new += ab[2]
+        c_new = -ab[0]                               # -A' c - N + F, or -N + F
+        if remainder:
+            c_new -= ab[1]
+        c_new += ab[-1]
         c_new *= dt
         c_new += cn_minus * c                        # Crank-Nicolson
         c_new /= cn_plus
         mid = 0.5 * (c + c_new)
-        ab[0] += form.nu_min * (form.D * mid)        # with the Crank-Nicolson term
-        diss, work = dt * np.einsum("jkn,kn->jk", ab[::2], mid)
+        if remainder:
+            ab[0] += form.nu_min * (form.D * mid)    # with the Crank-Nicolson term
+            diss, work = dt * np.einsum("jkn,kn->jk", ab[::2], mid)
+        else:
+            ab[0] = form.apply(mid)                  # all of A is Crank-Nicolson
+            diss, work = dt * np.einsum("jkn,kn->jk", ab, mid)
         prev = parts
     return sim._advance(c_new, dt, work, diss, prev)
 
@@ -200,9 +223,14 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     rows and ``records`` an (n_samples,) record array with the sample times
     in ``records.t``.  A diverging row is frozen at its last finite state,
     which rides on the error as a one-row ``last_state`` with the pair so
-    far as ``partial``; the other rows continue.  ``record_fn`` (default:
-    the diagnostics ``record``) is called as ``record_fn(form, spec, sim)``
-    once per sample on the live rows and returns one record per row.
+    far as ``partial``; the error also carries the failing step's number
+    ``step``, its end time ``t`` and ``dt``, and the last finite state's
+    ``max_abs_c`` and ``ledger_residual``.  The other rows continue.
+    ``record_fn`` (default: the diagnostics ``record``) is called as
+    ``record_fn(form, spec, sim)`` once per sample on the live rows and
+    returns one record per row.  The loop, ``record_fn`` included, runs with
+    numpy's overflow and invalid-value warnings off, since an overflowing
+    row is expected and is caught after its step.
     """
     if not (grid is form.grid is spec.basis.grid):
         raise GridMismatchError("the form, the forcing and the run use different grids")
@@ -226,26 +254,29 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     trajectories = list(zip(samples, records))
     diverged = {}
     taken = 1
-    for n in range(n_steps):
-        # an overflowing row is expected here and is caught just below
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
             new = stepper(sim, form, spec, config.dt)
-        bad = ~np.isfinite(new.c).all(axis=1)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                i = int(live[j])
-                trajectories[i] = (samples[i, :taken], records[i, :taken])
-                diverged[i] = DivergenceError(
-                    f"non-finite coefficients at t = {new.t:.6g} "
-                    f"(after step {sim.step})", last_state=sim.take([j]),
-                    partial=trajectories[i])
-            live, new = live[~bad], new.take(~bad)
-            if live.size == 0:
-                break
-        sim = new
-        if (n + 1) % config.stride == 0 or n + 1 == n_steps:
-            samples[live, taken], records[live, taken] = sim.c, rec(form, spec, sim)
-            taken += 1
+            # a sum is finite only if every term is; scan rows only when it is not
+            if not np.isfinite(new.c.sum()):
+                bad = ~np.isfinite(new.c).all(axis=1)
+                for j in np.flatnonzero(bad):
+                    i = int(live[j])
+                    trajectories[i] = (samples[i, :taken], records[i, :taken])
+                    last = sim.take([j])
+                    diverged[i] = DivergenceError(
+                        f"non-finite coefficients at t = {new.t:.6g} "
+                        f"(after step {sim.step})", last_state=last,
+                        partial=trajectories[i], step=new.step, t=new.t, dt=config.dt,
+                        max_abs_c=float(np.abs(last.c).max()),
+                        ledger_residual=float(last.ledger_residual()[0]))
+                live, new = live[~bad], new.take(~bad)
+                if live.size == 0:
+                    break
+            sim = new
+            if (n + 1) % config.stride == 0 or n + 1 == n_steps:
+                samples[live, taken], records[live, taken] = sim.c, rec(form, spec, sim)
+                taken += 1
     return trajectories, diverged
 
 

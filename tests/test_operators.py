@@ -39,7 +39,10 @@ def _h1_norm2(tr, s):
 
 
 def _dense(form):
-    """Dense n_modes x n_modes matrix of the form's blocks."""
+    """Dense n_modes x n_modes matrix of the form's blocks, or of its
+    diagonal apply when it holds none."""
+    if form.blocks is None:
+        return form.apply(np.eye(form.transform.n_modes))
     A = np.zeros((form.transform.n_modes,) * 2)
     for g, v, b in zip(*form.layout, form.blocks):
         A[np.ix_(g[v], g[v])] = b[np.ix_(v, v)]
@@ -60,10 +63,37 @@ def test_lambda1_zero(form1):
     assert abs(form1.lam_by_degree[1]) <= 1e-10
 
 
-def test_constant_nu_diagonal(form1):
-    A = _dense(form1)
-    off = A - np.diag(np.diag(A))
-    assert np.abs(off).max() <= 1e-10
+def test_constant_nu_diagonal():
+    # why a constant-nu form may hold no blocks: the per-order blocks the
+    # latitude profiles give for the weight 2 w nu are nu diag(D)
+    for L in (8, 16, 32):
+        for R in (1.0, 2.0):
+            grid = geo.build_sphere_grid(L, R)
+            tr = get_transform(grid, L)
+            for nu in (1.0, 2.5):
+                form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
+                assert form.blocks is None and form.layout is None
+                blocks = tr.axisymmetric_form(2.0 * grid.weights * nu)
+                diag = np.where(tr.slot_valid, nu * form.D[tr.slot_mode], 0.0)
+                err = np.abs(blocks - diag[:, :, None] * np.eye(L)).max()
+                assert err <= 1e-12 * nu * form.D.max(), (L, R, nu)
+
+
+def test_constant_nu_form_is_its_diagonal(sphere8, form1):
+    # no explicit remainder, and apply matches the dense probe of 2 w nu
+    rng = np.random.default_rng(13)
+    for nu in (1.0, 2.5):
+        form = form1 if nu == 1.0 else assemble_stokes(
+            sphere8, geo.ViscosityField(sphere8, nu), 8)
+        assert form.rho_explicit() == 0.0
+        assert form.rho_full() == nu * form.D.max()
+        np.testing.assert_array_equal(form.eigenvalues(), np.sort(nu * form.D))
+        dense = form.transform.gradient_form(2.0 * sphere8.weights * nu)
+        for k in (0, 1, 8):
+            c = rng.normal(size=(k, dense.shape[0]))
+            oracle = c @ dense
+            err = np.abs(form.apply(c) - oracle).max(initial=0.0)
+            assert err <= 1e-13 * np.abs(oracle).max(initial=0.0)
 
 
 def test_eigenvalue_closed_form(form1):
@@ -375,18 +405,23 @@ def form_x(sphere8):
 
 
 def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
-    # constant and linear_x3 viscosities, and the sphere Korn constant,
-    # assemble from latitude profiles; only an x-dependent viscosity probes
+    # a constant viscosity holds no blocks; linear_x3 and the sphere Korn
+    # constant assemble from latitude profiles; only an x-dependent
+    # viscosity probes
     def probe(self, weight):
         raise RuntimeError("probe path")
     monkeypatch.setattr(SphereTransform, "gradient_form", probe)
+    with monkeypatch.context() as m:
+        m.setattr(SphereTransform, "axisymmetric_form", probe)
+        form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0), 8)
+    assert form.blocks is None and form.layout is None
     tr = get_transform(sphere8, 8)
-    for values in (1.0, 1.0 + 0.5 * sphere8.nodes[:, 2]):
-        form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, values), 8)
-        # the slot rows that hold a mode: all but the sine row of m = 0
-        assert form.blocks.shape == (17, 8, 8)
-        assert np.array_equal(form.layout[0], np.delete(tr.slot_mode, 1, 0))
-        assert np.array_equal(form.layout[1], np.delete(tr.slot_valid, 1, 0))
+    z = sphere8.nodes[:, 2]
+    form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.5 * z), 8)
+    # the slot rows that hold a mode: all but the sine row of m = 0
+    assert form.blocks.shape == (17, 8, 8)
+    assert np.array_equal(form.layout[0], np.delete(tr.slot_mode, 1, 0))
+    assert np.array_equal(form.layout[1], np.delete(tr.slot_valid, 1, 0))
     assert korn_constant(sphere8, 8).c_p == pytest.approx(np.sqrt(3.0), rel=1e-12)
     with pytest.raises(RuntimeError, match="probe path"):
         assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)

@@ -10,10 +10,10 @@ from surfns.errors import DivergenceError, GridMismatchError, ParameterError
 from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import SpectralState, mode_index, n_modes, random_band_limited
 from surfns.killing import killing_basis
-from surfns.operators import assemble_stokes
+from surfns.operators import StokesForm, assemble_stokes
 from surfns.harness import (build_context, build_initial_state, member_seed,
                             records_to_csv, stepper_config)
-from surfns.scenarios import get_scenario
+from surfns.scenarios import get_scenario, list_scenarios
 from surfns.timestepper import (SimState, StepperConfig, run, run_batch,
                                 step_imex, step_rk4)
 
@@ -252,6 +252,16 @@ def test_divergence_error_carries_last_state(sphere8, form1, kb, tr8):
     assert err.value.last_state is not None
     assert np.all(np.isfinite(err.value.last_state.c[0]))
     assert err.value.partial is not None
+    _assert_failure_fields(err.value, cfg.dt)
+
+
+def _assert_failure_fields(err, dt):
+    """The error's step, t, dt, max|c| and ledger residual describe the
+    failing step after its one-row ``last_state``."""
+    last = err.last_state
+    assert err.step == last.step + 1 and err.t == last.t + dt and err.dt == dt
+    assert err.max_abs_c == np.abs(last.c).max() and np.isfinite(err.max_abs_c)
+    np.testing.assert_equal(err.ledger_residual, last.ledger_residual()[0])
 
 
 def test_run_requires_commensurate_times(sphere8, form1, spec0):
@@ -386,4 +396,57 @@ def test_overflowing_row_is_frozen_while_others_continue(sphere8, form1, spec0, 
     assert isinstance(err, DivergenceError)
     assert np.all(np.isfinite(err.last_state.c[0]))
     assert err.partial is trajectories[1]
+    _assert_failure_fields(err, cfg.dt)
+    assert err.step < 200 and err.t == pytest.approx(err.step * cfg.dt)
     _assert_matches_solo(trajectories[0], run(cfg, sphere8, form1, spec0, good))
+
+
+def _blocked_form(grid, nu, L):
+    """The constant-nu form with its assembled per-order blocks, which
+    ``assemble_stokes`` skips because they are nu diag(D) to rounding."""
+    form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
+    tr, keep = form.transform, form.transform.slot_valid.any(1)
+    blocks = tr.axisymmetric_form(2.0 * grid.weights * nu)[keep]
+    return StokesForm(grid, tr, form.nu, L, form.lam_by_degree, blocks,
+                      (tr.slot_mode[keep], tr.slot_valid[keep]))
+
+
+def test_diagonal_form_tracks_the_blocked_form(sphere8, kb, tr8):
+    # 500 nonlinear forced steps: CN on all of nu D against CN on nu_min D
+    # plus the blocks' rounding-level remainder through Adams-Bashforth
+    nu = 0.7
+    diagonal = assemble_stokes(sphere8, geo.ViscosityField(sphere8, nu), 8)
+    blocked = _blocked_form(sphere8, nu, 8)
+    assert diagonal.blocks is None and blocked.rho_explicit() > 0.0
+    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    states = [random_band_limited(tr8, 70 + i, norm_killing=0.5, norm_nonkilling=1.0)
+              for i in range(8)]
+    for stepper, k in ((step_imex, 1), (step_imex, 8), (step_rk4, 1), (step_rk4, 8)):
+        a, b = SimState(states[:k], dt=1e-3), SimState(states[:k], dt=1e-3)
+        for _ in range(500):
+            a, b = stepper(a, diagonal, spec, 1e-3), stepper(b, blocked, spec, 1e-3)
+        rel = np.linalg.norm(a.c - b.c, axis=1) / np.linalg.norm(b.c, axis=1)
+        assert np.all(rel <= 1e-13), (stepper.__name__, k)
+        for name in ("diss_integral", "work_integral"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.all(np.abs(x - y) <= 1e-13 * np.abs(y)), (stepper.__name__, k, name)
+        assert np.abs(a.ledger_residual() - b.ledger_residual()).max() <= 1e-13
+
+
+def test_scenario_forms_by_path():
+    # the traffic the diagonal form serves: every constant-nu scenario that
+    # integrates builds a block-less form; varnu_energy_balance has per-order blocks
+    diagonal = []
+    for name, _ in list_scenarios():
+        sc = get_scenario(name)
+        if sc.kind == "static":
+            continue
+        form = build_context(dict(sc.config)).form
+        if sc.config["nu.kind"] == "constant":
+            assert form.blocks is None, name
+            diagonal.append(name)
+        else:
+            assert name == "varnu_energy_balance"
+            L = sc.config["geometry.L"]
+            assert form.blocks.shape == (2 * L + 1, L, L)
+    assert len(diagonal) == 14
