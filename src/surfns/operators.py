@@ -5,14 +5,15 @@ A[j,k] = int 2 nu eps(Phi_j) : eps(Phi_k) dS, which keeps exact symmetry and
 positive semidefiniteness without differentiating nu.  A is stored in one of
 three ways.  For constant nu it is exactly nu D, with D the per-degree
 eigenvalues (l(l+1) - 2)/R^2 of 2 Def*Def: no blocks, and apply is one
-multiply.  For nu constant along latitude rows it is one L x L block per
-slot row of the transform (signed order m), Gauss-Legendre sums over the
-transform's latitude strain profiles, O(L^4) work in all.  Otherwise it is
-one dense block, found by probing the O(L^3) per-order transforms.  Apply
-and eigenvalues go block by block.  The convective term is pseudospectral
-on the dealiased grid, in rotation form: one synthesis of u and its
-vorticity and one analysis, each O(L^3) per row.  Every operator takes a
-(k, n_modes) coefficient stack and returns one.
+multiply.  For nu constant along latitude rows it is L + 2 blocks of
+L x L, each holding one or two signed orders (m with L + 2 - m), from
+Gauss-Legendre sums over the transform's latitude strain profiles, O(L^4)
+work in all.  Otherwise it is one dense block, found by probing the O(L^3)
+per-order transforms.  Apply, eigenvalues and the time stepper's solve with
+I + dt A / 2 go block by block (the dense block is inverted whole).  The
+convective term is pseudospectral on the dealiased grid, in rotation form:
+one synthesis of u and its vorticity and one analysis, each O(L^3) per row.
+Every operator takes a (k, n_modes) coefficient stack and returns one.
 """
 
 import numpy as np
@@ -23,77 +24,113 @@ from .harmonics import get_transform
 
 
 class StokesForm:
-    """Weak-form Stokes operator with its implicit/explicit split.
+    """Weak-form Stokes operator A, positive semidefinite with the degree-1
+    (Killing) modes as its kernel.
 
-    ``A = nu_min * diag(D) + A'`` where D carries the constant-viscosity
-    per-degree eigenvalues (Rayleigh quotients) and A' is positive
-    semidefinite because nu - nu_min >= 0.  For constant nu, ``blocks`` and
-    ``layout`` are None: A is exactly nu_min D and A' is zero.  Otherwise
-    ``blocks[p]`` is A on the modes ``gather[p][valid[p]]`` of
-    ``layout = (gather, valid)``; every block holds a mode, its valid slots
-    trail its invalid ones, on which it is zero, and A couples no two blocks.
+    D carries the constant-viscosity per-degree eigenvalues (Rayleigh
+    quotients); A >= nu_min diag(D) since nu - nu_min >= 0.  For constant
+    nu, ``blocks`` and ``gather`` are None: A is exactly nu_min D.
+    Otherwise ``blocks[p]`` is A on the modes ``gather[p]``; every mode sits
+    in one block, and A couples no two blocks.
     """
 
-    def __init__(self, grid, transform, nu, L, lam_by_degree, blocks=None, layout=None):
+    def __init__(self, grid, transform, nu, L, lam_by_degree, blocks=None, gather=None):
         self.grid = grid
         self.transform = transform
         self.nu = nu
         self.L = L
         self.blocks = blocks
-        self.layout = layout
+        self.gather = gather
         self.lam_by_degree = lam_by_degree          # (L+1,) with entry l = lambda_l
         self.D = lam_by_degree[transform.mode_l]    # per-mode diagonal
         self.nu_min = nu.nu_min
-        self.step_cache = {}            # per dt: the time stepper's constants
+        self._solve_ops = {}            # per dt: the operator of ``cn_solve``
         self._rho_full = None
         if blocks is None:
             self._diag = self.nu_min * self.D       # A itself
-            self._rho_explicit = 0.0
             return
-        gather, valid = layout
-        self._flat = {}                 # per stack height: the flat indices of ``apply``
-        # each block on its valid slots, which trail, with their modes
-        self._valid_blocks = [(b[j:, j:], g[j:]) for b, g, j in zip(
-            blocks, gather, valid.shape[1] - valid.sum(1))]
-        self._rho_explicit = None
+        self._flat = {}                 # per stack height: the flat indices of the products
+
+    def _indices(self, k):
+        """Flat indices for a stack of height k: the gather of the blocks'
+        (block, row, slot) entries, and the scatters of the modes from a
+        (block, row, slot) product and from a (block, row, 2 slot) one."""
+        if k not in self._flat:
+            n_slots, r = self.gather.shape[1], np.arange(k)[:, None]
+            block, slot = np.divmod(np.argsort(self.gather, axis=None), n_slots)
+            pair = (block * k + r) * 2 * n_slots + slot
+            self._flat[k] = (self.gather[:, None] + self.D.size * r,
+                             (block * k + r) * n_slots + slot, np.stack((pair, pair + n_slots)))
+        return self._flat[k]
 
     def apply(self, c):
         """A c for every row of a (k, n_modes) coefficient stack."""
         if self.blocks is None:
             return c * self._diag
-        k = c.shape[0]
-        if k not in self._flat:
-            # flat stack places of the (block, row, slot) entries; product places of the modes
-            (gather, valid), r = self.layout, np.arange(k)[:, None]
-            n_slots = valid.shape[1]
-            block, slot = np.divmod(np.flatnonzero(valid)[np.argsort(gather[valid])], n_slots)
-            self._flat[k] = (gather[:, None] + self.D.size * r, (block * k + r) * n_slots + slot)
-        gather, scatter = self._flat[k]
-        # symmetric blocks, zero at the padding slots (which read mode 0)
+        gather, scatter, _ = self._indices(c.shape[0])
+        # symmetric blocks
         return (c.take(gather) @ self.blocks).take(scatter)
 
-    def _eigvalsh(self, shift):
-        """Ascending eigenvalues of A - diag(shift), block by block."""
-        return np.sort(np.concatenate([np.linalg.eigvalsh(b - np.diag(shift[idx]))
-                                       for b, idx in self._valid_blocks]))
+    def cn_solve(self, y, dt):
+        """(m, A m), stacked (2, k, n_modes), for m = R y, R = (I + dt A / 2)^-1,
+        and every row of a (k, n_modes) stack y.  The operator is made once
+        per dt: the diagonals (R, A R), or per block [R^T | R^T A] with A the
+        assembled block, so that A m is ``apply`` of m, from one product."""
+        op = self._solve_ops.get(dt)
+        if op is None:
+            if self.blocks is None:
+                r = 1.0 / (1.0 + 0.5 * dt * self._diag)
+                op = np.stack((r, self._diag * r))[:, None]
+            else:
+                n = self.blocks.shape[1]
+                op = np.empty(self.blocks.shape[:2] + (2 * n,))
+                op[..., :n] = np.linalg.inv(np.eye(n) + 0.5 * dt * self.blocks).transpose(0, 2, 1)
+                op[..., n:] = op[..., :n] @ self.blocks
+            self._solve_ops[dt] = op
+        if self.blocks is None:
+            return op * y
+        gather, _, scatter = self._indices(y.shape[0])
+        return (y.take(gather) @ op).take(scatter)
 
     def eigenvalues(self):
-        """Ascending eigenvalues of A."""
+        """Ascending eigenvalues of A, block by block."""
         if self.blocks is None:
             return np.sort(self._diag)
-        return self._eigvalsh(0.0 * self.D)
+        return np.sort(np.linalg.eigvalsh(self.blocks), axis=None)
 
     def rho_explicit(self):
-        """Spectral radius of the explicit remainder A' (cached; 0 for constant nu)."""
-        if self._rho_explicit is None:
-            self._rho_explicit = float(self._eigvalsh(self.nu_min * self.D)[-1])
-        return self._rho_explicit
+        """Spectral radius of the IMEX step's explicit part of A: 0, since the
+        step takes all of A implicitly."""
+        return 0.0
 
     def rho_full(self):
         """Largest eigenvalue of the full operator A (cached)."""
         if self._rho_full is None:
             self._rho_full = float(self.eigenvalues()[-1])
         return self._rho_full
+
+
+def _order_pair_blocks(tr, weight):
+    """A's per-order blocks for a weight constant along latitude rows, two
+    signed orders to an L x L block: (blocks, gather), ``gather[p]`` the
+    modes of ``blocks[p]``.  Order m fills the trailing L - m + 1 slots of
+    its slot row (L at m = 0; the sine row of m = 0 holds none), so sorted by
+    that count the rows of m >= 2 pair first with last, m with L + 2 - m,
+    and each pair fills a block: no slot is padding."""
+    count = tr.slot_valid.sum(1)
+    rows = np.argsort(count, kind="stable")
+    rows = rows[count[rows] > 0]
+    full, part = rows[count[rows] == tr.L], rows[count[rows] < tr.L]
+    a = np.concatenate((full, part[:part.size // 2]))
+    b = np.concatenate((full, part[::-1][:part.size // 2]))
+    # slot j < count[a] is row a's slot j + L - count[a]; the rest are row b's
+    # own slots, where its modes trail; a full row pairs with itself
+    j, n_a = np.arange(tr.L), count[a][:, None]
+    first = j < n_a
+    row = np.where(first, a[:, None], b[:, None])
+    slot = np.where(first, j + tr.L - n_a, j)
+    blocks = tr.axisymmetric_form(weight)[row[:, :, None], slot[:, :, None], slot[:, None, :]]
+    return np.where(row[:, :, None] == row[:, None, :], blocks, 0.0), tr.slot_mode[row, slot]
 
 
 def assemble_stokes(grid, nu, L):
@@ -121,13 +158,10 @@ def assemble_stokes(grid, nu, L):
     weight = 2.0 * grid.weights * nu.values
     if np.ptp(np.reshape(weight, (grid.n_lat, -1)), axis=1).any():
         # cos/sin(m phi) of different orders couple: one dense block
-        blocks = tr.gradient_form(weight)[None]
-        layout = (np.arange(tr.n_modes)[None], np.ones((1, tr.n_modes), dtype=bool))
+        blocks, gather = tr.gradient_form(weight)[None], np.arange(tr.n_modes)[None]
     else:
-        keep = tr.slot_valid.any(1)     # the sine row of m = 0 holds no mode
-        blocks = tr.axisymmetric_form(weight)[keep]
-        layout = (tr.slot_mode[keep], tr.slot_valid[keep])
-    return StokesForm(grid, tr, nu, L, lam, blocks, layout)
+        blocks, gather = _order_pair_blocks(tr, weight)
+    return StokesForm(grid, tr, nu, L, lam, blocks, gather)
 
 
 def convective_term(tr, c):

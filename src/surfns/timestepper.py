@@ -1,28 +1,21 @@
 """Time integration of the spectral system dc/dt = -A c - N(c) + F(c).
 
-The default scheme is IMEX-CNAB2: Crank-Nicolson on the constant-coefficient
-part nu_min * D (a diagonal solve per mode, so the Killing block never
-receives diffusive damping), second-order Adams-Bashforth on the remainder
-A' c + N(c) - F(c).  The first step is bootstrapped with one explicit RK2
-substep.  Splitting at the minimum viscosity keeps the explicit matrix
-positive semidefinite, so the linear dynamics are dissipative step by step,
-for dt rho(A') <= 1.  For constant nu the form holds no blocks and A is
-exactly nu_min D: there is no explicit remainder and no dt rho(A') bound,
-and the scheme is Crank-Nicolson on all of A with Adams-Bashforth on
-F(c) - N(c) alone.
+The default scheme is IMEX-CNAB2: Crank-Nicolson on all of A, which is
+positive semidefinite, and second-order Adams-Bashforth on F(c) - N(c)
+(Ascher, Ruuth & Wetton 1995).  With g the explicit combination, a step
+solves (I + dt A / 2) m = c + dt g / 2 for the midpoint m and sets
+c+ = 2 m - c; the form caches its solve per dt.  The Killing modes, A's
+kernel, receive no damping, every other eigenmode of A is damped for any
+dt > 0, and only RK4 has a step bound.  The first step takes g as the mean
+of its values at c and at the same update made with g(c) alone.  An
+Adams-Bashforth step whose dt differs from the previous step's raises.
 
-The energy ledger accumulates the dissipation and work integrals with the
-exact per-step energy identity of the scheme: the Crank-Nicolson term is
-evaluated at the midpoint state and the explicit terms at their
-Adams-Bashforth combinations (for constant nu, dt (A m, m) at the midpoint
-m is the whole dissipation).  Linear runs therefore balance to rounding;
-the only residual on nonlinear runs is the convective defect, which is
-O(dt^3) per step.  A classical RK4 path is kept for cross-validation, with
-the ledger integrated through the same stages.
-
-The IMEX stability check and Crank-Nicolson factors are made once per
-(form, dt); each step fills one (3, k, n) buffer and updates in place in
-the plain formulas' operation order.  Unequal Adams-Bashforth steps raise.
+The energy ledger accumulates the step's exact energy identity: the
+dissipation dt (A m, m), with A m from the assembled form, and the work
+dt (F, m), F at its Adams-Bashforth combination.  Linear runs therefore
+balance to rounding; the only residual on nonlinear runs is the convective
+defect -dt (N, m), which is O(dt^3) per step.  A classical RK4 path is kept
+for cross-validation, with the ledger integrated through the same stages.
 
 Both schemes advance a stack of k independent trajectories, coefficients
 (k, n_modes), through one code path for every k: each operator acts on the
@@ -75,7 +68,7 @@ class SimState:
         self.work_integral = np.zeros(len(states))
         self.diss_integral = np.zeros(len(states))
         self.energy0 = self.energy()
-        self._prev = None           # the previous step's explicit rows (see ``_explicit``)
+        self._prev = None           # the previous step's (N(c), F(c)) rows
 
     def energy(self):
         return 0.5 * _rowdot(self.c, self.c)
@@ -109,24 +102,11 @@ def _rowdot(a, b):
     return np.einsum("kn,kn->k", a, b)
 
 
-def _parts(form, spec, c, with_a=True):
-    """(A c, N(c), F(c)) for every row of a coefficient stack, stacked (3, k, n);
-    (N(c), F(c)) without ``with_a``."""
-    out = np.empty((2 + with_a,) + c.shape)
-    if with_a:
-        out[0] = form.apply(c)
-    out[-2], out[-1] = convective_term(form.transform, c), apply_forcing(spec, c)
+def _explicit_terms(form, spec, c):
+    """(N(c), F(c)) for every row of a coefficient stack, stacked (2, k, n)."""
+    out = np.empty((2,) + c.shape)
+    out[0], out[1] = convective_term(form.transform, c), apply_forcing(spec, c)
     return out
-
-
-def _explicit(form, parts, c):
-    """The IMEX step's explicit rows from ``parts`` at c: (A' c, N(c), F(c)),
-    with A' c made from A c in place, or (N(c), F(c)) for a form without
-    blocks, whose A' is zero."""
-    if form.blocks is None:
-        return parts[-2:]
-    parts[0] -= form.nu_min * (form.D * c)
-    return parts
 
 
 def _check_dt(dt, rho, bound, scheme):
@@ -138,58 +118,42 @@ def _check_dt(dt, rho, bound, scheme):
                              f"{bound / max(rho, 1e-300):g}")
 
 
-def _cn_factors(form, dt):
-    """Crank-Nicolson factors (1 - h, 1 + h), h = dt nu_min D / 2, cached per checked dt."""
-    if dt not in form.step_cache:
-        _check_dt(dt, form.rho_explicit(), 1.0, "explicit-remainder")
-        half = 0.5 * dt * form.nu_min * form.D
-        form.step_cache[dt] = (1.0 - half, 1.0 + half)
-    return form.step_cache[dt]
+def _cn_update(form, c, nf, dt):
+    """Crank-Nicolson on A with the explicit terms nf = (N, F) held fixed:
+    (c+, m, A m) for the midpoint m = (c + c+) / 2, which solves
+    (I + dt A / 2) m = c + dt (F - N) / 2."""
+    y = nf[1] - nf[0]
+    y *= 0.5 * dt
+    y += c
+    m, am = form.cn_solve(y, dt)
+    return 2.0 * m - c, m, am
 
 
 def step_imex(sim, form, spec, dt):
-    """One IMEX-CNAB2 step of every row; bootstraps with a single RK2 substep.
+    """One IMEX-CNAB2 step of every row: Crank-Nicolson on A, with N and F
+    by Adams-Bashforth, or on the first step by a predictor-corrector.
 
-    Only the explicit operators the form has are evaluated: N and F, plus
-    A' c when the form holds blocks.  Rows that overflow come back
-    non-finite; ``run_batch`` freezes them.
+    Rows that overflow come back non-finite; ``run_batch`` freezes them.
     """
-    cn_minus, cn_plus = _cn_factors(form, dt)
+    if dt <= 0:
+        raise ParameterError("dt must be positive")
     if sim._prev is not None and dt != sim.dt:
         raise ParameterError(f"dt = {dt:g} differs from the previous step's {sim.dt:g}")
     c = sim.c
-
+    nf = _explicit_terms(form, spec, c)
     if sim._prev is None:
-        p0 = _parts(form, spec, c)
-        k1 = -p0[0] - p0[1] + p0[2]
-        p1 = _parts(form, spec, c + dt * k1)
-        k2 = -p1[0] - p1[1] + p1[2]
-        c_new = c + 0.5 * dt * (k1 + k2)
-        mid = 0.5 * (c + c_new)
-        # dissipation and work: the trapezoid A c and F(c) against the midpoint
-        diss, work = 0.5 * dt * np.einsum("jkn,kn->jk", p0[::2] + p1[::2], mid)
-        prev = _explicit(form, p0, c)
+        # predict with the terms at c, correct with their mean at c and the prediction
+        nf_bar = nf + _explicit_terms(form, spec, _cn_update(form, c, nf, dt)[0])
+        nf_bar *= 0.5
     else:
-        remainder = form.blocks is not None
-        parts = _explicit(form, _parts(form, spec, c, remainder), c)
-        ab = 1.5 * parts                             # Adams-Bashforth combinations
-        ab -= 0.5 * sim._prev
-        c_new = -ab[0]                               # -A' c - N + F, or -N + F
-        if remainder:
-            c_new -= ab[1]
-        c_new += ab[-1]
-        c_new *= dt
-        c_new += cn_minus * c                        # Crank-Nicolson
-        c_new /= cn_plus
-        mid = 0.5 * (c + c_new)
-        if remainder:
-            ab[0] += form.nu_min * (form.D * mid)    # with the Crank-Nicolson term
-            diss, work = dt * np.einsum("jkn,kn->jk", ab[::2], mid)
-        else:
-            ab[0] = form.apply(mid)                  # all of A is Crank-Nicolson
-            diss, work = dt * np.einsum("jkn,kn->jk", ab, mid)
-        prev = parts
-    return sim._advance(c_new, dt, work, diss, prev)
+        nf_bar = 1.5 * nf
+        nf_bar -= 0.5 * sim._prev
+    c_new, m, am = _cn_update(form, c, nf_bar, dt)
+    # dissipation dt (A m, m) and work dt (F, m) in one product, A m in N's row;
+    # -dt (N, m) is the convective defect
+    nf_bar[0] = am
+    diss, work = dt * np.einsum("jkn,kn->jk", nf_bar, m)
+    return sim._advance(c_new, dt, work, diss, nf)
 
 
 def step_rk4(sim, form, spec, dt):
@@ -197,7 +161,7 @@ def step_rk4(sim, form, spec, dt):
     _check_dt(dt, form.rho_full(), 2.7, "RK4")
 
     def rhs_and_rates(cv):
-        ac, nn, ff = _parts(form, spec, cv)
+        ac, (nn, ff) = form.apply(cv), _explicit_terms(form, spec, cv)
         return -ac - nn + ff, _rowdot(cv, ac), _rowdot(ff, cv)
 
     c = sim.c

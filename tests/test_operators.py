@@ -44,8 +44,8 @@ def _dense(form):
     if form.blocks is None:
         return form.apply(np.eye(form.transform.n_modes))
     A = np.zeros((form.transform.n_modes,) * 2)
-    for g, v, b in zip(*form.layout, form.blocks):
-        A[np.ix_(g[v], g[v])] = b[np.ix_(v, v)]
+    for g, b in zip(form.gather, form.blocks):
+        A[np.ix_(g, g)] = b
     return A
 
 
@@ -72,7 +72,7 @@ def test_constant_nu_diagonal():
             tr = get_transform(grid, L)
             for nu in (1.0, 2.5):
                 form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
-                assert form.blocks is None and form.layout is None
+                assert form.blocks is None and form.gather is None
                 blocks = tr.axisymmetric_form(2.0 * grid.weights * nu)
                 diag = np.where(tr.slot_valid, nu * form.D[tr.slot_mode], 0.0)
                 err = np.abs(blocks - diag[:, :, None] * np.eye(L)).max()
@@ -380,7 +380,7 @@ def test_blocks_match_single_part_form():
 
 
 def test_eigenvalue_count_is_n_modes():
-    # one eigenvalue per mode: the padding slots never reach the eigensolve
+    # one eigenvalue per mode
     for L in (8, 12):
         grid = geo.build_sphere_grid(L, 1.3)
         x, z = grid.nodes[:, 0] / grid.R, grid.nodes[:, 2] / grid.R
@@ -414,14 +414,19 @@ def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
     with monkeypatch.context() as m:
         m.setattr(SphereTransform, "axisymmetric_form", probe)
         form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0), 8)
-    assert form.blocks is None and form.layout is None
+    assert form.blocks is None and form.gather is None
     tr = get_transform(sphere8, 8)
     z = sphere8.nodes[:, 2]
     form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.5 * z), 8)
-    # the slot rows that hold a mode: all but the sine row of m = 0
-    assert form.blocks.shape == (17, 8, 8)
-    assert np.array_equal(form.layout[0], np.delete(tr.slot_mode, 1, 0))
-    assert np.array_equal(form.layout[1], np.delete(tr.slot_valid, 1, 0))
+    # orders 0 and 1 (cos and sin) fill a block each, and m >= 2 pairs with
+    # L + 2 - m: every mode once, the blocks the slot-ordered ones
+    assert form.blocks.shape == (10, 8, 8)
+    assert np.array_equal(np.sort(form.gather, axis=None), np.arange(tr.n_modes))
+    ref = tr.axisymmetric_form(2.0 * sphere8.weights * (1.0 + 0.5 * z))
+    dense = np.zeros((tr.n_modes,) * 2)
+    for g, v, b in zip(tr.slot_mode, tr.slot_valid, ref):
+        dense[np.ix_(g[v], g[v])] = b[np.ix_(v, v)]
+    np.testing.assert_array_equal(_dense(form), dense)
     assert korn_constant(sphere8, 8).c_p == pytest.approx(np.sqrt(3.0), rel=1e-12)
     with pytest.raises(RuntimeError, match="probe path"):
         assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
@@ -430,10 +435,9 @@ def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
 def _indexed_apply(form, c):
     """A c with the stack gathered into (row, block, slot) order by fancy
     indexing: the form's flat-index apply must match it bit for bit."""
-    gather, valid = form.layout
-    scatter = np.flatnonzero(valid)[np.argsort(gather[valid])]
+    gather = form.gather
     y = c[:, gather].transpose(1, 0, 2) @ form.blocks
-    return y.transpose(1, 0, 2).reshape(c.shape[0], gather.size)[:, scatter]
+    return y.transpose(1, 0, 2).reshape(c.shape[0], gather.size)[:, np.argsort(gather, axis=None)]
 
 
 def test_apply_matches_dense(formv, form_x):
@@ -449,15 +453,28 @@ def test_apply_matches_dense(formv, form_x):
             np.testing.assert_array_equal(form.apply(c), _indexed_apply(form, c))
 
 
+def test_cn_solve_matches_dense(form1, formv, form_x):
+    # (m, A m) with m = (I + dt A / 2)^-1 y, for the diagonal, order-pair and
+    # dense storage, at two dts cached side by side and changing stack heights
+    rng = np.random.default_rng(17)
+    for form in (form1, formv, form_x):
+        A = _dense(form)
+        for dt, k in ((1e-2, 1), (0.3, 3), (1e-2, 8), (0.3, 0), (1e-2, 3)):
+            y = rng.normal(size=(k, A.shape[0]))
+            m = np.linalg.solve(np.eye(A.shape[0]) + 0.5 * dt * A, y.T).T
+            out = form.cn_solve(y, dt)
+            assert out.shape == (2,) + y.shape
+            for got, want in zip(out, (m, m @ A.T)):
+                assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+
+
 def test_block_eigenvalues_match_dense(formv, form_x):
     for form in (formv, form_x):
         ev = np.linalg.eigvalsh(_dense(form))
-        ap = _a_prime(form)
-        rho = np.linalg.eigvalsh(0.5 * (ap + ap.T)).max()
         scale = ev.max()
         assert np.abs(form.eigenvalues() - ev).max() <= 1e-12 * scale
         assert abs(form.rho_full() - ev.max()) <= 1e-12 * scale
-        assert abs(form.rho_explicit() - rho) <= 1e-12 * rho
+        assert form.rho_explicit() == 0.0     # the IMEX step has no explicit part of A
 
 
 def test_constant_nu_eigenvalues_closed_form(sphere8, sphere8_r2, sphere64):

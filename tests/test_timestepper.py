@@ -10,12 +10,13 @@ from surfns.errors import DivergenceError, GridMismatchError, ParameterError
 from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import SpectralState, mode_index, n_modes, random_band_limited
 from surfns.killing import killing_basis
-from surfns.operators import StokesForm, assemble_stokes
+from surfns.operators import StokesForm, _order_pair_blocks, assemble_stokes
 from surfns.harness import (build_context, build_initial_state, member_seed,
                             records_to_csv, stepper_config)
 from surfns.scenarios import get_scenario, list_scenarios
 from surfns.timestepper import (SimState, StepperConfig, run, run_batch,
                                 step_imex, step_rk4)
+from test_operators import _a_prime
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +49,24 @@ def _decay_error(sphere8, form1, spec0, scheme, dt):
     return abs(samples[-1][mode_index(8, 2, 0)] - np.exp(-lam2 * 0.5))
 
 
-def test_imex_second_order(sphere8, form1, spec0):
+def test_imex_second_order(sphere8, form1, formv, spec0, kb, tr8):
     e1 = _decay_error(sphere8, form1, spec0, "imex_cnab2", 2e-3)
     e2 = _decay_error(sphere8, form1, spec0, "imex_cnab2", 1e-3)
     ratio = e1 / e2
     assert 4.0 * 0.85 <= ratio <= 4.0 * 1.15
+    # linear_x3 nu (a = 0.5), forced and nonlinear: self-convergence against
+    # a run at dt = 2.5e-4
+    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    u0 = random_band_limited(tr8, 19, norm_killing=0.3, norm_nonkilling=1.0)
+
+    def end(dt):
+        cfg = StepperConfig(dt=dt, t_end=0.5, stride=10 ** 9)
+        return run(cfg, sphere8, formv, spec, u0)[0][-1]
+
+    ref = end(2.5e-4)
+    e = [np.linalg.norm(end(dt) - ref) for dt in (4e-3, 2e-3, 1e-3)]
+    for ratio in (e[0] / e[1], e[1] / e[2]):
+        assert 4.0 * 0.85 <= ratio <= 4.0 * 1.15
 
 
 def test_rk4_fourth_order(sphere8, form1, spec0):
@@ -111,8 +125,8 @@ def test_cross_scheme_agreement(sphere8, formv, kb, tr8):
 def _single_degree_energy_error(L, R, degrees, seed):
     """Largest |E(t_n)/E(0) - G_n| of an unforced constant-nu IMEX run from a
     random state on ``degrees`` (all orders), with G_n the scheme's exact
-    amplification of one degree l = degrees[0]: a Heun bootstrap step, then
-    Crank-Nicolson on nu lambda_l.  Also returns the largest Killing norm."""
+    amplification of one degree l = degrees[0], Crank-Nicolson on nu lambda_l
+    at every step.  Also returns the largest Killing norm."""
     grid = geo.build_sphere_grid(L, R)
     nu, dt, n_steps = 0.7, 2e-3, 100
     form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
@@ -122,10 +136,8 @@ def _single_degree_energy_error(L, R, degrees, seed):
     cfg = StepperConfig(dt=dt, t_end=n_steps * dt, stride=1)
     _, rec = run(cfg, grid, form, spec, SpectralState(L, c / np.linalg.norm(c)))
     l = degrees[0]
-    x = nu * (l * (l + 1) - 2) / R ** 2 * dt
-    h = 0.5 * x
-    n = np.arange(n_steps + 1)
-    gain = np.where(n > 0, (1 - x + 0.5 * x * x) * ((1 - h) / (1 + h)) ** np.maximum(n - 1, 0), 1.0)
+    h = 0.5 * nu * (l * (l + 1) - 2) / R ** 2 * dt
+    gain = ((1 - h) / (1 + h)) ** np.arange(n_steps + 1)
     return np.abs(rec.energy / rec.energy[0] - gain ** 2).max(), rec.norm_uK.max()
 
 
@@ -151,22 +163,12 @@ def test_rk4_stability_bound_checked(sphere8, form1, spec0):
         step_rk4(sim, form1, spec0, 1.0)   # lam_max * dt = 70 >> 2.7
 
 
-def test_imex_explicit_bound_checked(sphere8, spec0, kb):
-    # large viscosity contrast makes the explicit remainder stiff
-    nu = geo.ViscosityField(sphere8, 1.0 + 0.999 * sphere8.nodes[:, 2])
-    form = assemble_stokes(sphere8, nu, 8)
-    sim = SimState([SpectralState(8)], dt=1.0)
-    with pytest.raises(ParameterError):
-        step_imex(sim, form, spec0, 1.0)
-
-
 def test_imex_bound_still_checked_after_a_cached_dt(sphere8, formv, spec0, tr8):
-    # the step constants of a valid dt are cached on the form; a later
-    # over-bound dt is checked afresh
-    rho = formv.rho_explicit()
-    sim = SimState([random_band_limited(tr8, 53)], dt=0.5 / rho)
-    step_imex(step_imex(sim, formv, spec0, 0.5 / rho), formv, spec0, 0.5 / rho)
-    for dt in (1.5 / rho, 0.0, -1e-3):
+    # the solve operator of a valid dt is cached on the form; a later
+    # non-positive dt is checked afresh
+    sim = SimState([random_band_limited(tr8, 53)], dt=1e-3)
+    step_imex(step_imex(sim, formv, spec0, 1e-3), formv, spec0, 1e-3)
+    for dt in (0.0, -1e-3):
         with pytest.raises(ParameterError):
             step_imex(sim, formv, spec0, dt)
 
@@ -225,10 +227,11 @@ def test_unforced_nonkilling_strictly_decreasing(sphere8, form1, spec0, tr8):
 
 
 def test_imex_linear_decay_near_stability_bound(sphere8, formv, spec0, tr8):
-    # linear regime (tiny amplitude): the PSD split keeps ||u|| nonincreasing
-    # for any dt passing the explicit-remainder check
-    rho = formv.rho_explicit()
-    for dt in (0.5 / rho, 0.9 / rho):
+    # linear regime (tiny amplitude): Crank-Nicolson on all of A keeps ||u||
+    # nonincreasing far past the bound 1 / rho(A') of an explicit remainder
+    # A' = A - nu_min D, which the step no longer has
+    rho = np.linalg.eigvalsh(_a_prime(formv)).max()
+    for dt in (10.0 / rho, 100.0 / rho):
         u0 = random_band_limited(tr8, 29, norm_killing=0.0,
                                  norm_nonkilling=1e-8)
         sim = SimState([u0], dt=dt)
@@ -238,6 +241,35 @@ def test_imex_linear_decay_near_stability_bound(sphere8, formv, spec0, tr8):
             cur = np.linalg.norm(sim.c[0])
             assert cur <= prev * (1.0 + 1e-12)
             prev = cur
+
+
+def test_imex_damps_stiff_modes_from_the_first_step():
+    # dt rho(A) = 13.5: an explicit first step on A would amplify degree 16
+    # by |1 - x + x^2 / 2| with x = dt lambda_16 = 13.5, about 78 per step
+    grid = geo.build_sphere_grid(16, 1.0)
+    form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0), 16)
+    spec = make_catalog_forcing("zero", {}, killing_basis(grid))
+    rng = np.random.default_rng(16)
+    c = np.where(form.transform.mode_l == 16, rng.standard_normal(n_modes(16)), 0.0)
+    sim = SimState([SpectralState(16, c)], dt=0.05)
+    energies = [sim.energy()[0]]
+    for _ in range(5):
+        sim = step_imex(sim, form, spec, 0.05)
+        energies.append(sim.energy()[0])
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+
+
+def test_imex_runs_far_past_the_old_remainder_bound():
+    # L = 32, nu = 1 + 0.9 x3: dt = 5e-3 is 8x the bound 1 / rho(A') = 6.3e-4
+    # that an explicit A' = A - nu_min D would impose
+    grid = geo.build_sphere_grid(32, 1.0)
+    form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0 + 0.9 * grid.nodes[:, 2]), 32)
+    spec = make_catalog_forcing("zero", {}, killing_basis(grid))
+    u0 = random_band_limited(form.transform, 5, norm_killing=0.3, norm_nonkilling=1.0)
+    samples, records = run(StepperConfig(dt=5e-3, t_end=1.0, stride=10), grid, form, spec, u0)
+    assert np.all(np.isfinite(samples))
+    assert np.all(np.diff(records.norm_uNK) < 0.0)
+    assert np.abs(samples[:, :3] - samples[0, :3]).max() <= 1e-14
 
 
 def test_divergence_error_carries_last_state(sphere8, form1, kb, tr8):
@@ -405,19 +437,17 @@ def _blocked_form(grid, nu, L):
     """The constant-nu form with its assembled per-order blocks, which
     ``assemble_stokes`` skips because they are nu diag(D) to rounding."""
     form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
-    tr, keep = form.transform, form.transform.slot_valid.any(1)
-    blocks = tr.axisymmetric_form(2.0 * grid.weights * nu)[keep]
-    return StokesForm(grid, tr, form.nu, L, form.lam_by_degree, blocks,
-                      (tr.slot_mode[keep], tr.slot_valid[keep]))
+    blocks, gather = _order_pair_blocks(form.transform, 2.0 * grid.weights * nu)
+    return StokesForm(grid, form.transform, form.nu, L, form.lam_by_degree, blocks, gather)
 
 
 def test_diagonal_form_tracks_the_blocked_form(sphere8, kb, tr8):
-    # 500 nonlinear forced steps: CN on all of nu D against CN on nu_min D
-    # plus the blocks' rounding-level remainder through Adams-Bashforth
+    # 500 nonlinear forced steps: the diagonal solve against the per-order
+    # block solve of blocks equal to nu diag(D) to rounding
     nu = 0.7
     diagonal = assemble_stokes(sphere8, geo.ViscosityField(sphere8, nu), 8)
     blocked = _blocked_form(sphere8, nu, 8)
-    assert diagonal.blocks is None and blocked.rho_explicit() > 0.0
+    assert diagonal.blocks is None and blocked.blocks is not None
     spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
     states = [random_band_limited(tr8, 70 + i, norm_killing=0.5, norm_nonkilling=1.0)
               for i in range(8)]
@@ -435,7 +465,7 @@ def test_diagonal_form_tracks_the_blocked_form(sphere8, kb, tr8):
 
 def test_scenario_forms_by_path():
     # the traffic the diagonal form serves: every constant-nu scenario that
-    # integrates builds a block-less form; varnu_energy_balance has per-order blocks
+    # integrates builds a block-less form; varnu_energy_balance has order-pair blocks
     diagonal = []
     for name, _ in list_scenarios():
         sc = get_scenario(name)
@@ -448,5 +478,5 @@ def test_scenario_forms_by_path():
         else:
             assert name == "varnu_energy_balance"
             L = sc.config["geometry.L"]
-            assert form.blocks.shape == (2 * L + 1, L, L)
+            assert form.blocks.shape == (L + 2, L, L)
     assert len(diagonal) == 14
