@@ -151,15 +151,15 @@ def _killing_gram(basis, point):
     return basis.l1_map.T @ G @ basis.l1_map
 
 
-def apply_forcing(spec, c):
+def apply_forcing(spec, c, out=None):
     """Coefficients of P_0 f(., u) for every row u of the (k, n_modes)
-    coefficient stack ``c``, as a stack of the same shape."""
+    coefficient stack ``c``, as a stack of the same shape (``out`` when given)."""
     n = c.shape[1]
     if n > spec.f.size:
         raise ParameterError(f"a stack of {n} modes is wider than the {spec.f.size} "
                              "of the forcing's grid truncation")
-    out = spec.s * c
-    out[:, :3] = c[:, :3] @ spec.K.T
+    out = np.multiply(spec.s, c, out=out)
+    np.matmul(c[:, :3], spec.K.T, out=out[:, :3])
     out += spec.f[:n]
     return out
 

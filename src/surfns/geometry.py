@@ -256,6 +256,13 @@ def tangential_project(grid, v):
 # ---------------------------------------------------------------------------
 # per-order spectral engine on the sphere (Legendre x longitude)
 
+def _merged(a, shape, copies):
+    """``a.reshape(shape)``, a view unless numpy's reshape ``copies``: then a buffer
+    and the copy (to, from) that fills it at each call."""
+    b = np.empty(shape) if copies else a.reshape(shape)
+    return b, ((b.reshape(a.shape), a) if copies else None)
+
+
 class SphereEngine:
     """Separable per-order transform between coefficient stacks and nodes.
 
@@ -336,27 +343,48 @@ class SphereEngine:
                              ((pair * n_rows + row) * 4 + sub) * k + r)
         return self._flat[k]
 
-    def synthesize(self, c, comps=slice(None)):
-        """Nodal values (n_comps, k, n_nodes) of a coefficient stack (k, n)."""
+    def plan(self, k, comps=slice(None), adjoint=False):
+        """The ``out`` of one ``synthesize`` (or ``adjoint``) of k rows on ``comps``:
+        its index, table views and buffers, result last, so a kept plan needs no
+        lookup, reshape or allocation.  The zeroed scatter buffer gets the same
+        entries at every call; where reshape copies a stage's input, so does the call."""
         X = self.X[:, :, comps]
         n_pairs, n_rows, n_comp, n_lat = X.shape
-        k = c.shape[0]
-        Z = np.zeros(n_pairs * 4 * k * n_rows)
-        Z[self._flat_index(k)[0]] = c
-        F = Z.reshape(n_pairs, 4 * k, n_rows) @ X.reshape(n_pairs, n_rows, -1)
-        F = F.reshape(n_pairs, 4, k, n_comp, n_lat).transpose(3, 2, 4, 0, 1)
-        f = F.reshape(n_comp, k * n_lat, 4 * n_pairs) @ self.trig[comps]
-        return f.reshape(n_comp, k, n_lat * self.n_lon)
+        X = X.reshape(n_pairs, n_rows, -1)
+        scatter, gather = self._flat_index(k)
+        if adjoint:
+            G = np.empty((n_comp, k * n_lat, 4 * n_pairs))
+            H, copy = _merged(G.reshape(n_comp, k, n_lat, n_pairs, 4).transpose(3, 0, 2, 4, 1),
+                              (n_pairs, n_comp * n_lat, 4 * k), k > 1)
+            return ((n_comp, k * n_lat, self.n_lon), self.trig_t[comps], G, copy, X, H,
+                    np.empty((n_pairs, n_rows, 4 * k)), gather, np.empty((k, self.layout[0].size)))
+        Z, F = np.zeros((n_pairs, 4 * k, n_rows)), np.empty((n_pairs, 4 * k, n_comp * n_lat))
+        T, copy = _merged(F.reshape(n_pairs, 4, k, n_comp, n_lat).transpose(3, 2, 4, 0, 1),
+                          (n_comp, k * n_lat, 4 * n_pairs), k > 1 and n_comp > 1)
+        f = np.empty((n_comp, k, n_lat * self.n_lon))
+        return (Z.reshape(-1), scatter, Z, X, F, copy, T, self.trig[comps],
+                f.reshape(n_comp, k * n_lat, self.n_lon), f)
 
-    def adjoint(self, f, comps=slice(None)):
-        """Transpose of ``synthesize``: coefficient stack (k, n) of f (n_comps, k, n_nodes)."""
-        X = self.X[:, :, comps]
-        n_pairs, n_rows, n_comp, n_lat = X.shape
-        k = f.shape[1]
-        G = f.reshape(n_comp, k * n_lat, self.n_lon) @ self.trig_t[comps]
-        G = G.reshape(n_comp, k, n_lat, n_pairs, 4).transpose(3, 0, 2, 4, 1)
-        Z = X.reshape(n_pairs, n_rows, -1) @ G.reshape(n_pairs, n_comp * n_lat, 4 * k)
-        return Z.take(self._flat_index(k)[1])
+    def synthesize(self, c, comps=slice(None), out=None):
+        """Nodal values (n_comps, k, n_nodes) of a coefficient stack (k, n),
+        by the ``plan`` ``out`` when given."""
+        flat, index, Z, X, F, copy, T, trig, f, nodal = out or self.plan(c.shape[0], comps)
+        flat[index] = c
+        np.matmul(Z, X, out=F)
+        if copy:
+            np.copyto(*copy)
+        np.matmul(T, trig, out=f)
+        return nodal
+
+    def adjoint(self, f, comps=slice(None), out=None):
+        """Transpose of ``synthesize``: coefficient stack (k, n) of f (n_comps,
+        k, n_nodes), by the ``plan`` ``out`` (made with ``adjoint=True``) when given."""
+        shape, trig, G, copy, X, H, Z, index, c = out or self.plan(f.shape[1], comps, True)
+        np.matmul(f.reshape(shape), trig, out=G)
+        if copy:
+            np.copyto(*copy)
+        np.matmul(X, H, out=Z)
+        return Z.take(index, out=c, mode="clip")
 
     def analyze(self, f, comps=slice(None)):
         """Coefficient stack (k, n) of nodal f (n_comps, k, n_nodes) by quadrature."""

@@ -63,19 +63,19 @@ class StokesForm:
                              (block * k + r) * n_slots + slot, np.stack((pair, pair + n_slots)))
         return self._flat[k]
 
-    def apply(self, c):
-        """A c for every row of a (k, n_modes) coefficient stack."""
+    def apply(self, c, out=None):
+        """A c for every row of a (k, n_modes) coefficient stack (into ``out``)."""
         if self.blocks is None:
-            return c * self._diag
+            return np.multiply(c, self._diag, out=out)
         gather, scatter, _ = self._indices(c.shape[0])
         # symmetric blocks
-        return (c.take(gather) @ self.blocks).take(scatter)
+        return (c.take(gather) @ self.blocks).take(scatter, out=out, mode="clip")
 
-    def cn_solve(self, y, dt):
-        """(m, A m), stacked (2, k, n_modes), for m = R y, R = (I + dt A / 2)^-1,
-        and every row of a (k, n_modes) stack y.  The operator is made once
-        per dt: the diagonals (R, A R), or per block [R^T | R^T A] with A the
-        assembled block, so that A m is ``apply`` of m, from one product."""
+    def cn_solve(self, y, dt, out=None):
+        """(m, A m), stacked (2, k, n_modes) into ``out`` if given, for m = R y,
+        R = (I + dt A / 2)^-1, and every row of a (k, n_modes) stack y.  The
+        operator is made once per dt: the diagonals (R, A R), or per block
+        [R^T | R^T A] with A the assembled block: A m is ``apply`` of m, in one product."""
         op = self._solve_ops.get(dt)
         if op is None:
             if self.blocks is None:
@@ -88,9 +88,9 @@ class StokesForm:
                 op[..., n:] = op[..., :n] @ self.blocks
             self._solve_ops[dt] = op
         if self.blocks is None:
-            return op * y
+            return np.multiply(op, y, out=out)
         gather, _, scatter = self._indices(y.shape[0])
-        return (y.take(gather) @ op).take(scatter)
+        return (y.take(gather) @ op).take(scatter, out=out, mode="clip")
 
     def eigenvalues(self):
         """Ascending eigenvalues of A, block by block."""
@@ -164,10 +164,11 @@ def assemble_stokes(grid, nu, L):
     return StokesForm(grid, tr, nu, L, lam, blocks, gather)
 
 
-def convective_term(tr, c):
+def convective_term(tr, c, out=None):
     """Coefficients of P_0 [(u . grad_G) u] for every row of the (k, n_modes)
     coefficient stack ``c``, computed pseudospectrally with the transform
-    ``tr`` (the form's ``transform`` on the dynamics path).
+    ``tr`` (the form's ``transform`` on the dynamics path), through ``out``,
+    the engine ``plan``s of the ``VORT`` synthesis and the ``FIELD`` adjoint.
 
     In two dimensions (u . grad_G) u = grad_G(|u|^2 / 2) + omega n x u, and
     the gradient has no toroidal part.  So synthesize u and its scalar
@@ -177,8 +178,7 @@ def convective_term(tr, c):
     orthogonality holds to rounding on any grid; the vanishing Killing
     projection holds to quadrature exactness.
     """
-    f = tr.engine.synthesize(c, tr.VORT)         # u_theta, u_phi, omega
-    w = f[2] * tr.engine.weights                  # omega, weighted for the quadrature
-    f[0] *= w
-    f[1] *= -w
-    return tr.engine.adjoint(f[1::-1], tr.FIELD)    # the analysis of omega (-u_phi, u_theta)
+    f = tr.engine.synthesize(c, tr.VORT, out and out[0])     # u_theta, u_phi, omega
+    f[:2] *= np.multiply(f[2], tr.engine.weights, out=f[2])  # omega, weighted for the quadrature
+    np.negative(f[1], out=f[1])                   # f[1::-1] is omega (-u_phi, u_theta)
+    return tr.engine.adjoint(f[1::-1], tr.FIELD, out and out[1])

@@ -21,8 +21,12 @@ Both schemes advance a stack of k independent trajectories, coefficients
 (k, n_modes), through one code path for every k: each operator acts on the
 whole stack and each row keeps its own energy ledger.  Ensembles, pairs and
 gap families therefore integrate as one batch; coefficient rows and
-diagnostics (one batched ``record`` call per sample) are taken only at
+diagnostics (one batched ``record`` call per sample) are copied out only at
 sample points, into one array and one record array per trajectory.
+``run_batch`` owns one workspace per stack height: two stacks that take turns
+as a step's input and output, and every array a step writes, engine scratch
+included.  A step called without ``out`` makes a fresh workspace, the only
+difference, so it returns a new stack and leaves its input untouched.
 """
 
 from dataclasses import dataclass
@@ -43,12 +47,12 @@ class StepperConfig:
     stride: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ParameterError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ParameterError("dt and t_end must be positive and finite")
         if self.scheme not in ("imex_cnab2", "rk4"):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if self.stride < 1:
-            raise ParameterError("stride must be >= 1")
+        if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
+            raise ParameterError("stride must be an integer >= 1")
 
 
 class SimState:
@@ -71,108 +75,131 @@ class SimState:
         self._prev = None           # the previous step's (N(c), F(c)) rows
 
     def energy(self):
-        return 0.5 * _rowdot(self.c, self.c)
+        return 0.5 * np.einsum("kn,kn->k", self.c, self.c)
 
     def ledger_residual(self):
         """E(t) - E(0) + int D - int W per row, the discrete balance defect."""
         return self.energy() - self.energy0 + self.diss_integral - self.work_integral
 
-    def _with(self, c, t, dt, step, work_integral, diss_integral, energy0, prev):
-        """A stack of the same L with the given fields."""
+    def take(self, rows):
+        """The sub-stack of ``rows`` (an index list or a boolean mask), copied."""
         out = SimState.__new__(SimState)
-        out.L, out.t, out.c, out.dt, out.step = self.L, t, c, dt, step
-        out.work_integral, out.diss_integral = work_integral, diss_integral
-        out.energy0, out._prev = energy0, prev
+        out.L, out.t, out.dt, out.step = self.L, self.t, self.dt, self.step
+        out.c, out.work_integral, out.diss_integral, out.energy0 = (
+            a[rows] for a in (self.c, self.work_integral, self.diss_integral, self.energy0))
+        out._prev = None if self._prev is None else self._prev[:, rows]
         return out
 
-    def take(self, rows):
-        """The sub-stack of ``rows`` (an index list or a boolean mask)."""
-        return self._with(self.c[rows], self.t, self.dt, self.step,
-                          self.work_integral[rows], self.diss_integral[rows],
-                          self.energy0[rows], None if self._prev is None else self._prev[:, rows])
 
-    def _advance(self, c, dt, work, diss, prev):
-        """The stack one step of size dt later, with the step's ledger terms."""
-        return self._with(c, self.t + dt, dt, self.step + 1, self.work_integral + work,
-                          self.diss_integral + diss, self.energy0, prev)
+class _Workspace:
+    """Every array a step of the k rows of ``sim`` writes: two stacks with their
+    (N, F) history, engine plans, y, RK4's (N, F), ``stages`` ((m, N or A m, F)
+    and AB2 scratch, or RK4's slopes and A c) and the ledger terms."""
 
+    def __init__(self, form, sim):
+        (k, n), tr = sim.c.shape, form.transform
+        self.states = [SimState.__new__(SimState) for _ in range(2)]
+        for s in self.states:
+            s.L, s.c, s._nf = sim.L, np.empty((k, n)), np.empty((2, k, n))
+            s.work_integral, s.diss_integral = np.empty(k), np.empty(k)
+        self.syn, self.adj = tr.engine.plan(k, tr.VORT), tr.engine.plan(k, tr.FIELD, True)[:-1]
+        self.y, self.nf, self.stages = np.empty((k, n)), np.empty((2, k, n)), np.empty((5, k, n))
+        self.rates = np.empty((4, 2, k))
 
-def _rowdot(a, b):
-    """Row-wise inner products of two (k, n) stacks."""
-    return np.einsum("kn,kn->k", a, b)
+    def terms(self, form, spec, c, out):
+        """(N(c), F(c)) for every row of a coefficient stack, into the rows of ``out``."""
+        convective_term(form.transform, c, (self.syn, self.adj + (out[0],)))
+        apply_forcing(spec, c, out[1])
 
-
-def _explicit_terms(form, spec, c):
-    """(N(c), F(c)) for every row of a coefficient stack, stacked (2, k, n)."""
-    out = np.empty((2,) + c.shape)
-    out[0], out[1] = convective_term(form.transform, c), apply_forcing(spec, c)
-    return out
+    def advance(self, sim, dt, work, diss, prev):
+        """The stack that is not ``sim``, one step of dt later, with its ledger and ``prev``."""
+        s = self.states[self.states[0] is sim]
+        s.t, s.dt, s.step, s.energy0, s._prev = sim.t + dt, dt, sim.step + 1, sim.energy0, prev
+        np.add(sim.work_integral, work, out=s.work_integral)
+        np.add(sim.diss_integral, diss, out=s.diss_integral)
+        return s
 
 
 def _check_dt(dt, rho, bound, scheme):
-    """Raise unless dt > 0 and dt rho <= bound, the scheme's stability bound."""
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
+    """Raise unless 0 < dt < inf and dt rho <= bound, the scheme's stability bound."""
+    if not 0 < dt < np.inf:
+        raise ParameterError("dt must be positive and finite")
     if dt * rho > bound + 1e-9:
         raise ParameterError(f"dt = {dt:g} exceeds the {scheme} stability bound "
                              f"{bound / max(rho, 1e-300):g}")
 
 
-def _cn_update(form, c, nf, dt):
-    """Crank-Nicolson on A with the explicit terms nf = (N, F) held fixed:
-    (c+, m, A m) for the midpoint m = (c + c+) / 2, which solves
-    (I + dt A / 2) m = c + dt (F - N) / 2."""
-    y = nf[1] - nf[0]
+def _midpoint(form, c, nf, dt, ws):
+    """(m, A m) for the Crank-Nicolson midpoint m = (c + c+) / 2 with nf = (N, F)
+    held fixed, which solves (I + dt A / 2) m = c + dt (F - N) / 2."""
+    y = np.subtract(nf[1], nf[0], out=ws.y)
     y *= 0.5 * dt
     y += c
-    m, am = form.cn_solve(y, dt)
-    return 2.0 * m - c, m, am
+    return form.cn_solve(y, dt, out=ws.stages[:2])
 
 
-def step_imex(sim, form, spec, dt):
+def step_imex(sim, form, spec, dt, out=None):
     """One IMEX-CNAB2 step of every row: Crank-Nicolson on A, with N and F
-    by Adams-Bashforth, or on the first step by a predictor-corrector.
-
-    Rows that overflow come back non-finite; ``run_batch`` freezes them.
+    by Adams-Bashforth, or on the first step by a predictor-corrector.  The
+    stack after it is written into ``run_batch``'s workspace ``out``, or a
+    fresh one.  Rows that overflow come back non-finite; ``run_batch`` freezes them.
     """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
+    _check_dt(dt, 0.0, 0.0, "IMEX-CNAB2")          # no stability bound
     if sim._prev is not None and dt != sim.dt:
         raise ParameterError(f"dt = {dt:g} differs from the previous step's {sim.dt:g}")
-    c = sim.c
-    nf = _explicit_terms(form, spec, c)
+    ws = _Workspace(form, sim) if out is None else out
+    # (N, F) combined sit behind the solve's (m, A m): A m overwrites N, as the ledger wants
+    c, nf, nf_bar = sim.c, ws.states[ws.states[0] is sim]._nf, ws.stages[1:3]
+    ws.terms(form, spec, c, nf)
     if sim._prev is None:
         # predict with the terms at c, correct with their mean at c and the prediction
-        nf_bar = nf + _explicit_terms(form, spec, _cn_update(form, c, nf, dt)[0])
+        pred = np.multiply(_midpoint(form, c, nf, dt, ws)[0], 2.0, out=ws.y)
+        pred -= c
+        ws.terms(form, spec, pred, nf_bar)
+        nf_bar += nf
         nf_bar *= 0.5
     else:
-        nf_bar = 1.5 * nf
-        nf_bar -= 0.5 * sim._prev
-    c_new, m, am = _cn_update(form, c, nf_bar, dt)
-    # dissipation dt (A m, m) and work dt (F, m) in one product, A m in N's row;
+        np.multiply(nf, 1.5, out=nf_bar)
+        nf_bar -= np.multiply(sim._prev, 0.5, out=ws.stages[3:])
+    m = _midpoint(form, c, nf_bar, dt, ws)[0]
+    # dissipation dt (A m, m) and work dt (F, m) in one product;
     # -dt (N, m) is the convective defect
-    nf_bar[0] = am
-    diss, work = dt * np.einsum("jkn,kn->jk", nf_bar, m)
-    return sim._advance(c_new, dt, work, diss, nf)
+    diss, work = rates = np.einsum("jkn,kn->jk", nf_bar, m, out=ws.rates[0])
+    rates *= dt
+    new = ws.advance(sim, dt, work, diss, nf)
+    np.subtract(np.multiply(m, 2.0, out=new.c), c, out=new.c)      # c+ = 2 m - c
+    return new
 
 
-def step_rk4(sim, form, spec, dt):
-    """Classical explicit RK4 step of every row on the full right-hand side."""
+def _rk4_sum(s, dt):
+    """dt / 6 (s0 + 2 s1 + 2 s2 + s3) of the stage values s, in s[1]."""
+    s[1:3] *= 2
+    s[1] += s[0]
+    s[1] += s[2]
+    s[1] += s[3]
+    s[1] *= dt / 6.0
+    return s[1]
+
+
+def step_rk4(sim, form, spec, dt, out=None):
+    """Classical explicit RK4 step of every row, returned like ``step_imex``'s."""
     _check_dt(dt, form.rho_full(), 2.7, "RK4")
-
-    def rhs_and_rates(cv):
-        ac, (nn, ff) = form.apply(cv), _explicit_terms(form, spec, cv)
-        return -ac - nn + ff, _rowdot(cv, ac), _rowdot(ff, cv)
-
-    c = sim.c
-    k1, d1, w1 = rhs_and_rates(c)
-    k2, d2, w2 = rhs_and_rates(c + 0.5 * dt * k1)
-    k3, d3, w3 = rhs_and_rates(c + 0.5 * dt * k2)
-    k4, d4, w4 = rhs_and_rates(c + dt * k3)
-    c_new = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    diss = dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
-    work = dt / 6.0 * (w1 + 2 * w2 + 2 * w3 + w4)
-    return sim._advance(c_new, dt, work, diss, None)
+    ws = _Workspace(form, sim) if out is None else out
+    c, nf, slopes, ac = sim.c, ws.nf, ws.stages[:4], ws.stages[4]
+    for i, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
+        # the stage input c + h k_{i-1}
+        cv = np.add(np.multiply(slopes[i - 1], h, out=ws.y), c, out=ws.y) if i else c
+        form.apply(cv, out=ac)
+        ws.terms(form, spec, cv, nf)
+        np.negative(ac, out=slopes[i])
+        slopes[i] -= nf[0]
+        slopes[i] += nf[1]
+        np.einsum("kn,kn->k", cv, ac, out=ws.rates[i, 0])
+        np.einsum("kn,kn->k", nf[1], cv, out=ws.rates[i, 1])
+    diss, work = _rk4_sum(ws.rates, dt)
+    new = ws.advance(sim, dt, work, diss, None)
+    np.add(c, _rk4_sum(slopes, dt), out=new.c)
+    return new
 
 
 def run_batch(config, grid, form, spec, states, record_fn=None):
@@ -198,6 +225,8 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     """
     if not (grid is form.grid is spec.basis.grid):
         raise GridMismatchError("the form, the forcing and the run use different grids")
+    if not states:
+        raise ParameterError("no initial states")
     if any(s.L != form.L for s in states):
         raise ParameterError(f"initial states must have the form's truncation L = {form.L}")
     if any(s.t != states[0].t for s in states):
@@ -209,6 +238,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     stepper = step_imex if config.scheme == "imex_cnab2" else step_rk4
 
     sim = SimState(states, dt=config.dt)
+    ws = _Workspace(form, sim)
     live = np.arange(sim.c.shape[0])          # original index of each row
     first = rec(form, spec, sim)
     n_samples = 1 + -(-n_steps // config.stride)
@@ -220,9 +250,9 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     taken = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            new = stepper(sim, form, spec, config.dt)
+            new = stepper(sim, form, spec, config.dt, ws)
             # a sum is finite only if every term is; scan rows only when it is not
-            if not np.isfinite(new.c.sum()):
+            if not -np.inf < np.add.reduce(new.c, None) < np.inf:
                 bad = ~np.isfinite(new.c).all(axis=1)
                 for j in np.flatnonzero(bad):
                     i = int(live[j])
@@ -237,6 +267,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
                 live, new = live[~bad], new.take(~bad)
                 if live.size == 0:
                     break
+                ws = _Workspace(form, new)
             sim = new
             if (n + 1) % config.stride == 0 or n + 1 == n_steps:
                 samples[live, taken], records[live, taken] = sim.c, rec(form, spec, sim)

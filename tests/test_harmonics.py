@@ -381,7 +381,8 @@ def test_paired_engine_matches_padded_reference(L):
     # the toroidal engine at degree L and the scalar engine of the grid
     # (degree 3, 3, 5, 6, 12): odd and even degrees, so with and without a
     # self-paired middle order; stacks in C and Fortran order, of heights
-    # that change from call to call
+    # that change from call to call; each call also runs through a kept plan
+    # (one per height and components), so later calls reuse its buffers
     grid = geo.build_sphere_grid(max(L, 2), 1.3)
     tr = get_transform(grid, L)
     rng = np.random.default_rng(L)
@@ -390,13 +391,21 @@ def test_paired_engine_matches_padded_reference(L):
             (geo._scalar_engine(grid), 0, grid.max_degree, _scalar_profiles(grid), SCALAR_SHIFTED)):
         S = _padded_synthesis(grid, lmin, lmax, profiles, shifted)
         scale = np.abs(S).max()
+        plans = {}
         for k, order in ((0, "C"), (1, "C"), (3, "F"), (8, "C"), (3, "C"), (1, "F"), (8, "F")):
             c = np.asarray(rng.standard_normal((k, S.shape[2])), order=order)
             f = np.asarray(rng.standard_normal((len(shifted), k, grid.n_nodes)), order=order)
-            np.testing.assert_array_equal(eng.synthesize(c), _indexed_synthesis(eng, c))
-            np.testing.assert_array_equal(eng.synthesize(c, slice(1, 3)),
-                                          _indexed_synthesis(eng, c, slice(1, 3)))
-            np.testing.assert_array_equal(eng.adjoint(f), _indexed_adjoint(eng, f))
+            for comps, adjoint in ((slice(None), False), (slice(1, 3), False),
+                                   (slice(0, 1), False), (slice(None), True), (slice(0, 1), True)):
+                plan = plans.setdefault((k, comps.stop, adjoint), eng.plan(k, comps, adjoint))
+                if adjoint:
+                    ref = _indexed_adjoint(eng, f[comps], comps)
+                    np.testing.assert_array_equal(eng.adjoint(f[comps], comps, plan), ref)
+                    np.testing.assert_array_equal(eng.adjoint(f[comps], comps), ref)
+                else:
+                    ref = _indexed_synthesis(eng, c, comps)
+                    np.testing.assert_array_equal(eng.synthesize(c, comps, plan), ref)
+                    np.testing.assert_array_equal(eng.synthesize(c, comps), ref)
             np.testing.assert_allclose(eng.synthesize(c), np.einsum("cxn,kn->ckx", S, c),
                                        rtol=0, atol=1e-13 * scale)
             np.testing.assert_allclose(eng.adjoint(f), np.einsum("cxn,ckx->kn", S, f),

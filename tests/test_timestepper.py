@@ -7,10 +7,10 @@ import pytest
 from surfns import geometry as geo
 from surfns.diagnostics import record
 from surfns.errors import DivergenceError, GridMismatchError, ParameterError
-from surfns.forcing import make_catalog_forcing
+from surfns.forcing import apply_forcing, make_catalog_forcing
 from surfns.harmonics import SpectralState, mode_index, n_modes, random_band_limited
 from surfns.killing import killing_basis
-from surfns.operators import StokesForm, _order_pair_blocks, assemble_stokes
+from surfns.operators import StokesForm, _order_pair_blocks, assemble_stokes, convective_term
 from surfns.harness import (build_context, build_initial_state, member_seed,
                             records_to_csv, stepper_config)
 from surfns.scenarios import get_scenario, list_scenarios
@@ -480,3 +480,302 @@ def test_scenario_forms_by_path():
             L = sc.config["geometry.L"]
             assert form.blocks.shape == (L + 2, L, L)
     assert len(diagonal) == 14
+
+
+_BAD_EDGES = {
+    "dt_inf": lambda grid, form, spec: StepperConfig(dt=np.inf),
+    "dt_nan": lambda grid, form, spec: StepperConfig(dt=np.nan),
+    "t_end_nan": lambda grid, form, spec: StepperConfig(t_end=np.nan),
+    "t_end_inf": lambda grid, form, spec: StepperConfig(t_end=np.inf),
+    "stride_2.5": lambda grid, form, spec: StepperConfig(stride=2.5),
+    "no_states": lambda grid, form, spec: run_batch(StepperConfig(), grid, form, spec, []),
+    "imex_dt_nan": lambda grid, form, spec: step_imex(SimState([SpectralState(8)]), form, spec,
+                                                      np.nan),
+    "imex_dt_inf": lambda grid, form, spec: step_imex(SimState([SpectralState(8)]), form, spec,
+                                                      np.inf),
+    "rk4_dt_nan": lambda grid, form, spec: step_rk4(SimState([SpectralState(8)]), form, spec,
+                                                    np.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_EDGES))
+def test_stepper_edge_rejects_with_a_parameter_error(case, sphere8, form1, spec0):
+    # each of these used to run 0 steps, return a NaN state, or end in an
+    # untyped ValueError, an OverflowError, a TypeError or an IndexError
+    with pytest.raises(ParameterError):
+        _BAD_EDGES[case](sphere8, form1, spec0)
+
+
+class _Frozen:
+    """A stack state of the frozen step formulas below."""
+
+    def __init__(self, c, t, step, work, diss, energy0, prev):
+        self.c, self.t, self.step, self.prev = c, t, step, prev
+        self.work_integral, self.diss_integral, self.energy0 = work, diss, energy0
+
+    def ledger_residual(self):
+        energy = 0.5 * np.einsum("kn,kn->k", self.c, self.c)
+        return energy - self.energy0 + self.diss_integral - self.work_integral
+
+    def take(self, rows):
+        return _Frozen(self.c[rows], self.t, self.step, self.work_integral[rows],
+                       self.diss_integral[rows], self.energy0[rows],
+                       None if self.prev is None else self.prev[:, rows])
+
+
+def _frozen_terms(form, spec, c):
+    out = np.empty((2,) + c.shape)
+    out[0], out[1] = convective_term(form.transform, c), apply_forcing(spec, c)
+    return out
+
+
+def _frozen_cn_update(form, c, nf, dt):
+    y = nf[1] - nf[0]
+    y *= 0.5 * dt
+    y += c
+    m, am = form.cn_solve(y, dt)
+    return 2.0 * m - c, m, am
+
+
+def _frozen_imex(s, form, spec, dt):
+    """The IMEX-CNAB2 step as written before the integration loop had a
+    workspace: every intermediate a fresh array."""
+    c = s.c
+    nf = _frozen_terms(form, spec, c)
+    if s.prev is None:
+        nf_bar = nf + _frozen_terms(form, spec, _frozen_cn_update(form, c, nf, dt)[0])
+        nf_bar *= 0.5
+    else:
+        nf_bar = 1.5 * nf
+        nf_bar -= 0.5 * s.prev
+    c_new, m, am = _frozen_cn_update(form, c, nf_bar, dt)
+    nf_bar[0] = am
+    diss, work = dt * np.einsum("jkn,kn->jk", nf_bar, m)
+    return _Frozen(c_new, s.t + dt, s.step + 1, s.work_integral + work,
+                   s.diss_integral + diss, s.energy0, nf)
+
+
+def _frozen_rk4(s, form, spec, dt):
+    """The RK4 step as written before the integration loop had a workspace."""
+    def rhs_and_rates(cv):
+        ac, (nn, ff) = form.apply(cv), _frozen_terms(form, spec, cv)
+        return -ac - nn + ff, np.einsum("kn,kn->k", cv, ac), np.einsum("kn,kn->k", ff, cv)
+
+    c = s.c
+    k1, d1, w1 = rhs_and_rates(c)
+    k2, d2, w2 = rhs_and_rates(c + 0.5 * dt * k1)
+    k3, d3, w3 = rhs_and_rates(c + 0.5 * dt * k2)
+    k4, d4, w4 = rhs_and_rates(c + dt * k3)
+    c_new = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    diss = dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
+    work = dt / 6.0 * (w1 + 2 * w2 + 2 * w3 + w4)
+    return _Frozen(c_new, s.t + dt, s.step + 1, s.work_integral + work,
+                   s.diss_integral + diss, s.energy0, None)
+
+
+def _frozen_run(cfg, form, spec, states):
+    """``run_batch``'s loop on the frozen steps: per row, its samples, records
+    and (work, dissipation) integrals at each sample, and for each row that
+    went non-finite its error's (step, t, max_abs_c, ledger_residual) and
+    last finite coefficients."""
+    c = np.array([s.coeffs for s in states])
+    zero = np.zeros(len(states))
+    s = _Frozen(c, states[0].t, 0, zero, zero, 0.5 * np.einsum("kn,kn->k", c, c), None)
+    step = _frozen_imex if cfg.scheme == "imex_cnab2" else _frozen_rk4
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    live = list(range(len(states)))
+    out = {i: ([], [], []) for i in live}
+    failed = {}
+
+    def sample():
+        recs = record(form, spec, s)
+        for j, i in enumerate(live):
+            out[i][0].append(s.c[j].copy())
+            out[i][1].append(recs[j])
+            out[i][2].append((s.work_integral[j], s.diss_integral[j]))
+
+    sample()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            new = step(s, form, spec, cfg.dt)
+            bad = ~np.isfinite(new.c).all(axis=1)
+            for j in np.flatnonzero(bad):
+                last = s.take([j])
+                failed[live[j]] = ((new.step, new.t, float(np.abs(last.c).max()),
+                                    float(last.ledger_residual()[0])), last.c[0])
+            if bad.any():
+                live = [i for i, b in zip(live, bad) if not b]
+                new = new.take(~bad)
+                if not live:
+                    break
+            s = new
+            if (n + 1) % cfg.stride == 0 or n + 1 == n_steps:
+                sample()
+    return out, failed
+
+
+def _ledger_capture(store):
+    """A ``record_fn`` that also keeps each row's (work, dissipation) integrals."""
+    def capture(form, spec, sim):
+        store.append(np.stack([sim.work_integral, sim.diss_integral], 1).copy())
+        return record(form, spec, sim)
+    return capture
+
+
+def _assert_matches_frozen(cfg, grid, form, spec, states):
+    """run_batch equals the frozen loop bit for bit: samples, every record
+    field, both ledgers, and the failing rows' error fields and last state."""
+    ledgers = []
+    trajectories, diverged = run_batch(cfg, grid, form, spec, states, _ledger_capture(ledgers))
+    ref, failed = _frozen_run(cfg, form, spec, states)
+    assert sorted(diverged) == sorted(failed)
+    for n, ledger in enumerate(ledgers):
+        sampled = [i for i in range(len(states)) if len(ref[i][2]) > n]
+        assert ledger.tobytes() == np.array([ref[i][2][n] for i in sampled]).tobytes(), n
+    for i, (samples, recs) in enumerate(trajectories):
+        ref_samples, ref_recs, _ = ref[i]
+        assert samples.tobytes() == np.array(ref_samples).tobytes(), i
+        assert len(recs) == len(ref_recs)
+        for name in recs.dtype.names:
+            assert recs[name].tobytes() == np.array([r[name] for r in ref_recs]).tobytes(), name
+    for i, err in diverged.items():
+        fields, last_c = failed[i]
+        assert (err.step, err.t, err.max_abs_c, err.ledger_residual) == fields
+        assert err.last_state.c[0].tobytes() == last_c.tobytes()
+    return trajectories, diverged
+
+
+def _dense_form(grid, L):
+    """A form whose viscosity varies along latitude rows: one dense block."""
+    form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0 + 0.3 * grid.nodes[:, 0]), L)
+    assert form.blocks.shape[0] == 1
+    return form
+
+
+@pytest.mark.parametrize("scheme", ["imex_cnab2", "rk4"])
+def test_run_batch_matches_the_frozen_step_formulas(scheme, sphere8, form1, formv, kb, tr8):
+    # the diagonal, order-pair and dense storages at k = 1, 3 and 8, from the
+    # first (predictor-corrector) step on, forced and nonlinear
+    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    states = [random_band_limited(tr8, 90 + i, norm_killing=0.4, norm_nonkilling=1.0)
+              for i in range(8)]
+    cfg = StepperConfig(scheme=scheme, dt=1e-3, t_end=0.03, stride=7)
+    for form in (form1, formv, _dense_form(sphere8, 8)):
+        for k in (1, 3, 8):
+            _, diverged = _assert_matches_frozen(cfg, sphere8, form, spec, states[:k])
+            assert not diverged
+
+
+def test_diverging_rows_freeze_as_with_the_frozen_steps(sphere8, form1, spec0, tr8):
+    # two rows overflow at different steps, so the stack shrinks 3 -> 2 -> 1
+    good = random_band_limited(tr8, 43, norm_nonkilling=1.0)
+    rows = [SpectralState(8, a * random_band_limited(tr8, 47).coeffs) for a in (1e20, 1e4)]
+    for scheme in ("imex_cnab2", "rk4"):
+        cfg = StepperConfig(scheme=scheme, dt=1e-3, t_end=0.05, stride=4)
+        _, diverged = _assert_matches_frozen(cfg, sphere8, form1, spec0, [rows[0], good, rows[1]])
+        assert sorted(diverged) == [0, 2] and 1 < diverged[0].step < diverged[2].step
+
+
+def _snapshot(trajectories, diverged):
+    """Copies of everything a run returned."""
+    errs = {i: (e.last_state.c.copy(), e.last_state.diss_integral.copy(),
+                e.last_state.work_integral.copy(), e.partial[0].copy(), e.partial[1].copy())
+            for i, e in diverged.items()}
+    return [(s.copy(), r.copy()) for s, r in trajectories], errs
+
+
+def _assert_same(a, b):
+    for x, y in zip(a[0], b[0]):
+        assert x[0].tobytes() == y[0].tobytes() and x[1].tobytes() == y[1].tobytes()
+    assert sorted(a[1]) == sorted(b[1])
+    for i in a[1]:
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a[1][i], b[1][i]))
+
+
+def test_results_never_alias_the_workspace(sphere8, form1, spec0, tr8):
+    good = [random_band_limited(tr8, 80 + i, norm_nonkilling=1.0) for i in range(3)]
+    bad = SpectralState(8, 1e30 * random_band_limited(tr8, 47).coeffs)
+    cfg = StepperConfig(dt=1e-3, t_end=0.05, stride=5)
+    with np.errstate(all="ignore"):
+        out = run_batch(cfg, sphere8, form1, spec0, good[:1] + [bad] + good[1:])
+        before = _snapshot(*out)
+        run_batch(cfg, sphere8, form1, spec0, good[::-1] + [bad])
+    _assert_same(_snapshot(*out), before)
+    # the last state is the state before the failing step
+    err = out[1][1]
+    assert err.last_state.step == err.step - 1 and err.last_state.t + cfg.dt == err.t
+
+
+@pytest.mark.parametrize("stepper", [step_imex, step_rk4])
+def test_a_public_step_leaves_its_input_untouched(stepper, sphere8, formv, kb, tr8):
+    spec = make_catalog_forcing("f3_minus", {}, kb)
+    sim = SimState([random_band_limited(tr8, 64 + i) for i in range(3)], dt=1e-3)
+    for _ in range(3):          # the first step, then Adams-Bashforth steps
+        before = [np.copy(a) for a in (sim.c, sim.work_integral, sim.diss_integral)]
+        prev = None if sim._prev is None else sim._prev.copy()
+        new = stepper(sim, formv, spec, 1e-3)
+        assert new is not sim and not np.shares_memory(new.c, sim.c)
+        for a, b in zip((sim.c, sim.work_integral, sim.diss_integral), before):
+            assert a.tobytes() == b.tobytes()
+        assert (prev is None) == (sim._prev is None)
+        assert prev is None or sim._prev.tobytes() == prev.tobytes()
+        sim = step_imex(sim, formv, spec, 1e-3) if stepper is step_rk4 else new
+
+
+def test_interleaved_runs_on_one_form_equal_fresh_runs(sphere8, formv, kb, tr8):
+    # a record_fn that runs a k = 3 and another k = 1 batch at every sample of
+    # a k = 1 run, on one form
+    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    states = [random_band_limited(tr8, 100 + i, norm_killing=0.3) for i in range(5)]
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, stride=5)
+    inner = []
+
+    def interleave(form, spec, sim):
+        inner.append([_snapshot(*run_batch(cfg, sphere8, formv, spec, rows))
+                      for rows in (states[1:4], states[4:])])
+        return record(form, spec, sim)
+
+    outer = _snapshot(*run_batch(cfg, sphere8, formv, spec, states[:1], interleave))
+    _assert_same(outer, _snapshot(*run_batch(cfg, sphere8, formv, spec, states[:1])))
+    fresh = [_snapshot(*run_batch(cfg, sphere8, formv, spec, rows))
+             for rows in (states[1:4], states[4:])]
+    assert len(inner) == 5
+    for snaps in inner:
+        for snap, ref in zip(snaps, fresh):
+            _assert_same(snap, ref)
+
+
+@pytest.mark.parametrize("scheme, rhs_per_step", [("imex_cnab2", 1), ("rk4", 4)])
+def test_step_and_rhs_calls_are_visible_at_module_bindings(scheme, rhs_per_step, monkeypatch,
+                                                           sphere8, formv, kb, tr8):
+    # the benchmark's tracer wraps these bindings: one step call per step, and
+    # every N and F evaluation inside one, one per step (+ the first IMEX
+    # step's corrector) or four per RK4 step
+    from surfns import timestepper
+    calls, depth = {}, [0]
+
+    def wrap(name, is_step):
+        fn = getattr(timestepper, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            calls[name + ".inside"] = calls.get(name + ".inside", 0) + (depth[0] > 0)
+            depth[0] += is_step
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= is_step
+        monkeypatch.setattr(timestepper, name, counted)
+
+    for name in ("step_imex", "step_rk4", "convective_term", "apply_forcing"):
+        wrap(name, name.startswith("step"))
+    spec = make_catalog_forcing("f3_minus", {}, kb)
+    states = [random_band_limited(tr8, 110 + i) for i in range(3)]
+    n_steps = 12
+    timestepper.run_batch(StepperConfig(scheme=scheme, dt=1e-3, t_end=n_steps * 1e-3, stride=5),
+                          sphere8, formv, spec, states)
+    rhs = rhs_per_step * n_steps + (scheme == "imex_cnab2")
+    step = "step_imex" if scheme == "imex_cnab2" else "step_rk4"
+    assert calls == {step: n_steps, step + ".inside": 0,
+                     "convective_term": rhs, "convective_term.inside": rhs,
+                     "apply_forcing": rhs, "apply_forcing.inside": rhs}
