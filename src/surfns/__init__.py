@@ -25,8 +25,7 @@ from .harmonics import (SpectralState, SphereTransform, get_transform,
 from .killing import (KillingBasis, killing_basis, killing_coefficients,
                       korn_constant, pk_project)
 from .operators import StokesForm, assemble_stokes, convective_term
-from .forcing import (ForcingSpec, apply_forcing, hypothesis_check,
-                      make_catalog_forcing)
+from .forcing import ForcingSpec, apply_forcing, make_catalog_forcing
 from .timestepper import (SimState, StepperConfig, run, run_batch, step_imex,
                           step_rk4)
 from .diagnostics import (check_killing_identity, check_monotonicity,

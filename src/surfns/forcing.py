@@ -1,4 +1,4 @@
-"""Forcing catalog with declared hypothesis flags and empirical checks.
+"""Forcing catalog as affine maps, with their hypothesis constants.
 
 Catalog tags (u_K = P_K u, u_NK = u - u_K, all fields tangential,
 divergence-free after projection):
@@ -18,13 +18,17 @@ rows.  K is +/-I for f2 and f3, +/- the weighted Killing Gram matrix for f4,
 -I for f5 and 0 otherwise; s is +/-1 for f3, 1 for f4, R - 1 for f5 and 0
 otherwise.  ``apply_forcing`` evaluates that map and nothing else.
 
-Each catalog entry carries the declared constants of its standing
-hypotheses: the L2 bound on f(.,0), the Lipschitz constant in u, whether
-the Killing part of the power integral has a sign (nega/pos), the growth
-bound on the Killing power, and the non-Killing power envelope
-coefficients (c5, c6).
-``hypothesis_check`` estimates all of them by seeded Monte Carlo and
-reports any sample violating a declared flag.
+The constants of the standing hypotheses are read exactly off (f, K, s):
+
+    c1 = ||f||                      the L2 bound on f(., 0)
+    c2 = max(||K||_2, |s|)          the Lipschitz constant in u
+    nega / pos                      f_K = 0 and sym K <= 0 / sym K >= 0: the
+                                    Killing power (F(u), u_K) has that sign
+    c5 = max(s, 0), c6 = ||f_NK||   the non-Killing power envelope
+                                    (F(u), u_NK) <= c5 ||u_NK||^2 + c6 ||u_NK||
+    independent_of_u                K = 0 and s = 0
+
+f_K = f[:3] counts as zero when ||f_K|| <= 1e-10 max(||f||, 1).
 """
 
 from dataclasses import dataclass
@@ -32,10 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from . import geometry as geo
-from .geometry import SPHERE, TangentialField, grid_truncation
-from .harmonics import get_transform, n_modes, random_band_limited
-from .killing import pk_project
+from .geometry import SPHERE, TangentialField, grid_truncation, l2_inner
+from .harmonics import get_transform, n_modes
 
 TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",
         "f4_plus", "f4_minus", "f5", "constant_killing")
@@ -43,15 +45,13 @@ TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",
 
 @dataclass
 class FlagSet:
-    """Declared hypothesis constants of a catalog forcing."""
+    """Hypothesis constants of a catalog forcing, derived from its affine map."""
     c1: float
     c2: float
-    uk1: bool
     nega: bool
     pos: bool
     c5: float
     c6: float
-    extra2: bool
     independent_of_u: bool
 
 
@@ -88,28 +88,14 @@ def make_catalog_forcing(tag, params, basis):
         raise ParameterError("catalog forcing is sphere-only: its Killing map "
                              "acts on the degree-1 coefficient rows")
     sign = -1.0 if tag.endswith("minus") else 1.0
-    pos = sign > 0
     nodal, killing, K, s = None, None, np.zeros((3, 3)), 0.0
 
-    if tag == "zero":
-        flags = FlagSet(0.0, 0.0, True, True, True, 0.0, 0.0, True, True)
-    elif tag == "constant_field":
+    if tag == "constant_field":
         nodal = params["g"]
-        gk, gnk = pk_project(basis, nodal)
-        norm_g = geo.l2_norm(grid, nodal)
-        kill_free = geo.l2_norm(grid, gk) <= 1e-10 * max(norm_g, 1.0)
-        flags = FlagSet(norm_g, 0.0, True, kill_free, kill_free,
-                        0.0, geo.l2_norm(grid, gnk), True, True)
     elif tag in ("f2_plus", "f2_minus"):
         nodal = params["v"]
-        vk, _ = pk_project(basis, nodal)
-        nv = geo.l2_norm(grid, nodal)
-        if geo.l2_norm(grid, vk) > 1e-10 * max(nv, 1.0):
-            raise ParameterError("f2 requires v orthogonal to the Killing space")
-        flags = FlagSet(nv, 1.0, True, not pos, pos, 0.0, nv, True, False)
         K = sign * np.eye(3)
     elif tag in ("f3_plus", "f3_minus"):
-        flags = FlagSet(0.0, 1.0, True, not pos, pos, float(pos), 0.0, True, False)
         K, s = sign * np.eye(3), sign
     elif tag in ("f4_plus", "f4_minus"):
         p = np.asarray(params["p"], dtype=float)
@@ -117,28 +103,37 @@ def make_catalog_forcing(tag, params, basis):
             raise ParameterError("f4 point must be an ambient 3-vector")
         if abs(np.linalg.norm(p) - grid.R) > 1e-10 * grid.R:
             raise ParameterError("f4 point must lie on the sphere")
-        dist_max = float(np.linalg.norm(grid.nodes - p[None, :], axis=1).max())
-        flags = FlagSet(0.0, max(1.0, dist_max), True, not pos, pos,
-                        1.0, 0.0, True, False)
         K, s = sign * _killing_gram(basis, p), 1.0
     elif tag == "f5":
         # |x| = R at every node of the sphere
-        R = grid.R
-        flags = FlagSet(0.0, max(abs(R - 1.0), 1.0), True, True, False,
-                        max(R - 1.0, 0.0), 0.0, True, False)
-        K, s = -np.eye(3), R - 1.0
-    else:  # constant_killing
+        K, s = -np.eye(3), grid.R - 1.0
+    elif tag == "constant_killing":
         c = float(params.get("c", 1.0))
         j = int(params.get("axis", 0))
         if not (0 <= j < basis.n):
             raise ParameterError(f"Killing axis {j} outside 0..{basis.n - 1}")
-        flags = FlagSet(abs(c), 0.0, True, False, False, 0.0, 0.0, True, True)
         killing = c * basis.l1_map[j]
     L = grid_truncation(grid)
     f = np.zeros(n_modes(L)) if nodal is None else get_transform(grid, L).analyze(nodal).coeffs
     if killing is not None:
         f[:3] += killing
+    flags = _hypothesis_constants(f, K, s)
+    if tag.startswith("f2") and not (flags.nega or flags.pos):
+        # K = +/-I signs the Killing power exactly when f_K = 0
+        raise ParameterError("f2 requires v orthogonal to the Killing space")
     return ForcingSpec(tag, basis, flags, f, K, s)
+
+
+def _hypothesis_constants(f, K, s):
+    """The FlagSet of the affine map (f, K, s), read off exactly."""
+    c1 = float(np.linalg.norm(f))
+    kill_free = np.linalg.norm(f[:3]) <= 1e-10 * max(c1, 1.0)
+    sym = np.linalg.eigvalsh(0.5 * (K + K.T))      # ascending
+    return FlagSet(c1=c1, c2=max(float(np.linalg.norm(K, 2)), abs(s)),
+                   nega=bool(kill_free and sym[-1] <= 0),
+                   pos=bool(kill_free and sym[0] >= 0),
+                   c5=max(s, 0.0), c6=float(np.linalg.norm(f[3:])),
+                   independent_of_u=not K.any() and s == 0)
 
 
 def _killing_gram(basis, point):
@@ -146,7 +141,7 @@ def _killing_gram(basis, point):
     l1_map^T G l1_map with G_ij = (|x - p| v_i, v_j)."""
     grid = basis.grid
     w = np.linalg.norm(grid.nodes - point[None, :], axis=1)[:, None]
-    G = np.array([[geo.l2_inner(grid, TangentialField(grid, w * vi.comps), vj)
+    G = np.array([[l2_inner(grid, TangentialField(grid, w * vi.comps), vj)
                    for vj in basis.fields] for vi in basis.fields])
     return basis.l1_map.T @ G @ basis.l1_map
 
@@ -162,82 +157,3 @@ def apply_forcing(spec, c, out=None):
     np.matmul(c[:, :3], spec.K.T, out=out[:, :3])
     out += spec.f[:n]
     return out
-
-
-def _rowdot(X, Y):
-    """Dot product of each row pair of two (k, n) stacks, summed as np.dot."""
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
-
-
-@dataclass
-class HypothesisReport:
-    tag: str
-    n_samples: int
-    c1_hat: float
-    sup_f0_nodal: float
-    c2_hat: float
-    c5_hat: float
-    c6_hat: float
-    killing_power_min: float
-    killing_power_max: float
-    violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def hypothesis_check(spec, n_samples, seed):
-    """Monte-Carlo estimates of the hypothesis constants and flag audit on
-    the grid of ``spec.basis``.
-
-    Violations of declared flags become report entries, never exceptions.
-    """
-    if n_samples < 10:
-        raise ParameterError("need at least 10 samples")
-    grid = spec.basis.grid
-    L = min(8, grid_truncation(grid))
-    tr = get_transform(grid, L)
-    tol = 1e-8
-    violations = []
-
-    f0 = apply_forcing(spec, np.zeros((1, n_modes(L))))[0]
-    c1_hat = float(np.linalg.norm(f0))
-    sup_f0 = float(np.abs(tr.engine.synthesize(f0[None], tr.FIELD)).max())
-    if c1_hat > spec.flags.c1 + tol:
-        violations.append(f"c1: measured {c1_hat:.6g} > declared {spec.flags.c1:.6g}")
-
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2 ** 63 - 1, size=2 * n_samples)
-    U = np.array([random_band_limited(tr, int(s)).coeffs for s in seeds])
-    U1, U2 = U[:n_samples], U[n_samples:]
-    F1 = apply_forcing(spec, U1)
-    df = np.linalg.norm(F1 - apply_forcing(spec, U2), axis=1)
-    du = np.linalg.norm(U1 - U2, axis=1)
-    c2_hat = float(np.max(df[du > 0] / du[du > 0], initial=0.0))
-    if c2_hat > spec.flags.c2 + tol:
-        violations.append(f"c2: measured {c2_hat:.6g} > declared {spec.flags.c2:.6g}")
-
-    # per sample: Killing and non-Killing power, ||u_NK||, the audit scale
-    power_k = _rowdot(F1[:, :3], U1[:, :3])
-    power_nk = _rowdot(F1[:, 3:], U1[:, 3:])
-    b = np.sqrt(_rowdot(U1[:, 3:], U1[:, 3:]))
-    scale = np.maximum(1.0, _rowdot(U1, U1))
-    declared = spec.flags.c5 * b ** 2 + spec.flags.c6 * b
-    if spec.flags.extra2:
-        declared += spec.flags.c6 * _rowdot(U1[:, :3], U1[:, :3])
-    audits = np.stack([spec.flags.nega & (power_k > tol * scale),
-                       spec.flags.pos & (power_k < -tol * scale),
-                       power_nk > declared + tol * scale], axis=1)
-    texts = ("nega: sample {i} has Killing power {k:.3e}",
-             "pos: sample {i} has Killing power {k:.3e}",
-             "extra: sample {i} non-Killing power {n:.3e} exceeds envelope {d:.3e}")
-    violations += [texts[j].format(i=i, k=power_k[i], n=power_nk[i], d=declared[i])
-                   for i, j in zip(*np.nonzero(audits))]
-
-    coef, *_ = np.linalg.lstsq(np.stack([b ** 2, b], axis=1), power_nk, rcond=None)
-    c5_hat, c6_hat = (float(max(v, 0.0)) for v in coef)
-
-    return HypothesisReport(spec.tag, n_samples, c1_hat, sup_f0, c2_hat,
-                            c5_hat, c6_hat, float(power_k.min()), float(power_k.max()),
-                            violations)

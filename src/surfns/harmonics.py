@@ -259,9 +259,14 @@ def random_band_limited(transform, seed, l_max=None,
 
     Degree l has standard deviation 1/l^2 (a smooth profile); modes above
     ``l_max`` stay zero.  When a block norm is given the corresponding block
-    is rescaled exactly; a requested nonzero norm on an all-zero block is a
-    parameter error.
+    is rescaled exactly; a negative seed or block norm, or a requested
+    nonzero norm on an all-zero block, is a parameter error.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    for name, norm in (("norm_killing", norm_killing), ("norm_nonkilling", norm_nonkilling)):
+        if norm is not None and norm < 0:
+            raise ParameterError(f"{name} must be non-negative, got {norm}")
     L = transform.L
     l_max = L if l_max is None else min(l_max, L)
     rng = np.random.default_rng(seed)

@@ -344,6 +344,8 @@ def save_checkpoint(state, grid, path):
     The payload is one (cos, sin) pair per (l, m), m = 0..l: the flat
     coefficient layout with a zero sine after each (l, 0).
     """
+    if not (np.isfinite(state.t) and np.isfinite(state.coeffs).all()):
+        raise ParameterError(f"cannot checkpoint a non-finite state (t = {state.t})")
     L = state.L
     pairs = np.insert(state.coeffs, np.arange(1, L + 1) ** 2, 0.0)
     head = _HEADER.pack(_MAGIC, _VERSION, _KIND_CODE[grid.kind], L,
@@ -389,6 +391,9 @@ def load_checkpoint(path):
     if not (np.isfinite(R) and R > 0 and np.isfinite(r) and r >= 0):
         raise CheckpointError(f"invalid radii in header: R={R}, r={r}")
     vals = np.frombuffer(blob[_HEADER.size:-4], dtype="<f8")
+    if not (np.isfinite(t) and np.isfinite(vals).all()):
+        raise CheckpointError(f"non-finite checkpoint: t={t}, "
+                              f"{np.count_nonzero(~np.isfinite(vals))} non-finite coefficients")
     l = np.arange(1, L + 1)
     state = SpectralState(L, np.delete(vals, l * (l + 1) - 1), t=t)
     meta = CheckpointMeta(_KIND_NAME[kind_code], L, R, r, t)

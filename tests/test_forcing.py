@@ -1,14 +1,101 @@
 """Forcing catalog flags, hypothesis audits, and the exact splits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from surfns import geometry as geo
 from surfns.errors import ParameterError
-from surfns.forcing import (TAGS, apply_forcing, hypothesis_check,
+from surfns.forcing import (TAGS, _hypothesis_constants, apply_forcing,
                             make_catalog_forcing)
+from surfns.geometry import grid_truncation
 from surfns.harmonics import SpectralState, get_transform, n_modes, random_band_limited
 from surfns.killing import killing_basis, pk_project
+
+
+# --- the Monte-Carlo audit: the sampled oracle for the derived constants -----
+
+def _rowdot(X, Y):
+    """Dot product of each row pair of two (k, n) stacks, summed as np.dot."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+@dataclasses.dataclass
+class HypothesisReport:
+    tag: str
+    n_samples: int
+    c1_hat: float
+    sup_f0_nodal: float
+    c2_hat: float
+    c5_hat: float
+    c6_hat: float
+    killing_power_min: float
+    killing_power_max: float
+    violations: list
+
+    @property
+    def ok(self):
+        return not self.violations
+
+
+def hypothesis_check(spec, n_samples, seed):
+    """Monte-Carlo estimates of the hypothesis constants and flag audit on
+    the grid of ``spec.basis``.
+
+    Violations of declared flags become report entries, never exceptions.
+    c1_hat and c2_hat are lower bounds of c1 and c2; c5_hat and c6_hat are
+    a least-squares fit of the non-Killing power, not bounds.
+    """
+    if n_samples < 10:
+        raise ParameterError("need at least 10 samples")
+    grid = spec.basis.grid
+    L = min(8, grid_truncation(grid))
+    tr = get_transform(grid, L)
+    tol = 1e-8
+    violations = []
+
+    f0 = apply_forcing(spec, np.zeros((1, n_modes(L))))[0]
+    c1_hat = float(np.linalg.norm(f0))
+    sup_f0 = float(np.abs(tr.engine.synthesize(f0[None], tr.FIELD)).max())
+    if c1_hat > spec.flags.c1 + tol:
+        violations.append(f"c1: measured {c1_hat:.6g} > declared {spec.flags.c1:.6g}")
+
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(0, 2 ** 63 - 1, size=2 * n_samples)
+    U = np.array([random_band_limited(tr, int(s)).coeffs for s in seeds])
+    U1, U2 = U[:n_samples], U[n_samples:]
+    F1 = apply_forcing(spec, U1)
+    df = np.linalg.norm(F1 - apply_forcing(spec, U2), axis=1)
+    du = np.linalg.norm(U1 - U2, axis=1)
+    c2_hat = float(np.max(df[du > 0] / du[du > 0], initial=0.0))
+    if c2_hat > spec.flags.c2 + tol:
+        violations.append(f"c2: measured {c2_hat:.6g} > declared {spec.flags.c2:.6g}")
+
+    # per sample: Killing and non-Killing power, ||u_NK||, the audit scale
+    power_k = _rowdot(F1[:, :3], U1[:, :3])
+    power_nk = _rowdot(F1[:, 3:], U1[:, 3:])
+    b = np.sqrt(_rowdot(U1[:, 3:], U1[:, 3:]))
+    scale = np.maximum(1.0, _rowdot(U1, U1))
+    declared = spec.flags.c5 * b ** 2 + spec.flags.c6 * b
+    audits = np.stack([spec.flags.nega & (power_k > tol * scale),
+                       spec.flags.pos & (power_k < -tol * scale),
+                       power_nk > declared + tol * scale], axis=1)
+    texts = ("nega: sample {i} has Killing power {k:.3e}",
+             "pos: sample {i} has Killing power {k:.3e}",
+             "extra: sample {i} non-Killing power {n:.3e} exceeds envelope {d:.3e}")
+    violations += [texts[j].format(i=i, k=power_k[i], n=power_nk[i], d=declared[i])
+                   for i, j in zip(*np.nonzero(audits))]
+
+    coef, *_ = np.linalg.lstsq(np.stack([b ** 2, b], axis=1), power_nk, rcond=None)
+    c5_hat, c6_hat = (float(max(v, 0.0)) for v in coef)
+
+    return HypothesisReport(spec.tag, n_samples, c1_hat, sup_f0, c2_hat,
+                            c5_hat, c6_hat, float(power_k.min()), float(power_k.max()),
+                            violations)
+
+
+# --- the catalog ---------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +125,6 @@ def test_constant_killing_flags(kb):
     spec = make_catalog_forcing("constant_killing", {"c": 1.0, "axis": 1}, kb)
     assert spec.flags.independent_of_u
     assert not spec.flags.nega and not spec.flags.pos
-    assert spec.flags.uk1
 
 
 def test_f2_requires_nonkilling_direction(kb):
@@ -223,3 +309,80 @@ def test_catalog_forcing_is_sphere_only(torus64):
     for tag in TAGS:
         with pytest.raises(ParameterError, match="sphere-only"):
             make_catalog_forcing(tag, {}, kb)
+
+
+# --- the hypothesis constants derived from (f, K, s) ---------------------------
+
+# The table the catalog declared by hand before its constants were derived:
+# (c1, c2, nega, pos, c5, c6, independent_of_u) of every tag of _catalog(grid).
+_DECLARED_R1 = {
+    "zero": (0.0, 0.0, True, True, 0.0, 0.0, True),
+    "constant_field": (1.1180339887498953, 0.0, False, False, 0.0, 1.0000000000000004, True),
+    "f2_plus": (0.9999999999999999, 1.0, False, True, 0.0, 0.9999999999999999, False),
+    "f2_minus": (0.9999999999999999, 1.0, True, False, 0.0, 0.9999999999999999, False),
+    "f3_plus": (0.0, 1.0, False, True, 1.0, 0.0, False),
+    "f3_minus": (0.0, 1.0, True, False, 0.0, 0.0, False),
+    "f4_plus": (0.0, 1.9982804969366292, False, True, 1.0, 0.0, False),
+    "f4_minus": (0.0, 1.9982804969366292, True, False, 1.0, 0.0, False),
+    "f5": (0.0, 1.0, True, False, 0.0, 0.0, False),
+    "constant_killing": (2.0, 0.0, False, False, 0.0, 0.0, True),
+}
+_DECLARED = {
+    1.0: _DECLARED_R1,
+    2.0: {**_DECLARED_R1,
+          "f4_plus": (0.0, 3.9965609938732585, False, True, 1.0, 0.0, False),
+          "f4_minus": (0.0, 3.9965609938732585, True, False, 1.0, 0.0, False),
+          "f5": (0.0, 1.0, True, False, 1.0, 0.0, False)},
+    0.5: {"f4_plus": (0.0, 1.0, False, True, 1.0, 0.0, False),
+          "f4_minus": (0.0, 1.0, True, False, 1.0, 0.0, False),
+          "f5": (0.0, 1.0, True, False, 0.0, 0.0, False)},
+}
+
+
+@pytest.mark.parametrize("R", sorted(_DECLARED))
+def test_derived_constants_match_the_declared_table(R):
+    for spec in _catalog(geo.build_sphere_grid(8, R)):
+        if spec.tag not in _DECLARED[R]:
+            continue
+        declared = _DECLARED[R][spec.tag]
+        derived = dataclasses.astuple(spec.flags)
+        assert derived[2:4] == declared[2:4] and derived[6] == declared[6], spec.tag
+        if spec.tag.startswith("f4"):
+            # the old bound max(1, max |x - p|) against the exact max(||K||_2, s);
+            # ||K||_2 is 1.37 R, so s = 1 sets c2 at R = 0.5 alone
+            assert derived[1] == max(np.linalg.norm(spec.K, 2), 1.0) <= declared[1], spec.tag
+            declared = declared[:1] + derived[1:2] + declared[2:]
+        np.testing.assert_allclose(derived, declared, rtol=0, atol=1e-12, err_msg=spec.tag)
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0])
+@pytest.mark.parametrize("seed", [17, 3])
+def test_audit_finds_no_violation_of_the_derived_constants(sphere8, sphere8_r2, R, seed):
+    for spec in _catalog(sphere8 if R == 1.0 else sphere8_r2):
+        rep = hypothesis_check(spec, 20, seed)
+        assert rep.ok, (spec.tag, rep.violations)
+        # only c1_hat and c2_hat bound their constants from below; the
+        # least-squares c5_hat may exceed c5
+        assert rep.c1_hat == pytest.approx(spec.flags.c1, abs=1e-12)
+        assert rep.c2_hat <= spec.flags.c2 + 1e-12
+
+
+@pytest.mark.parametrize("R,tag,field,value", [
+    (1.0, "f3_plus", "c2", 0.5),
+    (2.0, "f5", "c5", 0.0),
+    (1.0, "f3_minus", "pos", True),
+])
+def test_audit_catches_a_misdeclared_constant(sphere8, sphere8_r2, R, tag, field, value):
+    spec = make_catalog_forcing(tag, {}, killing_basis(sphere8 if R == 1.0 else sphere8_r2))
+    assert getattr(spec.flags, field) != value
+    spec.flags = dataclasses.replace(spec.flags, **{field: value})
+    assert not hypothesis_check(spec, 20, seed=17).ok
+
+
+def test_indefinite_killing_map_has_no_sign(kb):
+    # no catalog K is indefinite: nega and pos read the two extreme eigenvalues
+    K = np.diag([1.0, -1.0, 0.5])
+    spec = make_catalog_forcing("zero", {}, kb)
+    spec = dataclasses.replace(spec, K=K, flags=_hypothesis_constants(spec.f, K, 0.0))
+    assert not spec.flags.nega and not spec.flags.pos and spec.flags.c2 == 1.0
+    assert hypothesis_check(spec, 20, seed=17).ok

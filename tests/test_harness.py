@@ -1,5 +1,6 @@
 """Config schema, checkpoint format, CSV determinism, scenarios, CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -19,8 +20,8 @@ from surfns.errors import CheckpointError, ConfigError, ParameterError
 from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import (SpectralState, mode_index, n_modes,
                               random_band_limited)
-from surfns.harness import (_run_offsets, build_context, config_hash,
-                            config_text, default_config, load_checkpoint,
+from surfns.harness import (_run_offsets, build_context, build_initial_state,
+                            config_hash, config_text, default_config, load_checkpoint,
                             member_seed, parse_config_text, records_to_csv,
                             run_ensemble, save_checkpoint, stepper_config,
                             write_ensemble)
@@ -108,6 +109,18 @@ def test_checkpoint_round_trip_bit_exact(sphere8, tr8, tmp_path):
         assert meta.kind == "sphere" and meta.L == 8 and meta.R == 1.0
         assert back.t == 0.725
         assert np.array_equal(back.coeffs, s.coeffs)
+
+
+def test_checkpoint_refuses_non_finite_states(sphere8, tr8, tmp_path):
+    path = tmp_path / "state.snsk"
+    for t, bad in ((float("inf"), None), (0.0, 7), (float("nan"), 0)):
+        s = random_band_limited(tr8, 8)
+        s.t = t
+        if bad is not None:
+            s.coeffs[bad] = np.inf
+        with pytest.raises(ParameterError, match="non-finite"):
+            save_checkpoint(s, sphere8, str(path))
+    assert not path.exists()
 
 
 def test_checkpoint_truncation_detected(sphere8, tr8, tmp_path):
@@ -409,14 +422,18 @@ def test_cli_decompose_pure_killing(tmp_path, sphere8, capsys):
     assert float(nk.split("=")[1]) <= 1e-12
 
 
-def _forge_header(path, drop_pairs=0, **fields):
-    """Rewrite header fields of a checkpoint, keeping its length and CRC valid."""
+def _forge_header(path, drop_pairs=0, nan_at=None, **fields):
+    """Rewrite header fields of a checkpoint (and set payload value ``nan_at``
+    to NaN), keeping its length and CRC valid."""
     head = struct.Struct("<4sIBIdddI")
     names = ("magic", "version", "kind", "L", "R", "r", "t", "n_pairs")
     blob = path.read_bytes()
     vals = dict(zip(names, head.unpack(blob[:head.size])))
     vals.update(fields)
-    body = head.pack(*(vals[n] for n in names)) + blob[head.size:-4 - 16 * drop_pairs]
+    payload = np.frombuffer(blob[head.size:-4 - 16 * drop_pairs], dtype="<f8").copy()
+    if nan_at is not None:
+        payload[nan_at] = np.nan
+    body = head.pack(*(vals[n] for n in names)) + payload.tobytes()
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
@@ -434,6 +451,46 @@ def test_cli_decompose_rejects_nan_radius(tmp_path, sphere8, tr8, capsys):
     _forge_header(path, R=float("nan"))
     assert cli.main(["decompose", str(path)]) == 2
     assert "R=nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,argv,expected", [
+    ("config_seed", ["run", "{cfg}"], "seed must be non-negative, got -5"),
+    ("cli_seed", ["scenario", "f3_plus_growth", "--seed", "-3"],
+     "seed must be non-negative, got -3"),
+    ("offset_sum", ["scenario", "backward_uniqueness_probe"],
+     "seed must be non-negative, got -1"),
+    ("init_norm", ["run", "{cfg}"], "norm_killing must be non-negative"),
+    ("checkpoint_t", ["decompose", "{ckpt}"], "t=inf, 0 non-finite"),
+    ("checkpoint_coeffs", ["decompose", "{ckpt}"], "1 non-finite coefficients"),
+])
+def test_cli_bad_input_is_a_usage_error(tmp_path, sphere8, tr8, capsys, monkeypatch,
+                                        case, argv, expected):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("geometry.L = 8\ninit.kind = random\n"
+                       + {"config_seed": "seed = -5\n",
+                          "init_norm": "init.norm_killing = -0.5\n"}.get(case, ""))
+    path = tmp_path / "state.snsk"
+    save_checkpoint(random_band_limited(tr8, 4), sphere8, str(path))
+    _forge_header(path, **{"checkpoint_t": {"t": float("inf")},
+                           "checkpoint_coeffs": {"nan_at": 5}}.get(case, {}))
+    if case == "offset_sum":        # seed + pair.seed_offset = -1
+        probe = get_scenario("backward_uniqueness_probe")
+        cfg = {**probe.config, "pair.seed_offset": -probe.config["seed"] - 1}
+        monkeypatch.setattr(cli, "get_scenario",
+                            lambda name: dataclasses.replace(probe, config=cfg))
+    argv = [a.format(cfg=cfgfile, ckpt=path) for a in argv]
+    assert cli.main(["--quiet"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert expected in err
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.integers(max_value=-1))
+def test_negative_config_seed_is_a_parameter_error(seed):
+    cfg = parse_config_text(f"geometry.L = 2\ninit.kind = random\nseed = {seed}\n")
+    with pytest.raises(ParameterError, match="seed"):
+        build_initial_state(cfg, geo.build_sphere_grid(2, 1.0))
 
 
 @pytest.mark.parametrize("name", ["missing.snsk", "."])
