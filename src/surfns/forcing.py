@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import SPHERE, TangentialField, grid_truncation, l2_inner
+from .geometry import SPHERE, grid_truncation
 from .harmonics import get_transform, n_modes
 
 TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",
@@ -138,11 +138,12 @@ def _hypothesis_constants(f, K, s):
 
 def _killing_gram(basis, point):
     """The f4 Killing-block map c[:3] -> P_K(|x - p| u_K) as a 3x3 matrix,
-    l1_map^T G l1_map with G_ij = (|x - p| v_i, v_j)."""
+    l1_map^T G l1_map with G_ij = (|x - p| v_i, v_j), by one weighted
+    contraction of the stacked basis fields."""
     grid = basis.grid
-    w = np.linalg.norm(grid.nodes - point[None, :], axis=1)[:, None]
-    G = np.array([[l2_inner(grid, TangentialField(grid, w * vi.comps), vj)
-                   for vj in basis.fields] for vi in basis.fields])
+    w = grid.weights * np.linalg.norm(grid.nodes - point, axis=1)
+    V = np.stack([v.comps for v in basis.fields])           # (3, n_nodes, 2)
+    G = (V * w[:, None]).reshape(len(V), -1) @ V.reshape(len(V), -1).T
     return basis.l1_map.T @ G @ basis.l1_map
 
 

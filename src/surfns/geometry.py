@@ -8,10 +8,11 @@ are exact on band-limited fields; quadrature is exact for the polynomial
 degrees the grids are sized for.
 
 Tangential vector fields are stored as two components per node in the local
-orthonormal frame (e1, e2); tangential 2x2 tensors as four.  The frame is a
-representation choice only: every operator here reconstructs ambient
-quantities from (e1, e2, n), so frame-contracted results (inner products,
-norms, divergence, strain magnitude) do not depend on the frame rotation.
+orthonormal frame (e1, e2); tangential 2x2 tensors as four.  Each grid
+carries its builder's frame, (e_theta, e_phi) on the sphere and (toroidal,
+poloidal) on the torus, and every derivative is taken along it; the
+covariant derivative reconstructs ambient components from (e1, e2) before
+differentiating, so no connection coefficients appear.
 """
 
 from collections import namedtuple
@@ -28,6 +29,13 @@ TORUS = "torus"
 # (210 MB peak RSS through one IMEX step); a viscosity that varies along a
 # latitude row needs a dense Stokes block of (L(L+2))^2 entries, 13 GB at L = 200.
 L_MAX = 64
+
+# Radii accepted by both builders.  At 1e-8 and 1e8, `surfns run` with random
+# data at L = 4, 16 and 64 (dt = 1e-3) exits 0 unforced and under f5 (exit 3
+# at 1e8, where f5 grows at rate R - 1), and `surfns korn` gives a finite C_P;
+# at 1e-9 the L = 16 and 64 runs diverge at that dt.  Far outside, the squared
+# L2 norms of the Killing fields, about 8.4 R^4, over- or underflow near 1e+-77.
+R_MIN, R_MAX = 1e-8, 1e8
 
 # Largest torus grid size along either angle: `surfns korn` on the 352 x 352
 # torus takes 0.07 s and peaks at 55 MB RSS (2-core VM); nodal arrays grow
@@ -52,13 +60,11 @@ class SurfaceGrid:
         the sphere; poloidal phi / toroidal theta on the torus).
     nodes, weights, normals, e1, e2 : arrays
         Flattened per-node data; weights carry the full area measure.
-    canonical : tuple of arrays
-        The builder's (e1, e2), along which derivatives are taken;
-        ``canonical_frame`` is true exactly when none was passed in.
+        (e1, e2) is the builder's frame, along which derivatives are taken.
     """
 
     def __init__(self, kind, R, r, lat, lon, nodes, weights, normals, e1, e2,
-                 glx=None, max_degree=None, canonical=None):
+                 glx=None, max_degree=None):
         self.kind = kind
         self.R = float(R)
         self.r = float(r)
@@ -73,30 +79,12 @@ class SurfaceGrid:
         self.e2 = e2
         self.glx = glx
         self.max_degree = max_degree
-        self.canonical = (e1, e2) if canonical is None else canonical
-        self.canonical_frame = canonical is None
         self.area = float(weights.sum())
         self._caches = {}
 
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
-
-    def with_rotated_frame(self, angles):
-        """Copy of this grid with (e1, e2) rotated nodewise by ``angles``.
-
-        Used to assert frame independence of geometric quantities; the copy
-        keeps the builder's frame as ``canonical`` and is flagged
-        non-canonical, so spectral vector transforms refuse it.
-        """
-        a = np.broadcast_to(np.asarray(angles, dtype=float), (self.n_nodes,))
-        c, s = np.cos(a)[:, None], np.sin(a)[:, None]
-        e1 = c * self.e1 + s * self.e2
-        e2 = -s * self.e1 + c * self.e2
-        return SurfaceGrid(self.kind, self.R, self.r, self.lat, self.lon,
-                           self.nodes, self.weights, self.normals, e1, e2,
-                           glx=self.glx, max_degree=self.max_degree,
-                           canonical=self.canonical)
 
 
 class TangentialField:
@@ -183,8 +171,8 @@ def build_sphere_grid(L, R):
     if int(L) != L or not 2 <= L <= L_MAX:
         raise ParameterError(
             f"truncation degree must be an integer in 2..{L_MAX}, got {L}")
-    if not 0 < R < np.inf:
-        raise ParameterError(f"radius must be positive and finite, got {R}")
+    if not R_MIN <= R <= R_MAX:
+        raise ParameterError(f"radius must lie in [{R_MIN:g}, {R_MAX:g}], got {R}")
     M, n_lat, n_lon = dealias_rule(int(L))
 
     glx, glw = np.polynomial.legendre.leggauss(n_lat)
@@ -217,8 +205,8 @@ def build_torus_grid(n_pol, n_tor, R, r):
     spectrally accurate, and exact for trigonometric polynomials resolved
     by the grid.
     """
-    if not 0 < r < R < np.inf:
-        raise GeometryError(f"torus needs 0 < r < R < inf, got r={r}, R={R}")
+    if not R_MIN <= r < R <= R_MAX:
+        raise GeometryError(f"torus needs {R_MIN:g} <= r < R <= {R_MAX:g}, got r={r}, R={R}")
     if not all(int(n) == n and 8 <= n <= TORUS_N_MAX and n % 2 == 0 for n in (n_pol, n_tor)):
         raise ParameterError(f"torus grid sizes must be even integers in "
                              f"8..{TORUS_N_MAX}, got {n_pol} x {n_tor}")
@@ -450,8 +438,8 @@ def _torus_directional(grid, f):
 # differential operators
 
 def _directional_derivatives(grid, f):
-    """Derivatives of nodal scalars (..., n_nodes) along the canonical frame
-    directions: (..., 2, n_nodes)."""
+    """Derivatives of nodal scalars (..., n_nodes) along the frame directions
+    (e1, e2): (..., 2, n_nodes)."""
     if grid.kind != SPHERE:
         return _torus_directional(grid, f)
     eng = _scalar_engine(grid)
@@ -465,11 +453,7 @@ def surface_gradient(grid, p):
     p = np.asarray(p, dtype=float)
     if p.shape != (grid.n_nodes,):
         raise GridMismatchError("scalar field must have one value per node")
-    g = _directional_derivatives(grid, p)
-    if not grid.canonical_frame:
-        c1, c2 = grid.canonical
-        return tangential_project(grid, g[0][:, None] * c1 + g[1][:, None] * c2)
-    return TangentialField(grid, g.T)
+    return TangentialField(grid, _directional_derivatives(grid, p).T)
 
 
 def covariant_derivatives(grid, comps):
@@ -482,13 +466,8 @@ def covariant_derivatives(grid, comps):
     projected on e_i.  Exact for band-limited fields.
     """
     frame = np.ascontiguousarray(np.stack([grid.e1, grid.e2]).transpose(0, 2, 1))  # (2, 3, n)
-    amb = np.einsum("kan,acn->kcn", comps, frame)      # ambient, frame independent
-    D = _directional_derivatives(grid, amb)            # (k, 3, 2, n): comp x canonical dir
-    if not grid.canonical_frame:
-        c1, c2 = grid.canonical
-        # rotate the direction index into this grid's frame
-        rot = np.einsum("anc,bnc->abn", frame.transpose(0, 2, 1), np.stack([c1, c2]))
-        D = np.einsum("jan,kcan->kcjn", rot, D)
+    amb = np.einsum("kan,acn->kcn", comps, frame)      # ambient components
+    D = _directional_derivatives(grid, amb)            # (k, 3, 2, n): comp x frame dir
     # T_ij = sum_c (e_i)_c d_{e_j} u_c
     return np.einsum("icn,kcjn->kijn", frame, D)
 

@@ -111,8 +111,6 @@ class SphereTransform:
     def __init__(self, grid, L):
         if grid.kind != SPHERE:
             raise ParameterError("spectral vector transforms are sphere-only")
-        if not grid.canonical_frame:
-            raise ParameterError("transforms require the canonical (e_theta, e_phi) frame")
         if L < 1 or grid.max_degree < L:
             raise ParameterError(
                 f"grid resolves degree {grid.max_degree} < requested L={L}")

@@ -48,12 +48,13 @@ def killing_basis(grid):
     else:
         raise ParameterError(f"unsupported geometry {grid.kind!r}")
     fields = []
-    for k, v in enumerate(raw):
+    for v in raw:
         c = v.comps.copy()
         for w in fields:
             c -= geo.l2_inner(grid, TangentialField(grid, c), w) * w.comps
+        # relative to the field's own norm, which scales as R^2
         nrm = geo.l2_norm(grid, TangentialField(grid, c))
-        if nrm <= 1e-12:
+        if nrm <= 1e-12 * geo.l2_norm(grid, v):
             raise ConsistencyError("degenerate rotation field in Killing construction")
         fields.append(TangentialField(grid, c / nrm))
     return KillingBasis(grid, fields)
@@ -188,8 +189,6 @@ def _torus_family(grid, cap):
     generators join the block and the Killing field (h, 0) is projected
     out; every other block is orthogonal to it.
     """
-    if not grid.canonical_frame:
-        raise ParameterError("the torus Korn family requires the canonical frame")
     cap_p = min(cap, grid.n_lat // 2 - 1)
     cap_t = min(cap, grid.n_lon // 2 - 1)
     r, sin, z = grid.r, np.sin(grid.lat), np.zeros(grid.n_lat)

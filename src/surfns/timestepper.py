@@ -38,6 +38,11 @@ from .errors import DivergenceError, GridMismatchError, ParameterError
 from .forcing import apply_forcing
 from .operators import convective_term
 
+# Largest sample buffer (coefficient rows and records) ``run_batch`` allocates.
+# The largest built-in scenario holds about 1 MB; a request far above RAM fails
+# in numpy, and one just below it is OOM-killed while the run fills it.
+MAX_SAMPLE_BYTES = 1 << 30
+
 
 @dataclass
 class StepperConfig:
@@ -217,6 +222,8 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     far as ``partial``; the error also carries the failing step's number
     ``step``, its end time ``t`` and ``dt``, and the last finite state's
     ``max_abs_c`` and ``ledger_residual``.  The other rows continue.
+    A run whose samples would take more than ``MAX_SAMPLE_BYTES`` raises
+    ParameterError before it allocates them.
     ``record_fn`` (default: the diagnostics ``record``) is called as
     ``record_fn(form, spec, sim)`` once per sample on the live rows and
     returns one record per row.  The loop, ``record_fn`` included, runs with
@@ -242,6 +249,11 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     live = np.arange(sim.c.shape[0])          # original index of each row
     first = rec(form, spec, sim)
     n_samples = 1 + -(-n_steps // config.stride)
+    held = live.size * n_samples * (sim.c[0].nbytes + first.dtype.itemsize)
+    if held > MAX_SAMPLE_BYTES:
+        raise ParameterError(
+            f"{live.size} x {n_samples} samples take {held / 2 ** 30:.3g} GiB, over the "
+            f"{MAX_SAMPLE_BYTES / 2 ** 30:g} GiB cap: raise run.stride or shorten run.t_end")
     samples = np.empty((live.size, n_samples, sim.c.shape[1]))
     records = np.recarray((live.size, n_samples), dtype=first.dtype)
     samples[:, 0], records[:, 0] = sim.c, first

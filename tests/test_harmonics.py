@@ -255,13 +255,6 @@ def test_radius_independent_normalization(sphere8_r2):
     assert abs(geo.l2_norm(sphere8_r2, f) - 1.0) <= 1e-12
 
 
-def test_transform_requires_canonical_frame(sphere8):
-    from surfns.harmonics import SphereTransform
-    gR = sphere8.with_rotated_frame(0.5)
-    with pytest.raises(ParameterError):
-        SphereTransform(gR, 4)
-
-
 def test_random_state_norm_prescription(tr8):
     s = random_band_limited(tr8, 5, norm_killing=0.25, norm_nonkilling=1.5)
     assert s.killing_norm() == pytest.approx(0.25, abs=1e-12)

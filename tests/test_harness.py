@@ -7,13 +7,14 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfns import cli, harness
+from surfns import cli, harness, timestepper
 from surfns import geometry as geo
 from surfns.diagnostics import record
 from surfns.errors import CheckpointError, ConfigError, ParameterError
@@ -639,6 +640,69 @@ def test_cli_decompose_rejects_oversized_truncation(tmp_path, sphere8, capsys):
     assert load_checkpoint(str(path))[0].L == 65       # valid CRC and header
     assert cli.main(["decompose", str(path)]) == 2
     assert "2..64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius,f5_exit", [(5e-7, 0), (geo.R_MIN, 0), (geo.R_MAX, 3)])
+def test_cli_runs_at_the_radius_range_ends(tmp_path, capsys, radius, f5_exit):
+    # f5 grows at rate R - 1, so at R_MAX it diverges by design
+    for tag, code in (("zero", 0), ("f5", f5_exit)):
+        cfgfile = tmp_path / f"{tag}.cfg"
+        cfgfile.write_text(f"geometry.L = 4\ngeometry.radius = {radius!r}\n"
+                           f"forcing.tag = {tag}\ninit.kind = random\nrun.t_end = 0.01\n")
+        assert cli.main(["--out", str(tmp_path / "out"), "--quiet",
+                         "run", str(cfgfile)]) == code
+    assert cli.main(["--quiet", "korn", str(cfgfile)]) == 0
+    c_p = float(capsys.readouterr().out.split("C_P=")[-1])
+    assert 1.0 < c_p < np.inf
+
+
+_BELOW, _ABOVE = float(np.nextafter(geo.R_MIN, 0)), float(np.nextafter(geo.R_MAX, np.inf))
+
+
+@pytest.mark.parametrize("text,commands", [
+    (f"geometry.radius = {_BELOW!r}", ("run", "spectrum", "korn")),
+    (f"geometry.radius = {_ABOVE!r}", ("run", "spectrum", "korn")),
+    (f"geometry.kind = torus\ngeometry.minor = {_BELOW!r}", ("korn",)),
+    (f"geometry.kind = torus\ngeometry.major = {_ABOVE!r}", ("korn",)),
+])
+def test_cli_rejects_radii_outside_the_range(tmp_path, capsys, text, commands):
+    cfgfile = tmp_path / "radius.cfg"
+    cfgfile.write_text(text + "\n")
+    for command in commands:
+        assert cli.main(["--quiet", command, str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"{geo.R_MIN:g}" in err and f"{geo.R_MAX:g}" in err
+
+
+@pytest.mark.parametrize("R", [_BELOW, _ABOVE])
+def test_cli_decompose_rejects_radius_outside_the_range(tmp_path, sphere8, tr8, capsys, R):
+    path = tmp_path / "state.snsk"
+    save_checkpoint(random_band_limited(tr8, 9), sphere8, str(path))
+    _forge_header(path, R=R)
+    assert cli.main(["decompose", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "radius must lie in" in err
+
+
+@pytest.mark.parametrize("cap,t_end", [(None, "1e7"), (1 << 20, "4")])
+def test_cli_oversized_run_fails_before_allocating(tmp_path, capsys, monkeypatch, cap, t_end):
+    # 1e10 samples of an L = 4 run would take 1.75 TiB of coefficients; with
+    # a 1 MiB cap, 4001 samples (1.1 MiB) would allocate and run unguarded
+    if cap is not None:
+        monkeypatch.setattr(timestepper, "MAX_SAMPLE_BYTES", cap)
+    cfgfile = tmp_path / "long.cfg"
+    cfgfile.write_text(f"geometry.L = 4\ninit.kind = random\nrun.t_end = {t_end}\n"
+                       "run.stride = 1\n")
+    tracemalloc.start()
+    try:
+        code = cli.main(["--out", str(tmp_path / "out"), "--quiet", "run", str(cfgfile)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < (cap or timestepper.MAX_SAMPLE_BYTES)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "GiB cap" in err and "Traceback" not in err
 
 
 def test_malformed_threads_env_has_no_effect(tmp_path, monkeypatch):

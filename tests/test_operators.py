@@ -10,6 +10,7 @@ from surfns.harmonics import (SpectralState, SphereTransform, get_transform,
                               random_band_limited)
 from surfns.killing import killing_basis, korn_constant
 from surfns.operators import assemble_stokes, convective_term
+from surfns.scenarios import _gap
 
 
 @pytest.fixture(scope="module")
@@ -486,3 +487,25 @@ def test_constant_nu_eigenvalues_closed_form(sphere8, sphere8_r2, sphere64):
         exact = np.sort(np.repeat(2.5 * lam, 2 * l + 1))
         assert np.abs(form.eigenvalues() - exact).max() <= 1e-12 * exact.max()
         assert np.abs(form.lam_by_degree[1:] - lam).max() <= 1e-12 * lam.max()
+
+
+def test_spectral_gap_of_constant_viscosity():
+    # the decay checks' sigma is nu lambda_2 for any constant nu
+    grid = geo.build_sphere_grid(8, 1.3)
+    form = assemble_stokes(grid, geo.ViscosityField(grid, 2.5), 8)
+    assert abs(_gap(form) - 2.5 * form.lam_by_degree[2]) <= 1e-12 * form.lam_by_degree[2]
+
+
+@pytest.mark.parametrize("L", [8, 16])
+@pytest.mark.parametrize("R", [1.0, 2.0])
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_spectral_gap_meets_korn_bound(L, R, a):
+    # A's kernel is exactly the three Killing modes, and Korn bounds the
+    # rest: (A v, v) >= 2 nu_min ||eps(v)||^2 >= 2 nu_min / C_P^2 ||v||^2
+    grid = geo.build_sphere_grid(L, R)
+    nu = geo.ViscosityField(grid, 1.0 + a * grid.nodes[:, 2] / R)
+    form = assemble_stokes(grid, nu, L)
+    ev = form.eigenvalues()
+    assert np.abs(ev[:3]).max() <= 1e-12 * ev[-1]
+    sigma, c_p = _gap(form), korn_constant(grid, L).c_p
+    assert sigma >= 2.0 * nu.nu_min / c_p ** 2 > 0.0
