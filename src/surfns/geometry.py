@@ -331,12 +331,14 @@ class SphereEngine:
                              ((pair * n_rows + row) * 4 + sub) * k + r)
         return self._flat[k]
 
-    def plan(self, k, comps=slice(None), adjoint=False):
+    def plan(self, k, comps=slice(None), adjoint=False, factors=None):
         """The ``out`` of one ``synthesize`` (or ``adjoint``) of k rows on ``comps``:
         its index, table views and buffers, result last, so a kept plan needs no
         lookup, reshape or allocation.  The zeroed scatter buffer gets the same
-        entries at every call; where reshape copies a stage's input, so does the call."""
-        X = self.X[:, :, comps]
+        entries at every call; where reshape copies a stage's input, so does the call.
+        ``factors`` (n_comps, n_lat), if given, scale each component's profiles at each
+        latitude: the plan then holds its own scaled copy of the table."""
+        X = self.X[:, :, comps] if factors is None else self.X[:, :, comps] * factors
         n_pairs, n_rows, n_comp, n_lat = X.shape
         X = X.reshape(n_pairs, n_rows, -1)
         scatter, gather = self._flat_index(k)

@@ -49,48 +49,53 @@ class StokesForm:
         if blocks is None:
             self._diag = self.nu_min * self.D       # A itself
             return
-        self._flat = {}                 # per stack height: the flat indices of the products
+        self._flat = {}                 # per stack height: indices and buffers (not reentrant)
 
     def _indices(self, k):
-        """Flat indices for a stack of height k: the gather of the blocks'
-        (block, row, slot) entries, and the scatters of the modes from a
-        (block, row, slot) product and from a (block, row, 2 slot) one."""
+        """For a stack of height k: the flat gather of the blocks' (block, row,
+        slot) entries and its buffer, then for a (block, row, slot) and a
+        (block, row, 2 slot) product its buffer and the scatter of the modes."""
         if k not in self._flat:
-            n_slots, r = self.gather.shape[1], np.arange(k)[:, None]
+            (n_blocks, n_slots), r = self.gather.shape, np.arange(k)[:, None]
             block, slot = np.divmod(np.argsort(self.gather, axis=None), n_slots)
             pair = (block * k + r) * 2 * n_slots + slot
             self._flat[k] = (self.gather[:, None] + self.D.size * r,
-                             (block * k + r) * n_slots + slot, np.stack((pair, pair + n_slots)))
+                             np.empty((n_blocks, k, n_slots)),
+                             np.empty((n_blocks, k, n_slots)), (block * k + r) * n_slots + slot,
+                             np.empty((n_blocks, k, 2 * n_slots)), np.stack((pair, pair + n_slots)))
         return self._flat[k]
 
     def apply(self, c, out=None):
         """A c for every row of a (k, n_modes) coefficient stack (into ``out``)."""
         if self.blocks is None:
             return np.multiply(c, self._diag, out=out)
-        gather, scatter, _ = self._indices(c.shape[0])
+        gather, g, p, scatter = self._indices(c.shape[0])[:4]
         # symmetric blocks
-        return (c.take(gather) @ self.blocks).take(scatter, out=out, mode="clip")
+        np.matmul(c.take(gather, out=g, mode="clip"), self.blocks, out=p)
+        return p.take(scatter, out=out, mode="clip")
 
     def cn_solve(self, y, dt, out=None):
-        """(m, A m), stacked (2, k, n_modes) into ``out`` if given, for m = R y,
-        R = (I + dt A / 2)^-1, and every row of a (k, n_modes) stack y.  The
-        operator is made once per dt: the diagonals (R, A R), or per block
-        [R^T | R^T A] with A the assembled block: A m is ``apply`` of m, in one product."""
-        op = self._solve_ops.get(dt)
+        """(2 m, a A m), a = dt / 2, stacked (2, k, n_modes) into ``out`` if given,
+        for m = R y, R = (I + a A)^-1, and every row of a (k, n_modes) stack y:
+        c+ = 2 m - c, and the dot of the two is dt (A m, m).  The operator is
+        made once per dt: the diagonals (2 R, a A R), or per block
+        [2 R^T | a R^T A] with A the assembled block, one product for both."""
+        op, a = self._solve_ops.get(dt), 0.5 * dt
         if op is None:
             if self.blocks is None:
-                r = 1.0 / (1.0 + 0.5 * dt * self._diag)
-                op = np.stack((r, self._diag * r))[:, None]
+                r = 1.0 / (1.0 + a * self._diag)
+                op = np.stack((2.0 * r, a * self._diag * r))[:, None]
             else:
                 n = self.blocks.shape[1]
                 op = np.empty(self.blocks.shape[:2] + (2 * n,))
-                op[..., :n] = np.linalg.inv(np.eye(n) + 0.5 * dt * self.blocks).transpose(0, 2, 1)
-                op[..., n:] = op[..., :n] @ self.blocks
+                op[..., :n] = 2.0 * np.linalg.inv(np.eye(n) + a * self.blocks).transpose(0, 2, 1)
+                op[..., n:] = op[..., :n] @ (0.5 * a * self.blocks)
             self._solve_ops[dt] = op
         if self.blocks is None:
             return np.multiply(op, y, out=out)
-        gather, _, scatter = self._indices(y.shape[0])
-        return (y.take(gather) @ op).take(scatter, out=out, mode="clip")
+        gather, g, _, _, p, scatter = self._indices(y.shape[0])
+        np.matmul(y.take(gather, out=g, mode="clip"), op, out=p)
+        return p.take(scatter, out=out, mode="clip")
 
     def eigenvalues(self):
         """Ascending eigenvalues of A, block by block."""
@@ -164,21 +169,33 @@ def assemble_stokes(grid, nu, L):
     return StokesForm(grid, tr, nu, L, lam, blocks, gather)
 
 
+def convective_plans(tr, k):
+    """The ``out`` of ``convective_term`` for k rows: the ``VORT`` synthesis
+    plan, whose table copy carries (1, -1, w) on (u_theta, u_phi, omega), w
+    the quadrature weight of each latitude row, and the ``FIELD`` adjoint plan."""
+    w = np.reshape(tr.engine.weights, (tr.engine.n_lat, -1))[:, 0]
+    factors = np.stack((np.ones_like(w), -np.ones_like(w), w))
+    return tr.engine.plan(k, tr.VORT, factors=factors), tr.engine.plan(k, tr.FIELD, True)
+
+
 def convective_term(tr, c, out=None):
     """Coefficients of P_0 [(u . grad_G) u] for every row of the (k, n_modes)
     coefficient stack ``c``, computed pseudospectrally with the transform
     ``tr`` (the form's ``transform`` on the dynamics path), through ``out``,
-    the engine ``plan``s of the ``VORT`` synthesis and the ``FIELD`` adjoint.
+    the ``convective_plans`` of k rows (made afresh when not given).
 
     In two dimensions (u . grad_G) u = grad_G(|u|^2 / 2) + omega n x u, and
     the gradient has no toroidal part.  So synthesize u and its scalar
     vorticity omega on the dealiased grid in one pass, form omega n x u =
     omega (-u_phi, u_theta) nodally, and project back onto the toroidal
-    basis.  Since (omega n x u) . u = 0 at every node, discrete energy
-    orthogonality holds to rounding on any grid; the vanishing Killing
-    projection holds to quadrature exactness.
+    basis.  The synthesis table carries the sign of u_phi and the weight of
+    the quadrature, so the nodal product is all that is left.  Since
+    (omega n x u) . u = 0 at every node, discrete energy orthogonality holds
+    to rounding on any grid; the vanishing Killing projection holds to
+    quadrature exactness.
     """
-    f = tr.engine.synthesize(c, tr.VORT, out and out[0])     # u_theta, u_phi, omega
-    f[:2] *= np.multiply(f[2], tr.engine.weights, out=f[2])  # omega, weighted for the quadrature
-    np.negative(f[1], out=f[1])                   # f[1::-1] is omega (-u_phi, u_theta)
-    return tr.engine.adjoint(f[1::-1], tr.FIELD, out and out[1])
+    syn, adj = out or convective_plans(tr, c.shape[0])
+    f = tr.engine.synthesize(c, tr.VORT, syn)     # u_theta, -u_phi, w omega
+    f[0] *= f[2]                    # unbroadcast: numpy allocates for a small broadcast
+    f[1] *= f[2]                    # f[1::-1] is w omega (-u_phi, u_theta)
+    return tr.engine.adjoint(f[1::-1], tr.FIELD, adj)

@@ -1,21 +1,34 @@
 """Time integration of the spectral system dc/dt = -A c - N(c) + F(c).
 
 The default scheme is IMEX-CNAB2: Crank-Nicolson on all of A, which is
-positive semidefinite, and second-order Adams-Bashforth on F(c) - N(c)
-(Ascher, Ruuth & Wetton 1995).  With g the explicit combination, a step
-solves (I + dt A / 2) m = c + dt g / 2 for the midpoint m and sets
-c+ = 2 m - c; the form caches its solve per dt.  The Killing modes, A's
+positive semidefinite, and second-order Adams-Bashforth (AB2) on
+F(c) - N(c) (Ascher, Ruuth & Wetton 1995).  A step solves
+(I + dt A / 2) m = y, y = c + a (F - N) with a = dt / 2 and F, N at their
+explicit combinations, and sets c+ = 2 m - c.  The Killing modes, A's
 kernel, receive no damping, every other eigenmode of A is damped for any
-dt > 0, and only RK4 has a step bound.  The first step takes g as the mean
-of its values at c and at the same update made with g(c) alone.  An
-Adams-Bashforth step whose dt differs from the previous step's raises.
+dt > 0, and only RK4 has a step bound.  An AB2 step whose dt differs from
+the previous step's raises.
+
+The scheme is linear multistep, so each stage is one product of (2, 6)
+stage rows with a history of two slots of (c, F(c), N(c)), stored as the
+rows (F0, N0, F1, N1, c0, c1), giving y and a F; the form's ``cn_solve``
+turns y into (2 m, a A m).  For a step from slot 0 (slot 1 swaps the slots):
+
+    predictor  y: (a, -a, 0, 0, 1, 0)           a F: (a, 0, 0, 0, 0, 0)
+    corrector  y: (a/2, -a/2, a/2, -a/2, 1, 0)  a F: (a/2, 0, a/2, 0, 0, 0)
+    AB2        y: (3a/2, -3a/2, -a/2, a/2, 1, 0) a F: (3a/2, 0, -a/2, 0, 0, 0)
+
+c comes last, so y rounds once against it.  The first step predicts c+ from
+the terms at c, puts the prediction and its terms in the other slot and
+corrects with the mean of both slots' terms; every later step is AB2 on the
+previous step's slot, whose c then takes c+.
 
 The energy ledger accumulates the step's exact energy identity: the
 dissipation dt (A m, m), with A m from the assembled form, and the work
-dt (F, m), F at its Adams-Bashforth combination.  Linear runs therefore
-balance to rounding; the only residual on nonlinear runs is the convective
-defect -dt (N, m), which is O(dt^3) per step.  A classical RK4 path is kept
-for cross-validation, with the ledger integrated through the same stages.
+dt (F, m), one dot of (a A m, a F) with 2 m.  Linear runs therefore balance
+to rounding; the only residual on nonlinear runs is the convective defect
+-dt (N, m), which is O(dt^3) per step.  A classical RK4 path is kept for
+cross-validation, with the ledger integrated through the same stages.
 
 Both schemes advance a stack of k independent trajectories, coefficients
 (k, n_modes), through one code path for every k: each operator acts on the
@@ -23,10 +36,11 @@ whole stack and each row keeps its own energy ledger.  Ensembles, pairs and
 gap families therefore integrate as one batch; coefficient rows and
 diagnostics (one batched ``record`` call per sample) are copied out only at
 sample points, into one array and one record array per trajectory.
-``run_batch`` owns one workspace per stack height: two stacks that take turns
-as a step's input and output, and every array a step writes, engine scratch
-included.  A step called without ``out`` makes a fresh workspace, the only
-difference, so it returns a new stack and leaves its input untouched.
+``run_batch`` owns one workspace per stack height: two states whose c sit in
+the slots of one history, taking turns as a step's input and output, and
+every array a step writes, engine scratch included.  A step called without
+``out`` makes a fresh workspace, the only difference, so it returns a new
+stack and leaves its input untouched.
 """
 
 from dataclasses import dataclass
@@ -36,7 +50,7 @@ import numpy as np
 from .diagnostics import record
 from .errors import DivergenceError, GridMismatchError, ParameterError
 from .forcing import apply_forcing
-from .operators import convective_term
+from .operators import convective_plans, convective_term
 
 # Largest sample buffer (coefficient rows and records) ``run_batch`` allocates.
 # The largest built-in scenario holds about 1 MB; a request far above RAM fails
@@ -64,20 +78,25 @@ class SimState:
     """A stack of k trajectories at one time: coefficients ``c`` of shape
     (k, n_modes), step metadata, and each row's running energy ledger.
 
-    ``states`` is a sequence of SpectralStates sharing L and t; their
-    coefficients are copied.
+    ``c`` and its (F, N) rows ``fn`` are slot ``slot``'s of the history
+    ``hist``; ``ab2`` says the other slot holds the previous IMEX step's.  ``ledger`` stacks
+    ``diss_integral`` and ``work_integral``.  ``states`` is a sequence of
+    SpectralStates sharing L and t; their coefficients are copied.
     """
 
     def __init__(self, states, dt=0.0):
-        self.L = states[0].L
-        self.t = states[0].t
-        self.c = np.array([s.coeffs for s in states])
-        self.dt = dt
-        self.step = 0
-        self.work_integral = np.zeros(len(states))
-        self.diss_integral = np.zeros(len(states))
+        c = np.array([s.coeffs for s in states])
+        self._bind(np.zeros((6,) + c.shape), 0, np.zeros((2, len(states))))
+        self.c[:] = c
+        self.L, self.t, self.dt, self.step, self.ab2 = states[0].L, states[0].t, dt, 0, False
         self.energy0 = self.energy()
-        self._prev = None           # the previous step's (N(c), F(c)) rows
+
+    def _bind(self, hist, slot, ledger):
+        """Point ``c`` and ``fn`` at slot ``slot`` of ``hist``, the integrals at ``ledger``."""
+        self.hist, self.slot, self.c, self.ledger = hist, slot, hist[4 + slot], ledger
+        self.fn = hist[2 * slot:2 * slot + 2]
+        self.diss_integral, self.work_integral = ledger
+        return self
 
     def energy(self):
         return 0.5 * np.einsum("kn,kn->k", self.c, self.c)
@@ -88,40 +107,55 @@ class SimState:
 
     def take(self, rows):
         """The sub-stack of ``rows`` (an index list or a boolean mask), copied."""
-        out = SimState.__new__(SimState)
-        out.L, out.t, out.dt, out.step = self.L, self.t, self.dt, self.step
-        out.c, out.work_integral, out.diss_integral, out.energy0 = (
-            a[rows] for a in (self.c, self.work_integral, self.diss_integral, self.energy0))
-        out._prev = None if self._prev is None else self._prev[:, rows]
+        out = SimState.__new__(SimState)._bind(self.hist[:, rows], self.slot, self.ledger[:, rows])
+        out.L, out.t, out.dt, out.step, out.ab2 = self.L, self.t, self.dt, self.step, self.ab2
+        out.energy0 = self.energy0[rows]
         return out
 
 
+def _stage_rows(dt):
+    """The stage rows of the module docstring per slot: (slot, stage, 2, 6)."""
+    a = 0.5 * dt
+    rows = np.array([[a, -a, 0, 0, 1, 0], [a, 0, 0, 0, 0, 0],
+                     [a / 2, -a / 2, a / 2, -a / 2, 1, 0], [a / 2, 0, a / 2, 0, 0, 0],
+                     [1.5 * a, -1.5 * a, -a / 2, a / 2, 1, 0], [1.5 * a, 0, -a / 2, 0, 0, 0]])
+    rows = rows.reshape(3, 2, 6)
+    return np.stack((rows, rows[..., [2, 3, 0, 1, 5, 4]]))
+
+
 class _Workspace:
-    """Every array a step of the k rows of ``sim`` writes: two stacks with their
-    (N, F) history, engine plans, y, RK4's (N, F), ``stages`` ((m, N or A m, F)
-    and AB2 scratch, or RK4's slopes and A c) and the ledger terms."""
+    """Every array a step of the k rows of ``sim`` writes: the two states and
+    their history, engine plans, stage rows per dt, ``stages`` (the IMEX
+    step's y, 2 m, a A m and a F, or RK4's slopes, A c and stage input) and
+    the ledger rates."""
 
     def __init__(self, form, sim):
-        (k, n), tr = sim.c.shape, form.transform
-        self.states = [SimState.__new__(SimState) for _ in range(2)]
-        for s in self.states:
-            s.L, s.c, s._nf = sim.L, np.empty((k, n)), np.empty((2, k, n))
-            s.work_integral, s.diss_integral = np.empty(k), np.empty(k)
-        self.syn, self.adj = tr.engine.plan(k, tr.VORT), tr.engine.plan(k, tr.FIELD, True)[:-1]
-        self.y, self.nf, self.stages = np.empty((k, n)), np.empty((2, k, n)), np.empty((5, k, n))
+        k, n = sim.c.shape
+        self.hist, self.stages = np.empty((6, k, n)), np.empty((6, k, n))
+        self.states = [SimState.__new__(SimState)._bind(self.hist, j, np.empty((2, k)))
+                       for j in range(2)]
+        self.states[0].L = self.states[1].L = sim.L
+        self.syn, adj = convective_plans(form.transform, k)
+        self.adj = adj[:-1]
+        self.rows = {}
+        self.yg = self.stages.reshape(6, -1)[:4:3]      # y and a F
         self.rates = np.empty((4, 2, k))
 
     def terms(self, form, spec, c, out):
-        """(N(c), F(c)) for every row of a coefficient stack, into the rows of ``out``."""
-        convective_term(form.transform, c, (self.syn, self.adj + (out[0],)))
-        apply_forcing(spec, c, out[1])
+        """(F(c), N(c)) for every row of a coefficient stack, into the rows of ``out``."""
+        convective_term(form.transform, c, (self.syn, self.adj + (out[1],)))
+        apply_forcing(spec, c, out[0])
 
-    def advance(self, sim, dt, work, diss, prev):
-        """The stack that is not ``sim``, one step of dt later, with its ledger and ``prev``."""
-        s = self.states[self.states[0] is sim]
-        s.t, s.dt, s.step, s.energy0, s._prev = sim.t + dt, dt, sim.step + 1, sim.energy0, prev
-        np.add(sim.work_integral, work, out=s.work_integral)
-        np.add(sim.diss_integral, diss, out=s.diss_integral)
+    def midpoint(self, form, rows, dt):
+        """(2 m, a A m) in stages[1:3] for the midpoint m of the stage ``rows``."""
+        np.matmul(rows, self.hist.reshape(6, -1), out=self.yg)
+        return form.cn_solve(self.stages[0], dt, out=self.stages[1:3])
+
+    def advance(self, sim, dt, rates, ab2):
+        """The state that is not ``sim``, one step of dt later, with its ledger."""
+        s = self.states[1 - sim.slot]
+        s.t, s.dt, s.step, s.energy0, s.ab2 = sim.t + dt, dt, sim.step + 1, sim.energy0, ab2
+        np.add(sim.ledger, rates, out=s.ledger)
         return s
 
 
@@ -134,15 +168,6 @@ def _check_dt(dt, rho, bound, scheme):
                              f"{bound / max(rho, 1e-300):g}")
 
 
-def _midpoint(form, c, nf, dt, ws):
-    """(m, A m) for the Crank-Nicolson midpoint m = (c + c+) / 2 with nf = (N, F)
-    held fixed, which solves (I + dt A / 2) m = c + dt (F - N) / 2."""
-    y = np.subtract(nf[1], nf[0], out=ws.y)
-    y *= 0.5 * dt
-    y += c
-    return form.cn_solve(y, dt, out=ws.stages[:2])
-
-
 def step_imex(sim, form, spec, dt, out=None):
     """One IMEX-CNAB2 step of every row: Crank-Nicolson on A, with N and F
     by Adams-Bashforth, or on the first step by a predictor-corrector.  The
@@ -150,29 +175,27 @@ def step_imex(sim, form, spec, dt, out=None):
     fresh one.  Rows that overflow come back non-finite; ``run_batch`` freezes them.
     """
     _check_dt(dt, 0.0, 0.0, "IMEX-CNAB2")          # no stability bound
-    if sim._prev is not None and dt != sim.dt:
+    if sim.ab2 and dt != sim.dt:
         raise ParameterError(f"dt = {dt:g} differs from the previous step's {sim.dt:g}")
     ws = _Workspace(form, sim) if out is None else out
-    # (N, F) combined sit behind the solve's (m, A m): A m overwrites N, as the ledger wants
-    c, nf, nf_bar = sim.c, ws.states[ws.states[0] is sim]._nf, ws.stages[1:3]
-    ws.terms(form, spec, c, nf)
-    if sim._prev is None:
-        # predict with the terms at c, correct with their mean at c and the prediction
-        pred = np.multiply(_midpoint(form, c, nf, dt, ws)[0], 2.0, out=ws.y)
-        pred -= c
-        ws.terms(form, spec, pred, nf_bar)
-        nf_bar += nf
-        nf_bar *= 0.5
-    else:
-        np.multiply(nf, 1.5, out=nf_bar)
-        nf_bar -= np.multiply(sim._prev, 0.5, out=ws.stages[3:])
-    m = _midpoint(form, c, nf_bar, dt, ws)[0]
+    if sim.hist is not ws.hist:
+        np.copyto(ws.hist, sim.hist)
+    cur, other = ws.states[sim.slot], ws.states[1 - sim.slot]
+    rows = ws.rows.get(dt)
+    if rows is None:
+        rows = ws.rows[dt] = _stage_rows(dt)
+    rows = rows[sim.slot]
+    ws.terms(form, spec, cur.c, cur.fn)
+    if not sim.ab2:
+        # the prediction and its terms fill the other slot
+        np.subtract(ws.midpoint(form, rows[0], dt)[0], cur.c, out=other.c)
+        ws.terms(form, spec, other.c, other.fn)
+    two_m = ws.midpoint(form, rows[1 + sim.ab2], dt)[0]
     # dissipation dt (A m, m) and work dt (F, m) in one product;
     # -dt (N, m) is the convective defect
-    diss, work = rates = np.einsum("jkn,kn->jk", nf_bar, m, out=ws.rates[0])
-    rates *= dt
-    new = ws.advance(sim, dt, work, diss, nf)
-    np.subtract(np.multiply(m, 2.0, out=new.c), c, out=new.c)      # c+ = 2 m - c
+    w = ws.stages
+    new = ws.advance(sim, dt, np.vecdot(w[2:4], w[1], out=ws.rates[0]), True)
+    np.subtract(two_m, cur.c, out=new.c)            # c+ = 2 m - c, into the other slot
     return new
 
 
@@ -190,19 +213,21 @@ def step_rk4(sim, form, spec, dt, out=None):
     """Classical explicit RK4 step of every row, returned like ``step_imex``'s."""
     _check_dt(dt, form.rho_full(), 2.7, "RK4")
     ws = _Workspace(form, sim) if out is None else out
-    c, nf, slopes, ac = sim.c, ws.nf, ws.stages[:4], ws.stages[4]
+    if sim.hist is not ws.hist:
+        np.copyto(ws.hist, sim.hist)
+    c, fn = ws.states[sim.slot].c, ws.states[sim.slot].fn
+    slopes, ac, y = ws.stages[:4], ws.stages[4], ws.stages[5]
     for i, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
         # the stage input c + h k_{i-1}
-        cv = np.add(np.multiply(slopes[i - 1], h, out=ws.y), c, out=ws.y) if i else c
+        cv = np.add(np.multiply(slopes[i - 1], h, out=y), c, out=y) if i else c
         form.apply(cv, out=ac)
-        ws.terms(form, spec, cv, nf)
+        ws.terms(form, spec, cv, fn)
         np.negative(ac, out=slopes[i])
-        slopes[i] -= nf[0]
-        slopes[i] += nf[1]
+        slopes[i] -= fn[1]
+        slopes[i] += fn[0]
         np.einsum("kn,kn->k", cv, ac, out=ws.rates[i, 0])
-        np.einsum("kn,kn->k", nf[1], cv, out=ws.rates[i, 1])
-    diss, work = _rk4_sum(ws.rates, dt)
-    new = ws.advance(sim, dt, work, diss, None)
+        np.einsum("kn,kn->k", fn[0], cv, out=ws.rates[i, 1])
+    new = ws.advance(sim, dt, _rk4_sum(ws.rates, dt), False)
     np.add(c, _rk4_sum(slopes, dt), out=new.c)
     return new
 

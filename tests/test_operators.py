@@ -259,6 +259,21 @@ def test_convective_rotation_form_matches_transport_form():
                 assert _row_rel(oracle + n, oracle) >= 0.9
 
 
+def test_folded_convective_table_matches_the_unfolded_product():
+    # the synthesis table carries (1, -1, w) on (u_theta, u_phi, omega); the
+    # unfolded product is a plain synthesis, omega (-u_phi, u_theta) w at each
+    # node, then the adjoint
+    rng = np.random.default_rng(23)
+    for L in (8, 16, 32):
+        tr = get_transform(geo.build_sphere_grid(L, 1.0), L)
+        for k in (1, 8):
+            c = rng.standard_normal((k, tr.n_modes))
+            u_theta, u_phi, omega = tr.engine.synthesize(c, tr.VORT)
+            w_omega = omega * tr.engine.weights
+            unfolded = tr.engine.adjoint(np.stack([-w_omega * u_phi, w_omega * u_theta]), tr.FIELD)
+            assert _row_rel(convective_term(tr, c), unfolded) <= 1e-14, (L, k)
+
+
 def test_convective_energy_orthogonal_to_rounding():
     # (omega n x u) . u = 0 at every node, so c . N(c) is rounding only
     rng = np.random.default_rng(19)
@@ -455,8 +470,8 @@ def test_apply_matches_dense(formv, form_x):
 
 
 def test_cn_solve_matches_dense(form1, formv, form_x):
-    # (m, A m) with m = (I + dt A / 2)^-1 y, for the diagonal, order-pair and
-    # dense storage, at two dts cached side by side and changing stack heights
+    # (2 m, dt A m / 2) with m = (I + dt A / 2)^-1 y, for the diagonal, order-pair
+    # and dense storage, at two dts cached side by side and changing stack heights
     rng = np.random.default_rng(17)
     for form in (form1, formv, form_x):
         A = _dense(form)
@@ -465,7 +480,7 @@ def test_cn_solve_matches_dense(form1, formv, form_x):
             m = np.linalg.solve(np.eye(A.shape[0]) + 0.5 * dt * A, y.T).T
             out = form.cn_solve(y, dt)
             assert out.shape == (2,) + y.shape
-            for got, want in zip(out, (m, m @ A.T)):
+            for got, want in zip(out, (2.0 * m, 0.5 * dt * m @ A.T)):
                 assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
 
 

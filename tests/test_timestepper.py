@@ -1,6 +1,8 @@
 """Time integration: orders of accuracy, exact sub-dynamics, stability
 guards, ledger closure, and divergence handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from surfns import geometry as geo
 from surfns.diagnostics import record
 from surfns.errors import DivergenceError, GridMismatchError, ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
-from surfns.harmonics import SpectralState, mode_index, n_modes, random_band_limited
+from surfns.harmonics import (SpectralState, get_transform, mode_index, n_modes,
+                              random_band_limited)
 from surfns.killing import killing_basis
 from surfns.operators import StokesForm, _order_pair_blocks, assemble_stokes, convective_term
 from surfns.harness import (build_context, build_initial_state, member_seed,
                             records_to_csv, stepper_config)
 from surfns.scenarios import get_scenario, list_scenarios
-from surfns.timestepper import (SimState, StepperConfig, run, run_batch,
+from surfns.timestepper import (SimState, StepperConfig, _Workspace, run, run_batch,
                                 step_imex, step_rk4)
 from test_operators import _a_prime
 
@@ -204,7 +207,7 @@ def test_ab2_step_rejects_a_changed_dt(sphere8, form1, spec0, tr8):
     assert step_imex(sim, form1, spec0, 1e-3).t == pytest.approx(2e-3)
     # an RK4 step stores no parts, so the next IMEX step bootstraps at any dt
     sim = step_rk4(sim, form1, spec0, 1e-3)
-    assert sim._prev is None
+    assert not sim.ab2
     assert step_imex(sim, form1, spec0, 2e-3).t == pytest.approx(4e-3)
 
 
@@ -507,10 +510,12 @@ def test_stepper_edge_rejects_with_a_parameter_error(case, sphere8, form1, spec0
 
 
 class _Frozen:
-    """A stack state of the frozen step formulas below."""
+    """A stack state of the frozen step formulas below: c in slot ``slot`` of
+    the two-slot (c, F, N) history ``hist``, and ``ab2``, as on a SimState."""
 
-    def __init__(self, c, t, step, work, diss, energy0, prev):
-        self.c, self.t, self.step, self.prev = c, t, step, prev
+    def __init__(self, hist, slot, ab2, t, step, work, diss, energy0):
+        self.hist, self.slot, self.ab2, self.t, self.step = hist, slot, ab2, t, step
+        self.c = hist[4 + slot]
         self.work_integral, self.diss_integral, self.energy0 = work, diss, energy0
 
     def ledger_residual(self):
@@ -518,47 +523,80 @@ class _Frozen:
         return energy - self.energy0 + self.diss_integral - self.work_integral
 
     def take(self, rows):
-        return _Frozen(self.c[rows], self.t, self.step, self.work_integral[rows],
-                       self.diss_integral[rows], self.energy0[rows],
-                       None if self.prev is None else self.prev[:, rows])
+        return _Frozen(self.hist[:, rows], self.slot, self.ab2, self.t, self.step,
+                       self.work_integral[rows], self.diss_integral[rows], self.energy0[rows])
+
+    def after(self, hist, ab2, dt, work, diss):
+        """The state one step of dt later, its c in the other slot of ``hist``."""
+        return _Frozen(hist, 1 - self.slot, ab2, self.t + dt, self.step + 1,
+                       self.work_integral + work, self.diss_integral + diss, self.energy0)
 
 
 def _frozen_terms(form, spec, c):
+    """(F(c), N(c))"""
     out = np.empty((2,) + c.shape)
-    out[0], out[1] = convective_term(form.transform, c), apply_forcing(spec, c)
+    out[0], out[1] = apply_forcing(spec, c), convective_term(form.transform, c)
     return out
 
 
-def _frozen_cn_update(form, c, nf, dt):
-    y = nf[1] - nf[0]
-    y *= 0.5 * dt
-    y += c
-    m, am = form.cn_solve(y, dt)
-    return 2.0 * m - c, m, am
-
-
 def _frozen_imex(s, form, spec, dt):
-    """The IMEX-CNAB2 step as written before the integration loop had a
-    workspace: every intermediate a fresh array."""
-    c = s.c
-    nf = _frozen_terms(form, spec, c)
-    if s.prev is None:
-        nf_bar = nf + _frozen_terms(form, spec, _frozen_cn_update(form, c, nf, dt)[0])
-        nf_bar *= 0.5
+    """The IMEX-CNAB2 step with every intermediate a fresh array: the rows of
+    its stages applied to the history (F, N of slot 0, F, N of slot 1, c of
+    slot 0, c of slot 1), a slot 1 state's slots swapped, then the solve for
+    (2 m, dt A m / 2)."""
+    a, cur, other = 0.5 * dt, s.slot, 1 - s.slot
+    hist = s.hist.copy()
+    hist[2 * cur:2 * cur + 2] = _frozen_terms(form, spec, s.c)
+
+    def stage(rows):
+        rows = np.array(rows)[:, [2, 3, 0, 1, 5, 4] if cur else slice(None)]
+        y, g = (rows @ hist.reshape(6, -1)).reshape((2,) + s.c.shape)
+        return form.cn_solve(y, dt), g
+
+    if not s.ab2:
+        (two_m, _), _ = stage([[a, -a, 0.0, 0.0, 1.0, 0.0], [a, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        hist[4 + other] = two_m - s.c
+        hist[2 * other:2 * other + 2] = _frozen_terms(form, spec, hist[4 + other])
+        rows = [[a / 2, -a / 2, a / 2, -a / 2, 1.0, 0.0], [a / 2, 0.0, a / 2, 0.0, 0.0, 0.0]]
     else:
-        nf_bar = 1.5 * nf
-        nf_bar -= 0.5 * s.prev
-    c_new, m, am = _frozen_cn_update(form, c, nf_bar, dt)
-    nf_bar[0] = am
-    diss, work = dt * np.einsum("jkn,kn->jk", nf_bar, m)
-    return _Frozen(c_new, s.t + dt, s.step + 1, s.work_integral + work,
-                   s.diss_integral + diss, s.energy0, nf)
+        rows = [[1.5 * a, -1.5 * a, -a / 2, a / 2, 1.0, 0.0], [1.5 * a, 0.0, -a / 2, 0.0, 0.0, 0.0]]
+    (two_m, a_am), g = stage(rows)
+    hist[4 + other] = two_m - s.c
+    diss, work = np.vecdot(np.stack([a_am, g]), two_m)
+    return s.after(hist, True, dt, work, diss)
+
+
+def _cnab2_oracle(s, form, spec, dt):
+    """The IMEX-CNAB2 step as written before it had stage rows, a tolerance
+    oracle: the terms combined first, then y = c + dt (F - N) / 2, the solve
+    for m and A m, and the ledger from dt (A m, m) and dt (F, m)."""
+    cur, other = s.slot, 1 - s.slot
+    hist = s.hist.copy()
+    fn = hist[2 * cur:2 * cur + 2] = _frozen_terms(form, spec, s.c)
+
+    def cn_update(fn_bar):
+        y = fn_bar[0] - fn_bar[1]
+        y *= 0.5 * dt
+        y += s.c
+        two_m, a_am = form.cn_solve(y, dt)
+        m = 0.5 * two_m
+        return 2.0 * m - s.c, m, a_am / (0.5 * dt)
+
+    if not s.ab2:
+        fn_bar = fn + _frozen_terms(form, spec, cn_update(fn)[0])
+        fn_bar *= 0.5
+    else:
+        fn_bar = 1.5 * fn
+        fn_bar -= 0.5 * hist[2 * other:2 * other + 2]
+    hist[4 + other], m, am = cn_update(fn_bar)
+    diss, work = dt * np.einsum("jkn,kn->jk", np.stack([am, fn_bar[0]]), m)
+    return s.after(hist, True, dt, work, diss)
 
 
 def _frozen_rk4(s, form, spec, dt):
     """The RK4 step as written before the integration loop had a workspace."""
     def rhs_and_rates(cv):
-        ac, (nn, ff) = form.apply(cv), _frozen_terms(form, spec, cv)
+        ac, (ff, nn) = form.apply(cv), _frozen_terms(form, spec, cv)
         return -ac - nn + ff, np.einsum("kn,kn->k", cv, ac), np.einsum("kn,kn->k", ff, cv)
 
     c = s.c
@@ -566,22 +604,25 @@ def _frozen_rk4(s, form, spec, dt):
     k2, d2, w2 = rhs_and_rates(c + 0.5 * dt * k1)
     k3, d3, w3 = rhs_and_rates(c + 0.5 * dt * k2)
     k4, d4, w4 = rhs_and_rates(c + dt * k3)
-    c_new = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    hist = s.hist.copy()
+    hist[5 - s.slot] = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     diss = dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
     work = dt / 6.0 * (w1 + 2 * w2 + 2 * w3 + w4)
-    return _Frozen(c_new, s.t + dt, s.step + 1, s.work_integral + work,
-                   s.diss_integral + diss, s.energy0, None)
+    return s.after(hist, False, dt, work, diss)
 
 
-def _frozen_run(cfg, form, spec, states):
-    """``run_batch``'s loop on the frozen steps: per row, its samples, records
-    and (work, dissipation) integrals at each sample, and for each row that
-    went non-finite its error's (step, t, max_abs_c, ledger_residual) and
-    last finite coefficients."""
-    c = np.array([s.coeffs for s in states])
+def _frozen_run(cfg, form, spec, states, step=None):
+    """``run_batch``'s loop on the frozen steps (or on ``step``): per row, its
+    samples, records and (work, dissipation) integrals at each sample, and for
+    each row that went non-finite its error's (step, t, max_abs_c,
+    ledger_residual) and last finite coefficients."""
+    hist = np.zeros((6, len(states), states[0].coeffs.size))
+    hist[4] = [s.coeffs for s in states]
+    c = hist[4]
     zero = np.zeros(len(states))
-    s = _Frozen(c, states[0].t, 0, zero, zero, 0.5 * np.einsum("kn,kn->k", c, c), None)
-    step = _frozen_imex if cfg.scheme == "imex_cnab2" else _frozen_rk4
+    s = _Frozen(hist, 0, False, states[0].t, 0, zero, zero, 0.5 * np.einsum("kn,kn->k", c, c))
+    if step is None:
+        step = _frozen_imex if cfg.scheme == "imex_cnab2" else _frozen_rk4
     n_steps = int(round(cfg.t_end / cfg.dt))
     live = list(range(len(states)))
     out = {i: ([], [], []) for i in live}
@@ -676,6 +717,51 @@ def test_diverging_rows_freeze_as_with_the_frozen_steps(sphere8, form1, spec0, t
         assert sorted(diverged) == [0, 2] and 1 < diverged[0].step < diverged[2].step
 
 
+def test_run_batch_matches_the_cnab2_formula_it_replaced(sphere8, form1, formv, kb, tr8):
+    # the stage rows round differently from combining the terms first; every
+    # step from the first, on the diagonal, order-pair and dense storages
+    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    states = [random_band_limited(tr8, 90 + i, norm_killing=0.4, norm_nonkilling=1.0)
+              for i in range(8)]
+    cfg = StepperConfig(dt=1e-3, t_end=0.03, stride=1)
+    for form in (form1, formv, _dense_form(sphere8, 8)):
+        for k in (1, 3, 8):
+            ledgers = []
+            trajectories, diverged = run_batch(cfg, sphere8, form, spec, states[:k],
+                                               _ledger_capture(ledgers))
+            ref, failed = _frozen_run(cfg, form, spec, states[:k], _cnab2_oracle)
+            assert not diverged and not failed
+            for (samples, _), (want, _, ledger) in zip(trajectories, ref.values()):
+                want = np.array(want)
+                assert np.abs(samples - want).max() <= 1e-13 * np.abs(want).max()
+            want = np.array([[ref[i][2][n] for i in range(k)] for n in range(len(ledgers))])
+            assert np.abs(np.array(ledgers) - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_kept_workspace_steps_allocate_nothing(k, sphere16):
+    # 200 IMEX steps in one workspace, on the order-pair and the dense form:
+    # no step allocates a stack, a gathered block stack or a block product.
+    # At L = 16 one row (2.3 kB) outweighs the bookkeeping of numpy's calls
+    # (about 1.2 kB at once), which at L = 8 (0.6 kB a row) it does not
+    tr, kb = get_transform(sphere16, 16), killing_basis(sphere16)
+    spec = make_catalog_forcing("f2_minus", {"v": tr.toroidal_basis_field(2, 1)}, kb)
+    nu = geo.ViscosityField(sphere16, 1.0 + 0.5 * sphere16.nodes[:, 2])
+    for form in (assemble_stokes(sphere16, nu, 16), _dense_form(sphere16, 16)):
+        sim = SimState([random_band_limited(tr, 120 + i) for i in range(k)], dt=1e-3)
+        ws = _Workspace(form, sim)
+        for _ in range(2):      # the first step and one Adams-Bashforth step fill the caches
+            sim = step_imex(sim, form, spec, 1e-3, ws)
+        tracemalloc.start()
+        try:
+            for _ in range(200):
+                sim = step_imex(sim, form, spec, 1e-3, ws)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < sim.c.nbytes
+
+
 def _snapshot(trajectories, diverged):
     """Copies of everything a run returned."""
     errs = {i: (e.last_state.c.copy(), e.last_state.diss_integral.copy(),
@@ -712,13 +798,12 @@ def test_a_public_step_leaves_its_input_untouched(stepper, sphere8, formv, kb, t
     sim = SimState([random_band_limited(tr8, 64 + i) for i in range(3)], dt=1e-3)
     for _ in range(3):          # the first step, then Adams-Bashforth steps
         before = [np.copy(a) for a in (sim.c, sim.work_integral, sim.diss_integral)]
-        prev = None if sim._prev is None else sim._prev.copy()
+        hist, ab2 = sim.hist.copy(), sim.ab2
         new = stepper(sim, formv, spec, 1e-3)
-        assert new is not sim and not np.shares_memory(new.c, sim.c)
+        assert new is not sim and not np.shares_memory(new.hist, sim.hist)
         for a, b in zip((sim.c, sim.work_integral, sim.diss_integral), before):
             assert a.tobytes() == b.tobytes()
-        assert (prev is None) == (sim._prev is None)
-        assert prev is None or sim._prev.tobytes() == prev.tobytes()
+        assert sim.ab2 == ab2 and sim.hist.tobytes() == hist.tobytes()
         sim = step_imex(sim, formv, spec, 1e-3) if stepper is step_rk4 else new
 
 
