@@ -20,7 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import GeometryError, GridMismatchError, ParameterError
-from ._legendre import plm_tables
+from ._legendre import gauss_legendre, plm_tables
 
 SPHERE = "sphere"
 TORUS = "torus"
@@ -38,7 +38,7 @@ L_MAX = 64
 R_MIN, R_MAX = 1e-8, 1e8
 
 # Largest torus grid size along either angle: `surfns korn` on the 352 x 352
-# torus takes 0.07 s and peaks at 55 MB RSS (2-core VM); nodal arrays grow
+# torus takes 0.045 s and peaks at 51 MB RSS (2-core VM); nodal arrays grow
 # with n_pol * n_tor.
 TORUS_N_MAX = 352
 
@@ -163,10 +163,11 @@ def grid_truncation(grid):
 def build_sphere_grid(L, R):
     """Sphere grid sized for truncation degree L.
 
-    Latitudes are Gauss-Legendre points in cos(theta) (poles excluded),
-    longitudes uniform.  The resolution is ``dealias_rule(L)``, so
-    quadratic nonlinearities of degree-L fields are integrated exactly;
-    weights sum to 4 pi R^2 to rounding.
+    Latitudes are Gauss-Legendre points in cos(theta) (poles excluded,
+    the rule of ``_legendre.gauss_legendre``), longitudes uniform.  The
+    resolution is ``dealias_rule(L)``, so quadratic nonlinearities of
+    degree-L fields are integrated exactly; weights sum to 4 pi R^2 to
+    rounding.
     """
     if int(L) != L or not 2 <= L <= L_MAX:
         raise ParameterError(
@@ -175,7 +176,7 @@ def build_sphere_grid(L, R):
         raise ParameterError(f"radius must lie in [{R_MIN:g}, {R_MAX:g}], got {R}")
     M, n_lat, n_lon = dealias_rule(int(L))
 
-    glx, glw = np.polynomial.legendre.leggauss(n_lat)
+    glx, glw = gauss_legendre(n_lat)
     theta = np.arccos(glx)
     phi = 2.0 * np.pi * np.arange(n_lon) / n_lon
 
@@ -379,15 +380,6 @@ class SphereEngine:
     def analyze(self, f, comps=slice(None)):
         """Coefficient stack (k, n) of nodal f (n_comps, k, n_nodes) by quadrature."""
         return self.adjoint(f * self.weights, comps)
-
-    def sq_norms(self, comps=slice(None)):
-        """Quadrature of sum_c f_c^2 over the nodes, per unit coefficient."""
-        X2 = self.X[:, :, comps] ** 2
-        T2 = self.trig[comps].reshape(X2.shape[2], -1, 4, self.n_lon) ** 2
-        W = self.weights.reshape(self.n_lat, self.n_lon)
-        norms = np.einsum("prci,ij,cpsj->psr", X2, W, T2, optimize=True)
-        pair, sub, row = self._index
-        return norms[pair, sub, row]
 
 
 def _scalar_engine(grid):

@@ -28,8 +28,11 @@ A weight constant along latitude rows couples no two signed orders, so its
 forms are stored per order, in the slot table of ``SphereTransform``.
 """
 
+from functools import partial
+
 import numpy as np
 
+from ._legendre import plm_tables
 from .errors import GridMismatchError, ParameterError
 from .geometry import SPHERE, SphereEngine, TangentialField, dealias_rule  # noqa: F401 (public)
 
@@ -98,10 +101,10 @@ class SphereTransform:
     (l, m) with its cos (s = 0) or sin (s = 1) part where ``slot_valid``;
     the other slots (l < max(1, m), and the whole sine row of m = 0) read
     mode 0.  ``strain_norm2`` holds ||eps(Phi)||_{L2}^2 per degree
-    l = 1..L, the same for every order: the diagonal of the zonal form at
-    unit weight.  Immutable after
-    construction; transforms are pure functions of their inputs and safe to
-    call concurrently.
+    l = 1..L and ``grad_norm2`` ||grad Phi||_{L2}^2 per mode: the tables of
+    ``degree_norms``, read off the engine's order-0 profiles.  Immutable
+    after construction; transforms are pure functions of their inputs and
+    safe to call concurrently.
     """
 
     FIELD = slice(0, 2)     # u_theta, u_phi
@@ -109,15 +112,11 @@ class SphereTransform:
     GRAD = slice(3, 7)      # T_00, T_01, T_10, T_11 of the covariant derivative
 
     def __init__(self, grid, L):
-        if grid.kind != SPHERE:
-            raise ParameterError("spectral vector transforms are sphere-only")
-        if L < 1 or grid.max_degree < L:
-            raise ParameterError(
-                f"grid resolves degree {grid.max_degree} < requested L={L}")
+        _check_degree(grid, L)
         self.grid = grid
         self.L = int(L)
         self.n_modes = n_modes(self.L)
-        self.engine = SphereEngine(grid, 1, self.L, self._profiles,
+        self.engine = SphereEngine(grid, 1, self.L, partial(_profiles, grid),
                                    (True, False, False, True, False, False, True), grid.weights)
         order, part, self.mode_l = self.engine.layout
         self.mode_m = np.where(part, -order, order)
@@ -126,40 +125,10 @@ class SphereTransform:
         self.slot_mode[slot] = np.arange(self.n_modes)
         self.slot_valid = np.zeros(self.slot_mode.shape, dtype=bool)
         self.slot_valid[slot] = True
-        self.strain_norm2 = np.diagonal(self._order_forms(grid.weights, [0])[0, 0])[1:]
-        self._grad_norm2 = None
-
-    def _profiles(self, m, l, P, dP, d2P):
-        """Latitude profiles (A, B, omega, dA, mixTF, dB, mixFF) of the modes
-        of order m and degree l, from their Legendre tables.
-
-        u = (A trig', B trig) per mode, with trig' the quarter-shifted
-        longitude factor.  Phi_lm is n x grad of Y_lm / sqrt(l(l+1)), so its
-        vorticity is -l(l+1)/R^2 times that stream function, in phase.  The
-        covariant derivative follows in closed form in spherical
-        coordinates, cross-validated against the ambient-interpolant route of
-        the geometry module.
-        """
-        g = self.grid
-        # degree 0 is outside the layout, so its profiles are never read
-        q = np.where(m > 0, np.sqrt(2.0), 1.0) / np.sqrt(np.maximum(l * (l + 1), 1))
-        s = np.sin(g.lat)
-        x = np.cos(g.lat)
-        A = q * m * P / (g.R * s)
-        B = q * dP / g.R
-        omega = -l * (l + 1) * q * P / g.R ** 2
-        dA = q * m * (dP * s - P * x) / (g.R * s) ** 2
-        dB = q * d2P / g.R ** 2
-        mixTF = (m * A - x * B) / (g.R * s)
-        mixFF = (x * A - m * B) / (g.R * s)
-        return A, B, omega, dA, mixTF, dB, mixFF
-
-    @property
-    def grad_norm2(self):
-        """||grad Phi_k||_{L2}^2 per mode (used for H1 norms of states)."""
-        if self._grad_norm2 is None:
-            self._grad_norm2 = self.engine.sq_norms(self.GRAD)
-        return self._grad_norm2
+        # order 0 is pair 0 of the engine's table, its row l degree l
+        _, mixTF, dB, _ = self.engine.X[0, :, self.GRAD].swapaxes(0, 1)
+        self.strain_norm2, grad = _zonal_norms(grid, mixTF, dB)
+        self.grad_norm2 = grad[self.mode_l - 1]
 
     # -- transforms ----------------------------------------------------------
 
@@ -241,6 +210,70 @@ class SphereTransform:
             T[1] = T[2] = 0.5 * (T[1] + T[2])      # the rate of strain
             F[:, start:start + probe.shape[0]] = self.engine.adjoint(T * weight, self.GRAD).T
         return 0.5 * (F + F.T)
+
+
+def _check_degree(grid, L):
+    if grid.kind != SPHERE:
+        raise ParameterError("spectral vector transforms are sphere-only")
+    if L < 1 or grid.max_degree < L:
+        raise ParameterError(
+            f"grid resolves degree {grid.max_degree} < requested L={L}")
+
+
+def _profiles(g, m, l, P, dP, d2P):
+    """Latitude profiles (A, B, omega, dA, mixTF, dB, mixFF) on the grid g of
+    the modes of order m and degree l, from their Legendre tables.
+
+    u = (A trig', B trig) per mode, with trig' the quarter-shifted
+    longitude factor.  Phi_lm is n x grad of Y_lm / sqrt(l(l+1)), so its
+    vorticity is -l(l+1)/R^2 times that stream function, in phase.  The
+    covariant derivative follows in closed form in spherical
+    coordinates, cross-validated against the ambient-interpolant route of
+    the geometry module.
+    """
+    # degree 0 is outside the layout, so its profiles are never read
+    q = np.where(m > 0, np.sqrt(2.0), 1.0) / np.sqrt(np.maximum(l * (l + 1), 1))
+    s = np.sin(g.lat)
+    x = np.cos(g.lat)
+    A = q * m * P / (g.R * s)
+    B = q * dP / g.R
+    omega = -l * (l + 1) * q * P / g.R ** 2
+    dA = q * m * (dP * s - P * x) / (g.R * s) ** 2
+    dB = q * d2P / g.R ** 2
+    mixTF = (m * A - x * B) / (g.R * s)
+    mixFF = (x * A - m * B) / (g.R * s)
+    return A, B, omega, dA, mixTF, dB, mixFF
+
+
+def degree_norms(grid, L):
+    """(||eps(Phi_l)||^2, ||grad Phi_l||^2), each per degree l = 1..L.
+
+    The sphere is rotation-invariant, so every order of degree l has the
+    norms of the zonal mode (l, 0), and those need only the order-0 column
+    of the Legendre tables: no transform.
+    """
+    _check_degree(grid, L)
+    l = np.arange(L + 1)[:, None]
+    P, dP, d2P = plm_tables(L, grid.glx, 0)[:, 0]
+    _, _, _, _, mixTF, dB, _ = _profiles(grid, np.zeros_like(l), l, P, dP, d2P)
+    return _zonal_norms(grid, mixTF, dB)
+
+
+def _zonal_norms(grid, mixTF, dB):
+    """``degree_norms`` from the zonal profiles mixTF and dB of degrees 0..L.
+
+    At m = 0 the shifted components (dA, mixFF) carry sin(0 phi) = 0 and the
+    in-phase ones cos(0 phi) = 1 at each of the n_lon longitudes, so the
+    strain is the off-diagonal entry e = (mixTF + dB) / 2, counted twice in
+    eps:eps.  The strain norms are the diagonal of the Gram product
+    (e w) e^T over the latitudes, the product ``SphereTransform._order_forms``
+    runs on order 0, and so the same bits.
+    """
+    w = np.reshape(grid.weights, (grid.n_lat, -1))[:, 0]
+    e = 0.5 * (mixTF + dB)
+    strain = 2.0 * grid.n_lon * np.diagonal((e * w) @ e.T)
+    grad = grid.n_lon * ((mixTF * mixTF + dB * dB) @ w)
+    return strain[1:], grad[1:]
 
 
 def get_transform(grid, L):

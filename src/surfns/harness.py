@@ -11,7 +11,6 @@ single thread.  Determinism contract: identical config and seed produce
 byte-identical CSV output; the CLI's --threads setting has no effect on it.
 """
 
-import hashlib
 import io
 import json
 import math
@@ -200,6 +199,9 @@ def _fmt(v):
 
 
 def config_hash(cfg):
+    # imported here: only a scenario's report hashes its config, and hashlib
+    # loads OpenSSL, which the static commands (spectrum, korn) need not
+    import hashlib
     return hashlib.sha256(config_text(cfg).encode()).hexdigest()[:16]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConsistencyError, GridMismatchError, ParameterError
 from . import geometry as geo
 from .geometry import SPHERE, TORUS, TangentialField, grid_truncation
-from .harmonics import get_transform
+from .harmonics import degree_norms, get_transform
 
 
 class KillingBasis:
@@ -98,8 +98,10 @@ def korn_constant(grid, L=None, fourier_cap=8):
 
     On the sphere the space is the toroidal modes with 2 <= l <= L; the
     modes of one degree span a rotation-invariant space, so both forms are
-    diagonal and the eigenvalues are the per-mode quotients
-    (1 + ||grad Phi||^2) / ||eps(Phi)||^2.  On the torus it is a
+    diagonal and the eigenvalues are the quotients
+    (1 + ||grad Phi_l||^2) / ||eps(Phi_l)||^2, each shared by the 2l + 1
+    modes of degree l and read off the zonal mode by ``degree_norms``,
+    with no transform.  On the torus it is a
     stream-function Fourier family plus the harmonic circulation
     generators, solved by a Cholesky-reduced generalized eigenproblem
     (``_korn_eigvals``) per toroidal wavenumber |jt| <= ``fourier_cap``;
@@ -116,17 +118,15 @@ def korn_constant(grid, L=None, fourier_cap=8):
 
 
 def _korn_sphere(grid, L):
-    tr = get_transform(grid, L)
-    # every mode of degree l has the strain norm of the zonal mode (l, 0)
-    strain = tr.strain_norm2
+    strain, grad = degree_norms(grid, L)
     if abs(strain[0]) > 1e-8:
         raise ConsistencyError(
             "singular strain form: a Killing mode leaked into the l >= 2 block")
-    # the non-Killing modes (l >= 2) follow the three of degree 1
-    quotient = (1.0 + tr.grad_norm2[3:]) / strain[tr.mode_l[3:] - 1]
-    mu = np.sort(quotient)
-    per_degree = {l: float(quotient[k - 3]) for l, k in enumerate(tr.slot_mode[0, 1:], start=2)}
-    return KornResult(float(np.sqrt(mu[-1])), per_degree, mu)
+    # the non-Killing degrees l >= 2, each with 2l + 1 modes
+    degrees = np.arange(2, L + 1)
+    quotient = (1.0 + grad[1:]) / strain[1:]
+    mu = np.sort(np.repeat(quotient, 2 * degrees + 1))
+    return KornResult(float(np.sqrt(mu[-1])), dict(zip(degrees.tolist(), quotient.tolist())), mu)
 
 
 def _korn_torus(grid, cap):

@@ -46,10 +46,21 @@ class StokesForm:
         self.nu_min = nu.nu_min
         self._solve_ops = {}            # per dt: the operator of ``cn_solve``
         self._rho_full = None
+        # per stack height: indices and buffers (not reentrant), or on the
+        # diagonal form A and the ``cn_solve`` operators tiled to k rows
+        self._flat = {}
         if blocks is None:
             self._diag = self.nu_min * self.D       # A itself
-            return
-        self._flat = {}                 # per stack height: indices and buffers (not reentrant)
+
+    def _tiled(self, k, dt=None):
+        """The diagonal form's A, or its ``cn_solve`` operator of ``dt``, tiled
+        to k rows: a product with a (k, n_modes) stack then broadcasts nothing,
+        and numpy buffers (so allocates for) a small broadcast."""
+        key = (k, dt)
+        if key not in self._flat:
+            op = self._diag if dt is None else self._solve_ops[dt]
+            self._flat[key] = np.repeat(op[..., None, :], k, axis=-2)
+        return self._flat[key]
 
     def _indices(self, k):
         """For a stack of height k: the flat gather of the blocks' (block, row,
@@ -68,7 +79,7 @@ class StokesForm:
     def apply(self, c, out=None):
         """A c for every row of a (k, n_modes) coefficient stack (into ``out``)."""
         if self.blocks is None:
-            return np.multiply(c, self._diag, out=out)
+            return np.multiply(c, self._tiled(c.shape[0]), out=out)
         gather, g, p, scatter = self._indices(c.shape[0])[:4]
         # symmetric blocks
         np.matmul(c.take(gather, out=g, mode="clip"), self.blocks, out=p)
@@ -84,7 +95,7 @@ class StokesForm:
         if op is None:
             if self.blocks is None:
                 r = 1.0 / (1.0 + a * self._diag)
-                op = np.stack((2.0 * r, a * self._diag * r))[:, None]
+                op = np.stack((2.0 * r, a * self._diag * r))
             else:
                 n = self.blocks.shape[1]
                 op = np.empty(self.blocks.shape[:2] + (2 * n,))
@@ -92,7 +103,11 @@ class StokesForm:
                 op[..., n:] = op[..., :n] @ (0.5 * a * self.blocks)
             self._solve_ops[dt] = op
         if self.blocks is None:
-            return np.multiply(op, y, out=out)
+            op = self._tiled(y.shape[0], dt)
+            out = np.empty((2,) + y.shape) if out is None else out
+            np.multiply(op[0], y, out=out[0])
+            np.multiply(op[1], y, out=out[1])
+            return out
         gather, g, _, _, p, scatter = self._indices(y.shape[0])
         np.matmul(y.take(gather, out=g, mode="clip"), op, out=p)
         return p.take(scatter, out=out, mode="clip")

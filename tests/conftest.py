@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import surfns
 from surfns import geometry as geo
 from surfns.harmonics import get_transform, mode_index
 
@@ -16,6 +22,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def fresh_modules():
+    """Run a Python snippet in a fresh interpreter that imports the package
+    from this checkout, and return the names of the modules loaded when the
+    snippet ends.  A snippet that raises fails the calling test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(surfns.__file__)))
+
+    def run(code):
+        code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,15 @@ Parseval, reality, the dual-route gradient profiles, the per-order slot
 table, the order-paired engine against a padded reference, and table
 memory."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from surfns import geometry as geo
 from surfns.errors import ParameterError
-from surfns.harmonics import (SpectralState, dealias_rule, get_transform,
-                              mode_index, n_modes, random_band_limited)
+from surfns.harmonics import (SpectralState, _profiles, dealias_rule, degree_norms,
+                              get_transform, mode_index, n_modes, random_band_limited)
 from surfns.operators import convective_term
 from surfns._legendre import plm_tables
 
@@ -237,6 +239,41 @@ def test_grad_norm_table_closed_form(sphere8, tr8):
         assert tr8.grad_norm2[k] == pytest.approx(l * (l + 1) - 1.0, abs=1e-10)
 
 
+def sq_norms(eng, comps):
+    """Oracle: the engine's own route to the per-mode quadrature of
+    sum_c f_c^2 over its components, one einsum over every order."""
+    X2 = eng.X[:, :, comps] ** 2
+    T2 = eng.trig[comps].reshape(X2.shape[2], -1, 4, eng.n_lon) ** 2
+    W = eng.weights.reshape(eng.n_lat, eng.n_lon)
+    norms = np.einsum("prci,ij,cpsj->psr", X2, W, T2, optimize=True)
+    pair, sub, row = eng._index
+    return norms[pair, sub, row]
+
+
+@pytest.mark.parametrize("L", [8, 16, 32, 64])
+def test_degree_norms_match_the_transform_routes(L, sphere64):
+    # strain: the same Gram product as the order-0 form, so the same bits;
+    # gradient: every order of a degree against the per-mode einsum, and the
+    # closed form (l(l+1) - 1) / R^2
+    grid = sphere64[2.0] if L == 64 else geo.build_sphere_grid(L, 2.0)
+    tr = get_transform(grid, L)
+    strain, grad = degree_norms(grid, L)
+    assert strain.tobytes() == np.diagonal(tr._order_forms(grid.weights, [0])[0, 0])[1:].tobytes()
+    assert strain.tobytes() == tr.strain_norm2.tobytes()
+    per_mode = sq_norms(tr.engine, tr.GRAD)
+    assert np.abs(grad[tr.mode_l - 1] / per_mode - 1.0).max() <= 1e-12
+    l = np.arange(1, L + 1)
+    assert np.abs(grad * grid.R ** 2 / (l * (l + 1) - 1.0) - 1.0).max() <= 1e-12
+    np.testing.assert_array_equal(tr.grad_norm2, grad[tr.mode_l - 1])
+
+
+def test_degree_norms_need_a_resolving_sphere(sphere8, torus64):
+    with pytest.raises(ParameterError):
+        degree_norms(sphere8, sphere8.max_degree + 1)
+    with pytest.raises(ParameterError):
+        degree_norms(torus64, 4)
+
+
 def _h1_norm2(tr, s):
     """||u||_{H1}^2 via Parseval plus per-mode gradient energies."""
     return float(np.dot(1.0 + tr.grad_norm2, s.coeffs ** 2))
@@ -380,7 +417,7 @@ def test_paired_engine_matches_padded_reference(L):
     tr = get_transform(grid, L)
     rng = np.random.default_rng(L)
     for eng, lmin, lmax, profiles, shifted in (
-            (tr.engine, 1, L, tr._profiles, TOROIDAL_SHIFTED),
+            (tr.engine, 1, L, partial(_profiles, grid), TOROIDAL_SHIFTED),
             (geo._scalar_engine(grid), 0, grid.max_degree, _scalar_profiles(grid), SCALAR_SHIFTED)):
         S = _padded_synthesis(grid, lmin, lmax, profiles, shifted)
         scale = np.abs(S).max()

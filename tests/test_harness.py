@@ -1,12 +1,9 @@
 """Config schema, checkpoint format, CSV determinism, scenarios, CLI."""
 
 import dataclasses
-import json
 import os
 import re
 import struct
-import subprocess
-import sys
 import tracemalloc
 import zlib
 
@@ -395,21 +392,35 @@ def test_cli_korn_torus(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "torus C_P=2.17944947177"
 
 
-def test_cli_korn_loads_no_scipy(tmp_path):
+def _cli_snippet(command, path):
+    return ("from surfns import cli\n"
+            f"assert cli.main(['--quiet', {command!r}, {str(path)!r}]) == 0\n")
+
+
+def test_cli_korn_loads_no_scipy(tmp_path, fresh_modules):
     # numpy is the only runtime dependency: a fresh process that imports the
     # package and solves a Korn constant must never load scipy
     cfgfile = tmp_path / "korn.cfg"
     cfgfile.write_text("geometry.L = 8\n")
-    code = ("import json, sys, surfns\n"
-            "from surfns import cli\n"
-            f"status = cli.main(['--quiet', 'korn', {str(cfgfile)!r}])\n"
-            "print(json.dumps([status, sorted(m for m in sys.modules\n"
-            "                  if m == 'scipy' or m.startswith('scipy.'))]))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert json.loads(out.strip().splitlines()[-1]) == [0, []]
+    loaded = fresh_modules(_cli_snippet("korn", cfgfile))
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("korn", "geometry.L = 8\n"),
+    ("korn", "geometry.kind = torus\ngeometry.major = 2.0\ngeometry.minor = 0.5\n"
+             "geometry.n_pol = 16\ngeometry.n_tor = 16\n"),
+    ("spectrum", "geometry.L = 8\nnu.kind = linear_x3\nnu.value = 1.0\nnu.a = 0.5\n"),
+])
+def test_static_commands_load_no_optional_modules(tmp_path, fresh_modules, command, config):
+    # the sphere grid takes its Gauss-Legendre rule from _legendre, not from
+    # numpy.polynomial (six modules), and only a scenario's report hashes its
+    # config, so these commands never load hashlib and its OpenSSL
+    cfgfile = tmp_path / "static.cfg"
+    cfgfile.write_text(config)
+    loaded = fresh_modules(_cli_snippet(command, cfgfile))
+    for name in ("scipy", "numpy.polynomial", "hashlib"):
+        assert not [m for m in loaded if m == name or m.startswith(name + ".")], name
 
 
 def test_cli_decompose_pure_killing(tmp_path, sphere8, capsys):

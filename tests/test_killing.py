@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from surfns import geometry as geo
-from surfns import killing
+from surfns import harmonics, killing
 from surfns.errors import ConsistencyError, ParameterError
-from surfns.harmonics import get_transform, random_band_limited
+from surfns.harmonics import get_transform, mode_index, random_band_limited
 from surfns.killing import (_gram, _korn_eigvals, _torus_family,
                             killing_basis, killing_coefficients, korn_constant,
                             pk_project)
+from test_harmonics import sq_norms
 
 
 def _nodal_family(grid, cap):
@@ -193,6 +194,29 @@ def test_korn_inequality_random_samples(sphere16):
         lhs = geo.h1_norm(sphere16, v)
         rhs = res.c_p * geo.strain_norm(sphere16, v)
         assert lhs <= (1.0 + 1e-8) * rhs
+
+
+def test_sphere_korn_builds_no_transform(monkeypatch):
+    # the quotients come from the zonal modes alone; the oracle is the
+    # per-mode route through transforms, every order of every degree
+    grid = geo.build_sphere_grid(32, 1.0)
+    built, init = [], harmonics.SphereTransform.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(harmonics.SphereTransform, "__init__", counted)
+    results = {L: korn_constant(grid, L) for L in (2, 8, 16, 32)}
+    assert not built
+    monkeypatch.undo()
+    for L, res in results.items():
+        tr = get_transform(grid, L)
+        quotient = (1.0 + sq_norms(tr.engine, tr.GRAD)[3:]) / tr.strain_norm2[tr.mode_l[3:] - 1]
+        want = np.sort(quotient)
+        assert np.abs(res.eigenvalues - want).max() <= 1e-13 * want.max()
+        assert abs(res.c_p / np.sqrt(want[-1]) - 1.0) <= 1e-13
+        for l, q in res.per_degree.items():
+            assert abs(q / quotient[mode_index(L, l, 0) - 3] - 1.0) <= 1e-13
 
 
 def test_korn_bad_truncation(sphere8):

@@ -6,7 +6,8 @@ from math import factorial
 import numpy as np
 from scipy.special import lpmv
 
-from surfns._legendre import plm_tables
+from surfns._legendre import gauss_legendre, plm_tables
+from surfns.geometry import L_MAX, dealias_rule
 
 
 def _norm_const(l, m):
@@ -73,3 +74,45 @@ def test_pole_rejection():
     import pytest
     with pytest.raises(ValueError):
         plm_tables(4, np.array([0.0, 1.0]))
+
+
+def test_gauss_legendre_is_numpys_rule_bit_for_bit():
+    # the rule of every sphere grid, against numpy.polynomial's leggauss (a
+    # test-only import: the package itself never loads numpy.polynomial)
+    for L in range(2, L_MAX + 1):
+        n = dealias_rule(L).n_lat
+        x, w = gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes(), n
+
+
+def _p_per_degree(lmax, x):
+    """Oracle: p_lm by the modified forward-column recursion with the
+    coefficients of each degree made in its own step."""
+    s = np.sqrt(1.0 - x * x)
+    P = np.zeros((lmax + 1, lmax + 1, x.size))
+    pmm = np.full(x.size, np.sqrt(1.0 / (4.0 * np.pi)))
+    for m in range(lmax + 1):
+        if m > 0:
+            pmm = pmm * s * np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+        P[m, m] = pmm
+        if m + 1 <= lmax:
+            P[m, m + 1] = np.sqrt(2.0 * m + 3.0) * x * pmm
+    for l in range(2, lmax + 1):
+        ll, mm = float(l), np.arange(l - 1.0)[:, None]
+        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
+        b = np.sqrt((2.0 * ll + 1.0) * (ll - 1.0 + mm) * (ll - 1.0 - mm)
+                    / ((2.0 * ll - 3.0) * (ll * ll - mm * mm)))
+        P[:l - 1, l] = a * x * P[:l - 1, l - 1] - b * P[:l - 1, l - 2]
+    return P
+
+
+def test_tables_are_the_per_degree_recursion_bit_for_bit():
+    # and every order limit gives the same bits, so also the zonal column
+    # the Korn pass reads
+    for lmax in (0, 1, 2, 5, 33, 96):
+        x = gauss_legendre(lmax + 3)[0]
+        full = plm_tables(lmax, x)
+        assert full[0].tobytes() == _p_per_degree(lmax, x).tobytes()
+        for mmax in {0, min(1, lmax), lmax // 2}:
+            assert plm_tables(lmax, x, mmax).tobytes() == full[:, :mmax + 1].tobytes()

@@ -740,26 +740,29 @@ def test_run_batch_matches_the_cnab2_formula_it_replaced(sphere8, form1, formv, 
 
 @pytest.mark.parametrize("k", [1, 8])
 def test_kept_workspace_steps_allocate_nothing(k, sphere16):
-    # 200 IMEX steps in one workspace, on the order-pair and the dense form:
-    # no step allocates a stack, a gathered block stack or a block product.
-    # At L = 16 one row (2.3 kB) outweighs the bookkeeping of numpy's calls
-    # (about 1.2 kB at once), which at L = 8 (0.6 kB a row) it does not
+    # 200 IMEX and 200 RK4 steps in one workspace, on the diagonal, the
+    # order-pair and the dense form: no step allocates a stack, a gathered
+    # block stack, a block product or a broadcast buffer.  At L = 16 one row
+    # (2.3 kB) outweighs the bookkeeping of numpy's calls (about 1.2 kB at
+    # once for IMEX, 2.1 kB for RK4), which at L = 8 (0.6 kB a row) it does not
     tr, kb = get_transform(sphere16, 16), killing_basis(sphere16)
     spec = make_catalog_forcing("f2_minus", {"v": tr.toroidal_basis_field(2, 1)}, kb)
     nu = geo.ViscosityField(sphere16, 1.0 + 0.5 * sphere16.nodes[:, 2])
-    for form in (assemble_stokes(sphere16, nu, 16), _dense_form(sphere16, 16)):
-        sim = SimState([random_band_limited(tr, 120 + i) for i in range(k)], dt=1e-3)
-        ws = _Workspace(form, sim)
-        for _ in range(2):      # the first step and one Adams-Bashforth step fill the caches
-            sim = step_imex(sim, form, spec, 1e-3, ws)
-        tracemalloc.start()
-        try:
-            for _ in range(200):
-                sim = step_imex(sim, form, spec, 1e-3, ws)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - current < sim.c.nbytes
+    for form in (assemble_stokes(sphere16, geo.ViscosityField(sphere16, 1.0), 16),
+                 assemble_stokes(sphere16, nu, 16), _dense_form(sphere16, 16)):
+        for stepper in (step_imex, step_rk4):
+            sim = SimState([random_band_limited(tr, 120 + i) for i in range(k)], dt=1e-3)
+            ws = _Workspace(form, sim)
+            for _ in range(2):      # the first step and one Adams-Bashforth step fill the caches
+                sim = stepper(sim, form, spec, 1e-3, ws)
+            tracemalloc.start()
+            try:
+                for _ in range(200):
+                    sim = stepper(sim, form, spec, 1e-3, ws)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - current < sim.c.nbytes, stepper.__name__
 
 
 def _snapshot(trajectories, diverged):
