@@ -7,6 +7,7 @@ have no effect: ensembles, pairs and gap families integrate as one batch.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -40,6 +41,7 @@ def _global_options(parser, suppress=False):
         parser.add_argument("--quiet", action="store_true")
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(prog="surfns",
                                 description="surface-flow spectral simulator")

@@ -31,10 +31,12 @@ TORUS = "torus"
 L_MAX = 64
 
 # Radii accepted by both builders.  At 1e-8 and 1e8, `surfns run` with random
-# data at L = 4, 16 and 64 (dt = 1e-3) exits 0 unforced and under f5 (exit 3
-# at 1e8, where f5 grows at rate R - 1), and `surfns korn` gives a finite C_P;
-# at 1e-9 the L = 16 and 64 runs diverge at that dt.  Far outside, the squared
-# L2 norms of the Killing fields, about 8.4 R^4, over- or underflow near 1e+-77.
+# data at L = 4, 16 and 64 (dt = 1e-3, t_end = 0.01) exits 0 unforced and
+# under f5 (exit 3 at 1e8, where f5 grows at rate R - 1), and `surfns korn`
+# gives a finite C_P; at 1e-9 the L = 16 and 64 runs diverge at that dt, and
+# to t_end = 1 unforced runs exit 3 at R <= 1e-2 (step 24 at 1e-8).  Far
+# outside, the squared L2 norms of the rigid rotations, about 8.4 R^4 on the
+# sphere, over- or underflow near 1e+-77.
 R_MIN, R_MAX = 1e-8, 1e8
 
 # Largest torus grid size along either angle: `surfns korn` on the 352 x 352

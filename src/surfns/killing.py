@@ -1,10 +1,12 @@
 """Killing-field basis, the orthogonal projector onto it, and Korn constants.
 
 On the sphere the Killing fields are the rigid rotations P_G(omega x x)
-(dimension 3); on the torus of revolution the azimuthal rotation about the
-x3-axis is the only one (dimension 1, asserted by construction).  The basis
-is deterministic: fixed axis order e1, e2, e3, L2 normalization, then one
-Gram-Schmidt sweep to pin orthonormality to rounding.
+(dimension 3), which span exactly the degree-1 toroidal block: the unit
+rotation about e_j is the degree-1 combination in row j of
+``SPHERE_L1_MAP``, so the basis is synthesized from that exact map, axes in
+the order e1, e2, e3.  On the torus of revolution the azimuthal rotation
+about the x3-axis is the only one (dimension 1, asserted by construction),
+L2-normalized.
 """
 
 import numpy as np
@@ -14,6 +16,11 @@ from . import geometry as geo
 from .geometry import SPHERE, TORUS, TangentialField, grid_truncation
 from .harmonics import degree_norms, get_transform
 
+# Row j holds the coefficients on [(1,0), (1,1,cos), (1,1,sin)] of the unit
+# rotation about e_j: -Phi(1,1,cos), -Phi(1,1,sin) and -Phi(1,0).
+SPHERE_L1_MAP = -np.eye(3)[[1, 2, 0]]
+SPHERE_L1_MAP.setflags(write=False)
+
 
 class KillingBasis:
     """Orthonormal L2 basis of the Killing space of a grid."""
@@ -22,13 +29,8 @@ class KillingBasis:
         self.grid = grid
         self.fields = fields
         self.n = len(fields)
-        # coefficient rows of each basis field in the degree-1 toroidal block,
-        # from the transform a run on this grid builds anyway
-        if grid.kind == SPHERE:
-            tr = get_transform(grid, max(1, grid_truncation(grid)))
-            self.l1_map = np.stack([tr.analyze(v).coeffs[:3] for v in fields])
-        else:
-            self.l1_map = None
+        # coefficient rows of each basis field in the degree-1 toroidal block
+        self.l1_map = SPHERE_L1_MAP if grid.kind == SPHERE else None
 
     def alpha(self, c):
         """Killing coordinates of coefficient arrays ``c`` of shape
@@ -41,23 +43,15 @@ class KillingBasis:
 def killing_basis(grid):
     """Construct the orthonormal Killing basis of the supported geometries."""
     if grid.kind == SPHERE:
-        axes = np.eye(3)
-        raw = [geo.tangential_project(grid, np.cross(ax, grid.nodes)) for ax in axes]
+        tr = get_transform(grid, max(1, grid_truncation(grid)))
+        c = np.pad(SPHERE_L1_MAP, ((0, 0), (0, tr.n_modes - 3)))
+        fields = tr.engine.synthesize(c, tr.FIELD).transpose(1, 2, 0).copy()
     elif grid.kind == TORUS:
-        raw = [geo.tangential_project(grid, np.cross([0.0, 0.0, 1.0], grid.nodes))]
+        v = geo.tangential_project(grid, np.cross([0.0, 0.0, 1.0], grid.nodes))
+        fields = [v.comps / geo.l2_norm(grid, v)]
     else:
         raise ParameterError(f"unsupported geometry {grid.kind!r}")
-    fields = []
-    for v in raw:
-        c = v.comps.copy()
-        for w in fields:
-            c -= geo.l2_inner(grid, TangentialField(grid, c), w) * w.comps
-        # relative to the field's own norm, which scales as R^2
-        nrm = geo.l2_norm(grid, TangentialField(grid, c))
-        if nrm <= 1e-12 * geo.l2_norm(grid, v):
-            raise ConsistencyError("degenerate rotation field in Killing construction")
-        fields.append(TangentialField(grid, c / nrm))
-    return KillingBasis(grid, fields)
+    return KillingBasis(grid, [TangentialField(grid, u) for u in fields])
 
 
 def killing_coefficients(basis, u):

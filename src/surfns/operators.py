@@ -171,7 +171,6 @@ def assemble_stokes(grid, nu, L):
     # lambda_l is the same for every order: twice the unit-weight strain norm
     lam = np.zeros(L + 1)
     lam[1:] = 2.0 * tr.strain_norm2
-    lam[1] = max(lam[1], 0.0)
     if not np.ptp(nu.values):
         # 2 nu Def*Def is nu lambda_l on degree l: the form is its diagonal
         return StokesForm(grid, tr, nu, L, lam)

@@ -1,6 +1,7 @@
 """Config schema, checkpoint format, CSV determinism, scenarios, CLI."""
 
 import dataclasses
+import json
 import os
 import re
 import struct
@@ -432,6 +433,30 @@ def test_cli_decompose_pure_killing(tmp_path, sphere8, capsys):
     out = capsys.readouterr().out
     nk = [l for l in out.splitlines() if l.startswith("norm_uNK")][0]
     assert float(nk.split("=")[1]) <= 1e-12
+
+
+def test_cli_decompose_prints_the_exact_map(tmp_path, sphere8, capsys):
+    # alpha = (-c(1,1,cos), -c(1,1,sin), -c(1,0)) exactly; a degree-2 mode
+    # does not enter
+    s = SpectralState(8)
+    for (l, m), value in {(1, 0): 0.7, (1, 1): 0.3, (1, -1): -0.2, (2, 1): 0.4}.items():
+        s.set(l, m, value)
+    path = tmp_path / "state.snsk"
+    save_checkpoint(s, sphere8, str(path))
+    assert cli.main(["decompose", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:4] == ["alpha_%d = %.17g" % (j + 1, a) for j, a in enumerate((-0.3, 0.2, -0.7))]
+
+
+def test_cli_calls_share_no_flags(tmp_path):
+    # the parser is built once per process: a flag given to one call must
+    # not reach the next
+    scenario = get_scenario("killing_equilibrium")
+    assert cli.main(["--seed", "5", "scenario", scenario.name, "--out", str(tmp_path / "d1")]) == 0
+    assert cli.main(["scenario", scenario.name, "--out", str(tmp_path / "d2")]) == 0
+    hashes = [json.loads((tmp_path / d / f"{scenario.name}_report.json").read_text())["config_hash"]
+              for d in ("d1", "d2")]
+    assert hashes[1] == config_hash(scenario.config) != hashes[0]
 
 
 def _forge_header(path, drop_pairs=0, nan_at=None, **fields):

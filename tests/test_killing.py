@@ -9,7 +9,7 @@ from surfns import geometry as geo
 from surfns import harmonics, killing
 from surfns.errors import ConsistencyError, ParameterError
 from surfns.harmonics import get_transform, mode_index, random_band_limited
-from surfns.killing import (_gram, _korn_eigvals, _torus_family,
+from surfns.killing import (SPHERE_L1_MAP, _gram, _korn_eigvals, _torus_family,
                             killing_basis, killing_coefficients, korn_constant,
                             pk_project)
 from test_harmonics import sq_norms
@@ -54,6 +54,19 @@ def _at_nodes(grid, X, jt):
     return np.einsum("...pi,pj->...ij", X, trig).reshape(X.shape[:-2] + (grid.n_nodes,))
 
 
+def _nodal_rotations(grid):
+    """Oracle for the sphere's Killing basis: the rotation fields e_j x x at
+    every node, projected onto the tangent plane, then L2-normalized by one
+    Gram-Schmidt sweep in the axis order e1, e2, e3."""
+    fields = []
+    for axis in np.eye(3):
+        c = geo.tangential_project(grid, np.cross(axis, grid.nodes)).comps
+        for w in fields:
+            c = c - geo.l2_inner(grid, geo.TangentialField(grid, c), w) * w.comps
+        fields.append(geo.TangentialField(grid, c / geo.l2_norm(grid, geo.TangentialField(grid, c))))
+    return fields
+
+
 @pytest.fixture(scope="module")
 def kb(sphere8):
     return killing_basis(sphere8)
@@ -80,6 +93,24 @@ def test_sphere_normalization_oracle(sphere8, kb, rotation_field):
                    - np.sqrt(8 * np.pi / 3)) <= 1e-10
         dev = np.abs(np.abs(kb.fields[j].comps) - scale * np.abs(rot.comps)).max()
         assert dev <= 1e-10
+
+
+@pytest.mark.parametrize("L", [2, 8, 32, 64])
+@pytest.mark.parametrize("R", [1e-8, 1.0, 1.3, 1e8])
+def test_sphere_basis_is_the_exact_degree1_map(L, R):
+    # oracle: the nodal rotation fields, analyzed onto the degree-1 block,
+    # give the map, and the basis synthesized from the map is those fields
+    grid = geo.build_sphere_grid(L, R)
+    kb = killing_basis(grid)
+    assert kb.l1_map.tobytes() == SPHERE_L1_MAP.tobytes()
+    oracle = _nodal_rotations(grid)
+    tr = get_transform(grid, geo.grid_truncation(grid))
+    analyzed = np.stack([tr.analyze(v).coeffs[:3] for v in oracle])
+    assert np.abs(analyzed - SPHERE_L1_MAP).max() <= 1e-14
+    for v, w in zip(kb.fields, oracle):
+        assert np.abs(v.comps - w.comps).max() <= 1e-13 * np.abs(w.comps).max()
+    gram = np.array([[geo.l2_inner(grid, a, b) for b in kb.fields] for a in kb.fields])
+    assert np.abs(gram - np.eye(3)).max() <= 1e-14
 
 
 def test_torus_killing(torus64):

@@ -522,5 +522,7 @@ def test_spectral_gap_meets_korn_bound(L, R, a):
     form = assemble_stokes(grid, nu, L)
     ev = form.eigenvalues()
     assert np.abs(ev[:3]).max() <= 1e-12 * ev[-1]
+    # lambda_1 sums (e_i w_i) e_i >= 0 with no clamp
+    assert form.lam_by_degree[1] >= 0.0
     sigma, c_p = _gap(form), korn_constant(grid, L).c_p
     assert sigma >= 2.0 * nu.nu_min / c_p ** 2 > 0.0
