@@ -18,12 +18,10 @@ from .errors import (CheckpointError, ConfigError, ConsistencyError,
 from .geometry import (SurfaceGrid, TangentialField, TangentialTensor,
                        ViscosityField, build_sphere_grid, build_torus_grid,
                        covariant_derivative, dealias_rule, h1_norm, l2_inner,
-                       l2_norm, rate_of_strain, strain_norm, surface_divergence,
-                       surface_gradient, tangential_project)
+                       l2_norm, rate_of_strain, strain_norm, tangential_project)
 from .harmonics import (SpectralState, SphereTransform, get_transform,
                         mode_index, random_band_limited)
-from .killing import (KillingBasis, killing_basis, killing_coefficients,
-                      korn_constant, pk_project)
+from .killing import KillingBasis, killing_basis, korn_constant
 from .operators import StokesForm, assemble_stokes, convective_term
 from .forcing import ForcingSpec, apply_forcing, make_catalog_forcing
 from .timestepper import (SimState, StepperConfig, run, run_batch, step_imex,

@@ -16,7 +16,7 @@ from . import geometry as geo
 from .harness import (Scenario, build_context, build_grid, build_viscosity,
                       execute_scenario, load_checkpoint, load_config,
                       run_ensemble, write_ensemble)
-from .killing import killing_basis, korn_constant
+from .killing import SPHERE_L1_MAP, korn_constant
 from .operators import assemble_stokes
 from .scenarios import get_scenario, list_scenarios
 
@@ -138,7 +138,9 @@ def _cmd_decompose(args):
     meta, state = load_checkpoint(args.checkpoint)
     if meta.kind != "sphere":
         raise ConfigError("decompose expects a sphere checkpoint")
-    alpha = killing_basis(geo.build_sphere_grid(meta.L, meta.R)).alpha(state.coeffs)
+    geo.check_sphere_size(meta.L, meta.R)
+    # the Killing coordinates, as ``KillingBasis.alpha`` reads them: no grid needed
+    alpha = state.coeffs[:3] @ SPHERE_L1_MAP.T
     print("t = %.17g" % state.t)
     for j, a in enumerate(alpha):
         print("alpha_%d = %.17g" % (j + 1, a))

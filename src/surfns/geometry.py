@@ -100,13 +100,6 @@ class TangentialField:
         self.grid = grid
         self.comps = comps
 
-    def ambient(self):
-        """Reconstruct the ambient R^3 vectors c1 e1 + c2 e2 (exactly tangent)."""
-        return self.comps[:, :1] * self.grid.e1 + self.comps[:, 1:] * self.grid.e2
-
-    def copy(self):
-        return TangentialField(self.grid, self.comps.copy())
-
 
 class TangentialTensor:
     """Tangential 2x2 tensor field in the frame, shape (n_nodes, 2, 2)."""
@@ -117,9 +110,6 @@ class TangentialTensor:
             raise GridMismatchError("tensor shape does not match grid")
         self.grid = grid
         self.comps = comps
-
-    def trace(self):
-        return self.comps[:, 0, 0] + self.comps[:, 1, 1]
 
     def sym(self):
         half = 0.5 * (self.comps + np.swapaxes(self.comps, 1, 2))
@@ -162,6 +152,16 @@ def grid_truncation(grid):
     return 2 * grid.max_degree // 3
 
 
+def check_sphere_size(L, R):
+    """Raise ParameterError unless the truncation degree L is an integer in
+    2..L_MAX and the radius R lies in [R_MIN, R_MAX]."""
+    if int(L) != L or not 2 <= L <= L_MAX:
+        raise ParameterError(
+            f"truncation degree must be an integer in 2..{L_MAX}, got {L}")
+    if not R_MIN <= R <= R_MAX:
+        raise ParameterError(f"radius must lie in [{R_MIN:g}, {R_MAX:g}], got {R}")
+
+
 def build_sphere_grid(L, R):
     """Sphere grid sized for truncation degree L.
 
@@ -171,11 +171,7 @@ def build_sphere_grid(L, R):
     degree-L fields are integrated exactly; weights sum to 4 pi R^2 to
     rounding.
     """
-    if int(L) != L or not 2 <= L <= L_MAX:
-        raise ParameterError(
-            f"truncation degree must be an integer in 2..{L_MAX}, got {L}")
-    if not R_MIN <= R <= R_MAX:
-        raise ParameterError(f"radius must lie in [{R_MIN:g}, {R_MAX:g}], got {R}")
+    check_sphere_size(L, R)
     M, n_lat, n_lon = dealias_rule(int(L))
 
     glx, glw = gauss_legendre(n_lat)
@@ -444,14 +440,6 @@ def _directional_derivatives(grid, f):
     return g.reshape(f.shape[:-1] + (2, grid.n_nodes))
 
 
-def surface_gradient(grid, p):
-    """Tangential gradient of a nodal scalar via the spectral interpolant."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (grid.n_nodes,):
-        raise GridMismatchError("scalar field must have one value per node")
-    return TangentialField(grid, _directional_derivatives(grid, p).T)
-
-
 def covariant_derivatives(grid, comps):
     """Covariant derivatives P (grad u_hat) P of a stack of nodal fields.
 
@@ -474,11 +462,6 @@ def covariant_derivative(grid, u):
         raise GridMismatchError("field is defined on a different grid")
     T = covariant_derivatives(grid, u.comps.T[None])[0]
     return TangentialTensor(grid, T.transpose(2, 0, 1))
-
-
-def surface_divergence(grid, u):
-    """Trace of the covariant derivative, one scalar per node."""
-    return covariant_derivative(grid, u).trace()
 
 
 def rate_of_strain(grid, u):

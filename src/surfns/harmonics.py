@@ -34,7 +34,7 @@ import numpy as np
 
 from ._legendre import plm_tables
 from .errors import GridMismatchError, ParameterError
-from .geometry import SPHERE, SphereEngine, TangentialField, dealias_rule  # noqa: F401 (public)
+from .geometry import SPHERE, SphereEngine, TangentialField
 
 _FORM_CHUNK = 32        # probes per matrix-free weak-form pass
 
@@ -68,21 +68,11 @@ class SpectralState:
         self.coeffs = coeffs
         self.t = float(t)
 
-    def copy(self):
-        return SpectralState(self.L, self.coeffs.copy(), self.t)
-
-    def norm(self):
-        """L2 norm of the represented field (Parseval)."""
-        return float(np.linalg.norm(self.coeffs))
-
     def killing_norm(self):
         return float(np.linalg.norm(self.coeffs[:3]))
 
     def nonkilling_norm(self):
         return float(np.linalg.norm(self.coeffs[3:]))
-
-    def get(self, l, m):
-        return float(self.coeffs[mode_index(self.L, l, m)])
 
     def set(self, l, m, value):
         self.coeffs[mode_index(self.L, l, m)] = value

@@ -1,4 +1,4 @@
-"""Killing-field basis, the orthogonal projector onto it, and Korn constants.
+"""Killing-field basis, its spectral coordinates, and Korn constants.
 
 On the sphere the Killing fields are the rigid rotations P_G(omega x x)
 (dimension 3), which span exactly the degree-1 toroidal block: the unit
@@ -11,7 +11,7 @@ L2-normalized.
 
 import numpy as np
 
-from .errors import ConsistencyError, GridMismatchError, ParameterError
+from .errors import ConsistencyError, ParameterError
 from . import geometry as geo
 from .geometry import SPHERE, TORUS, TangentialField, grid_truncation
 from .harmonics import degree_norms, get_transform
@@ -52,24 +52,6 @@ def killing_basis(grid):
     else:
         raise ParameterError(f"unsupported geometry {grid.kind!r}")
     return KillingBasis(grid, [TangentialField(grid, u) for u in fields])
-
-
-def killing_coefficients(basis, u):
-    """Coordinates alpha_j = (u, v_j) of the Killing component."""
-    if u.grid is not basis.grid:
-        raise GridMismatchError("field lives on a different grid")
-    return np.array([geo.l2_inner(basis.grid, u, v) for v in basis.fields])
-
-
-def pk_project(basis, u):
-    """Split u = u_K + u_NK by the orthogonal projector onto the Killing space."""
-    alpha = killing_coefficients(basis, u)
-    uk = np.zeros_like(u.comps)
-    for a, v in zip(alpha, basis.fields):
-        uk += a * v.comps
-    u_k = TangentialField(basis.grid, uk)
-    u_nk = TangentialField(basis.grid, u.comps - uk)
-    return u_k, u_nk
 
 
 class KornResult:

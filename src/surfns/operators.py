@@ -120,7 +120,10 @@ class StokesForm:
 
     def rho_explicit(self):
         """Spectral radius of the IMEX step's explicit part of A: 0, since the
-        step takes all of A implicitly."""
+        step takes all of A implicitly.  Its only callers are the benchmark's
+        set-up probes, ``Suite.setup`` and ``HighresL32.setup`` in
+        ``perfbench/workloads.py``.  Item 7 of ROADMAP.md (benchmark blind
+        spots) rewires them to build the step's operator; then this goes."""
         return 0.0
 
     def rho_full(self):

@@ -13,9 +13,10 @@ from surfns.diagnostics import (check_killing_identity, check_monotonicity,
 from surfns.errors import ParameterError
 from surfns.forcing import make_catalog_forcing
 from surfns.harmonics import SpectralState, random_band_limited
-from surfns.killing import killing_basis, killing_coefficients
+from surfns.killing import killing_basis
 from surfns.operators import assemble_stokes
 from surfns.timestepper import SimState, StepperConfig, run, step_imex
+from test_killing import killing_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +68,7 @@ def test_record_orthogonal_split(sphere8, kb, form1, spec0, tr8):
 def test_lambda_scale_invariance(sphere8, kb, form1, spec0, tr8):
     s = random_band_limited(tr8, 77)
     rec1 = record(form1, spec0, SimState([s]))[0]
-    s2 = s.copy()
-    s2.coeffs *= 37.5
+    s2 = SpectralState(8, 37.5 * s.coeffs)
     rec2 = record(form1, spec0, SimState([s2]))[0]
     assert abs(rec1.lam - rec2.lam) <= 1e-12 * max(rec1.lam, 1.0)
 
@@ -230,8 +230,7 @@ def test_dependence_linear_contraction(sphere8, form1, spec0, tr8):
     u0 = random_band_limited(tr8, 81, norm_killing=0.0, norm_nonkilling=1e-6)
     pert = random_band_limited(tr8, 82, norm_killing=0.0)
     pert.coeffs /= np.linalg.norm(pert.coeffs)
-    ub = u0.copy()
-    ub.coeffs = ub.coeffs + 1e-8 * pert.coeffs
+    ub = SpectralState(8, u0.coeffs + 1e-8 * pert.coeffs)
     cfg = StepperConfig(dt=1e-3, t_end=1.0, stride=20)
     ta = run(cfg, sphere8, form1, spec0, u0)
     tb = run(cfg, sphere8, form1, spec0, ub)
@@ -249,8 +248,7 @@ def test_dependence_gap_stability(sphere8, form1, kb, tr8):
     base = run(cfg, sphere8, form1, spec, u0)
     ratios = []
     for gap in (1e-2, 1e-3, 1e-4):
-        ub = u0.copy()
-        ub.coeffs = ub.coeffs + gap * pert.coeffs
+        ub = SpectralState(8, u0.coeffs + gap * pert.coeffs)
         traj = run(cfg, sphere8, form1, spec, ub)
         ratios.append(continuous_dependence_ratio(base, traj, 1.0, form1).sup_ratio)
     assert max(ratios) / min(ratios) <= 2.0

@@ -11,7 +11,8 @@ from surfns.forcing import (TAGS, _hypothesis_constants, apply_forcing,
                             make_catalog_forcing)
 from surfns.geometry import grid_truncation
 from surfns.harmonics import SpectralState, get_transform, n_modes, random_band_limited
-from surfns.killing import killing_basis, pk_project
+from surfns.killing import killing_basis
+from test_killing import pk_project
 
 
 # --- the Monte-Carlo audit: the sampled oracle for the derived constants -----

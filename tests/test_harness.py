@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfns import cli, harness, timestepper
+from surfns import cli, harmonics, harness, timestepper
 from surfns import geometry as geo
 from surfns.diagnostics import record
 from surfns.errors import CheckpointError, ConfigError, ParameterError
@@ -184,7 +184,7 @@ def test_checkpoint_resume_determinism(sphere8, tr8, tmp_path):
     _, resumed = load_checkpoint(str(path))
 
     from surfns.timestepper import step_imex
-    a = SimState([u0.copy()])
+    a = SimState([u0])
     b = SimState([resumed])
     for _ in range(10):
         a = step_imex(a, form, spec, 1e-3)
@@ -676,6 +676,39 @@ def test_cli_decompose_rejects_oversized_truncation(tmp_path, sphere8, capsys):
     assert load_checkpoint(str(path))[0].L == 65       # valid CRC and header
     assert cli.main(["decompose", str(path)]) == 2
     assert "2..64" in capsys.readouterr().err
+
+
+def test_cli_decompose_rejects_degree_one(tmp_path, sphere8, capsys):
+    path = tmp_path / "l1.snsk"
+    save_checkpoint(SpectralState(1, [0.1, 0.2, 0.3]), sphere8, str(path))
+    assert load_checkpoint(str(path))[0].L == 1        # valid CRC and header
+    assert cli.main(["decompose", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"2..{geo.L_MAX}" in err
+
+
+@pytest.mark.parametrize("L,expected", [
+    (8, ["t = 0.625", "alpha_1 = 1.3366427931811324", "alpha_2 = 1.3611067085649871",
+         "alpha_3 = 1.738266398496882", "norm_uK = 2.5808517006614298",
+         "norm_uNK = 9.5918622406254954"]),
+    (64, ["t = 0.625", "alpha_1 = 0.1796337624994572", "alpha_2 = 1.4365385331312464",
+          "alpha_3 = 0.52252417275460039", "norm_uK = 1.5391370169395133",
+          "norm_uNK = 64.45371427016677"]),
+])
+def test_cli_decompose_builds_no_grid_or_transform(tmp_path, sphere8_r2, capsys, monkeypatch,
+                                                   L, expected):
+    # alpha is the exact map of the stored degree-1 block; the expected lines
+    # are what decompose printed through a grid and its Killing basis
+    path = tmp_path / "state.snsk"
+    coeffs = np.random.default_rng(L).standard_normal(n_modes(L))
+    save_checkpoint(SpectralState(L, coeffs, t=0.625), sphere8_r2, str(path))
+
+    def refuse(*args):
+        raise AssertionError("decompose built a grid or a transform")
+    monkeypatch.setattr(geo, "build_sphere_grid", refuse)
+    monkeypatch.setattr(harmonics.SphereTransform, "__init__", refuse)
+    assert cli.main(["decompose", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize("radius,f5_exit", [(5e-7, 0), (geo.R_MIN, 0), (geo.R_MAX, 3)])

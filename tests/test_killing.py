@@ -1,6 +1,8 @@
-"""Killing basis, the orthogonal projector, and Korn constants."""
+"""Killing basis, its spectral coordinates against the nodal projector, and
+Korn constants."""
 
 import copy
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,11 +10,31 @@ import pytest
 from surfns import geometry as geo
 from surfns import harmonics, killing
 from surfns.errors import ConsistencyError, ParameterError
-from surfns.harmonics import get_transform, mode_index, random_band_limited
+from surfns.harmonics import SpectralState, get_transform, mode_index, random_band_limited
 from surfns.killing import (SPHERE_L1_MAP, _gram, _korn_eigvals, _torus_family,
-                            killing_basis, killing_coefficients, korn_constant,
-                            pk_project)
+                            killing_basis, korn_constant)
 from test_harmonics import sq_norms
+
+
+def killing_coefficients(basis, u):
+    """Oracle for ``KillingBasis.alpha``: the coordinates alpha_j = (u, v_j)
+    of a nodal field's Killing component, by quadrature."""
+    return np.array([geo.l2_inner(basis.grid, u, v) for v in basis.fields])
+
+
+def pk_project(basis, u):
+    """Split a nodal field u = u_K + u_NK by the orthogonal projector onto
+    the Killing space, by quadrature."""
+    uk = sum(a * v.comps for a, v in zip(killing_coefficients(basis, u), basis.fields))
+    return geo.TangentialField(basis.grid, uk), geo.TangentialField(basis.grid, u.comps - uk)
+
+
+def _spectral_split(tr, u):
+    """The solver's split of a nodal field: its degree-1 block and the rest,
+    synthesized."""
+    c = tr.analyze(u).coeffs
+    k = np.concatenate([c[:3], np.zeros(c.size - 3)])
+    return tr.synthesize(SpectralState(tr.L, k)), tr.synthesize(SpectralState(tr.L, c - k))
 
 
 def _nodal_family(grid, cap):
@@ -129,49 +151,59 @@ def test_unsupported_geometry_raises(sphere8):
         killing_basis(fake)
 
 
-def test_pk_project_basis_vector(sphere8, kb):
-    uk, unk = pk_project(kb, kb.fields[0])
-    assert np.abs(uk.comps - kb.fields[0].comps).max() <= 1e-12
-    assert np.abs(unk.comps).max() <= 1e-12
+def test_pk_project_basis_vector(sphere8, kb, tr8):
+    # the nodal projector and the solver's degree-1 split agree
+    for uk, unk in (pk_project(kb, kb.fields[0]), _spectral_split(tr8, kb.fields[0])):
+        assert np.abs(uk.comps - kb.fields[0].comps).max() <= 1e-12
+        assert np.abs(unk.comps).max() <= 1e-12
 
 
 def test_pk_project_toroidal_mode(sphere8, kb, tr8):
     f20 = tr8.toroidal_basis_field(2, 0)
-    uk, unk = pk_project(kb, f20)
-    assert geo.l2_norm(sphere8, uk) <= 1e-10
+    for uk, unk in (pk_project(kb, f20), _spectral_split(tr8, f20)):
+        assert geo.l2_norm(sphere8, uk) <= 1e-10
 
 
 def test_pk_project_pythagoras(sphere8, kb, tr8):
     f20 = tr8.toroidal_basis_field(2, 0)
     u = geo.TangentialField(sphere8, 2.0 * kb.fields[0].comps + f20.comps)
-    uk, unk = pk_project(kb, u)
-    assert geo.l2_norm(sphere8, uk) == pytest.approx(2.0, abs=1e-10)
-    assert geo.l2_norm(sphere8, unk) == pytest.approx(1.0, abs=1e-10)
-    assert np.abs(uk.comps + unk.comps - u.comps).max() <= 1e-12
-    for v in kb.fields:
-        assert abs(geo.l2_inner(sphere8, unk, v)) <= 1e-10
-    total = geo.l2_inner(sphere8, u, u)
-    split = geo.l2_inner(sphere8, uk, uk) + geo.l2_inner(sphere8, unk, unk)
-    assert abs(total - split) <= 1e-10 * total
+    splits = [pk_project(kb, u), _spectral_split(tr8, u)]
+    for uk, unk in splits:
+        assert geo.l2_norm(sphere8, uk) == pytest.approx(2.0, abs=1e-10)
+        assert geo.l2_norm(sphere8, unk) == pytest.approx(1.0, abs=1e-10)
+        assert np.abs(uk.comps + unk.comps - u.comps).max() <= 1e-12
+        for v in kb.fields:
+            assert abs(geo.l2_inner(sphere8, unk, v)) <= 1e-10
+        total = geo.l2_inner(sphere8, u, u)
+        split = geo.l2_inner(sphere8, uk, uk) + geo.l2_inner(sphere8, unk, unk)
+        assert abs(total - split) <= 1e-10 * total
+    assert np.abs(splits[0][0].comps - splits[1][0].comps).max() <= 1e-12
 
 
 def test_projector_idempotent(sphere8, kb, tr8):
     s = random_band_limited(tr8, 64)
     u = tr8.synthesize(s)
-    uk, _ = pk_project(kb, u)
-    uk2, rest = pk_project(kb, uk)
-    assert np.abs(uk2.comps - uk.comps).max() <= 1e-12
-    assert np.abs(rest.comps).max() <= 1e-12
+    for split in (partial(pk_project, kb), partial(_spectral_split, tr8)):
+        uk, _ = split(u)
+        uk2, rest = split(uk)
+        assert np.abs(uk2.comps - uk.comps).max() <= 1e-12
+        assert np.abs(rest.comps).max() <= 1e-12
+    # the solver's Killing part of s is its degree-1 block
+    k = SpectralState(8, np.concatenate([s.coeffs[:3], np.zeros(tr8.n_modes - 3)]))
+    assert np.abs(pk_project(kb, u)[0].comps - tr8.synthesize(k).comps).max() <= 1e-12
 
 
-def test_killing_coefficients_examples(sphere8, kb):
-    a = killing_coefficients(kb, kb.fields[1])
-    assert np.abs(a - [0.0, 1.0, 0.0]).max() <= 1e-12
+def test_killing_coefficients_examples(sphere8, kb, tr8):
+    # KillingBasis.alpha of each field's coefficients, against the nodal oracle
     zero = geo.TangentialField(sphere8, np.zeros((sphere8.n_nodes, 2)))
-    assert np.abs(killing_coefficients(kb, zero)).max() == 0.0
     combo = geo.TangentialField(
         sphere8, 3.0 * kb.fields[0].comps - 4.0 * kb.fields[2].comps)
-    assert np.linalg.norm(killing_coefficients(kb, combo)) == pytest.approx(5.0, abs=1e-10)
+    for u, want in ((kb.fields[1], [0.0, 1.0, 0.0]), (combo, [3.0, 0.0, -4.0])):
+        for a in (kb.alpha(tr8.analyze(u).coeffs), killing_coefficients(kb, u)):
+            assert np.abs(a - want).max() <= 1e-12
+            assert np.linalg.norm(a) == pytest.approx(np.linalg.norm(want), abs=1e-10)
+    assert np.abs(kb.alpha(tr8.analyze(zero).coeffs)).max() == 0.0
+    assert np.abs(killing_coefficients(kb, zero)).max() == 0.0
 
 
 def test_alpha_from_state_matches_quadrature(sphere8, kb, tr8):
