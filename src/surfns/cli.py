@@ -83,11 +83,9 @@ def _parser():
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     name = cfg["scenario.name"] or "run"
     scenario = Scenario(name, "config-file run", "single", cfg, [])
-    report = execute_scenario(scenario, out_dir=args.out, seed=None,
+    report = execute_scenario(scenario, out_dir=args.out, seed=args.seed,
                               quiet=args.quiet)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 

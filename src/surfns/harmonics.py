@@ -25,7 +25,7 @@ derivative (dA, mixTF, dB, mixFF): ``FIELD``, ``VORT`` (the field and
 omega, all the convective term needs) and ``GRAD`` select them.
 
 A weight constant along latitude rows couples no two signed orders, so its
-forms are stored per order, in the slot table of ``SphereTransform``.
+forms are stored per order, on its engine pair's rows (``order_forms``).
 """
 
 from functools import partial
@@ -86,12 +86,9 @@ class SphereTransform:
     (dA, mixTF, dB, mixFF), for every order and degree up to L: O(L^3)
     memory, and O(L^3) work per transform (see ``geometry.SphereEngine``).
     ``mode_l`` and ``mode_m`` give the degree and signed order (< 0 for a
-    sine) of each flat index, read off the engine's layout.  ``slot_mode``
-    (2L + 2, L) holds at row 2m + s and column l - 1 the flat index of mode
-    (l, m) with its cos (s = 0) or sin (s = 1) part where ``slot_valid``;
-    the other slots (l < max(1, m), and the whole sine row of m = 0) read
-    mode 0.  ``strain_norm2`` holds ||eps(Phi)||_{L2}^2 per degree
-    l = 1..L and ``grad_norm2`` ||grad Phi||_{L2}^2 per mode: the tables of
+    sine) of each flat index, read off the engine's layout.
+    ``strain_norm2`` holds ||eps(Phi)||_{L2}^2 per degree l = 1..L and
+    ``grad_norm2`` ||grad Phi||_{L2}^2 per mode: the tables of
     ``degree_norms``, read off the engine's order-0 profiles.  Immutable
     after construction; transforms are pure functions of their inputs and
     safe to call concurrently.
@@ -110,11 +107,6 @@ class SphereTransform:
                                    (True, False, False, True, False, False, True), grid.weights)
         order, part, self.mode_l = self.engine.layout
         self.mode_m = np.where(part, -order, order)
-        slot = (2 * order + part, self.mode_l - 1)
-        self.slot_mode = np.zeros((2 * self.L + 2, self.L), dtype=int)
-        self.slot_mode[slot] = np.arange(self.n_modes)
-        self.slot_valid = np.zeros(self.slot_mode.shape, dtype=bool)
-        self.slot_valid[slot] = True
         # order 0 is pair 0 of the engine's table, its row l degree l
         _, mixTF, dB, _ = self.engine.X[0, :, self.GRAD].swapaxes(0, 1)
         self.strain_norm2, grad = _zonal_norms(grid, mixTF, dB)
@@ -147,50 +139,38 @@ class SphereTransform:
         u = self.engine.synthesize(state.coeffs[None], self.FIELD)[:, 0]
         return TangentialField(self.grid, u.T)
 
-    def _order_forms(self, weight, orders):
-        """F of a weight constant along every latitude row on the orders
-        ``orders``, shape (order, sin part, degree, degree), degree 0 included.
+    def order_forms(self, weight):
+        """F of a weight constant along every latitude row, per signed order on
+        the rows of its engine pair: shape (order, sin part, row, row), degree l
+        of order m at row l - offset[m] of ``engine.placement``, symmetrized.
 
         Such a weight pairs cos/sin(m phi) only with itself, so F is one
         Gauss-Legendre sum per signed order over the strain profiles
         E = (dA, (mixTF + dB) / 2, mixFF):
         F[(l, m), (l', m)] = sum_i w_i sum_c tau_c E_c[m, l, i] E_c[m, l', i],
         where tau_c = sum_j trig_c(m phi_j)^2, doubled for the off-diagonal
-        strain entry, which appears twice in eps:eps.  Each order reads its
-        rows of the engine's order-pair table: O(L^3) work per order, and no
-        transform.
+        strain entry, which appears twice in eps:eps.  One Gram product per
+        engine pair, then one sum over c per order: O(L^4) work, and no
+        transform.  The sine part of m = 0 is zero: its trig sums meet a factor m.
         """
-        orders = np.asarray(orders)
-        pair, which, offset = (a[orders] for a in self.engine.placement)
-        X = self.engine.X[pair, :, self.GRAD]                   # (m, row, c, i)
+        pair, which, _ = self.engine.placement
+        X = self.engine.X[:, :, self.GRAD]                      # (pair, row, c, i)
         E = np.stack([X[:, :, 0], 0.5 * (X[:, :, 1] + X[:, :, 2]), X[:, :, 3]], 1)
         w = np.reshape(weight, (self.grid.n_lat, -1))[:, 0]
-        G = (E * w) @ E.swapaxes(-1, -2)                        # (m, c, row, row')
-        # degree l >= m of order m sits at row l - offset of its pair
-        Gm = np.zeros((orders.size, 3, self.L + 1, self.L + 1))
-        for j, (m, o) in enumerate(zip(orders, offset)):
-            Gm[j, :, m:, m:] = G[j, :, m - o:self.L + 1 - o, m - o:self.L + 1 - o]
+        G = (E * w) @ E.swapaxes(-1, -2)                        # (pair, c, row, row')
         trig = self.engine.trig[self.GRAD][[0, 1, 3]].reshape(3, -1, 2, 2, self.grid.n_lon)
         tau = (trig[:, pair, which] ** 2).sum(-1) * np.array([1.0, 2.0, 1.0])[:, None, None]
-        F = tau.transpose(1, 2, 0) @ Gm.reshape(orders.size, 3, -1)
-        return F.reshape(orders.size, 2, self.L + 1, self.L + 1)
-
-    def axisymmetric_form(self, weight):
-        """``gradient_form`` for a weight constant along every latitude row, as
-        per-order blocks (2L + 2, L, L) in slot order (see ``slot_mode``).
-        They are exactly zero on the invalid slots: the profiles vanish for
-        l < m, and at m = 0 the sine row's nonzero trig sums meet a factor m."""
-        full = self._order_forms(weight, np.arange(self.L + 1))
-        blocks = full.reshape(-1, self.L + 1, self.L + 1)[:, 1:, 1:]
-        return 0.5 * (blocks + blocks.swapaxes(-1, -2))
+        F = (tau.transpose(1, 2, 0) @ G[pair].reshape(pair.size, 3, -1)).reshape(
+            pair.size, 2, self.L + 1, self.L + 1)
+        return 0.5 * (F + F.swapaxes(-1, -2))
 
     def gradient_form(self, weight):
         """F[j, k] = sum_n weight_n eps(Phi_j):eps(Phi_k), dense and symmetrized.
 
         Matrix-free, F[:, K] = G^T(weight * eps(G e_K)) with G the gradient
         synthesis, over chunks of unit probes.  It serves any weight;
-        ``axisymmetric_form`` computes the per-order blocks without
-        transforms when the weight is constant along latitude rows.
+        ``order_forms`` computes the per-order blocks without transforms
+        when the weight is constant along latitude rows.
         """
         n = self.n_modes
         F = np.empty((n, n))
@@ -256,8 +236,8 @@ def _zonal_norms(grid, mixTF, dB):
     in-phase ones cos(0 phi) = 1 at each of the n_lon longitudes, so the
     strain is the off-diagonal entry e = (mixTF + dB) / 2, counted twice in
     eps:eps.  The strain norms are the diagonal of the Gram product
-    (e w) e^T over the latitudes, the product ``SphereTransform._order_forms``
-    runs on order 0, and so the same bits.
+    (e w) e^T over the latitudes, the product ``SphereTransform.order_forms``
+    runs on pair 0, and so the same bits.
     """
     w = np.reshape(grid.weights, (grid.n_lat, -1))[:, 0]
     e = 0.5 * (mixTF + dB)

@@ -30,7 +30,7 @@ from .forcing import TAGS, make_catalog_forcing
 from .harmonics import SpectralState, get_transform, random_band_limited
 from .killing import killing_basis
 from .operators import assemble_stokes
-from .timestepper import StepperConfig, run, run_batch
+from .timestepper import StepperConfig, check_batch, run, run_batch
 
 # ---------------------------------------------------------------------------
 # configuration schema
@@ -508,6 +508,9 @@ def run_ensemble(cfg, ctx=None, n_members=None):
     n = n_members if n_members is not None else cfg["ensemble.members"]
     if n < 2:
         raise ParameterError("an ensemble needs at least 2 members")
+    if ctx.form is None:
+        raise ConfigError("config error at 'geometry.kind': time evolution is sphere-only")
+    check_batch(stepper_config(cfg), ctx.form, n, ctx.basis.n)     # before any member state
     states = [build_initial_state(cfg, ctx.grid, seed=member_seed(cfg["seed"], k))
               for k in range(n)]
     trajectories, diverged = run_batch(stepper_config(cfg), ctx.grid, ctx.form,

@@ -136,24 +136,23 @@ class StokesForm:
 def _order_pair_blocks(tr, weight):
     """A's per-order blocks for a weight constant along latitude rows, two
     signed orders to an L x L block: (blocks, gather), ``gather[p]`` the
-    modes of ``blocks[p]``.  Order m fills the trailing L - m + 1 slots of
-    its slot row (L at m = 0; the sine row of m = 0 holds none), so sorted by
-    that count the rows of m >= 2 pair first with last, m with L + 2 - m,
-    and each pair fills a block: no slot is padding."""
-    count = tr.slot_valid.sum(1)
-    rows = np.argsort(count, kind="stable")
-    rows = rows[count[rows] > 0]
-    full, part = rows[count[rows] == tr.L], rows[count[rows] < tr.L]
-    a = np.concatenate((full, part[:part.size // 2]))
-    b = np.concatenate((full, part[::-1][:part.size // 2]))
-    # slot j < count[a] is row a's slot j + L - count[a]; the rest are row b's
-    # own slots, where its modes trail; a full row pairs with itself
-    j, n_a = np.arange(tr.L), count[a][:, None]
+    modes of ``blocks[p]``.  Signed order (m, s), s = 1 for the sine, holds
+    the L + 1 - max(m, 1) degrees l >= max(m, 1), and the sine of m = 0
+    none.  So (0, 0), (1, 0) and (1, 1) fill a block each, and (m, s) with
+    m >= 2 pairs with (L + 2 - m, 1 - s), m's degrees first: no slot is
+    padding."""
+    L, i = tr.L, np.arange(tr.L - 1)
+    # 2m + s of each block's first and second order, the first's m falling from L
+    a = np.concatenate(([0, 2, 3], 2 * (L - i // 2) + i % 2))
+    b = np.concatenate(([0, 2, 3], 5 + 2 * (i // 2) - i % 2))
+    j, n_a = np.arange(L), L + 1 - np.maximum(a // 2, 1)[:, None]
     first = j < n_a
-    row = np.where(first, a[:, None], b[:, None])
-    slot = np.where(first, j + tr.L - n_a, j)
-    blocks = tr.axisymmetric_form(weight)[row[:, :, None], slot[:, :, None], slot[:, None, :]]
-    return np.where(row[:, :, None] == row[:, None, :], blocks, 0.0), tr.slot_mode[row, slot]
+    m, s = np.divmod(np.where(first, a[:, None], b[:, None]), 2)
+    l = np.where(first, j + L + 1 - n_a, j + 1)
+    row = (l - tr.engine.placement[2][m])[:, :, None]     # of degree l in m's pair
+    F = tr.order_forms(weight)[m[:, :, None], s[:, :, None], row, row.swapaxes(1, 2)]
+    blocks = np.where(first[:, :, None] == first[:, None, :], F, 0.0)
+    return blocks, l * l - 1 + np.maximum(2 * m - 1 + s, 0)
 
 
 def assemble_stokes(grid, nu, L):

@@ -56,12 +56,12 @@ def chk_lambda1_zero(ctx):
                   "lambda_1 = 0")
 
 
-def chk_decay_rate(window, rtol=1e-3, name="zeta_2lam2"):
+def chk_decay_rate(window):
     def run(ctx):
         sigma = _gap(ctx.form)
         fit = fit_decay_rate(ctx.records.t, ctx.records.norm_uNK ** 2, window=window)
         rel = abs(fit.zeta - 2 * sigma) / (2 * sigma)
-        return _check(name, rel, rtol, "zeta = 2 sigma",
+        return _check("zeta_2lam2", rel, 1e-3, "zeta = 2 sigma",
                       detail=f"zeta={fit.zeta:.6g}, omega={fit.omega:.3g}")
     return run
 
@@ -71,11 +71,11 @@ def chk_trajectory_constant(ctx):
     return _check("trajectory_constant", drift, 1e-12, "u(t) = u(0)")
 
 
-def chk_ledger(bound, name="energy_ledger"):
+def chk_ledger(bound):
     def run(ctx):
         r = ctx.records
         worst = np.max(np.abs(r.energy_residual) / np.maximum(r.energy, 1.0))
-        return _check(name, worst, bound, "|E-E0+int D-int W| small")
+        return _check("energy_ledger", worst, bound, "|E-E0+int D-int W| small")
     return run
 
 
@@ -110,11 +110,11 @@ def chk_exponential_killing(sign, tol):
     return run
 
 
-def chk_monotone(direction, name="killing_monotonicity"):
+def chk_monotone(direction):
     def run(ctx):
         rep = check_monotonicity(ctx.records, direction)
         worst = max(0.0, -rep.worst) if not np.isnan(rep.worst) else 0.0
-        res = _check(name, worst, 1e-10, direction)
+        res = _check("killing_monotonicity", worst, 1e-10, direction)
         res.passed = rep.ok
         if not rep.ok:
             res.detail = f"first violation at t = {rep.first_violation_t:.6g}"

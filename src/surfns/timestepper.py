@@ -47,13 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import record
+from .diagnostics import SCALAR_FIELDS, record
 from .errors import DivergenceError, GridMismatchError, ParameterError
 from .forcing import apply_forcing
 from .operators import convective_plans, convective_term
 
-# Largest sample buffer (coefficient rows and records) ``run_batch`` allocates.
-# The largest built-in scenario holds about 1 MB; a request far above RAM fails
+# Largest batch (samples, and each row's state and workspace) ``run_batch`` builds.
+# The largest built-in scenario holds about 1.5 MB; a request far above RAM fails
 # in numpy, and one just below it is OOM-killed while the run fills it.
 MAX_SAMPLE_BYTES = 1 << 30
 
@@ -159,6 +159,32 @@ class _Workspace:
         return s
 
 
+def check_batch(config, form, n_rows, n_alpha):
+    """The step and sample counts of a run of ``config``, checked before
+    anything is built: t_end must be an integer multiple of dt, and
+    ``n_rows`` rows must fit in ``MAX_SAMPLE_BYTES``.  A row holds its
+    samples (coefficients and ``record``'s fields with ``n_alpha`` Killing
+    coordinates), 19 n_modes values of histories and stages, and the
+    convective plans' buffers: a (4 n_pairs, n_lat) latitude stage and its
+    copy per component of the ``VORT`` synthesis (3) and ``FIELD`` adjoint
+    (2), the synthesis's nodal values, and a coefficient block per plan."""
+    n_steps = int(round(config.t_end / config.dt))
+    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
+        raise ParameterError("t_end must be an integer multiple of dt")
+    n_samples = 1 + -(-n_steps // config.stride)
+    eng, n = form.transform.engine, form.D.size
+    n_pairs, n_degrees, _, n_lat = eng.X.shape
+    row = (n_samples * (n + len(SCALAR_FIELDS) + n_alpha) + 19 * n + 10 * 4 * n_pairs * n_lat
+           + 3 * n_lat * eng.n_lon + 8 * n_pairs * n_degrees)
+    held = 8 * n_rows * row
+    if held > MAX_SAMPLE_BYTES:
+        raise ParameterError(
+            f"{n_rows} x {n_samples} samples and the rows' workspace take "
+            f"{held / 2 ** 30:.3g} GiB, over the {MAX_SAMPLE_BYTES / 2 ** 30:g} GiB cap: "
+            "raise run.stride, shorten run.t_end or run fewer members")
+    return n_steps, n_samples
+
+
 def _check_dt(dt, rho, bound, scheme):
     """Raise unless 0 < dt < inf and dt rho <= bound, the scheme's stability bound."""
     if not 0 < dt < np.inf:
@@ -247,8 +273,8 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     far as ``partial``; the error also carries the failing step's number
     ``step``, its end time ``t`` and ``dt``, and the last finite state's
     ``max_abs_c`` and ``ledger_residual``.  The other rows continue.
-    A run whose samples would take more than ``MAX_SAMPLE_BYTES`` raises
-    ParameterError before it allocates them.
+    A run over ``MAX_SAMPLE_BYTES`` (see ``check_batch``) raises
+    ParameterError before it builds anything.
     ``record_fn`` (default: the diagnostics ``record``) is called as
     ``record_fn(form, spec, sim)`` once per sample on the live rows and
     returns one record per row.  The loop, ``record_fn`` included, runs with
@@ -264,21 +290,13 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     if any(s.t != states[0].t for s in states):
         raise ParameterError("initial states must share their time t")
     rec = record_fn if record_fn is not None else record
-    n_steps = int(round(config.t_end / config.dt))
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
-        raise ParameterError("t_end must be an integer multiple of dt")
+    n_steps, n_samples = check_batch(config, form, len(states), spec.basis.n)
     stepper = step_imex if config.scheme == "imex_cnab2" else step_rk4
 
     sim = SimState(states, dt=config.dt)
     ws = _Workspace(form, sim)
     live = np.arange(sim.c.shape[0])          # original index of each row
     first = rec(form, spec, sim)
-    n_samples = 1 + -(-n_steps // config.stride)
-    held = live.size * n_samples * (sim.c[0].nbytes + first.dtype.itemsize)
-    if held > MAX_SAMPLE_BYTES:
-        raise ParameterError(
-            f"{live.size} x {n_samples} samples take {held / 2 ** 30:.3g} GiB, over the "
-            f"{MAX_SAMPLE_BYTES / 2 ** 30:g} GiB cap: raise run.stride or shorten run.t_end")
     samples = np.empty((live.size, n_samples, sim.c.shape[1]))
     records = np.recarray((live.size, n_samples), dtype=first.dtype)
     samples[:, 0], records[:, 0] = sim.c, first

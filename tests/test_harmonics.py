@@ -1,6 +1,6 @@
 """Toroidal transforms: orthonormality, round trips, Leray projection,
-Parseval, reality, the dual-route gradient profiles, the per-order slot
-table, the order-paired engine against a padded reference, and table
+Parseval, reality, the dual-route gradient profiles, the order-pair block
+layout, the order-paired engine against a padded reference, and table
 memory."""
 
 from functools import partial
@@ -13,7 +13,7 @@ from surfns.errors import ParameterError
 from surfns.geometry import dealias_rule
 from surfns.harmonics import (SpectralState, _profiles, degree_norms,
                               get_transform, mode_index, n_modes, random_band_limited)
-from surfns.operators import convective_term
+from surfns.operators import _order_pair_blocks, convective_term
 from surfns._legendre import plm_tables
 from test_geometry import surface_gradient
 
@@ -48,23 +48,26 @@ def test_transform_mode_labels_match_mode_index():
 
 
 def test_slot_layout():
-    # every mode sits in exactly one valid slot, at row 2|m| + (m < 0) and
-    # column l - 1; the invalid slots read mode 0
-    for L in (1, 2, 8, 13):
+    # every mode sits in exactly one slot of the order-pair blocks; a block
+    # holds one signed order of |m| <= 1 on all L degrees, or two, m then
+    # m' with |m| + |m'| = L + 2, each on its degrees max(1, |m|)..L in
+    # ascending order; no entry couples the two
+    for L in (1, 2, 3, 8, 13):
         tr = get_transform(geo.build_sphere_grid(max(L, 2), 1.0), L)
-        valid = tr.slot_valid
-        assert valid.shape == (2 * L + 2, L)
-        assert np.array_equal(np.sort(tr.slot_mode[valid]), np.arange(tr.n_modes))
-        row, col = np.nonzero(valid)
-        k = tr.slot_mode[valid]
-        assert np.array_equal(row, 2 * np.abs(tr.mode_m[k]) + (tr.mode_m[k] < 0))
-        assert np.array_equal(col, tr.mode_l[k] - 1)
-        assert not tr.slot_mode[~valid].any()
-        # valid slots are l >= max(1, m), bar the sine row of m = 0: they trail each row
-        m, s = np.divmod(np.arange(2 * L + 2), 2)
-        expected = np.arange(1, L + 1) >= np.maximum(m, 1)[:, None]
-        expected[(m == 0) & (s == 1)] = False
-        assert np.array_equal(valid, expected)
+        blocks, gather = _order_pair_blocks(tr, tr.grid.weights)
+        assert blocks.shape == (L + 2, L, L) and gather.shape == (L + 2, L)
+        assert np.array_equal(np.sort(gather, axis=None), np.arange(tr.n_modes))
+        for b, g in zip(blocks, gather):
+            m, l = tr.mode_m[g], tr.mode_l[g]
+            cut = np.flatnonzero(m[1:] != m[:-1]) + 1
+            assert cut.size <= 1
+            for run in np.split(np.arange(L), cut):
+                assert np.array_equal(l[run], np.arange(max(1, abs(m[run[0]])), L + 1))
+            if cut.size:
+                assert abs(m[0]) + abs(m[-1]) == L + 2
+                assert not b[m[:, None] != m[None, :]].any()
+            else:
+                assert abs(m[0]) <= 1
 
 
 def test_transform_tabulates_legendre_to_its_own_degree(monkeypatch):
@@ -260,7 +263,7 @@ def test_degree_norms_match_the_transform_routes(L, sphere64):
     grid = sphere64[2.0] if L == 64 else geo.build_sphere_grid(L, 2.0)
     tr = get_transform(grid, L)
     strain, grad = degree_norms(grid, L)
-    assert strain.tobytes() == np.diagonal(tr._order_forms(grid.weights, [0])[0, 0])[1:].tobytes()
+    assert strain.tobytes() == np.diagonal(tr.order_forms(grid.weights)[0, 0])[1:].tobytes()
     assert strain.tobytes() == tr.strain_norm2.tobytes()
     per_mode = sq_norms(tr.engine, tr.GRAD)
     assert np.abs(grad[tr.mode_l - 1] / per_mode - 1.0).max() <= 1e-12

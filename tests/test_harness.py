@@ -593,7 +593,7 @@ run.stride = 25
 def test_torus_config_cannot_integrate(tmp_path):
     cfgfile = tmp_path / "torus.cfg"
     cfgfile.write_text("geometry.kind = torus\n")
-    for command in ("run", "spectrum"):
+    for command in ("run", "spectrum", "ensemble"):
         assert cli.main(["--quiet", command, str(cfgfile)]) == 2
 
 
@@ -772,6 +772,54 @@ def test_cli_oversized_run_fails_before_allocating(tmp_path, capsys, monkeypatch
     assert code == 2 and peak < (cap or timestepper.MAX_SAMPLE_BYTES)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "GiB cap" in err and "Traceback" not in err
+
+
+def test_cli_oversized_ensemble_fails_before_any_member_state(tmp_path, capsys, monkeypatch):
+    # a million L = 8 members at one stride: 1.4 GiB of samples and, at about
+    # 45 kB a row, 42 GiB of states and workspace; no member state and no
+    # batch may be built before the run exits 2
+    real, built = harness.build_initial_state, []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("seed"))
+        if len(built) > 100:
+            raise AssertionError("member states were built before the size check")
+        return real(*args, **kwargs)
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch state was built before the size check")
+    monkeypatch.setattr(harness, "build_initial_state", counted)
+    monkeypatch.setattr(timestepper.SimState, "__init__", no_batch)
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text("geometry.L = 8\ninit.kind = random\nrun.stride = 1000\n")
+    assert cli.main(["--quiet", "ensemble", str(cfgfile), "--members", "1000000"]) == 2
+    assert built == [None]          # the context's own u0 only
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "GiB cap" in err and "Traceback" not in err
+
+
+def test_batch_size_check_counts_the_row_workspace(sphere8, tr8):
+    # the bytes each row adds to a run, as tracemalloc sees them: the size
+    # check passes as many rows as fit the cap by that measure, and counts
+    # 1.25 times as many over it (it leaves out the step's temporaries)
+    nu = geo.ViscosityField(sphere8, 1.0 + 0.5 * sphere8.nodes[:, 2])
+    form = assemble_stokes(sphere8, nu, 8)
+    kb = killing_basis(sphere8)
+    spec = make_catalog_forcing("f3_minus", {}, kb)
+    cfg = timestepper.StepperConfig(dt=1e-3, t_end=2e-3, stride=2)
+    states = [random_band_limited(tr8, i) for i in range(200)]
+    peaks = []
+    for k in (100, 200):
+        tracemalloc.start()
+        try:
+            timestepper.run_batch(cfg, sphere8, form, spec, states[:k])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    n_rows = int(timestepper.MAX_SAMPLE_BYTES / ((peaks[1] - peaks[0]) / 100))
+    assert timestepper.check_batch(cfg, form, n_rows, kb.n) == (2, 2)
+    with pytest.raises(ParameterError, match="GiB cap"):
+        timestepper.check_batch(cfg, form, int(1.25 * n_rows), kb.n)
 
 
 def test_malformed_threads_env_has_no_effect(tmp_path, monkeypatch):

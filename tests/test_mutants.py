@@ -1,0 +1,73 @@
+"""Mutants each check must kill.
+
+Each entry patches one physical ingredient of the solver and names the
+cheapest scenario check or tier-1 oracle that must fail under it; the same
+check must pass on the unmutated code.  Only killed mutants are listed.
+"""
+
+import pytest
+
+from surfns import forcing, geometry as geo, operators
+from surfns.harmonics import SphereTransform
+from surfns.scenarios import run_scenario
+from test_operators import dissipation_defect, enstrophy_defect
+
+
+def _flip_forcing_k(mp):
+    """Every catalog forcing acts on the Killing rows with -K."""
+    real = forcing.ForcingSpec
+    mp.setattr(forcing, "ForcingSpec",
+               lambda tag, basis, flags, f, K, s: real(tag, basis, flags, f, -K, s))
+
+
+def _damp_degree_one(mp):
+    """Every Stokes form damps the degree-1 (Killing) rows at lambda_2."""
+    real = operators.StokesForm
+
+    def damped(grid, transform, nu, L, lam, *blocks):
+        lam = lam.copy()
+        lam[1] = lam[2]
+        return real(grid, transform, nu, L, lam, *blocks)
+    mp.setattr(operators, "StokesForm", damped)
+
+
+def _alias_grid(mp):
+    """Every sphere grid resolves degree L + 1, not the 3/2 rule's."""
+    mp.setattr(geo, "dealias_rule", lambda L: geo.DealiasRule(L + 1, L + 2, 2 * L + 4))
+
+
+def _mean_nu(mp):
+    """Every row-constant Stokes form is assembled from nu's area mean."""
+    real = SphereTransform.order_forms
+
+    def mean(self, weight):
+        w = self.grid.weights
+        return real(self, w * (weight.sum() / w.sum()))
+    mp.setattr(SphereTransform, "order_forms", mean)
+
+
+def _passes(name, *checks):
+    """The killer: whether every named check of the scenario ``name`` passes."""
+    def check():
+        passed = {c.name: c.passed for c in run_scenario(name, quiet=True).checks}
+        return all(passed[c] for c in checks)
+    return check
+
+
+MUTANTS = [
+    pytest.param(_flip_forcing_k,
+                 _passes("f3_minus_decay", "killing_exponential_law", "killing_monotonicity"),
+                 id="flipped_forcing_K"),
+    pytest.param(_damp_degree_one, _passes("killing_equilibrium", "trajectory_constant"),
+                 id="damped_degree_one"),
+    pytest.param(_alias_grid, lambda: enstrophy_defect(geo.build_sphere_grid(8, 1.0), 8) <= 1e-14,
+                 id="aliased_grid"),
+    pytest.param(_mean_nu, lambda: dissipation_defect(8, 1.0, 0.5) <= 1e-12, id="mean_nu"),
+]
+
+
+@pytest.mark.parametrize("mutate,check", MUTANTS)
+def test_mutant_is_killed(monkeypatch, mutate, check):
+    assert check()
+    mutate(monkeypatch)
+    assert not check()

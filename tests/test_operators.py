@@ -9,7 +9,7 @@ from surfns.forcing import apply_forcing, make_catalog_forcing
 from surfns.harmonics import (SpectralState, SphereTransform, get_transform,
                               mode_index, random_band_limited)
 from surfns.killing import killing_basis, korn_constant
-from surfns.operators import assemble_stokes, convective_term
+from surfns.operators import _order_pair_blocks, assemble_stokes, convective_term
 from surfns.scenarios import _gap
 
 
@@ -74,9 +74,8 @@ def test_constant_nu_diagonal():
             for nu in (1.0, 2.5):
                 form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
                 assert form.blocks is None and form.gather is None
-                blocks = tr.axisymmetric_form(2.0 * grid.weights * nu)
-                diag = np.where(tr.slot_valid, nu * form.D[tr.slot_mode], 0.0)
-                err = np.abs(blocks - diag[:, :, None] * np.eye(L)).max()
+                blocks, gather = _order_pair_blocks(tr, 2.0 * grid.weights * nu)
+                err = np.abs(blocks - nu * form.D[gather][:, :, None] * np.eye(L)).max()
                 assert err <= 1e-12 * nu * form.D.max(), (L, R, nu)
 
 
@@ -375,24 +374,74 @@ def _weights(grid, kind):
 
 
 def test_blocks_match_single_part_form():
-    # signed-order blocks of row-constant weights, from the latitude
-    # profiles, against the dense probe in slot order
+    # order-pair blocks of row-constant weights, from the latitude
+    # profiles, against the dense probe on their gathered modes
     for L in (8, 12, 32):
         for R in (1.0, 1.3):
             grid = geo.build_sphere_grid(L, R)
             tr = get_transform(grid, L)
             for kind in ("linear_x3", "x3_squared"):
                 w = _weights(grid, kind)
-                blocks = tr.axisymmetric_form(w)
-                assert blocks.shape == (2 * L + 2, L, L)
-                # exactly zero on the invalid slots
-                assert not blocks[~(tr.slot_valid[:, :, None] & tr.slot_valid[:, None, :])].any()
+                blocks, gather = _order_pair_blocks(tr, w)
+                assert blocks.shape == (L + 2, L, L)
                 dense = tr.gradient_form(w)
                 scale = np.abs(dense).max()
-                for g, v, b in zip(tr.slot_mode, tr.slot_valid, blocks):
-                    idx = g[v]
-                    assert np.abs(b[np.ix_(v, v)] - dense[np.ix_(idx, idx)]).max(
-                        initial=0.0) <= 1e-13 * scale
+                for g, b in zip(gather, blocks):
+                    assert np.abs(b - dense[np.ix_(g, g)]).max() <= 1e-13 * scale
+
+
+def _slot_blocks(tr, weight):
+    """Oracle: the order-pair (blocks, gather) built independently, from a
+    slot table.  Slot (2m + s, l - 1) holds mode (l, m) with its cos (s = 0)
+    or sin (s = 1) part, each order's form is re-indexed by degree, and the
+    slot rows pair by sorting their counts of valid slots."""
+    L, eng = tr.L, tr.engine
+    order, part, _ = eng.layout
+    slot = (2 * order + part, tr.mode_l - 1)
+    slot_mode = np.zeros((2 * L + 2, L), dtype=int)
+    slot_mode[slot] = np.arange(tr.n_modes)
+    valid = np.zeros(slot_mode.shape, dtype=bool)
+    valid[slot] = True
+    orders = np.arange(L + 1)
+    pair, which, offset = eng.placement
+    X = eng.X[pair, :, tr.GRAD]
+    E = np.stack([X[:, :, 0], 0.5 * (X[:, :, 1] + X[:, :, 2]), X[:, :, 3]], 1)
+    w = np.reshape(weight, (tr.grid.n_lat, -1))[:, 0]
+    G = (E * w) @ E.swapaxes(-1, -2)
+    Gm = np.zeros((orders.size, 3, L + 1, L + 1))
+    for j, (m, o) in enumerate(zip(orders, offset)):
+        Gm[j, :, m:, m:] = G[j, :, m - o:L + 1 - o, m - o:L + 1 - o]
+    trig = eng.trig[tr.GRAD][[0, 1, 3]].reshape(3, -1, 2, 2, tr.grid.n_lon)
+    tau = (trig[:, pair, which] ** 2).sum(-1) * np.array([1.0, 2.0, 1.0])[:, None, None]
+    full = (tau.transpose(1, 2, 0) @ Gm.reshape(orders.size, 3, -1)).reshape(-1, L + 1, L + 1)
+    forms = 0.5 * (full[:, 1:, 1:] + full[:, 1:, 1:].swapaxes(-1, -2))
+    count = valid.sum(1)
+    rows = np.argsort(count, kind="stable")
+    rows = rows[count[rows] > 0]
+    full_rows, part_rows = rows[count[rows] == L], rows[count[rows] < L]
+    a = np.concatenate((full_rows, part_rows[:part_rows.size // 2]))
+    b = np.concatenate((full_rows, part_rows[::-1][:part_rows.size // 2]))
+    j, n_a = np.arange(L), count[a][:, None]
+    first = j < n_a
+    row = np.where(first, a[:, None], b[:, None])
+    col = np.where(first, j + L - n_a, j)
+    blocks = forms[row[:, :, None], col[:, :, None], col[:, None, :]]
+    return np.where(row[:, :, None] == row[:, None, :], blocks, 0.0), slot_mode[row, col]
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 8, 13, 16, 32])
+def test_order_pair_blocks_match_the_slot_construction(L):
+    # bit for bit: the blocks, their gather and the eigenvalues
+    for R in (1.0, 1.3):
+        grid = geo.build_sphere_grid(L, R)
+        z = grid.nodes[:, 2] / R
+        for nu in (1.0 + 0.5 * z + 0.3 * z * z, 1.0 + 0.9 * z + 0.3 * z * z):
+            form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
+            blocks, gather = _slot_blocks(form.transform, 2.0 * grid.weights * nu)
+            assert form.blocks.tobytes() == blocks.tobytes()
+            assert np.array_equal(form.gather, gather)
+            assert form.eigenvalues().tobytes() == np.sort(
+                np.linalg.eigvalsh(blocks), axis=None).tobytes()
 
 
 def test_eigenvalue_count_is_n_modes():
@@ -428,20 +477,20 @@ def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
         raise RuntimeError("probe path")
     monkeypatch.setattr(SphereTransform, "gradient_form", probe)
     with monkeypatch.context() as m:
-        m.setattr(SphereTransform, "axisymmetric_form", probe)
+        m.setattr(SphereTransform, "order_forms", probe)
         form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0), 8)
     assert form.blocks is None and form.gather is None
     tr = get_transform(sphere8, 8)
     z = sphere8.nodes[:, 2]
     form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.5 * z), 8)
     # orders 0 and 1 (cos and sin) fill a block each, and m >= 2 pairs with
-    # L + 2 - m: every mode once, the blocks the slot-ordered ones
+    # L + 2 - m: every mode once, the blocks the slot construction's
     assert form.blocks.shape == (10, 8, 8)
     assert np.array_equal(np.sort(form.gather, axis=None), np.arange(tr.n_modes))
-    ref = tr.axisymmetric_form(2.0 * sphere8.weights * (1.0 + 0.5 * z))
+    blocks, gather = _slot_blocks(tr, 2.0 * sphere8.weights * (1.0 + 0.5 * z))
     dense = np.zeros((tr.n_modes,) * 2)
-    for g, v, b in zip(tr.slot_mode, tr.slot_valid, ref):
-        dense[np.ix_(g[v], g[v])] = b[np.ix_(v, v)]
+    for g, b in zip(gather, blocks):
+        dense[np.ix_(g, g)] = b
     np.testing.assert_array_equal(_dense(form), dense)
     assert korn_constant(sphere8, 8).c_p == pytest.approx(np.sqrt(3.0), rel=1e-12)
     with pytest.raises(RuntimeError, match="probe path"):
@@ -526,3 +575,48 @@ def test_spectral_gap_meets_korn_bound(L, R, a):
     assert form.lam_by_degree[1] >= 0.0
     sigma, c_p = _gap(form), korn_constant(grid, L).c_p
     assert sigma >= 2.0 * nu.nu_min / c_p ** 2 > 0.0
+
+
+def dissipation_defect(L, R, a, seed=3, k=4):
+    """Largest relative gap, over k seeded rows c, between (c, A c) from the
+    assembled form of nu = 1 + a x3 / R and the quadrature
+    sum_n 2 nu_n w_n |eps(u)|^2_n of the gradient synthesis of c."""
+    grid = geo.build_sphere_grid(L, R)
+    nu = geo.ViscosityField(grid, 1.0 + a * grid.nodes[:, 2] / R)
+    form = assemble_stokes(grid, nu, L)
+    c = np.random.default_rng(seed).normal(size=(k, form.D.size))
+    T = form.transform.engine.synthesize(c, form.transform.GRAD)     # (4, k, n_nodes)
+    eps2 = T[0] ** 2 + 0.5 * (T[1] + T[2]) ** 2 + T[3] ** 2
+    quad = eps2 @ (2.0 * nu.values * grid.weights)
+    return float(np.max(np.abs(np.einsum("kn,kn->k", c, form.apply(c)) - quad) / quad))
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_dissipation_matches_the_strain_quadrature(L):
+    # the assembled form against int 2 nu |eps(u)|^2 from the nodal nu: the
+    # identity (u, A u) of the weak form, read without blocks or gather
+    for R in (1.0, 1.3):
+        for a in (0.5, 0.9):
+            assert dissipation_defect(L, R, a) <= 1e-12, (R, a)
+
+
+def enstrophy_defect(grid, L, seeds=range(5)):
+    """Largest |(N(c), D c)| / (||N|| ||D c||) over seeded rows c, N the
+    convective term on ``grid`` at truncation L and D = (l(l+1) - 2) / R^2."""
+    tr = get_transform(grid, L)
+    c = np.stack([random_band_limited(tr, seed).coeffs for seed in seeds])
+    N = convective_term(tr, c)
+    Dc = c * (tr.mode_l * (tr.mode_l + 1) - 2.0) / grid.R ** 2
+    dots = np.abs(np.einsum("kn,kn->k", N, Dc))
+    return float(np.max(dots / (np.linalg.norm(N, axis=1) * np.linalg.norm(Dc, axis=1))))
+
+
+@pytest.mark.parametrize("L,aliased", [(8, 6), (11, 8), (16, 11), (32, 22)])
+def test_convective_term_conserves_enstrophy(L, aliased):
+    # (u . grad omega, omega) = 0 makes N orthogonal to D c as well as to c
+    # when the quadrature is exact; a grid of degree L + 1 breaks it
+    for R in (1.0, 1.3):
+        assert enstrophy_defect(geo.build_sphere_grid(L, R), L) <= 1e-14, R
+        grid = geo.build_sphere_grid(aliased, R)
+        assert grid.max_degree == L + 1
+        assert enstrophy_defect(grid, L) >= 1e-6, R
