@@ -31,7 +31,7 @@ The constants of the standing hypotheses are read exactly off (f, K, s):
 f_K = f[:3] counts as zero when ||f_K|| <= 1e-10 max(||f||, 1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +65,6 @@ class ForcingSpec:
     ``f`` is F(0), analyzed once at the grid's truncation; the flat layout
     is degree-major, so a lower truncation reads its prefix.  ``K`` is the
     3x3 map on the Killing rows and ``s`` the scalar on the others.
-    ``f_rows`` caches f's prefix repeated as a (k, n) stack per shape: numpy
-    buffers (allocates) a broadcast add of fewer than 8192 values.
     """
     tag: str
     basis: object
@@ -74,7 +72,6 @@ class ForcingSpec:
     f: np.ndarray
     K: np.ndarray
     s: float
-    f_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def make_catalog_forcing(tag, params, basis):
@@ -150,17 +147,15 @@ def _killing_gram(basis, point):
     return basis.l1_map.T @ G @ basis.l1_map
 
 
-def apply_forcing(spec, c, out=None):
+def apply_forcing(spec, c, out=None, f_rows=None):
     """Coefficients of P_0 f(., u) for every row u of the (k, n_modes)
-    coefficient stack ``c``, as a stack of the same shape (``out`` when given)."""
+    coefficient stack ``c``, as a stack of the same shape (``out`` when given).
+    ``f_rows`` is f's prefix tiled to c's shape, or None to broadcast it."""
     n = c.shape[1]
     if n > spec.f.size:
         raise ParameterError(f"a stack of {n} modes is wider than the {spec.f.size} "
                              "of the forcing's grid truncation")
-    f = spec.f_rows.get(c.shape)
-    if f is None:
-        f = spec.f_rows[c.shape] = np.tile(spec.f[:n], (c.shape[0], 1))
     out = np.multiply(spec.s, c, out=out)
     np.matmul(c[:, :3], spec.K.T, out=out[:, :3])
-    out += f
+    out += spec.f[:n] if f_rows is None else f_rows
     return out

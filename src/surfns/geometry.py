@@ -319,40 +319,32 @@ class SphereEngine:
         self.layout = (order, part, degree)
         # (pair, which and part, row) of each flat coefficient
         self._index = (pair[order], 2 * which[order] + part, degree - offset[order])
-        self._flat = {}                 # per stack height: the flat indices below
-
-    def _flat_index(self, k):
-        """Flat indices of a k-row stack in the (pair, 4, k, row) and (pair, row, 4, k) arrays."""
-        if k not in self._flat:
-            pair, sub, row = self._index
-            n_rows, r = self.X.shape[1], np.arange(k)[:, None]
-            self._flat[k] = (((4 * pair + sub) * k + r) * n_rows + row,
-                             ((pair * n_rows + row) * 4 + sub) * k + r)
-        return self._flat[k]
 
     def plan(self, k, comps=slice(None), adjoint=False, factors=None):
         """The ``out`` of one ``synthesize`` (or ``adjoint``) of k rows on ``comps``:
-        its index, table views and buffers, result last, so a kept plan needs no
-        lookup, reshape or allocation.  The zeroed scatter buffer gets the same
+        its flat index into the (pair, 4, k, row) scatter (or from the (pair, row,
+        4, k) product), table views and buffers, result last, so a kept plan needs
+        no lookup, reshape or allocation.  The zeroed scatter buffer gets the same
         entries at every call; where reshape copies a stage's input, so does the call.
         ``factors`` (n_comps, n_lat), if given, scale each component's profiles at each
         latitude: the plan then holds its own scaled copy of the table."""
         X = self.X[:, :, comps] if factors is None else self.X[:, :, comps] * factors
         n_pairs, n_rows, n_comp, n_lat = X.shape
         X = X.reshape(n_pairs, n_rows, -1)
-        scatter, gather = self._flat_index(k)
+        (pair, sub, row), r = self._index, np.arange(k)[:, None]
         if adjoint:
             G = np.empty((n_comp, k * n_lat, 4 * n_pairs))
             H, copy = _merged(G.reshape(n_comp, k, n_lat, n_pairs, 4).transpose(3, 0, 2, 4, 1),
                               (n_pairs, n_comp * n_lat, 4 * k), k > 1)
             return ((n_comp, k * n_lat, self.n_lon), self.trig_t[comps], G, copy, X, H,
-                    np.empty((n_pairs, n_rows, 4 * k)), gather, np.empty((k, self.layout[0].size)))
+                    np.empty((n_pairs, n_rows, 4 * k)), ((pair * n_rows + row) * 4 + sub) * k + r,
+                    np.empty((k, self.layout[0].size)))
         Z, F = np.zeros((n_pairs, 4 * k, n_rows)), np.empty((n_pairs, 4 * k, n_comp * n_lat))
         T, copy = _merged(F.reshape(n_pairs, 4, k, n_comp, n_lat).transpose(3, 2, 4, 0, 1),
                           (n_comp, k * n_lat, 4 * n_pairs), k > 1 and n_comp > 1)
         f = np.empty((n_comp, k, n_lat * self.n_lon))
-        return (Z.reshape(-1), scatter, Z, X, F, copy, T, self.trig[comps],
-                f.reshape(n_comp, k * n_lat, self.n_lon), f)
+        return (Z.reshape(-1), ((4 * pair + sub) * k + r) * n_rows + row, Z, X, F, copy, T,
+                self.trig[comps], f.reshape(n_comp, k * n_lat, self.n_lon), f)
 
     def synthesize(self, c, comps=slice(None), out=None):
         """Nodal values (n_comps, k, n_nodes) of a coefficient stack (k, n),

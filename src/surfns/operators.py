@@ -31,7 +31,9 @@ class StokesForm:
     quotients); A >= nu_min diag(D) since nu - nu_min >= 0.  For constant
     nu, ``blocks`` and ``gather`` are None: A is exactly nu_min D.
     Otherwise ``blocks[p]`` is A on the modes ``gather[p]``; every mode sits
-    in one block, and A couples no two blocks.
+    in one block, and A couples no two blocks.  The form holds nothing
+    sized by a stack height or a dt: ``plan`` and ``cn_operator`` build it
+    for the caller to keep (the time stepper's workspace) or for one call.
     """
 
     def __init__(self, grid, transform, nu, L, lam_by_degree, blocks=None, gather=None):
@@ -44,71 +46,70 @@ class StokesForm:
         self.lam_by_degree = lam_by_degree          # (L+1,) with entry l = lambda_l
         self.D = lam_by_degree[transform.mode_l]    # per-mode diagonal
         self.nu_min = nu.nu_min
-        self._solve_ops = {}            # per dt: the operator of ``cn_solve``
         self._rho_full = None
-        # per stack height: indices and buffers (not reentrant), or on the
-        # diagonal form A and the ``cn_solve`` operators tiled to k rows
-        self._flat = {}
         if blocks is None:
             self._diag = self.nu_min * self.D       # A itself
+        else:
+            # per mode: block n_slots, slot, and the two slots' offsets in a
+            # (block, row, 2 slot) product, a plan's scatters at every height
+            # (gather holds each mode once and no padding slot)
+            n_slots = gather.shape[1]
+            block, slot = np.divmod(np.argsort(gather, axis=None), n_slots)
+            self._slots = block * n_slots, slot, np.stack((-slot, n_slots - slot))[:, None]
 
-    def _tiled(self, k, dt=None):
-        """The diagonal form's A, or its ``cn_solve`` operator of ``dt``, tiled
-        to k rows: a product with a (k, n_modes) stack then broadcasts nothing,
-        and numpy buffers (so allocates for) a small broadcast."""
-        key = (k, dt)
-        if key not in self._flat:
-            op = self._diag if dt is None else self._solve_ops[dt]
-            self._flat[key] = np.repeat(op[..., None, :], k, axis=-2)
-        return self._flat[key]
-
-    def _indices(self, k):
-        """For a stack of height k: the flat gather of the blocks' (block, row,
-        slot) entries and its buffer, then for a (block, row, slot) and a
-        (block, row, 2 slot) product its buffer and the scatter of the modes."""
-        if k not in self._flat:
-            (n_blocks, n_slots), r = self.gather.shape, np.arange(k)[:, None]
-            block, slot = np.divmod(np.argsort(self.gather, axis=None), n_slots)
-            pair = (block * k + r) * 2 * n_slots + slot
-            self._flat[k] = (self.gather[:, None] + self.D.size * r,
-                             np.empty((n_blocks, k, n_slots)),
-                             np.empty((n_blocks, k, n_slots)), (block * k + r) * n_slots + slot,
-                             np.empty((n_blocks, k, 2 * n_slots)), np.stack((pair, pair + n_slots)))
-        return self._flat[k]
-
-    def apply(self, c, out=None):
-        """A c for every row of a (k, n_modes) coefficient stack (into ``out``)."""
+    def plan(self, k):
+        """The ``plan`` of ``apply`` and ``cn_solve`` for k rows: A tiled to k rows
+        on the diagonal form (numpy buffers, so allocates for, a small broadcast);
+        else the flat gather of the blocks' (block, row, slot) entries and its buffer,
+        then for a (block, row, slot) and a (block, row, 2 slot) product its buffer
+        and the scatter of the modes."""
         if self.blocks is None:
-            return np.multiply(c, self._tiled(c.shape[0]), out=out)
-        gather, g, p, scatter = self._indices(c.shape[0])[:4]
+            return np.repeat(self._diag[None], k, axis=0)
+        (n_blocks, n_slots), (start, slot, halves) = self.gather.shape, self._slots
+        r = np.arange(k)[:, None]
+        scatter = start * k + slot + n_slots * r        # (block k + row) n_slots + slot
+        return (self.gather[:, None] + self.D.size * r, np.empty((n_blocks, k, n_slots)),
+                np.empty((n_blocks, k, n_slots)), scatter,
+                np.empty((n_blocks, k, 2 * n_slots)), 2 * scatter + halves)
+
+    def cn_operator(self, dt, k):
+        """The operator of ``cn_solve`` for ``dt`` and k rows: (2 R, a A R),
+        R = (I + a A)^-1, a = dt / 2, as diagonals tiled to k rows or per block
+        [2 R^T | a R^T A] with A the assembled block, one product for both."""
+        a = 0.5 * dt
+        if self.blocks is None:
+            r = 1.0 / (1.0 + a * self._diag)
+            return np.repeat(np.stack((2.0 * r, a * self._diag * r))[:, None], k, axis=1)
+        n = self.blocks.shape[1]
+        op = np.empty(self.blocks.shape[:2] + (2 * n,))
+        op[..., :n] = 2.0 * np.linalg.inv(np.eye(n) + a * self.blocks).transpose(0, 2, 1)
+        op[..., n:] = op[..., :n] @ (0.5 * a * self.blocks)
+        return op
+
+    def apply(self, c, out=None, plan=None):
+        """A c for every row of a (k, n_modes) coefficient stack (into ``out``),
+        by the ``plan`` of k rows (on a blocked form made for the call when not
+        given; the diagonal form then broadcasts its A)."""
+        if self.blocks is None:
+            return np.multiply(c, self._diag if plan is None else plan, out=out)
+        gather, g, p, scatter = (self.plan(c.shape[0]) if plan is None else plan)[:4]
         # symmetric blocks
         np.matmul(c.take(gather, out=g, mode="clip"), self.blocks, out=p)
         return p.take(scatter, out=out, mode="clip")
 
-    def cn_solve(self, y, dt, out=None):
+    def cn_solve(self, y, dt, out=None, plan=None, op=None):
         """(2 m, a A m), a = dt / 2, stacked (2, k, n_modes) into ``out`` if given,
         for m = R y, R = (I + a A)^-1, and every row of a (k, n_modes) stack y:
-        c+ = 2 m - c, and the dot of the two is dt (A m, m).  The operator is
-        made once per dt: the diagonals (2 R, a A R), or per block
-        [2 R^T | a R^T A] with A the assembled block, one product for both."""
-        op, a = self._solve_ops.get(dt), 0.5 * dt
-        if op is None:
-            if self.blocks is None:
-                r = 1.0 / (1.0 + a * self._diag)
-                op = np.stack((2.0 * r, a * self._diag * r))
-            else:
-                n = self.blocks.shape[1]
-                op = np.empty(self.blocks.shape[:2] + (2 * n,))
-                op[..., :n] = 2.0 * np.linalg.inv(np.eye(n) + a * self.blocks).transpose(0, 2, 1)
-                op[..., n:] = op[..., :n] @ (0.5 * a * self.blocks)
-            self._solve_ops[dt] = op
+        c+ = 2 m - c, and the dot of the two is dt (A m, m).  ``op`` (the
+        ``cn_operator`` of dt for k rows) and ``plan`` are made for the call
+        when not given."""
+        op = self.cn_operator(dt, y.shape[0]) if op is None else op
         if self.blocks is None:
-            op = self._tiled(y.shape[0], dt)
             out = np.empty((2,) + y.shape) if out is None else out
             np.multiply(op[0], y, out=out[0])
             np.multiply(op[1], y, out=out[1])
             return out
-        gather, g, _, _, p, scatter = self._indices(y.shape[0])
+        gather, g, _, _, p, scatter = self.plan(y.shape[0]) if plan is None else plan
         np.matmul(y.take(gather, out=g, mode="clip"), op, out=p)
         return p.take(scatter, out=out, mode="clip")
 

@@ -38,7 +38,9 @@ diagnostics (one batched ``record`` call per sample) are copied out only at
 sample points, into one array and one record array per trajectory.
 ``run_batch`` owns one workspace per stack height: two states whose c sit in
 the slots of one history, taking turns as a step's input and output, and
-every array a step writes, engine scratch included.  A step called without
+every array a step writes or that is sized by the height or by dt (engine
+scratch, plans, forcing rows and per-dt operators); the form, its transform
+and the forcing keep none of it.  A step called without
 ``out`` makes a fresh workspace, the only difference, so it returns a new
 stack and leaves its input untouched.
 """
@@ -124,10 +126,12 @@ def _stage_rows(dt):
 
 
 class _Workspace:
-    """Every array a step of the k rows of ``sim`` writes: the two states and
-    their history, engine plans, stage rows per dt, ``stages`` (the IMEX
-    step's y, 2 m, a A m and a F, or RK4's slopes, A c and stage input) and
-    the ledger rates."""
+    """Every array a step of the k rows of ``sim`` on ``form`` writes, and every
+    one sized by k or dt that it reads: the two states and their history, the
+    form's and the engine plans, the forcing's rows (tiled at the first step),
+    per dt ``dts`` the stage rows and ``cn_operator``, ``stages`` (IMEX: y,
+    2 m, a A m and a F; RK4: the slopes, A c and the stage input) and the
+    ledger rates."""
 
     def __init__(self, form, sim):
         k, n = sim.c.shape
@@ -135,21 +139,25 @@ class _Workspace:
         self.states = [SimState.__new__(SimState)._bind(self.hist, j, np.empty((2, k)))
                        for j in range(2)]
         self.states[0].L = self.states[1].L = sim.L
+        self.plan = form.plan(k)
         self.syn, adj = convective_plans(form.transform, k)
         self.adj = adj[:-1]
-        self.rows = {}
+        self.spec = self.f_rows = None
+        self.dts = {}
         self.yg = self.stages.reshape(6, -1)[:4:3]      # y and a F
         self.rates = np.empty((4, 2, k))
 
     def terms(self, form, spec, c, out):
         """(F(c), N(c)) for every row of a coefficient stack, into the rows of ``out``."""
+        if spec is not self.spec:
+            self.spec, self.f_rows = spec, np.tile(spec.f[:c.shape[1]], (c.shape[0], 1))
         convective_term(form.transform, c, (self.syn, self.adj + (out[1],)))
-        apply_forcing(spec, c, out[0])
+        apply_forcing(spec, c, out[0], self.f_rows)
 
-    def midpoint(self, form, rows, dt):
+    def midpoint(self, form, rows, dt, op):
         """(2 m, a A m) in stages[1:3] for the midpoint m of the stage ``rows``."""
         np.matmul(rows, self.hist.reshape(6, -1), out=self.yg)
-        return form.cn_solve(self.stages[0], dt, out=self.stages[1:3])
+        return form.cn_solve(self.stages[0], dt, self.stages[1:3], self.plan, op)
 
     def advance(self, sim, dt, rates, ab2):
         """The state that is not ``sim``, one step of dt later, with its ledger."""
@@ -164,18 +172,21 @@ def check_batch(config, form, n_rows, n_alpha):
     anything is built: t_end must be an integer multiple of dt, and
     ``n_rows`` rows must fit in ``MAX_SAMPLE_BYTES``.  A row holds its
     samples (coefficients and ``record``'s fields with ``n_alpha`` Killing
-    coordinates), 19 n_modes values of histories and stages, and the
-    convective plans' buffers: a (4 n_pairs, n_lat) latitude stage and its
-    copy per component of the ``VORT`` synthesis (3) and ``FIELD`` adjoint
-    (2), the synthesis's nodal values, and a coefficient block per plan."""
+    coordinates) and its workspace share: in n_modes values, 21 (18 of
+    histories and stages, the initial state's and the workspace's, 1 of forcing
+    rows and 2 of engine indices) and the form's plan and tiled operator (3 on
+    the diagonal form; 8 on a blocked form, whose operator is not per row); and
+    the convective plans' buffers: a (4 n_pairs, n_lat) latitude stage and
+    its copy per component of the ``VORT`` synthesis (3) and ``FIELD``
+    adjoint (2), the synthesis's nodal values, and a coefficient block per plan."""
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
         raise ParameterError("t_end must be an integer multiple of dt")
     n_samples = 1 + -(-n_steps // config.stride)
     eng, n = form.transform.engine, form.D.size
     n_pairs, n_degrees, _, n_lat = eng.X.shape
-    row = (n_samples * (n + len(SCALAR_FIELDS) + n_alpha) + 19 * n + 10 * 4 * n_pairs * n_lat
-           + 3 * n_lat * eng.n_lon + 8 * n_pairs * n_degrees)
+    row = (n_samples * (n + len(SCALAR_FIELDS) + n_alpha) + (3 if form.blocks is None else 8) * n
+           + 21 * n + 10 * 4 * n_pairs * n_lat + 3 * n_lat * eng.n_lon + 8 * n_pairs * n_degrees)
     held = 8 * n_rows * row
     if held > MAX_SAMPLE_BYTES:
         raise ParameterError(
@@ -207,16 +218,16 @@ def step_imex(sim, form, spec, dt, out=None):
     if sim.hist is not ws.hist:
         np.copyto(ws.hist, sim.hist)
     cur, other = ws.states[sim.slot], ws.states[1 - sim.slot]
-    rows = ws.rows.get(dt)
-    if rows is None:
-        rows = ws.rows[dt] = _stage_rows(dt)
-    rows = rows[sim.slot]
+    per_dt = ws.dts.get(dt)
+    if per_dt is None:
+        per_dt = ws.dts[dt] = _stage_rows(dt), form.cn_operator(dt, sim.c.shape[0])
+    rows, op = per_dt[0][sim.slot], per_dt[1]
     ws.terms(form, spec, cur.c, cur.fn)
     if not sim.ab2:
         # the prediction and its terms fill the other slot
-        np.subtract(ws.midpoint(form, rows[0], dt)[0], cur.c, out=other.c)
+        np.subtract(ws.midpoint(form, rows[0], dt, op)[0], cur.c, out=other.c)
         ws.terms(form, spec, other.c, other.fn)
-    two_m = ws.midpoint(form, rows[1 + sim.ab2], dt)[0]
+    two_m = ws.midpoint(form, rows[1 + sim.ab2], dt, op)[0]
     # dissipation dt (A m, m) and work dt (F, m) in one product;
     # -dt (N, m) is the convective defect
     w = ws.stages
@@ -246,7 +257,7 @@ def step_rk4(sim, form, spec, dt, out=None):
     for i, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
         # the stage input c + h k_{i-1}
         cv = np.add(np.multiply(slopes[i - 1], h, out=y), c, out=y) if i else c
-        form.apply(cv, out=ac)
+        form.apply(cv, ac, ws.plan)
         ws.terms(form, spec, cv, fn)
         np.negative(ac, out=slopes[i])
         slopes[i] -= fn[1]

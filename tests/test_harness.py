@@ -212,8 +212,8 @@ def test_csv_byte_identical_across_threads(tmp_path):
 
 
 def test_batched_csv_identical_with_warm_caches(tmp_path):
-    # the same context run twice: the second run finds the form's step
-    # constants and the flat transform and apply indices already cached
+    # the same context run twice: the second run starts from the problem
+    # data the first left behind, which keeps no run state
     cfg = dict(get_scenario("free_decay_ensemble").config)
     cfg["run.t_end"] = 0.2
     ctx = build_context(cfg)

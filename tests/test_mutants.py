@@ -5,12 +5,16 @@ cheapest scenario check or tier-1 oracle that must fail under it; the same
 check must pass on the unmutated code.  Only killed mutants are listed.
 """
 
+import sys
+
+import numpy as np
 import pytest
 
 from surfns import forcing, geometry as geo, operators
 from surfns.harmonics import SphereTransform
 from surfns.scenarios import run_scenario
 from test_operators import dissipation_defect, enstrophy_defect
+from test_timestepper import rossby_haurwitz_error
 
 
 def _flip_forcing_k(mp):
@@ -46,6 +50,30 @@ def _mean_nu(mp):
     mp.setattr(SphereTransform, "order_forms", mean)
 
 
+def _patch_convective(mp, mutate):
+    """Every binding of ``convective_term`` (the package's, the operators' and
+    the time stepper's own import) returns its N after ``mutate(N)`` in place."""
+    real = operators.convective_term
+
+    def mutant(tr, c, out=None):
+        n = real(tr, c, out)
+        mutate(n)
+        return n
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "surfns" and getattr(module, "convective_term", None) is real:
+            mp.setattr(module, "convective_term", mutant)
+
+
+def _negate_n(mp):
+    """The convective term enters with the opposite sign: N -> -N."""
+    _patch_convective(mp, lambda n: np.negative(n, out=n))
+
+
+def _drop_n(mp):
+    """The convective term is dropped: N = 0."""
+    _patch_convective(mp, lambda n: n.fill(0.0))
+
+
 def _passes(name, *checks):
     """The killer: whether every named check of the scenario ``name`` passes."""
     def check():
@@ -63,6 +91,8 @@ MUTANTS = [
     pytest.param(_alias_grid, lambda: enstrophy_defect(geo.build_sphere_grid(8, 1.0), 8) <= 1e-14,
                  id="aliased_grid"),
     pytest.param(_mean_nu, lambda: dissipation_defect(8, 1.0, 0.5) <= 1e-12, id="mean_nu"),
+    pytest.param(_negate_n, lambda: rossby_haurwitz_error() <= 1e-9, id="negated_N"),
+    pytest.param(_drop_n, lambda: rossby_haurwitz_error() <= 1e-9, id="dropped_N"),
 ]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surfns import geometry as geo
+from surfns.diagnostics import record
 from surfns.errors import ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
 from surfns.harmonics import (SpectralState, SphereTransform, get_transform,
@@ -11,6 +12,7 @@ from surfns.harmonics import (SpectralState, SphereTransform, get_transform,
 from surfns.killing import killing_basis, korn_constant
 from surfns.operators import _order_pair_blocks, assemble_stokes, convective_term
 from surfns.scenarios import _gap
+from surfns.timestepper import SimState
 
 
 @pytest.fixture(scope="module")
@@ -284,11 +286,17 @@ def test_convective_energy_orthogonal_to_rounding():
         assert np.all(dots <= 1e-14 * np.linalg.norm(c, axis=1) * np.linalg.norm(n, axis=1))
 
 
-def test_operators_accept_empty_stack(formv, tr8, kb):
+def test_operators_accept_empty_stack(form1, formv, form_x, tr8, kb):
+    # every operator on a k = 0 stack through the plans it makes for the call,
+    # on the diagonal, order-pair and dense forms
     c = np.zeros((0, tr8.n_modes))
     spec = make_catalog_forcing("f3_minus", {}, kb)
-    for out in (formv.apply(c), convective_term(tr8, c), apply_forcing(spec, c)):
-        assert out.shape == (0, tr8.n_modes)
+    sim = SimState([SpectralState(8)], dt=1e-3).take([])
+    for form in (form1, formv, form_x):
+        for out in (form.apply(c), *form.cn_solve(c, 1e-3), convective_term(tr8, c),
+                    apply_forcing(spec, c)):
+            assert out.shape == (0, tr8.n_modes)
+        assert record(form, spec, sim).shape == (0,)
 
 
 def test_convective_zero(sphere8, tr8):
@@ -520,7 +528,7 @@ def test_apply_matches_dense(formv, form_x):
 
 def test_cn_solve_matches_dense(form1, formv, form_x):
     # (2 m, dt A m / 2) with m = (I + dt A / 2)^-1 y, for the diagonal, order-pair
-    # and dense storage, at two dts cached side by side and changing stack heights
+    # and dense storage, at two alternating dts and changing stack heights
     rng = np.random.default_rng(17)
     for form in (form1, formv, form_x):
         A = _dense(form)

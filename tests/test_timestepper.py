@@ -160,6 +160,37 @@ def test_two_degree_decay_is_not_single_degree():
     assert err > 1e-6
 
 
+def rossby_haurwitz_error(L=8, R=1.0, omega=2.0, l=3, T=0.5):
+    """Relative error of an unforced nu = 1 RK4 run (dt = 1e-3) at T against
+    its closed form: a rigid rotation about e3 at rate omega, (1, 0)
+    coefficient -omega sqrt(8 pi / 3) R^2, carries seed-3 random data on the
+    one degree l.  The rotation stays, and each (l, m) cos/sin pair turns by
+    m c_l omega t, c_l = 1 - 2 / (l(l+1)) (the Rossby-Haurwitz phase speed),
+    while it decays as e^{-lambda_l t}."""
+    grid = geo.build_sphere_grid(L, R)
+    form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0), L)
+    spec = make_catalog_forcing("zero", {}, killing_basis(grid))
+    c = np.zeros(n_modes(L))
+    c[mode_index(L, 1, 0)] = -omega * np.sqrt(8.0 * np.pi / 3.0) * R ** 2
+    block = slice(l * l - 1, (l + 1) ** 2 - 1)
+    c[block] = np.random.default_rng(3).standard_normal(2 * l + 1)
+    cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=T, stride=10 ** 9)
+    samples, _ = run(cfg, grid, form, spec, SpectralState(L, c))
+    want = c.copy()
+    angle = np.arange(1, l + 1) * (1.0 - 2.0 / (l * (l + 1))) * omega * T
+    cos, sin = c[block][1::2], c[block][2::2]
+    want[block][1::2] = cos * np.cos(angle) - sin * np.sin(angle)
+    want[block][2::2] = cos * np.sin(angle) + sin * np.cos(angle)
+    want[block] *= np.exp(-form.lam_by_degree[l] * T)
+    return np.linalg.norm(samples[-1] - want) / np.linalg.norm(want[block])
+
+
+def test_rigid_rotation_carries_one_degree_at_the_rossby_haurwitz_speed():
+    # the one exact nonlinear effect of a Killing part (ROADMAP item 16): it
+    # turns the non-Killing pattern, which N = 0 or N -> -N gets wrong by O(1)
+    assert rossby_haurwitz_error() <= 1e-9
+
+
 def test_rk4_stability_bound_checked(sphere8, form1, spec0):
     sim = SimState([SpectralState(8)], dt=1.0)
     with pytest.raises(ParameterError):
@@ -167,8 +198,7 @@ def test_rk4_stability_bound_checked(sphere8, form1, spec0):
 
 
 def test_imex_bound_still_checked_after_a_cached_dt(sphere8, formv, spec0, tr8):
-    # the solve operator of a valid dt is cached on the form; a later
-    # non-positive dt is checked afresh
+    # steps at a valid dt first; a later non-positive dt is checked afresh
     sim = SimState([random_band_limited(tr8, 53)], dt=1e-3)
     step_imex(step_imex(sim, formv, spec0, 1e-3), formv, spec0, 1e-3)
     for dt in (0.0, -1e-3):
@@ -763,6 +793,43 @@ def test_kept_workspace_steps_allocate_nothing(k, sphere16):
             finally:
                 tracemalloc.stop()
             assert peak - current < sim.c.nbytes, stepper.__name__
+
+
+def _held_bytes(obj):
+    """Bytes of the arrays in an object's attributes, directly or in a dict, tuple or list."""
+    def walk(v):
+        if isinstance(v, np.ndarray):
+            return v.nbytes
+        if isinstance(v, (dict, tuple, list)):
+            return sum(walk(x) for x in (v.values() if isinstance(v, dict) else v))
+        return 0
+    return walk(vars(obj))
+
+
+@pytest.mark.parametrize("nu", [1.0, "linear_x3"])
+def test_runs_leave_the_problem_data_as_they_found_it(nu, sphere8, kb, tr8):
+    # the run's workspace owns every array sized by the stack height or by dt:
+    # after batches of 50 to 200 rows, a batch whose rows diverge one at a time
+    # and runs at two dts, the transform's engine, the form and the forcing
+    # hold the attributes and array bytes they held before the first run
+    if nu == "linear_x3":
+        nu = 1.0 + 0.5 * sphere8.nodes[:, 2]
+    form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, nu), 8)
+    spec = make_catalog_forcing("f3_minus", {}, kb)
+    held = [(obj, set(vars(obj)), _held_bytes(obj)) for obj in (tr8.engine, form, spec)]
+    states = [random_band_limited(tr8, i) for i in range(200)]
+    for k in (50, 100, 150, 200):
+        run_batch(StepperConfig(dt=1e-3, t_end=2e-3, stride=2), sphere8, form, spec, states[:k])
+    u = random_band_limited(tr8, 5, norm_nonkilling=1.0).coeffs
+    rows = [SpectralState(8, 10.0 ** e * u) for e in (150, 60, 35, 15, 8, 5, 0)]
+    with np.errstate(all="ignore"):
+        _, diverged = run_batch(StepperConfig(dt=1e-3, t_end=0.02, stride=5),
+                                sphere8, form, spec, rows)
+    assert sorted(e.step for e in diverged.values()) == [1, 2, 3, 4, 5, 7]
+    for dt in (1e-3, 5e-4):
+        run_batch(StepperConfig(dt=dt, t_end=2e-3, stride=2), sphere8, form, spec, states[:3])
+    for obj, names, nbytes in held:
+        assert (set(vars(obj)), _held_bytes(obj)) == (names, nbytes), type(obj).__name__
 
 
 def _snapshot(trajectories, diverged):
