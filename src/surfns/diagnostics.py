@@ -144,7 +144,8 @@ class MonotonicityReport:
     direction: str
     ok: bool
     first_violation_t: float
-    worst: float
+    worst: float                # the most negative signed step, or 0
+    tol: float                  # the step tolerance applied
 
 
 def check_monotonicity(series, direction):
@@ -158,12 +159,10 @@ def check_monotonicity(series, direction):
     vals, times = series.norm_uK, series.t
     steps = sign * np.diff(vals)
     tol = 1e-10 * max(1.0, vals.max())
-    bad = np.where(steps < -tol)[0]
-    if bad.size == 0:
-        return MonotonicityReport(direction, True, np.nan,
-                                  float(steps.min(initial=0.0)))
-    return MonotonicityReport(direction, False, float(times[bad[0] + 1]),
-                              float(steps.min()))
+    bad = np.flatnonzero(steps < -tol)
+    first = float(times[bad[0] + 1]) if bad.size else np.nan
+    return MonotonicityReport(direction, not bad.size, first,
+                              float(steps.min(initial=0.0)), float(tol))
 
 
 @dataclass

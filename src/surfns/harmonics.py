@@ -85,8 +85,8 @@ class SphereTransform:
     scalar vorticity omega and of its closed-form covariant derivative,
     (dA, mixTF, dB, mixFF), for every order and degree up to L: O(L^3)
     memory, and O(L^3) work per transform (see ``geometry.SphereEngine``).
-    ``mode_l`` and ``mode_m`` give the degree and signed order (< 0 for a
-    sine) of each flat index, read off the engine's layout.
+    ``mode_l`` gives the degree of each flat index, read off the engine's
+    layout.
     ``strain_norm2`` holds ||eps(Phi)||_{L2}^2 per degree l = 1..L and
     ``grad_norm2`` ||grad Phi||_{L2}^2 per mode: the tables of
     ``degree_norms``, read off the engine's order-0 profiles.  Immutable
@@ -105,8 +105,7 @@ class SphereTransform:
         self.n_modes = n_modes(self.L)
         self.engine = SphereEngine(grid, 1, self.L, partial(_profiles, grid),
                                    (True, False, False, True, False, False, True), grid.weights)
-        order, part, self.mode_l = self.engine.layout
-        self.mode_m = np.where(part, -order, order)
+        self.mode_l = self.engine.layout[2]
         # order 0 is pair 0 of the engine's table, its row l degree l
         _, mixTF, dB, _ = self.engine.X[0, :, self.GRAD].swapaxes(0, 1)
         self.strain_norm2, grad = _zonal_norms(grid, mixTF, dB)

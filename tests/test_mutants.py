@@ -50,18 +50,25 @@ def _mean_nu(mp):
     mp.setattr(SphereTransform, "order_forms", mean)
 
 
+def _patch_everywhere(mp, real, mutant):
+    """Every binding of the function ``real`` in the package (its module's,
+    the package's and each importer's own) becomes ``mutant``."""
+    name = real.__name__
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "surfns" and getattr(module, name, None) is real:
+            mp.setattr(module, name, mutant)
+
+
 def _patch_convective(mp, mutate):
-    """Every binding of ``convective_term`` (the package's, the operators' and
-    the time stepper's own import) returns its N after ``mutate(N)`` in place."""
+    """Every binding of ``convective_term`` returns its N after ``mutate(N)``
+    in place."""
     real = operators.convective_term
 
     def mutant(tr, c, out=None):
         n = real(tr, c, out)
         mutate(n)
         return n
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "surfns" and getattr(module, "convective_term", None) is real:
-            mp.setattr(module, "convective_term", mutant)
+    _patch_everywhere(mp, real, mutant)
 
 
 def _negate_n(mp):
@@ -72,6 +79,18 @@ def _negate_n(mp):
 def _drop_n(mp):
     """The convective term is dropped: N = 0."""
     _patch_convective(mp, lambda n: n.fill(0.0))
+
+
+def _drop_s(mp):
+    """Every binding of ``apply_forcing`` returns F(c) - s c on the
+    non-Killing rows; the spec keeps its s, so the checks' s does not move."""
+    real = forcing.apply_forcing
+
+    def mutant(spec, c, out=None, f_rows=None):
+        out = real(spec, c, out, f_rows)
+        out[:, 3:] -= spec.s * c[:, 3:]
+        return out
+    _patch_everywhere(mp, real, mutant)
 
 
 def _passes(name, *checks):
@@ -93,6 +112,7 @@ MUTANTS = [
     pytest.param(_mean_nu, lambda: dissipation_defect(8, 1.0, 0.5) <= 1e-12, id="mean_nu"),
     pytest.param(_negate_n, lambda: rossby_haurwitz_error() <= 1e-9, id="negated_N"),
     pytest.param(_drop_n, lambda: rossby_haurwitz_error() <= 1e-9, id="dropped_N"),
+    pytest.param(_drop_s, _passes("f3_minus_decay", "nk_envelope"), id="dropped_s"),
 ]
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from surfns.scenarios import get_scenario, list_scenarios, run_scenario
+from surfns import scenarios
+from surfns.harness import build_context
+from surfns.scenarios import chk_nk_envelope, get_scenario, list_scenarios, run_scenario
 
 ALL_NAMES = [name for name, _ in list_scenarios()]
 
@@ -13,11 +15,29 @@ def test_registry_size_and_claims():
     assert len(set(claims)) == len(claims)
 
 
+def test_every_check_is_registered():
+    # a factory's checks are its inner functions, named after it
+    used = {fn.__qualname__.split(".")[0]
+            for name in ALL_NAMES for fn in get_scenario(name).checks}
+    defined = {name for name in vars(scenarios) if name.startswith("chk_")}
+    assert defined <= used, defined - used
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_scenario_passes(name, tmp_path):
     rep = run_scenario(name, out_dir=str(tmp_path), seed=None, quiet=True)
     assert rep.passed, rep.render()
+    names = [c.name for c in rep.checks]
+    assert len(set(names)) == len(names), names
     assert (tmp_path / f"{name}_report.json").exists()
+
+
+def test_nk_envelope_fails_when_void():
+    # f5 on the radius-2 sphere has s = R - 1 = 1 > sigma = nu lambda_2 / R^2 = 0.5
+    cfg = dict(get_scenario("f5_absorbing").config, **{"nu.value": 0.5})
+    res = chk_nk_envelope(build_context(cfg))
+    assert not res.passed
+    assert "void" in res.detail
 
 
 def test_seed_override_changes_random_runs(tmp_path):
