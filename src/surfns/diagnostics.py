@@ -52,8 +52,6 @@ def record(form, spec, sim):
 class DecayFit:
     zeta: float
     omega: float
-    residual: float
-    window: tuple
     warning: str = ""
 
     @property
@@ -87,26 +85,23 @@ def fit_decay_rate(times, values, window=None):
     floor = max(1e-12 * float(values.max()), 1e-300)
     sel = (times >= t0) & (times <= t1) & (values - omega > floor)
     if sel.sum() < 3:
-        return DecayFit(np.nan, omega, np.nan, (t0, t1),
-                        warning="too few samples above the plateau")
+        return DecayFit(np.nan, omega, warning="too few samples above the plateau")
     ts = times[sel]
     ys = np.log(values[sel] - omega)
     Amat = np.stack([np.ones_like(ts), -ts], axis=1)
     coef, *_ = np.linalg.lstsq(Amat, ys, rcond=None)
-    fit = Amat @ coef
-    resid = float(np.sqrt(np.mean((ys - fit) ** 2)))
     warning = ""
     tail = values[sel][max(0, sel.sum() - n_tail):]
     if np.any(np.diff(tail) > 1e-9 * max(values.max(), 1.0) + 1e-14):
         warning = "non-monotone tail"
-    return DecayFit(float(coef[1]), omega, resid, (float(t0), float(t1)), warning)
+    return DecayFit(float(coef[1]), omega, warning)
 
 
 @dataclass
 class KillingIdentityReport:
     linear_law_dev: float       # the power-integral law against f_K
     affine_law_dev: float       # componentwise alpha(t) = alpha(0) + t f_K
-    quadratic_law_dev: float    # norm growth law (nan unless f independent of u)
+    quadratic_law_dev: float    # the quadratic norm growth law
     drift: float                # max |alpha(t) - alpha(0)| (conservation case)
     fk_norm: float
 
@@ -141,7 +136,6 @@ def check_killing_identity(series, spec):
 
 @dataclass
 class MonotonicityReport:
-    direction: str
     ok: bool
     first_violation_t: float
     worst: float                # the most negative signed step, or 0
@@ -161,21 +155,11 @@ def check_monotonicity(series, direction):
     tol = 1e-10 * max(1.0, vals.max())
     bad = np.flatnonzero(steps < -tol)
     first = float(times[bad[0] + 1]) if bad.size else np.nan
-    return MonotonicityReport(direction, not bad.size, first,
-                              float(steps.min(initial=0.0)), float(tol))
+    return MonotonicityReport(not bad.size, first, float(steps.min(initial=0.0)), float(tol))
 
 
-@dataclass
-class DependenceReport:
-    sup_ratio: float
-    diss_integral: float
-    combined_ratio: float
-    gap0: float
-
-
-def continuous_dependence_ratio(traj_a, traj_b, T, form=None):
-    """sup_{[0,T]} ||u1 - u2||^2 / ||u1(0) - u2(0)||^2 plus the strain-gap
-    integral 2 nu_* int ||eps(u1 - u2)||^2 dt.
+def continuous_dependence_ratio(traj_a, traj_b, T):
+    """sup_{[0,T]} ||u1 - u2||^2 / ||u1(0) - u2(0)||^2.
 
     Each trajectory is a (samples, records) pair as ``run`` returns it: the
     coefficient rows and their records, sampled at the same times, which
@@ -189,26 +173,16 @@ def continuous_dependence_ratio(traj_a, traj_b, T, form=None):
     d0 = float(np.linalg.norm(d[0]))
     if d0 < NORM_FLOOR:
         raise ParameterError("identical initial data: dependence ratio undefined")
-    ts = records.t
-    window = ts <= T + 1e-12
-    d, ts = d[window], ts[window]
-    sup = float(np.einsum("kn,kn->k", d, d).max(initial=0.0))
-    diss = 0.0
-    if form is not None and ts.size > 1:
-        eps2 = (d * d) @ (0.5 * form.D)
-        trap = float(np.sum(0.5 * np.diff(ts) * (eps2[1:] + eps2[:-1])))
-        diss = 2.0 * form.nu_min * trap
-    return DependenceReport(sup / d0 ** 2, diss, (sup + diss) / d0 ** 2, d0)
+    d = d[records.t <= T + 1e-12]
+    return float(np.einsum("kn,kn->k", d, d).max(initial=0.0)) / d0 ** 2
 
 
 @dataclass
 class LambdaReport:
-    times: np.ndarray
     lam: np.ndarray
-    logs: np.ndarray            # L(t) = -1/2 log ||u||^2
     truncated_at: float         # nan if the difference never vanished
     lam_max: float
-    affine_coef: tuple          # (intercept, slope) of the L fit
+    affine_coef: tuple          # (intercept, slope) of the fit of L(t) = -log ||u||
     affine_residual: float      # rms residual / spread of L
 
 
@@ -230,11 +204,10 @@ def lambda_series(times, diffs, form):
     lams = np.einsum("kn,kn->k", d, form.apply(d)) / nrm ** 2
     logs = -np.log(nrm)
     if ts.size < 2:
-        return LambdaReport(ts, lams, logs, truncated, float("nan"),
-                            (np.nan, np.nan), np.nan)
+        return LambdaReport(lams, truncated, float("nan"), (np.nan, np.nan), np.nan)
     Amat = np.stack([np.ones_like(ts), ts], axis=1)
     coef, *_ = np.linalg.lstsq(Amat, logs, rcond=None)
     resid = float(np.sqrt(np.mean((logs - Amat @ coef) ** 2)))
     spread = float(max(np.ptp(logs), 1e-30))
-    return LambdaReport(ts, lams, logs, truncated, float(lams.max()),
+    return LambdaReport(lams, truncated, float(lams.max()),
                         (float(coef[0]), float(coef[1])), resid / spread)

@@ -140,7 +140,7 @@ def chk_nk_envelope(ctx):
 
 def chk_gap_spread(ctx):
     T = ctx.cfg["run.t_end"]
-    ratios = [continuous_dependence_ratio(ctx.pair["base"], ctx.pair[f"gap{i}"], T).sup_ratio
+    ratios = [continuous_dependence_ratio(ctx.pair["base"], ctx.pair[f"gap{i}"], T)
               for i in range(len(ctx.cfg["pair.gaps"]))]
     spread = max(ratios) / min(ratios)
     return _check("dependence_ratio_spread", spread, 2.0,

@@ -171,22 +171,30 @@ def check_batch(config, form, n_rows, n_alpha):
     """The step and sample counts of a run of ``config``, checked before
     anything is built: t_end must be an integer multiple of dt, and
     ``n_rows`` rows must fit in ``MAX_SAMPLE_BYTES``.  A row holds its
-    samples (coefficients and ``record``'s fields with ``n_alpha`` Killing
-    coordinates) and its workspace share: in n_modes values, 21 (18 of
-    histories and stages, the initial state's and the workspace's, 1 of forcing
-    rows and 2 of engine indices) and the form's plan and tiled operator (3 on
+    workspace share: in n_modes values, 14 (12 of the workspace's history and
+    stages, 2 of engine indices) and the form's plan and tiled operator (3 on
     the diagonal form; 8 on a blocked form, whose operator is not per row); and
     the convective plans' buffers: a (4 n_pairs, n_lat) latitude stage and
     its copy per component of the ``VORT`` synthesis (3) and ``FIELD``
-    adjoint (2), the synthesis's nodal values, and a coefficient block per plan."""
+    adjoint (2), the synthesis's nodal values, and a coefficient block per plan.
+    On top of that it peaks at the largest of three moments: the first step,
+    with the initial state (6), the forcing rows (1) and the samples
+    (coefficients and ``record``'s fields with ``n_alpha`` Killing
+    coordinates); the first sample's ``record``, before the forcing rows and
+    samples, with the initial state and what ``record`` builds (A c, 1, and
+    on a blocked form the plan of the call, 8); and a later ``record``, with
+    the forcing rows and samples but no initial state."""
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
         raise ParameterError("t_end must be an integer multiple of dt")
     n_samples = 1 + -(-n_steps // config.stride)
     eng, n = form.transform.engine, form.D.size
     n_pairs, n_degrees, _, n_lat = eng.X.shape
-    row = (n_samples * (n + len(SCALAR_FIELDS) + n_alpha) + (3 if form.blocks is None else 8) * n
-           + 21 * n + 10 * 4 * n_pairs * n_lat + 3 * n_lat * eng.n_lon + 8 * n_pairs * n_degrees)
+    samples = n_samples * (n + len(SCALAR_FIELDS) + n_alpha)
+    plan, transient = (3 * n, n) if form.blocks is None else (8 * n, 9 * n)
+    row = (plan + 14 * n + 10 * 4 * n_pairs * n_lat
+           + 3 * n_lat * eng.n_lon + 8 * n_pairs * n_degrees
+           + max(7 * n + samples, 6 * n + transient, n + samples + transient))
     held = 8 * n_rows * row
     if held > MAX_SAMPLE_BYTES:
         raise ParameterError(

@@ -14,7 +14,7 @@ from surfns import forcing, geometry as geo, operators
 from surfns.harmonics import SphereTransform
 from surfns.scenarios import run_scenario
 from test_operators import dissipation_defect, enstrophy_defect
-from test_timestepper import rossby_haurwitz_error
+from test_timestepper import forced_fixed_point_error, rossby_haurwitz_error
 
 
 def _flip_forcing_k(mp):
@@ -101,6 +101,11 @@ def _passes(name, *checks):
     return check
 
 
+def _fixed_point_error():
+    """The forced fixed point's error under IMEX at l = 3."""
+    return forced_fixed_point_error(3, 2, 1.0, "imex_cnab2", 1e-2)
+
+
 MUTANTS = [
     pytest.param(_flip_forcing_k,
                  _passes("f3_minus_decay", "killing_exponential_law", "killing_monotonicity"),
@@ -112,6 +117,8 @@ MUTANTS = [
     pytest.param(_mean_nu, lambda: dissipation_defect(8, 1.0, 0.5) <= 1e-12, id="mean_nu"),
     pytest.param(_negate_n, lambda: rossby_haurwitz_error() <= 1e-9, id="negated_N"),
     pytest.param(_drop_n, lambda: rossby_haurwitz_error() <= 1e-9, id="dropped_N"),
+    pytest.param(_negate_n, lambda: _fixed_point_error() <= 1e-12, id="negated_N_fixed_point"),
+    pytest.param(_drop_n, lambda: _fixed_point_error() <= 1e-12, id="dropped_N_fixed_point"),
     pytest.param(_drop_s, _passes("f3_minus_decay", "nk_envelope"), id="dropped_s"),
 ]
 

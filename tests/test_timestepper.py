@@ -191,6 +191,42 @@ def test_rigid_rotation_carries_one_degree_at_the_rossby_haurwitz_speed():
     assert rossby_haurwitz_error() <= 1e-9
 
 
+def forced_fixed_point_error(l, m, R, scheme, dt, L=8, omega=2.0, T=5.0):
+    """Relative error at T of the non-Killing part of a nu = 1 run against
+    its closed-form fixed point x_inf: the rotation of ``rossby_haurwitz_error``
+    is forced by the constant field of the one toroidal mode (l, m) and starts
+    from zero non-Killing data.  On each degree-d (m', cos/sin) pair x_inf solves
+    (lambda_d I - m' c_d omega J) x = f, J = [[0, -1], [1, 0]] (on (d, 0),
+    x = f / lambda_d): the pair's transport, decay and forcing balance.  x_inf
+    comes from this closed form alone, so no convective term moves it."""
+    grid = geo.build_sphere_grid(L, R)
+    form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0), L)
+    g = get_transform(grid, L).toroidal_basis_field(l, m)
+    spec = make_catalog_forcing("constant_field", {"g": g}, killing_basis(grid))
+    c = np.zeros(n_modes(L))
+    c[mode_index(L, 1, 0)] = -omega * np.sqrt(8.0 * np.pi / 3.0) * R ** 2
+    cfg = StepperConfig(scheme=scheme, dt=dt, t_end=T, stride=10 ** 9)
+    samples, _ = run(cfg, grid, form, spec, SpectralState(L, c))
+    want = np.zeros(n_modes(L))
+    for d in range(2, L + 1):
+        block = slice(d * d - 1, (d + 1) ** 2 - 1)
+        f, x, lam = spec.f[block], want[block], form.lam_by_degree[d]
+        k = np.arange(1, d + 1) * (1.0 - 2.0 / (d * (d + 1))) * omega
+        x[0] = f[0] / lam
+        x[1::2] = (lam * f[1::2] - k * f[2::2]) / (lam ** 2 + k ** 2)
+        x[2::2] = (lam * f[2::2] + k * f[1::2]) / (lam ** 2 + k ** 2)
+    return np.linalg.norm(samples[-1][3:] - want[3:]) / np.linalg.norm(want[3:])
+
+
+@pytest.mark.parametrize("l,m,R", [(3, 2, 1.0), (5, 4, 1.3)])
+@pytest.mark.parametrize("scheme,dt", [("imex_cnab2", 1e-2), ("imex_cnab2", 5e-3),
+                                       ("rk4", 1e-2)])
+def test_forced_rotation_settles_on_the_closed_form_fixed_point(l, m, R, scheme, dt):
+    # ROADMAP item 16's forced fixed point: the forced pattern turns at the
+    # Rossby-Haurwitz speed against its decay, at every dt and scheme
+    assert forced_fixed_point_error(l, m, R, scheme, dt) <= 1e-12
+
+
 def test_rk4_stability_bound_checked(sphere8, form1, spec0):
     sim = SimState([SpectralState(8)], dt=1.0)
     with pytest.raises(ParameterError):

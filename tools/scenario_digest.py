@@ -1,11 +1,15 @@
 """Digest every built-in scenario of a checkout: the sha256 of each CSV it
-writes and each report's checks, as one JSON object on stdout.
+writes and each report's checks, with the stdout of the static CLI
+commands, as one JSON object on stdout.
 
     python tools/scenario_digest.py CHECKOUT --seeds 7 3 11
 
-The scenarios run from ``CHECKOUT/src`` in a temporary directory.  Two
-checkouts behave the same when their digests are identical, so a
-byte-identity gate is one diff:
+The scenarios run from ``CHECKOUT/src`` in a temporary directory.  The CLI
+entries are ``spectrum`` (L = 16, linear_x3 viscosity, a = 0.5), ``korn``
+(the L = 16 sphere and the default torus) and, per seed, ``decompose`` of an
+L = 8 checkpoint of that seed's random state, each run through ``cli.main``
+in-process.  Two checkouts behave the same when their digests are
+identical, so a byte-identity gate is one diff:
 
     python tools/scenario_digest.py old --seeds 7 3 11 > old.json
     python tools/scenario_digest.py new --seeds 7 3 11 > new.json
@@ -15,11 +19,20 @@ A report's ``wall_time_s`` is left out; every other field is kept.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
 import tempfile
+
+# entry: (command, config file text)
+CLI_CONFIGS = {
+    "spectrum": ("spectrum", "geometry.L = 16\nnu.kind = linear_x3\nnu.value = 1.0\nnu.a = 0.5\n"),
+    "korn sphere": ("korn", "geometry.L = 16\n"),
+    "korn torus": ("korn", "geometry.kind = torus\n"),
+}
 
 
 def digest(checkout, seeds):
@@ -46,6 +59,35 @@ def digest(checkout, seeds):
                         report.pop("wall_time_s")
                         entry["report"] = report
                 out[f"seed {seed}: {name}"] = entry
+        out.update(cli_digest(tmp, seeds))
+    return out
+
+
+def _cli(argv):
+    """The exit code and stdout lines of ``cli.main(argv)``."""
+    from surfns import cli
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = cli.main(argv)
+    return {"exit": code, "stdout": buf.getvalue().splitlines()}
+
+
+def cli_digest(tmp, seeds):
+    """The ``_cli`` result of each of ``CLI_CONFIGS`` and of ``decompose`` on
+    each seed's checkpoint, written to ``tmp``."""
+    from surfns.geometry import build_sphere_grid
+    from surfns.harmonics import get_transform, random_band_limited
+    from surfns.harness import save_checkpoint
+    out = {}
+    for label, (command, text) in CLI_CONFIGS.items():
+        path = os.path.join(tmp, label.replace(" ", "_") + ".cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out[f"cli: {label}"] = _cli([command, path])
+    grid = build_sphere_grid(8, 1.0)
+    for seed in seeds:
+        path = os.path.join(tmp, f"state{seed}.snsk")
+        save_checkpoint(random_band_limited(get_transform(grid, 8), seed), grid, path)
+        out[f"cli: decompose seed {seed}"] = _cli(["decompose", path])
     return out
 
 
