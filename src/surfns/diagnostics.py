@@ -1,6 +1,7 @@
 """Observables along trajectories: norms, energy ledger, decay fits,
 Killing-component identities, monotonicity, continuous dependence, and the
-backward-uniqueness quotient.
+backward-uniqueness quotient; and the two references that read no solver
+operator: the Rossby-Haurwitz closed form and the strain quadrature.
 
 A trajectory's diagnostics are one record array, a row per sample; the
 checks read its columns (``records.t``, ``records.alpha``, ...).
@@ -25,21 +26,23 @@ SCALAR_FIELDS = ("t", "norm_u", "norm_uK", "norm_uNK", "energy", "dissipation",
                  "work", "energy_residual", "lam")
 
 
-def record(form, spec, sim):
+def record(form, spec, sim, ws=None):
     """The diagnostics of every row of the integrator's stack ``sim``: a
     record array with one row per coefficient row, with A c and F(c) each
-    evaluated once for the whole stack.  Its fields are ``SCALAR_FIELDS``
-    (``lam`` is nan where undefined) and the ``basis.n`` Killing
-    coordinates ``alpha``."""
+    evaluated once for the whole stack (into the ``idle`` stage rows of
+    ``run_batch``'s workspace ``ws``, by its plan, if given).  Its fields are
+    ``SCALAR_FIELDS`` (``lam`` is nan where undefined) and the ``basis.n``
+    Killing coordinates ``alpha``."""
     c = sim.c
+    ac, fc, plan = (None, None, None) if ws is None else (*ws.idle, ws.plan)
     norm_u = np.linalg.norm(c, axis=1)
-    diss = np.einsum("kn,kn->k", c, form.apply(c))
+    diss = np.einsum("kn,kn->k", c, form.apply(c, ac, plan))
     lam = np.full_like(norm_u, np.nan)
     defined = norm_u >= NORM_FLOOR
     lam[defined] = diss[defined] / norm_u[defined] ** 2
     columns = (sim.t, norm_u, np.linalg.norm(c[:, :3], axis=1),
                np.linalg.norm(c[:, 3:], axis=1), 0.5 * norm_u ** 2, diss,
-               np.einsum("kn,kn->k", apply_forcing(spec, c), c), sim.ledger_residual(),
+               np.einsum("kn,kn->k", apply_forcing(spec, c, fc), c), sim.ledger_residual(),
                lam, spec.basis.alpha(c))
     out = np.empty(c.shape[0], dtype=[(name, float) for name in SCALAR_FIELDS]
                    + [("alpha", float, (spec.basis.n,))])
@@ -132,6 +135,38 @@ def check_killing_identity(series, spec):
     quad_dev = np.abs(np.einsum("kn,kn->k", alpha, alpha) - expect).max()
     drift = np.abs(alpha - a0).max()
     return KillingIdentityReport(lin_dev, aff_dev, quad_dev, drift, fk_norm)
+
+
+def rossby_haurwitz_block(block, omega, rate, t):
+    """The degree-l block, at each of the times ``t``, of a flow whose data
+    are the rigid rotation about e3 at rate ``omega`` and the degree-l
+    coefficients ``block``: each (l, m) cos/sin pair turns by m c_l omega t,
+    c_l = 1 - 2 / (l(l+1)) (the Rossby-Haurwitz phase speed), and the block
+    decays as e^{-rate t}.  A closed form: no convective term is evaluated."""
+    l = block.size // 2
+    t = np.asarray(t, dtype=float)[:, None]
+    angle = np.arange(1, l + 1) * (1.0 - 2.0 / (l * (l + 1))) * omega * t
+    cos, sin = block[1::2], block[2::2]
+    out = np.empty((t.shape[0], block.size))
+    out[:, 0] = block[0]
+    out[:, 1::2] = cos * np.cos(angle) - sin * np.sin(angle)
+    out[:, 2::2] = cos * np.sin(angle) + sin * np.cos(angle)
+    return out * np.exp(-rate * t)
+
+
+def strain_dissipation(form, c):
+    """sum_n 2 nu_n w_n |eps(u)|^2_n for every row u of the (k, n_modes)
+    coefficient stack ``c``: the quadrature of the gradient synthesis with
+    nu's nodal values, which reads no assembled block.  It equals (c, A c)
+    when A is assembled from that nu.  The rows are synthesized 8 at a time:
+    four nodal fields per row outweigh a run's samples (11 MB for the 101
+    samples of an L = 16 run at once)."""
+    tr, w = form.transform, 2.0 * form.nu.values * form.grid.weights
+    out = np.empty(c.shape[0])
+    for i in range(0, c.shape[0], 8):
+        T = tr.engine.synthesize(c[i:i + 8], tr.GRAD)           # (4, 8, n_nodes)
+        out[i:i + 8] = (T[0] ** 2 + 0.5 * (T[1] + T[2]) ** 2 + T[3] ** 2) @ w
+    return out
 
 
 @dataclass

@@ -4,7 +4,8 @@ long-time laws of the flow, each with pinned tolerances.
 Every scenario's ``claims`` field states the law it exercises: the exact
 Killing-component dynamics under the forcing catalog, exponential
 non-Killing decay at the spectral-gap rate, the non-Killing absorbing
-envelope, the discrete energy equality, continuous dependence on data,
+envelope, the discrete energy equality and the dissipation's two routes,
+the Rossby-Haurwitz transport by a rotation, continuous dependence on data,
 bounded backward-uniqueness quotients, and absorbing-set entry for
 ensembles.
 
@@ -19,7 +20,7 @@ from .errors import ParameterError
 from . import geometry as geo
 from .diagnostics import (NORM_FLOOR, check_killing_identity, check_monotonicity,
                           continuous_dependence_ratio, fit_decay_rate,
-                          lambda_series)
+                          lambda_series, rossby_haurwitz_block, strain_dissipation)
 from .harmonics import get_transform, mode_index, random_band_limited
 from .harness import CheckResult, Scenario, default_config, execute_scenario
 from .killing import korn_constant
@@ -136,6 +137,32 @@ def chk_nk_envelope(ctx):
                   "||u_NK(t)|| inside the envelope of rate sigma - s",
                   detail=f"sigma - s = {rate:.6g}"
                   + ("" if rate > 0 else " <= 0: the envelope is void"))
+
+
+def chk_dissipation_dual(ctx):
+    """The dissipation (u, A u) of every sample against the strain quadrature
+    with the nodal nu, which reads no assembled block."""
+    quad = strain_dissipation(ctx.form, ctx.samples)
+    rel = np.max(np.abs(ctx.records.dissipation - quad) / quad)
+    # measured 1.1e-15 to 1.2e-15, 800x under; 4.3e-2 with A assembled from
+    # nu's area mean, 4e10x over
+    return _check("dissipation_dual", rel, 1e-12, "(u, A u) = int 2 nu |eps(u)|^2")
+
+
+def chk_rh_transport(ctx):
+    """The degree-3 block of every sample against the Rossby-Haurwitz closed
+    form, Omega read from the first sample's alpha_3 = Omega sqrt(8 pi / 3) R^2:
+    the largest error relative to the reference block."""
+    r, block = ctx.records, slice(8, 15)        # degree 3: l^2 - 1 to (l + 1)^2 - 1
+    omega = r.alpha[0, 2] / (np.sqrt(8.0 * np.pi / 3.0) * ctx.grid.R ** 2)
+    rate = ctx.form.nu_min * ctx.form.lam_by_degree[3]
+    want = rossby_haurwitz_block(ctx.samples[0, block], omega, rate, r.t - r.t[0])
+    err = np.linalg.norm(ctx.samples[:, block] - want, axis=1) / np.linalg.norm(want, axis=1)
+    # measured 8.6e-5 (2.1e-5 at dt / 2: second order), 12x under; 1.15 with
+    # N = 0 and 1.30 with N -> -N, 1150x over
+    return _check("rh_transport", err.max(), 1e-3,
+                  "(3, m) pairs turn by m c_3 Omega t and decay as e^{-lambda_3 t}",
+                  detail=f"Omega = {omega:.6g}")
 
 
 def chk_gap_spread(ctx):
@@ -333,7 +360,19 @@ _SCENARIOS = (
              init_kind="random", init_l_max=5, init_norm_killing=0.3,
              init_norm_nonkilling=0.7, run_dt=1e-3, run_t_end=1.0,
              run_stride=10),
-        [chk_ledger(1e-6)]),
+        [chk_ledger(1e-6), chk_dissipation_dual]),
+
+    Scenario(
+        "rossby_haurwitz",
+        "a rigid rotation carries a one-degree pattern at the Rossby-Haurwitz "
+        "phase speed while viscosity damps it at that degree's rate",
+        "single",
+        _cfg(geometry_L=8, init_kind="modes",
+             init_modes=((1, 0, -2.0 * np.sqrt(8.0 * np.pi / 3.0)), (3, 0, 2.041),
+                         (3, 1, -2.556), (3, -1, 0.418), (3, 2, -0.568),
+                         (3, -2, -0.453), (3, 3, -0.216), (3, -3, -2.02)),
+             run_dt=1e-3, run_t_end=0.5, run_stride=10),
+        [chk_rh_transport]),
 
     Scenario(
         "free_decay_ensemble",

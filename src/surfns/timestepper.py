@@ -37,12 +37,12 @@ gap families therefore integrate as one batch; coefficient rows and
 diagnostics (one batched ``record`` call per sample) are copied out only at
 sample points, into one array and one record array per trajectory.
 ``run_batch`` owns one workspace per stack height: two states whose c sit in
-the slots of one history, taking turns as a step's input and output, and
-every array a step writes or that is sized by the height or by dt (engine
-scratch, plans, forcing rows and per-dt operators); the form, its transform
-and the forcing keep none of it.  A step called without
-``out`` makes a fresh workspace, the only difference, so it returns a new
-stack and leaves its input untouched.
+the slots of one history, the initial stack's, taking turns as a step's input
+and output, and every array a step writes or that is sized by the height or
+by dt (engine scratch, plans, forcing rows and per-dt operators); the form,
+its transform and the forcing keep none of it.  A step called without
+``out`` makes a fresh workspace on a copy of its input, the only difference,
+so it returns a new stack and leaves its input untouched.
 """
 
 from dataclasses import dataclass
@@ -127,15 +127,16 @@ def _stage_rows(dt):
 
 class _Workspace:
     """Every array a step of the k rows of ``sim`` on ``form`` writes, and every
-    one sized by k or dt that it reads: the two states and their history, the
-    form's and the engine plans, the forcing's rows (tiled at the first step),
-    per dt ``dts`` the stage rows and ``cn_operator``, ``stages`` (IMEX: y,
-    2 m, a A m and a F; RK4: the slopes, A c and the stage input) and the
-    ledger rates."""
+    one sized by k or dt that it reads: the two states and ``sim``'s history,
+    which they share, the form's and the engine plans, the forcing's rows
+    (tiled at the first step), per dt ``dts`` the stage rows and
+    ``cn_operator``, ``stages`` (IMEX: y, 2 m, a A m and a F; RK4: the
+    slopes, A c and the stage input), ``idle``, the two stage rows a step
+    reads only after writing them, and the ledger rates."""
 
     def __init__(self, form, sim):
         k, n = sim.c.shape
-        self.hist, self.stages = np.empty((6, k, n)), np.empty((6, k, n))
+        self.hist, self.stages = sim.hist, np.empty((6, k, n))
         self.states = [SimState.__new__(SimState)._bind(self.hist, j, np.empty((2, k)))
                        for j in range(2)]
         self.states[0].L = self.states[1].L = sim.L
@@ -145,6 +146,7 @@ class _Workspace:
         self.spec = self.f_rows = None
         self.dts = {}
         self.yg = self.stages.reshape(6, -1)[:4:3]      # y and a F
+        self.idle = self.stages[4:]
         self.rates = np.empty((4, 2, k))
 
     def terms(self, form, spec, c, out):
@@ -170,31 +172,27 @@ class _Workspace:
 def check_batch(config, form, n_rows, n_alpha):
     """The step and sample counts of a run of ``config``, checked before
     anything is built: t_end must be an integer multiple of dt, and
-    ``n_rows`` rows must fit in ``MAX_SAMPLE_BYTES``.  A row holds its
-    workspace share: in n_modes values, 14 (12 of the workspace's history and
-    stages, 2 of engine indices) and the form's plan and tiled operator (3 on
-    the diagonal form; 8 on a blocked form, whose operator is not per row); and
-    the convective plans' buffers: a (4 n_pairs, n_lat) latitude stage and
-    its copy per component of the ``VORT`` synthesis (3) and ``FIELD``
-    adjoint (2), the synthesis's nodal values, and a coefficient block per plan.
-    On top of that it peaks at the largest of three moments: the first step,
-    with the initial state (6), the forcing rows (1) and the samples
-    (coefficients and ``record``'s fields with ``n_alpha`` Killing
-    coordinates); the first sample's ``record``, before the forcing rows and
-    samples, with the initial state and what ``record`` builds (A c, 1, and
-    on a blocked form the plan of the call, 8); and a later ``record``, with
-    the forcing rows and samples but no initial state."""
+    ``n_rows`` rows must fit in ``MAX_SAMPLE_BYTES``.  A row holds at once, in
+    n_modes values: 14 of the workspace (12 of its history and stages, 2 of
+    engine indices); the form's plan (1 on the diagonal form, 8 on a blocked
+    one) and the diagonal form's tiled IMEX operator (2); the convective
+    plans' buffers: a (4 n_pairs, n_lat) latitude stage and its copy per
+    component of the ``VORT`` synthesis (3) and ``FIELD`` adjoint (2), the
+    synthesis's nodal values, and a coefficient block per plan; the forcing
+    rows (1); ``record``'s square (1); the samples (coefficients and
+    ``record``'s fields with ``n_alpha`` Killing coordinates); 16 scalars
+    (ledgers, rates, index); and ``record``'s fields twice.  Its Python
+    objects are left out."""
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
         raise ParameterError("t_end must be an integer multiple of dt")
     n_samples = 1 + -(-n_steps // config.stride)
     eng, n = form.transform.engine, form.D.size
     n_pairs, n_degrees, _, n_lat = eng.X.shape
-    samples = n_samples * (n + len(SCALAR_FIELDS) + n_alpha)
-    plan, transient = (3 * n, n) if form.blocks is None else (8 * n, 9 * n)
-    row = (plan + 14 * n + 10 * 4 * n_pairs * n_lat
-           + 3 * n_lat * eng.n_lon + 8 * n_pairs * n_degrees
-           + max(7 * n + samples, 6 * n + transient, n + samples + transient))
+    fields = len(SCALAR_FIELDS) + n_alpha
+    plan = 8 * n if form.blocks is not None else 3 * n if config.scheme == "imex_cnab2" else n
+    row = (plan + 16 * n + 10 * 4 * n_pairs * n_lat + 3 * n_lat * eng.n_lon
+           + 8 * n_pairs * n_degrees + n_samples * (n + fields) + 16 + 2 * fields)
     held = 8 * n_rows * row
     if held > MAX_SAMPLE_BYTES:
         raise ParameterError(
@@ -222,9 +220,7 @@ def step_imex(sim, form, spec, dt, out=None):
     _check_dt(dt, 0.0, 0.0, "IMEX-CNAB2")          # no stability bound
     if sim.ab2 and dt != sim.dt:
         raise ParameterError(f"dt = {dt:g} differs from the previous step's {sim.dt:g}")
-    ws = _Workspace(form, sim) if out is None else out
-    if sim.hist is not ws.hist:
-        np.copyto(ws.hist, sim.hist)
+    ws = _Workspace(form, sim.take(range(sim.c.shape[0]))) if out is None else out
     cur, other = ws.states[sim.slot], ws.states[1 - sim.slot]
     per_dt = ws.dts.get(dt)
     if per_dt is None:
@@ -257,11 +253,9 @@ def _rk4_sum(s, dt):
 def step_rk4(sim, form, spec, dt, out=None):
     """Classical explicit RK4 step of every row, returned like ``step_imex``'s."""
     _check_dt(dt, form.rho_full(), 2.7, "RK4")
-    ws = _Workspace(form, sim) if out is None else out
-    if sim.hist is not ws.hist:
-        np.copyto(ws.hist, sim.hist)
+    ws = _Workspace(form, sim.take(range(sim.c.shape[0]))) if out is None else out
     c, fn = ws.states[sim.slot].c, ws.states[sim.slot].fn
-    slopes, ac, y = ws.stages[:4], ws.stages[4], ws.stages[5]
+    slopes, (ac, y) = ws.stages[:4], ws.idle
     for i, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
         # the stage input c + h k_{i-1}
         cv = np.add(np.multiply(slopes[i - 1], h, out=y), c, out=y) if i else c
@@ -292,11 +286,12 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     far as ``partial``; the error also carries the failing step's number
     ``step``, its end time ``t`` and ``dt``, and the last finite state's
     ``max_abs_c`` and ``ledger_residual``.  The other rows continue.
-    A run over ``MAX_SAMPLE_BYTES`` (see ``check_batch``) raises
-    ParameterError before it builds anything.
-    ``record_fn`` (default: the diagnostics ``record``) is called as
-    ``record_fn(form, spec, sim)`` once per sample on the live rows and
-    returns one record per row.  The loop, ``record_fn`` included, runs with
+    A run whose workspace, forcing rows, ``record`` temporaries and samples
+    exceed ``MAX_SAMPLE_BYTES`` at once (``check_batch``) raises
+    ParameterError before it builds anything.  ``record_fn`` (default: the
+    diagnostics ``record``) is called as ``record_fn(form, spec, sim, ws)``,
+    ``ws`` the run's workspace, once per sample on the live rows and returns
+    one record per row.  The loop, ``record_fn`` included, runs with
     numpy's overflow and invalid-value warnings off, since an overflowing
     row is expected and is caught after its step.
     """
@@ -315,7 +310,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     sim = SimState(states, dt=config.dt)
     ws = _Workspace(form, sim)
     live = np.arange(sim.c.shape[0])          # original index of each row
-    first = rec(form, spec, sim)
+    first = rec(form, spec, sim, ws)
     samples = np.empty((live.size, n_samples, sim.c.shape[1]))
     records = np.recarray((live.size, n_samples), dtype=first.dtype)
     samples[:, 0], records[:, 0] = sim.c, first
@@ -344,7 +339,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
                 ws = _Workspace(form, new)
             sim = new
             if (n + 1) % config.stride == 0 or n + 1 == n_steps:
-                samples[live, taken], records[live, taken] = sim.c, rec(form, spec, sim)
+                samples[live, taken], records[live, taken] = sim.c, rec(form, spec, sim, ws)
                 taken += 1
     return trajectories, diverged
 

@@ -799,11 +799,11 @@ def test_cli_oversized_ensemble_fails_before_any_member_state(tmp_path, capsys, 
 
 
 def test_batch_size_check_counts_the_row_workspace():
-    # the bytes each row adds to a run, as tracemalloc sees them: on the
-    # diagonal form and the blocked one, at L = 8 and 16, the size check
-    # passes as many rows as fit the cap by that measure and counts 1 / 0.98
-    # and 1.25 times as many over it (it leaves out the step's temporaries)
-    cfg = timestepper.StepperConfig(dt=1e-3, t_end=2e-3, stride=2)
+    # the bytes each row adds to a run, as tracemalloc sees them: under IMEX
+    # and RK4, on the diagonal form and the blocked one, at L = 8 and 16, the
+    # size check passes as many rows as fit the cap by that measure and counts
+    # 1 / 0.98 and 1.25 times as many over it (it leaves out each row's
+    # Python objects)
     for L in (8, 16):
         grid = geo.build_sphere_grid(L, 1.0)
         kb = killing_basis(grid)
@@ -811,19 +811,21 @@ def test_batch_size_check_counts_the_row_workspace():
         states = [random_band_limited(get_transform(grid, L), i) for i in range(200)]
         for a in (0.0, 0.5):
             form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0 + a * grid.nodes[:, 2]), L)
-            peaks = []
-            for k in (100, 200):
-                tracemalloc.start()
-                try:
-                    timestepper.run_batch(cfg, grid, form, spec, states[:k])
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            n_rows = int(timestepper.MAX_SAMPLE_BYTES / ((peaks[1] - peaks[0]) / 100))
-            assert timestepper.check_batch(cfg, form, n_rows, kb.n) == (2, 2)
-            for over in (1 / 0.98, 1.25):
-                with pytest.raises(ParameterError, match="GiB cap"):
-                    timestepper.check_batch(cfg, form, int(over * n_rows), kb.n)
+            for scheme in ("imex_cnab2", "rk4"):
+                cfg = timestepper.StepperConfig(scheme=scheme, dt=1e-3, t_end=2e-3, stride=2)
+                peaks = []
+                for k in (100, 200):
+                    tracemalloc.start()
+                    try:
+                        timestepper.run_batch(cfg, grid, form, spec, states[:k])
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+                n_rows = int(timestepper.MAX_SAMPLE_BYTES / ((peaks[1] - peaks[0]) / 100))
+                assert timestepper.check_batch(cfg, form, n_rows, kb.n) == (2, 2), (L, a, scheme)
+                for over in (1 / 0.98, 1.25):
+                    with pytest.raises(ParameterError, match="GiB cap"):
+                        timestepper.check_batch(cfg, form, int(over * n_rows), kb.n)
 
 
 def test_malformed_threads_env_has_no_effect(tmp_path, monkeypatch):

@@ -120,6 +120,10 @@ MUTANTS = [
     pytest.param(_negate_n, lambda: _fixed_point_error() <= 1e-12, id="negated_N_fixed_point"),
     pytest.param(_drop_n, lambda: _fixed_point_error() <= 1e-12, id="dropped_N_fixed_point"),
     pytest.param(_drop_s, _passes("f3_minus_decay", "nk_envelope"), id="dropped_s"),
+    pytest.param(_negate_n, _passes("rossby_haurwitz", "rh_transport"), id="negated_N_suite"),
+    pytest.param(_drop_n, _passes("rossby_haurwitz", "rh_transport"), id="dropped_N_suite"),
+    pytest.param(_mean_nu, _passes("varnu_energy_balance", "dissipation_dual"),
+                 id="mean_nu_suite"),
 ]
 
 

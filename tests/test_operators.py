@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfns import geometry as geo
-from surfns.diagnostics import record
+from surfns.diagnostics import record, strain_dissipation
 from surfns.errors import ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
 from surfns.harmonics import (SpectralState, SphereTransform, get_transform,
@@ -589,15 +589,12 @@ def test_spectral_gap_meets_korn_bound(L, R, a):
 
 def dissipation_defect(L, R, a, seed=3, k=4):
     """Largest relative gap, over k seeded rows c, between (c, A c) from the
-    assembled form of nu = 1 + a x3 / R and the quadrature
-    sum_n 2 nu_n w_n |eps(u)|^2_n of the gradient synthesis of c."""
+    assembled form of nu = 1 + a x3 / R and ``strain_dissipation``'s
+    quadrature sum_n 2 nu_n w_n |eps(u)|^2_n of the gradient synthesis of c."""
     grid = geo.build_sphere_grid(L, R)
-    nu = geo.ViscosityField(grid, 1.0 + a * grid.nodes[:, 2] / R)
-    form = assemble_stokes(grid, nu, L)
+    form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0 + a * grid.nodes[:, 2] / R), L)
     c = np.random.default_rng(seed).normal(size=(k, form.D.size))
-    T = form.transform.engine.synthesize(c, form.transform.GRAD)     # (4, k, n_nodes)
-    eps2 = T[0] ** 2 + 0.5 * (T[1] + T[2]) ** 2 + T[3] ** 2
-    quad = eps2 @ (2.0 * nu.values * grid.weights)
+    quad = strain_dissipation(form, c)
     return float(np.max(np.abs(np.einsum("kn,kn->k", c, form.apply(c)) - quad) / quad))
 
 

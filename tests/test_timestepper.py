@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from surfns import geometry as geo
-from surfns.diagnostics import record
+from surfns.diagnostics import record, rossby_haurwitz_block
 from surfns.errors import DivergenceError, GridMismatchError, ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
 from surfns.harmonics import (SpectralState, get_transform, mode_index, n_modes,
@@ -164,9 +164,8 @@ def rossby_haurwitz_error(L=8, R=1.0, omega=2.0, l=3, T=0.5):
     """Relative error of an unforced nu = 1 RK4 run (dt = 1e-3) at T against
     its closed form: a rigid rotation about e3 at rate omega, (1, 0)
     coefficient -omega sqrt(8 pi / 3) R^2, carries seed-3 random data on the
-    one degree l.  The rotation stays, and each (l, m) cos/sin pair turns by
-    m c_l omega t, c_l = 1 - 2 / (l(l+1)) (the Rossby-Haurwitz phase speed),
-    while it decays as e^{-lambda_l t}."""
+    one degree l.  The rotation stays, and the degree-l block follows
+    ``rossby_haurwitz_block``."""
     grid = geo.build_sphere_grid(L, R)
     form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0), L)
     spec = make_catalog_forcing("zero", {}, killing_basis(grid))
@@ -177,11 +176,7 @@ def rossby_haurwitz_error(L=8, R=1.0, omega=2.0, l=3, T=0.5):
     cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=T, stride=10 ** 9)
     samples, _ = run(cfg, grid, form, spec, SpectralState(L, c))
     want = c.copy()
-    angle = np.arange(1, l + 1) * (1.0 - 2.0 / (l * (l + 1))) * omega * T
-    cos, sin = c[block][1::2], c[block][2::2]
-    want[block][1::2] = cos * np.cos(angle) - sin * np.sin(angle)
-    want[block][2::2] = cos * np.sin(angle) + sin * np.cos(angle)
-    want[block] *= np.exp(-form.lam_by_degree[l] * T)
+    want[block] = rossby_haurwitz_block(c[block], omega, form.lam_by_degree[l], [T])[0]
     return np.linalg.norm(samples[-1] - want) / np.linalg.norm(want[block])
 
 
@@ -461,6 +456,23 @@ def test_record_fn_is_called_once_per_sample(sphere8, formv, kb, tr8):
         assert records_to_csv(recs, 3) == records_to_csv(ref, 3)
 
 
+@pytest.mark.parametrize("scheme", ["imex_cnab2", "rk4"])
+def test_a_run_builds_the_blocked_plan_once(scheme, monkeypatch, sphere8, formv, kb, tr8):
+    # record evaluates A c by the workspace's plan: one plan per workspace on
+    # a linear_x3 form, none per sample
+    real, heights = StokesForm.plan, []
+
+    def counted(self, k):
+        heights.append(k)
+        return real(self, k)
+    monkeypatch.setattr(StokesForm, "plan", counted)
+    spec = make_catalog_forcing("f3_minus", {}, kb)
+    states = [random_band_limited(tr8, 130 + i) for i in range(3)]
+    cfg = StepperConfig(scheme=scheme, dt=1e-3, t_end=0.01, stride=2)
+    (samples, _), *_ = run_batch(cfg, sphere8, formv, spec, states)[0]
+    assert len(samples) == 6 and heights == [3]
+
+
 def _assert_matches_solo(trajectory, solo):
     (samples, records), (ref, ref_records) = trajectory, solo
     assert len(samples) == len(ref)
@@ -548,7 +560,7 @@ def test_scenario_forms_by_path():
             assert name == "varnu_energy_balance"
             L = sc.config["geometry.L"]
             assert form.blocks.shape == (L + 2, L, L)
-    assert len(diagonal) == 14
+    assert len(diagonal) == 15
 
 
 _BAD_EDGES = {
@@ -723,9 +735,9 @@ def _frozen_run(cfg, form, spec, states, step=None):
 
 def _ledger_capture(store):
     """A ``record_fn`` that also keeps each row's (work, dissipation) integrals."""
-    def capture(form, spec, sim):
+    def capture(form, spec, sim, ws):
         store.append(np.stack([sim.work_integral, sim.diss_integral], 1).copy())
-        return record(form, spec, sim)
+        return record(form, spec, sim, ws)
     return capture
 
 
@@ -921,10 +933,10 @@ def test_interleaved_runs_on_one_form_equal_fresh_runs(sphere8, formv, kb, tr8):
     cfg = StepperConfig(dt=1e-3, t_end=0.02, stride=5)
     inner = []
 
-    def interleave(form, spec, sim):
+    def interleave(form, spec, sim, ws):
         inner.append([_snapshot(*run_batch(cfg, sphere8, formv, spec, rows))
                       for rows in (states[1:4], states[4:])])
-        return record(form, spec, sim)
+        return record(form, spec, sim, ws)
 
     outer = _snapshot(*run_batch(cfg, sphere8, formv, spec, states[:1], interleave))
     _assert_same(outer, _snapshot(*run_batch(cfg, sphere8, formv, spec, states[:1])))
