@@ -30,19 +30,20 @@ def record(form, spec, sim, ws=None):
     """The diagnostics of every row of the integrator's stack ``sim``: a
     record array with one row per coefficient row, with A c and F(c) each
     evaluated once for the whole stack (into the ``idle`` stage rows of
-    ``run_batch``'s workspace ``ws``, by its plan, if given).  Its fields are
-    ``SCALAR_FIELDS`` (``lam`` is nan where undefined) and the ``basis.n``
-    Killing coordinates ``alpha``."""
+    ``run_batch``'s workspace ``ws``, by its plan and forcing rows, if
+    given).  Its fields are ``SCALAR_FIELDS`` (``lam`` is nan where
+    undefined) and the ``basis.n`` Killing coordinates ``alpha``."""
     c = sim.c
-    ac, fc, plan = (None, None, None) if ws is None else (*ws.idle, ws.plan)
-    norm_u = np.linalg.norm(c, axis=1)
+    ac, fc, plan, rows = (None,) * 4 if ws is None else (*ws.idle, ws.plan, ws.forcing_rows(spec))
+    sq = c * c      # np.linalg.norm's square, once: on a column slice norm copies it
+    norm_u, norm_uk, norm_unk = (np.sqrt(np.add.reduce(sq[:, cols], axis=1))
+                                 for cols in (slice(None), slice(3), slice(3, None)))
     diss = np.einsum("kn,kn->k", c, form.apply(c, ac, plan))
     lam = np.full_like(norm_u, np.nan)
     defined = norm_u >= NORM_FLOOR
     lam[defined] = diss[defined] / norm_u[defined] ** 2
-    columns = (sim.t, norm_u, np.linalg.norm(c[:, :3], axis=1),
-               np.linalg.norm(c[:, 3:], axis=1), 0.5 * norm_u ** 2, diss,
-               np.einsum("kn,kn->k", apply_forcing(spec, c, fc), c), sim.ledger_residual(),
+    columns = (sim.t, norm_u, norm_uk, norm_unk, 0.5 * norm_u ** 2, diss,
+               np.einsum("kn,kn->k", apply_forcing(spec, c, fc, rows), c), sim.ledger_residual(),
                lam, spec.basis.alpha(c))
     out = np.empty(c.shape[0], dtype=[(name, float) for name in SCALAR_FIELDS]
                    + [("alpha", float, (spec.basis.n,))])

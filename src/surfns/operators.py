@@ -34,6 +34,7 @@ class StokesForm:
     in one block, and A couples no two blocks.  The form holds nothing
     sized by a stack height or a dt: ``plan`` and ``cn_operator`` build it
     for the caller to keep (the time stepper's workspace) or for one call.
+    ``cn_solve`` applies 2 (I + a A)^-1 alone, through ``apply``'s plan.
     """
 
     def __init__(self, grid, transform, nu, L, lam_by_degree, blocks=None, gather=None):
@@ -50,41 +51,30 @@ class StokesForm:
         if blocks is None:
             self._diag = self.nu_min * self.D       # A itself
         else:
-            # per mode: block n_slots, slot, and the two slots' offsets in a
-            # (block, row, 2 slot) product, a plan's scatters at every height
+            # per mode: block and slot, a plan's scatter at every height
             # (gather holds each mode once and no padding slot)
-            n_slots = gather.shape[1]
-            block, slot = np.divmod(np.argsort(gather, axis=None), n_slots)
-            self._slots = block * n_slots, slot, np.stack((-slot, n_slots - slot))[:, None]
+            self._slots = np.divmod(np.argsort(gather, axis=None), gather.shape[1])
 
     def plan(self, k):
         """The ``plan`` of ``apply`` and ``cn_solve`` for k rows: A tiled to k rows
         on the diagonal form (numpy buffers, so allocates for, a small broadcast);
-        else the flat gather of the blocks' (block, row, slot) entries and its buffer,
-        then for a (block, row, slot) and a (block, row, 2 slot) product its buffer
-        and the scatter of the modes."""
+        else the flat gather of the blocks' (block, row, slot) entries, its buffer,
+        the product's buffer and the scatter of the modes from the product."""
         if self.blocks is None:
             return np.repeat(self._diag[None], k, axis=0)
-        (n_blocks, n_slots), (start, slot, halves) = self.gather.shape, self._slots
+        (n_blocks, n_slots), (block, slot) = self.gather.shape, self._slots
         r = np.arange(k)[:, None]
-        scatter = start * k + slot + n_slots * r        # (block k + row) n_slots + slot
         return (self.gather[:, None] + self.D.size * r, np.empty((n_blocks, k, n_slots)),
-                np.empty((n_blocks, k, n_slots)), scatter,
-                np.empty((n_blocks, k, 2 * n_slots)), 2 * scatter + halves)
+                np.empty((n_blocks, k, n_slots)), (block * k + r) * n_slots + slot)
 
     def cn_operator(self, dt, k):
-        """The operator of ``cn_solve`` for ``dt`` and k rows: (2 R, a A R),
-        R = (I + a A)^-1, a = dt / 2, as diagonals tiled to k rows or per block
-        [2 R^T | a R^T A] with A the assembled block, one product for both."""
+        """The operator of ``cn_solve`` for ``dt`` and k rows: 2 R, R = (I + a A)^-1,
+        a = dt / 2, as a diagonal tiled to k rows or per block as 2 R^T."""
         a = 0.5 * dt
         if self.blocks is None:
-            r = 1.0 / (1.0 + a * self._diag)
-            return np.repeat(np.stack((2.0 * r, a * self._diag * r))[:, None], k, axis=1)
-        n = self.blocks.shape[1]
-        op = np.empty(self.blocks.shape[:2] + (2 * n,))
-        op[..., :n] = 2.0 * np.linalg.inv(np.eye(n) + a * self.blocks).transpose(0, 2, 1)
-        op[..., n:] = op[..., :n] @ (0.5 * a * self.blocks)
-        return op
+            return np.repeat(2.0 / (1.0 + a * self._diag)[None], k, axis=0)
+        eye = np.eye(self.blocks.shape[1])
+        return 2.0 * np.linalg.inv(eye + a * self.blocks).transpose(0, 2, 1)
 
     def apply(self, c, out=None, plan=None):
         """A c for every row of a (k, n_modes) coefficient stack (into ``out``),
@@ -92,7 +82,7 @@ class StokesForm:
         given; the diagonal form then broadcasts its A)."""
         if self.blocks is None:
             return np.multiply(c, self._diag if plan is None else plan, out=out)
-        gather, g, p, scatter = (self.plan(c.shape[0]) if plan is None else plan)[:4]
+        gather, g, p, scatter = self.plan(c.shape[0]) if plan is None else plan
         # symmetric blocks
         np.matmul(c.take(gather, out=g, mode="clip"), self.blocks, out=p)
         return p.take(scatter, out=out, mode="clip")
@@ -100,18 +90,20 @@ class StokesForm:
     def cn_solve(self, y, dt, out=None, plan=None, op=None):
         """(2 m, a A m), a = dt / 2, stacked (2, k, n_modes) into ``out`` if given,
         for m = R y, R = (I + a A)^-1, and every row of a (k, n_modes) stack y:
-        c+ = 2 m - c, and the dot of the two is dt (A m, m).  ``op`` (the
-        ``cn_operator`` of dt for k rows) and ``plan`` are made for the call
-        when not given."""
+        c+ = 2 m - c, and the dot of the two is dt (A m, m).  2 m is the one
+        product, by ``op`` (the ``cn_operator`` of dt for k rows) and ``plan``,
+        made for the call when not given; a A m is y - m, the solve's own
+        identity, with m = 2 m / 2 exact."""
         op = self.cn_operator(dt, y.shape[0]) if op is None else op
+        out = np.empty((2,) + y.shape) if out is None else out
         if self.blocks is None:
-            out = np.empty((2,) + y.shape) if out is None else out
-            np.multiply(op[0], y, out=out[0])
-            np.multiply(op[1], y, out=out[1])
-            return out
-        gather, g, _, _, p, scatter = self.plan(y.shape[0]) if plan is None else plan
-        np.matmul(y.take(gather, out=g, mode="clip"), op, out=p)
-        return p.take(scatter, out=out, mode="clip")
+            np.multiply(op, y, out=out[0])
+        else:
+            gather, g, p, scatter = self.plan(y.shape[0]) if plan is None else plan
+            np.matmul(y.take(gather, out=g, mode="clip"), op, out=p)
+            p.take(scatter, out=out[0], mode="clip")
+        np.subtract(y, np.multiply(out[0], 0.5, out=out[1]), out=out[1])
+        return out
 
     def eigenvalues(self):
         """Ascending eigenvalues of A, block by block."""
@@ -189,10 +181,12 @@ def assemble_stokes(grid, nu, L):
 def convective_plans(tr, k):
     """The ``out`` of ``convective_term`` for k rows: the ``VORT`` synthesis
     plan, whose table copy carries (1, -1, w) on (u_theta, u_phi, omega), w
-    the quadrature weight of each latitude row, and the ``FIELD`` adjoint plan."""
+    the quadrature weight of each latitude row, and the ``FIELD`` adjoint plan
+    on that copy's (X_theta, -X_phi), its u_phi longitude table negated."""
     w = np.reshape(tr.engine.weights, (tr.engine.n_lat, -1))[:, 0]
-    factors = np.stack((np.ones_like(w), -np.ones_like(w), w))
-    return tr.engine.plan(k, tr.VORT, factors=factors), tr.engine.plan(k, tr.FIELD, True)
+    syn = tr.engine.plan(k, tr.VORT, factors=np.stack((np.ones_like(w), -np.ones_like(w), w)))
+    shape, trig, G, copy, _, *rest = tr.engine.plan(k, tr.FIELD, True)
+    return syn, (shape, trig * [[[1.0]], [[-1.0]]], G, copy, syn[3][..., :2 * w.size], *rest)
 
 
 def convective_term(tr, c, out=None):

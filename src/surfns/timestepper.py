@@ -24,8 +24,8 @@ corrects with the mean of both slots' terms; every later step is AB2 on the
 previous step's slot, whose c then takes c+.
 
 The energy ledger accumulates the step's exact energy identity: the
-dissipation dt (A m, m), with A m from the assembled form, and the work
-dt (F, m), one dot of (a A m, a F) with 2 m.  Linear runs therefore balance
+dissipation dt (A m, m), a A m = y - m by the solve's own identity, and the
+work dt (F, m), one dot of (a A m, a F) with 2 m.  Linear runs therefore balance
 to rounding; the only residual on nonlinear runs is the convective defect
 -dt (N, m), which is O(dt^3) per step.  A classical RK4 path is kept for
 cross-validation, with the ledger integrated through the same stages.
@@ -129,7 +129,7 @@ class _Workspace:
     """Every array a step of the k rows of ``sim`` on ``form`` writes, and every
     one sized by k or dt that it reads: the two states and ``sim``'s history,
     which they share, the form's and the engine plans, the forcing's rows
-    (tiled at the first step), per dt ``dts`` the stage rows and
+    (tiled at first use), per dt ``dts`` the stage rows and
     ``cn_operator``, ``stages`` (IMEX: y, 2 m, a A m and a F; RK4: the
     slopes, A c and the stage input), ``idle``, the two stage rows a step
     reads only after writing them, and the ledger rates."""
@@ -149,12 +149,17 @@ class _Workspace:
         self.idle = self.stages[4:]
         self.rates = np.empty((4, 2, k))
 
+    def forcing_rows(self, spec):
+        """The ``f_rows`` of ``apply_forcing``: spec's f tiled to the stack."""
+        if spec is not self.spec:
+            k, n = self.idle[0].shape
+            self.spec, self.f_rows = spec, np.tile(spec.f[:n], (k, 1))
+        return self.f_rows
+
     def terms(self, form, spec, c, out):
         """(F(c), N(c)) for every row of a coefficient stack, into the rows of ``out``."""
-        if spec is not self.spec:
-            self.spec, self.f_rows = spec, np.tile(spec.f[:c.shape[1]], (c.shape[0], 1))
         convective_term(form.transform, c, (self.syn, self.adj + (out[1],)))
-        apply_forcing(spec, c, out[0], self.f_rows)
+        apply_forcing(spec, c, out[0], self.forcing_rows(spec))
 
     def midpoint(self, form, rows, dt, op):
         """(2 m, a A m) in stages[1:3] for the midpoint m of the stage ``rows``."""
@@ -174,15 +179,15 @@ def check_batch(config, form, n_rows, n_alpha):
     anything is built: t_end must be an integer multiple of dt, and
     ``n_rows`` rows must fit in ``MAX_SAMPLE_BYTES``.  A row holds at once, in
     n_modes values: 14 of the workspace (12 of its history and stages, 2 of
-    engine indices); the form's plan (1 on the diagonal form, 8 on a blocked
-    one) and the diagonal form's tiled IMEX operator (2); the convective
+    engine indices); the form's plan (1 on the diagonal form, 4 on a blocked
+    one) and the diagonal form's tiled IMEX operator (1); the convective
     plans' buffers: a (4 n_pairs, n_lat) latitude stage and its copy per
     component of the ``VORT`` synthesis (3) and ``FIELD`` adjoint (2), the
     synthesis's nodal values, and a coefficient block per plan; the forcing
     rows (1); ``record``'s square (1); the samples (coefficients and
-    ``record``'s fields with ``n_alpha`` Killing coordinates); 16 scalars
-    (ledgers, rates, index); and ``record``'s fields twice.  Its Python
-    objects are left out."""
+    ``record``'s fields with ``n_alpha`` Killing coordinates); 12 scalars
+    (ledgers, rates); and ``record``'s output and columns (its fields twice,
+    t once).  It leaves out the live index and the initial energy."""
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
         raise ParameterError("t_end must be an integer multiple of dt")
@@ -190,9 +195,9 @@ def check_batch(config, form, n_rows, n_alpha):
     eng, n = form.transform.engine, form.D.size
     n_pairs, n_degrees, _, n_lat = eng.X.shape
     fields = len(SCALAR_FIELDS) + n_alpha
-    plan = 8 * n if form.blocks is not None else 3 * n if config.scheme == "imex_cnab2" else n
+    plan = 4 * n if form.blocks is not None else 2 * n if config.scheme == "imex_cnab2" else n
     row = (plan + 16 * n + 10 * 4 * n_pairs * n_lat + 3 * n_lat * eng.n_lon
-           + 8 * n_pairs * n_degrees + n_samples * (n + fields) + 16 + 2 * fields)
+           + 8 * n_pairs * n_degrees + n_samples * (n + fields) + 12 + 2 * fields - 1)
     held = 8 * n_rows * row
     if held > MAX_SAMPLE_BYTES:
         raise ParameterError(
@@ -310,11 +315,9 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     sim = SimState(states, dt=config.dt)
     ws = _Workspace(form, sim)
     live = np.arange(sim.c.shape[0])          # original index of each row
-    first = rec(form, spec, sim, ws)
-    samples = np.empty((live.size, n_samples, sim.c.shape[1]))
-    records = np.recarray((live.size, n_samples), dtype=first.dtype)
-    samples[:, 0], records[:, 0] = sim.c, first
-    trajectories = list(zip(samples, records))
+    samples = np.repeat(sim.c[:, None], n_samples, axis=1)
+    records = rec(form, spec, sim, ws).view(np.recarray).repeat(n_samples, axis=0)
+    records = records.reshape(samples.shape[:2])
     diverged = {}
     taken = 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,13 +328,12 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
                 bad = ~np.isfinite(new.c).all(axis=1)
                 for j in np.flatnonzero(bad):
                     i = int(live[j])
-                    trajectories[i] = (samples[i, :taken], records[i, :taken])
                     last = sim.take([j])
                     diverged[i] = DivergenceError(
                         f"non-finite coefficients at t = {new.t:.6g} "
                         f"(after step {sim.step})", last_state=last,
-                        partial=trajectories[i], step=new.step, t=new.t, dt=config.dt,
-                        max_abs_c=float(np.abs(last.c).max()),
+                        partial=(samples[i, :taken], records[i, :taken]), step=new.step,
+                        t=new.t, dt=config.dt, max_abs_c=float(np.abs(last.c).max()),
                         ledger_residual=float(last.ledger_residual()[0]))
                 live, new = live[~bad], new.take(~bad)
                 if live.size == 0:
@@ -341,7 +343,9 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
             if (n + 1) % config.stride == 0 or n + 1 == n_steps:
                 samples[live, taken], records[live, taken] = sim.c, rec(form, spec, sim, ws)
                 taken += 1
-    return trajectories, diverged
+    del ws, sim, new    # before the rows' pairs, which outweigh record's temporaries at small L
+    return [diverged[i].partial if i in diverged else pair
+            for i, pair in enumerate(zip(samples, records))], diverged
 
 
 def run(config, grid, form, spec, u0, record_fn=None):

@@ -800,11 +800,10 @@ def test_cli_oversized_ensemble_fails_before_any_member_state(tmp_path, capsys, 
 
 def test_batch_size_check_counts_the_row_workspace():
     # the bytes each row adds to a run, as tracemalloc sees them: under IMEX
-    # and RK4, on the diagonal form and the blocked one, at L = 8 and 16, the
+    # and RK4, on the diagonal form and the blocked one, at L = 2 to 16, the
     # size check passes as many rows as fit the cap by that measure and counts
-    # 1 / 0.98 and 1.25 times as many over it (it leaves out each row's
-    # Python objects)
-    for L in (8, 16):
+    # 1 / 0.98 and 1.25 times as many over it
+    for L in (2, 4, 8, 16):
         grid = geo.build_sphere_grid(L, 1.0)
         kb = killing_basis(grid)
         spec = make_catalog_forcing("f3_minus", {}, kb)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from surfns import geometry as geo
+from surfns import geometry as geo, operators
 from surfns.diagnostics import record, strain_dissipation
 from surfns.errors import ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
@@ -541,6 +541,9 @@ def test_cn_solve_matches_dense(form1, formv, form_x):
             assert out.shape == (2,) + y.shape
             for got, want in zip(out, (2.0 * m, 0.5 * dt * m @ A.T)):
                 assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+            # m + a A m = y, the identity the solve is built on
+            defect = np.abs(out[1] + 0.5 * out[0] - y).max(initial=0.0)
+            assert defect <= np.finfo(float).eps * np.abs(y).max(initial=0.0)
 
 
 def test_block_eigenvalues_match_dense(formv, form_x):
@@ -609,10 +612,11 @@ def test_dissipation_matches_the_strain_quadrature(L):
 
 def enstrophy_defect(grid, L, seeds=range(5)):
     """Largest |(N(c), D c)| / (||N|| ||D c||) over seeded rows c, N the
-    convective term on ``grid`` at truncation L and D = (l(l+1) - 2) / R^2."""
+    convective term on ``grid`` at truncation L (the package's binding, which
+    a mutant may patch) and D = (l(l+1) - 2) / R^2."""
     tr = get_transform(grid, L)
     c = np.stack([random_band_limited(tr, seed).coeffs for seed in seeds])
-    N = convective_term(tr, c)
+    N = operators.convective_term(tr, c)
     Dc = c * (tr.mode_l * (tr.mode_l + 1) - 2.0) / grid.R ** 2
     dots = np.abs(np.einsum("kn,kn->k", N, Dc))
     return float(np.max(dots / (np.linalg.norm(N, axis=1) * np.linalg.norm(Dc, axis=1))))

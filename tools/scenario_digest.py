@@ -1,6 +1,6 @@
 """Digest every built-in scenario of a checkout: the sha256 of each CSV it
-writes and each report's checks, with the stdout of the static CLI
-commands, as one JSON object on stdout.
+writes and of each of its columns, and each report's checks, with the
+stdout of the static CLI commands, as one JSON object on stdout.
 
     python tools/scenario_digest.py CHECKOUT --seeds 7 3 11
 
@@ -9,7 +9,8 @@ entries are ``spectrum`` (L = 16, linear_x3 viscosity, a = 0.5), ``korn``
 (the L = 16 sphere and the default torus) and, per seed, ``decompose`` of an
 L = 8 checkpoint of that seed's random state, each run through ``cli.main``
 in-process.  Two checkouts behave the same when their digests are
-identical, so a byte-identity gate is one diff:
+identical, so a byte-identity gate is one diff, and a CSV's column
+digests (header -> sha256 of its cells) name the columns that moved:
 
     python tools/scenario_digest.py old --seeds 7 3 11 > old.json
     python tools/scenario_digest.py new --seeds 7 3 11 > new.json
@@ -20,6 +21,7 @@ A report's ``wall_time_s`` is left out; every other field is kept.
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -52,7 +54,7 @@ def digest(checkout, seeds):
                     path = os.path.join(run_dir, fname)
                     if fname.endswith(".csv"):
                         with open(path, "rb") as fh:
-                            entry["csv"][fname] = hashlib.sha256(fh.read()).hexdigest()
+                            entry["csv"][fname] = csv_digest(fh.read())
                     elif fname.endswith("_report.json"):
                         with open(path, encoding="utf-8") as fh:
                             report = json.load(fh)
@@ -61,6 +63,23 @@ def digest(checkout, seeds):
                 out[f"seed {seed}: {name}"] = entry
         out.update(cli_digest(tmp, seeds))
     return out
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def csv_digest(data):
+    """The sha256 of a CSV's bytes, of each column's cells by header, and of
+    its comment rows (those starting with "#", such as an ensemble's entry
+    times) under "#"."""
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8")))
+    notes = [",".join(r) for r in rows if r and r[0].startswith("#")]
+    body = [r for r in rows if r and not r[0].startswith("#")]
+    columns = {name: _sha256(cells)
+               for name, cells in zip(header, list(zip(*body)) or [()] * len(header))}
+    return {"sha256": hashlib.sha256(data).hexdigest(),
+            "columns": {**columns, "#": _sha256(notes)} if notes else columns}
 
 
 def _cli(argv):
