@@ -124,11 +124,9 @@ def _cmd_korn(args):
         L = cfg["geometry.L"]
         degrees = sorted({max(2, L // 4), max(2, L // 2), L})
         for ell in degrees:
-            res = korn_constant(grid, ell)
-            print("L=%d C_P=%.12g" % (ell, res.c_p))
+            print("L=%d C_P=%.12g" % (ell, korn_constant(grid, ell)))
     else:
-        res = korn_constant(grid)
-        print("torus C_P=%.12g" % res.c_p)
+        print("torus C_P=%.12g" % korn_constant(grid))
     return EXIT_PASS
 
 

@@ -1,15 +1,18 @@
 """Observables along trajectories: norms, energy ledger, decay fits,
 Killing-component identities, monotonicity, continuous dependence, and the
-backward-uniqueness quotient; and the two references that read no solver
-operator: the Rossby-Haurwitz closed form and the strain quadrature.
+backward-uniqueness quotient; the two references that read no solver
+operator, the Rossby-Haurwitz closed form and the strain quadrature; and the
+enstrophy cosine of the solver's convective term.
 
 A trajectory's diagnostics are one record array, a row per sample; the
-checks read its columns (``records.t``, ``records.alpha``, ...).
+checks read its columns (``records.t``, ``records.alpha``, ...).  Each
+analysis returns the numbers its checks read and nothing else.
 
 The quotient Lambda = ||sqrt(2 nu) eps(u)||^2 / ||u||^2 vanishes on Killing
-fields and is flagged undefined below ||u|| = 1e-13 rather than extended by
-limits: a vanishing difference of trajectories is the event the probe is
-watching for, so we stop instead of dividing by noise.
+fields and is left undefined below ||u|| = 1e-13 rather than extended by
+limits: a record holds nan there, and ``lambda_series`` stops at the first
+such sample.  A vanishing difference of trajectories is the event the probe
+is watching for, so it stops instead of dividing by noise.
 """
 
 from dataclasses import dataclass
@@ -18,6 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .forcing import apply_forcing
+from .operators import convective_term
 
 NORM_FLOOR = 1e-13
 
@@ -52,24 +56,13 @@ def record(form, spec, sim, ws=None):
     return out.view(np.recarray)
 
 
-@dataclass
-class DecayFit:
-    zeta: float
-    omega: float
-    warning: str = ""
-
-    @property
-    def ok(self):
-        return not self.warning
-
-
 def fit_decay_rate(times, values, window=None):
-    """Fit values(t) ~ e^{-zeta t} + omega on a window.
+    """Fit values(t) ~ e^{-zeta t} + omega on a window; returns (zeta, omega).
 
     ``values`` are the squared non-Killing norms.  The tail plateau omega is
     the mean of the last 10% of samples (0 if below 1e-12); the rate comes
-    from least squares of log(values - omega)_+ against t.  A non-monotone
-    tail beyond rounding produces a warning, not an error.
+    from least squares of log(values - omega)_+ against t, and is nan when
+    fewer than 3 samples of the window lie above the plateau.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -89,16 +82,12 @@ def fit_decay_rate(times, values, window=None):
     floor = max(1e-12 * float(values.max()), 1e-300)
     sel = (times >= t0) & (times <= t1) & (values - omega > floor)
     if sel.sum() < 3:
-        return DecayFit(np.nan, omega, warning="too few samples above the plateau")
+        return np.nan, omega
     ts = times[sel]
     ys = np.log(values[sel] - omega)
     Amat = np.stack([np.ones_like(ts), -ts], axis=1)
     coef, *_ = np.linalg.lstsq(Amat, ys, rcond=None)
-    warning = ""
-    tail = values[sel][max(0, sel.sum() - n_tail):]
-    if np.any(np.diff(tail) > 1e-9 * max(values.max(), 1.0) + 1e-14):
-        warning = "non-monotone tail"
-    return DecayFit(float(coef[1]), omega, warning)
+    return float(coef[1]), omega
 
 
 @dataclass
@@ -107,7 +96,6 @@ class KillingIdentityReport:
     affine_law_dev: float       # componentwise alpha(t) = alpha(0) + t f_K
     quadratic_law_dev: float    # the quadratic norm growth law
     drift: float                # max |alpha(t) - alpha(0)| (conservation case)
-    fk_norm: float
 
 
 def check_killing_identity(series, spec):
@@ -115,7 +103,8 @@ def check_killing_identity(series, spec):
 
     For f_K independent of u: the power integral (f_K, u_K)(t) is affine
     with slope ||f_K||^2, each coordinate follows alpha(0) + t f_K, and the
-    squared norm obeys its quadratic expansion.  For f_K = 0 the report's
+    squared norm obeys its quadratic expansion ||alpha(0)||^2
+    + 2 t (f_K, alpha(0)) + t^2 ||f_K||^2.  For f_K = 0 the report's
     ``drift`` field measures conservation.  ``series`` holds the columns
     ``t`` and ``alpha`` of a trajectory's records.
     """
@@ -132,10 +121,10 @@ def check_killing_identity(series, spec):
     ip0 = float(fk @ a0)
     lin_dev = np.abs(alpha @ fk - ip0 - dt * fk_norm ** 2).max()
     aff_dev = np.abs(alpha - a0 - dt[:, None] * fk).max()
-    expect = float(a0 @ a0) + dt * dt * fk_norm ** 4 + 2.0 * dt * fk_norm ** 2 * ip0
+    expect = float(a0 @ a0) + dt * dt * fk_norm ** 2 + 2.0 * dt * ip0
     quad_dev = np.abs(np.einsum("kn,kn->k", alpha, alpha) - expect).max()
     drift = np.abs(alpha - a0).max()
-    return KillingIdentityReport(lin_dev, aff_dev, quad_dev, drift, fk_norm)
+    return KillingIdentityReport(lin_dev, aff_dev, quad_dev, drift)
 
 
 def rossby_haurwitz_block(block, omega, rate, t):
@@ -167,6 +156,24 @@ def strain_dissipation(form, c):
     for i in range(0, c.shape[0], 8):
         T = tr.engine.synthesize(c[i:i + 8], tr.GRAD)           # (4, 8, n_nodes)
         out[i:i + 8] = (T[0] ** 2 + 0.5 * (T[1] + T[2]) ** 2 + T[3] ** 2) @ w
+    return out
+
+
+def enstrophy_cosine(tr, c):
+    """|(N(c), D c)| / (||N(c)|| ||D c||) for every row c of the (k, n_modes)
+    coefficient stack ``c``: N the solver's ``convective_term`` through the
+    transform ``tr`` and D = (l(l+1) - 2) / R^2.  (u . grad omega, omega) = 0
+    makes N orthogonal to D c when the grid integrates the product exactly,
+    so the cosine sits at rounding on a dealiased grid and not on a coarser
+    one.  A row where N or D c vanishes reads 0.  The rows go 8 at a time,
+    as in ``strain_dissipation``."""
+    d = (tr.mode_l * (tr.mode_l + 1) - 2.0) / tr.grid.R ** 2
+    out = np.zeros(c.shape[0])
+    for i in range(0, c.shape[0], 8):
+        n, dc = convective_term(tr, c[i:i + 8]), c[i:i + 8] * d
+        norms = np.linalg.norm(n, axis=1) * np.linalg.norm(dc, axis=1)
+        np.divide(np.abs(np.einsum("kn,kn->k", n, dc)), norms, out=out[i:i + 8],
+                  where=norms > 0.0)
     return out
 
 
@@ -213,37 +220,27 @@ def continuous_dependence_ratio(traj_a, traj_b, T):
     return float(np.einsum("kn,kn->k", d, d).max(initial=0.0)) / d0 ** 2
 
 
-@dataclass
-class LambdaReport:
-    lam: np.ndarray
-    truncated_at: float         # nan if the difference never vanished
-    lam_max: float
-    affine_coef: tuple          # (intercept, slope) of the fit of L(t) = -log ||u||
-    affine_residual: float      # rms residual / spread of L
-
-
 def lambda_series(times, diffs, form):
-    """Lambda(t) and L(t) along a difference trajectory: the coefficient
-    rows ``diffs`` sampled at ``times``.
+    """(max Lambda, affine residual) along a difference trajectory: the
+    coefficient rows ``diffs`` sampled at ``times``.
 
-    Stops at the first sample with ||u|| < 1e-13 and reports the truncation
-    point; otherwise fits L affinely and reports the relative residual (the
-    bounded-growth structure dL/dt <= C + C Lambda).
+    The series stops before the first sample with ||u|| < 1e-13.  Lambda(t)
+    is the quotient (u, A u) / ||u||^2, and the affine residual is the rms
+    residual of the least-squares line through L(t) = -log ||u||, relative
+    to L's spread (the bounded-growth structure dL/dt <= C + C Lambda).
+    Both are nan when fewer than two samples remain.
     """
     times = np.asarray(times, dtype=float)
     diffs = np.asarray(diffs, dtype=float)
     nrm = np.linalg.norm(diffs, axis=1)
     vanished = np.flatnonzero(nrm < NORM_FLOOR)
     n = vanished[0] if vanished.size else nrm.size
-    truncated = float(times[n]) if vanished.size else np.nan
+    if n < 2:
+        return np.nan, np.nan
     ts, d, nrm = times[:n], diffs[:n], nrm[:n]
-    lams = np.einsum("kn,kn->k", d, form.apply(d)) / nrm ** 2
+    lam_max = float((np.einsum("kn,kn->k", d, form.apply(d)) / nrm ** 2).max())
     logs = -np.log(nrm)
-    if ts.size < 2:
-        return LambdaReport(lams, truncated, float("nan"), (np.nan, np.nan), np.nan)
     Amat = np.stack([np.ones_like(ts), ts], axis=1)
     coef, *_ = np.linalg.lstsq(Amat, logs, rcond=None)
     resid = float(np.sqrt(np.mean((logs - Amat @ coef) ** 2)))
-    spread = float(max(np.ptp(logs), 1e-30))
-    return LambdaReport(lams, truncated, float(lams.max()),
-                        (float(coef[0]), float(coef[1])), resid / spread)
+    return lam_max, resid / float(max(np.ptp(logs), 1e-30))

@@ -527,8 +527,7 @@ def run_ensemble(cfg, ctx=None, n_members=None):
         aggregates[name] = {"max": vals.max(axis=0), "min": vals.min(axis=0),
                             "mean": vals.mean(axis=0)}
     nk_max = aggregates["norm_uNK"]["max"]
-    fit = fit_decay_rate(times, nk_max ** 2) if times.size >= 10 else None
-    omega_hat = fit.omega if fit is not None else 0.0
+    omega_hat = fit_decay_rate(times, nk_max ** 2)[1] if times.size >= 10 else 0.0
 
     r_max = float(aggregates["norm_uK"]["max"][0])
     radius = float(np.sqrt(0.5 + omega_hat))

@@ -1,4 +1,4 @@
-"""Killing-field basis, its spectral coordinates, and Korn constants.
+"""Killing-field basis, its spectral coordinates, and the Korn constant.
 
 On the sphere the Killing fields are the rigid rotations P_G(omega x x)
 (dimension 3), which span exactly the degree-1 toroidal block: the unit
@@ -7,6 +7,11 @@ rotation about e_j is the degree-1 combination in row j of
 the order e1, e2, e3.  On the torus of revolution the azimuthal rotation
 about the x3-axis is the only one (dimension 1, asserted by construction),
 L2-normalized.
+
+``korn_constant`` returns C_P alone, as a float.  The per-degree quotients
+and the torus blocks' full spectra, which only the tests read, come from
+``harmonics.degree_norms`` and from ``_torus_family``, ``_gram`` and
+``_korn_eigvals``.
 """
 
 import numpy as np
@@ -54,23 +59,10 @@ def killing_basis(grid):
     return KillingBasis(grid, [TangentialField(grid, u) for u in fields])
 
 
-class KornResult:
-    """Truncated Korn constant with its convergence diagnostics.
-
-    ``c_p`` is the square root of the largest generalized eigenvalue of the
-    H1 form against the strain form on the non-Killing space (all of them,
-    ascending, in ``eigenvalues``); ``per_degree`` maps degree l to the
-    Rayleigh quotient ||v||_H1^2 / ||eps(v)||^2 of its modes (sphere only).
-    """
-
-    def __init__(self, c_p, per_degree, eigenvalues):
-        self.c_p = c_p
-        self.per_degree = per_degree
-        self.eigenvalues = eigenvalues
-
-
 def korn_constant(grid, L=None, fourier_cap=8):
-    """Estimate C_P with ||v||_H1 <= C_P ||eps(v)|| on non-Killing fields.
+    """The truncated Korn constant C_P, with ||v||_H1 <= C_P ||eps(v)|| on
+    non-Killing fields: the square root of the largest generalized
+    eigenvalue of the H1 form against the strain form.
 
     On the sphere the space is the toroidal modes with 2 <= l <= L; the
     modes of one degree span a rotation-invariant space, so both forms are
@@ -98,11 +90,8 @@ def _korn_sphere(grid, L):
     if abs(strain[0]) > 1e-8:
         raise ConsistencyError(
             "singular strain form: a Killing mode leaked into the l >= 2 block")
-    # the non-Killing degrees l >= 2, each with 2l + 1 modes
-    degrees = np.arange(2, L + 1)
-    quotient = (1.0 + grad[1:]) / strain[1:]
-    mu = np.sort(np.repeat(quotient, 2 * degrees + 1))
-    return KornResult(float(np.sqrt(mu[-1])), dict(zip(degrees.tolist(), quotient.tolist())), mu)
+    # the non-Killing degrees l >= 2; each quotient is shared by 2l + 1 modes
+    return float(np.sqrt(((1.0 + grad[1:]) / strain[1:]).max()))
 
 
 def _korn_torus(grid, cap):
@@ -121,16 +110,15 @@ def _korn_torus(grid, cap):
     (possibly dependent) span and solved by one small generalized
     eigenproblem: at cap 8, 18 fields for jt = 0 and 34 for each other jt.
     """
-    mu = []
+    mu = 0.0
     for V, T in _torus_family(grid, cap):
         M = _gram(grid, V)
         S = _gram(grid, 0.5 * (T + T.swapaxes(1, 2)))
         H = _gram(grid, T) + M
         mval, mvec = np.linalg.eigh(M)
         Q = mvec[:, mval > 1e-10 * mval.max()]
-        mu.append(_korn_eigvals(Q.T @ H @ Q, Q.T @ S @ Q))
-    mu = np.sort(np.concatenate(mu))
-    return KornResult(float(np.sqrt(mu[-1])), {}, mu)
+        mu = np.maximum(mu, _korn_eigvals(Q.T @ H @ Q, Q.T @ S @ Q)[-1])
+    return float(np.sqrt(mu))
 
 
 def _korn_eigvals(H, S):

@@ -1,6 +1,7 @@
 """Diagnostics: records, decay fits, Killing identities, monotonicity,
 dependence ratios, and the backward-uniqueness quotient."""
 
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,16 @@ from surfns.killing import killing_basis
 from surfns.operators import assemble_stokes
 from surfns.timestepper import SimState, StepperConfig, run, step_imex
 from test_killing import killing_coefficients
+
+
+def fk_of(spec):
+    """f_K: the Killing coordinates of F(0)'s degree-1 rows."""
+    return spec.basis.alpha(spec.f[:3])
+
+
+def log_norm_slope(times, rows):
+    """The least-squares slope of L(t) = -log ||u(t)|| over the rows."""
+    return np.polyfit(times, -np.log(np.linalg.norm(rows, axis=1)), 1)[0]
 
 
 @pytest.fixture(scope="module")
@@ -98,16 +109,16 @@ def test_batched_record_matches_one_row_records(sphere8, kb, tr8):
 
 def test_fit_decay_synthetic_pure(sphere8):
     t = np.linspace(0.0, 20.0, 600)
-    fit = fit_decay_rate(t, np.exp(-3.0 * t))
-    assert abs(fit.zeta - 3.0) <= 1e-3
-    assert fit.omega <= 1e-12
+    zeta, omega = fit_decay_rate(t, np.exp(-3.0 * t))
+    assert abs(zeta - 3.0) <= 1e-3
+    assert omega <= 1e-12
 
 
 def test_fit_decay_synthetic_plateau(sphere8):
     t = np.linspace(0.0, 20.0, 600)
-    fit = fit_decay_rate(t, np.exp(-2.0 * t) + 0.5)
-    assert abs(fit.zeta - 2.0) <= 1e-2
-    assert abs(fit.omega - 0.5) <= 1e-3
+    zeta, omega = fit_decay_rate(t, np.exp(-2.0 * t) + 0.5)
+    assert abs(zeta - 2.0) <= 1e-2
+    assert abs(omega - 0.5) <= 1e-3
 
 
 def test_fit_decay_guards():
@@ -127,9 +138,9 @@ def test_fit_decay_real_run(sphere8, form1, spec0):
     _, records = run(cfg, sphere8, form1, spec0, c0)
     ts = np.array([r.t for r in records])
     ys = np.array([r.norm_uNK ** 2 for r in records])
-    fit = fit_decay_rate(ts, ys, window=(1.0, 3.0))
+    zeta, _ = fit_decay_rate(ts, ys, window=(1.0, 3.0))
     lam2 = form1.lam_by_degree[2]
-    assert 2 * lam2 * (1 - 1e-3) <= fit.zeta <= 2 * lam2 * (1 + 1e-3)
+    assert 2 * lam2 * (1 - 1e-3) <= zeta <= 2 * lam2 * (1 + 1e-3)
 
 
 def test_killing_identity_quadratic_growth(sphere8, form1, kb):
@@ -153,8 +164,10 @@ def test_killing_identity_slope(sphere8, form1, kb):
     _, records = run(cfg, sphere8, form1, spec, u0)
     rep = check_killing_identity(records, spec)
     # (fd): the power integral grows linearly with slope ||f_K||^2 = 4
-    assert rep.fk_norm == pytest.approx(2.0, abs=1e-12)
+    assert np.linalg.norm(fk_of(spec)) == pytest.approx(2.0, abs=1e-12)
     assert rep.linear_law_dev <= 1e-8
+    # ||alpha(t)||^2 = ||alpha(0)||^2 + 2 t (f_K, alpha(0)) + t^2 ||f_K||^2
+    assert rep.quadratic_law_dev <= 1e-8
 
 
 def test_killing_identity_conservation(sphere8, form1, kb, tr8):
@@ -165,7 +178,7 @@ def test_killing_identity_conservation(sphere8, form1, kb, tr8):
     cfg = StepperConfig(dt=1e-3, t_end=5.0, stride=500)
     _, records = run(cfg, sphere8, form1, spec, u0)
     rep = check_killing_identity(records, spec)
-    assert rep.fk_norm <= 1e-10
+    assert np.linalg.norm(fk_of(spec)) <= 1e-10
     assert rep.drift <= 1e-10
 
 
@@ -179,7 +192,7 @@ def test_killing_identity_needs_u_independent_killing_part(kb, tr8):
             check_killing_identity(series, make_catalog_forcing(tag, params, kb))
     for tag in ("zero", "constant_field", "constant_killing"):
         rep = check_killing_identity(series, make_catalog_forcing(tag, params, kb))
-        assert np.isfinite(rep.fk_norm)
+        assert np.isfinite(astuple(rep)).all()
 
 
 def test_killing_identity_reads_f_k_of_a_constant_field(sphere8, kb, tr8, rotation_field):
@@ -192,10 +205,12 @@ def test_killing_identity_reads_f_k_of_a_constant_field(sphere8, kb, tr8, rotati
     a0 = np.array([0.2, -0.1, 0.3])
     ts = np.array([0.0, 0.5, 1.0])
     series = SimpleNamespace(t=ts, alpha=a0 + ts[:, None] * fk)
-    rep = check_killing_identity(series, make_catalog_forcing("constant_field", {"g": g}, kb))
+    spec = make_catalog_forcing("constant_field", {"g": g}, kb)
+    rep = check_killing_identity(series, spec)
     assert np.linalg.norm(fk) > 0.5
-    assert abs(rep.fk_norm - np.linalg.norm(fk)) <= 1e-12
+    assert np.abs(fk_of(spec) - fk).max() <= 1e-12
     assert rep.affine_law_dev <= 1e-12
+    assert rep.linear_law_dev <= 1e-12 and rep.quadratic_law_dev <= 1e-12
 
 
 def test_monotonicity_f3(sphere8, form1, kb):
@@ -264,9 +279,10 @@ def test_lambda_series_killing_difference(sphere8, form1, spec0):
     # Killing-only difference: Lambda = 0 and L constant
     rows = np.zeros((11, 80))
     rows[:, 1] = 0.3
-    rep = lambda_series(np.linspace(0, 1, 11), rows, form1)
-    assert rep.lam_max <= 1e-12
-    assert abs(rep.affine_coef[1]) <= 1e-12
+    ts = np.linspace(0, 1, 11)
+    lam_max, _ = lambda_series(ts, rows, form1)
+    assert lam_max <= 1e-12
+    assert abs(log_norm_slope(ts, rows)) <= 1e-12
 
 
 def test_lambda_series_eigenmode(sphere8, form1, spec0):
@@ -274,15 +290,25 @@ def test_lambda_series_eigenmode(sphere8, form1, spec0):
     d0.set(2, 0, 1e-4)
     cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=1.0, stride=20)
     rows, records = run(cfg, sphere8, form1, spec0, d0)
-    rep = lambda_series([r.t for r in records], rows, form1)
+    lam_max, affine_residual = lambda_series(records.t, rows, form1)
     lam2 = form1.lam_by_degree[2]
-    assert np.abs(rep.lam - lam2).max() <= 1e-8
-    assert rep.affine_residual <= 1e-8
-    assert rep.affine_coef[1] == pytest.approx(lam2, rel=1e-6)
+    assert abs(lam_max - lam2) <= 1e-8
+    assert np.abs(records.lam - lam2).max() <= 1e-8
+    assert affine_residual <= 1e-8
+    assert log_norm_slope(records.t, rows) == pytest.approx(lam2, rel=1e-6)
 
 
 def test_lambda_series_truncates_at_vanishing(sphere8, form1):
-    rows = np.zeros((3, 80))
-    rows[1, 4] = 1.0
-    rep = lambda_series([0.0, 1.0, 2.0], rows, form1)
-    assert rep.truncated_at == 0.0
+    # the series stops before the first sample with ||u|| < 1e-13: the
+    # degree-8 row after the vanished one is never read
+    rows = np.zeros((5, 80))
+    rows[:2, 4] = (1.0, 0.5)
+    rows[2, 4] = 1e-14
+    rows[3, -1] = 1.0
+    lam_max, affine_residual = lambda_series(np.arange(5.0), rows, form1)
+    assert lam_max == pytest.approx(form1.lam_by_degree[2], rel=1e-12)
+    assert affine_residual <= 1e-12
+    assert lam_max < form1.lam_by_degree[8] / 2
+    # fewer than two samples before it: nothing to report
+    assert np.isnan(lambda_series(np.arange(5.0), rows[1:], form1)).all()
+    assert np.isnan(lambda_series(np.arange(5.0), np.zeros((5, 80)), form1)).all()

@@ -1,11 +1,14 @@
-"""The package exports only what the program reaches.
+"""The package exports only what the program reaches, and its analyses
+return only what the program reads.
 
 Code whose only caller is a test lives in that test.  A name re-exported by
 ``surfns/__init__.py`` must be referred to by another module of the package
 (as a Name or Attribute, outside its own definition), by the benchmark in
 ``perfbench/``, or by README.md.  A reference made inside the definition of
 a name that fails the rule does not count, so a helper used only by another
-test-only helper fails with it.
+test-only helper fails with it.  Every field of a dataclass in
+``diagnostics.py`` or ``killing.py`` must be read as an attribute by a
+module of the package, outside its own class.
 """
 
 import ast
@@ -25,8 +28,8 @@ def _exported():
 
 
 def _references(tree):
-    """(name, enclosing definition names, top-level definition name or None)
-    of every Name and Attribute in a module."""
+    """(node, name, enclosing definition names, top-level definition name or
+    None) of every Name and Attribute in a module."""
     out = []
 
     def visit(node, enclosing, top):
@@ -34,9 +37,9 @@ def _references(tree):
             enclosing = enclosing | {node.name}
             top = top or node.name
         if isinstance(node, ast.Name):
-            out.append((node.id, enclosing, top))
+            out.append((node, node.id, enclosing, top))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, enclosing, top))
+            out.append((node, node.attr, enclosing, top))
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing, top)
     visit(tree, frozenset(), None)
@@ -51,7 +54,7 @@ def unreached_exports():
     candidates = {n for n in _exported() if not re.search(rf"\b{n}\b", outside)}
     flagged = set()
     while True:
-        used = {n for n, enclosing, top in refs if n not in enclosing and top not in flagged}
+        used = {n for _, n, enclosing, top in refs if n not in enclosing and top not in flagged}
         now = candidates - used
         if now == flagged:
             return sorted(flagged)
@@ -60,3 +63,27 @@ def unreached_exports():
 
 def test_every_export_is_reached():
     assert unreached_exports() == []
+
+
+def unread_fields():
+    """``Class.field`` of every dataclass field in ``diagnostics.py`` and
+    ``killing.py`` that no module of the package reads outside its class."""
+    reads = [(name, enclosing) for path in SRC.glob("*.py")
+             for node, name, enclosing, _ in _references(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module in ("diagnostics.py", "killing.py"):
+        for cls in ast.parse((SRC / module).read_text()).body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and not any(
+                        name == stmt.target.id and cls.name not in enclosing
+                        for name, enclosing in reads):
+                    unread.append(f"{cls.name}.{stmt.target.id}")
+    return unread
+
+
+def test_every_analysis_field_is_read():
+    assert unread_fields() == []

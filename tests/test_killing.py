@@ -10,7 +10,8 @@ import pytest
 from surfns import geometry as geo
 from surfns import harmonics, killing
 from surfns.errors import ConsistencyError, ParameterError
-from surfns.harmonics import SpectralState, get_transform, mode_index, random_band_limited
+from surfns.harmonics import (SpectralState, degree_norms, get_transform, mode_index,
+                              random_band_limited)
 from surfns.killing import (SPHERE_L1_MAP, _gram, _korn_eigvals, _torus_family,
                             killing_basis, korn_constant)
 from test_harmonics import sq_norms
@@ -238,24 +239,55 @@ def test_korn_strain_form_excludes_killing(sphere8, tr8):
     assert np.abs(kill).max() <= 1e-10
 
 
+def korn_quotients(grid, L):
+    """The sphere's Korn eigenvalue of each degree l = 2..L, shared by its
+    2l + 1 modes: (1 + ||grad Phi_l||^2) / ||eps(Phi_l)||^2 from
+    ``degree_norms``."""
+    strain, grad = degree_norms(grid, L)
+    return (1.0 + grad[1:]) / strain[1:]
+
+
+def sphere_korn_spectrum(grid, L):
+    """Every eigenvalue of the sphere's Korn problem on degrees 2..L, sorted."""
+    l = np.arange(2, L + 1)
+    return np.sort(np.repeat(korn_quotients(grid, L), 2 * l + 1))
+
+
+def torus_korn_spectrum(grid, cap):
+    """Every eigenvalue of the torus Korn problem, sorted: each |jt| block of
+    ``_torus_family`` restricted to the well-conditioned span of its L2 Gram
+    matrix and solved by ``_korn_eigvals``, as ``korn_constant`` does."""
+    mu = []
+    for V, T in _torus_family(grid, cap):
+        M = _gram(grid, V)
+        S = _gram(grid, 0.5 * (T + T.swapaxes(1, 2)))
+        H = _gram(grid, T) + M
+        mval, mvec = np.linalg.eigh(M)
+        Q = mvec[:, mval > 1e-10 * mval.max()]
+        mu.append(_korn_eigvals(Q.T @ H @ Q, Q.T @ S @ Q))
+    return np.sort(np.concatenate(mu))
+
+
 def test_korn_constant_value_and_convergence(sphere8, sphere16):
-    res8 = korn_constant(sphere8, 8)
-    res16 = korn_constant(sphere16, 16)
-    assert abs(res16.c_p - res8.c_p) <= 1e-2 * res16.c_p
+    c_p8 = korn_constant(sphere8, 8)
+    c_p16 = korn_constant(sphere16, 16)
+    assert isinstance(c_p16, float)
+    assert abs(c_p16 - c_p8) <= 1e-2 * c_p16
     # analytic extremizer is degree 2: C_P^2 = 2 l (l+1) / (l(l+1) - 2) at l = 2
-    assert res16.c_p == pytest.approx(np.sqrt(3.0), rel=1e-10)
-    quots = [res16.per_degree[l] for l in sorted(res16.per_degree)]
+    assert c_p16 == pytest.approx(np.sqrt(3.0), rel=1e-10)
+    quots = korn_quotients(sphere16, 16)
     assert all(a >= b for a, b in zip(quots, quots[1:]))
+    assert c_p16 == np.sqrt(quots.max())
 
 
 def test_korn_inequality_random_samples(sphere16):
-    res = korn_constant(sphere16, 16)
+    c_p = korn_constant(sphere16, 16)
     tr = get_transform(sphere16, 16)
     for i in range(100):
         s = random_band_limited(tr, 8000 + i, norm_killing=0.0)
         v = tr.synthesize(s)
         lhs = geo.h1_norm(sphere16, v)
-        rhs = res.c_p * geo.strain_norm(sphere16, v)
+        rhs = c_p * geo.strain_norm(sphere16, v)
         assert lhs <= (1.0 + 1e-8) * rhs
 
 
@@ -269,16 +301,17 @@ def test_sphere_korn_builds_no_transform(monkeypatch):
         built.append(args)
         init(self, *args)
     monkeypatch.setattr(harmonics.SphereTransform, "__init__", counted)
-    results = {L: korn_constant(grid, L) for L in (2, 8, 16, 32)}
+    results = {L: (korn_constant(grid, L), korn_quotients(grid, L), sphere_korn_spectrum(grid, L))
+               for L in (2, 8, 16, 32)}
     assert not built
     monkeypatch.undo()
-    for L, res in results.items():
+    for L, (c_p, per_degree, spectrum) in results.items():
         tr = get_transform(grid, L)
         quotient = (1.0 + sq_norms(tr.engine, tr.GRAD)[3:]) / tr.strain_norm2[tr.mode_l[3:] - 1]
         want = np.sort(quotient)
-        assert np.abs(res.eigenvalues - want).max() <= 1e-13 * want.max()
-        assert abs(res.c_p / np.sqrt(want[-1]) - 1.0) <= 1e-13
-        for l, q in res.per_degree.items():
+        assert np.abs(spectrum - want).max() <= 1e-13 * want.max()
+        assert abs(c_p / np.sqrt(want[-1]) - 1.0) <= 1e-13
+        for l, q in zip(range(2, L + 1), per_degree):
             assert abs(q / quotient[mode_index(L, l, 0) - 3] - 1.0) <= 1e-13
 
 
@@ -288,20 +321,19 @@ def test_korn_bad_truncation(sphere8):
 
 
 def test_torus_korn(torus64):
-    res = korn_constant(torus64)
-    assert np.isfinite(res.c_p) and res.c_p > 1.0
+    c_p = korn_constant(torus64)
+    assert isinstance(c_p, float) and np.isfinite(c_p) and c_p > 1.0
     # cap convergence: richer stream-function family, same constant
-    res2 = korn_constant(torus64, fourier_cap=10)
-    assert abs(res2.c_p - res.c_p) <= 5e-2 * res.c_p
+    assert abs(korn_constant(torus64, fourier_cap=10) - c_p) <= 5e-2 * c_p
 
 
 def test_korn_constant_closed_form():
     # the extremizer is degree 2, where C_P^2 = (R^2 + 5) / 2
     for R in (1.0, 2.0):
         for L in (8, 16, 32):
-            res = korn_constant(geo.build_sphere_grid(L, R), L)
+            c_p = korn_constant(geo.build_sphere_grid(L, R), L)
             exact = np.sqrt((R * R + 5.0) / 2.0)
-            assert abs(res.c_p - exact) <= 1e-12 * exact
+            assert abs(c_p - exact) <= 1e-12 * exact
 
 
 def test_korn_per_degree_closed_form(sphere64):
@@ -310,11 +342,10 @@ def test_korn_per_degree_closed_form(sphere64):
     for L, grid in grids + [(64, sphere64[1.0]), (64, sphere64[2.0])]:
         R = grid.R
         l = np.arange(2, L + 1)
-        res = korn_constant(grid, L)
         exact = 2.0 * (R * R + l * (l + 1) - 1.0) / (l * (l + 1) - 2.0)
-        got = np.array([res.per_degree[k] for k in l])
+        got = korn_quotients(grid, L)
         assert np.abs(got - exact).max() <= 1e-12 * exact.min()
-        assert res.eigenvalues.size == L * (L + 2) - 3
+        assert korn_constant(grid, L) == np.sqrt(got.max())
 
 
 def test_korn_blocks_match_dense_eigensolve():
@@ -327,8 +358,10 @@ def test_korn_blocks_match_dense_eigensolve():
         G = tr.engine.synthesize(np.eye(tr.n_modes), tr.GRAD)
         H = np.einsum("cjn,n,ckn->jk", G, grid.weights, G)[3:, 3:]
         mu = scipy.linalg.eigh(H + np.eye(H.shape[0]), S, eigvals_only=True)
-        res = korn_constant(grid, 6)
-        assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()
+        spectrum = sphere_korn_spectrum(grid, 6)
+        assert spectrum.size == mu.size
+        assert np.abs(spectrum - mu).max() <= 1e-12 * mu.max()
+        assert abs(korn_constant(grid, 6) - np.sqrt(mu.max())) <= 1e-12 * np.sqrt(mu.max())
 
 
 def test_torus_profiles_match_nodal_family(torus64):
@@ -370,14 +403,15 @@ def test_torus_korn_blocks_match_dense_eigensolve(torus64):
         mval, mvec = np.linalg.eigh(M)
         Q = mvec[:, mval > 1e-10 * mval.max()]
         mu = scipy.linalg.eigh(Q.T @ H @ Q, Q.T @ S @ Q, eigvals_only=True)
-        res = korn_constant(grid, fourier_cap=cap)
-        assert res.eigenvalues.size == mu.size == count
-        assert np.abs(res.eigenvalues - mu).max() <= 1e-12 * mu.max()
+        spectrum = torus_korn_spectrum(grid, cap)
+        assert spectrum.size == mu.size == count
+        assert np.abs(spectrum - mu).max() <= 1e-12 * mu.max()
+        assert korn_constant(grid, fourier_cap=cap) == np.sqrt(spectrum[-1])
     exact = 2.179449471770338      # the one-pass dense solve on the 64 x 64 grid
-    assert abs(korn_constant(torus64).c_p - exact) <= 1e-12 * exact
+    assert abs(korn_constant(torus64) - exact) <= 1e-12 * exact
     # the family is band-limited: the largest grid gives the same constant
     big = geo.build_torus_grid(geo.TORUS_N_MAX, geo.TORUS_N_MAX, 2.0, 0.5)
-    assert abs(korn_constant(big).c_p - exact) <= 1e-12 * exact
+    assert abs(korn_constant(big) - exact) <= 1e-12 * exact
 
 
 def test_korn_eigensolve_matches_scipy(monkeypatch, torus64):

@@ -140,6 +140,8 @@ MUTANTS = [
     pytest.param(_drop_n, _passes("rossby_haurwitz", "rh_transport"), id="dropped_N_suite"),
     pytest.param(_mean_nu, _passes("varnu_energy_balance", "dissipation_dual"),
                  id="mean_nu_suite"),
+    pytest.param(_alias_convection, _passes("insta_regularity", "enstrophy_orthogonal"),
+                 id="aliased_convection_suite"),
 ]
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from surfns import geometry as geo, operators
-from surfns.diagnostics import record, strain_dissipation
+from surfns import geometry as geo
+from surfns.diagnostics import enstrophy_cosine, record, strain_dissipation
 from surfns.errors import ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
 from surfns.harmonics import (SpectralState, SphereTransform, get_transform,
@@ -502,7 +502,7 @@ def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
     for g, b in zip(gather, blocks):
         dense[np.ix_(g, g)] = b
     np.testing.assert_array_equal(_dense(form), dense)
-    assert korn_constant(sphere8, 8).c_p == pytest.approx(np.sqrt(3.0), rel=1e-12)
+    assert korn_constant(sphere8, 8) == pytest.approx(np.sqrt(3.0), rel=1e-12)
     with pytest.raises(RuntimeError, match="probe path"):
         assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
 
@@ -586,7 +586,7 @@ def test_spectral_gap_meets_korn_bound(L, R, a):
     assert np.abs(ev[:3]).max() <= 1e-12 * ev[-1]
     # lambda_1 sums (e_i w_i) e_i >= 0 with no clamp
     assert form.lam_by_degree[1] >= 0.0
-    sigma, c_p = _gap(form), korn_constant(grid, L).c_p
+    sigma, c_p = _gap(form), korn_constant(grid, L)
     assert sigma >= 2.0 * nu.nu_min / c_p ** 2 > 0.0
 
 
@@ -611,15 +611,13 @@ def test_dissipation_matches_the_strain_quadrature(L):
 
 
 def enstrophy_defect(grid, L, seeds=range(5)):
-    """Largest |(N(c), D c)| / (||N|| ||D c||) over seeded rows c, N the
-    convective term on ``grid`` at truncation L (the package's binding, which
-    a mutant may patch) and D = (l(l+1) - 2) / R^2."""
+    """Largest ``enstrophy_cosine`` |(N(c), D c)| / (||N|| ||D c||) over
+    seeded rows c, N the convective term on ``grid`` at truncation L (through
+    the package's binding, which a mutant may patch) and
+    D = (l(l+1) - 2) / R^2."""
     tr = get_transform(grid, L)
     c = np.stack([random_band_limited(tr, seed).coeffs for seed in seeds])
-    N = operators.convective_term(tr, c)
-    Dc = c * (tr.mode_l * (tr.mode_l + 1) - 2.0) / grid.R ** 2
-    dots = np.abs(np.einsum("kn,kn->k", N, Dc))
-    return float(np.max(dots / (np.linalg.norm(N, axis=1) * np.linalg.norm(Dc, axis=1))))
+    return float(enstrophy_cosine(tr, c).max())
 
 
 @pytest.mark.parametrize("L,aliased", [(8, 6), (11, 8), (16, 11), (32, 22)])
@@ -631,3 +629,18 @@ def test_convective_term_conserves_enstrophy(L, aliased):
         grid = geo.build_sphere_grid(aliased, R)
         assert grid.max_degree == L + 1
         assert enstrophy_defect(grid, L) >= 1e-6, R
+
+
+def test_enstrophy_cosine_rows():
+    # on a grid of degree L + 1 the cosines are O(1e-3), so the 8-row chunks
+    # must give each row its own; a row where N or D c vanishes (zero, or
+    # Killing rows only, where D = 0) reads 0, not nan
+    tr = get_transform(geo.build_sphere_grid(6, 1.0), 8)
+    c = np.stack([random_band_limited(tr, seed).coeffs for seed in range(11)])
+    c[3] = 0.0
+    c[9, 3:] = 0.0
+    cos = enstrophy_cosine(tr, c)
+    assert cos.shape == (11,) and cos[3] == cos[9] == 0.0
+    alone = np.array([enstrophy_cosine(tr, row[None])[0] for row in c])
+    assert np.abs(cos - alone).max() <= 1e-12 * cos.max()
+    assert np.delete(cos, [3, 9]).min() >= 1e-6
