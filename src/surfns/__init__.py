@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 from .errors import (CheckpointError, ConfigError, ConsistencyError,
                      DivergenceError, GeometryError, GridMismatchError,
                      ParameterError)
-from .geometry import (SurfaceGrid, TangentialField, TangentialTensor,
-                       ViscosityField, build_sphere_grid, build_torus_grid,
-                       covariant_derivative, dealias_rule, h1_norm, l2_inner,
-                       l2_norm, rate_of_strain, strain_norm, tangential_project)
+from .geometry import (SurfaceGrid, TangentialField, ViscosityField,
+                       build_sphere_grid, build_torus_grid, covariant_derivative,
+                       dealias_rule, h1_norm, l2_inner, l2_norm, strain_norm,
+                       tangential_project)
 from .harmonics import (SpectralState, SphereTransform, get_transform,
                         mode_index, random_band_limited)
 from .killing import KillingBasis, killing_basis, korn_constant

@@ -1,18 +1,21 @@
-"""Closed-surface grids and tangential calculus.
+"""Closed-surface grids, quadrature and the torus's tangential calculus.
 
 Two geometries are supported: the sphere of radius R (Gauss-Legendre in
 cos(theta) times uniform longitudes) and the embedded torus with major/minor
-radii (R, r) (uniform periodic grid in both angles).  All differential
-operators act on the spectral/Fourier interpolant of the nodal data, so they
-are exact on band-limited fields; quadrature is exact for the polynomial
-degrees the grids are sized for.
+radii (R, r) (uniform periodic grid in both angles).  Quadrature is exact for
+the polynomial degrees the grids are sized for.
 
 Tangential vector fields are stored as two components per node in the local
-orthonormal frame (e1, e2); tangential 2x2 tensors as four.  Each grid
-carries its builder's frame, (e_theta, e_phi) on the sphere and (toroidal,
-poloidal) on the torus, and every derivative is taken along it; the
-covariant derivative reconstructs ambient components from (e1, e2) before
-differentiating, so no connection coefficients appear.
+orthonormal frame (e1, e2).  Each grid carries its builder's frame,
+(e_theta, e_phi) on the sphere and (toroidal, poloidal) on the torus.
+
+The nodal calculus here is the torus's alone: its covariant derivative acts
+on the Fourier interpolant of the nodal data, so it is exact on band-limited
+fields, and reconstructs ambient components from (e1, e2) before
+differentiating, so no connection coefficients appear.  The sphere's
+derivatives come only from the closed-form GRAD profiles of the toroidal
+transform (``harmonics.SphereTransform``), which runs on the per-order
+``SphereEngine`` defined here; the nodal functions refuse a sphere grid.
 """
 
 from collections import namedtuple
@@ -99,21 +102,6 @@ class TangentialField:
                 f"field shape {comps.shape} does not match grid with {grid.n_nodes} nodes")
         self.grid = grid
         self.comps = comps
-
-
-class TangentialTensor:
-    """Tangential 2x2 tensor field in the frame, shape (n_nodes, 2, 2)."""
-
-    def __init__(self, grid, comps):
-        comps = np.asarray(comps, dtype=float)
-        if comps.shape != (grid.n_nodes, 2, 2):
-            raise GridMismatchError("tensor shape does not match grid")
-        self.grid = grid
-        self.comps = comps
-
-    def sym(self):
-        half = 0.5 * (self.comps + np.swapaxes(self.comps, 1, 2))
-        return TangentialTensor(self.grid, half)
 
 
 class ViscosityField:
@@ -372,27 +360,8 @@ class SphereEngine:
         return self.adjoint(f * self.weights, comps)
 
 
-def _scalar_engine(grid):
-    """Engine of real scalar harmonics up to the grid's degree.
-
-    Components: the harmonic itself (analysis over the unit-sphere
-    measure), then its gradient along e_theta and e_phi on the radius-R
-    sphere.
-    """
-    key = "scalar_engine"
-    if key not in grid._caches:
-        s = np.sin(grid.lat)
-
-        def profiles(m, l, P, dP, d2P):
-            fac = np.where(m > 0, np.sqrt(2.0), 1.0)
-            return fac * P, fac * dP / grid.R, -m * fac * P / (grid.R * s)
-        grid._caches[key] = SphereEngine(grid, 0, grid.max_degree, profiles,
-                                         (False, False, True), grid.weights / grid.R ** 2)
-    return grid._caches[key]
-
-
 # ---------------------------------------------------------------------------
-# torus Fourier derivatives (internal)
+# torus calculus: Fourier derivatives of the ambient components
 
 def _fft_deriv(f2, axis):
     """Derivative of the trigonometric interpolant along a 2*pi-periodic axis.
@@ -418,61 +387,47 @@ def _torus_directional(grid, f):
     return np.stack([d_tor, d_pol], axis=-3).reshape(f.shape[:-1] + (2, grid.n_nodes))
 
 
-# ---------------------------------------------------------------------------
-# differential operators
-
-def _directional_derivatives(grid, f):
-    """Derivatives of nodal scalars (..., n_nodes) along the frame directions
-    (e1, e2): (..., 2, n_nodes)."""
-    if grid.kind != SPHERE:
-        return _torus_directional(grid, f)
-    eng = _scalar_engine(grid)
-    c = eng.analyze(f.reshape(1, -1, grid.n_nodes), slice(0, 1))
-    g = eng.synthesize(c, slice(1, 3)).transpose(1, 0, 2)     # (k, 2, n)
-    return g.reshape(f.shape[:-1] + (2, grid.n_nodes))
-
-
 def covariant_derivatives(grid, comps):
-    """Covariant derivatives P (grad u_hat) P of a stack of nodal fields.
+    """Covariant derivatives P (grad u_hat) P of a stack of nodal fields on the torus.
 
     ``comps`` holds the frame components of k fields stack-first, shape
     (k, 2, n_nodes); the result holds their tensors, shape (k, 2, 2, n_nodes).
     Computed from the ambient components of the tangentially extended
     interpolant: entry (i, j) is the derivative along e_j of the field,
-    projected on e_i.  Exact for band-limited fields.
+    projected on e_i.  Exact for band-limited fields.  A sphere grid raises
+    ParameterError: the sphere's derivatives are the transform's GRAD tables.
     """
+    if grid.kind == SPHERE:
+        raise ParameterError("no nodal covariant derivative on the sphere: synthesize "
+                             "the transform's closed-form GRAD tables (SphereTransform.GRAD)")
     frame = np.ascontiguousarray(np.stack([grid.e1, grid.e2]).transpose(0, 2, 1))  # (2, 3, n)
     amb = np.einsum("kan,acn->kcn", comps, frame)      # ambient components
-    D = _directional_derivatives(grid, amb)            # (k, 3, 2, n): comp x frame dir
+    D = _torus_directional(grid, amb)                  # (k, 3, 2, n): comp x frame dir
     # T_ij = sum_c (e_i)_c d_{e_j} u_c
     return np.einsum("icn,kcjn->kijn", frame, D)
 
 
 def covariant_derivative(grid, u):
-    """Covariant derivative of one tangential field (see ``covariant_derivatives``)."""
+    """Covariant derivative of one tangential field on the torus, shape
+    (n_nodes, 2, 2) (see ``covariant_derivatives``)."""
     if u.grid is not grid:
         raise GridMismatchError("field is defined on a different grid")
-    T = covariant_derivatives(grid, u.comps.T[None])[0]
-    return TangentialTensor(grid, T.transpose(2, 0, 1))
-
-
-def rate_of_strain(grid, u):
-    """Symmetric part of the covariant derivative."""
-    return covariant_derivative(grid, u).sym()
+    return covariant_derivatives(grid, u.comps.T[None])[0].transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
 # inner products and norms
 
+def _quadrature(grid, a):
+    """Quadrature of per-node data a (n_nodes, ...), summed over its entries."""
+    return float(np.dot(grid.weights, a.reshape(grid.n_nodes, -1).sum(axis=1)))
+
+
 def l2_inner(grid, u, v):
-    """L2 inner product of two tangential fields (or tensors) by quadrature."""
+    """L2 inner product of two tangential fields by quadrature."""
     if u.grid is not grid or v.grid is not grid:
         raise GridMismatchError("fields live on different grids")
-    a, b = u.comps, v.comps
-    if a.shape != b.shape:
-        raise GridMismatchError("field/tensor rank mismatch")
-    prod = (a * b).reshape(grid.n_nodes, -1).sum(axis=1)
-    return float(np.dot(grid.weights, prod))
+    return _quadrature(grid, u.comps * v.comps)
 
 
 def l2_norm(grid, u):
@@ -480,12 +435,13 @@ def l2_norm(grid, u):
 
 
 def h1_norm(grid, u):
-    """H1 norm: ||u||^2 + ||grad u||^2 (Frobenius) under quadrature."""
+    """H1 norm on the torus: ||u||^2 + ||grad u||^2 (Frobenius) under quadrature."""
     T = covariant_derivative(grid, u)
-    return float(np.sqrt(max(l2_inner(grid, u, u) + l2_inner(grid, T, T), 0.0)))
+    return float(np.sqrt(l2_inner(grid, u, u) + _quadrature(grid, T * T)))
 
 
 def strain_norm(grid, u):
-    """L2 norm of the surface rate-of-strain tensor."""
-    E = rate_of_strain(grid, u)
-    return float(np.sqrt(max(l2_inner(grid, E, E), 0.0)))
+    """L2 norm of the surface rate-of-strain tensor on the torus."""
+    T = covariant_derivative(grid, u)
+    E = 0.5 * (T + T.swapaxes(1, 2))
+    return float(np.sqrt(_quadrature(grid, E * E)))

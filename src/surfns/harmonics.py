@@ -198,7 +198,8 @@ def _profiles(g, m, l, P, dP, d2P):
     vorticity is -l(l+1)/R^2 times that stream function, in phase.  The
     covariant derivative follows in closed form in spherical
     coordinates, cross-validated against the ambient-interpolant route of
-    the geometry module.
+    the test suite's nodal oracle (``tests/nodal_oracle.py``); it is the
+    sphere's only derivative route.
     """
     # degree 0 is outside the layout, so its profiles are never read
     q = np.where(m > 0, np.sqrt(2.0), 1.0) / np.sqrt(np.maximum(l * (l + 1), 1))

@@ -268,13 +268,20 @@ def chk_korn_convergence(ctx):
     out = [_check("korn_truncation_convergence", rel, 1e-2,
                   "C_P(L) = C_P(L/2) within 1%",
                   detail=f"C_P = {c_p:.8f}")]
+    # ||v||^2 by Parseval; grad v = (T00, T01, T10, T11) from the GRAD tables,
+    # whose strain eps:eps = T00^2 + 2 e01^2 + T11^2 with e01 = (T01 + T10) / 2.
+    # One sample per synthesis: a batch of all 30 is no faster and holds 3 MB
+    # of buffers at L = 16.
     tr = get_transform(ctx.grid, L)
+    w = ctx.grid.weights
     worst = 0.0
     for i in range(30):
-        s = random_band_limited(tr, 9000 + i, norm_killing=0.0)
-        v = tr.synthesize(s)
-        worst = max(worst, geo.h1_norm(ctx.grid, v)
-                    / (c_p * geo.strain_norm(ctx.grid, v)))
+        c = random_band_limited(tr, 9000 + i, norm_killing=0.0).coeffs
+        T = tr.engine.synthesize(c[None], tr.GRAD)[:, 0]
+        e01 = 0.5 * (T[1] + T[2])
+        h1 = c @ c + (T * T).sum(axis=0) @ w
+        strain = (T[0] * T[0] + 2.0 * e01 * e01 + T[3] * T[3]) @ w
+        worst = max(worst, np.sqrt(h1) / (c_p * np.sqrt(strain)))
     out.append(_check("korn_inequality_samples", worst, 1.0 + 1e-8,
                       "||v||_H1 <= C_P ||eps(v)|| on samples"))
     return out

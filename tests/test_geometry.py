@@ -7,17 +7,18 @@ from surfns import geometry as geo
 from surfns.errors import GeometryError, GridMismatchError, ParameterError
 from surfns.harmonics import random_band_limited
 from surfns._legendre import plm_tables
+import nodal_oracle as nodal
 
 
 def surface_gradient(grid, p):
     """Tangential gradient of a nodal scalar by the spectral interpolant: its
-    derivatives along the frame, from ``geo._directional_derivatives``."""
-    return geo.TangentialField(grid, geo._directional_derivatives(grid, np.asarray(p, float)).T)
+    derivatives along the frame, from ``nodal.directional_derivatives``."""
+    return geo.TangentialField(grid, nodal.directional_derivatives(grid, np.asarray(p, float)).T)
 
 
 def surface_divergence(grid, u):
-    """Trace of ``geo.covariant_derivative``, one scalar per node."""
-    T = geo.covariant_derivative(grid, u).comps
+    """Trace of ``nodal.covariant_derivative``, one scalar per node."""
+    T = nodal.covariant_derivative(grid, u)
     return T[:, 0, 0] + T[:, 1, 1]
 
 
@@ -133,7 +134,7 @@ def test_surface_gradient_bilinear_symmetry(sphere8):
 
 def test_strain_of_killing_rotation(sphere8, rotation_field):
     u = rotation_field(sphere8, 2)
-    assert geo.strain_norm(sphere8, u) <= 1e-10
+    assert nodal.strain_norm(sphere8, u) <= 1e-10
 
 
 def test_toroidal_mode_divergence_free(sphere8, tr8):
@@ -155,9 +156,9 @@ def test_trace_strain_equals_divergence(sphere8, tr8):
     for i in range(100):
         s = random_band_limited(tr8, 5000 + i)
         u = tr8.synthesize(s)
-        E = geo.rate_of_strain(g, u)
+        E = nodal.rate_of_strain(g, u)
         dv = surface_divergence(g, u)
-        trace = E.comps[:, 0, 0] + E.comps[:, 1, 1]
+        trace = E[:, 0, 0] + E[:, 1, 1]
         assert np.abs(trace - dv).max() <= 1e-12 * max(1.0, np.abs(dv).max())
 
 
@@ -210,19 +211,31 @@ def test_quadrature_orthonormality_of_harmonics(sphere8):
 
 
 def test_covariant_derivatives_stack_matches_single(sphere8, torus64):
-    # smooth ambient fields, k = 1 and 5
+    # smooth ambient fields, k = 1 and 5; the torus through the geometry
+    # module, the sphere through the nodal oracle
     rng = np.random.default_rng(7)
-    for grid in (sphere8, torus64):
+    for grid, calc in ((sphere8, nodal), (torus64, geo)):
         x = grid.nodes / np.abs(grid.nodes).max()
         basis = np.stack([np.sin(x[:, 1]), x[:, 0] * x[:, 2], np.cos(2 * x[:, 0]),
                           np.ones(grid.n_nodes), x[:, 1] ** 2])
         for k in (1, 5):
             amb = np.einsum("kcb,bn->knc", rng.standard_normal((k, 3, 5)), basis)
             fields = [geo.tangential_project(grid, a) for a in amb]
-            T = geo.covariant_derivatives(grid, np.stack([f.comps.T for f in fields]))
+            T = calc.covariant_derivatives(grid, np.stack([f.comps.T for f in fields]))
             for Tk, f in zip(T, fields):
-                ref = geo.covariant_derivative(grid, f).comps
+                ref = calc.covariant_derivative(grid, f)
                 assert np.abs(Tk.transpose(2, 0, 1) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_nodal_calculus_refuses_the_sphere(sphere8, tr8):
+    # the sphere's derivatives come from the transform's GRAD tables alone;
+    # without the refusal these calls would run the torus's FFT route
+    u = tr8.toroidal_basis_field(2, 1)
+    for call in (lambda: geo.covariant_derivatives(sphere8, u.comps.T[None]),
+                 lambda: geo.covariant_derivative(sphere8, u),
+                 lambda: geo.h1_norm(sphere8, u), lambda: geo.strain_norm(sphere8, u)):
+        with pytest.raises(ParameterError, match="GRAD"):
+            call()
 
 
 def _grad_inf(nu):

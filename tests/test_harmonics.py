@@ -16,6 +16,7 @@ from surfns.harmonics import (SpectralState, _profiles, degree_norms,
 from surfns.operators import _order_pair_blocks, convective_term
 from surfns._legendre import plm_tables
 from test_geometry import surface_gradient
+import nodal_oracle as nodal
 
 
 def test_dealias_rule_values():
@@ -121,11 +122,11 @@ def test_mode_orthogonality_2_3(sphere8, tr8):
 
 
 def test_basis_strain_thresholds(sphere8, tr8):
-    # independent oracle: strain by the geometry module's quadrature
+    # independent oracle: strain by the nodal route's quadrature
     for m in (-1, 0, 1):
-        assert geo.strain_norm(sphere8, tr8.toroidal_basis_field(1, m)) <= 1e-10
+        assert nodal.strain_norm(sphere8, tr8.toroidal_basis_field(1, m)) <= 1e-10
     for m in (-2, 0, 2):
-        assert geo.strain_norm(sphere8, tr8.toroidal_basis_field(2, m)) > 0.1
+        assert nodal.strain_norm(sphere8, tr8.toroidal_basis_field(2, m)) > 0.1
 
 
 def test_round_trip_single_mode(tr8):
@@ -231,8 +232,8 @@ def test_complex_view_parseval(tr8, complex_view):
 
 def test_grad_tables_match_geometry_route():
     # dual route: closed-form covariant-derivative profiles against the
-    # ambient-interpolant differentiation of the geometry module.  Not run at
-    # L = 32: there the geometry route, differentiating the rounding noise of
+    # ambient-interpolant differentiation of the nodal oracle.  Not run at
+    # L = 32: there the nodal route, differentiating the rounding noise of
     # even a correctly rounded nodal field up to degree 48, is off by 1.3e-11
     # at the polar nodes while the closed form stays within 2e-13.
     for L in (8, 11):
@@ -240,8 +241,8 @@ def test_grad_tables_match_geometry_route():
         tr = get_transform(grid, L)
         s = random_band_limited(tr, 77)
         T_tab = tr.engine.synthesize(s.coeffs[None], tr.GRAD)[:, 0].T.reshape(-1, 2, 2)
-        T_geo = geo.covariant_derivative(grid, tr.synthesize(s))
-        assert np.abs(T_tab - T_geo.comps).max() <= 1e-11
+        T_nodal = nodal.covariant_derivative(grid, tr.synthesize(s))
+        assert np.abs(T_tab - T_nodal).max() <= 1e-11
 
 
 def test_grad_norm_table_closed_form(sphere8, tr8):
@@ -294,7 +295,7 @@ def _h1_norm2(tr, s):
 def test_h1_norm_consistency(sphere8, tr8):
     s = random_band_limited(tr8, 13)
     via_tables = np.sqrt(_h1_norm2(tr8, s))
-    via_quadrature = geo.h1_norm(sphere8, tr8.synthesize(s))
+    via_quadrature = nodal.h1_norm(sphere8, tr8.synthesize(s))
     assert abs(via_tables - via_quadrature) <= 1e-10 * via_tables
 
 
@@ -360,17 +361,6 @@ def test_transform_tables_stay_small_at_l32():
 
 
 TOROIDAL_SHIFTED = (True, False, False, True, False, False, True)
-SCALAR_SHIFTED = (False, False, True)
-
-
-def _scalar_profiles(grid):
-    """The scalar harmonics and their gradient along (e_theta, e_phi)."""
-    s = np.sin(grid.lat)
-
-    def profiles(m, l, P, dP, d2P):
-        fac = np.where(m > 0, np.sqrt(2.0), 1.0)
-        return fac * P, fac * dP / grid.R, -m * fac * P / (grid.R * s)
-    return profiles
 
 
 def _padded_synthesis(grid, lmin, lmax, profiles, shifted):
@@ -420,9 +410,9 @@ def _indexed_adjoint(eng, f, comps=slice(None)):
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
 def test_paired_engine_matches_padded_reference(L):
-    # the toroidal engine at degree L and the scalar engine of the grid
-    # (degree 3, 3, 5, 6, 12): odd and even degrees, so with and without a
-    # self-paired middle order; stacks in C and Fortran order, of heights
+    # the toroidal engine at degree L and the nodal oracle's scalar engine of
+    # the grid (degree 3, 3, 5, 6, 12): odd and even degrees, so with and
+    # without a self-paired middle order; stacks in C and Fortran order, of heights
     # that change from call to call; each call also runs through a kept plan
     # (one per height and components), so later calls reuse its buffers
     grid = geo.build_sphere_grid(max(L, 2), 1.3)
@@ -430,7 +420,8 @@ def test_paired_engine_matches_padded_reference(L):
     rng = np.random.default_rng(L)
     for eng, lmin, lmax, profiles, shifted in (
             (tr.engine, 1, L, partial(_profiles, grid), TOROIDAL_SHIFTED),
-            (geo._scalar_engine(grid), 0, grid.max_degree, _scalar_profiles(grid), SCALAR_SHIFTED)):
+            (nodal.scalar_engine(grid), 0, grid.max_degree, nodal.scalar_profiles(grid),
+             nodal.SCALAR_SHIFTED)):
         S = _padded_synthesis(grid, lmin, lmax, profiles, shifted)
         scale = np.abs(S).max()
         plans = {}

@@ -14,6 +14,7 @@ from surfns.operators import _order_pair_blocks, assemble_stokes, convective_ter
 from surfns.scenarios import _gap
 from surfns.timestepper import SimState
 from test_harmonics import signed_order
+import nodal_oracle as nodal
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +145,11 @@ def test_stokes_apply_eigenmode(form1):
 
 def test_quadratic_form_oracle(sphere8, formv, tr8):
     # c.(A c) equals the quadrature of 2 nu |eps(u)|^2 computed through the
-    # geometry module
+    # nodal oracle
     s = random_band_limited(tr8, 42)
     u = tr8.synthesize(s)
-    E = geo.rate_of_strain(sphere8, u)
-    integrand = 2.0 * formv.nu.values * np.einsum("nij,nij->n", E.comps, E.comps)
+    E = nodal.rate_of_strain(sphere8, u)
+    integrand = 2.0 * formv.nu.values * np.einsum("nij,nij->n", E, E)
     oracle = float(np.dot(sphere8.weights, integrand))
     assert abs(_quad_form(formv, s.coeffs) - oracle) <= 1e-10 * max(oracle, 1.0)
 
@@ -200,13 +201,13 @@ def test_convective_killing_self_transport(sphere8, kb, tr8):
 
 
 def test_convective_zonal_mode_is_gradient(sphere8, tr8):
-    # brute-force oracle: nodal transport through the geometry module's
+    # brute-force oracle: nodal transport through the nodal oracle's
     # covariant derivative, then the Leray projection by quadrature
     s = SpectralState(8)
     s.set(2, 0, 1.0)
     u = tr8.synthesize(s)
-    T = geo.covariant_derivative(sphere8, u)
-    adv = np.einsum("nij,nj->ni", T.comps, u.comps)
+    T = nodal.covariant_derivative(sphere8, u)
+    adv = np.einsum("nij,nj->ni", T, u.comps)
     oracle = tr8.analyze(geo.TangentialField(sphere8, adv))
     assert np.linalg.norm(oracle.coeffs) <= 1e-9
     assert np.linalg.norm(_row(convective_term, s, tr8).coeffs) <= 1e-9
@@ -310,8 +311,8 @@ def test_convective_matches_bruteforce():
         tr = get_transform(grid, L)
         s = random_band_limited(tr, 123)
         u = tr.synthesize(s)
-        T = geo.covariant_derivative(grid, u)
-        adv = np.einsum("nij,nj->ni", T.comps, u.comps)
+        T = nodal.covariant_derivative(grid, u)
+        adv = np.einsum("nij,nj->ni", T, u.comps)
         oracle = tr.analyze(geo.TangentialField(grid, adv))
         fast = _row(convective_term, s, tr)
         assert np.abs(fast.coeffs - oracle.coeffs).max() <= 1e-11

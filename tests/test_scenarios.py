@@ -2,9 +2,13 @@
 
 import pytest
 
+import nodal_oracle as nodal
 from surfns import scenarios
+from surfns.harmonics import get_transform, random_band_limited
 from surfns.harness import build_context
-from surfns.scenarios import chk_nk_envelope, get_scenario, list_scenarios, run_scenario
+from surfns.killing import korn_constant
+from surfns.scenarios import (chk_korn_convergence, chk_nk_envelope, get_scenario,
+                              list_scenarios, run_scenario)
 
 ALL_NAMES = [name for name, _ in list_scenarios()]
 
@@ -38,6 +42,32 @@ def test_nk_envelope_fails_when_void():
     res = chk_nk_envelope(build_context(cfg))
     assert not res.passed
     assert "void" in res.detail
+
+
+def _korn_context(L):
+    return build_context(dict(get_scenario("korn_sphere").config, **{"geometry.L": L}))
+
+
+@pytest.mark.parametrize("L", [8, 16, 32])
+def test_korn_samples_match_the_nodal_oracle(L):
+    # the check's GRAD-table route against the nodal oracle's quadrature of
+    # ||v||_H1 / (C_P ||eps(v)||) on the same 30 samples
+    ctx = _korn_context(L)
+    measured = {c.name: c.measured for c in chk_korn_convergence(ctx)}
+    c_p, tr = korn_constant(ctx.grid, L), get_transform(ctx.grid, L)
+    samples = (tr.synthesize(random_band_limited(tr, 9000 + i, norm_killing=0.0))
+               for i in range(30))
+    oracle = max(nodal.h1_norm(ctx.grid, v) / (c_p * nodal.strain_norm(ctx.grid, v))
+                 for v in samples)
+    assert abs(measured["korn_inequality_samples"] - oracle) <= 1e-14
+
+
+def test_korn_sphere_builds_one_engine():
+    # every sphere engine is a transform's: the check adds no scalar engine
+    L = get_scenario("korn_sphere").config["geometry.L"]
+    ctx = _korn_context(L)
+    chk_korn_convergence(ctx)
+    assert set(ctx.grid._caches) == {("transform", L)}
 
 
 def test_seed_override_changes_random_runs(tmp_path):
