@@ -17,10 +17,9 @@ from .errors import (CheckpointError, ConfigError, ConsistencyError,
                      ParameterError)
 from .geometry import (SurfaceGrid, TangentialField, ViscosityField,
                        build_sphere_grid, build_torus_grid, covariant_derivative,
-                       dealias_rule, h1_norm, l2_inner, l2_norm, strain_norm,
-                       tangential_project)
-from .harmonics import (SpectralState, SphereTransform, get_transform,
-                        mode_index, random_band_limited)
+                       dealias_rule, h1_norm, l2_inner, strain_norm)
+from .harmonics import (SpectralState, SphereTransform, mode_index,
+                        random_band_limited)
 from .killing import KillingBasis, killing_basis, korn_constant
 from .operators import StokesForm, assemble_stokes, convective_term
 from .forcing import ForcingSpec, apply_forcing, make_catalog_forcing

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import SPHERE, grid_truncation
-from .harmonics import get_transform, n_modes
+from .harmonics import n_modes
 
 TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",
         "f4_plus", "f4_minus", "f5", "constant_killing")
@@ -62,7 +62,7 @@ class ForcingSpec:
         F(c)[:, :3] = c[:, :3] @ K.T + f[:3]    (degree-1 Killing rows)
         F(c)[:, 3:] = s c[:, 3:] + f[3:n]       (all other rows, n = c.shape[1])
 
-    ``f`` is F(0), analyzed once at the grid's truncation; the flat layout
+    ``f`` is F(0), its coefficients at the grid's truncation; the flat layout
     is degree-major, so a lower truncation reads its prefix.  ``K`` is the
     3x3 map on the Killing rows and ``s`` the scalar on the others.
     """
@@ -77,8 +77,10 @@ class ForcingSpec:
 def make_catalog_forcing(tag, params, basis):
     """Build a tagged forcing as its affine map with its hypothesis flags set.
 
-    Sphere-only: K addresses the degree-1 coefficient rows, which hold the
-    Killing space on the sphere alone.
+    The fixed fields ``g`` (constant_field) and ``v`` (f2) are given as their
+    (n_modes,) coefficient rows at the grid's truncation.  Sphere-only: K
+    addresses the degree-1 coefficient rows, which hold the Killing space on
+    the sphere alone.
     """
     grid = basis.grid
     params = dict(params or {})
@@ -88,13 +90,13 @@ def make_catalog_forcing(tag, params, basis):
         raise ParameterError("catalog forcing is sphere-only: its Killing map "
                              "acts on the degree-1 coefficient rows")
     sign = -1.0 if tag.endswith("minus") else 1.0
-    nodal, killing, K, s = None, None, np.zeros((3, 3)), 0.0
+    L = grid_truncation(grid)
+    f, K, s = np.zeros(n_modes(L)), np.zeros((3, 3)), 0.0
 
     if tag == "constant_field":
-        nodal = params["g"]
+        f = np.array(params["g"], dtype=float)
     elif tag in ("f2_plus", "f2_minus"):
-        nodal = params["v"]
-        K = sign * np.eye(3)
+        f, K = np.array(params["v"], dtype=float), sign * np.eye(3)
     elif tag in ("f3_plus", "f3_minus"):
         K, s = sign * np.eye(3), sign
     elif tag in ("f4_plus", "f4_minus"):
@@ -112,11 +114,10 @@ def make_catalog_forcing(tag, params, basis):
         j = int(params.get("axis", 0))
         if not (0 <= j < basis.n):
             raise ParameterError(f"Killing axis {j} outside 0..{basis.n - 1}")
-        killing = c * basis.l1_map[j]
-    L = grid_truncation(grid)
-    f = np.zeros(n_modes(L)) if nodal is None else get_transform(grid, L).analyze(nodal).coeffs
-    if killing is not None:
-        f[:3] += killing
+        f[:3] = c * basis.l1_map[j]
+    if f.shape != (n_modes(L),):
+        raise ParameterError(f"a fixed forcing field needs {n_modes(L)} coefficients "
+                             f"at the grid's truncation L={L}, got shape {f.shape}")
     flags = _hypothesis_constants(f, K, s)
     if tag.startswith("f2") and not (flags.nega or flags.pos):
         # K = +/-I signs the Killing power exactly when f_K = 0

@@ -85,7 +85,6 @@ class SurfaceGrid:
         self.glx = glx
         self.max_degree = max_degree
         self.area = float(weights.sum())
-        self._caches = {}
 
     @property
     def n_nodes(self):
@@ -216,16 +215,6 @@ def build_torus_grid(n_pol, n_tor, R, r):
     weights = (r * ring * (2.0 * np.pi / n_pol) * (2.0 * np.pi / n_tor))
     weights = np.broadcast_to(weights, (n_pol, n_tor)).reshape(-1).copy()
     return SurfaceGrid(TORUS, R, r, phi, theta, nodes, weights, normals, e1, e2)
-
-
-def tangential_project(grid, v):
-    """Frame components of (I - n x n) v for ambient per-node vectors v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.n_nodes, 3):
-        raise GridMismatchError("ambient field must have shape (n_nodes, 3)")
-    c1 = np.einsum("ij,ij->i", v, grid.e1)
-    c2 = np.einsum("ij,ij->i", v, grid.e2)
-    return TangentialField(grid, np.stack([c1, c2], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +417,6 @@ def l2_inner(grid, u, v):
     if u.grid is not grid or v.grid is not grid:
         raise GridMismatchError("fields live on different grids")
     return _quadrature(grid, u.comps * v.comps)
-
-
-def l2_norm(grid, u):
-    return float(np.sqrt(max(l2_inner(grid, u, u), 0.0)))
 
 
 def h1_norm(grid, u):

@@ -89,7 +89,9 @@ class SphereTransform:
     layout.
     ``strain_norm2`` holds ||eps(Phi)||_{L2}^2 per degree l = 1..L and
     ``grad_norm2`` ||grad Phi||_{L2}^2 per mode: the tables of
-    ``degree_norms``, read off the engine's order-0 profiles.  Immutable
+    ``degree_norms``, read off the engine's order-0 profiles.  A run holds
+    one, built by ``operators.assemble_stokes`` and read as
+    ``form.transform``; nothing caches transforms per grid.  Immutable
     after construction; transforms are pure functions of their inputs and
     safe to call concurrently.
     """
@@ -112,14 +114,6 @@ class SphereTransform:
         self.grad_norm2 = grad[self.mode_l - 1]
 
     # -- transforms ----------------------------------------------------------
-
-    def toroidal_basis_field(self, l, m):
-        """The real orthonormal toroidal mode (l, m) as a nodal field."""
-        if l == 0:
-            raise ParameterError("no toroidal field of degree 0")
-        unit = SpectralState(self.L)
-        unit.set(l, m, 1.0)
-        return self.synthesize(unit)
 
     def analyze(self, u):
         """Toroidal coefficients of a nodal tangential field by quadrature.
@@ -244,14 +238,6 @@ def _zonal_norms(grid, mixTF, dB):
     strain = 2.0 * grid.n_lon * np.diagonal((e * w) @ e.T)
     grad = grid.n_lon * ((mixTF * mixTF + dB * dB) @ w)
     return strain[1:], grad[1:]
-
-
-def get_transform(grid, L):
-    """Per-grid cache of transforms (grids are immutable)."""
-    key = ("transform", L)
-    if key not in grid._caches:
-        grid._caches[key] = SphereTransform(grid, L)
-    return grid._caches[key]
 
 
 def random_band_limited(transform, seed, l_max=None,

@@ -27,7 +27,7 @@ from .errors import CheckpointError, ConfigError, DivergenceError, ParameterErro
 from . import geometry as geo
 from .diagnostics import SCALAR_FIELDS, fit_decay_rate
 from .forcing import TAGS, make_catalog_forcing
-from .harmonics import SpectralState, get_transform, random_band_limited
+from .harmonics import SpectralState, mode_index, n_modes, random_band_limited
 from .killing import killing_basis
 from .operators import assemble_stokes
 from .timestepper import StepperConfig, check_batch, run, run_batch
@@ -164,6 +164,23 @@ def _validate_config(cfg):
             and not 0 < np.linalg.norm(cfg["forcing.point"]) < np.inf):
         raise ConfigError("config error at 'forcing.point': f4 needs a nonzero "
                           "direction to place its point on the sphere")
+    if cfg["geometry.kind"] == "sphere":
+        L = cfg["geometry.L"]
+        if cfg["forcing.tag"] in ("constant_field", "f2_plus", "f2_minus"):
+            _check_mode(cfg["forcing.mode_l"], cfg["forcing.mode_m"], L,
+                        "forcing.mode_l", "forcing.mode_m")
+        if cfg["init.kind"] == "modes":
+            for l, m, _ in cfg["init.modes"]:
+                _check_mode(l, m, L, "init.modes", "init.modes")
+
+
+def _check_mode(l, m, L, key_l, key_m):
+    """Raise ConfigError, at the field that sets it, unless (l, m) is a mode of truncation L."""
+    if not 1 <= l <= L:
+        raise ConfigError(f"config error at '{key_l}': degree {l} outside 1..{L} (geometry.L)")
+    if abs(m) > l:
+        raise ConfigError(f"config error at '{key_m}': order {m} outside -{l}..{l} "
+                          f"for degree {l}")
 
 
 def load_config(path):
@@ -241,9 +258,9 @@ def build_forcing(cfg, grid, basis):
     tag = cfg["forcing.tag"]
     params = {}
     if tag in ("constant_field", "f2_plus", "f2_minus"):
-        tr = get_transform(grid, cfg["geometry.L"])
-        f = tr.toroidal_basis_field(cfg["forcing.mode_l"], cfg["forcing.mode_m"])
-        f = geo.TangentialField(grid, cfg["forcing.amplitude"] * f.comps)
+        L = cfg["geometry.L"]
+        f = np.zeros(n_modes(L))
+        f[mode_index(L, cfg["forcing.mode_l"], cfg["forcing.mode_m"])] = cfg["forcing.amplitude"]
         params["g" if tag == "constant_field" else "v"] = f
     elif tag in ("f4_plus", "f4_minus"):
         p = np.asarray(cfg["forcing.point"], dtype=float)
@@ -256,7 +273,7 @@ def build_forcing(cfg, grid, basis):
     return make_catalog_forcing(tag, params, basis)
 
 
-def build_initial_state(cfg, grid, seed=None):
+def build_initial_state(cfg, form, seed=None):
     L = cfg["geometry.L"]
     kind = cfg["init.kind"]
     if kind == "zero":
@@ -266,10 +283,9 @@ def build_initial_state(cfg, grid, seed=None):
         for l, m, amp in cfg["init.modes"]:
             s.set(l, m, amp)
         return s
-    tr = get_transform(grid, L)
     l_max = cfg["init.l_max"] or None
     return random_band_limited(
-        tr, cfg["seed"] if seed is None else seed, l_max=l_max,
+        form.transform, cfg["seed"] if seed is None else seed, l_max=l_max,
         norm_killing=cfg["init.norm_killing"],
         norm_nonkilling=cfg["init.norm_nonkilling"])
 
@@ -281,7 +297,7 @@ def build_context(cfg):
     if grid.kind == "sphere":
         ctx.form = assemble_stokes(grid, build_viscosity(cfg, grid), cfg["geometry.L"])
         ctx.fspec = build_forcing(cfg, grid, basis)
-        ctx.u0 = build_initial_state(cfg, grid)
+        ctx.u0 = build_initial_state(cfg, ctx.form)
     return ctx
 
 
@@ -511,7 +527,7 @@ def run_ensemble(cfg, ctx=None, n_members=None):
     if ctx.form is None:
         raise ConfigError("config error at 'geometry.kind': time evolution is sphere-only")
     check_batch(stepper_config(cfg), ctx.form, n, ctx.basis.n)     # before any member state
-    states = [build_initial_state(cfg, ctx.grid, seed=member_seed(cfg["seed"], k))
+    states = [build_initial_state(cfg, ctx.form, seed=member_seed(cfg["seed"], k))
               for k in range(n)]
     trajectories, diverged = run_batch(stepper_config(cfg), ctx.grid, ctx.form,
                                        ctx.fspec, states)
@@ -625,7 +641,7 @@ def _run_offsets(cfg, ctx, kind):
             raise ConfigError("config error at 'pair.gaps': need at least two gaps")
         labels = ("base",) + tuple(f"gap{i}" for i in range(len(gaps)))
     pert = random_band_limited(
-        get_transform(ctx.grid, cfg["geometry.L"]), cfg["seed"] + cfg["pair.seed_offset"],
+        ctx.form.transform, cfg["seed"] + cfg["pair.seed_offset"],
         l_max=cfg["init.l_max"] or None,
         norm_killing=0.0 if cfg["pair.killing_free"] else None).coeffs
     pert /= np.linalg.norm(pert)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import dealias_rule
-from .harmonics import get_transform
+from .harmonics import SphereTransform
 
 
 class StokesForm:
@@ -149,7 +149,8 @@ def _order_pair_blocks(tr, weight):
 
 
 def assemble_stokes(grid, nu, L):
-    """Assemble the variable-viscosity Stokes form up to degree L.
+    """Assemble the variable-viscosity Stokes form up to degree L, with the
+    run's one transform, ``form.transform``, built here.
 
     Requires a dealiased grid so every product eps_j : eps_k nu is
     integrated exactly (band-limited nu assumed).
@@ -162,7 +163,7 @@ def assemble_stokes(grid, nu, L):
         raise ParameterError(
             f"grid resolves degree {grid.max_degree}, need {dealias_rule(L).degree} "
             f"for exact degree-{L} assembly")
-    tr = get_transform(grid, L)
+    tr = SphereTransform(grid, L)
     # lambda_l is the same for every order: twice the unit-weight strain norm
     lam = np.zeros(L + 1)
     lam[1:] = 2.0 * tr.strain_norm2

@@ -22,7 +22,7 @@ from . import geometry as geo
 from .diagnostics import (NORM_FLOOR, check_killing_identity, check_monotonicity,
                           continuous_dependence_ratio, enstrophy_cosine, fit_decay_rate,
                           lambda_series, rossby_haurwitz_block, strain_dissipation)
-from .harmonics import get_transform, mode_index, random_band_limited
+from .harmonics import mode_index, random_band_limited
 from .harness import CheckResult, Scenario, default_config, execute_scenario
 from .killing import korn_constant
 
@@ -209,8 +209,7 @@ def chk_no_crossing(min_gap):
 
 
 def chk_h1_regularization(ctx):
-    tr = get_transform(ctx.grid, ctx.cfg["geometry.L"])
-    h1 = np.sqrt(np.square(ctx.samples) @ (1.0 + tr.grad_norm2))
+    h1 = np.sqrt(np.square(ctx.samples) @ (1.0 + ctx.form.transform.grad_norm2))
     ts = ctx.records.t
     early = h1[(ts >= 0.1) & (ts <= 0.5)].max()
     late = h1[ts >= 0.5].max()
@@ -272,7 +271,7 @@ def chk_korn_convergence(ctx):
     # whose strain eps:eps = T00^2 + 2 e01^2 + T11^2 with e01 = (T01 + T10) / 2.
     # One sample per synthesis: a batch of all 30 is no faster and holds 3 MB
     # of buffers at L = 16.
-    tr = get_transform(ctx.grid, L)
+    tr = ctx.form.transform
     w = ctx.grid.weights
     worst = 0.0
     for i in range(30):

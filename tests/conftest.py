@@ -8,13 +8,35 @@ import pytest
 
 import surfns
 from surfns import geometry as geo
-from surfns.harmonics import get_transform, mode_index
+from surfns.harmonics import SpectralState, SphereTransform, mode_index, n_modes
 
 _ACCEPTANCE_LINES = []
 
 
 def acceptance_line(text):
     _ACCEPTANCE_LINES.append(text)
+
+
+def tangential_project(grid, v):
+    """Frame components of (I - n x n) v for ambient per-node vectors v."""
+    return geo.TangentialField(grid, np.stack([np.einsum("ij,ij->i", v, grid.e1),
+                                               np.einsum("ij,ij->i", v, grid.e2)], axis=1))
+
+
+def l2_norm(grid, u):
+    return float(np.sqrt(geo.l2_inner(grid, u, u)))
+
+
+def mode_row(L, l, m):
+    """The coefficient row of the toroidal mode (l, m) at truncation L."""
+    row = np.zeros(n_modes(L))
+    row[mode_index(L, l, m)] = 1.0
+    return row
+
+
+def toroidal_basis_field(tr, l, m):
+    """The real orthonormal toroidal mode (l, m) as a nodal field of ``tr``."""
+    return tr.synthesize(SpectralState(tr.L, mode_row(tr.L, l, m)))
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -68,7 +90,7 @@ def torus64():
 
 @pytest.fixture(scope="session")
 def tr8(sphere8):
-    return get_transform(sphere8, 8)
+    return SphereTransform(sphere8, 8)
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +98,7 @@ def rotation_field():
     def make(grid, axis):
         ax = np.zeros(3)
         ax[axis] = 1.0
-        return geo.tangential_project(grid, np.cross(ax, grid.nodes))
+        return tangential_project(grid, np.cross(ax, grid.nodes))
     return make
 
 

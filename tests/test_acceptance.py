@@ -9,14 +9,14 @@ import time
 
 import numpy as np
 
-from conftest import acceptance_line
+from conftest import acceptance_line, mode_row
 import nodal_oracle as nodal
 
 from surfns import cli
 from surfns import geometry as geo
 from surfns.diagnostics import check_monotonicity, fit_decay_rate
 from surfns.forcing import make_catalog_forcing
-from surfns.harmonics import SpectralState, get_transform, random_band_limited
+from surfns.harmonics import SpectralState, SphereTransform, random_band_limited
 from surfns.harness import (default_config, load_checkpoint, run_ensemble,
                             save_checkpoint, stepper_config)
 from surfns.killing import killing_basis, korn_constant
@@ -101,11 +101,11 @@ def test_acceptance_04_sign_conditioned_monotonicity():
 def test_acceptance_05_killing_conservation():
     t0 = time.monotonic()
     g = geo.build_sphere_grid(8, 1.0)
-    tr = get_transform(g, 8)
+    tr = SphereTransform(g, 8)
     kb = killing_basis(g)
     form = assemble_stokes(g, geo.ViscosityField(g, 1.0), 8)
     spec = make_catalog_forcing("constant_field",
-                                {"g": tr.toroidal_basis_field(2, 0)}, kb)
+                                {"g": mode_row(tr.L, 2, 0)}, kb)
     u0 = random_band_limited(tr, 1234, l_max=4, norm_killing=0.7,
                              norm_nonkilling=0.5)
     cfg = default_config()
@@ -145,7 +145,7 @@ def test_acceptance_08_korn_constant():
     c_p16 = korn_constant(g32, 16)
     c_p32 = korn_constant(g32, 32)
     conds = {"cp_convergence_1pct": abs(c_p16 - c_p32) <= 1e-2 * c_p32}
-    tr = get_transform(g32, 32)
+    tr = SphereTransform(g32, 32)
     worst = 0.0
     for i in range(100):
         s = random_band_limited(tr, 40_000 + i, norm_killing=0.0)
@@ -174,7 +174,7 @@ def test_acceptance_11_infrastructure(tmp_path):
     t0 = time.monotonic()
     conds = {}
     g = geo.build_sphere_grid(8, 1.0)
-    tr = get_transform(g, 8)
+    tr = SphereTransform(g, 8)
 
     rng = np.random.default_rng(0)
     s = SpectralState(8, rng.standard_normal(tr.n_modes))

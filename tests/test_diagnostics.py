@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import mode_row, toroidal_basis_field
 from surfns import geometry as geo
 from surfns.diagnostics import (check_killing_identity, check_monotonicity,
                                 continuous_dependence_ratio, fit_decay_rate,
@@ -89,7 +90,7 @@ def test_batched_record_matches_one_row_records(sphere8, kb, tr8):
     # a few steps give every row its own ledger
     form = assemble_stokes(sphere8, geo.ViscosityField(
         sphere8, 1.0 + 0.5 * sphere8.nodes[:, 2]), 8)
-    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
     sim = SimState([random_band_limited(tr8, 500 + i, norm_killing=0.5)
                     for i in range(3)], dt=1e-3)
     for _ in range(5):
@@ -172,7 +173,7 @@ def test_killing_identity_slope(sphere8, form1, kb):
 
 def test_killing_identity_conservation(sphere8, form1, kb, tr8):
     spec = make_catalog_forcing("constant_field",
-                                {"g": tr8.toroidal_basis_field(2, 0)}, kb)
+                                {"g": mode_row(8, 2, 0)}, kb)
     u0 = random_band_limited(tr8, 51, l_max=4, norm_killing=0.6,
                              norm_nonkilling=0.4)
     cfg = StepperConfig(dt=1e-3, t_end=5.0, stride=500)
@@ -184,7 +185,7 @@ def test_killing_identity_conservation(sphere8, form1, kb, tr8):
 
 def test_killing_identity_needs_u_independent_killing_part(kb, tr8):
     series = SimpleNamespace(t=0.1 * np.arange(3), alpha=np.zeros((3, 3)))
-    params = {"g": tr8.toroidal_basis_field(2, 0), "v": tr8.toroidal_basis_field(2, 1),
+    params = {"g": mode_row(8, 2, 0), "v": mode_row(8, 2, 1),
               "p": np.array([0.0, 0.0, 1.0])}
     for tag in ("f2_plus", "f2_minus", "f3_plus", "f3_minus", "f4_plus",
                 "f4_minus", "f5"):
@@ -197,15 +198,15 @@ def test_killing_identity_needs_u_independent_killing_part(kb, tr8):
 
 def test_killing_identity_reads_f_k_of_a_constant_field(sphere8, kb, tr8, rotation_field):
     # g has a degree-1 part, so f_K from its coefficients must match the
-    # nodal Killing coordinates
-    g = geo.TangentialField(sphere8, tr8.toroidal_basis_field(3, 1).comps
+    # nodal Killing coordinates of its synthesis
+    g = geo.TangentialField(sphere8, toroidal_basis_field(tr8, 3, 1).comps
                             + 0.7 * rotation_field(sphere8, 2).comps
                             - 0.4 * rotation_field(sphere8, 0).comps)
     fk = killing_coefficients(kb, g)
     a0 = np.array([0.2, -0.1, 0.3])
     ts = np.array([0.0, 0.5, 1.0])
     series = SimpleNamespace(t=ts, alpha=a0 + ts[:, None] * fk)
-    spec = make_catalog_forcing("constant_field", {"g": g}, kb)
+    spec = make_catalog_forcing("constant_field", {"g": tr8.analyze(g).coeffs}, kb)
     rep = check_killing_identity(series, spec)
     assert np.linalg.norm(fk) > 0.5
     assert np.abs(fk_of(spec) - fk).max() <= 1e-12

@@ -5,12 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import mode_row
 from surfns import geometry as geo
 from surfns.errors import ParameterError
 from surfns.forcing import (TAGS, _hypothesis_constants, apply_forcing,
                             make_catalog_forcing)
 from surfns.geometry import grid_truncation
-from surfns.harmonics import SpectralState, get_transform, n_modes, random_band_limited
+from surfns.harmonics import (SpectralState, SphereTransform, mode_index, n_modes,
+                              random_band_limited)
+from surfns.harness import build_forcing, default_config
 from surfns.killing import killing_basis
 from test_killing import pk_project
 
@@ -52,7 +55,7 @@ def hypothesis_check(spec, n_samples, seed):
         raise ParameterError("need at least 10 samples")
     grid = spec.basis.grid
     L = min(8, grid_truncation(grid))
-    tr = get_transform(grid, L)
+    tr = SphereTransform(grid, L)
     tol = 1e-8
     violations = []
 
@@ -129,8 +132,28 @@ def test_constant_killing_flags(kb):
 
 
 def test_f2_requires_nonkilling_direction(kb):
-    with pytest.raises(ParameterError):
-        make_catalog_forcing("f2_plus", {"v": kb.fields[0]}, kb)
+    for m in (-1, 0, 1):
+        with pytest.raises(ParameterError, match="orthogonal to the Killing space"):
+            make_catalog_forcing("f2_plus", {"v": mode_row(8, 1, m) + mode_row(8, 2, m)}, kb)
+
+
+def test_fixed_field_must_be_a_row_of_the_grid_truncation(kb):
+    # the grid resolves L = 8: a row of another truncation, or nodal
+    # components, is refused
+    for tag, key in (("constant_field", "g"), ("f2_plus", "v")):
+        for row in (np.ones(n_modes(7)), np.ones(n_modes(9)), kb.fields[0].comps):
+            with pytest.raises(ParameterError, match="coefficients"):
+                make_catalog_forcing(tag, {key: row}, kb)
+
+
+@pytest.mark.parametrize("tag", ["constant_field", "f2_plus", "f2_minus"])
+def test_build_forcing_puts_the_amplitude_on_one_row(sphere8, kb, tag):
+    # exactly: no synthesis and analysis of the mode leaves rounding noise
+    cfg = dict(default_config(), **{"forcing.tag": tag, "forcing.mode_l": 3,
+                                    "forcing.mode_m": -2, "forcing.amplitude": 0.7})
+    want = np.zeros(n_modes(8))
+    want[mode_index(8, 3, -2)] = 0.7
+    assert build_forcing(cfg, sphere8, kb).f.tobytes() == want.tobytes()
 
 
 def test_f4_point_must_lie_on_surface(kb):
@@ -146,7 +169,7 @@ def test_f3_minus_sign_on_samples(sphere8, kb):
 
 def test_f2_plus_c1_estimate(sphere8, kb, tr8):
     spec = make_catalog_forcing("f2_plus",
-                                {"v": tr8.toroidal_basis_field(2, 0)}, kb)
+                                {"v": mode_row(8, 2, 0)}, kb)
     rep = hypothesis_check(spec, 20, seed=5)
     assert rep.ok
     assert abs(rep.c1_hat - 1.0) <= 1e-8
@@ -173,12 +196,12 @@ def test_f5_unit_sphere_degenerates(sphere8, kb, tr8):
 
 def test_affine_tags_exact_lipschitz(sphere8, kb, tr8):
     specs = [
-        make_catalog_forcing("f2_plus", {"v": tr8.toroidal_basis_field(2, 1)}, kb),
-        make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb),
+        make_catalog_forcing("f2_plus", {"v": mode_row(8, 2, 1)}, kb),
+        make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb),
         make_catalog_forcing("f3_plus", {}, kb),
         make_catalog_forcing("f3_minus", {}, kb),
         make_catalog_forcing("constant_field",
-                             {"g": tr8.toroidal_basis_field(3, 0)}, kb),
+                             {"g": mode_row(8, 3, 0)}, kb),
         make_catalog_forcing("constant_killing", {"c": 2.0, "axis": 0}, kb),
     ]
     rng = np.random.default_rng(13)
@@ -239,7 +262,7 @@ def test_f4_f5_match_nodal_routes(sphere8, sphere8_r2):
     # maps on the coefficients (f4's 3x3 Killing block, f5's (R - 1) c)
     for grid in (sphere8, sphere8_r2):
         kb = killing_basis(grid)
-        tr = get_transform(grid, 8)
+        tr = SphereTransform(grid, 8)
         p = grid.R * np.array([1.0, 2.0, 2.0]) / 3.0
         wdist = np.linalg.norm(grid.nodes - p[None, :], axis=1)[:, None]
         radius = np.linalg.norm(grid.nodes, axis=1)[:, None]
@@ -264,10 +287,8 @@ def test_f4_f5_match_nodal_routes(sphere8, sphere8_r2):
 def _catalog(grid):
     """Every catalog tag on ``grid``, each with the parameters it reads."""
     kb = killing_basis(grid)
-    tr = get_transform(grid, 8)
-    g = geo.TangentialField(grid, tr.toroidal_basis_field(3, 0).comps
-                            + 0.5 * tr.toroidal_basis_field(1, 1).comps)
-    params = {"g": g, "v": tr.toroidal_basis_field(2, 1), "c": 2.0, "axis": 1,
+    params = {"g": mode_row(8, 3, 0) + 0.5 * mode_row(8, 1, 1), "v": mode_row(8, 2, 1),
+              "c": 2.0, "axis": 1,
               "p": grid.R * np.array([1.0, 2.0, 2.0]) / 3.0}
     return [make_catalog_forcing(tag, params, kb) for tag in TAGS]
 
@@ -289,13 +310,14 @@ def test_every_tag_is_its_affine_map(sphere8, sphere8_r2, R):
 
 
 def test_fixed_part_prefix_is_each_truncation(sphere8, kb, tr8):
-    # F(0) is analyzed once at the grid's L = 8; in the degree-major layout
-    # every lower truncation reads its prefix
+    # F(0) holds the coefficients at the grid's L = 8; in the degree-major
+    # layout every lower truncation's analysis of its field is their prefix
     for tag, key, norm_killing in (("constant_field", "g", None), ("f2_minus", "v", 0.0)):
-        g = tr8.synthesize(random_band_limited(tr8, 31, norm_killing=norm_killing))
-        spec = make_catalog_forcing(tag, {key: g}, kb)
+        c = random_band_limited(tr8, 31, norm_killing=norm_killing).coeffs
+        g = tr8.synthesize(SpectralState(8, c))
+        spec = make_catalog_forcing(tag, {key: c}, kb)
         for l in range(1, 9):
-            ref = get_transform(sphere8, l).analyze(g).coeffs
+            ref = SphereTransform(sphere8, l).analyze(g).coeffs
             assert np.abs(spec.f[:n_modes(l)] - ref).max() <= 1e-14 * np.abs(spec.f).max()
 
 

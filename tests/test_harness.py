@@ -1,11 +1,13 @@
 """Config schema, checkpoint format, CSV determinism, scenarios, CLI."""
 
 import dataclasses
+import gc
 import json
 import os
 import re
 import struct
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -17,7 +19,7 @@ from surfns import geometry as geo
 from surfns.diagnostics import record
 from surfns.errors import CheckpointError, ConfigError, ParameterError
 from surfns.forcing import make_catalog_forcing
-from surfns.harmonics import (SpectralState, get_transform, mode_index, n_modes,
+from surfns.harmonics import (SpectralState, SphereTransform, mode_index, n_modes,
                               random_band_limited)
 from surfns.harness import (_run_offsets, build_context, build_initial_state,
                             config_hash, config_text, default_config, load_checkpoint,
@@ -74,6 +76,21 @@ def test_config_choice_error():
 def test_config_semantic_validation():
     with pytest.raises(ConfigError, match="nu.a"):
         parse_config_text("nu.kind = linear_x3\nnu.a = 2.0")
+
+
+@pytest.mark.parametrize("text,key", [
+    ("forcing.tag = constant_field\nforcing.mode_l = 0", "forcing.mode_l"),
+    ("forcing.tag = f2_plus\nforcing.mode_l = 9", "forcing.mode_l"),
+    ("forcing.tag = f2_minus\nforcing.mode_m = 3", "forcing.mode_m"),
+    ("init.kind = modes\ninit.modes = 2,0,1.0; 9,0,1.0", "init.modes"),
+    ("init.kind = modes\ninit.modes = 3,-4,1.0", "init.modes"),
+])
+def test_config_mode_outside_truncation_has_path(text, key):
+    # at the default L = 8; a tag or init kind that reads no mode reads none
+    with pytest.raises(ConfigError, match=re.escape(f"config error at '{key}'")):
+        parse_config_text(text)
+    parse_config_text(text.replace("constant_field", "zero").replace("f2_", "f3_")
+                      .replace("init.kind = modes", "init.kind = zero"))
 
 
 # every float-valued key, with a well-formed setting around its value slot
@@ -153,6 +170,58 @@ def test_checkpoint_version_detected(sphere8, tr8, tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.fixture(scope="module")
+def checkpoint_blob(tmp_path_factory):
+    """The bytes of an L = 2 checkpoint on the radius-2 sphere (125 bytes), and a
+    path to write to."""
+    path = tmp_path_factory.mktemp("fuzz") / "state.snsk"
+    s = SpectralState(2, np.random.default_rng(3).standard_normal(n_modes(2)), t=0.5)
+    save_checkpoint(s, geo.build_sphere_grid(2, 2.0), str(path))
+    return path.read_bytes(), path
+
+
+def _with_header(blob, **fields):
+    """``blob`` with header ``fields`` rewritten and its CRC made valid again."""
+    names = ("magic", "version", "kind", "L", "R", "r", "t", "n_pairs")
+    head = dict(zip(names, harness._HEADER.unpack(blob[:harness._HEADER.size])), **fields)
+    body = harness._HEADER.pack(*(head[n] for n in names)) + blob[harness._HEADER.size:-4]
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+_BAD_HEADER = st.one_of(
+    st.builds(dict, kind=st.integers(2, 255)),
+    st.builds(dict, L=st.integers(0, 2 ** 32 - 1).filter(lambda L: L != 2)),
+    st.builds(dict, n_pairs=st.integers(0, 2 ** 32 - 1).filter(lambda n: n != 5)),
+    st.integers(0, 2 ** 16).filter(lambda L: L != 2).map(
+        lambda L: {"L": L, "n_pairs": L * (L + 3) // 2}),
+    st.builds(dict, R=st.one_of(st.floats(max_value=0.0), st.sampled_from([np.nan, np.inf]))),
+    st.builds(dict, r=st.one_of(st.floats(max_value=-0.0, exclude_max=True),
+                                st.sampled_from([np.nan, np.inf]))),
+    st.builds(dict, t=st.sampled_from([np.nan, np.inf, -np.inf])))
+
+
+def test_checkpoint_truncation_or_bit_flip_is_a_checkpoint_error(checkpoint_blob):
+    # every truncation and every single bit flip: a CheckpointError, never
+    # another exception
+    blob, path = checkpoint_blob
+    flips = (blob[:i // 8] + bytes([blob[i // 8] ^ 1 << i % 8]) + blob[i // 8 + 1:]
+             for i in range(8 * len(blob)))
+    for corrupt in [blob[:n] for n in range(len(blob))] + list(flips):
+        path.write_bytes(corrupt)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_BAD_HEADER)
+def test_checkpoint_header_rewritten_under_a_valid_crc_is_a_checkpoint_error(
+        checkpoint_blob, fields):
+    blob, path = checkpoint_blob
+    path.write_bytes(_with_header(blob, **fields))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_payload_follows_the_documented_pair_order(sphere8, tmp_path):
     # one (cos, sin) pair per (l, m), l = 1..L, m = 0..l, sin = 0 for m = 0;
     # a round trip alone cannot see a save/load pair that agree on another order
@@ -213,7 +282,8 @@ def test_csv_byte_identical_across_threads(tmp_path):
 
 def test_batched_csv_identical_with_warm_caches(tmp_path):
     # the same context run twice: the second run starts from the problem
-    # data the first left behind, which keeps no run state
+    # data the first left behind (the form, its transform and the forcing),
+    # which keep no run state
     cfg = dict(get_scenario("free_decay_ensemble").config)
     cfg["run.t_end"] = 0.2
     ctx = build_context(cfg)
@@ -224,6 +294,35 @@ def test_batched_csv_identical_with_warm_caches(tmp_path):
         write_ensemble(str(out), "ens", run_ensemble(cfg, ctx=ctx), ctx.basis.n)
         texts.append({p: (out / p).read_bytes() for p in sorted(os.listdir(out))})
     assert len(texts[0]) > 2 and texts[0] == texts[1]
+
+
+def test_build_context_builds_one_transform(monkeypatch):
+    # the form's transform is the context's only one: the forcing and the
+    # Killing basis need none, the initial state reads it; the torus has none
+    built, init = [], harmonics.SphereTransform.__init__
+
+    def counted(self, grid, L):
+        built.append(L)
+        init(self, grid, L)
+    monkeypatch.setattr(harmonics.SphereTransform, "__init__", counted)
+    cfg = dict(default_config(), **{"forcing.tag": "f2_plus", "init.kind": "random"})
+    ctx = build_context(cfg)
+    assert built == [8] and ctx.form.transform.L == 8
+    build_context(dict(cfg, **{"geometry.kind": "torus"}))
+    assert built == [8]
+
+
+def test_dropped_context_frees_its_transform():
+    # no reference cycle holds a grid or its tables: reference counting alone
+    # frees them
+    gc.disable()
+    try:
+        ctx = build_context(default_config())
+        ref = weakref.ref(ctx.form.transform)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_csv_format(sphere8, tr8):
@@ -314,8 +413,8 @@ def test_ensemble_members_keep_their_index_after_a_divergence(tmp_path, monkeypa
                 "run.stride": 25, "ensemble.members": 3})
     build = harness.build_initial_state
 
-    def member_one_diverges(cfg, grid, seed=None):
-        s = build(cfg, grid, seed=seed)
+    def member_one_diverges(cfg, form, seed=None):
+        s = build(cfg, form, seed=seed)
         if seed == member_seed(cfg["seed"], 1):
             s.coeffs *= 1e100
         return s
@@ -327,7 +426,7 @@ def test_ensemble_members_keep_their_index_after_a_divergence(tmp_path, monkeypa
     write_ensemble(str(tmp_path), "ens", ens, ctx.basis.n)
     assert not (tmp_path / "ens_member01.csv").exists()
     _, solo = run_simulation(stepper_config(cfg), ctx.grid, ctx.form, ctx.fspec,
-                             build(cfg, ctx.grid, seed=member_seed(cfg["seed"], 2)))
+                             build(cfg, ctx.form, seed=member_seed(cfg["seed"], 2)))
     written = np.loadtxt(tmp_path / "ens_member02.csv", delimiter=",", skiprows=1)
     expected = np.loadtxt(records_to_csv(solo, ctx.basis.n).splitlines()[1:],
                           delimiter=",")
@@ -526,8 +625,9 @@ def test_cli_bad_input_is_a_usage_error(tmp_path, sphere8, tr8, capsys, monkeypa
 @given(st.integers(max_value=-1))
 def test_negative_config_seed_is_a_parameter_error(seed):
     cfg = parse_config_text(f"geometry.L = 2\ninit.kind = random\nseed = {seed}\n")
+    grid = geo.build_sphere_grid(2, 1.0)
     with pytest.raises(ParameterError, match="seed"):
-        build_initial_state(cfg, geo.build_sphere_grid(2, 1.0))
+        build_initial_state(cfg, assemble_stokes(grid, geo.ViscosityField(grid, 1.0), 2))
 
 
 @pytest.mark.parametrize("name", ["missing.snsk", "."])
@@ -807,7 +907,7 @@ def test_batch_size_check_counts_the_row_workspace():
         grid = geo.build_sphere_grid(L, 1.0)
         kb = killing_basis(grid)
         spec = make_catalog_forcing("f3_minus", {}, kb)
-        states = [random_band_limited(get_transform(grid, L), i) for i in range(200)]
+        states = [random_band_limited(SphereTransform(grid, L), i) for i in range(200)]
         for a in (0.0, 0.5):
             form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0 + a * grid.nodes[:, 2]), L)
             for scheme in ("imex_cnab2", "rk4"):

@@ -7,10 +7,11 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import l2_norm, tangential_project, toroidal_basis_field
 from surfns import geometry as geo
 from surfns import harmonics, killing
 from surfns.errors import ConsistencyError, ParameterError
-from surfns.harmonics import (SpectralState, degree_norms, get_transform, mode_index,
+from surfns.harmonics import (SpectralState, degree_norms, SphereTransform, mode_index,
                               random_band_limited)
 from surfns.killing import (SPHERE_L1_MAP, _gram, _korn_eigvals, _torus_family,
                             killing_basis, korn_constant)
@@ -84,16 +85,28 @@ def _nodal_rotations(grid):
     Gram-Schmidt sweep in the axis order e1, e2, e3."""
     fields = []
     for axis in np.eye(3):
-        c = geo.tangential_project(grid, np.cross(axis, grid.nodes)).comps
+        c = tangential_project(grid, np.cross(axis, grid.nodes)).comps
         for w in fields:
             c = c - geo.l2_inner(grid, geo.TangentialField(grid, c), w) * w.comps
-        fields.append(geo.TangentialField(grid, c / geo.l2_norm(grid, geo.TangentialField(grid, c))))
+        fields.append(geo.TangentialField(grid, c / l2_norm(grid, geo.TangentialField(grid, c))))
     return fields
 
 
 @pytest.fixture(scope="module")
 def kb(sphere8):
     return killing_basis(sphere8)
+
+
+@pytest.mark.parametrize("L", [8, 16, 32])
+@pytest.mark.parametrize("R", [1.0, 1.3])
+def test_sphere_basis_is_the_synthesized_degree1_map(L, R):
+    # oracle: the transform's synthesis of the exact degree-1 map, row j the
+    # unit rotation about e_j
+    grid = geo.build_sphere_grid(L, R)
+    tr = SphereTransform(grid, L)
+    want = tr.engine.synthesize(np.pad(SPHERE_L1_MAP, ((0, 0), (0, tr.n_modes - 3))), tr.FIELD)
+    got = np.stack([v.comps for v in killing_basis(grid).fields])
+    assert np.abs(got - want.transpose(1, 2, 0)).max() <= 1e-14
 
 
 def test_sphere_dimension_and_gram(sphere8, kb):
@@ -123,12 +136,12 @@ def test_sphere_normalization_oracle(sphere8, kb, rotation_field):
 @pytest.mark.parametrize("R", [1e-8, 1.0, 1.3, 1e8])
 def test_sphere_basis_is_the_exact_degree1_map(L, R):
     # oracle: the nodal rotation fields, analyzed onto the degree-1 block,
-    # give the map, and the basis synthesized from the map is those fields
+    # give the map, and the basis is those fields
     grid = geo.build_sphere_grid(L, R)
     kb = killing_basis(grid)
     assert kb.l1_map.tobytes() == SPHERE_L1_MAP.tobytes()
     oracle = _nodal_rotations(grid)
-    tr = get_transform(grid, geo.grid_truncation(grid))
+    tr = SphereTransform(grid, geo.grid_truncation(grid))
     analyzed = np.stack([tr.analyze(v).coeffs[:3] for v in oracle])
     assert np.abs(analyzed - SPHERE_L1_MAP).max() <= 1e-14
     for v, w in zip(kb.fields, oracle):
@@ -161,18 +174,18 @@ def test_pk_project_basis_vector(sphere8, kb, tr8):
 
 
 def test_pk_project_toroidal_mode(sphere8, kb, tr8):
-    f20 = tr8.toroidal_basis_field(2, 0)
+    f20 = toroidal_basis_field(tr8, 2, 0)
     for uk, unk in (pk_project(kb, f20), _spectral_split(tr8, f20)):
-        assert geo.l2_norm(sphere8, uk) <= 1e-10
+        assert l2_norm(sphere8, uk) <= 1e-10
 
 
 def test_pk_project_pythagoras(sphere8, kb, tr8):
-    f20 = tr8.toroidal_basis_field(2, 0)
+    f20 = toroidal_basis_field(tr8, 2, 0)
     u = geo.TangentialField(sphere8, 2.0 * kb.fields[0].comps + f20.comps)
     splits = [pk_project(kb, u), _spectral_split(tr8, u)]
     for uk, unk in splits:
-        assert geo.l2_norm(sphere8, uk) == pytest.approx(2.0, abs=1e-10)
-        assert geo.l2_norm(sphere8, unk) == pytest.approx(1.0, abs=1e-10)
+        assert l2_norm(sphere8, uk) == pytest.approx(2.0, abs=1e-10)
+        assert l2_norm(sphere8, unk) == pytest.approx(1.0, abs=1e-10)
         assert np.abs(uk.comps + unk.comps - u.comps).max() <= 1e-12
         for v in kb.fields:
             assert abs(geo.l2_inner(sphere8, unk, v)) <= 1e-10
@@ -226,7 +239,7 @@ def test_killing_h1_ratio_constant(sphere8, kb):
         w /= np.linalg.norm(w)
         v = geo.TangentialField(
             sphere8, sum(c * f.comps for c, f in zip(w, kb.fields)))
-        ratios.append(nodal.h1_norm(sphere8, v) / geo.l2_norm(sphere8, v))
+        ratios.append(nodal.h1_norm(sphere8, v) / l2_norm(sphere8, v))
     assert max(ratios) - min(ratios) <= 1e-8
 
 
@@ -283,7 +296,7 @@ def test_korn_constant_value_and_convergence(sphere8, sphere16):
 
 def test_korn_inequality_random_samples(sphere16):
     c_p = korn_constant(sphere16, 16)
-    tr = get_transform(sphere16, 16)
+    tr = SphereTransform(sphere16, 16)
     for i in range(100):
         s = random_band_limited(tr, 8000 + i, norm_killing=0.0)
         v = tr.synthesize(s)
@@ -307,7 +320,7 @@ def test_sphere_korn_builds_no_transform(monkeypatch):
     assert not built
     monkeypatch.undo()
     for L, (c_p, per_degree, spectrum) in results.items():
-        tr = get_transform(grid, L)
+        tr = SphereTransform(grid, L)
         quotient = (1.0 + sq_norms(tr.engine, tr.GRAD)[3:]) / tr.strain_norm2[tr.mode_l[3:] - 1]
         want = np.sort(quotient)
         assert np.abs(spectrum - want).max() <= 1e-13 * want.max()
@@ -354,7 +367,7 @@ def test_korn_blocks_match_dense_eigensolve():
     import scipy.linalg
     for R in (1.0, 2.0):
         grid = geo.build_sphere_grid(6, R)
-        tr = get_transform(grid, 6)
+        tr = SphereTransform(grid, 6)
         S = tr.gradient_form(grid.weights)[3:, 3:]
         G = tr.engine.synthesize(np.eye(tr.n_modes), tr.GRAD)
         H = np.einsum("cjn,n,ckn->jk", G, grid.weights, G)[3:, 3:]

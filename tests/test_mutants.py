@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from surfns import forcing, geometry as geo, operators
-from surfns.harmonics import SphereTransform, get_transform
+from surfns.harmonics import SphereTransform
 from surfns.scenarios import run_scenario
 from test_operators import dissipation_defect, enstrophy_defect
 from test_timestepper import forced_fixed_point_error, rossby_haurwitz_error
@@ -77,7 +77,7 @@ def _alias_convection(mp):
             with pytest.MonkeyPatch.context() as rule:
                 rule.setattr(geo, "dealias_rule",
                              lambda L: geo.DealiasRule(L + 1, L + 2, 2 * L + 4))
-                aliased[key] = get_transform(geo.build_sphere_grid(tr.L, tr.grid.R), tr.L)
+                aliased[key] = SphereTransform(geo.build_sphere_grid(tr.L, tr.grid.R), tr.L)
         n = real(aliased[key], c)
         if out is None:
             return n

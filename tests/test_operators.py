@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import mode_row
 from surfns import geometry as geo
 from surfns.diagnostics import enstrophy_cosine, record, strain_dissipation
 from surfns.errors import ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
-from surfns.harmonics import (SpectralState, SphereTransform, get_transform,
+from surfns.harmonics import (SpectralState, SphereTransform,
                               mode_index, random_band_limited)
 from surfns.killing import killing_basis, korn_constant
 from surfns.operators import _order_pair_blocks, assemble_stokes, convective_term
@@ -74,7 +75,7 @@ def test_constant_nu_diagonal():
     for L in (8, 16, 32):
         for R in (1.0, 2.0):
             grid = geo.build_sphere_grid(L, R)
-            tr = get_transform(grid, L)
+            tr = SphereTransform(grid, L)
             for nu in (1.0, 2.5):
                 form = assemble_stokes(grid, geo.ViscosityField(grid, nu), L)
                 assert form.blocks is None and form.gather is None
@@ -219,7 +220,7 @@ def test_convective_single_degree_is_gradient():
     rng = np.random.default_rng(21)
     for L in (8, 16, 32):
         for R in (1.0, 1.3):
-            tr = get_transform(geo.build_sphere_grid(L, R), L)
+            tr = SphereTransform(geo.build_sphere_grid(L, R), L)
             l = np.arange(1, L + 1)[:, None]
             c = np.where(tr.mode_l == l, rng.standard_normal((L, tr.n_modes)), 0.0)
             n = convective_term(tr, c)
@@ -250,7 +251,7 @@ def test_convective_rotation_form_matches_transport_form():
     rng = np.random.default_rng(17)
     for L in (8, 16, 32):
         for R in (1.0, 1.3):
-            tr = get_transform(geo.build_sphere_grid(L, R), L)
+            tr = SphereTransform(geo.build_sphere_grid(L, R), L)
             for k in (1, 8):
                 c = rng.standard_normal((k, tr.n_modes))
                 oracle = _transport_form(tr, c)
@@ -268,7 +269,7 @@ def test_folded_convective_table_matches_the_unfolded_product():
     # node, then the adjoint
     rng = np.random.default_rng(23)
     for L in (8, 16, 32):
-        tr = get_transform(geo.build_sphere_grid(L, 1.0), L)
+        tr = SphereTransform(geo.build_sphere_grid(L, 1.0), L)
         for k in (1, 8):
             c = rng.standard_normal((k, tr.n_modes))
             u_theta, u_phi, omega = tr.engine.synthesize(c, tr.VORT)
@@ -281,7 +282,7 @@ def test_convective_energy_orthogonal_to_rounding():
     # (omega n x u) . u = 0 at every node, so c . N(c) is rounding only
     rng = np.random.default_rng(19)
     for L in (8, 11, 16, 32):
-        tr = get_transform(geo.build_sphere_grid(L, 1.3), L)
+        tr = SphereTransform(geo.build_sphere_grid(L, 1.3), L)
         c = rng.standard_normal((4, tr.n_modes))
         n = convective_term(tr, c)
         dots = np.abs(np.einsum("kn,kn->k", c, n))
@@ -308,7 +309,7 @@ def test_convective_zero(sphere8, tr8):
 def test_convective_matches_bruteforce():
     for L in (8, 11, 32):
         grid = geo.build_sphere_grid(L, 1.0)
-        tr = get_transform(grid, L)
+        tr = SphereTransform(grid, L)
         s = random_band_limited(tr, 123)
         u = tr.synthesize(s)
         T = nodal.covariant_derivative(grid, u)
@@ -321,7 +322,7 @@ def test_convective_matches_bruteforce():
 def test_semidiscrete_energy_identity(sphere8, formv, kb, tr8):
     # d/dt (1/2 ||u||^2) from the assembled RHS equals -int 2nu|eps|^2 + int f.u
     spec = make_catalog_forcing("f2_minus",
-                                {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+                                {"v": mode_row(8, 2, 1)}, kb)
     for i in range(5):
         s = random_band_limited(tr8, 900 + i)
         rhs = (-_row(formv.apply, s).coeffs
@@ -348,7 +349,7 @@ def test_forcing_apply_examples(sphere8, kb, tr8):
     assert np.abs(out1.coeffs[3:]).max() == 0.0
     # f2+ with v = Phi_20: v-part plus the Killing block of s
     f2p = make_catalog_forcing("f2_plus",
-                               {"v": tr8.toroidal_basis_field(2, 0)}, kb)
+                               {"v": mode_row(8, 2, 0)}, kb)
     out = _row(apply_forcing, s, f2p)
     assert out.coeffs[mode_index(8, 2, 0)] == pytest.approx(1.0, abs=1e-10)
     assert np.abs(out.coeffs[:3] - s.coeffs[:3]).max() <= 1e-12
@@ -389,7 +390,7 @@ def test_blocks_match_single_part_form():
     for L in (8, 12, 32):
         for R in (1.0, 1.3):
             grid = geo.build_sphere_grid(L, R)
-            tr = get_transform(grid, L)
+            tr = SphereTransform(grid, L)
             for kind in ("linear_x3", "x3_squared"):
                 w = _weights(grid, kind)
                 blocks, gather = _order_pair_blocks(tr, w)
@@ -467,7 +468,7 @@ def test_eigenvalue_count_is_n_modes():
 def test_cross_order_entries_vanish():
     # the dense linear_x3 form couples no two signed orders
     grid = geo.build_sphere_grid(12, 1.0)
-    tr = get_transform(grid, 12)
+    tr = SphereTransform(grid, 12)
     A = tr.gradient_form(_weights(grid, "linear_x3"))
     mode_m = signed_order(tr)
     cross = mode_m[:, None] != mode_m[None, :]
@@ -491,7 +492,7 @@ def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
         m.setattr(SphereTransform, "order_forms", probe)
         form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0), 8)
     assert form.blocks is None and form.gather is None
-    tr = get_transform(sphere8, 8)
+    tr = SphereTransform(sphere8, 8)
     z = sphere8.nodes[:, 2]
     form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.5 * z), 8)
     # orders 0 and 1 (cos and sin) fill a block each, and m >= 2 pairs with
@@ -616,7 +617,7 @@ def enstrophy_defect(grid, L, seeds=range(5)):
     seeded rows c, N the convective term on ``grid`` at truncation L (through
     the package's binding, which a mutant may patch) and
     D = (l(l+1) - 2) / R^2."""
-    tr = get_transform(grid, L)
+    tr = SphereTransform(grid, L)
     c = np.stack([random_band_limited(tr, seed).coeffs for seed in seeds])
     return float(enstrophy_cosine(tr, c).max())
 
@@ -636,7 +637,7 @@ def test_enstrophy_cosine_rows():
     # on a grid of degree L + 1 the cosines are O(1e-3), so the 8-row chunks
     # must give each row its own; a row where N or D c vanishes (zero, or
     # Killing rows only, where D = 0) reads 0, not nan
-    tr = get_transform(geo.build_sphere_grid(6, 1.0), 8)
+    tr = SphereTransform(geo.build_sphere_grid(6, 1.0), 8)
     c = np.stack([random_band_limited(tr, seed).coeffs for seed in range(11)])
     c[3] = 0.0
     c[9, 3:] = 0.0

@@ -3,8 +3,8 @@
 import pytest
 
 import nodal_oracle as nodal
-from surfns import scenarios
-from surfns.harmonics import get_transform, random_band_limited
+from surfns import geometry as geo, scenarios
+from surfns.harmonics import random_band_limited
 from surfns.harness import build_context
 from surfns.killing import korn_constant
 from surfns.scenarios import (chk_korn_convergence, chk_nk_envelope, get_scenario,
@@ -54,7 +54,7 @@ def test_korn_samples_match_the_nodal_oracle(L):
     # ||v||_H1 / (C_P ||eps(v)||) on the same 30 samples
     ctx = _korn_context(L)
     measured = {c.name: c.measured for c in chk_korn_convergence(ctx)}
-    c_p, tr = korn_constant(ctx.grid, L), get_transform(ctx.grid, L)
+    c_p, tr = korn_constant(ctx.grid, L), ctx.form.transform
     samples = (tr.synthesize(random_band_limited(tr, 9000 + i, norm_killing=0.0))
                for i in range(30))
     oracle = max(nodal.h1_norm(ctx.grid, v) / (c_p * nodal.strain_norm(ctx.grid, v))
@@ -62,12 +62,18 @@ def test_korn_samples_match_the_nodal_oracle(L):
     assert abs(measured["korn_inequality_samples"] - oracle) <= 1e-14
 
 
-def test_korn_sphere_builds_one_engine():
-    # every sphere engine is a transform's: the check adds no scalar engine
+def test_korn_sphere_builds_one_engine(monkeypatch):
+    # the context's one engine is its form's transform's: the check adds no
+    # scalar engine and no second transform
+    built, init = [], geo.SphereEngine.__init__
+
+    def counted(self, grid, lmin, lmax, *args):
+        built.append(lmax)
+        init(self, grid, lmin, lmax, *args)
+    monkeypatch.setattr(geo.SphereEngine, "__init__", counted)
     L = get_scenario("korn_sphere").config["geometry.L"]
-    ctx = _korn_context(L)
-    chk_korn_convergence(ctx)
-    assert set(ctx.grid._caches) == {("transform", L)}
+    chk_korn_convergence(_korn_context(L))
+    assert built == [L]
 
 
 def test_seed_override_changes_random_runs(tmp_path):

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import mode_row
 from surfns import geometry as geo
 from surfns.diagnostics import record, rossby_haurwitz_block
 from surfns.errors import DivergenceError, GridMismatchError, ParameterError
 from surfns.forcing import apply_forcing, make_catalog_forcing
-from surfns.harmonics import (SpectralState, get_transform, mode_index, n_modes,
+from surfns.harmonics import (SpectralState, SphereTransform, mode_index, n_modes,
                               random_band_limited)
 from surfns.killing import killing_basis
 from surfns.operators import StokesForm, _order_pair_blocks, assemble_stokes, convective_term
@@ -59,7 +60,7 @@ def test_imex_second_order(sphere8, form1, formv, spec0, kb, tr8):
     assert 4.0 * 0.85 <= ratio <= 4.0 * 1.15
     # linear_x3 nu (a = 0.5), forced and nonlinear: self-convergence against
     # a run at dt = 2.5e-4
-    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
     u0 = random_band_limited(tr8, 19, norm_killing=0.3, norm_nonkilling=1.0)
 
     def end(dt):
@@ -114,7 +115,7 @@ def test_rk4_exponential_oracles(sphere8, form1, kb):
 
 def test_cross_scheme_agreement(sphere8, formv, kb, tr8):
     spec = make_catalog_forcing("f2_minus",
-                                {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+                                {"v": mode_row(8, 2, 1)}, kb)
     u0 = random_band_limited(tr8, 19, l_max=4, norm_killing=0.3,
                              norm_nonkilling=0.6)
     out = {}
@@ -196,8 +197,7 @@ def forced_fixed_point_error(l, m, R, scheme, dt, L=8, omega=2.0, T=5.0):
     comes from this closed form alone, so no convective term moves it."""
     grid = geo.build_sphere_grid(L, R)
     form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0), L)
-    g = get_transform(grid, L).toroidal_basis_field(l, m)
-    spec = make_catalog_forcing("constant_field", {"g": g}, killing_basis(grid))
+    spec = make_catalog_forcing("constant_field", {"g": mode_row(L, l, m)}, killing_basis(grid))
     c = np.zeros(n_modes(L))
     c[mode_index(L, 1, 0)] = -omega * np.sqrt(8.0 * np.pi / 3.0) * R ** 2
     cfg = StepperConfig(scheme=scheme, dt=dt, t_end=T, stride=10 ** 9)
@@ -338,9 +338,7 @@ def test_imex_runs_far_past_the_old_remainder_bound():
 
 def test_divergence_error_carries_last_state(sphere8, form1, kb, tr8):
     with np.errstate(over="ignore"):
-        spec = make_catalog_forcing(
-            "constant_field", {"g": geo.TangentialField(
-                sphere8, 1e300 * tr8.toroidal_basis_field(2, 0).comps)}, kb)
+        spec = make_catalog_forcing("constant_field", {"g": 1e300 * mode_row(8, 2, 0)}, kb)
         u0 = random_band_limited(tr8, 31, norm_nonkilling=1.0)
         cfg = StepperConfig(dt=1e-3, t_end=1.0, stride=10)
         with pytest.raises(DivergenceError) as err:
@@ -391,14 +389,12 @@ def test_higher_resolution_run_is_stable(kb):
     # short L=24 run: dealiased contracts and the ledger hold at higher
     # resolution too
     g = geo.build_sphere_grid(24, 1.0)
-    from surfns.harmonics import get_transform
-    tr = get_transform(g, 24)
     basis = killing_basis(g)
     nu = geo.ViscosityField(g, 1.0 + 0.4 * g.nodes[:, 2])
     form = assemble_stokes(g, nu, 24)
     from surfns.forcing import make_catalog_forcing as mk
     spec = mk("f3_minus", {}, basis)
-    u0 = random_band_limited(tr, 77, norm_killing=0.5, norm_nonkilling=1.0)
+    u0 = random_band_limited(form.transform, 77, norm_killing=0.5, norm_nonkilling=1.0)
     cfg = StepperConfig(dt=5e-4, t_end=0.1, stride=20)
     _, records = run(cfg, g, form, spec, u0)
     assert max(abs(r.energy_residual) for r in records) <= 1e-6
@@ -440,7 +436,7 @@ def test_record_fn_is_called_once_per_sample(sphere8, formv, kb, tr8):
         calls.append(args[2].c.shape[0])
         return record(*args)
 
-    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
     states = [random_band_limited(tr8, 60 + i, norm_killing=0.3) for i in range(3)]
     cfg = StepperConfig(dt=1e-3, t_end=0.1, stride=20)
     samples, recs = run(cfg, sphere8, formv, spec, states[0], record_fn=passthrough)
@@ -486,7 +482,7 @@ def test_batch_rows_match_solo_runs():
     cfg = dict(get_scenario("free_decay_ensemble").config)
     cfg["run.t_end"] = 0.5
     ctx = build_context(cfg)
-    states = [build_initial_state(cfg, ctx.grid, seed=member_seed(cfg["seed"], k))
+    states = [build_initial_state(cfg, ctx.form, seed=member_seed(cfg["seed"], k))
               for k in range(cfg["ensemble.members"])]
     for scheme in ("imex_cnab2", "rk4"):
         cfg["run.scheme"] = scheme
@@ -529,7 +525,7 @@ def test_diagonal_form_tracks_the_blocked_form(sphere8, kb, tr8):
     diagonal = assemble_stokes(sphere8, geo.ViscosityField(sphere8, nu), 8)
     blocked = _blocked_form(sphere8, nu, 8)
     assert diagonal.blocks is None and blocked.blocks is not None
-    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
     states = [random_band_limited(tr8, 70 + i, norm_killing=0.5, norm_nonkilling=1.0)
               for i in range(8)]
     for stepper, k in ((step_imex, 1), (step_imex, 8), (step_rk4, 1), (step_rk4, 8)):
@@ -775,7 +771,7 @@ def _dense_form(grid, L):
 def test_run_batch_matches_the_frozen_step_formulas(scheme, sphere8, form1, formv, kb, tr8):
     # the diagonal, order-pair and dense storages at k = 1, 3 and 8, from the
     # first (predictor-corrector) step on, forced and nonlinear
-    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
     states = [random_band_limited(tr8, 90 + i, norm_killing=0.4, norm_nonkilling=1.0)
               for i in range(8)]
     cfg = StepperConfig(scheme=scheme, dt=1e-3, t_end=0.03, stride=7)
@@ -798,7 +794,7 @@ def test_diverging_rows_freeze_as_with_the_frozen_steps(sphere8, form1, spec0, t
 def test_run_batch_matches_the_cnab2_formula_it_replaced(sphere8, form1, formv, kb, tr8):
     # the stage rows round differently from combining the terms first; every
     # step from the first, on the diagonal, order-pair and dense storages
-    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
     states = [random_band_limited(tr8, 90 + i, norm_killing=0.4, norm_nonkilling=1.0)
               for i in range(8)]
     cfg = StepperConfig(dt=1e-3, t_end=0.03, stride=1)
@@ -823,8 +819,8 @@ def test_kept_workspace_steps_allocate_nothing(k, sphere16):
     # block stack, a block product or a broadcast buffer.  At L = 16 one row
     # (2.3 kB) outweighs the bookkeeping of numpy's calls (about 1.2 kB at
     # once for IMEX, 2.1 kB for RK4), which at L = 8 (0.6 kB a row) it does not
-    tr, kb = get_transform(sphere16, 16), killing_basis(sphere16)
-    spec = make_catalog_forcing("f2_minus", {"v": tr.toroidal_basis_field(2, 1)}, kb)
+    tr, kb = SphereTransform(sphere16, 16), killing_basis(sphere16)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(tr.L, 2, 1)}, kb)
     nu = geo.ViscosityField(sphere16, 1.0 + 0.5 * sphere16.nodes[:, 2])
     for form in (assemble_stokes(sphere16, geo.ViscosityField(sphere16, 1.0), 16),
                  assemble_stokes(sphere16, nu, 16), _dense_form(sphere16, 16)):
@@ -928,7 +924,7 @@ def test_a_public_step_leaves_its_input_untouched(stepper, sphere8, formv, kb, t
 def test_interleaved_runs_on_one_form_equal_fresh_runs(sphere8, formv, kb, tr8):
     # a record_fn that runs a k = 3 and another k = 1 batch at every sample of
     # a k = 1 run, on one form
-    spec = make_catalog_forcing("f2_minus", {"v": tr8.toroidal_basis_field(2, 1)}, kb)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
     states = [random_band_limited(tr8, 100 + i, norm_killing=0.3) for i in range(5)]
     cfg = StepperConfig(dt=1e-3, t_end=0.02, stride=5)
     inner = []

@@ -94,7 +94,7 @@ def cli_digest(tmp, seeds):
     """The ``_cli`` result of each of ``CLI_CONFIGS`` and of ``decompose`` on
     each seed's checkpoint, written to ``tmp``."""
     from surfns.geometry import build_sphere_grid
-    from surfns.harmonics import get_transform, random_band_limited
+    from surfns.harmonics import SphereTransform, random_band_limited
     from surfns.harness import save_checkpoint
     out = {}
     for label, (command, text) in CLI_CONFIGS.items():
@@ -105,7 +105,7 @@ def cli_digest(tmp, seeds):
     grid = build_sphere_grid(8, 1.0)
     for seed in seeds:
         path = os.path.join(tmp, f"state{seed}.snsk")
-        save_checkpoint(random_band_limited(get_transform(grid, 8), seed), grid, path)
+        save_checkpoint(random_band_limited(SphereTransform(grid, 8), seed), grid, path)
         out[f"cli: decompose seed {seed}"] = _cli(["decompose", path])
     return out
 
