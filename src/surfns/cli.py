@@ -134,7 +134,8 @@ def _cmd_decompose(args):
     meta, state = load_checkpoint(args.checkpoint)
     if meta.kind != "sphere":
         raise ConfigError("decompose expects a sphere checkpoint")
-    geo.check_sphere_size(meta.L, meta.R)
+    geo.check_degree(meta.L)
+    geo.check_radius(meta.R)
     # the Killing coordinates, as ``KillingBasis.alpha`` reads them: no grid needed
     alpha = state.coeffs[:3] @ SPHERE_L1_MAP.T
     print("t = %.17g" % state.t)

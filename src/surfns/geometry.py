@@ -29,8 +29,8 @@ SPHERE = "sphere"
 TORUS = "torus"
 
 # Largest sphere truncation degree accepted: L = 64 is the largest measured
-# (210 MB peak RSS through one IMEX step); a viscosity that varies along a
-# latitude row needs a dense Stokes block of (L(L+2))^2 entries, 13 GB at L = 200.
+# (210 MB peak RSS through one IMEX step).  Every table a run holds, the
+# transform's profiles and the Stokes form's blocks alike, grows as L^3.
 L_MAX = 64
 
 # Radii accepted by both builders.  At 1e-8 and 1e8, `surfns run` with random
@@ -139,14 +139,29 @@ def grid_truncation(grid):
     return 2 * grid.max_degree // 3
 
 
-def check_sphere_size(L, R):
-    """Raise ParameterError unless the truncation degree L is an integer in
-    2..L_MAX and the radius R lies in [R_MIN, R_MAX]."""
+def check_degree(L):
+    """Raise ParameterError unless the truncation degree L is an integer in 2..L_MAX."""
     if int(L) != L or not 2 <= L <= L_MAX:
-        raise ParameterError(
-            f"truncation degree must be an integer in 2..{L_MAX}, got {L}")
+        raise ParameterError(f"truncation degree must be an integer in 2..{L_MAX}, got {L}")
+
+
+def check_radius(R):
+    """Raise ParameterError unless the radius R lies in [R_MIN, R_MAX]."""
     if not R_MIN <= R <= R_MAX:
         raise ParameterError(f"radius must lie in [{R_MIN:g}, {R_MAX:g}], got {R}")
+
+
+def check_torus_radii(R, r):
+    """Raise GeometryError unless the torus radii satisfy R_MIN <= r < R <= R_MAX."""
+    if not R_MIN <= r < R <= R_MAX:
+        raise GeometryError(f"torus needs {R_MIN:g} <= r < R <= {R_MAX:g}, got r={r}, R={R}")
+
+
+def check_torus_size(n):
+    """Raise ParameterError unless a torus grid size n is an even integer in 8..TORUS_N_MAX."""
+    if not (int(n) == n and 8 <= n <= TORUS_N_MAX and n % 2 == 0):
+        raise ParameterError(f"torus grid sizes must be even integers in 8..{TORUS_N_MAX}, "
+                             f"got {n}")
 
 
 def build_sphere_grid(L, R):
@@ -158,7 +173,8 @@ def build_sphere_grid(L, R):
     degree-L fields are integrated exactly; weights sum to 4 pi R^2 to
     rounding.
     """
-    check_sphere_size(L, R)
+    check_degree(L)
+    check_radius(R)
     M, n_lat, n_lon = dealias_rule(int(L))
 
     glx, glw = gauss_legendre(n_lat)
@@ -191,11 +207,9 @@ def build_torus_grid(n_pol, n_tor, R, r):
     spectrally accurate, and exact for trigonometric polynomials resolved
     by the grid.
     """
-    if not R_MIN <= r < R <= R_MAX:
-        raise GeometryError(f"torus needs {R_MIN:g} <= r < R <= {R_MAX:g}, got r={r}, R={R}")
-    if not all(int(n) == n and 8 <= n <= TORUS_N_MAX and n % 2 == 0 for n in (n_pol, n_tor)):
-        raise ParameterError(f"torus grid sizes must be even integers in "
-                             f"8..{TORUS_N_MAX}, got {n_pol} x {n_tor}")
+    check_torus_radii(R, r)
+    check_torus_size(n_pol)
+    check_torus_size(n_tor)
     phi = 2.0 * np.pi * np.arange(n_pol) / n_pol      # poloidal
     theta = 2.0 * np.pi * np.arange(n_tor) / n_tor    # toroidal (about x3)
 

@@ -36,8 +36,6 @@ from ._legendre import plm_tables
 from .errors import GridMismatchError, ParameterError
 from .geometry import SPHERE, SphereEngine, TangentialField
 
-_FORM_CHUNK = 32        # probes per matrix-free weak-form pass
-
 
 def n_modes(L):
     """Dimension of the toroidal span up to degree L."""
@@ -145,6 +143,8 @@ class SphereTransform:
         strain entry, which appears twice in eps:eps.  One Gram product per
         engine pair, then one sum over c per order: O(L^4) work, and no
         transform.  The sine part of m = 0 is zero: its trig sums meet a factor m.
+        A weight varying along a row would couple every order into one dense
+        form, which ``operators.assemble_stokes`` refuses.
         """
         pair, which, _ = self.engine.placement
         X = self.engine.X[:, :, self.GRAD]                      # (pair, row, c, i)
@@ -156,23 +156,6 @@ class SphereTransform:
         F = (tau.transpose(1, 2, 0) @ G[pair].reshape(pair.size, 3, -1)).reshape(
             pair.size, 2, self.L + 1, self.L + 1)
         return 0.5 * (F + F.swapaxes(-1, -2))
-
-    def gradient_form(self, weight):
-        """F[j, k] = sum_n weight_n eps(Phi_j):eps(Phi_k), dense and symmetrized.
-
-        Matrix-free, F[:, K] = G^T(weight * eps(G e_K)) with G the gradient
-        synthesis, over chunks of unit probes.  It serves any weight;
-        ``order_forms`` computes the per-order blocks without transforms
-        when the weight is constant along latitude rows.
-        """
-        n = self.n_modes
-        F = np.empty((n, n))
-        for start in range(0, n, _FORM_CHUNK):
-            probe = np.eye(min(_FORM_CHUNK, n - start), n, start)
-            T = self.engine.synthesize(probe, self.GRAD)
-            T[1] = T[2] = 0.5 * (T[1] + T[2])      # the rate of strain
-            F[:, start:start + probe.shape[0]] = self.engine.adjoint(T * weight, self.GRAD).T
-        return 0.5 * (F + F.T)
 
 
 def _check_degree(grid, L):

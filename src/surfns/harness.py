@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import CheckpointError, ConfigError, DivergenceError, ParameterError
+from .errors import CheckpointError, ConfigError, DivergenceError, GeometryError, ParameterError
 from . import geometry as geo
 from .diagnostics import SCALAR_FIELDS, fit_decay_rate
 from .forcing import TAGS, make_catalog_forcing
 from .harmonics import SpectralState, mode_index, n_modes, random_band_limited
-from .killing import killing_basis
+from .killing import SPHERE_L1_MAP, killing_basis
 from .operators import assemble_stokes
-from .timestepper import StepperConfig, check_batch, run, run_batch
+from .timestepper import StepperConfig, check_batch, run, run_batch, step_count
 
 # ---------------------------------------------------------------------------
 # configuration schema
@@ -152,26 +152,54 @@ def parse_config_text(text):
 
 
 def _validate_config(cfg):
-    if cfg["run.dt"] <= 0:
-        raise ConfigError("config error at 'run.dt': must be positive")
-    if cfg["run.t_end"] <= 0:
-        raise ConfigError("config error at 'run.t_end': must be positive")
+    """Check the fields in schema order, geometry first (the configured surface's
+    only), each error at its field; forcing and init modes only where read."""
+    sphere = cfg["geometry.kind"] == "sphere"
+    if sphere:
+        _at("geometry.radius", geo.check_radius, cfg["geometry.radius"])
+        _at("geometry.L", geo.check_degree, cfg["geometry.L"])
+    else:
+        _at("geometry.major", geo.check_radius, cfg["geometry.major"])
+        _at("geometry.minor", geo.check_torus_radii, cfg["geometry.major"], cfg["geometry.minor"])
+        for key in ("geometry.n_pol", "geometry.n_tor"):
+            _at(key, geo.check_torus_size, cfg[key])
     if cfg["nu.kind"] == "linear_x3" and cfg["nu.value"] - abs(cfg["nu.a"]) <= 0:
         raise ConfigError("config error at 'nu.a': viscosity floor must stay positive")
-    if cfg["ensemble.members"] < 2:
-        raise ConfigError("config error at 'ensemble.members': need at least 2")
-    if (cfg["geometry.kind"] == "sphere" and cfg["forcing.tag"] in ("f4_plus", "f4_minus")
-            and not 0 < np.linalg.norm(cfg["forcing.point"]) < np.inf):
-        raise ConfigError("config error at 'forcing.point': f4 needs a nonzero "
-                          "direction to place its point on the sphere")
-    if cfg["geometry.kind"] == "sphere":
-        L = cfg["geometry.L"]
-        if cfg["forcing.tag"] in ("constant_field", "f2_plus", "f2_minus"):
+    if sphere:
+        L, tag = cfg["geometry.L"], cfg["forcing.tag"]
+        if tag in ("constant_field", "f2_plus", "f2_minus"):
             _check_mode(cfg["forcing.mode_l"], cfg["forcing.mode_m"], L,
                         "forcing.mode_l", "forcing.mode_m")
+        if tag == "constant_killing" and not 0 <= cfg["forcing.axis"] < len(SPHERE_L1_MAP):
+            raise ConfigError(f"config error at 'forcing.axis': Killing axis "
+                              f"{cfg['forcing.axis']} outside 0..{len(SPHERE_L1_MAP) - 1}")
+        if tag.startswith("f4") and not 0 < np.linalg.norm(cfg["forcing.point"]) < np.inf:
+            raise ConfigError("config error at 'forcing.point': f4 needs a nonzero "
+                              "direction to place its point on the sphere")
         if cfg["init.kind"] == "modes":
             for l, m, _ in cfg["init.modes"]:
                 _check_mode(l, m, L, "init.modes", "init.modes")
+    for key in ("init.l_max", "init.norm_killing", "init.norm_nonkilling"):
+        if (cfg[key] or 0) < 0:
+            raise ConfigError(f"config error at '{key}': {key[5:]} must be non-negative, "
+                              f"got {cfg[key]}")
+    for key in ("run.dt", "run.t_end", "run.stride"):
+        if cfg[key] <= 0:
+            raise ConfigError(f"config error at '{key}': must be positive")
+    _at("run.t_end", step_count, cfg["run.dt"], cfg["run.t_end"])
+    if cfg["ensemble.members"] < 2:
+        raise ConfigError("config error at 'ensemble.members': need at least 2")
+    if cfg["init.kind"] == "random" and cfg["seed"] < 0:
+        raise ConfigError(f"config error at 'seed': seed must be non-negative, got "
+                          f"{cfg['seed']}, with init.kind = random")
+
+
+def _at(key, check, *args):
+    """Run a bound check of another module, its error at the config field ``key``."""
+    try:
+        check(*args)
+    except (ParameterError, GeometryError) as exc:
+        raise ConfigError(f"config error at '{key}': {exc}") from None
 
 
 def _check_mode(l, m, L, key_l, key_m):

@@ -99,26 +99,21 @@ def _korn_torus(grid, cap):
     """Torus Korn constant on a truncated divergence-free family.
 
     The family is n x grad(chi) for Fourier stream functions chi up to
-    ``cap`` in each angle, plus the two harmonic circulation generators
-    (the toroidal unit field and the poloidal field scaled by
-    1/(R + r cos phi); both are divergence-free but not stream-function
-    images), with the Killing direction projected out.  The grid is uniform
-    in the toroidal angle, its weights depend on the poloidal angle only and
-    its frame turns with the toroidal angle, so the L2, H1 and strain forms
-    couple no two fields whose toroidal wavenumbers differ in |jt|; the
-    generators and the Killing field have jt = 0.  Each |jt| block is built
-    as poloidal profiles, restricted to the well-conditioned part of its
-    (possibly dependent) span and solved by one small generalized
-    eigenproblem: at cap 8, 18 fields for jt = 0 and 34 for each other jt.
+    ``cap`` in each angle, plus the poloidal circulation generator e2 / h,
+    h = R + r cos(phi) (divergence-free but not a stream-function image),
+    with the Killing direction projected out; it is a basis (see
+    ``_torus_family``).  The grid is uniform in the toroidal angle, its
+    weights depend on the poloidal angle only and its frame turns with the
+    toroidal angle, so the L2, H1 and strain forms couple no two fields
+    whose toroidal wavenumbers differ in |jt|; the generator and the
+    Killing field have jt = 0.  Each |jt| block is built as poloidal
+    profiles and solved by one small generalized eigenproblem: at cap 8,
+    17 fields for jt = 0 and 34 for each other jt.
     """
     mu = 0.0
     for V, T in _torus_family(grid, cap):
-        M = _gram(grid, V)
         S = _gram(grid, 0.5 * (T + T.swapaxes(1, 2)))
-        H = _gram(grid, T) + M
-        mval, mvec = np.linalg.eigh(M)
-        Q = mvec[:, mval > 1e-10 * mval.max()]
-        mu = np.maximum(mu, _korn_eigvals(Q.T @ H @ Q, Q.T @ S @ Q)[-1])
+        mu = np.maximum(mu, _korn_eigvals(_gram(grid, T) + _gram(grid, V), S)[-1])
     return float(np.sqrt(mu))
 
 
@@ -150,18 +145,20 @@ def _torus_family(grid, cap):
     chi_theta / h) with h = R + r cos(phi), d_theta maps (a, b) to
     (jt b, -jt a), and the frame's connection gives
     T11 = (d_theta u1 - sin(phi) u2) / h, T21 = (d_theta u2 + sin(phi) u1) / h,
-    T12 = d_phi u1 / r and T22 = d_phi u2 / r.  At jt = 0 the circulation
-    generators join the block and the Killing field (h, 0) is projected
-    out; every other block is orthogonal to it.
+    T12 = d_phi u1 / r and T22 = d_phi u2 / r.  At jt = 0 the poloidal
+    circulation generator e2 / h joins the block and the Killing field
+    (h, 0) is projected out; every other block is orthogonal to it.  The
+    toroidal generator e1 = (h e1 - r cos(phi) e1) / R stays out: it is the
+    Killing field plus the stream function jp = 1, beta = pi / 2.
     """
     cap_p = min(cap, grid.n_lat // 2 - 1)
     cap_t = min(cap, grid.n_lon // 2 - 1)
     r, sin, z = grid.r, np.sin(grid.lat), np.zeros(grid.n_lat)
     h = grid.R + r * np.cos(grid.lat)
-    # the circulation generators e1 and e2 / h, then the Killing field h e1,
-    # with their poloidal derivatives
-    G = np.array([[[1.0 + z], [z]], [[z], [1.0 / h]], [[h], [z]]])
-    G_phi = np.array([[[z], [z]], [[z], [r * sin / h ** 2]], [[-r * sin], [z]]])
+    # the circulation generator e2 / h, then the Killing field h e1, with
+    # their poloidal derivatives
+    G = np.array([[[z], [1.0 / h]], [[h], [z]]])
+    G_phi = np.array([[[z], [r * sin / h ** 2]], [[-r * sin], [z]]])
     for jt in range(cap_t + 1):
         p = 2 if jt else 1
         D = jt * np.array([[0.0, 1.0], [-1.0, 0.0]])[:p, :p]      # d_theta on (a, b)
@@ -177,10 +174,10 @@ def _torus_family(grid, cap):
         U = np.stack([-chi_p / r, D @ chi / h], 1)
         U_phi = np.stack([-chi_pp / r, D @ chi_p / h + D @ chi * r * sin / h ** 2], 1)
         if jt == 0:
-            U, U_phi = np.concatenate([U, G[:2]]), np.concatenate([U_phi, G_phi[:2]])
-            g = _gram(grid, np.concatenate([U, G[2:]]))[-1]
+            U, U_phi = np.concatenate([U, G[:1]]), np.concatenate([U_phi, G_phi[:1]])
+            g = _gram(grid, np.concatenate([U, G[1:]]))[-1]
             a = (g[:-1] / g[-1])[:, None, None, None]
-            U, U_phi = U - a * G[2], U_phi - a * G_phi[2]
+            U, U_phi = U - a * G[1], U_phi - a * G_phi[1]
         rot = np.stack([-U[:, 1], U[:, 0]], 1)               # (-u2, u1)
         yield U, np.stack([(D @ U + sin * rot) / h, U_phi / r], 2)
 

@@ -2,17 +2,17 @@
 
 The variable-viscosity Stokes operator is assembled in weak form,
 A[j,k] = int 2 nu eps(Phi_j) : eps(Phi_k) dS, which keeps exact symmetry and
-positive semidefiniteness without differentiating nu.  A is stored in one of
-three ways.  For constant nu it is exactly nu D, with D the per-degree
-eigenvalues (l(l+1) - 2)/R^2 of 2 Def*Def: no blocks, and apply is one
-multiply.  For nu constant along latitude rows it is L + 2 blocks of
-L x L, each holding one or two signed orders (m with L + 2 - m), from
-Gauss-Legendre sums over the transform's latitude strain profiles, O(L^4)
-work in all.  Otherwise it is one dense block, found by probing the O(L^3)
-per-order transforms.  Apply, eigenvalues and the time stepper's solve with
-I + dt A / 2 go block by block (the dense block is inverted whole).  The
-convective term is pseudospectral on the dealiased grid, in rotation form:
-one synthesis of u and its vorticity and one analysis, each O(L^3) per row.
+positive semidefiniteness without differentiating nu.  nu must be constant
+along latitude rows, as both config kinds are: assembly refuses a nu that
+varies in longitude, which couples every order into one O(L^4) dense block.
+For constant nu, A is exactly nu D, with D the per-degree eigenvalues
+(l(l+1) - 2)/R^2 of 2 Def*Def: no blocks, and apply is one multiply.
+Otherwise it is L + 2 blocks of L x L, each holding one or two signed orders
+(m with L + 2 - m), from Gauss-Legendre sums over the transform's latitude
+strain profiles, O(L^4) work in all.  Apply, eigenvalues and the time
+stepper's solve with I + dt A / 2 go block by block.  The convective term is
+pseudospectral on the dealiased grid, in rotation form: one synthesis of u
+and its vorticity and one analysis, each O(L^3) per row.
 Every operator takes a (k, n_modes) coefficient stack and returns one.
 """
 
@@ -153,7 +153,7 @@ def assemble_stokes(grid, nu, L):
     run's one transform, ``form.transform``, built here.
 
     Requires a dealiased grid so every product eps_j : eps_k nu is
-    integrated exactly (band-limited nu assumed).
+    integrated exactly (band-limited nu assumed), and nu row-constant.
     """
     if nu.grid is not grid:
         raise ParameterError("viscosity lives on a different grid")
@@ -163,19 +163,19 @@ def assemble_stokes(grid, nu, L):
         raise ParameterError(
             f"grid resolves degree {grid.max_degree}, need {dealias_rule(L).degree} "
             f"for exact degree-{L} assembly")
+    constant = not np.ptp(nu.values)
+    if not constant and np.ptp(np.reshape(nu.values, (grid.n_lat, -1)), axis=1).any():
+        raise ParameterError(
+            "viscosity must be constant along each latitude row, as the constant and "
+            "linear_x3 kinds are: one that varies in longitude couples every order")
     tr = SphereTransform(grid, L)
     # lambda_l is the same for every order: twice the unit-weight strain norm
     lam = np.zeros(L + 1)
     lam[1:] = 2.0 * tr.strain_norm2
-    if not np.ptp(nu.values):
+    if constant:
         # 2 nu Def*Def is nu lambda_l on degree l: the form is its diagonal
         return StokesForm(grid, tr, nu, L, lam)
-    weight = 2.0 * grid.weights * nu.values
-    if np.ptp(np.reshape(weight, (grid.n_lat, -1)), axis=1).any():
-        # cos/sin(m phi) of different orders couple: one dense block
-        blocks, gather = tr.gradient_form(weight)[None], np.arange(tr.n_modes)[None]
-    else:
-        blocks, gather = _order_pair_blocks(tr, weight)
+    blocks, gather = _order_pair_blocks(tr, 2.0 * grid.weights * nu.values)
     return StokesForm(grid, tr, nu, L, lam, blocks, gather)
 
 

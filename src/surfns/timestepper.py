@@ -174,6 +174,14 @@ class _Workspace:
         return s
 
 
+def step_count(dt, t_end):
+    """The number of steps of dt to t_end, which must be an integer multiple of dt."""
+    steps = np.rint(t_end / dt)         # inf past the float range, not an OverflowError
+    if abs(steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
+        raise ParameterError("t_end must be an integer multiple of dt")
+    return int(steps)
+
+
 def check_batch(config, form, n_rows, n_alpha):
     """The step and sample counts of a run of ``config``, checked before
     anything is built: t_end must be an integer multiple of dt, and
@@ -188,9 +196,7 @@ def check_batch(config, form, n_rows, n_alpha):
     ``record``'s fields with ``n_alpha`` Killing coordinates); 12 scalars
     (ledgers, rates); and ``record``'s output and columns (its fields twice,
     t once).  It leaves out the live index and the initial energy."""
-    n_steps = int(round(config.t_end / config.dt))
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.t_end, 1.0):
-        raise ParameterError("t_end must be an integer multiple of dt")
+    n_steps = step_count(config.dt, config.t_end)
     n_samples = 1 + -(-n_steps // config.stride)
     eng, n = form.transform.engine, form.D.size
     n_pairs, n_degrees, _, n_lat = eng.X.shape

@@ -9,8 +9,10 @@ import pytest
 import surfns
 from surfns import geometry as geo
 from surfns.harmonics import SpectralState, SphereTransform, mode_index, n_modes
+from surfns.operators import StokesForm
 
 _ACCEPTANCE_LINES = []
+_FORM_CHUNK = 32        # probes per matrix-free weak-form pass
 
 
 def acceptance_line(text):
@@ -37,6 +39,37 @@ def mode_row(L, l, m):
 def toroidal_basis_field(tr, l, m):
     """The real orthonormal toroidal mode (l, m) as a nodal field of ``tr``."""
     return tr.synthesize(SpectralState(tr.L, mode_row(tr.L, l, m)))
+
+
+def dense_form(tr, weight):
+    """Oracle: F[j, k] = sum_n weight_n eps(Phi_j):eps(Phi_k), dense and symmetrized.
+
+    Matrix-free, F[:, K] = G^T(weight * eps(G e_K)) with G the gradient
+    synthesis of the transform ``tr``, over chunks of unit probes.  It serves
+    any weight, one that varies along latitude rows too, at O(L^4) memory;
+    ``SphereTransform.order_forms`` computes the per-order blocks without
+    transforms when the weight is constant along latitude rows.
+    """
+    n = tr.n_modes
+    F = np.empty((n, n))
+    for start in range(0, n, _FORM_CHUNK):
+        probe = np.eye(min(_FORM_CHUNK, n - start), n, start)
+        T = tr.engine.synthesize(probe, tr.GRAD)
+        T[1] = T[2] = 0.5 * (T[1] + T[2])      # the rate of strain
+        F[:, start:start + probe.shape[0]] = tr.engine.adjoint(T * weight, tr.GRAD).T
+    return 0.5 * (F + F.T)
+
+
+def dense_stokes_form(grid, nu, L):
+    """The Stokes form of any viscosity field ``nu`` as one dense block of
+    ``dense_form``, the form ``assemble_stokes`` refuses for a nu that varies
+    along latitude rows: it keeps the storage-generic paths of ``StokesForm``
+    (apply, cn_solve, eigenvalues, the batched time stepper) under test."""
+    tr = SphereTransform(grid, L)
+    lam = np.zeros(L + 1)
+    lam[1:] = 2.0 * tr.strain_norm2
+    F = dense_form(tr, 2.0 * grid.weights * nu.values)
+    return StokesForm(grid, tr, nu, L, lam, F[None], np.arange(tr.n_modes)[None])
 
 
 def pytest_terminal_summary(terminalreporter):

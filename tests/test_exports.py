@@ -8,7 +8,11 @@ Code whose only caller is a test lives in that test.  A name re-exported by
 a name that fails the rule does not count, so a helper used only by another
 test-only helper fails with it.  Every field of a dataclass in
 ``diagnostics.py`` or ``killing.py`` must be read as an attribute by a
-module of the package, outside its own class.
+module of the package, outside its own class.  Every public method of the
+engine, the transform and the Stokes form must be called by name from the
+package outside its own definition, but for the allowlisted methods that
+only the benchmark's tracer wraps: a route that only tests reach belongs in
+the tests.
 """
 
 import ast
@@ -87,3 +91,45 @@ def unread_fields():
 
 def test_every_analysis_field_is_read():
     assert unread_fields() == []
+
+
+# the classes whose public methods need a caller, by module
+ROUTE_CLASSES = {"geometry.py": "SphereEngine", "harmonics.py": "SphereTransform",
+                 "operators.py": "StokesForm"}
+
+# public methods with no caller in the package, each wrapped by
+# perfbench/tracing.py, whose spans time the layer (the match is by name, so
+# the engine's synthesize calls also count for the transform's)
+TRACED_ONLY = {
+    "SphereTransform.synthesize": "the harmonics.synthesize span of the benchmark's tracer",
+    "SphereTransform.analyze": "the harmonics.analyze span of the benchmark's tracer",
+    "StokesForm.rho_explicit": "the operators.spectral_radius span of the benchmark's "
+                               "set-up probes (ROADMAP item 7 retires it)",
+}
+
+
+def uncalled_methods():
+    """``Class.method`` of every public method of ``ROUTE_CLASSES`` that no
+    module of the package names as an attribute outside that method's own
+    definition."""
+    refs = [(name, enclosing) for path in SRC.glob("*.py")
+            for node, name, enclosing, _ in _references(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)]
+    uncalled = []
+    for module, cls in ROUTE_CLASSES.items():
+        body = next(node.body for node in ast.parse((SRC / module).read_text()).body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+        for fn in body:
+            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and not any(name == fn.name and not {cls, fn.name} <= enclosing
+                                for name, enclosing in refs)):
+                uncalled.append(f"{cls}.{fn.name}")
+    return uncalled
+
+
+def test_every_public_method_has_a_caller():
+    tracer = (ROOT / "perfbench" / "tracing.py").read_text()
+    for name in TRACED_ONLY:
+        cls, method = name.split(".")
+        assert f'"{cls}", "{method}"' in tracer, name
+    assert sorted(set(uncalled_methods()) - set(TRACED_ONLY)) == []

@@ -93,6 +93,32 @@ def test_config_mode_outside_truncation_has_path(text, key):
                       .replace("init.kind = modes", "init.kind = zero"))
 
 
+@pytest.mark.parametrize("text,key", [
+    ("geometry.radius = 1e9\ngeometry.L = 100", "geometry.radius"),
+    ("geometry.L = 100", "geometry.L"),
+    ("geometry.L = 1\nforcing.tag = constant_field", "geometry.L"),
+    ("geometry.kind = torus\ngeometry.major = 1\ngeometry.minor = 2", "geometry.minor"),
+    ("geometry.kind = torus\ngeometry.n_pol = 7", "geometry.n_pol"),
+    ("geometry.kind = torus\ngeometry.n_tor = 400", "geometry.n_tor"),
+    ("forcing.tag = constant_killing\nforcing.axis = 5", "forcing.axis"),
+    ("init.kind = random\ninit.l_max = -3", "init.l_max"),      # draws no mode
+    ("init.kind = random\ninit.norm_killing = -1", "init.norm_killing"),
+    ("init.kind = random\ninit.norm_nonkilling = -1", "init.norm_nonkilling"),
+    ("run.dt = 3e-3\nrun.t_end = 0.01", "run.t_end"),
+    ("run.dt = 1e-300\nrun.t_end = 1e10", "run.t_end"),     # a step count past the float range
+    ("run.stride = 0", "run.stride"),
+    ("init.kind = random\nseed = -1", "seed"),
+])
+def test_cli_run_config_errors_name_their_field(tmp_path, capsys, text, key):
+    # geometry first and then schema order, each bound from the module that
+    # enforces it, on one line with the field path
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text + "\n")
+    assert cli.main(["--quiet", "run", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at '{key}': ") and err.count("\n") == 1
+
+
 # every float-valued key, with a well-formed setting around its value slot
 _FLOAT_SETTINGS = {
     "geometry.radius": "{}", "geometry.major": "{}", "geometry.minor": "{}",
@@ -624,7 +650,12 @@ def test_cli_bad_input_is_a_usage_error(tmp_path, sphere8, tr8, capsys, monkeypa
 @settings(max_examples=20, deadline=None, database=None)
 @given(st.integers(max_value=-1))
 def test_negative_config_seed_is_a_parameter_error(seed):
-    cfg = parse_config_text(f"geometry.L = 2\ninit.kind = random\nseed = {seed}\n")
+    # refused at its field when parsed, and by the random draw when set
+    # afterwards, as a scenario's --seed override sets it
+    with pytest.raises(ConfigError, match="config error at 'seed'"):
+        parse_config_text(f"geometry.L = 2\ninit.kind = random\nseed = {seed}\n")
+    cfg = parse_config_text("geometry.L = 2\ninit.kind = random\n")
+    cfg["seed"] = seed
     grid = geo.build_sphere_grid(2, 1.0)
     with pytest.raises(ParameterError, match="seed"):
         build_initial_state(cfg, assemble_stokes(grid, geo.ViscosityField(grid, 1.0), 2))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import mode_row
+from conftest import dense_form, dense_stokes_form, mode_row
 from surfns import geometry as geo
 from surfns.diagnostics import enstrophy_cosine, record, strain_dissipation
 from surfns.errors import ParameterError
@@ -93,7 +93,7 @@ def test_constant_nu_form_is_its_diagonal(sphere8, form1):
         assert form.rho_explicit() == 0.0
         assert form.rho_full() == nu * form.D.max()
         np.testing.assert_array_equal(form.eigenvalues(), np.sort(nu * form.D))
-        dense = form.transform.gradient_form(2.0 * sphere8.weights * nu)
+        dense = dense_form(form.transform, 2.0 * sphere8.weights * nu)
         for k in (0, 1, 8):
             c = rng.normal(size=(k, dense.shape[0]))
             oracle = c @ dense
@@ -168,13 +168,13 @@ def test_explicit_remainder_psd(formv):
 
 
 def test_spectrum_rotation_invariance(sphere8):
-    # assembling with nu(x) and nu(Rx) for a rotation about e3 gives the
+    # the dense forms of nu(x) and nu(Rx) for a rotation about e3 have the
     # same spectrum
     x, y = sphere8.nodes[:, 0], sphere8.nodes[:, 1]
     nu_a = geo.ViscosityField(sphere8, 1.0 + 0.3 * x)
     nu_b = geo.ViscosityField(sphere8, 1.0 + 0.3 * y)
-    ea = np.linalg.eigvalsh(_dense(assemble_stokes(sphere8, nu_a, 8)))
-    eb = np.linalg.eigvalsh(_dense(assemble_stokes(sphere8, nu_b, 8)))
+    ea = np.linalg.eigvalsh(_dense(dense_stokes_form(sphere8, nu_a, 8)))
+    eb = np.linalg.eigvalsh(_dense(dense_stokes_form(sphere8, nu_b, 8)))
     assert np.abs(ea - eb).max() <= 1e-8
 
 
@@ -395,7 +395,7 @@ def test_blocks_match_single_part_form():
                 w = _weights(grid, kind)
                 blocks, gather = _order_pair_blocks(tr, w)
                 assert blocks.shape == (L + 2, L, L)
-                dense = tr.gradient_form(w)
+                dense = dense_form(tr, w)
                 scale = np.abs(dense).max()
                 for g, b in zip(gather, blocks):
                     assert np.abs(b - dense[np.ix_(g, g)]).max() <= 1e-13 * scale
@@ -456,12 +456,13 @@ def test_order_pair_blocks_match_the_slot_construction(L):
 
 
 def test_eigenvalue_count_is_n_modes():
-    # one eigenvalue per mode
+    # one eigenvalue per mode, on the diagonal, order-pair and dense storages
     for L in (8, 12):
         grid = geo.build_sphere_grid(L, 1.3)
         x, z = grid.nodes[:, 0] / grid.R, grid.nodes[:, 2] / grid.R
-        for values in (2.5, 1.0 + 0.5 * z, 1.0 + 0.3 * x):
-            form = assemble_stokes(grid, geo.ViscosityField(grid, values), L)
+        for values, build in ((2.5, assemble_stokes), (1.0 + 0.5 * z, assemble_stokes),
+                              (1.0 + 0.3 * x, dense_stokes_form)):
+            form = build(grid, geo.ViscosityField(grid, values), L)
             assert form.eigenvalues().shape == (L * (L + 2),)
 
 
@@ -469,7 +470,7 @@ def test_cross_order_entries_vanish():
     # the dense linear_x3 form couples no two signed orders
     grid = geo.build_sphere_grid(12, 1.0)
     tr = SphereTransform(grid, 12)
-    A = tr.gradient_form(_weights(grid, "linear_x3"))
+    A = dense_form(tr, _weights(grid, "linear_x3"))
     mode_m = signed_order(tr)
     cross = mode_m[:, None] != mode_m[None, :]
     assert np.abs(A[cross]).max() <= 1e-12 * np.abs(A).max()
@@ -477,17 +478,15 @@ def test_cross_order_entries_vanish():
 
 @pytest.fixture(scope="module")
 def form_x(sphere8):
-    return assemble_stokes(sphere8, geo.ViscosityField(
+    return dense_stokes_form(sphere8, geo.ViscosityField(
         sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
 
 
 def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
     # a constant viscosity holds no blocks; linear_x3 and the sphere Korn
-    # constant assemble from latitude profiles; only an x-dependent
-    # viscosity probes
+    # constant assemble from latitude profiles
     def probe(self, weight):
         raise RuntimeError("probe path")
-    monkeypatch.setattr(SphereTransform, "gradient_form", probe)
     with monkeypatch.context() as m:
         m.setattr(SphereTransform, "order_forms", probe)
         form = assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0), 8)
@@ -505,8 +504,23 @@ def test_row_constant_viscosity_needs_no_probes(monkeypatch, sphere8):
         dense[np.ix_(g, g)] = b
     np.testing.assert_array_equal(_dense(form), dense)
     assert korn_constant(sphere8, 8) == pytest.approx(np.sqrt(3.0), rel=1e-12)
-    with pytest.raises(RuntimeError, match="probe path"):
-        assemble_stokes(sphere8, geo.ViscosityField(sphere8, 1.0 + 0.3 * sphere8.nodes[:, 0]), 8)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.3])
+def test_longitude_varying_viscosity_is_refused_before_any_transform(monkeypatch, R):
+    # nu = 1 + 0.3 x1 / R couples every order: assembly names the
+    # requirement and builds no transform
+    grid = geo.build_sphere_grid(8, R)
+    built, init = [], SphereTransform.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(SphereTransform, "__init__", counted)
+    nu = geo.ViscosityField(grid, 1.0 + 0.3 * grid.nodes[:, 0] / R)
+    with pytest.raises(ParameterError, match="constant along each latitude row"):
+        assemble_stokes(grid, nu, 8)
+    assert not built
 
 
 def _indexed_apply(form, c):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import mode_row
+from conftest import dense_stokes_form, mode_row
 from surfns import geometry as geo
 from surfns.diagnostics import record, rossby_haurwitz_block
 from surfns.errors import DivergenceError, GridMismatchError, ParameterError
@@ -761,8 +761,9 @@ def _assert_matches_frozen(cfg, grid, form, spec, states):
 
 
 def _dense_form(grid, L):
-    """A form whose viscosity varies along latitude rows: one dense block."""
-    form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0 + 0.3 * grid.nodes[:, 0]), L)
+    """The test oracle's one-block form of a viscosity that varies along
+    latitude rows, which ``assemble_stokes`` refuses."""
+    form = dense_stokes_form(grid, geo.ViscosityField(grid, 1.0 + 0.3 * grid.nodes[:, 0]), L)
     assert form.blocks.shape[0] == 1
     return form
 
