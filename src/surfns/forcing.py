@@ -1,4 +1,4 @@
-"""Forcing catalog as affine maps, with their hypothesis constants.
+"""Forcing catalog as affine maps.
 
 Catalog tags (u_K = P_K u, u_NK = u - u_K, all fields tangential,
 divergence-free after projection):
@@ -18,17 +18,10 @@ rows.  K is +/-I for f2 and f3, +/- the weighted Killing Gram matrix for f4,
 -I for f5 and 0 otherwise; s is +/-1 for f3, 1 for f4, R - 1 for f5 and 0
 otherwise.  ``apply_forcing`` evaluates that map and nothing else.
 
-The constants of the standing hypotheses are read exactly off (f, K, s):
-
-    c1 = ||f||                      the L2 bound on f(., 0)
-    c2 = max(||K||_2, |s|)          the Lipschitz constant in u
-    nega / pos                      f_K = 0 and sym K <= 0 / sym K >= 0: the
-                                    Killing power (F(u), u_K) has that sign
-    c5 = max(s, 0), c6 = ||f_NK||   the non-Killing power envelope
-                                    (F(u), u_NK) <= c5 ||u_NK||^2 + c6 ||u_NK||
-    independent_of_u                K = 0 and s = 0
-
-f_K = f[:3] counts as zero when ||f_K|| <= 1e-10 max(||f||, 1).
+The paper's hypothesis constants (c1-c6, the signs of the Killing power) are
+read off (f, K, s) where a check needs them; their table and its Monte-Carlo
+audit live in ``tests/test_forcing.py``.  f_K = f[:3] counts as zero, as f2
+requires, when ||f_K|| <= 1e-10 max(||f||, 1).
 """
 
 from dataclasses import dataclass
@@ -44,18 +37,6 @@ TAGS = ("zero", "constant_field", "f2_plus", "f2_minus", "f3_plus", "f3_minus",
 
 
 @dataclass
-class FlagSet:
-    """Hypothesis constants of a catalog forcing, derived from its affine map."""
-    c1: float
-    c2: float
-    nega: bool
-    pos: bool
-    c5: float
-    c6: float
-    independent_of_u: bool
-
-
-@dataclass
 class ForcingSpec:
     """A catalog forcing as its affine map on a coefficient stack c:
 
@@ -66,16 +47,14 @@ class ForcingSpec:
     is degree-major, so a lower truncation reads its prefix.  ``K`` is the
     3x3 map on the Killing rows and ``s`` the scalar on the others.
     """
-    tag: str
     basis: object
-    flags: FlagSet
     f: np.ndarray
     K: np.ndarray
     s: float
 
 
 def make_catalog_forcing(tag, params, basis):
-    """Build a tagged forcing as its affine map with its hypothesis flags set.
+    """Build a tagged forcing as its affine map.
 
     The fixed fields ``g`` (constant_field) and ``v`` (f2) are given as their
     (n_modes,) coefficient rows at the grid's truncation.  Sphere-only: K
@@ -118,23 +97,11 @@ def make_catalog_forcing(tag, params, basis):
     if f.shape != (n_modes(L),):
         raise ParameterError(f"a fixed forcing field needs {n_modes(L)} coefficients "
                              f"at the grid's truncation L={L}, got shape {f.shape}")
-    flags = _hypothesis_constants(f, K, s)
-    if tag.startswith("f2") and not (flags.nega or flags.pos):
+    kill_free = np.linalg.norm(f[:3]) <= 1e-10 * max(np.linalg.norm(f), 1.0)
+    if tag.startswith("f2") and not kill_free:
         # K = +/-I signs the Killing power exactly when f_K = 0
         raise ParameterError("f2 requires v orthogonal to the Killing space")
-    return ForcingSpec(tag, basis, flags, f, K, s)
-
-
-def _hypothesis_constants(f, K, s):
-    """The FlagSet of the affine map (f, K, s), read off exactly."""
-    c1 = float(np.linalg.norm(f))
-    kill_free = np.linalg.norm(f[:3]) <= 1e-10 * max(c1, 1.0)
-    sym = np.linalg.eigvalsh(0.5 * (K + K.T))      # ascending
-    return FlagSet(c1=c1, c2=max(float(np.linalg.norm(K, 2)), abs(s)),
-                   nega=bool(kill_free and sym[-1] <= 0),
-                   pos=bool(kill_free and sym[0] >= 0),
-                   c5=max(s, 0.0), c6=float(np.linalg.norm(f[3:])),
-                   independent_of_u=not K.any() and s == 0)
+    return ForcingSpec(basis, f, K, s)
 
 
 def _killing_gram(basis, point):

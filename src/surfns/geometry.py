@@ -49,7 +49,7 @@ TORUS_N_MAX = 352
 
 
 class SurfaceGrid:
-    """Quadrature nodes, weights, normals and tangent frames of a surface.
+    """Quadrature nodes, weights and tangent frames of a surface.
 
     Attributes
     ----------
@@ -63,12 +63,13 @@ class SurfaceGrid:
     lat, lon : arrays
         The two coordinate 1-d arrays (theta colatitudes / phi longitudes on
         the sphere; poloidal phi / toroidal theta on the torus).
-    nodes, weights, normals, e1, e2 : arrays
+    nodes, weights, e1, e2 : arrays
         Flattened per-node data; weights carry the full area measure.
-        (e1, e2) is the builder's frame, along which derivatives are taken.
+        (e1, e2) is the builder's frame, along which derivatives are taken;
+        e1 x e2 is the outward unit normal.
     """
 
-    def __init__(self, kind, R, r, lat, lon, nodes, weights, normals, e1, e2,
+    def __init__(self, kind, R, r, lat, lon, nodes, weights, e1, e2,
                  glx=None, max_degree=None):
         self.kind = kind
         self.R = float(R)
@@ -79,7 +80,6 @@ class SurfaceGrid:
         self.n_lon = lon.size
         self.nodes = nodes
         self.weights = weights
-        self.normals = normals
         self.e1 = e1
         self.e2 = e2
         self.glx = glx
@@ -195,8 +195,8 @@ def build_sphere_grid(L, R):
                       np.zeros((n_lat, n_lon))], axis=-1).reshape(-1, 3)
     nodes = R * n
     weights = (R * R * 2.0 * np.pi / n_lon) * np.repeat(glw, n_lon)
-    return SurfaceGrid(SPHERE, R, 0.0, theta, phi, nodes, weights, n,
-                       e_theta, e_phi, glx=glx, max_degree=M)
+    return SurfaceGrid(SPHERE, R, 0.0, theta, phi, nodes, weights, e_theta, e_phi,
+                       glx=glx, max_degree=M)
 
 
 def build_torus_grid(n_pol, n_tor, R, r):
@@ -224,11 +224,9 @@ def build_torus_grid(n_pol, n_tor, R, r):
                    np.zeros((n_pol, n_tor))], axis=-1).reshape(-1, 3)
     e2 = np.stack([-sf * ct, -sf * st, np.broadcast_to(cf, (n_pol, n_tor))],
                   axis=-1).reshape(-1, 3)
-    normals = np.stack([cf * ct, cf * st, np.broadcast_to(sf, (n_pol, n_tor))],
-                       axis=-1).reshape(-1, 3)
     weights = (r * ring * (2.0 * np.pi / n_pol) * (2.0 * np.pi / n_tor))
     weights = np.broadcast_to(weights, (n_pol, n_tor)).reshape(-1).copy()
-    return SurfaceGrid(TORUS, R, r, phi, theta, nodes, weights, normals, e1, e2)
+    return SurfaceGrid(TORUS, R, r, phi, theta, nodes, weights, e1, e2)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,8 @@ def parse_config_text(text):
 
 def _validate_config(cfg):
     """Check the fields in schema order, geometry first (the configured surface's
-    only), each error at its field; forcing and init modes only where read."""
+    only), each error at its field; forcing, init modes and the random band
+    limit only where read."""
     sphere = cfg["geometry.kind"] == "sphere"
     if sphere:
         _at("geometry.radius", geo.check_radius, cfg["geometry.radius"])
@@ -179,6 +180,9 @@ def _validate_config(cfg):
         if cfg["init.kind"] == "modes":
             for l, m, _ in cfg["init.modes"]:
                 _check_mode(l, m, L, "init.modes", "init.modes")
+        if cfg["init.kind"] == "random" and cfg["init.l_max"] > L:
+            raise ConfigError(f"config error at 'init.l_max': band limit {cfg['init.l_max']} "
+                              f"above geometry.L = {L}")
     for key in ("init.l_max", "init.norm_killing", "init.norm_nonkilling"):
         if (cfg[key] or 0) < 0:
             raise ConfigError(f"config error at '{key}': {key[5:]} must be non-negative, "

@@ -26,6 +26,9 @@ from .harmonics import degree_norms
 SPHERE_L1_MAP = -np.eye(3)[[1, 2, 0]]
 SPHERE_L1_MAP.setflags(write=False)
 
+# the torus Korn family's Fourier cap in each angle (``_korn_torus``)
+TORUS_FOURIER_CAP = 8
+
 
 class KillingBasis:
     """Orthonormal L2 basis of the Killing space of a grid."""
@@ -60,7 +63,7 @@ def killing_basis(grid):
     return KillingBasis(grid, [TangentialField(grid, c) for c in u])
 
 
-def korn_constant(grid, L=None, fourier_cap=8):
+def korn_constant(grid, L=None):
     """The truncated Korn constant C_P, with ||v||_H1 <= C_P ||eps(v)|| on
     non-Killing fields: the square root of the largest generalized
     eigenvalue of the H1 form against the strain form.
@@ -73,7 +76,7 @@ def korn_constant(grid, L=None, fourier_cap=8):
     with no transform.  On the torus it is a
     stream-function Fourier family plus the harmonic circulation
     generators, solved by a Cholesky-reduced generalized eigenproblem
-    (``_korn_eigvals``) per toroidal wavenumber |jt| <= ``fourier_cap``;
+    (``_korn_eigvals``) per toroidal wavenumber |jt| <= ``TORUS_FOURIER_CAP``;
     the split is exact because the grid and its weights are uniform in the
     toroidal angle, so no form couples two blocks.
     """
@@ -82,7 +85,7 @@ def korn_constant(grid, L=None, fourier_cap=8):
             raise ParameterError(f"sphere Korn constant needs 2 <= L <= {L_MAX}")
         return _korn_sphere(grid, L)
     if grid.kind == TORUS:
-        return _korn_torus(grid, fourier_cap)
+        return _korn_torus(grid, TORUS_FOURIER_CAP)
     raise ParameterError(f"unsupported geometry {grid.kind!r}")
 
 

@@ -47,7 +47,7 @@ class StokesForm:
         self.lam_by_degree = lam_by_degree          # (L+1,) with entry l = lambda_l
         self.D = lam_by_degree[transform.mode_l]    # per-mode diagonal
         self.nu_min = nu.nu_min
-        self._rho_full = None
+        self._spectrum = None
         if blocks is None:
             self._diag = self.nu_min * self.D       # A itself
         else:
@@ -82,10 +82,7 @@ class StokesForm:
         given; the diagonal form then broadcasts its A)."""
         if self.blocks is None:
             return np.multiply(c, self._diag if plan is None else plan, out=out)
-        gather, g, p, scatter = self.plan(c.shape[0]) if plan is None else plan
-        # symmetric blocks
-        np.matmul(c.take(gather, out=g, mode="clip"), self.blocks, out=p)
-        return p.take(scatter, out=out, mode="clip")
+        return self._by_blocks(c, self.blocks, out, plan)     # symmetric blocks
 
     def cn_solve(self, y, dt, out=None, plan=None, op=None):
         """(2 m, a A m), a = dt / 2, stacked (2, k, n_modes) into ``out`` if given,
@@ -99,17 +96,23 @@ class StokesForm:
         if self.blocks is None:
             np.multiply(op, y, out=out[0])
         else:
-            gather, g, p, scatter = self.plan(y.shape[0]) if plan is None else plan
-            np.matmul(y.take(gather, out=g, mode="clip"), op, out=p)
-            p.take(scatter, out=out[0], mode="clip")
+            self._by_blocks(y, op, out[0], plan)
         np.subtract(y, np.multiply(out[0], 0.5, out=out[1]), out=out[1])
         return out
 
+    def _by_blocks(self, c, mats, out, plan):
+        """Block p's modes of every row of ``c`` times ``mats[p]``, into ``out``, by ``plan``."""
+        gather, g, p, scatter = self.plan(c.shape[0]) if plan is None else plan
+        np.matmul(c.take(gather, out=g, mode="clip"), mats, out=p)
+        return p.take(scatter, out=out, mode="clip")
+
     def eigenvalues(self):
-        """Ascending eigenvalues of A, block by block."""
-        if self.blocks is None:
-            return np.sort(self._diag)
-        return np.sort(np.linalg.eigvalsh(self.blocks), axis=None)
+        """Ascending eigenvalues of A, solved block by block once, read-only."""
+        if self._spectrum is None:
+            self._spectrum = (np.sort(self._diag) if self.blocks is None
+                              else np.sort(np.linalg.eigvalsh(self.blocks), axis=None))
+            self._spectrum.setflags(write=False)
+        return self._spectrum
 
     def rho_explicit(self):
         """Spectral radius of the IMEX step's explicit part of A: 0, since the
@@ -120,10 +123,8 @@ class StokesForm:
         return 0.0
 
     def rho_full(self):
-        """Largest eigenvalue of the full operator A (cached)."""
-        if self._rho_full is None:
-            self._rho_full = float(self.eigenvalues()[-1])
-        return self._rho_full
+        """Largest eigenvalue of the full operator A."""
+        return float(self.eigenvalues()[-1])
 
 
 def _order_pair_blocks(tr, weight):

@@ -133,7 +133,7 @@ def chk_nk_envelope(ctx):
     if rate > 0:
         r = ctx.records
         decay = np.exp(-rate * (r.t[1:] - r.t[0]))
-        envelope = decay * r.norm_uNK[0] + ctx.fspec.flags.c6 * (1.0 - decay) / rate
+        envelope = decay * r.norm_uNK[0] + np.linalg.norm(ctx.fspec.f[3:]) * (1.0 - decay) / rate
         worst = np.max(r.norm_uNK[1:] / envelope)
     return _check("nk_envelope", worst, 1.0 + 1e-6,
                   "||u_NK(t)|| inside the envelope of rate sigma - s",

@@ -82,7 +82,7 @@ class SimState:
 
     ``c`` and its (F, N) rows ``fn`` are slot ``slot``'s of the history
     ``hist``; ``ab2`` says the other slot holds the previous IMEX step's.  ``ledger`` stacks
-    ``diss_integral`` and ``work_integral``.  ``states`` is a sequence of
+    each row's dissipation and work integrals.  ``states`` is a sequence of
     SpectralStates sharing L and t; their coefficients are copied.
     """
 
@@ -90,14 +90,13 @@ class SimState:
         c = np.array([s.coeffs for s in states])
         self._bind(np.zeros((6,) + c.shape), 0, np.zeros((2, len(states))))
         self.c[:] = c
-        self.L, self.t, self.dt, self.step, self.ab2 = states[0].L, states[0].t, dt, 0, False
+        self.t, self.dt, self.step, self.ab2 = states[0].t, dt, 0, False
         self.energy0 = self.energy()
 
     def _bind(self, hist, slot, ledger):
         """Point ``c`` and ``fn`` at slot ``slot`` of ``hist``, the integrals at ``ledger``."""
         self.hist, self.slot, self.c, self.ledger = hist, slot, hist[4 + slot], ledger
         self.fn = hist[2 * slot:2 * slot + 2]
-        self.diss_integral, self.work_integral = ledger
         return self
 
     def energy(self):
@@ -105,12 +104,12 @@ class SimState:
 
     def ledger_residual(self):
         """E(t) - E(0) + int D - int W per row, the discrete balance defect."""
-        return self.energy() - self.energy0 + self.diss_integral - self.work_integral
+        return self.energy() - self.energy0 + self.ledger[0] - self.ledger[1]
 
     def take(self, rows):
         """The sub-stack of ``rows`` (an index list or a boolean mask), copied."""
         out = SimState.__new__(SimState)._bind(self.hist[:, rows], self.slot, self.ledger[:, rows])
-        out.L, out.t, out.dt, out.step, out.ab2 = self.L, self.t, self.dt, self.step, self.ab2
+        out.t, out.dt, out.step, out.ab2 = self.t, self.dt, self.step, self.ab2
         out.energy0 = self.energy0[rows]
         return out
 
@@ -139,7 +138,6 @@ class _Workspace:
         self.hist, self.stages = sim.hist, np.empty((6, k, n))
         self.states = [SimState.__new__(SimState)._bind(self.hist, j, np.empty((2, k)))
                        for j in range(2)]
-        self.states[0].L = self.states[1].L = sim.L
         self.plan = form.plan(k)
         self.syn, adj = convective_plans(form.transform, k)
         self.adj = adj[:-1]

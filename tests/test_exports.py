@@ -7,12 +7,12 @@ Code whose only caller is a test lives in that test.  A name re-exported by
 ``perfbench/``, or by README.md.  A reference made inside the definition of
 a name that fails the rule does not count, so a helper used only by another
 test-only helper fails with it.  Every field of a dataclass in
-``diagnostics.py`` or ``killing.py`` must be read as an attribute by a
-module of the package, outside its own class.  Every public method of the
-engine, the transform and the Stokes form must be called by name from the
-package outside its own definition, but for the allowlisted methods that
-only the benchmark's tracer wraps: a route that only tests reach belongs in
-the tests.
+``diagnostics.py``, ``killing.py`` or ``forcing.py`` must be read as an
+attribute by a module of the package, outside its own class.  Every public
+method of the engine, the transform and the Stokes form must be called by
+name from the package outside its own definition, but for the allowlisted
+methods that only the benchmark's tracer wraps: a route that only tests
+reach belongs in the tests.
 """
 
 import ast
@@ -70,13 +70,14 @@ def test_every_export_is_reached():
 
 
 def unread_fields():
-    """``Class.field`` of every dataclass field in ``diagnostics.py`` and
-    ``killing.py`` that no module of the package reads outside its class."""
+    """``Class.field`` of every dataclass field in ``diagnostics.py``,
+    ``killing.py`` and ``forcing.py`` that no module of the package reads
+    outside its class."""
     reads = [(name, enclosing) for path in SRC.glob("*.py")
              for node, name, enclosing, _ in _references(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
     unread = []
-    for module in ("diagnostics.py", "killing.py"):
+    for module in ("diagnostics.py", "killing.py", "forcing.py"):
         for cls in ast.parse((SRC / module).read_text()).body:
             if not (isinstance(cls, ast.ClassDef) and any(
                     ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)):

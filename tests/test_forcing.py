@@ -1,4 +1,19 @@
-"""Forcing catalog flags, hypothesis audits, and the exact splits."""
+"""Forcing catalog flags, hypothesis audits, and the exact splits.
+
+The constants of the standing hypotheses are read exactly off (f, K, s):
+
+    c1 = ||f||                      the L2 bound on f(., 0)
+    c2 = max(||K||_2, |s|)          the Lipschitz constant in u
+    nega / pos                      f_K = 0 and sym K <= 0 / sym K >= 0: the
+                                    Killing power (F(u), u_K) has that sign
+    c5 = max(s, 0), c6 = ||f_NK||   the non-Killing power envelope
+                                    (F(u), u_NK) <= c5 ||u_NK||^2 + c6 ||u_NK||
+    independent_of_u                K = 0 and s = 0
+
+f_K = f[:3] counts as zero when ||f_K|| <= 1e-10 max(||f||, 1).  ``FlagSet``
+holds them and ``hypothesis_check`` audits them on sampled states; the
+program reads the two it needs straight off (f, K, s).
+"""
 
 import dataclasses
 
@@ -8,8 +23,7 @@ import pytest
 from conftest import mode_row
 from surfns import geometry as geo
 from surfns.errors import ParameterError
-from surfns.forcing import (TAGS, _hypothesis_constants, apply_forcing,
-                            make_catalog_forcing)
+from surfns.forcing import TAGS, apply_forcing, make_catalog_forcing
 from surfns.geometry import grid_truncation
 from surfns.harmonics import (SpectralState, SphereTransform, mode_index, n_modes,
                               random_band_limited)
@@ -18,7 +32,36 @@ from surfns.killing import killing_basis
 from test_killing import pk_project
 
 
-# --- the Monte-Carlo audit: the sampled oracle for the derived constants -----
+# --- the hypothesis constants and their Monte-Carlo audit ---------------------
+
+@dataclasses.dataclass
+class FlagSet:
+    """Hypothesis constants of a catalog forcing, derived from its affine map."""
+    c1: float
+    c2: float
+    nega: bool
+    pos: bool
+    c5: float
+    c6: float
+    independent_of_u: bool
+
+
+def _hypothesis_constants(f, K, s):
+    """The FlagSet of the affine map (f, K, s), read off exactly."""
+    c1 = float(np.linalg.norm(f))
+    kill_free = np.linalg.norm(f[:3]) <= 1e-10 * max(c1, 1.0)
+    sym = np.linalg.eigvalsh(0.5 * (K + K.T))      # ascending
+    return FlagSet(c1=c1, c2=max(float(np.linalg.norm(K, 2)), abs(s)),
+                   nega=bool(kill_free and sym[-1] <= 0),
+                   pos=bool(kill_free and sym[0] >= 0),
+                   c5=max(s, 0.0), c6=float(np.linalg.norm(f[3:])),
+                   independent_of_u=not K.any() and s == 0)
+
+
+def _flags(spec):
+    """The FlagSet read off the affine map of ``spec``."""
+    return _hypothesis_constants(spec.f, spec.K, spec.s)
+
 
 def _rowdot(X, Y):
     """Dot product of each row pair of two (k, n) stacks, summed as np.dot."""
@@ -27,7 +70,6 @@ def _rowdot(X, Y):
 
 @dataclasses.dataclass
 class HypothesisReport:
-    tag: str
     n_samples: int
     c1_hat: float
     sup_f0_nodal: float
@@ -43,9 +85,10 @@ class HypothesisReport:
         return not self.violations
 
 
-def hypothesis_check(spec, n_samples, seed):
-    """Monte-Carlo estimates of the hypothesis constants and flag audit on
-    the grid of ``spec.basis``.
+def hypothesis_check(spec, n_samples, seed, flags=None):
+    """Monte-Carlo estimates of the hypothesis constants and an audit of the
+    declared ``flags`` (default: those read off ``spec``) on the grid of
+    ``spec.basis``.
 
     Violations of declared flags become report entries, never exceptions.
     c1_hat and c2_hat are lower bounds of c1 and c2; c5_hat and c6_hat are
@@ -58,12 +101,13 @@ def hypothesis_check(spec, n_samples, seed):
     tr = SphereTransform(grid, L)
     tol = 1e-8
     violations = []
+    flags = _flags(spec) if flags is None else flags
 
     f0 = apply_forcing(spec, np.zeros((1, n_modes(L))))[0]
     c1_hat = float(np.linalg.norm(f0))
     sup_f0 = float(np.abs(tr.engine.synthesize(f0[None], tr.FIELD)).max())
-    if c1_hat > spec.flags.c1 + tol:
-        violations.append(f"c1: measured {c1_hat:.6g} > declared {spec.flags.c1:.6g}")
+    if c1_hat > flags.c1 + tol:
+        violations.append(f"c1: measured {c1_hat:.6g} > declared {flags.c1:.6g}")
 
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2 ** 63 - 1, size=2 * n_samples)
@@ -73,17 +117,17 @@ def hypothesis_check(spec, n_samples, seed):
     df = np.linalg.norm(F1 - apply_forcing(spec, U2), axis=1)
     du = np.linalg.norm(U1 - U2, axis=1)
     c2_hat = float(np.max(df[du > 0] / du[du > 0], initial=0.0))
-    if c2_hat > spec.flags.c2 + tol:
-        violations.append(f"c2: measured {c2_hat:.6g} > declared {spec.flags.c2:.6g}")
+    if c2_hat > flags.c2 + tol:
+        violations.append(f"c2: measured {c2_hat:.6g} > declared {flags.c2:.6g}")
 
     # per sample: Killing and non-Killing power, ||u_NK||, the audit scale
     power_k = _rowdot(F1[:, :3], U1[:, :3])
     power_nk = _rowdot(F1[:, 3:], U1[:, 3:])
     b = np.sqrt(_rowdot(U1[:, 3:], U1[:, 3:]))
     scale = np.maximum(1.0, _rowdot(U1, U1))
-    declared = spec.flags.c5 * b ** 2 + spec.flags.c6 * b
-    audits = np.stack([spec.flags.nega & (power_k > tol * scale),
-                       spec.flags.pos & (power_k < -tol * scale),
+    declared = flags.c5 * b ** 2 + flags.c6 * b
+    audits = np.stack([flags.nega & (power_k > tol * scale),
+                       flags.pos & (power_k < -tol * scale),
                        power_nk > declared + tol * scale], axis=1)
     texts = ("nega: sample {i} has Killing power {k:.3e}",
              "pos: sample {i} has Killing power {k:.3e}",
@@ -94,9 +138,8 @@ def hypothesis_check(spec, n_samples, seed):
     coef, *_ = np.linalg.lstsq(np.stack([b ** 2, b], axis=1), power_nk, rcond=None)
     c5_hat, c6_hat = (float(max(v, 0.0)) for v in coef)
 
-    return HypothesisReport(spec.tag, n_samples, c1_hat, sup_f0, c2_hat,
-                            c5_hat, c6_hat, float(power_k.min()), float(power_k.max()),
-                            violations)
+    return HypothesisReport(n_samples, c1_hat, sup_f0, c2_hat, c5_hat, c6_hat,
+                            float(power_k.min()), float(power_k.max()), violations)
 
 
 # --- the catalog ---------------------------------------------------------------
@@ -113,22 +156,22 @@ def _apply(spec, s):
 
 
 def test_f3_minus_flags(kb):
-    spec = make_catalog_forcing("f3_minus", {}, kb)
-    assert spec.flags.nega and not spec.flags.pos
-    assert spec.flags.c2 == 1.0
-    assert spec.flags.c1 == 0.0
+    flags = _flags(make_catalog_forcing("f3_minus", {}, kb))
+    assert flags.nega and not flags.pos
+    assert flags.c2 == 1.0
+    assert flags.c1 == 0.0
 
 
 def test_zero_flags(kb):
-    spec = make_catalog_forcing("zero", {}, kb)
-    assert spec.flags.c1 == 0.0 and spec.flags.c2 == 0.0
-    assert spec.flags.nega and spec.flags.pos
+    flags = _flags(make_catalog_forcing("zero", {}, kb))
+    assert flags.c1 == 0.0 and flags.c2 == 0.0
+    assert flags.nega and flags.pos
 
 
 def test_constant_killing_flags(kb):
-    spec = make_catalog_forcing("constant_killing", {"c": 1.0, "axis": 1}, kb)
-    assert spec.flags.independent_of_u
-    assert not spec.flags.nega and not spec.flags.pos
+    flags = _flags(make_catalog_forcing("constant_killing", {"c": 1.0, "axis": 1}, kb))
+    assert flags.independent_of_u
+    assert not flags.nega and not flags.pos
 
 
 def test_f2_requires_nonkilling_direction(kb):
@@ -211,7 +254,7 @@ def test_affine_tags_exact_lipschitz(sphere8, kb, tr8):
             u2 = SpectralState(8, rng.standard_normal(80))
             df = _apply(spec, u1).coeffs \
                 - _apply(spec, u2).coeffs
-            bound = spec.flags.c2 * np.linalg.norm(u1.coeffs - u2.coeffs)
+            bound = _flags(spec).c2 * np.linalg.norm(u1.coeffs - u2.coeffs)
             assert np.linalg.norm(df) <= bound + 1e-12
 
 
@@ -236,8 +279,7 @@ def test_f4_split_matches_weighted_killing_part(sphere8, kb, tr8):
 def test_hypothesis_check_flags_violations(sphere8, kb):
     # declare a too-small Lipschitz constant and watch the audit notice
     spec = make_catalog_forcing("f3_plus", {}, kb)
-    spec.flags.c2 = 0.5
-    rep = hypothesis_check(spec, 15, seed=2)
+    rep = hypothesis_check(spec, 15, seed=2, flags=dataclasses.replace(_flags(spec), c2=0.5))
     assert not rep.ok
     assert any("c2" in v for v in rep.violations)
 
@@ -285,12 +327,12 @@ def test_f4_f5_match_nodal_routes(sphere8, sphere8_r2):
 
 
 def _catalog(grid):
-    """Every catalog tag on ``grid``, each with the parameters it reads."""
+    """(tag, spec) of every catalog tag on ``grid``, each with the parameters it reads."""
     kb = killing_basis(grid)
     params = {"g": mode_row(8, 3, 0) + 0.5 * mode_row(8, 1, 1), "v": mode_row(8, 2, 1),
               "c": 2.0, "axis": 1,
               "p": grid.R * np.array([1.0, 2.0, 2.0]) / 3.0}
-    return [make_catalog_forcing(tag, params, kb) for tag in TAGS]
+    return [(tag, make_catalog_forcing(tag, params, kb)) for tag in TAGS]
 
 
 @pytest.mark.parametrize("R", [1.0, 2.0])
@@ -299,14 +341,14 @@ def test_every_tag_is_its_affine_map(sphere8, sphere8_r2, R):
     # the Killing rows and s c on the others
     rng = np.random.default_rng(23)
     a = 0.3
-    for spec in _catalog(sphere8 if R == 1.0 else sphere8_r2):
+    for tag, spec in _catalog(sphere8 if R == 1.0 else sphere8_r2):
         x, y = rng.standard_normal((2, 3, n_modes(8)))
         fx, fy = apply_forcing(spec, x), apply_forcing(spec, y)
         mixed = apply_forcing(spec, a * x + (1 - a) * y)
-        assert np.abs(mixed - (a * fx + (1 - a) * fy)).max() <= 1e-13, spec.tag
+        assert np.abs(mixed - (a * fx + (1 - a) * fy)).max() <= 1e-13, tag
         lin = fx - apply_forcing(spec, np.zeros((1, n_modes(8))))
-        assert np.abs(lin[:, :3] - x[:, :3] @ spec.K.T).max() <= 1e-13, spec.tag
-        assert np.abs(lin[:, 3:] - spec.s * x[:, 3:]).max() <= 1e-13, spec.tag
+        assert np.abs(lin[:, :3] - x[:, :3] @ spec.K.T).max() <= 1e-13, tag
+        assert np.abs(lin[:, 3:] - spec.s * x[:, 3:]).max() <= 1e-13, tag
 
 
 def test_fixed_part_prefix_is_each_truncation(sphere8, kb, tr8):
@@ -322,7 +364,7 @@ def test_fixed_part_prefix_is_each_truncation(sphere8, kb, tr8):
 
 
 def test_apply_forcing_rejects_a_stack_wider_than_its_grid(sphere8):
-    for spec in _catalog(sphere8):
+    for _, spec in _catalog(sphere8):
         with pytest.raises(ParameterError):
             apply_forcing(spec, np.zeros((1, n_modes(10))))
 
@@ -364,30 +406,31 @@ _DECLARED = {
 
 @pytest.mark.parametrize("R", sorted(_DECLARED))
 def test_derived_constants_match_the_declared_table(R):
-    for spec in _catalog(geo.build_sphere_grid(8, R)):
-        if spec.tag not in _DECLARED[R]:
+    for tag, spec in _catalog(geo.build_sphere_grid(8, R)):
+        if tag not in _DECLARED[R]:
             continue
-        declared = _DECLARED[R][spec.tag]
-        derived = dataclasses.astuple(spec.flags)
-        assert derived[2:4] == declared[2:4] and derived[6] == declared[6], spec.tag
-        if spec.tag.startswith("f4"):
+        declared = _DECLARED[R][tag]
+        derived = dataclasses.astuple(_flags(spec))
+        assert derived[2:4] == declared[2:4] and derived[6] == declared[6], tag
+        if tag.startswith("f4"):
             # the old bound max(1, max |x - p|) against the exact max(||K||_2, s);
             # ||K||_2 is 1.37 R, so s = 1 sets c2 at R = 0.5 alone
-            assert derived[1] == max(np.linalg.norm(spec.K, 2), 1.0) <= declared[1], spec.tag
+            assert derived[1] == max(np.linalg.norm(spec.K, 2), 1.0) <= declared[1], tag
             declared = declared[:1] + derived[1:2] + declared[2:]
-        np.testing.assert_allclose(derived, declared, rtol=0, atol=1e-12, err_msg=spec.tag)
+        np.testing.assert_allclose(derived, declared, rtol=0, atol=1e-12, err_msg=tag)
 
 
 @pytest.mark.parametrize("R", [1.0, 2.0])
 @pytest.mark.parametrize("seed", [17, 3])
 def test_audit_finds_no_violation_of_the_derived_constants(sphere8, sphere8_r2, R, seed):
-    for spec in _catalog(sphere8 if R == 1.0 else sphere8_r2):
+    for tag, spec in _catalog(sphere8 if R == 1.0 else sphere8_r2):
         rep = hypothesis_check(spec, 20, seed)
-        assert rep.ok, (spec.tag, rep.violations)
+        assert rep.ok, (tag, rep.violations)
         # only c1_hat and c2_hat bound their constants from below; the
         # least-squares c5_hat may exceed c5
-        assert rep.c1_hat == pytest.approx(spec.flags.c1, abs=1e-12)
-        assert rep.c2_hat <= spec.flags.c2 + 1e-12
+        flags = _flags(spec)
+        assert rep.c1_hat == pytest.approx(flags.c1, abs=1e-12)
+        assert rep.c2_hat <= flags.c2 + 1e-12
 
 
 @pytest.mark.parametrize("R,tag,field,value", [
@@ -397,15 +440,16 @@ def test_audit_finds_no_violation_of_the_derived_constants(sphere8, sphere8_r2, 
 ])
 def test_audit_catches_a_misdeclared_constant(sphere8, sphere8_r2, R, tag, field, value):
     spec = make_catalog_forcing(tag, {}, killing_basis(sphere8 if R == 1.0 else sphere8_r2))
-    assert getattr(spec.flags, field) != value
-    spec.flags = dataclasses.replace(spec.flags, **{field: value})
-    assert not hypothesis_check(spec, 20, seed=17).ok
+    flags = _flags(spec)
+    assert getattr(flags, field) != value
+    flags = dataclasses.replace(flags, **{field: value})
+    assert not hypothesis_check(spec, 20, seed=17, flags=flags).ok
 
 
 def test_indefinite_killing_map_has_no_sign(kb):
     # no catalog K is indefinite: nega and pos read the two extreme eigenvalues
     K = np.diag([1.0, -1.0, 0.5])
-    spec = make_catalog_forcing("zero", {}, kb)
-    spec = dataclasses.replace(spec, K=K, flags=_hypothesis_constants(spec.f, K, 0.0))
-    assert not spec.flags.nega and not spec.flags.pos and spec.flags.c2 == 1.0
+    spec = dataclasses.replace(make_catalog_forcing("zero", {}, kb), K=K)
+    flags = _flags(spec)
+    assert not flags.nega and not flags.pos and flags.c2 == 1.0
     assert hypothesis_check(spec, 20, seed=17).ok

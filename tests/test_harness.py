@@ -102,6 +102,7 @@ def test_config_mode_outside_truncation_has_path(text, key):
     ("geometry.kind = torus\ngeometry.n_tor = 400", "geometry.n_tor"),
     ("forcing.tag = constant_killing\nforcing.axis = 5", "forcing.axis"),
     ("init.kind = random\ninit.l_max = -3", "init.l_max"),      # draws no mode
+    ("geometry.L = 8\ninit.kind = random\ninit.l_max = 100", "init.l_max"),
     ("init.kind = random\ninit.norm_killing = -1", "init.norm_killing"),
     ("init.kind = random\ninit.norm_nonkilling = -1", "init.norm_nonkilling"),
     ("run.dt = 3e-3\nrun.t_end = 0.01", "run.t_end"),

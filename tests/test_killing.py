@@ -13,8 +13,8 @@ from surfns import harmonics, killing
 from surfns.errors import ConsistencyError, ParameterError
 from surfns.harmonics import (SpectralState, degree_norms, SphereTransform, mode_index,
                               random_band_limited)
-from surfns.killing import (SPHERE_L1_MAP, _gram, _korn_eigvals, _torus_family,
-                            killing_basis, korn_constant)
+from surfns.killing import (SPHERE_L1_MAP, _gram, _korn_eigvals, _korn_torus,
+                            _torus_family, killing_basis, korn_constant)
 from test_harmonics import sq_norms
 import nodal_oracle as nodal
 
@@ -333,7 +333,7 @@ def test_torus_korn(torus64):
     c_p = korn_constant(torus64)
     assert isinstance(c_p, float) and np.isfinite(c_p) and c_p > 1.0
     # cap convergence: richer stream-function family, same constant
-    assert abs(korn_constant(torus64, fourier_cap=10) - c_p) <= 5e-2 * c_p
+    assert abs(_korn_torus(torus64, 10) - c_p) <= 5e-2 * c_p
 
 
 def test_korn_constant_closed_form():
@@ -415,7 +415,7 @@ def test_torus_korn_blocks_match_dense_eigensolve(torus64):
         spectrum = torus_korn_spectrum(grid, cap)
         assert spectrum.size == mu.size == count
         assert np.abs(spectrum - mu).max() <= 1e-12 * mu.max()
-        assert korn_constant(grid, fourier_cap=cap) == np.sqrt(spectrum[-1])
+        assert _korn_torus(grid, cap) == np.sqrt(spectrum[-1])
     exact = 2.179449471770338      # the one-pass dense solve on the 64 x 64 grid
     assert abs(korn_constant(torus64) - exact) <= 1e-12 * exact
     # the family is band-limited: the largest grid gives the same constant

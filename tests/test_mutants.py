@@ -21,7 +21,7 @@ def _flip_forcing_k(mp):
     """Every catalog forcing acts on the Killing rows with -K."""
     real = forcing.ForcingSpec
     mp.setattr(forcing, "ForcingSpec",
-               lambda tag, basis, flags, f, K, s: real(tag, basis, flags, f, -K, s))
+               lambda basis, f, K, s: real(basis, f, -K, s))
 
 
 def _damp_degree_one(mp):

@@ -255,7 +255,7 @@ def test_alternating_dts_match_fresh_forms(sphere8, kb, tr8):
             ref[i] = step_imex(ref[i], fresh[i], spec, dt)
     for a, b in zip(alt, ref):
         assert a.t == b.t
-        for name in ("c", "diss_integral", "work_integral"):
+        for name in ("c", "ledger"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -380,9 +380,10 @@ def test_ledger_integrals_monotone_when_integrands_nonnegative(
     prev_diss = 0.0
     for _ in range(300):
         sim = step_imex(sim, formv, spec0, 1e-3)
-        assert sim.diss_integral >= prev_diss - 1e-15
-        assert sim.work_integral == 0.0
-        prev_diss = sim.diss_integral
+        diss, work = sim.ledger
+        assert diss >= prev_diss - 1e-15
+        assert work == 0.0
+        prev_diss = diss
 
 
 def test_higher_resolution_run_is_stable(kb):
@@ -534,9 +535,8 @@ def test_diagonal_form_tracks_the_blocked_form(sphere8, kb, tr8):
             a, b = stepper(a, diagonal, spec, 1e-3), stepper(b, blocked, spec, 1e-3)
         rel = np.linalg.norm(a.c - b.c, axis=1) / np.linalg.norm(b.c, axis=1)
         assert np.all(rel <= 1e-13), (stepper.__name__, k)
-        for name in ("diss_integral", "work_integral"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert np.all(np.abs(x - y) <= 1e-13 * np.abs(y)), (stepper.__name__, k, name)
+        x, y = a.ledger, b.ledger
+        assert np.all(np.abs(x - y) <= 1e-13 * np.abs(y)), (stepper.__name__, k)
         assert np.abs(a.ledger_residual() - b.ledger_residual()).max() <= 1e-13
 
 
@@ -732,7 +732,7 @@ def _frozen_run(cfg, form, spec, states, step=None):
 def _ledger_capture(store):
     """A ``record_fn`` that also keeps each row's (work, dissipation) integrals."""
     def capture(form, spec, sim, ws):
-        store.append(np.stack([sim.work_integral, sim.diss_integral], 1).copy())
+        store.append(np.stack([sim.ledger[1], sim.ledger[0]], 1))
         return record(form, spec, sim, ws)
     return capture
 
@@ -879,8 +879,8 @@ def test_runs_leave_the_problem_data_as_they_found_it(nu, sphere8, kb, tr8):
 
 def _snapshot(trajectories, diverged):
     """Copies of everything a run returned."""
-    errs = {i: (e.last_state.c.copy(), e.last_state.diss_integral.copy(),
-                e.last_state.work_integral.copy(), e.partial[0].copy(), e.partial[1].copy())
+    errs = {i: (e.last_state.c.copy(), e.last_state.ledger.copy(),
+                e.partial[0].copy(), e.partial[1].copy())
             for i, e in diverged.items()}
     return [(s.copy(), r.copy()) for s, r in trajectories], errs
 
@@ -912,11 +912,11 @@ def test_a_public_step_leaves_its_input_untouched(stepper, sphere8, formv, kb, t
     spec = make_catalog_forcing("f3_minus", {}, kb)
     sim = SimState([random_band_limited(tr8, 64 + i) for i in range(3)], dt=1e-3)
     for _ in range(3):          # the first step, then Adams-Bashforth steps
-        before = [np.copy(a) for a in (sim.c, sim.work_integral, sim.diss_integral)]
+        before = [np.copy(a) for a in (sim.c, sim.ledger)]
         hist, ab2 = sim.hist.copy(), sim.ab2
         new = stepper(sim, formv, spec, 1e-3)
         assert new is not sim and not np.shares_memory(new.hist, sim.hist)
-        for a, b in zip((sim.c, sim.work_integral, sim.diss_integral), before):
+        for a, b in zip((sim.c, sim.ledger), before):
             assert a.tobytes() == b.tobytes()
         assert sim.ab2 == ab2 and sim.hist.tobytes() == hist.tobytes()
         sim = step_imex(sim, formv, spec, 1e-3) if stepper is step_rk4 else new
