@@ -148,13 +148,14 @@ def _cmd_decompose(args):
 
 def _cmd_ensemble(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for key, value in (("seed", args.seed), ("ensemble.members", args.members)):
+        if value is not None:       # a flag overrides its config key
+            cfg[key] = value
     name = cfg["scenario.name"] or "ensemble"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     ctx = build_context(cfg)
-    ens = run_ensemble(cfg, ctx=ctx, n_members=args.members)
+    ens = run_ensemble(cfg, ctx=ctx)
     if not args.quiet:
         print(f"members: {len(ens.member_records)} "
               f"(diverged: {len(ens.diverged)})")

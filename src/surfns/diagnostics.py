@@ -32,13 +32,14 @@ SCALAR_FIELDS = ("t", "norm_u", "norm_uK", "norm_uNK", "energy", "dissipation",
 
 def record(form, spec, sim, ws=None):
     """The diagnostics of every row of the integrator's stack ``sim``: a
-    record array with one row per coefficient row, with A c and F(c) each
-    evaluated once for the whole stack (into the ``idle`` stage rows of
-    ``run_batch``'s workspace ``ws``, by its plan and forcing rows, if
-    given).  Its fields are ``SCALAR_FIELDS`` (``lam`` is nan where
-    undefined) and the ``basis.n`` Killing coordinates ``alpha``."""
+    record array with one row per coefficient row, with A c evaluated once
+    for the whole stack (into an ``idle`` stage row of ``run_batch``'s
+    workspace ``ws``, by its plan, if given).  With ``ws``, F(c) is the
+    state's own ``fn`` row, which the step that made c evaluated; without
+    it, F(c) is applied here.  Its fields are ``SCALAR_FIELDS`` (``lam`` is
+    nan where undefined) and the ``basis.n`` Killing coordinates ``alpha``."""
     c = sim.c
-    ac, fc, plan, rows = (None,) * 4 if ws is None else (*ws.idle, ws.plan, ws.forcing_rows(spec))
+    ac, plan, fc = (ws.idle[0], ws.plan, sim.fn[0]) if ws else (None, None, apply_forcing(spec, c))
     sq = c * c      # np.linalg.norm's square, once: on a column slice norm copies it
     norm_u, norm_uk, norm_unk = (np.sqrt(np.add.reduce(sq[:, cols], axis=1))
                                  for cols in (slice(None), slice(3), slice(3, None)))
@@ -47,7 +48,7 @@ def record(form, spec, sim, ws=None):
     defined = norm_u >= NORM_FLOOR
     lam[defined] = diss[defined] / norm_u[defined] ** 2
     columns = (sim.t, norm_u, norm_uk, norm_unk, 0.5 * norm_u ** 2, diss,
-               np.einsum("kn,kn->k", apply_forcing(spec, c, fc, rows), c), sim.ledger_residual(),
+               np.einsum("kn,kn->k", fc, c), sim.ledger_residual(),
                lam, spec.basis.alpha(c))
     out = np.empty(c.shape[0], dtype=[(name, float) for name in SCALAR_FIELDS]
                    + [("alpha", float, (spec.basis.n,))])
@@ -95,7 +96,6 @@ class KillingIdentityReport:
     linear_law_dev: float       # the power-integral law against f_K
     affine_law_dev: float       # componentwise alpha(t) = alpha(0) + t f_K
     quadratic_law_dev: float    # the quadratic norm growth law
-    drift: float                # max |alpha(t) - alpha(0)| (conservation case)
 
 
 def check_killing_identity(series, spec):
@@ -104,8 +104,8 @@ def check_killing_identity(series, spec):
     For f_K independent of u: the power integral (f_K, u_K)(t) is affine
     with slope ||f_K||^2, each coordinate follows alpha(0) + t f_K, and the
     squared norm obeys its quadratic expansion ||alpha(0)||^2
-    + 2 t (f_K, alpha(0)) + t^2 ||f_K||^2.  For f_K = 0 the report's
-    ``drift`` field measures conservation.  ``series`` holds the columns
+    + 2 t (f_K, alpha(0)) + t^2 ||f_K||^2.  For f_K = 0 the affine law
+    is conservation, alpha(t) = alpha(0).  ``series`` holds the columns
     ``t`` and ``alpha`` of a trajectory's records.
     """
     if spec.K.any():
@@ -123,8 +123,7 @@ def check_killing_identity(series, spec):
     aff_dev = np.abs(alpha - a0 - dt[:, None] * fk).max()
     expect = float(a0 @ a0) + dt * dt * fk_norm ** 2 + 2.0 * dt * ip0
     quad_dev = np.abs(np.einsum("kn,kn->k", alpha, alpha) - expect).max()
-    drift = np.abs(alpha - a0).max()
-    return KillingIdentityReport(lin_dev, aff_dev, quad_dev, drift)
+    return KillingIdentityReport(lin_dev, aff_dev, quad_dev)
 
 
 def rossby_haurwitz_block(block, omega, rate, t):

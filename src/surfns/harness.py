@@ -164,6 +164,8 @@ def _validate_config(cfg):
         _at("geometry.minor", geo.check_torus_radii, cfg["geometry.major"], cfg["geometry.minor"])
         for key in ("geometry.n_pol", "geometry.n_tor"):
             _at(key, geo.check_torus_size, cfg[key])
+    if cfg["nu.value"] <= 0:
+        raise ConfigError(f"config error at 'nu.value': must be positive, got {cfg['nu.value']}")
     if cfg["nu.kind"] == "linear_x3" and cfg["nu.value"] - abs(cfg["nu.a"]) <= 0:
         raise ConfigError("config error at 'nu.a': viscosity floor must stay positive")
     if sphere:
@@ -546,14 +548,14 @@ def member_seed(base_seed, k):
     return int(base_seed) + 1000003 * (k + 1)
 
 
-def run_ensemble(cfg, ctx=None, n_members=None):
-    """Integrate independent members as one batch and aggregate diagnostics.
+def run_ensemble(cfg, ctx=None):
+    """Integrate ``ensemble.members`` independent members as one batch and aggregate diagnostics.
 
     A diverged member is frozen and reported by index while the others
     continue; aggregation covers the completed members.
     """
     ctx = ctx if ctx is not None else build_context(cfg)
-    n = n_members if n_members is not None else cfg["ensemble.members"]
+    n = cfg["ensemble.members"]
     if n < 2:
         raise ParameterError("an ensemble needs at least 2 members")
     if ctx.form is None:

@@ -102,7 +102,7 @@ def chk_killing_affine(ctx):
 
 def chk_killing_drift(ctx):
     rep = check_killing_identity(ctx.records, ctx.fspec)
-    return _check("alpha_drift", rep.drift, 1e-10, "alpha(t) = alpha(0)")
+    return _check("alpha_drift", rep.affine_law_dev, 1e-10, "alpha(t) = alpha(0)")
 
 
 def chk_exponential_killing(sign):

@@ -18,8 +18,10 @@ turns y into (2 m, a A m).  For a step from slot 0 (slot 1 swaps the slots):
     corrector  y: (a/2, -a/2, a/2, -a/2, 1, 0)  a F: (a/2, 0, a/2, 0, 0, 0)
     AB2        y: (3a/2, -3a/2, -a/2, a/2, 1, 0) a F: (3a/2, 0, -a/2, 0, 0, 0)
 
-c comes last, so y rounds once against it.  The first step predicts c+ from
-the terms at c, puts the prediction and its terms in the other slot and
+c comes last, so y rounds once against it.  A slot's F and N rows are
+evaluated once, when its c is written: the workspace evaluates the initial
+stack's, and every step those of c+ at its end.  The first step predicts c+
+from the terms at c, puts the prediction and its terms in the other slot and
 corrects with the mean of both slots' terms; every later step is AB2 on the
 previous step's slot, whose c then takes c+.
 
@@ -80,10 +82,11 @@ class SimState:
     """A stack of k trajectories at one time: coefficients ``c`` of shape
     (k, n_modes), step metadata, and each row's running energy ledger.
 
-    ``c`` and its (F, N) rows ``fn`` are slot ``slot``'s of the history
-    ``hist``; ``ab2`` says the other slot holds the previous IMEX step's.  ``ledger`` stacks
-    each row's dissipation and work integrals.  ``states`` is a sequence of
-    SpectralStates sharing L and t; their coefficients are copied.
+    ``c`` and its (F, N) rows ``fn``, evaluated with ``c``, are slot ``slot``'s
+    of the history ``hist``; ``ab2`` says the other slot holds the previous
+    IMEX step's.  ``ledger`` stacks each row's dissipation and work integrals.
+    ``states`` is a sequence of SpectralStates sharing L and t; their
+    coefficients are copied.
     """
 
     def __init__(self, states, dt=0.0):
@@ -125,15 +128,15 @@ def _stage_rows(dt):
 
 
 class _Workspace:
-    """Every array a step of the k rows of ``sim`` on ``form`` writes, and every
-    one sized by k or dt that it reads: the two states and ``sim``'s history,
-    which they share, the form's and the engine plans, the forcing's rows
-    (tiled at first use), per dt ``dts`` the stage rows and
-    ``cn_operator``, ``stages`` (IMEX: y, 2 m, a A m and a F; RK4: the
-    slopes, A c and the stage input), ``idle``, the two stage rows a step
-    reads only after writing them, and the ledger rates."""
+    """Every array a step of the k rows of ``sim`` on ``form`` and ``spec``
+    writes, and every one sized by k or dt that it reads: the two states and
+    ``sim``'s history, which they share (it evaluates ``sim.fn``), the form's
+    and the engine plans, spec's f tiled to the stack, per dt ``dts`` the
+    stage rows and ``cn_operator``, ``stages`` (IMEX: y, 2 m, a A m and a F;
+    RK4: the slopes, A c and the stage input), ``idle``, the two stage rows a
+    step reads only after writing them, and the ledger rates."""
 
-    def __init__(self, form, sim):
+    def __init__(self, form, spec, sim):
         k, n = sim.c.shape
         self.hist, self.stages = sim.hist, np.empty((6, k, n))
         self.states = [SimState.__new__(SimState)._bind(self.hist, j, np.empty((2, k)))
@@ -141,34 +144,30 @@ class _Workspace:
         self.plan = form.plan(k)
         self.syn, adj = convective_plans(form.transform, k)
         self.adj = adj[:-1]
-        self.spec = self.f_rows = None
+        self.f_rows = np.tile(spec.f[:n], (k, 1))
         self.dts = {}
         self.yg = self.stages.reshape(6, -1)[:4:3]      # y and a F
         self.idle = self.stages[4:]
         self.rates = np.empty((4, 2, k))
-
-    def forcing_rows(self, spec):
-        """The ``f_rows`` of ``apply_forcing``: spec's f tiled to the stack."""
-        if spec is not self.spec:
-            k, n = self.idle[0].shape
-            self.spec, self.f_rows = spec, np.tile(spec.f[:n], (k, 1))
-        return self.f_rows
+        self.terms(form, spec, sim.c, sim.fn)
 
     def terms(self, form, spec, c, out):
         """(F(c), N(c)) for every row of a coefficient stack, into the rows of ``out``."""
         convective_term(form.transform, c, (self.syn, self.adj + (out[1],)))
-        apply_forcing(spec, c, out[0], self.forcing_rows(spec))
+        apply_forcing(spec, c, out[0], self.f_rows)
 
     def midpoint(self, form, rows, dt, op):
         """(2 m, a A m) in stages[1:3] for the midpoint m of the stage ``rows``."""
         np.matmul(rows, self.hist.reshape(6, -1), out=self.yg)
         return form.cn_solve(self.stages[0], dt, self.stages[1:3], self.plan, op)
 
-    def advance(self, sim, dt, rates, ab2):
-        """The state that is not ``sim``, one step of dt later, with its ledger."""
+    def advance(self, form, spec, sim, dt, rates, ab2):
+        """The state that is not ``sim``, whose c the step has written, one
+        step of dt later, with its ledger and its (F, N) rows."""
         s = self.states[1 - sim.slot]
         s.t, s.dt, s.step, s.energy0, s.ab2 = sim.t + dt, dt, sim.step + 1, sim.energy0, ab2
         np.add(sim.ledger, rates, out=s.ledger)
+        self.terms(form, spec, s.c, s.fn)
         return s
 
 
@@ -229,24 +228,22 @@ def step_imex(sim, form, spec, dt, out=None):
     _check_dt(dt, 0.0, 0.0, "IMEX-CNAB2")          # no stability bound
     if sim.ab2 and dt != sim.dt:
         raise ParameterError(f"dt = {dt:g} differs from the previous step's {sim.dt:g}")
-    ws = _Workspace(form, sim.take(range(sim.c.shape[0]))) if out is None else out
+    ws = _Workspace(form, spec, sim.take(range(sim.c.shape[0]))) if out is None else out
     cur, other = ws.states[sim.slot], ws.states[1 - sim.slot]
     per_dt = ws.dts.get(dt)
     if per_dt is None:
         per_dt = ws.dts[dt] = _stage_rows(dt), form.cn_operator(dt, sim.c.shape[0])
     rows, op = per_dt[0][sim.slot], per_dt[1]
-    ws.terms(form, spec, cur.c, cur.fn)
     if not sim.ab2:
         # the prediction and its terms fill the other slot
         np.subtract(ws.midpoint(form, rows[0], dt, op)[0], cur.c, out=other.c)
         ws.terms(form, spec, other.c, other.fn)
     two_m = ws.midpoint(form, rows[1 + sim.ab2], dt, op)[0]
+    np.subtract(two_m, cur.c, out=other.c)          # c+ = 2 m - c, into the other slot
     # dissipation dt (A m, m) and work dt (F, m) in one product;
     # -dt (N, m) is the convective defect
     w = ws.stages
-    new = ws.advance(sim, dt, np.vecdot(w[2:4], w[1], out=ws.rates[0]), True)
-    np.subtract(two_m, cur.c, out=new.c)            # c+ = 2 m - c, into the other slot
-    return new
+    return ws.advance(form, spec, sim, dt, np.vecdot(w[2:4], w[1], out=ws.rates[0]), True)
 
 
 def _rk4_sum(s, dt):
@@ -262,22 +259,22 @@ def _rk4_sum(s, dt):
 def step_rk4(sim, form, spec, dt, out=None):
     """Classical explicit RK4 step of every row, returned like ``step_imex``'s."""
     _check_dt(dt, form.rho_full(), 2.7, "RK4")
-    ws = _Workspace(form, sim.take(range(sim.c.shape[0]))) if out is None else out
-    c, fn = ws.states[sim.slot].c, ws.states[sim.slot].fn
+    ws = _Workspace(form, spec, sim.take(range(sim.c.shape[0]))) if out is None else out
+    cur, other = ws.states[sim.slot], ws.states[1 - sim.slot]
+    cv, fn = cur.c, cur.fn          # the first stage reads c's own terms
     slopes, (ac, y) = ws.stages[:4], ws.idle
     for i, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
-        # the stage input c + h k_{i-1}
-        cv = np.add(np.multiply(slopes[i - 1], h, out=y), c, out=y) if i else c
+        if i:   # the stage input c + h k_{i-1}, its terms in the other slot
+            cv, fn = np.add(np.multiply(slopes[i - 1], h, out=y), cur.c, out=y), other.fn
+            ws.terms(form, spec, cv, fn)
         form.apply(cv, ac, ws.plan)
-        ws.terms(form, spec, cv, fn)
         np.negative(ac, out=slopes[i])
         slopes[i] -= fn[1]
         slopes[i] += fn[0]
         np.einsum("kn,kn->k", cv, ac, out=ws.rates[i, 0])
         np.einsum("kn,kn->k", fn[0], cv, out=ws.rates[i, 1])
-    new = ws.advance(sim, dt, _rk4_sum(ws.rates, dt), False)
-    np.add(c, _rk4_sum(slopes, dt), out=new.c)
-    return new
+    np.add(cur.c, _rk4_sum(slopes, dt), out=other.c)
+    return ws.advance(form, spec, sim, dt, _rk4_sum(ws.rates, dt), False)
 
 
 def run_batch(config, grid, form, spec, states, record_fn=None):
@@ -317,7 +314,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
     stepper = step_imex if config.scheme == "imex_cnab2" else step_rk4
 
     sim = SimState(states, dt=config.dt)
-    ws = _Workspace(form, sim)
+    ws = _Workspace(form, spec, sim)
     live = np.arange(sim.c.shape[0])          # original index of each row
     samples = np.repeat(sim.c[:, None], n_samples, axis=1)
     records = rec(form, spec, sim, ws).view(np.recarray).repeat(n_samples, axis=0)
@@ -342,7 +339,7 @@ def run_batch(config, grid, form, spec, states, record_fn=None):
                 live, new = live[~bad], new.take(~bad)
                 if live.size == 0:
                     break
-                ws = _Workspace(form, new)
+                ws = _Workspace(form, spec, new)
             sim = new
             if (n + 1) % config.stride == 0 or n + 1 == n_steps:
                 samples[live, taken], records[live, taken] = sim.c, rec(form, spec, sim, ws)

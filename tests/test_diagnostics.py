@@ -180,7 +180,7 @@ def test_killing_identity_conservation(sphere8, form1, kb, tr8):
     _, records = run(cfg, sphere8, form1, spec, u0)
     rep = check_killing_identity(records, spec)
     assert np.linalg.norm(fk_of(spec)) <= 1e-10
-    assert rep.drift <= 1e-10
+    assert rep.affine_law_dev <= 1e-10
 
 
 def test_killing_identity_needs_u_independent_killing_part(kb, tr8):

@@ -100,6 +100,8 @@ def test_config_mode_outside_truncation_has_path(text, key):
     ("geometry.kind = torus\ngeometry.major = 1\ngeometry.minor = 2", "geometry.minor"),
     ("geometry.kind = torus\ngeometry.n_pol = 7", "geometry.n_pol"),
     ("geometry.kind = torus\ngeometry.n_tor = 400", "geometry.n_tor"),
+    ("nu.value = -1", "nu.value"),
+    ("nu.value = 0", "nu.value"),
     ("forcing.tag = constant_killing\nforcing.axis = 5", "forcing.axis"),
     ("init.kind = random\ninit.l_max = -3", "init.l_max"),      # draws no mode
     ("geometry.L = 8\ninit.kind = random\ninit.l_max = 100", "init.l_max"),
@@ -720,6 +722,8 @@ run.stride = 25
     files = sorted(os.listdir(tmp_path / "out"))
     assert "mini_ensemble.csv" in files
     assert sum(f.startswith("mini_member") for f in files) == 3
+    # the flag's value is outside input: one member is refused
+    assert cli.main(["--quiet", "ensemble", str(cfgfile), "--members", "1"]) == 2
 
 
 def test_torus_config_cannot_integrate(tmp_path):

@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from surfns import forcing, geometry as geo, operators
+from surfns import forcing, geometry as geo, operators, timestepper
 from surfns.harmonics import SphereTransform
 from surfns.scenarios import run_scenario
 from test_operators import dissipation_defect, enstrophy_defect
-from test_timestepper import forced_fixed_point_error, rossby_haurwitz_error
+from test_timestepper import (forced_fixed_point_error, imex_self_convergence_ratios,
+                              rossby_haurwitz_error)
 
 
 def _flip_forcing_k(mp):
@@ -108,6 +109,18 @@ def _drop_s(mp):
     _patch_everywhere(mp, real, mutant)
 
 
+def _first_order_explicit(mp):
+    """The IMEX Adams-Bashforth stage rows are the predictor's: every step
+    after the first takes F and N at its current state only."""
+    real = timestepper._stage_rows
+
+    def first_order(dt):
+        rows = real(dt)
+        rows[:, 2] = rows[:, 0]
+        return rows
+    mp.setattr(timestepper, "_stage_rows", first_order)
+
+
 def _passes(name, *checks):
     """The killer: whether every named check of the scenario ``name`` passes."""
     def check():
@@ -136,12 +149,17 @@ MUTANTS = [
     pytest.param(_negate_n, lambda: _fixed_point_error() <= 1e-12, id="negated_N_fixed_point"),
     pytest.param(_drop_n, lambda: _fixed_point_error() <= 1e-12, id="dropped_N_fixed_point"),
     pytest.param(_drop_s, _passes("f3_minus_decay", "nk_envelope"), id="dropped_s"),
+    pytest.param(_first_order_explicit,
+                 lambda: all(3.4 <= r <= 4.6 for r in imex_self_convergence_ratios()),
+                 id="first_order_explicit"),
     pytest.param(_negate_n, _passes("rossby_haurwitz", "rh_transport"), id="negated_N_suite"),
     pytest.param(_drop_n, _passes("rossby_haurwitz", "rh_transport"), id="dropped_N_suite"),
     pytest.param(_mean_nu, _passes("varnu_energy_balance", "dissipation_dual"),
                  id="mean_nu_suite"),
     pytest.param(_alias_convection, _passes("insta_regularity", "enstrophy_orthogonal"),
                  id="aliased_convection_suite"),
+    pytest.param(_first_order_explicit, _passes("rossby_haurwitz", "rh_transport"),
+                 id="first_order_explicit_suite"),
 ]
 
 

@@ -53,23 +53,31 @@ def _decay_error(sphere8, form1, spec0, scheme, dt):
     return abs(samples[-1][mode_index(8, 2, 0)] - np.exp(-lam2 * 0.5))
 
 
-def test_imex_second_order(sphere8, form1, formv, spec0, kb, tr8):
+def imex_self_convergence_ratios():
+    """The IMEX error ratios e(4e-3) / e(2e-3) and e(2e-3) / e(1e-3) at
+    t = 0.5, each error against a run at dt = 2.5e-4, of a forced nonlinear
+    problem: L = 8, linear_x3 nu (a = 0.5), f2_minus forcing and seed-19
+    random data.  A second-order scheme reads 4 in both."""
+    grid = geo.build_sphere_grid(8, 1.0)
+    form = assemble_stokes(grid, geo.ViscosityField(grid, 1.0 + 0.5 * grid.nodes[:, 2]), 8)
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, killing_basis(grid))
+    u0 = random_band_limited(form.transform, 19, norm_killing=0.3, norm_nonkilling=1.0)
+
+    def end(dt):
+        cfg = StepperConfig(dt=dt, t_end=0.5, stride=10 ** 9)
+        return run(cfg, grid, form, spec, u0)[0][-1]
+
+    ref = end(2.5e-4)
+    e = [np.linalg.norm(end(dt) - ref) for dt in (4e-3, 2e-3, 1e-3)]
+    return e[0] / e[1], e[1] / e[2]
+
+
+def test_imex_second_order(sphere8, form1, spec0):
     e1 = _decay_error(sphere8, form1, spec0, "imex_cnab2", 2e-3)
     e2 = _decay_error(sphere8, form1, spec0, "imex_cnab2", 1e-3)
     ratio = e1 / e2
     assert 4.0 * 0.85 <= ratio <= 4.0 * 1.15
-    # linear_x3 nu (a = 0.5), forced and nonlinear: self-convergence against
-    # a run at dt = 2.5e-4
-    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
-    u0 = random_band_limited(tr8, 19, norm_killing=0.3, norm_nonkilling=1.0)
-
-    def end(dt):
-        cfg = StepperConfig(dt=dt, t_end=0.5, stride=10 ** 9)
-        return run(cfg, sphere8, formv, spec, u0)[0][-1]
-
-    ref = end(2.5e-4)
-    e = [np.linalg.norm(end(dt) - ref) for dt in (4e-3, 2e-3, 1e-3)]
-    for ratio in (e[0] / e[1], e[1] / e[2]):
+    for ratio in imex_self_convergence_ratios():
         assert 4.0 * 0.85 <= ratio <= 4.0 * 1.15
 
 
@@ -827,7 +835,7 @@ def test_kept_workspace_steps_allocate_nothing(k, sphere16):
                  assemble_stokes(sphere16, nu, 16), _dense_form(sphere16, 16)):
         for stepper in (step_imex, step_rk4):
             sim = SimState([random_band_limited(tr, 120 + i) for i in range(k)], dt=1e-3)
-            ws = _Workspace(form, sim)
+            ws = _Workspace(form, spec, sim)
             for _ in range(2):      # the first step and one Adams-Bashforth step fill the caches
                 sim = stepper(sim, form, spec, 1e-3, ws)
             tracemalloc.start()
@@ -949,8 +957,9 @@ def test_interleaved_runs_on_one_form_equal_fresh_runs(sphere8, formv, kb, tr8):
 def test_step_and_rhs_calls_are_visible_at_module_bindings(scheme, rhs_per_step, monkeypatch,
                                                            sphere8, formv, kb, tr8):
     # the benchmark's tracer wraps these bindings: one step call per step, and
-    # every N and F evaluation inside one, one per step (+ the first IMEX
-    # step's corrector) or four per RK4 step
+    # every N and F evaluation but the initial stack's (by the run's workspace)
+    # inside one, one per step (+ the first IMEX step's corrector) or four per
+    # RK4 step
     from surfns import timestepper
     calls, depth = {}, [0]
 
@@ -977,5 +986,26 @@ def test_step_and_rhs_calls_are_visible_at_module_bindings(scheme, rhs_per_step,
     rhs = rhs_per_step * n_steps + (scheme == "imex_cnab2")
     step = "step_imex" if scheme == "imex_cnab2" else "step_rk4"
     assert calls == {step: n_steps, step + ".inside": 0,
-                     "convective_term": rhs, "convective_term.inside": rhs,
-                     "apply_forcing": rhs, "apply_forcing.inside": rhs}
+                     "convective_term": rhs + 1, "convective_term.inside": rhs,
+                     "apply_forcing": rhs + 1, "apply_forcing.inside": rhs}
+
+
+def test_a_run_records_without_evaluating_the_forcing(monkeypatch, sphere8, formv, kb, tr8):
+    # record reads F(c) from the rows the step that made c evaluated, and its
+    # work is still (F(c), c) of each sample
+    from surfns import diagnostics
+    spec = make_catalog_forcing("f2_minus", {"v": mode_row(8, 2, 1)}, kb)
+    states = [random_band_limited(tr8, 130 + i, norm_killing=0.3) for i in range(3)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply_forcing(*args, **kwargs)
+    monkeypatch.setattr(diagnostics, "apply_forcing", counted)
+    for scheme in ("imex_cnab2", "rk4"):
+        cfg = StepperConfig(scheme=scheme, dt=1e-3, t_end=0.02, stride=5)
+        trajectories, _ = run_batch(cfg, sphere8, formv, spec, states)
+        assert not calls
+        for samples, records in trajectories:
+            want = np.einsum("kn,kn->k", apply_forcing(spec, samples), samples)
+            assert np.abs(records.work - want).max() <= 1e-14 * np.abs(want).max()
